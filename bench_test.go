@@ -321,7 +321,7 @@ func BenchmarkAblationPositional(b *testing.B) {
 		cfg := experiments.Config{}
 		if positional {
 			name = "positional"
-			cfg.Fusion = fusion.Options{PreserveTuples: true}
+			cfg.Fusion = fusion.Options{Strategy: fusion.Tuples{}}
 		}
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
@@ -397,47 +397,11 @@ func BenchmarkTypePrintParse(b *testing.B) {
 }
 
 // BenchmarkInferNDJSON measures the public in-memory entry point end to
-// end with no recorder installed — the nil-recorder fast path whose
-// overhead docs/OBSERVABILITY.md promises is near zero (CI records the
-// comparison against BenchmarkInferNDJSONObserved in BENCH_obs.json).
+// end with no recorder installed, on the two skew extremes of the
+// adaptive cost model (docs/PERFORMANCE.md): twitter's chunks settle on
+// interning, wikidata's all-distinct chunks degrade to the plain tally.
+// CI's -benchtime=1x smoke runs both routes.
 func BenchmarkInferNDJSON(b *testing.B) {
-	g, _ := dataset.New("twitter")
-	data := dataset.NDJSON(g, benchScale(), 1)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := jsi.InferNDJSON(data, jsi.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInferNDJSONDedup is BenchmarkInferNDJSON on the hash-consed
-// fast path (Options.Dedup): interned types, multiset map phase and the
-// memoized fuse cache. The schema is byte-identical to the default
-// path; the difference between the two benches is the whole point of
-// docs/PERFORMANCE.md (CI records it in BENCH_perf.json).
-func BenchmarkInferNDJSONDedup(b *testing.B) {
-	g, _ := dataset.New("twitter")
-	data := dataset.NDJSON(g, benchScale(), 1)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := jsi.InferNDJSON(data, jsi.Options{Dedup: jsi.DedupOn}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInferNDJSONAuto is BenchmarkInferNDJSON under the adaptive
-// mode (Options.Dedup DedupAuto) on the two skew extremes: twitter
-// settles on the hash-consed path, wikidata's all-distinct records
-// degrade to the plain payload mid-chunk. CI's -benchtime=1x smoke runs
-// both routes, and BENCH_perf.json's worst_case_regression_pct tracks
-// how close auto stays to the better fixed mode (docs/PERFORMANCE.md).
-func BenchmarkInferNDJSONAuto(b *testing.B) {
 	for _, name := range []string{"twitter", "wikidata"} {
 		b.Run(name, func(b *testing.B) {
 			g, _ := dataset.New(name)
@@ -446,7 +410,7 @@ func BenchmarkInferNDJSONAuto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := jsi.InferNDJSON(data, jsi.Options{Dedup: jsi.DedupAuto}); err != nil {
+				if _, _, err := jsi.InferNDJSON(data, jsi.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -454,9 +418,9 @@ func BenchmarkInferNDJSONAuto(b *testing.B) {
 	}
 }
 
-// BenchmarkInferNDJSONObserved is BenchmarkInferNDJSON with a Collector
-// installed: the difference between the two is the full cost of
-// observing a run (atomic counters, histogram observations, timing
+// BenchmarkInferNDJSONObserved is BenchmarkInferNDJSON/twitter with a
+// Collector installed: the difference between the two is the full cost
+// of observing a run (atomic counters, histogram observations, timing
 // reads along the pipeline).
 func BenchmarkInferNDJSONObserved(b *testing.B) {
 	g, _ := dataset.New("twitter")

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	jsi "repro"
@@ -23,22 +24,15 @@ func TestFromChunkedReaderMatchesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-		o := opts
-		o.Dedup = dedup
-		got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(data)), o)
-		if err != nil {
-			t.Fatalf("dedup=%v: %v", dedup, err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("dedup=%v: schema = %s, want %s", dedup, got, want)
-		}
-		if gotStats.Records != wantStats.Records {
-			t.Errorf("dedup=%v: records = %d, want %d", dedup, gotStats.Records, wantStats.Records)
-		}
-		if gotStats.Bytes != int64(len(data)) {
-			t.Errorf("dedup=%v: bytes = %d, want %d", dedup, gotStats.Bytes, len(data))
-		}
+	got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(data)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("schema = %s, want %s", got, want)
+	}
+	if gotStats != wantStats {
+		t.Errorf("stats = %+v, want %+v", gotStats, wantStats)
 	}
 }
 
@@ -76,21 +70,19 @@ func TestFromChunkedReaderLineEndings(t *testing.T) {
 		{"no final newline", noFinalNL.Bytes()},
 		{"crlf, unterminated tail", bytes.TrimSuffix(crlf.Bytes(), []byte("\r\n"))},
 	} {
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			opts := jsi.Options{Workers: 3, ChunkBytes: 256, Dedup: dedup}
-			got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(tc.data)), opts)
-			if err != nil {
-				t.Fatalf("%s (dedup=%v): %v", tc.label, dedup, err)
-			}
-			if got.String() != want.String() {
-				t.Errorf("%s (dedup=%v): schema = %s, want %s", tc.label, dedup, got, want)
-			}
-			if gotStats.Records != wantStats.Records {
-				t.Errorf("%s (dedup=%v): records = %d, want %d", tc.label, dedup, gotStats.Records, wantStats.Records)
-			}
-			if gotStats.Bytes != int64(len(tc.data)) {
-				t.Errorf("%s (dedup=%v): bytes = %d, want %d", tc.label, dedup, gotStats.Bytes, len(tc.data))
-			}
+		opts := jsi.Options{Workers: 3, ChunkBytes: 256}
+		got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(tc.data)), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: schema = %s, want %s", tc.label, got, want)
+		}
+		if gotStats.Records != wantStats.Records {
+			t.Errorf("%s: records = %d, want %d", tc.label, gotStats.Records, wantStats.Records)
+		}
+		if gotStats.Bytes != int64(len(tc.data)) {
+			t.Errorf("%s: bytes = %d, want %d", tc.label, gotStats.Bytes, len(tc.data))
 		}
 	}
 }
@@ -184,4 +176,37 @@ func TestFromChunkedReaderEmpty(t *testing.T) {
 	if !schema.IsEmpty() || stats.Records != 0 {
 		t.Errorf("schema = %s, records = %d; want empty, 0", schema, stats.Records)
 	}
+}
+
+// TestFromChunkedReaderReusesChunkBuffers pins the process-wide chunk
+// pool: a second FromChunkedReader run takes its chunk buffers from the
+// pool the first run returned them to, instead of allocating a fresh
+// 4 MiB buffer for a small body.
+func TestFromChunkedReaderReusesChunkBuffers(t *testing.T) {
+	// One P, so the release hook's Put and the next feed's Get meet in
+	// the same per-P pool slot, and no GC to empty the pool in between.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	body := bytes.Repeat([]byte(`{"a":1}`+"\n"), 100)
+	run := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := jsi.Infer(context.Background(), jsi.FromChunkedReader(bytes.NewReader(body)), jsi.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	// The race detector drops a quarter of sync.Pool puts on purpose, so
+	// allow a few runs before calling a miss a failure.
+	const chunkBuffer = 4 << 20
+	var allocated uint64
+	for attempt := 0; attempt < 16; attempt++ {
+		if allocated = run(); allocated < chunkBuffer {
+			return
+		}
+	}
+	t.Fatalf("every repeated run allocated %d bytes, at least one %d-byte chunk buffer", allocated, chunkBuffer)
 }

@@ -14,14 +14,7 @@
 //	-format      output format: type (default), indent, jsonschema, codec,
 //	             enrich (the per-path enrichment report; requires -enrich)
 //	-stream      constant-memory streaming mode (single worker, no
-//	             distinct type statistics unless -dedup is set)
-//	-dedup       deduplication mode: false (default), true, or auto.
-//	             true runs the hash-consed fast path (deduplicate
-//	             distinct types in the map phase, memoize fusion; same
-//	             schema, exact distinct-type statistics); auto samples
-//	             each chunk and degrades to the plain path when
-//	             hash-consing cannot pay for itself (near-all-distinct
-//	             data). A bare -dedup means true.
+//	             distinct type statistics)
 //	-workers     map-phase parallelism (default: number of CPUs)
 //	-retries     per-chunk retry budget for transient failures
 //	-on-error    fail (default) aborts on a chunk that exhausts its
@@ -50,9 +43,9 @@
 // Interrupting the process (SIGINT) cancels the pipeline promptly and
 // cleanly between chunks.
 //
-// Every mode — files, stdin, streaming, dedup — runs through the one
-// engine in internal/pipeline (docs/ARCHITECTURE.md); the flags above
-// only select the feed and the accumulator payload.
+// Every mode — files, stdin, streaming — runs through the one engine
+// in internal/pipeline (docs/ARCHITECTURE.md); the flags above only
+// select the feed and the fusion policy.
 package main
 
 import (
@@ -103,21 +96,6 @@ func startDebug(addr string, c *jsi.Collector, stderr io.Writer) (func(), error)
 	return func() { _ = srv.Close() }, nil
 }
 
-// dedupFlag adapts jsi.DedupMode to the flag package: it accepts the
-// boolean spellings plus "auto", and a bare -dedup means true.
-type dedupFlag struct{ mode jsi.DedupMode }
-
-func (f *dedupFlag) String() string { return f.mode.String() }
-func (f *dedupFlag) Set(s string) error {
-	m, err := jsi.ParseDedupMode(s)
-	if err != nil {
-		return err
-	}
-	f.mode = m
-	return nil
-}
-func (f *dedupFlag) IsBoolFlag() bool { return true }
-
 // splitKeys parses the -union-keys comma list, trimming blanks so
 // "type, event" works.
 func splitKeys(s string) []string {
@@ -135,8 +113,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	fs.SetOutput(stderr)
 	format := fs.String("format", "type", "output format: type, indent, jsonschema, codec")
 	stream := fs.Bool("stream", false, "constant-memory streaming mode")
-	var dedup dedupFlag
-	fs.Var(&dedup, "dedup", "deduplication mode: false, true or auto (bare -dedup means true)")
 	workers := fs.Int("workers", 0, "map-phase parallelism (0 = all CPUs)")
 	showStats := fs.Bool("stats", false, "print dataset statistics to stderr")
 	profileFlag := fs.Bool("profile", false, "print a statistics-annotated schema instead of a plain one")
@@ -170,7 +146,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		PreserveTupleArrays: *positional,
 		Retries:             *retries,
 		OnError:             errPolicy,
-		Dedup:               dedup.mode,
 		TaggedUnions:        *tagged,
 		MaxVariants:         *maxVariants,
 		MaxTagLen:           *maxTagLen,
@@ -213,9 +188,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		stats  jsi.Stats
 		err    error
 	)
-	// merged marks runs whose statistics combine several partitions, for
-	// which DistinctTypes is only a lower bound.
-	merged := fs.NArg() > 1
 	switch {
 	case fs.NArg() == 0 && *stream:
 		schema, stats, err = jsi.Infer(ctx, jsi.FromReader(stdin), opts)
@@ -243,12 +215,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			schema = schema.Fuse(s)
 			stats.Records += st.Records
 			stats.Bytes += st.Bytes
-			// Each file streams through its own dedup table, so across
-			// files the distinct count degrades to a per-file maximum —
-			// the same lower bound mergeStats keeps.
-			if st.DistinctTypes > stats.DistinctTypes {
-				stats.DistinctTypes = st.DistinctTypes
-			}
 		}
 	default:
 		// Files are partitions of one dataset: each runs through the
@@ -269,23 +235,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 
 	if *showStats {
-		// Merged partitions cannot combine distinct-type sets, so the
-		// count degrades to a lower bound; mark it as such. With -dedup
-		// the chunked pipeline merges multisets by identity and stays
-		// exact across files — only streaming over several files (one
-		// dedup table per file) still degrades.
-		dedupOn := dedup.mode != jsi.DedupOff
-		lowerBound := merged && !*stream && !dedupOn || merged && *stream && dedupOn
-		distinct := fmt.Sprintf("distinct-types=%d", stats.DistinctTypes)
-		if lowerBound {
-			distinct = fmt.Sprintf("distinct-types>=%d", stats.DistinctTypes)
-		}
 		faults := ""
 		if stats.Retries > 0 || stats.QuarantinedChunks > 0 {
 			faults = fmt.Sprintf(" retries=%d quarantined-chunks=%d", stats.Retries, stats.QuarantinedChunks)
 		}
-		fmt.Fprintf(stderr, "records=%d bytes=%d %s type-sizes=%d..%d avg=%.1f schema-size=%d%s\n",
-			stats.Records, stats.Bytes, distinct,
+		fmt.Fprintf(stderr, "records=%d bytes=%d distinct-types=%d type-sizes=%d..%d avg=%.1f schema-size=%d%s\n",
+			stats.Records, stats.Bytes, stats.DistinctTypes,
 			stats.MinTypeSize, stats.MaxTypeSize, stats.AvgTypeSize, schema.Size(), faults)
 	}
 

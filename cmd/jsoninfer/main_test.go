@@ -340,8 +340,9 @@ func TestDebugAddrServesLiveExpvar(t *testing.T) {
 	}
 }
 
-// TestStatsLowerBoundAcrossFiles asserts the stats line marks
-// distinct-types as a lower bound when partitions are merged.
+// TestStatsLowerBoundAcrossFiles asserts the stats line no longer
+// reports distinct-types as a lower bound when partitions are merged:
+// the count is exact, with no ">=" marker, for one file or several.
 func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
@@ -356,23 +357,24 @@ func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errOut, "distinct-types>=") {
-		t.Errorf("merged stats should mark the lower bound: %q", errOut)
+	if strings.Contains(errOut, "distinct-types>=") || !strings.Contains(errOut, "distinct-types=2 ") {
+		t.Errorf("merged stats should be exact: %q", errOut)
 	}
-	// A single input is exact: no marker.
 	_, errOut, err = runCmd(t, []string{"-stats", f1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(errOut, "distinct-types>=") || !strings.Contains(errOut, "distinct-types=1") {
+	if strings.Contains(errOut, "distinct-types>=") || !strings.Contains(errOut, "distinct-types=1 ") {
 		t.Errorf("single-file stats should be exact: %q", errOut)
 	}
 }
 
-// TestStatsDedupExactAcrossFiles: with -dedup the chunked pipeline
-// merges distinct-type multisets by identity across partitions, so the
-// stats line stays EXACT (no >= marker) over several files — including
-// when both files share shapes, where a per-file bound would undercount.
+// TestStatsDedupExactAcrossFiles: one intern table spans every file of
+// a run, so the chunked pipeline merges distinct-type multisets by
+// identity across partitions and the stats line stays exact over
+// several files — including when both files share shapes, where a
+// per-file bound would undercount. The -stream path keeps no
+// distinct-type set and reports zero.
 func TestStatsDedupExactAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
@@ -384,40 +386,21 @@ func TestStatsDedupExactAcrossFiles(t *testing.T) {
 	if err := os.WriteFile(f2, []byte(`{"y":"s"}`+"\n"+`{"shared":true}`+"\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, errOut, err := runCmd(t, []string{"-stats", "-dedup", f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(errOut, "distinct-types>=") || !strings.Contains(errOut, "distinct-types=3") {
-		t.Errorf("dedup multi-file stats should be exact: %q", errOut)
-	}
-	// Schema must match the non-dedup run byte for byte.
-	out, _, err := runCmd(t, []string{f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outDedup, _, err := runCmd(t, []string{"-dedup", f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != outDedup {
-		t.Errorf("dedup schema %q != default %q", outDedup, out)
-	}
-	// Streaming with -dedup gets exact counts per file but only a bound
-	// across several.
-	_, errOut, err = runCmd(t, []string{"-stats", "-dedup", "-stream", f1}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errOut, "distinct-types=2") {
-		t.Errorf("dedup single-file streaming stats should be exact: %q", errOut)
-	}
-	_, errOut, err = runCmd(t, []string{"-stats", "-dedup", "-stream", f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errOut, "distinct-types>=2") {
-		t.Errorf("dedup multi-file streaming stats should mark the bound: %q", errOut)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stats", f1}, "distinct-types=2 "},
+		{[]string{"-stats", f1, f2}, "distinct-types=3 "},
+		{[]string{"-stats", "-stream", f1, f2}, "distinct-types=0 "},
+	} {
+		_, errOut, err := runCmd(t, tc.args, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: stats line %q, want %q", tc.args, errOut, tc.want)
+		}
 	}
 }
 

@@ -40,8 +40,6 @@
 //	-ingest-workers    map-phase parallelism per ingest request
 //	-retries           per-chunk retry budget for ingest pipelines
 //	-on-error          default chunk failure policy: fail or skip
-//	-dedup             deduplication mode for ingest pipelines: false
-//	                   (default), true, or auto (adaptive per chunk)
 //	-enrich            enrichment monoids computed on every ingest
 //	                   (comma list or "all"; see docs/ENRICHMENT.md)
 //	-debug-addr        serve expvar (schemad_metrics) and pprof here
@@ -62,25 +60,9 @@ import (
 	"syscall"
 	"time"
 
-	jsi "repro"
 	"repro/internal/debugserver"
 	"repro/internal/serving"
 )
-
-// dedupFlag adapts jsi.DedupMode to the flag package: it accepts the
-// boolean spellings plus "auto", and a bare -dedup means true.
-type dedupFlag struct{ mode jsi.DedupMode }
-
-func (f *dedupFlag) String() string { return f.mode.String() }
-func (f *dedupFlag) Set(s string) error {
-	m, err := jsi.ParseDedupMode(s)
-	if err != nil {
-		return err
-	}
-	f.mode = m
-	return nil
-}
-func (f *dedupFlag) IsBoolFlag() bool { return true }
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -101,8 +83,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	ingestWorkers := fs.Int("ingest-workers", 2, "map-phase parallelism per ingest request")
 	retries := fs.Int("retries", 0, "per-chunk retry budget for ingest pipelines")
 	onError := fs.String("on-error", "fail", "default chunk failure policy: fail or skip")
-	var dedup dedupFlag
-	fs.Var(&dedup, "dedup", "deduplication mode for ingest pipelines: false, true or auto (bare -dedup means true)")
 	enrichNames := fs.String("enrich", "", "enrichment monoids for every ingest (comma list or \"all\"; empty disables)")
 	tagged := fs.Bool("tagged", false, "infer tagged unions on every ingest (requests can override with ?tagged=)")
 	unionKeys := fs.String("union-keys", "", "comma-separated discriminator field names for -tagged (default type,event,kind)")
@@ -147,7 +127,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		IngestWorkers:      *ingestWorkers,
 		Retries:            *retries,
 		OnErrorSkip:        skip,
-		Dedup:              dedup.mode,
 		Enrich:             enrich,
 		TaggedUnions:       *tagged,
 		UnionKeys:          keys,

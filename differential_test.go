@@ -63,34 +63,27 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 8} {
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				label := fmt.Sprintf("parallel %d dedup=%s", workers, dedup)
-				s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: workers, Dedup: dedup})
-				check(label, s, st, err)
-			}
+			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: workers})
+			check(fmt.Sprintf("parallel %d", workers), s, st, err)
 		}
 
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Dedup: dedup})
-			check("streaming dedup="+dedup.String(), s, st, err)
-		}
+		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{})
+		check("streaming", s, st, err)
 
 		path := filepath.Join(dir, name+".ndjson")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromFile(path), jsi.Options{Workers: 8, ChunkBytes: 1 << 10, Dedup: dedup})
-			check("file pipeline dedup="+dedup.String(), s, st, err)
-		}
+		s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), jsi.Options{Workers: 8, ChunkBytes: 1 << 10})
+		check("file pipeline", s, st, err)
 	}
 }
 
 // TestDifferentialTaggedUnions re-runs the parallel-vs-sequential
 // oracle with the tagged-union policy on. The Variants merge is part of
-// the fusion monoid, so the same guarantee must hold: worker count,
-// dedup mode and source (in-memory, streaming, file pipeline) are
-// invisible in the canonical schema bytes. The test also requires that
+// the fusion monoid, so the same guarantee must hold: worker count and
+// source (in-memory, streaming, file pipeline) are invisible in the
+// canonical schema bytes. The test also requires that
 // at least one dataset actually infers a variants node, so it cannot
 // pass vacuously with the policy silently disabled.
 func TestDifferentialTaggedUnions(t *testing.T) {
@@ -130,26 +123,34 @@ func TestDifferentialTaggedUnions(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 8} {
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				label := fmt.Sprintf("parallel %d dedup=%s", workers, dedup)
-				s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: workers, Dedup: dedup}))
-				check(label, s, st, err)
-			}
+			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: workers}))
+			check(fmt.Sprintf("parallel %d", workers), s, st, err)
 		}
 
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), opts(jsi.Options{Dedup: dedup}))
-			check("streaming dedup="+dedup.String(), s, st, err)
-		}
+		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), opts(jsi.Options{}))
+		check("streaming", s, st, err)
 
 		path := filepath.Join(dir, name+".ndjson")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromFile(path), opts(jsi.Options{Workers: 8, ChunkBytes: 1 << 10, Dedup: dedup}))
-			check("file pipeline dedup="+dedup.String(), s, st, err)
+		s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), opts(jsi.Options{Workers: 8, ChunkBytes: 1 << 10}))
+		check("file pipeline", s, st, err)
+
+		// Several files merge their accumulators before the one Finalize,
+		// like the chunks of one file, so the tagged collapse decisions
+		// see the whole run.
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		var parts []string
+		for i := 0; i < 3; i++ {
+			part := filepath.Join(dir, fmt.Sprintf("%s.%d.ndjson", name, i))
+			if err := os.WriteFile(part, bytes.Join(lines[i*len(lines)/3:(i+1)*len(lines)/3], nil), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, part)
 		}
+		s, st, err = jsi.Infer(context.Background(), jsi.FromFiles(parts...), opts(jsi.Options{Workers: 2, ChunkBytes: 1 << 10}))
+		check("files", s, st, err)
 
 		// The JSON Schema export of a tagged run must also be stable
 		// across execution strategies (oneOf branch order is canonical).
@@ -157,7 +158,7 @@ func TestDifferentialTaggedUnions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: JSONSchema: %v", name, err)
 		}
-		parSchema, _, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: 8, Dedup: jsi.DedupOn}))
+		parSchema, _, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: 8}))
 		if err != nil {
 			t.Fatalf("%s: tagged parallel for JSONSchema: %v", name, err)
 		}
@@ -248,11 +249,9 @@ func TestDifferentialEnrichmentTransparent(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 8} {
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data),
-					jsi.Options{Workers: workers, Dedup: dedup, Enrich: enrich})
-				check("parallel dedup="+dedup.String(), s, st, err)
-			}
+			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data),
+				jsi.Options{Workers: workers, Enrich: enrich})
+			check(fmt.Sprintf("parallel %d", workers), s, st, err)
 		}
 
 		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)),
@@ -269,12 +268,12 @@ func TestDifferentialEnrichmentTransparent(t *testing.T) {
 	}
 }
 
-// TestDifferentialDedupStatsAndMetrics pins the dedup path's contract
-// beyond schema bytes: at Workers 1, the full Stats struct matches the
-// default path field for field (DistinctTypes exact on both), and the
+// TestDifferentialDedupStatsAndMetrics pins the adaptive path's
+// contract beyond schema bytes: at Workers 1, the full Stats struct
+// matches the degraded tactic's (InferPlain) field for field, and the
 // metrics snapshots are identical once timing and cache counters are
 // stripped — infer_records, infer_chunks, the fusion-growth histogram,
-// everything else must not move.
+// everything else must not move, whichever chunks interned.
 func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 	for _, name := range dataset.Names() {
 		g, err := dataset.New(name)
@@ -283,35 +282,29 @@ func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 		}
 		data := dataset.NDJSON(g, 300, 101)
 
-		run := func(dedup jsi.DedupMode) (*jsi.Schema, jsi.Stats, jsi.Metrics) {
+		type inferFunc func(context.Context, jsi.Source, jsi.Options) (*jsi.Schema, jsi.Stats, error)
+		run := func(label string, infer inferFunc) (*jsi.Schema, jsi.Stats, jsi.Metrics) {
 			c := jsi.NewCollector()
-			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Dedup: dedup, Collector: c})
+			s, st, err := infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Collector: c})
 			if err != nil {
-				t.Fatalf("%s (dedup=%v): %v", name, dedup, err)
+				t.Fatalf("%s (%s): %v", name, label, err)
 			}
 			return s, st, c.Metrics()
 		}
-		refSchema, refStats, refMetrics := run(jsi.DedupOff)
-		dedupSchema, dedupStats, dedupMetrics := run(jsi.DedupOn)
+		refSchema, refStats, refMetrics := run("plain", jsi.InferPlain)
+		gotSchema, gotStats, gotMetrics := run("adaptive", jsi.Infer)
 
-		if !bytes.Equal(canonical(t, refSchema), canonical(t, dedupSchema)) {
-			t.Errorf("%s: dedup schema diverged", name)
+		if !bytes.Equal(canonical(t, refSchema), canonical(t, gotSchema)) {
+			t.Errorf("%s: adaptive schema diverged", name)
 		}
-		if refStats != dedupStats {
-			t.Errorf("%s: stats diverged\n got: %+v\nwant: %+v", name, dedupStats, refStats)
-		}
-		autoSchema, autoStats, _ := run(jsi.DedupAuto)
-		if !bytes.Equal(canonical(t, refSchema), canonical(t, autoSchema)) {
-			t.Errorf("%s: auto schema diverged", name)
-		}
-		if refStats != autoStats {
-			t.Errorf("%s: auto stats diverged\n got: %+v\nwant: %+v", name, autoStats, refStats)
+		if refStats != gotStats {
+			t.Errorf("%s: stats diverged\n got: %+v\nwant: %+v", name, gotStats, refStats)
 		}
 		want, err := refMetrics.WithoutTimings().WithoutCache().MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dedupMetrics.WithoutTimings().WithoutCache().MarshalJSON()
+		got, err := gotMetrics.WithoutTimings().WithoutCache().MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,27 +312,33 @@ func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 			t.Errorf("%s: non-cache metrics diverged\n got: %s\nwant: %s", name, got, want)
 		}
 
-		// The dedup run must actually have recorded its cache counters,
-		// and a single-worker fault-free run pins the exact identities:
-		// every record interns (hits+misses counts every Canon/intern
-		// probe) and intern_misses is the table's distinct-node count.
-		counters := dedupMetrics.Counters
+		// The adaptive run must actually have interned (the first chunk
+		// samples through the intern table) and recorded every cache
+		// counter, zero where its chunks degraded before fusing through
+		// the memo; the plain run records none.
+		counters := gotMetrics.Counters
 		if counters["intern_hits"] == 0 || counters["intern_misses"] == 0 {
 			t.Errorf("%s: intern counters missing: %v", name, counters)
 		}
-		if counters["fuse_cache_hits"]+counters["fuse_cache_misses"] == 0 {
-			t.Errorf("%s: fuse cache counters missing", name)
+		for _, c := range []string{"fuse_cache_hits", "fuse_cache_misses", "simplify_cache_hits", "simplify_cache_misses"} {
+			if _, ok := counters[c]; !ok {
+				t.Errorf("%s: %s missing", name, c)
+			}
+			if _, ok := refMetrics.Counters[c]; ok {
+				t.Errorf("%s: plain run recorded %s", name, c)
+			}
 		}
-		if refMetrics.Counters["intern_hits"] != 0 {
-			t.Errorf("%s: default path recorded intern counters", name)
+		if _, ok := refMetrics.Counters["intern_hits"]; ok {
+			t.Errorf("%s: plain run recorded intern counters", name)
 		}
 	}
 }
 
-// TestDifferentialDedupExactDistinctAcrossSources: the dedup pipeline
-// reports the SAME exact DistinctTypes from the in-memory, streaming,
-// single-file and multi-file paths — the paths where the default
-// pipeline reports zero or only a lower bound.
+// TestDifferentialDedupExactDistinctAcrossSources: every chunked Source
+// reports the SAME exact DistinctTypes — in memory, chunked stream,
+// single file and several files, where one intern table spans the
+// files — while FromReader, which keeps no distinct-type set, reports
+// zero.
 func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	dir := t.TempDir()
 	g, err := dataset.New("github")
@@ -348,7 +347,7 @@ func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	}
 	data := dataset.NDJSON(g, 400, 7)
 
-	_, want, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Dedup: jsi.DedupOn})
+	_, want, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,16 +355,24 @@ func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 		t.Fatalf("reference distinct count not positive: %+v", want)
 	}
 
-	_, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Dedup: jsi.DedupOn})
+	_, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DistinctTypes != 0 {
+		t.Errorf("streaming DistinctTypes = %d, want 0", st.DistinctTypes)
+	}
+
+	_, st, err = jsi.Infer(context.Background(), jsi.FromChunkedReader(bytes.NewReader(data)), jsi.Options{Workers: 4, ChunkBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.DistinctTypes != want.DistinctTypes {
-		t.Errorf("streaming dedup DistinctTypes = %d, want %d", st.DistinctTypes, want.DistinctTypes)
+		t.Errorf("chunked stream DistinctTypes = %d, want %d", st.DistinctTypes, want.DistinctTypes)
 	}
 
-	// Split the buffer across two files; identity-merged multisets must
-	// reproduce the exact global count, not a per-file bound.
+	// Split the buffer across two files that share shapes: the exact
+	// global count, not a per-file bound.
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	mid := len(lines) / 2
 	paths := []string{filepath.Join(dir, "a.ndjson"), filepath.Join(dir, "b.ndjson")}
@@ -375,26 +382,24 @@ func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	if err := os.WriteFile(paths[1], bytes.Join(lines[mid:], nil), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err = jsi.Infer(context.Background(), jsi.FromFiles(paths...), jsi.Options{Workers: 4, ChunkBytes: 1 << 10, Dedup: jsi.DedupOn})
+	_, st, err = jsi.Infer(context.Background(), jsi.FromFiles(paths...), jsi.Options{Workers: 4, ChunkBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DistinctTypes != want.DistinctTypes {
-		t.Errorf("multi-file dedup DistinctTypes = %d, want %d", st.DistinctTypes, want.DistinctTypes)
-	}
-	if st.Records != want.Records {
-		t.Errorf("multi-file dedup Records = %d, want %d", st.Records, want.Records)
+	want.Bytes = st.Bytes
+	if st != want {
+		t.Errorf("multi-file Stats = %+v, want %+v", st, want)
 	}
 }
 
-// TestDifferentialDedupAutoDeterminism pins the adaptive mode's core
-// promise at real sample sizes: with enough records per chunk for
-// per-chunk sampling to complete and degrade decisions to actually
-// fire (wikidata's all-distinct records) — or to settle on the dedup
-// path (twitter's repetitive ones) — DedupAuto is byte-identical to
-// the fixed dedup reference across 1/4/8 workers and the bytes, file
-// and streaming sources. The shared hint makes the *cost* of a chunk
-// depend on scheduling; this test is the proof the *result* does not.
+// TestDifferentialDedupAutoDeterminism pins the adaptive cost model's
+// core promise at real sample sizes: with enough records per chunk for
+// the degrade decision to fire on full windows (wikidata's all-distinct
+// records) — or to settle on interning (twitter's repetitive ones) —
+// the result is byte-identical to the degraded tactic alone across
+// 1/4/8 workers and the bytes, file and streaming sources. The shared
+// hint makes the *cost* of a chunk depend on scheduling; this test is
+// the proof the *result* does not.
 func TestDifferentialDedupAutoDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"wikidata", "twitter"} {
@@ -408,9 +413,9 @@ func TestDifferentialDedupAutoDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		refSchema, refStats, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Dedup: jsi.DedupOn})
+		refSchema, refStats, err := jsi.InferPlain(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1})
 		if err != nil {
-			t.Fatalf("%s: dedup reference: %v", name, err)
+			t.Fatalf("%s: plain reference: %v", name, err)
 		}
 		ref := canonical(t, refSchema)
 
@@ -422,28 +427,20 @@ func TestDifferentialDedupAutoDeterminism(t *testing.T) {
 			if got := canonical(t, s); !bytes.Equal(got, ref) {
 				t.Errorf("%s: %s schema diverged\n got: %s\nwant: %s", name, label, got, ref)
 			}
-			if st.Records != refStats.Records || st.DistinctTypes != refStats.DistinctTypes {
-				t.Errorf("%s: %s stats: records %d/%d distinct %d/%d", name, label,
-					st.Records, refStats.Records, st.DistinctTypes, refStats.DistinctTypes)
-			}
-			if st.MinTypeSize != refStats.MinTypeSize || st.MaxTypeSize != refStats.MaxTypeSize || st.AvgTypeSize != refStats.AvgTypeSize {
-				t.Errorf("%s: %s sizes: min %d/%d max %d/%d avg %v/%v", name, label,
-					st.MinTypeSize, refStats.MinTypeSize, st.MaxTypeSize, refStats.MaxTypeSize,
-					st.AvgTypeSize, refStats.AvgTypeSize)
+			if st != refStats {
+				t.Errorf("%s: %s Stats = %+v, want %+v", name, label, st, refStats)
 			}
 		}
 
 		for _, workers := range []int{1, 4, 8} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data),
-				jsi.Options{Workers: workers, Dedup: jsi.DedupAuto})
-			check(fmt.Sprintf("auto bytes %dw", workers), s, st, err)
+			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: workers})
+			check(fmt.Sprintf("bytes %dw", workers), s, st, err)
 
-			s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path),
-				jsi.Options{Workers: workers, ChunkBytes: 8 << 10, Dedup: jsi.DedupAuto})
-			check(fmt.Sprintf("auto file %dw", workers), s, st, err)
+			s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), jsi.Options{Workers: workers, ChunkBytes: 8 << 10})
+			check(fmt.Sprintf("file %dw", workers), s, st, err)
 		}
-		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)),
-			jsi.Options{Dedup: jsi.DedupAuto})
-		check("auto streaming", s, st, err)
+		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{})
+		st.DistinctTypes = refStats.DistinctTypes // the stream keeps no distinct-type set
+		check("streaming", s, st, err)
 	}
 }

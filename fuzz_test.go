@@ -90,80 +90,29 @@ func FuzzInferEndToEnd(f *testing.F) {
 			t.Fatalf("streaming Records = %d, want %d", rdStats.Records, seqStats.Records)
 		}
 
-		// Cross-check the hash-consed dedup variants: parallel chunked
-		// and streaming, both against the same sequential reference. The
-		// fuzzer hunts for shapes where interning, the memoized fuse
-		// cache or multiset merging would become observable.
-		ddSchema, ddStats, ddErr := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 8, Dedup: jsi.DedupOn})
-		if ddErr != nil {
-			t.Fatalf("dedup rejected input the default pipeline accepted: %v", ddErr)
+		// Cross-check the adaptive cost model against its degraded tactic
+		// alone. Chunks may intern, degrade or mix the two; the fuzzer
+		// hunts for shapes where interning, the memoized fuse cache or
+		// multiset merging would become observable in the schema or any
+		// Stats field.
+		plSchema, plStats, plErr := jsi.InferPlain(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 8})
+		if plErr != nil {
+			t.Fatalf("plain tactic rejected input the adaptive pipeline accepted: %v", plErr)
 		}
-		ddJSON, err := ddSchema.MarshalJSON()
+		plJSON, err := plSchema.MarshalJSON()
 		if err != nil {
-			t.Fatalf("marshal dedup: %v", err)
+			t.Fatalf("marshal plain: %v", err)
 		}
-		if !bytes.Equal(seqJSON, ddJSON) {
-			t.Fatalf("dedup schema diverged\n sequential: %s\n      dedup: %s", seqJSON, ddJSON)
+		if !bytes.Equal(seqJSON, plJSON) {
+			t.Fatalf("plain schema diverged\n adaptive: %s\n    plain: %s", seqJSON, plJSON)
 		}
-		if ddStats.Records != seqStats.Records {
-			t.Fatalf("dedup Records = %d, want %d", ddStats.Records, seqStats.Records)
-		}
-		if ddStats.DistinctTypes != seqStats.DistinctTypes {
-			t.Fatalf("dedup DistinctTypes = %d, want %d", ddStats.DistinctTypes, seqStats.DistinctTypes)
-		}
-
-		sdSchema, sdStats, sdErr := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Dedup: jsi.DedupOn})
-		if sdErr != nil {
-			t.Fatalf("streaming dedup rejected input the default pipeline accepted: %v", sdErr)
-		}
-		sdJSON, err := sdSchema.MarshalJSON()
-		if err != nil {
-			t.Fatalf("marshal streaming dedup: %v", err)
-		}
-		if !bytes.Equal(seqJSON, sdJSON) {
-			t.Fatalf("streaming dedup schema diverged\n sequential: %s\n      dedup: %s", seqJSON, sdJSON)
-		}
-		if sdStats.Records != seqStats.Records || sdStats.DistinctTypes != seqStats.DistinctTypes {
-			t.Fatalf("streaming dedup stats diverged: %+v vs %+v", sdStats, seqStats)
-		}
-
-		// Adaptive-dedup variants: DedupAuto may route any mix of chunk
-		// portions through the interned and plain paths, but schemas and
-		// Stats must stay byte-identical to the fixed modes — only the
-		// cost model is allowed to adapt.
-		adSchema, adStats, adErr := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 8, Dedup: jsi.DedupAuto})
-		if adErr != nil {
-			t.Fatalf("auto rejected input the default pipeline accepted: %v", adErr)
-		}
-		adJSON, err := adSchema.MarshalJSON()
-		if err != nil {
-			t.Fatalf("marshal auto: %v", err)
-		}
-		if !bytes.Equal(seqJSON, adJSON) {
-			t.Fatalf("auto schema diverged\n sequential: %s\n       auto: %s", seqJSON, adJSON)
-		}
-		if adStats.Records != seqStats.Records || adStats.DistinctTypes != seqStats.DistinctTypes {
-			t.Fatalf("auto stats diverged: %+v vs %+v", adStats, seqStats)
-		}
-
-		saSchema, saStats, saErr := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Dedup: jsi.DedupAuto})
-		if saErr != nil {
-			t.Fatalf("streaming auto rejected input the default pipeline accepted: %v", saErr)
-		}
-		saJSON, err := saSchema.MarshalJSON()
-		if err != nil {
-			t.Fatalf("marshal streaming auto: %v", err)
-		}
-		if !bytes.Equal(seqJSON, saJSON) {
-			t.Fatalf("streaming auto schema diverged\n sequential: %s\n       auto: %s", seqJSON, saJSON)
-		}
-		if saStats.Records != seqStats.Records || saStats.DistinctTypes != seqStats.DistinctTypes {
-			t.Fatalf("streaming auto stats diverged: %+v vs %+v", saStats, seqStats)
+		if plStats != seqStats || parStats != seqStats {
+			t.Fatalf("Stats diverged: adaptive %+v, parallel %+v, plain %+v", seqStats, parStats, plStats)
 		}
 
 		// Tagged-union variants: the Variants merge must keep the policy
-		// inside the fusion monoid, so sequential, parallel chunked,
-		// parallel dedup and streaming tagged runs agree byte for byte on
+		// inside the fusion monoid, so sequential, parallel chunked and
+		// streaming tagged runs agree byte for byte on
 		// arbitrary accepted inputs — including discriminator flips,
 		// missing discriminators and cap-tripping tag cardinalities.
 		tgSchema, tgStats, tgErr := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, TaggedUnions: true})
@@ -183,7 +132,6 @@ func FuzzInferEndToEnd(f *testing.F) {
 			opts  jsi.Options
 		}{
 			{"parallel", jsi.FromBytes(data), jsi.Options{Workers: 8, TaggedUnions: true}},
-			{"parallel dedup", jsi.FromBytes(data), jsi.Options{Workers: 8, Dedup: jsi.DedupOn, TaggedUnions: true}},
 			{"streaming", jsi.FromReader(bytes.NewReader(data)), jsi.Options{TaggedUnions: true}},
 		} {
 			vs, vst, verr := jsi.Infer(context.Background(), variant.src, variant.opts)
@@ -235,7 +183,6 @@ func FuzzInferEndToEnd(f *testing.F) {
 			opts  jsi.Options
 		}{
 			{"parallel", jsi.FromBytes(data), jsi.Options{Workers: 8, Enrich: enrich}},
-			{"parallel dedup", jsi.FromBytes(data), jsi.Options{Workers: 8, Dedup: jsi.DedupOn, Enrich: enrich}},
 			{"streaming", jsi.FromReader(bytes.NewReader(data)), jsi.Options{Enrich: enrich}},
 		} {
 			vs, vst, verr := jsi.Infer(context.Background(), variant.src, variant.opts)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/enrich"
@@ -46,8 +44,8 @@ type Options struct {
 	// exports to JSON Schema as a oneOf with const discriminators. The
 	// merge stays commutative and associative (hypotheses that fail —
 	// mixed discriminators, too many tags — collapse to exactly the
-	// record the default strategy infers), so worker count, chunking,
-	// dedup mode and fault schedules remain invisible in the result.
+	// record the default strategy infers), so worker count, chunking and
+	// fault schedules remain invisible in the result.
 	TaggedUnions bool
 	// UnionKeys overrides the discriminator field names probed by
 	// TaggedUnions, in priority order (earlier wins when a record carries
@@ -99,34 +97,6 @@ type Options struct {
 	// faults into the map phase — the chaos-testing hook. Production
 	// callers leave it nil. See FaultInjector.
 	FaultInjector FaultInjector
-	// Dedup selects the deduplication mode of the run. DedupOn enables
-	// the hash-consed fast path: the map phase interns every inferred
-	// type in a shared table and emits a multiset of DISTINCT types per
-	// chunk (interned type → count) instead of one type per record, the
-	// combiner merges multisets by identity before fusing, and fusion
-	// runs through a memoized cache keyed by interned IDs, so each
-	// distinct pair of types fuses at most once per run. Real datasets
-	// collapse millions of records onto a handful of shapes (the
-	// paper's Tables 2-5 report tens of distinct types over millions of
-	// values), which is exactly what makes this fast.
-	//
-	// DedupAuto makes the choice adaptively per chunk: the pipeline
-	// samples the distinct-type ratio and the intern-table growth over
-	// the first records of each chunk and falls back to the plain path
-	// when hash-consing cannot pay for itself (near-all-distinct data
-	// allocating several new interned nodes per record — the worst case
-	// where fixed dedup is a pessimization). See docs/PERFORMANCE.md
-	// for the cost model and knobs.
-	//
-	// The resulting schema is byte-identical across all three modes and
-	// the non-timing metrics are unchanged (both pinned by differential
-	// tests); under DedupOn and DedupAuto Stats.DistinctTypes becomes
-	// EXACT on every Source — including the streaming and multi-file
-	// paths, where the default pipeline reports zero or a lower bound.
-	// With a Collector attached, deduplicating runs additionally record
-	// intern_hits/intern_misses and the fuse/simplify cache counters
-	// (see docs/PERFORMANCE.md).
-	Dedup DedupMode
 	// Enrich selects enrichment monoids (docs/ENRICHMENT.md) computed
 	// alongside structural inference in the same pass: per-path value
 	// statistics — "ranges" (numeric min/max), "hll" (approximate
@@ -147,12 +117,14 @@ type Options struct {
 // env resolves the Options into the pipeline environment one Infer
 // call runs under — the bundle every Source adapter and stage reads
 // instead of threading (options, recorder, progress, dedup state) as
-// separate parameters.
+// separate parameters. Every run gets fresh dedup machinery: one intern
+// table and memo span all its chunks and files.
 func (o Options) env() *pipeline.Env {
 	pol, inj := o.failureConfig()
 	rec, progress := o.observer()
+	fz := o.fusionOptions()
 	env := &pipeline.Env{
-		Fusion:     o.fusionOptions(),
+		Fusion:     fz,
 		Workers:    o.workers(),
 		ChunkBytes: o.ChunkBytes,
 		MaxDepth:   o.MaxDepth,
@@ -160,12 +132,7 @@ func (o Options) env() *pipeline.Env {
 		Injector:   inj,
 		Rec:        rec,
 		Progress:   progress,
-	}
-	switch o.Dedup {
-	case DedupOn:
-		env.Dedup = pipeline.NewDedup(env.Fusion)
-	case DedupAuto:
-		env.Dedup = pipeline.NewAutoDedup(env.Fusion)
+		Dedup:      pipeline.NewDedup(fz),
 	}
 	if len(o.Enrich) > 0 {
 		// validate() already vetted the selection; an error here is
@@ -177,52 +144,6 @@ func (o Options) env() *pipeline.Env {
 		env.Enrich = set
 	}
 	return env
-}
-
-// DedupMode selects how a run deduplicates inferred types; see
-// Options.Dedup. The zero value is DedupOff, so the zero Options keep
-// their historical meaning.
-type DedupMode uint8
-
-const (
-	// DedupOff types every record individually (the default).
-	DedupOff DedupMode = iota
-	// DedupOn always runs the hash-consed distinct-type path.
-	DedupOn
-	// DedupAuto samples each chunk and picks the cheaper path,
-	// degrading to DedupOff-shaped work on near-all-distinct data.
-	DedupAuto
-)
-
-// String names the mode the way the -dedup flag spells it.
-func (m DedupMode) String() string {
-	switch m {
-	case DedupOff:
-		return "false"
-	case DedupOn:
-		return "true"
-	case DedupAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("DedupMode(%d)", int(m))
-	}
-}
-
-// ParseDedupMode parses the -dedup flag syntax: the strconv booleans
-// ("true", "1", "false", "0", ...) select the fixed modes and "auto"
-// the adaptive one.
-func ParseDedupMode(s string) (DedupMode, error) {
-	if strings.EqualFold(s, "auto") {
-		return DedupAuto, nil
-	}
-	on, err := strconv.ParseBool(s)
-	if err != nil {
-		return DedupOff, fmt.Errorf("invalid dedup mode %q (want true, false or auto)", s)
-	}
-	if on {
-		return DedupOn, nil
-	}
-	return DedupOff, nil
 }
 
 // ErrorPolicy selects what Infer does when a chunk of input repeatedly
@@ -273,9 +194,12 @@ type FaultInjector func(chunk, attempt int) InjectedFault
 // under OnErrorSkip — without burning the retry budget.
 func PermanentFault(err error) error { return mapreduce.Permanent(err) }
 
-// fusionOptions translates the Options into a fusion policy.
+// fusionOptions lowers the Options onto a fusion strategy.
 func (o Options) fusionOptions() fusion.Options {
-	fz := fusion.Options{PreserveTuples: o.PreserveTupleArrays, MaxTupleLen: o.MaxTupleLen}
+	var fz fusion.Options
+	if o.PreserveTupleArrays {
+		fz.Strategy = fusion.Tuples{MaxLen: o.MaxTupleLen}
+	}
 	if o.TaggedUnions {
 		fz.Strategy = fusion.Tagged{
 			Inner:       fz.ResolvedStrategy(),
@@ -338,8 +262,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: Retries = %d, must be >= 0 (0 disables retry)", ErrInvalidOptions, o.Retries)
 	case o.OnError != OnErrorFail && o.OnError != OnErrorSkip:
 		return fmt.Errorf("%w: OnError = %d, must be OnErrorFail or OnErrorSkip", ErrInvalidOptions, int(o.OnError))
-	case o.Dedup > DedupAuto:
-		return fmt.Errorf("%w: Dedup = %d, must be DedupOff, DedupOn or DedupAuto", ErrInvalidOptions, int(o.Dedup))
 	case o.MaxVariants < 0:
 		return fmt.Errorf("%w: MaxVariants = %d, must be >= 0 (0 means the default of %d)", ErrInvalidOptions, o.MaxVariants, fusion.DefaultMaxVariants)
 	case o.MaxTagLen < 0:
@@ -385,15 +307,11 @@ type Stats struct {
 	// Bytes is the number of input bytes consumed.
 	Bytes int64
 	// DistinctTypes is the number of distinct types the Map phase
-	// produced. It is exact for a single in-memory or single-file run.
-	// On the default path it is zero for the constant-memory streaming
-	// path (which cannot afford the bookkeeping) and only a LOWER BOUND
-	// when runs are merged (FromFiles, InferFiles, mergeStats): distinct
-	// counts cannot be combined without the underlying sets, so the
-	// merge keeps the per-partition maximum. With Options.Dedup the
-	// count is EXACT on every Source — the hash-consing table IS the set
-	// of distinct types, and multisets merge by identity across chunks
-	// and files.
+	// produced. It is exact on every chunked Source (FromBytes,
+	// FromFile, FromFiles, FromChunkedReader): one intern table spans
+	// the run's chunks and files, so their distinct-type sets merge
+	// exactly. It is zero on FromReader, whose constant-memory path
+	// keeps no such set.
 	DistinctTypes int
 	// MinTypeSize, MaxTypeSize and AvgTypeSize describe the sizes of the
 	// per-value types; compare with Schema.Size to judge succinctness.
@@ -424,7 +342,13 @@ func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error
 	if src == nil {
 		return nil, Stats{}, fmt.Errorf("%w: nil Source", ErrInvalidOptions)
 	}
-	env := opts.env()
+	return runSource(ctx, src, opts.env())
+}
+
+// runSource executes src under env and records the run-level metrics.
+// A nil env.Dedup degrades every chunk from its first record; the tests
+// use that as the fixed reference the adaptive path must match.
+func runSource(ctx context.Context, src Source, env *pipeline.Env) (*Schema, Stats, error) {
 	var t0 time.Time
 	if env.Rec != nil {
 		t0 = time.Now()
@@ -433,21 +357,8 @@ func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if env.Rec != nil && env.Dedup != nil {
-		// Cache effectiveness counters. Deterministic at Workers: 1 on a
-		// fault-free run; under concurrency or retries the hit/miss split
-		// can shift (double-computed entries, re-parsed chunks), which is
-		// why Metrics.WithoutCache exists.
-		hits, misses := env.Dedup.Tab.Stats()
-		env.Rec.Add("intern_hits", hits)
-		env.Rec.Add("intern_misses", misses)
-		fh, fm, sh, sm := env.Dedup.Memo.CacheStats()
-		env.Rec.Add("fuse_cache_hits", fh)
-		env.Rec.Add("fuse_cache_misses", fm)
-		env.Rec.Add("simplify_cache_hits", sh)
-		env.Rec.Add("simplify_cache_misses", sm)
-	}
 	if env.Rec != nil {
+		env.Dedup.Record(env.Rec)
 		wall := time.Since(t0)
 		env.Rec.Add("infer_wall_ns", int64(wall))
 		env.Rec.Set("infer_fused_size", int64(schema.Size()))
@@ -513,35 +424,8 @@ func InferFile(path string, opts Options) (*Schema, Stats, error) {
 // InferFiles infers one schema across several NDJSON files, treating
 // each file as a partition: files run through the same bounded-memory
 // chunked pipeline as InferFile and their schemas are fused, the
-// strategy of Section 6.2's partitioning experiment. The returned
-// Stats.DistinctTypes is only a lower bound — see the field's
-// documentation. It is Infer over FromFiles with a background context.
+// strategy of Section 6.2's partitioning experiment. It is Infer over
+// FromFiles with a background context.
 func InferFiles(paths []string, opts Options) (*Schema, Stats, error) {
 	return Infer(context.Background(), FromFiles(paths...), opts)
-}
-
-// mergeStats folds the stats of two partitions into one, the way
-// FromFiles combines per-file runs.
-func mergeStats(a, b Stats) Stats {
-	out := a
-	if a.Records == 0 || (b.Records > 0 && b.MinTypeSize < a.MinTypeSize) {
-		out.MinTypeSize = b.MinTypeSize
-	}
-	if b.MaxTypeSize > a.MaxTypeSize {
-		out.MaxTypeSize = b.MaxTypeSize
-	}
-	if a.Records+b.Records > 0 {
-		out.AvgTypeSize = (a.AvgTypeSize*float64(a.Records) + b.AvgTypeSize*float64(b.Records)) /
-			float64(a.Records+b.Records)
-	}
-	out.Records = a.Records + b.Records
-	out.Bytes = a.Bytes + b.Bytes
-	out.Retries = a.Retries + b.Retries
-	out.QuarantinedChunks = a.QuarantinedChunks + b.QuarantinedChunks
-	// Distinct counts cannot be merged without the underlying sets; keep
-	// the per-file maximum as a lower bound (documented on the field).
-	if b.DistinctTypes > out.DistinctTypes {
-		out.DistinctTypes = b.DistinctTypes
-	}
-	return out
 }

@@ -10,6 +10,7 @@ import (
 	jsi "repro"
 	"repro/internal/chaos"
 	"repro/internal/dataset"
+	"repro/internal/jsontext"
 	"repro/internal/mapreduce"
 )
 
@@ -126,88 +127,88 @@ func TestRetryEnrichmentByteIdentical(t *testing.T) {
 	totalRetries := 0
 	for seed := int64(1); seed <= schedules; seed++ {
 		plan := chaos.DefaultPlan(seed)
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			opts := jsi.Options{
-				Workers:       4,
-				Dedup:         dedup,
-				Retries:       plan.MaxTransient,
-				FaultInjector: publicInjector(plan),
-				Enrich:        enrich,
-			}
-			schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
-			if err != nil {
-				t.Fatalf("seed %d (dedup=%v): %v", seed, dedup, err)
-			}
-			js, jerr := schema.JSONSchema()
-			if jerr != nil {
-				t.Fatal(jerr)
-			}
-			if !bytes.Equal(js, refJS) {
-				t.Fatalf("seed %d (dedup=%v): annotated schema diverged under faults\n got: %s\nwant: %s", seed, dedup, js, refJS)
-			}
-			rep, rerr := schema.EnrichmentJSON()
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			if !bytes.Equal(rep, refReport) {
-				t.Fatalf("seed %d (dedup=%v): enrichment report diverged under faults\n got: %s\nwant: %s", seed, dedup, rep, refReport)
-			}
-			if st.Records != refStats.Records {
-				t.Fatalf("seed %d (dedup=%v): Records = %d, want %d", seed, dedup, st.Records, refStats.Records)
-			}
-			totalRetries += st.Retries
-		}
-	}
-	if totalRetries == 0 {
-		t.Fatalf("no retries across %d schedules: the plans injected nothing", schedules)
-	}
-	t.Logf("%d schedules x2 pipelines, %d retried attempts, enrichment byte-identical throughout", schedules, totalRetries)
-}
-
-// TestRetryByteIdenticalWithDedup re-runs the retry acceptance
-// criterion with the hash-consed dedup pipeline: retried chunks
-// re-intern their types into the shared table and re-emit their
-// multisets, and neither may corrupt the result — schema bytes, record
-// counts AND the exact distinct-type count must match a fault-free
-// dedup reference across randomized schedules.
-func TestRetryByteIdenticalWithDedup(t *testing.T) {
-	data := testInput(t, "mixed", 400)
-	refSchema, refStats, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 4, Dedup: jsi.DedupOn})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	refJSON := schemaJSON(t, refSchema)
-	if refStats.DistinctTypes <= 0 {
-		t.Fatalf("reference DistinctTypes = %d, want > 0", refStats.DistinctTypes)
-	}
-
-	const schedules = 60
-	totalRetries := 0
-	for seed := int64(1); seed <= schedules; seed++ {
-		plan := chaos.DefaultPlan(seed)
 		opts := jsi.Options{
 			Workers:       4,
-			Dedup: jsi.DedupOn,
 			Retries:       plan.MaxTransient,
 			FaultInjector: publicInjector(plan),
+			Enrich:        enrich,
 		}
 		schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
-			t.Fatalf("seed %d: dedup schema diverged under faults\n got: %s\nwant: %s", seed, got, refJSON)
+		js, jerr := schema.JSONSchema()
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		if !bytes.Equal(js, refJS) {
+			t.Fatalf("seed %d: annotated schema diverged under faults\n got: %s\nwant: %s", seed, js, refJS)
+		}
+		rep, rerr := schema.EnrichmentJSON()
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(rep, refReport) {
+			t.Fatalf("seed %d: enrichment report diverged under faults\n got: %s\nwant: %s", seed, rep, refReport)
 		}
 		if st.Records != refStats.Records {
-			t.Fatalf("seed %d: Records = %d, want %d (retries must not double-count multisets)", seed, st.Records, refStats.Records)
-		}
-		if st.DistinctTypes != refStats.DistinctTypes {
-			t.Fatalf("seed %d: DistinctTypes = %d, want %d", seed, st.DistinctTypes, refStats.DistinctTypes)
+			t.Fatalf("seed %d: Records = %d, want %d", seed, st.Records, refStats.Records)
 		}
 		totalRetries += st.Retries
 	}
 	if totalRetries == 0 {
 		t.Fatalf("no retries across %d schedules: the plans injected nothing", schedules)
+	}
+	t.Logf("%d schedules, %d retried attempts, enrichment byte-identical throughout", schedules, totalRetries)
+}
+
+// TestRetryByteIdenticalWithDedup re-runs the retry acceptance
+// criterion on the two skew extremes of the adaptive cost model:
+// twitter's chunks keep interning, wikidata's degrade to the plain
+// tally. Retried chunks re-intern their types into the shared table,
+// re-emit their multisets and re-publish the shared decision, and none
+// of it may corrupt the result — schema bytes, record counts AND the
+// exact distinct-type count must match a fault-free reference across
+// randomized schedules.
+func TestRetryByteIdenticalWithDedup(t *testing.T) {
+	for _, name := range []string{"twitter", "wikidata"} {
+		data := testInput(t, name, 400)
+		refSchema, refStats, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", name, err)
+		}
+		refJSON := schemaJSON(t, refSchema)
+		if refStats.DistinctTypes <= 0 {
+			t.Fatalf("%s: reference DistinctTypes = %d, want > 0", name, refStats.DistinctTypes)
+		}
+
+		const schedules = 30
+		totalRetries := 0
+		for seed := int64(1); seed <= schedules; seed++ {
+			plan := chaos.DefaultPlan(seed)
+			opts := jsi.Options{
+				Workers:       4,
+				Retries:       plan.MaxTransient,
+				FaultInjector: publicInjector(plan),
+			}
+			schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
+				t.Fatalf("%s seed %d: schema diverged under faults\n got: %s\nwant: %s", name, seed, got, refJSON)
+			}
+			if st.Records != refStats.Records {
+				t.Fatalf("%s seed %d: Records = %d, want %d (retries must not double-count multisets)", name, seed, st.Records, refStats.Records)
+			}
+			if st.DistinctTypes != refStats.DistinctTypes {
+				t.Fatalf("%s seed %d: DistinctTypes = %d, want %d", name, seed, st.DistinctTypes, refStats.DistinctTypes)
+			}
+			totalRetries += st.Retries
+		}
+		if totalRetries == 0 {
+			t.Fatalf("%s: no retries across %d schedules: the plans injected nothing", name, schedules)
+		}
 	}
 }
 
@@ -217,7 +218,7 @@ func TestRetryByteIdenticalWithDedup(t *testing.T) {
 // the fusion monoid, so retried chunk outputs meeting the fold in a
 // different order — possibly crossing the variant cap in a different
 // sequence — must still produce byte-identical schemas across 60
-// randomized transient-fault schedules and all dedup modes.
+// randomized transient-fault schedules.
 func TestRetryTaggedUnionsByteIdentical(t *testing.T) {
 	for _, name := range []string{"eventlog", "webhook"} {
 		data := testInput(t, name, 400)
@@ -235,32 +236,29 @@ func TestRetryTaggedUnionsByteIdentical(t *testing.T) {
 		totalRetries := 0
 		for seed := int64(1); seed <= schedules; seed++ {
 			plan := chaos.DefaultPlan(seed)
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				opts := jsi.Options{
-					Workers:       4,
-					Dedup:         dedup,
-					TaggedUnions:  true,
-					Retries:       plan.MaxTransient,
-					FaultInjector: publicInjector(plan),
-				}
-				schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
-				if err != nil {
-					t.Fatalf("%s seed %d (dedup=%v): %v", name, seed, dedup, err)
-				}
-				if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
-					t.Fatalf("%s seed %d (dedup=%v): tagged schema diverged under faults\n got: %s\nwant: %s",
-						name, seed, dedup, got, refJSON)
-				}
-				if st.Records != refStats.Records {
-					t.Fatalf("%s seed %d (dedup=%v): Records = %d, want %d", name, seed, dedup, st.Records, refStats.Records)
-				}
-				totalRetries += st.Retries
+			opts := jsi.Options{
+				Workers:       4,
+				TaggedUnions:  true,
+				Retries:       plan.MaxTransient,
+				FaultInjector: publicInjector(plan),
 			}
+			schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
+				t.Fatalf("%s seed %d: tagged schema diverged under faults\n got: %s\nwant: %s",
+					name, seed, got, refJSON)
+			}
+			if st.Records != refStats.Records {
+				t.Fatalf("%s seed %d: Records = %d, want %d", name, seed, st.Records, refStats.Records)
+			}
+			totalRetries += st.Retries
 		}
 		if totalRetries == 0 {
 			t.Fatalf("%s: no retries across %d schedules: the plans injected nothing", name, schedules)
 		}
-		t.Logf("%s: %d schedules x3 dedup modes, %d retried attempts, tagged schema byte-identical", name, schedules, totalRetries)
+		t.Logf("%s: %d schedules, %d retried attempts, tagged schema byte-identical", name, schedules, totalRetries)
 	}
 }
 
@@ -327,59 +325,55 @@ func TestSkipQuarantinesPermanentChunks(t *testing.T) {
 	}
 }
 
-// TestSkipDedupMatchesDefault: under OnErrorSkip with the same
-// permanent-fault schedule, the dedup pipeline must quarantine exactly
-// the same chunks and produce the same schema and surviving record
-// count as the default pipeline — a quarantined chunk's multiset is
-// dropped wholesale, never partially merged.
+// TestSkipDedupMatchesDefault: under OnErrorSkip, a quarantined
+// chunk's multiset is dropped wholesale, never partially merged, and
+// its records never reach the intern table's distinct count. The skip
+// run must therefore equal a fault-free run over just the surviving
+// chunks: same schema, same records, same exact distinct types.
 func TestSkipDedupMatchesDefault(t *testing.T) {
 	data := testInput(t, "github", 400)
 	const workers = 4
 	plan := pickPermanentPlan(t, workers*4)
 
-	run := func(dedup jsi.DedupMode) (*jsi.Schema, jsi.Stats) {
-		t.Helper()
-		s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{
-			Workers:       workers,
-			Dedup:         dedup,
-			OnError:       jsi.OnErrorSkip,
-			FaultInjector: publicInjector(plan),
-		})
-		if err != nil {
-			t.Fatalf("skip run (dedup=%v): %v", dedup, err)
+	schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{
+		Workers:       workers,
+		OnError:       jsi.OnErrorSkip,
+		FaultInjector: publicInjector(plan),
+	})
+	if err != nil {
+		t.Fatalf("skip run: %v", err)
+	}
+
+	// FromBytes feeds the same split in order, so chunk i is task i.
+	var survivors []byte
+	for i, chunk := range jsontext.SplitLines(data, workers*4) {
+		if _, err := plan.Fault(i, 0); !errors.Is(err, chaos.ErrInjectedPermanent) {
+			survivors = append(survivors, chunk...)
 		}
-		return s, st
 	}
-	defSchema, defStats := run(jsi.DedupOff)
-	ddSchema, ddStats := run(jsi.DedupOn)
-	autoSchema, autoStats := run(jsi.DedupAuto)
-
-	if got, want := schemaJSON(t, autoSchema), schemaJSON(t, defSchema); !bytes.Equal(got, want) {
-		t.Errorf("auto skip schema diverged\n got: %s\nwant: %s", got, want)
-	}
-	if autoStats.Records != defStats.Records {
-		t.Errorf("auto skip Records = %d, want %d", autoStats.Records, defStats.Records)
+	want, wantStats, err := jsi.Infer(context.Background(), jsi.FromBytes(survivors), jsi.Options{Workers: workers})
+	if err != nil {
+		t.Fatalf("survivors run: %v", err)
 	}
 
-	if got, want := schemaJSON(t, ddSchema), schemaJSON(t, defSchema); !bytes.Equal(got, want) {
-		t.Errorf("dedup skip schema diverged\n got: %s\nwant: %s", got, want)
+	if got, want := schemaJSON(t, schema), schemaJSON(t, want); !bytes.Equal(got, want) {
+		t.Errorf("skip schema diverged from the survivors'\n got: %s\nwant: %s", got, want)
 	}
-	if ddStats.Records != defStats.Records {
-		t.Errorf("dedup skip Records = %d, want %d", ddStats.Records, defStats.Records)
+	if st.Records != wantStats.Records || st.DistinctTypes != wantStats.DistinctTypes {
+		t.Errorf("skip Records/DistinctTypes = %d/%d, want the survivors' %d/%d",
+			st.Records, st.DistinctTypes, wantStats.Records, wantStats.DistinctTypes)
 	}
-	if ddStats.QuarantinedChunks != defStats.QuarantinedChunks {
-		t.Errorf("dedup skip QuarantinedChunks = %d, want %d", ddStats.QuarantinedChunks, defStats.QuarantinedChunks)
-	}
-	if ddStats.DistinctTypes != defStats.DistinctTypes {
-		t.Errorf("dedup skip DistinctTypes = %d, want %d", ddStats.DistinctTypes, defStats.DistinctTypes)
+	if want := plan.PermanentTasks(workers * 4); st.QuarantinedChunks != want {
+		t.Errorf("QuarantinedChunks = %d, want %d", st.QuarantinedChunks, want)
 	}
 }
 
 // TestRetriedRunMetricsMatchCleanRun is the observability property:
-// after stripping timing- and fault-dependent metrics, the merged
-// snapshots of a retried run equal those of a clean run over the same
-// partitions — retried attempts record nothing until they succeed, so
-// faults leave no trace outside the fault counters themselves.
+// after stripping timing- and fault-dependent metrics, and the cache
+// counters a re-parsed chunk legitimately bumps by re-interning, the
+// merged snapshots of a retried run equal those of a clean run over the
+// same partitions — retried attempts record nothing until they succeed,
+// so faults leave no trace outside the fault counters themselves.
 func TestRetriedRunMetricsMatchCleanRun(t *testing.T) {
 	partitions := [][]byte{
 		testInput(t, "github", 200),
@@ -411,16 +405,16 @@ func TestRetriedRunMetricsMatchCleanRun(t *testing.T) {
 		t.Fatal("faulty run recorded no mapreduce_retries (plan injected nothing, or WithoutTimings stripped a fault counter)")
 	}
 
-	cleanJSON, err := clean.WithoutTimings().WithoutFaults().MarshalJSON()
+	cleanJSON, err := clean.WithoutTimings().WithoutFaults().WithoutCache().MarshalJSON()
 	if err != nil {
 		t.Fatalf("marshal clean: %v", err)
 	}
-	faultyJSON, err := faulty.WithoutTimings().WithoutFaults().MarshalJSON()
+	faultyJSON, err := faulty.WithoutTimings().WithoutFaults().WithoutCache().MarshalJSON()
 	if err != nil {
 		t.Fatalf("marshal faulty: %v", err)
 	}
 	if !bytes.Equal(cleanJSON, faultyJSON) {
-		t.Errorf("snapshots diverge after WithoutTimings+WithoutFaults\nclean:  %s\nfaulty: %s", cleanJSON, faultyJSON)
+		t.Errorf("snapshots diverge after WithoutTimings+WithoutFaults+WithoutCache\nclean:  %s\nfaulty: %s", cleanJSON, faultyJSON)
 	}
 }
 

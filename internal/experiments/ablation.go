@@ -232,7 +232,7 @@ func AblationPositional(cfg Config) (Table, error) {
 		paperCfg := cfg
 		paperCfg.Fusion = fusion.Options{}
 		posCfg := cfg
-		posCfg.Fusion = fusion.Options{PreserveTuples: true}
+		posCfg.Fusion = fusion.Options{Strategy: fusion.Tuples{}}
 		paper, err := RunPipeline(context.Background(), name, n, paperCfg)
 		if err != nil {
 			return Table{}, err

@@ -52,7 +52,7 @@ type Config struct {
 	// Workers for the map-reduce engine; 0 means GOMAXPROCS.
 	Workers int
 	// Fusion selects the fusion policy; the zero value is the paper's
-	// algorithm, PreserveTuples enables the positional-array extension.
+	// algorithm, fusion.Tuples the positional-array extension.
 	Fusion fusion.Options
 	// Recorder, when non-nil, receives per-phase wall times under the
 	// experiments_* names of docs/OBSERVABILITY.md and is forwarded to

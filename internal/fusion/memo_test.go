@@ -13,8 +13,8 @@ import (
 // agree with the direct algorithm under each.
 var memoOptions = []Options{
 	{},
-	{PreserveTuples: true},
-	{PreserveTuples: true, MaxTupleLen: 2},
+	{Strategy: Tuples{}},
+	{Strategy: Tuples{MaxLen: 2}},
 }
 
 // TestMemoMatchesDirect is the memo's soundness property: for random

@@ -162,35 +162,22 @@ const DefaultMaxVariants = 16
 const DefaultMaxTagLen = 40
 
 // Options select a fusion policy. The zero value is the paper's exact
-// algorithm (Figures 5-6). Strategy, when set, picks the record-fusion
-// strategy directly; the PreserveTuples/MaxTupleLen pair is the older
-// toggle for the Tuples strategy and is honoured when Strategy is nil.
+// algorithm (Figures 5-6).
 //
 // Every strategy keeps the algebra intact: fusion under any Options
 // value is still commutative and associative. The property tests in
 // options_test.go and tagged_test.go check this for each policy the
 // same way the core tests check Theorems 5.4 and 5.5.
 type Options struct {
-	// PreserveTuples keeps equal-length positional array types
-	// positional. Ignored when Strategy is non-nil.
-	PreserveTuples bool
-	// MaxTupleLen bounds how long a preserved tuple may be; zero means
-	// DefaultMaxTupleLen. Ignored unless PreserveTuples is set.
-	MaxTupleLen int
-	// Strategy, when non-nil, selects the fusion strategy and
-	// supersedes the legacy tuple fields.
+	// Strategy selects the record-fusion strategy; nil means Paper{}.
 	Strategy Strategy
 }
 
 // ResolvedStrategy returns the strategy the options denote: Strategy
-// when set, otherwise the legacy tuple toggle lowered onto Tuples{} or
-// Paper{}.
+// when set, otherwise Paper{}.
 func (o Options) ResolvedStrategy() Strategy {
 	if o.Strategy != nil {
 		return o.Strategy
-	}
-	if o.PreserveTuples {
-		return Tuples{MaxLen: o.MaxTupleLen}
 	}
 	return Paper{}
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/value"
 )
 
-var positional = Options{PreserveTuples: true}
+var positional = Options{Strategy: Tuples{}}
 
 func TestZeroOptionsMatchPaperFuse(t *testing.T) {
 	var o Options
@@ -55,7 +55,7 @@ func TestMaxTupleLenCutoff(t *testing.T) {
 	if !types.Equal(got, types.MustParse("[Num*]")) {
 		t.Errorf("5-tuple should simplify under the default cutoff, got %s", got)
 	}
-	wide := Options{PreserveTuples: true, MaxTupleLen: 8}
+	wide := Options{Strategy: Tuples{MaxLen: 8}}
 	got = wide.Fuse(types.MustParse(long), types.MustParse(long))
 	if !types.Equal(got, types.MustParse(long)) {
 		t.Errorf("5-tuple should survive cutoff 8, got %s", got)

@@ -176,8 +176,8 @@ func IsCacheMetric(name string) bool {
 
 // WithoutCache returns a copy of the snapshot with every
 // cache-effectiveness metric removed (see IsCacheMetric). Composed with
-// WithoutTimings, what remains must be identical between a dedup run
-// and a default run over the same input.
+// WithoutTimings, what remains must not depend on which chunks of a run
+// interned their types.
 func (m Metrics) WithoutCache() Metrics {
 	out := Metrics{
 		Counters:   make(map[string]int64),

@@ -15,19 +15,14 @@ import (
 // see Combine) is its identity — so chunking, scheduling and worker
 // count are invisible in the Fold.
 //
-// There are two implementations, selected by Env.Dedup: the plain
-// payload (a stats.Summary plus the running fused type) and the dedup
-// payload (a multiset of distinct interned types plus the fused type).
-// Both satisfy the same laws, property-tested in accumulator_test.go
-// the same way Fuse and obs snapshots are.
+// There are two implementations, one per driver: the chunk accumulator
+// of Run and the constant-memory stream accumulator of RunStream. Both
+// satisfy the same laws, property-tested in accumulator_test.go the
+// same way Fuse and obs snapshots are.
 type Accumulator interface {
-	// Add types one record into the accumulator — the map step at
-	// record granularity. The streaming driver calls it per decoded
-	// value; chunk map tasks call it in a loop over the chunk.
-	Add(t types.Type)
 	// Merge absorbs other into the receiver. Associative and
 	// commutative; other must come from the same Env (same fusion
-	// policy and, under dedup, the same intern table).
+	// policy and the same dedup machinery).
 	Merge(other Accumulator)
 	// Fold finalizes the accumulator into a Result. It does not consume
 	// the accumulator, but callers treat it as the last step.
@@ -43,17 +38,18 @@ type Result struct {
 	Fused types.Type
 	// Records is the number of values typed.
 	Records int64
-	// DistinctTypes is the number of distinct types seen. Zero on the
-	// plain streaming payload, which cannot afford the bookkeeping;
-	// exact on the plain chunked and both dedup payloads.
+	// DistinctTypes is the number of distinct types seen: exact on the
+	// chunked driver, zero on the streaming one, which cannot afford the
+	// bookkeeping.
 	DistinctTypes int
 	// MinTypeSize, MaxTypeSize and AvgTypeSize describe the per-value
 	// type sizes.
 	MinTypeSize, MaxTypeSize int
 	AvgTypeSize              float64
-	// Summary is the full measurement payload of the plain chunked
-	// path (exemplars, distinct counts), used by the experiments
-	// harness; nil on the streaming and dedup payloads.
+	// Summary is the plain tally's full measurement payload (exemplars,
+	// distinct sizes), used by the experiments harness. It is set only
+	// when the tally saw every record: on the chunked driver when no
+	// record was interned, as under a nil Env.Dedup.
 	Summary *stats.Summary
 	// Enrichment is the combined enrichment lattice of the run; nil
 	// with Env.Enrich unset (or when nothing was fed).
@@ -83,72 +79,112 @@ func Fold(acc Accumulator) Result {
 	return acc.Fold()
 }
 
-// NewAcc returns the empty accumulator of the Env's payload kind with
-// full distinct-type bookkeeping — the granularity of the chunked
-// pipeline.
-func (e *Env) NewAcc() Accumulator {
-	if e.Dedup != nil {
-		if e.Dedup.Auto {
-			return newAutoAcc(e.Dedup, e.Fusion)
-		}
-		return &dedupAcc{dd: e.Dedup, ms: intern.NewMultiset(), fused: types.Empty}
-	}
-	return &plainAcc{fz: e.Fusion, sum: &stats.Summary{}, fused: types.Empty}
-}
-
-// NewStreamAcc returns the constant-memory variant for the sequential
-// streaming driver: the plain payload drops the distinct-type
-// bookkeeping (Result.DistinctTypes stays zero), the dedup payload is
-// unchanged — its memory is bounded by the number of distinct types,
-// which is the point of deduplication.
-func (e *Env) NewStreamAcc() Accumulator {
-	if e.Dedup != nil {
-		return e.NewAcc()
-	}
-	return &plainAcc{fz: e.Fusion, fused: types.Empty}
-}
-
-// plainAcc is the default payload: a summary of per-record type sizes
-// plus the running fused type. With sum set (chunked granularity) the
-// summary also counts distinct types by structural hash; with sum nil
-// (streaming granularity) only the inline tallies are kept, so memory
-// stays constant.
-type plainAcc struct {
-	fz  fusion.Options
-	sum *stats.Summary
+// chunkAcc is the accumulator of the chunked driver. Records typed
+// through the intern table live in the multiset ms: distinct counts by
+// identity, fusion through the memo. Records typed down the degraded
+// tactic live in the plain tally sum: distinct counts by structural
+// hash. Any mix of the two folds to the same bytes: min, max and the
+// int64 size sum combine exactly, the average is one division, and the
+// distinct count is the union of both portions' structural hashes.
+type chunkAcc struct {
+	// dd is the run's dedup machinery; nil means every record takes the
+	// degraded tactic.
+	dd    *Dedup
+	fz    fusion.Options
+	ms    *intern.Multiset
+	sum   stats.Summary
+	fused types.Type
 	// lat is the chunk's (then the run's) enrichment lattice; nil with
 	// enrichment off. Merges ride the accumulator merge, so enrichment
 	// inherits the engine's exactly-once combine.
 	lat *enrich.Lattice
-	// Inline tallies of the streaming mode (sum == nil).
+}
+
+// newChunkAcc returns the empty chunk accumulator of the Env.
+func (e *Env) newChunkAcc() *chunkAcc {
+	return &chunkAcc{dd: e.Dedup, fz: e.Fusion, ms: intern.NewMultiset(), fused: types.Empty}
+}
+
+func (a *chunkAcc) Merge(other Accumulator) {
+	b := other.(*chunkAcc)
+	a.ms.Merge(b.ms)
+	a.sum.Merge(&b.sum)
+	a.fused = a.fz.Fuse(a.fused, b.fused)
+	a.lat = mergeLattices(a.lat, b.lat)
+	if a.dd != nil {
+		a.dd.recheck(a)
+	}
+}
+
+// Fold combines both portions into the statistics the plain tally alone
+// would derive over every record.
+func (a *chunkAcc) Fold() Result {
+	r := Result{
+		Fused:         a.fz.Finalize(a.fused),
+		Records:       a.sum.Count(),
+		DistinctTypes: a.sum.Distinct(),
+		MinTypeSize:   a.sum.MinSize(),
+		MaxTypeSize:   a.sum.MaxSize(),
+		Enrichment:    a.lat,
+	}
+	if a.ms.Len() == 0 {
+		r.Summary = &a.sum
+	}
+	sumSize := a.sum.SizeSum()
+	for _, el := range a.ms.Elems() {
+		if r.Records == 0 || el.Size < r.MinTypeSize {
+			r.MinTypeSize = el.Size
+		}
+		if el.Size > r.MaxTypeSize {
+			r.MaxTypeSize = el.Size
+		}
+		sumSize += int64(el.Size) * el.Count
+		r.Records += el.Count
+		if !a.sum.Has(types.Hash(el.Type)) {
+			r.DistinctTypes++
+		}
+	}
+	if r.Records > 0 {
+		r.AvgTypeSize = float64(sumSize) / float64(r.Records)
+	}
+	return r
+}
+
+// streamAcc is the constant-memory accumulator of the streaming
+// driver: the running fused type, left-folded one record at a time,
+// plus inline size tallies. It never interns and keeps no distinct-type
+// bookkeeping, so memory stays flat however many distinct types the
+// stream holds.
+type streamAcc struct {
+	fz       fusion.Options
 	count    int64
 	sumSize  int64
 	min, max int
 	fused    types.Type
+	lat      *enrich.Lattice
 }
 
-func (a *plainAcc) Add(t types.Type) {
-	if a.sum != nil {
-		a.sum.Add(t)
-	} else {
-		size := t.Size()
-		if a.count == 0 || size < a.min {
-			a.min = size
-		}
-		if size > a.max {
-			a.max = size
-		}
-		a.count++
-		a.sumSize += int64(size)
+func newStreamAcc(fz fusion.Options) *streamAcc {
+	return &streamAcc{fz: fz, fused: types.Empty}
+}
+
+// Add types one record into the accumulator.
+func (a *streamAcc) Add(t types.Type) {
+	size := t.Size()
+	if a.count == 0 || size < a.min {
+		a.min = size
 	}
+	if size > a.max {
+		a.max = size
+	}
+	a.count++
+	a.sumSize += int64(size)
 	a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
 }
 
-func (a *plainAcc) Merge(other Accumulator) {
-	b := other.(*plainAcc)
-	if a.sum != nil {
-		a.sum.Merge(b.sum)
-	} else if b.count > 0 {
+func (a *streamAcc) Merge(other Accumulator) {
+	b := other.(*streamAcc)
+	if b.count > 0 {
 		if a.count == 0 || b.min < a.min {
 			a.min = b.min
 		}
@@ -162,260 +198,11 @@ func (a *plainAcc) Merge(other Accumulator) {
 	a.lat = mergeLattices(a.lat, b.lat)
 }
 
-func (a *plainAcc) Fold() Result {
-	if a.sum != nil {
-		return Result{
-			Fused:         a.fz.Finalize(a.fused),
-			Records:       a.sum.Count(),
-			DistinctTypes: a.sum.Distinct(),
-			MinTypeSize:   a.sum.MinSize(),
-			MaxTypeSize:   a.sum.MaxSize(),
-			AvgTypeSize:   a.sum.AvgSize(),
-			Summary:       a.sum,
-			Enrichment:    a.lat,
-		}
-	}
-	r := Result{Fused: a.fz.Finalize(a.fused), Records: a.count, MinTypeSize: a.minSize(), MaxTypeSize: a.max, Enrichment: a.lat}
+func (a *streamAcc) Fold() Result {
+	r := Result{Fused: a.fz.Finalize(a.fused), Records: a.count, MaxTypeSize: a.max, Enrichment: a.lat}
 	if a.count > 0 {
+		r.MinTypeSize = a.min
 		r.AvgTypeSize = float64(a.sumSize) / float64(a.count)
-	}
-	return r
-}
-
-func (a *plainAcc) minSize() int {
-	if a.count == 0 {
-		return 0
-	}
-	return a.min
-}
-
-// dedupAcc is the hash-consed payload: a multiset of distinct interned
-// types (identity-merged across chunks and files, so distinct counts
-// stay exact) plus the fused type, fused through the memo so each
-// distinct pair fuses at most once per run.
-type dedupAcc struct {
-	dd    *Dedup
-	ms    *intern.Multiset
-	fused types.Type
-	lat   *enrich.Lattice
-}
-
-func (a *dedupAcc) Add(t types.Type) {
-	ref, ok := a.dd.Tab.Ref(t)
-	if !ok {
-		ref, _ = a.dd.Tab.Ref(a.dd.Tab.Canon(t))
-	}
-	// Absorption — fuse(fuse(A, s), s) = fuse(A, s) for the simplified s
-	// of an already-seen type — lets the record-at-a-time path skip both
-	// the Simplify and the Fuse for repeats.
-	if !a.ms.Contains(ref.ID) {
-		a.fused = a.dd.Memo.Fuse(a.fused, a.dd.Memo.Simplify(t))
-	}
-	a.ms.Add(ref, 1)
-}
-
-func (a *dedupAcc) Merge(other Accumulator) {
-	b := other.(*dedupAcc)
-	a.ms.Merge(b.ms)
-	a.fused = a.dd.Memo.Fuse(a.fused, b.fused)
-	a.lat = mergeLattices(a.lat, b.lat)
-}
-
-// Fold recovers the per-record statistics from the distinct-type
-// multiset. The sum of sizes is accumulated in an int64 exactly like
-// stats.Summary does (sizes and counts stay far below 2^53), so
-// AvgTypeSize is bit-identical to the per-record accumulation of the
-// plain payload.
-func (a *dedupAcc) Fold() Result {
-	r := Result{Fused: a.dd.Memo.Finalize(a.fused), Enrichment: a.lat}
-	var sumSize int64
-	for i, e := range a.ms.Elems() {
-		if i == 0 || e.Size < r.MinTypeSize {
-			r.MinTypeSize = e.Size
-		}
-		if e.Size > r.MaxTypeSize {
-			r.MaxTypeSize = e.Size
-		}
-		sumSize += int64(e.Size) * e.Count
-		r.Records += e.Count
-	}
-	r.DistinctTypes = a.ms.Len()
-	if r.Records > 0 {
-		r.AvgTypeSize = float64(sumSize) / float64(r.Records)
-	}
-	return r
-}
-
-// autoAcc is the adaptive payload of DedupAuto runs: a hybrid of the
-// two fixed payloads. Records typed through the interner live in the
-// multiset (exact distinct counts, memoized fusion); records typed
-// after a chunk degraded live in a plain tally (structural-hash
-// distinct counting, exactly like the plain chunked payload). Any mix
-// of the two folds to the same bytes as either fixed payload: min, max
-// and the int64 size sum combine exactly, the average is one division,
-// and the distinct count is the union of the structural hashes of both
-// portions — the same hashes the plain payload counts with.
-type autoAcc struct {
-	dd *Dedup
-	fz fusion.Options
-	ms *intern.Multiset
-	// deg tallies the records of degraded (non-interned) portions.
-	deg   plainTally
-	fused types.Type
-	lat   *enrich.Lattice
-
-	// Streaming-driver state: degraded flips once the sampled window
-	// triggers the degrade predicate, tab0 anchors the node-growth
-	// measurement. Chunk map tasks manage sampling themselves and never
-	// touch these.
-	degraded bool
-	tab0     int
-}
-
-// newAutoAcc returns the empty adaptive accumulator of an auto run.
-func newAutoAcc(dd *Dedup, fz fusion.Options) *autoAcc {
-	return &autoAcc{dd: dd, fz: fz, ms: intern.NewMultiset(), fused: types.Empty, tab0: dd.Tab.Len()}
-}
-
-// plainTally is the degraded portion's bookkeeping: the inline tallies
-// of the plain payload plus structural-hash distinct counting.
-type plainTally struct {
-	distinct map[uint64]struct{}
-	records  int64
-	sumSize  int64
-	min, max int
-}
-
-func (p *plainTally) add(t types.Type) {
-	size := t.Size()
-	if p.records == 0 || size < p.min {
-		p.min = size
-	}
-	if size > p.max {
-		p.max = size
-	}
-	p.records++
-	p.sumSize += int64(size)
-	if p.distinct == nil {
-		p.distinct = make(map[uint64]struct{}, 64)
-	}
-	p.distinct[types.Hash(t)] = struct{}{}
-}
-
-func (p *plainTally) merge(q *plainTally) {
-	if q.records == 0 {
-		return
-	}
-	if p.records == 0 || q.min < p.min {
-		p.min = q.min
-	}
-	if q.max > p.max {
-		p.max = q.max
-	}
-	p.records += q.records
-	p.sumSize += q.sumSize
-	if p.distinct == nil {
-		p.distinct = make(map[uint64]struct{}, len(q.distinct))
-	}
-	for h := range q.distinct {
-		p.distinct[h] = struct{}{}
-	}
-}
-
-// Add types one record at streaming granularity: the dedup path with
-// absorption while sampling, the plain path after a degrade. The
-// streaming driver unsets the decoder's interner once degraded (see
-// RunStream), so t arrives in whichever representation the current
-// mode expects — both hash and fuse structurally.
-func (a *autoAcc) Add(t types.Type) {
-	if a.degraded {
-		a.deg.add(t)
-		a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
-		return
-	}
-	ref, ok := a.dd.Tab.Ref(t)
-	if !ok {
-		ref, _ = a.dd.Tab.Ref(a.dd.Tab.Canon(t))
-	}
-	if !a.ms.Contains(ref.ID) {
-		a.fused = a.dd.Memo.Fuse(a.fused, a.dd.Memo.Simplify(t))
-	}
-	a.ms.Add(ref, 1)
-	if n := a.ms.Total(); n == int64(a.dd.sampleSize()) {
-		a.dd.noteSample(n, int64(a.dd.Tab.Len()-a.tab0))
-		if a.dd.decide(int64(a.ms.Len()), n, a.dd.sampledGrowth()) {
-			a.degraded = true
-		}
-	}
-}
-
-func (a *autoAcc) Merge(other Accumulator) {
-	b := other.(*autoAcc)
-	a.ms.Merge(b.ms)
-	a.deg.merge(&b.deg)
-	a.fused = a.fz.Fuse(a.fused, b.fused)
-	a.lat = mergeLattices(a.lat, b.lat)
-	a.recheck()
-}
-
-// recheck is the combine-boundary half of the adaptive layer: once
-// enough records have merged, the multiset cardinality versus its
-// record total re-tests the degrade predicate (with the node-growth
-// evidence gathered while sampling), and a degraded run whose plain
-// portion turns repetitive is sent back to sampling. Purely a shared
-// cost hint — it never changes what this accumulator folds to.
-func (a *autoAcc) recheck() {
-	dd := a.dd
-	if n := a.ms.Total(); n >= int64(dd.sampleSize()) {
-		if float64(a.ms.Len()) >= dd.threshold()*float64(n) {
-			if dd.sampledGrowth() >= dd.nodeGrowth() {
-				dd.hint.Store(hintDegrade)
-			}
-		} else {
-			dd.hint.Store(hintDedup)
-		}
-	}
-	if a.deg.records >= int64(dd.sampleSize()) &&
-		float64(len(a.deg.distinct)) < dd.threshold()*float64(a.deg.records) {
-		dd.hint.Store(hintSample)
-	}
-}
-
-// Fold combines both portions into the same statistics either fixed
-// payload derives.
-func (a *autoAcc) Fold() Result {
-	r := Result{Fused: a.fz.Finalize(a.fused), Enrichment: a.lat}
-	var sumSize int64
-	seen := make(map[uint64]struct{}, a.ms.Len()+len(a.deg.distinct))
-	first := true
-	for _, el := range a.ms.Elems() {
-		if first || el.Size < r.MinTypeSize {
-			r.MinTypeSize = el.Size
-			first = false
-		}
-		if el.Size > r.MaxTypeSize {
-			r.MaxTypeSize = el.Size
-		}
-		sumSize += int64(el.Size) * el.Count
-		r.Records += el.Count
-		seen[types.Hash(el.Type)] = struct{}{}
-	}
-	if a.deg.records > 0 {
-		if first || a.deg.min < r.MinTypeSize {
-			r.MinTypeSize = a.deg.min
-		}
-		if a.deg.max > r.MaxTypeSize {
-			r.MaxTypeSize = a.deg.max
-		}
-		sumSize += a.deg.sumSize
-		r.Records += a.deg.records
-		for h := range a.deg.distinct {
-			seen[h] = struct{}{}
-		}
-	}
-	r.DistinctTypes = len(seen)
-	if r.Records > 0 {
-		r.AvgTypeSize = float64(sumSize) / float64(r.Records)
 	}
 	return r
 }
@@ -430,18 +217,4 @@ func mergeLattices(a, b *enrich.Lattice) *enrich.Lattice {
 	}
 	a.Merge(b)
 	return a
-}
-
-// attachLattice hands a run-scoped lattice to a freshly built
-// accumulator (the streaming driver observes the whole stream into one
-// lattice rather than one per chunk).
-func attachLattice(acc Accumulator, lat *enrich.Lattice) {
-	switch a := acc.(type) {
-	case *plainAcc:
-		a.lat = lat
-	case *dedupAcc:
-		a.lat = lat
-	case *autoAcc:
-		a.lat = lat
-	}
 }

@@ -37,10 +37,9 @@ func monoidRecords() [][]byte {
 	return bytes.Split(monoidNDJSON, []byte("\n"))
 }
 
-// payload is one Accumulator implementation under test: an engine
-// configuration plus the way it builds accumulators. All accumulators
-// from the same payload share dedup state, exactly as the engine
-// guarantees within one run.
+// payload is one engine configuration under test plus the way it
+// builds accumulators. All accumulators from the same payload share
+// dedup state, exactly as the engine guarantees within one run.
 type payload struct {
 	name   string
 	env    *Env
@@ -56,8 +55,9 @@ func payloads(t *testing.T) []payload {
 	return []payload{
 		{"plain", &Env{Fusion: fusion.Options{}}, false},
 		{"plain-stream", &Env{Fusion: fusion.Options{}}, true},
-		{"plain-tuples", &Env{Fusion: fusion.Options{PreserveTuples: true}}, false},
+		{"plain-tuples", &Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, false},
 		{"dedup", &Env{Dedup: NewDedup(fusion.Options{})}, false},
+		{"adaptive", &Env{Dedup: testDedup()}, false},
 		{"plain-enrich", &Env{Fusion: fusion.Options{}, Enrich: set}, false},
 		{"dedup-enrich", &Env{Dedup: NewDedup(fusion.Options{}), Enrich: set}, false},
 	}
@@ -67,18 +67,20 @@ func payloads(t *testing.T) []payload {
 // for stream payloads, the chunked flavour otherwise.
 func (p payload) empty() Accumulator {
 	if p.stream {
-		return p.env.NewStreamAcc()
+		return newStreamAcc(p.env.Fusion)
 	}
-	return p.env.NewAcc()
+	return p.env.newChunkAcc()
 }
 
 // buildChunk runs a chunk of records through the payload's real map
-// path (mapChunk for chunked modes, the stream accumulator otherwise),
-// so the harness exercises exactly what the engine produces.
+// path (mapChunk for chunked payloads, the stream accumulator
+// otherwise), so the harness exercises exactly what the engine
+// produces. The "adaptive" payload's tight knobs make its chunks mix
+// interned and degraded records.
 func buildChunk(t *testing.T, p payload, chunk []byte) Accumulator {
 	t.Helper()
 	if p.stream {
-		acc := p.env.NewStreamAcc()
+		acc := newStreamAcc(p.env.Fusion)
 		ts, err := infer.InferAll(chunk)
 		if err != nil {
 			t.Fatal(err)

@@ -6,18 +6,19 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/fusion"
 )
 
-// autoTestDedup builds adaptive dedup machinery with tight knobs so
-// tiny test chunks exercise real sampling decisions: an 8-record
-// sample, a 0.5 degrade ratio, and a node-growth guard low enough that
-// any all-distinct window passes it.
-func autoTestDedup() *Dedup {
-	dd := NewAutoDedup(fusion.Options{})
-	dd.Sample = 8
-	dd.Threshold = 0.5
-	dd.NodeGrowth = 0.01
+// testDedup builds dedup machinery with tight knobs so tiny test
+// chunks exercise real sampling decisions: an 8-record sample, a 0.5
+// degrade ratio, and a node-growth guard low enough that any
+// all-distinct window passes it.
+func testDedup() *Dedup {
+	dd := NewDedup(fusion.Options{})
+	dd.sample = 8
+	dd.threshold = 0.5
+	dd.nodeGrowth = 0.01
 	return dd
 }
 
@@ -31,8 +32,8 @@ func ndjsonFields(names ...string) []byte {
 	return []byte(b.String())
 }
 
-// repeatFields returns n copies of the given names in round-robin
-// order, so the distinct ratio of a window is len(names)/n.
+// roundRobin returns n copies of the given names in round-robin order,
+// so the distinct ratio of a window is len(names)/n.
 func roundRobin(n int, names ...string) []string {
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -41,11 +42,27 @@ func roundRobin(n int, names ...string) []string {
 	return out
 }
 
+// sameResult reports how two folds differ, or "" when every observable
+// statistic and the fused type agree.
+func sameResult(got, want Result) string {
+	switch {
+	case got.Fused.String() != want.Fused.String():
+		return fmt.Sprintf("fused %s != %s", got.Fused, want.Fused)
+	case got.Records != want.Records || got.DistinctTypes != want.DistinctTypes:
+		return fmt.Sprintf("records %d/%d distinct %d/%d", got.Records, want.Records, got.DistinctTypes, want.DistinctTypes)
+	case got.MinTypeSize != want.MinTypeSize || got.MaxTypeSize != want.MaxTypeSize || got.AvgTypeSize != want.AvgTypeSize:
+		return fmt.Sprintf("sizes min %d/%d max %d/%d avg %v/%v", got.MinTypeSize, want.MinTypeSize,
+			got.MaxTypeSize, want.MaxTypeSize, got.AvgTypeSize, want.AvgTypeSize)
+	}
+	return ""
+}
+
 // TestAutoThresholdBoundary pins the degrade predicate's boundary
 // semantics: a sampled window whose distinct ratio lands exactly on
 // the threshold degrades (the predicate is >=), one distinct type
 // fewer stays on the dedup path — and either way the folded Result is
-// byte-identical to both fixed payloads over the same chunk.
+// byte-identical to the default knobs and to the plain tally over the
+// same chunk.
 func TestAutoThresholdBoundary(t *testing.T) {
 	cases := []struct {
 		label   string
@@ -65,7 +82,7 @@ func TestAutoThresholdBoundary(t *testing.T) {
 			records := append(append([]string{}, tc.sampled...), "e", "f", "g", "h")
 			chunk := ndjsonFields(records...)
 
-			env := &Env{Fusion: fusion.Options{}, Dedup: autoTestDedup()}
+			env := &Env{Fusion: fusion.Options{}, Dedup: testDedup()}
 			acc, err := env.mapChunk(chunk)
 			if err != nil {
 				t.Fatal(err)
@@ -75,60 +92,76 @@ func TestAutoThresholdBoundary(t *testing.T) {
 			}
 
 			got := Fold(acc)
-			for _, fixed := range []struct {
+			for _, ref := range []struct {
 				label string
 				env   *Env
 			}{
-				{"dedup", &Env{Fusion: fusion.Options{}, Dedup: NewDedup(fusion.Options{})}},
+				{"default knobs", &Env{Fusion: fusion.Options{}, Dedup: NewDedup(fusion.Options{})}},
 				{"plain", &Env{Fusion: fusion.Options{}}},
 			} {
-				facc, err := fixed.env.mapChunk(chunk)
+				racc, err := ref.env.mapChunk(chunk)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := Fold(facc)
-				if got.Fused.String() != want.Fused.String() {
-					t.Errorf("fused vs %s: %s != %s", fixed.label, got.Fused, want.Fused)
-				}
-				if got.Records != want.Records || got.DistinctTypes != want.DistinctTypes {
-					t.Errorf("stats vs %s: records %d/%d distinct %d/%d",
-						fixed.label, got.Records, want.Records, got.DistinctTypes, want.DistinctTypes)
-				}
-				if got.MinTypeSize != want.MinTypeSize || got.MaxTypeSize != want.MaxTypeSize || got.AvgTypeSize != want.AvgTypeSize {
-					t.Errorf("sizes vs %s: min %d/%d max %d/%d avg %v/%v", fixed.label,
-						got.MinTypeSize, want.MinTypeSize, got.MaxTypeSize, want.MaxTypeSize,
-						got.AvgTypeSize, want.AvgTypeSize)
+				if diff := sameResult(got, Fold(racc)); diff != "" {
+					t.Errorf("vs %s: %s", ref.label, diff)
 				}
 			}
 		})
 	}
 }
 
+// TestAutoPartialWindowDegrades pins the short-chunk rule: a chunk that
+// ends inside its sample window decides over what it did sample. A
+// chunk of Wikidata records — ids as keys, every record type distinct
+// and built of fresh nodes — shorter than the default window must
+// publish a degrade, and fold exactly as the plain tally does.
+func TestAutoPartialWindowDegrades(t *testing.T) {
+	g, err := dataset.New("wikidata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := dataset.NDJSON(g, DefaultDedupSample/2, 3)
+	env := &Env{Dedup: NewDedup(fusion.Options{})}
+	acc, err := env.mapChunk(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := env.Dedup.hint.Load(); got != hintDegrade {
+		t.Fatalf("hint after a %d-record wikidata chunk = %d, want %d (degrade)", DefaultDedupSample/2, got, hintDegrade)
+	}
+	plain, err := (&Env{}).mapChunk(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameResult(Fold(acc), Fold(plain)); diff != "" {
+		t.Errorf("vs plain: %s", diff)
+	}
+}
+
 // TestAutoCombineBoundaryRecheck exercises the other half of the
-// adaptive layer: chunks too small to complete a sample individually
-// still trigger the decision when their accumulators merge past the
-// sample size — and a degraded run whose plain portion turns
-// repetitive is sent back to sampling.
+// adaptive layer: merged multisets that reach the sample size re-test
+// the predicate, and a degraded run whose plain tally turns repetitive
+// is sent back to sampling.
 func TestAutoCombineBoundaryRecheck(t *testing.T) {
 	t.Run("merge crosses sample size", func(t *testing.T) {
-		dd := autoTestDedup()
+		dd := testDedup()
 		env := &Env{Fusion: fusion.Options{}, Dedup: dd}
-		// Two 4-record chunks, all-distinct across both: neither chunk
-		// completes the 8-record sample alone.
+		// Two 4-record chunks, all-distinct across both, mapped while
+		// the hint still said sample (as on two workers at once): each
+		// settles on its partial window, and the multisets stay below
+		// the 8-record sample size until they merge.
 		a, err := env.mapChunk(ndjsonFields("a", "b", "c", "d"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		dd.hint.Store(hintSample)
 		b, err := env.mapChunk(ndjsonFields("e", "f", "g", "h"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := dd.hint.Load(); got != hintSample {
-			t.Fatalf("hint before merge = %d, want %d (still sampling)", got, hintSample)
-		}
-		// The combine-boundary re-check reuses node-growth evidence from
-		// sampling; seed it as a completed all-fresh window would have.
-		dd.noteSample(8, 40)
+		// Another chunk meanwhile settled on dedup.
+		dd.hint.Store(hintDedup)
 		Combine(a, b)
 		if got := dd.hint.Load(); got != hintDegrade {
 			t.Fatalf("hint after all-distinct merge = %d, want %d", got, hintDegrade)
@@ -136,12 +169,15 @@ func TestAutoCombineBoundaryRecheck(t *testing.T) {
 	})
 
 	t.Run("repetitive merge settles on dedup", func(t *testing.T) {
-		dd := autoTestDedup()
+		dd := testDedup()
 		env := &Env{Fusion: fusion.Options{}, Dedup: dd}
+		// Each 4-record window holds 2 distinct types, ratio 0.5: both
+		// chunks degrade alone, but together they repeat.
 		a, err := env.mapChunk(ndjsonFields(roundRobin(4, "a", "b")...))
 		if err != nil {
 			t.Fatal(err)
 		}
+		dd.hint.Store(hintSample)
 		b, err := env.mapChunk(ndjsonFields(roundRobin(4, "a", "b")...))
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +189,8 @@ func TestAutoCombineBoundaryRecheck(t *testing.T) {
 	})
 
 	t.Run("repetitive degraded portion resumes sampling", func(t *testing.T) {
-		dd := autoTestDedup()
-		dd.hint.Store(hintDegrade) // a settled degrade sends whole chunks down the plain path
+		dd := testDedup()
+		dd.hint.Store(hintDegrade) // a settled degrade sends whole chunks down the plain tally
 		env := &Env{Fusion: fusion.Options{}, Dedup: dd}
 		a, err := env.mapChunk(ndjsonFields(roundRobin(4, "a", "b")...))
 		if err != nil {
@@ -171,62 +207,39 @@ func TestAutoCombineBoundaryRecheck(t *testing.T) {
 	})
 }
 
-// TestAutoStreamDegrade runs the adaptive accumulator under the
-// sequential streaming driver across a mid-stream degrade and checks
-// the fold against both fixed streaming modes.
+// TestAutoStreamDegrade pins that the streaming driver is degraded from
+// its first record: with dedup machinery in the Env it interns nothing
+// and publishes no decision, and it folds to the chunked plain tally's
+// Result minus the distinct count it does not keep.
 func TestAutoStreamDegrade(t *testing.T) {
-	// 8 all-distinct sampled records force a degrade, then 12 more
-	// records (4 fresh shapes, with repeats) run down the plain path.
 	records := append(
 		[]string{"a", "b", "c", "d", "e", "f", "g", "h"},
 		roundRobin(12, "w", "x", "y", "z")...)
 	data := ndjsonFields(records...)
 
-	autoEnv := &Env{Fusion: fusion.Options{}, Dedup: autoTestDedup()}
-	acc, n, err := RunStream(context.Background(), autoEnv, strings.NewReader(string(data)))
+	dd := testDedup()
+	nodes := dd.Tab.Len()
+	acc, n, err := RunStream(context.Background(), &Env{Dedup: dd}, strings.NewReader(string(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(data)) {
 		t.Fatalf("consumed %d bytes, want %d", n, len(data))
 	}
-	if got := autoEnv.Dedup.hint.Load(); got != hintDegrade {
-		t.Fatalf("hint after all-distinct sample = %d, want %d", got, hintDegrade)
+	if hits, misses := dd.Tab.Stats(); hits+misses != 0 || dd.Tab.Len() != nodes {
+		t.Errorf("stream interned: %d hits, %d misses, table %d -> %d nodes", hits, misses, nodes, dd.Tab.Len())
 	}
-	got := Fold(acc)
-	if got.Records != int64(len(records)) {
-		t.Fatalf("records = %d, want %d", got.Records, len(records))
+	if got := dd.hint.Load(); got != hintSample {
+		t.Errorf("stream published hint %d", got)
 	}
 
-	dedupEnv := &Env{Fusion: fusion.Options{}, Dedup: NewDedup(fusion.Options{})}
-	dacc, _, err := RunStream(context.Background(), dedupEnv, strings.NewReader(string(data)))
+	plain, err := (&Env{}).mapChunk(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Fold(dacc)
-	if got.Fused.String() != want.Fused.String() {
-		t.Errorf("fused: %s != %s", got.Fused, want.Fused)
-	}
-	if got.DistinctTypes != want.DistinctTypes || got.Records != want.Records {
-		t.Errorf("stats: distinct %d/%d records %d/%d",
-			got.DistinctTypes, want.DistinctTypes, got.Records, want.Records)
-	}
-	if got.MinTypeSize != want.MinTypeSize || got.MaxTypeSize != want.MaxTypeSize || got.AvgTypeSize != want.AvgTypeSize {
-		t.Errorf("sizes: min %d/%d max %d/%d avg %v/%v",
-			got.MinTypeSize, want.MinTypeSize, got.MaxTypeSize, want.MaxTypeSize,
-			got.AvgTypeSize, want.AvgTypeSize)
-	}
-
-	plainEnv := &Env{Fusion: fusion.Options{}}
-	pacc, _, err := RunStream(context.Background(), plainEnv, strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := Fold(pacc)
-	if got.Fused.String() != plain.Fused.String() {
-		t.Errorf("fused vs plain stream: %s != %s", got.Fused, plain.Fused)
-	}
-	if got.Records != plain.Records {
-		t.Errorf("records vs plain stream: %d != %d", got.Records, plain.Records)
+	want := Fold(plain)
+	want.DistinctTypes = 0
+	if diff := sameResult(Fold(acc), want); diff != "" {
+		t.Errorf("vs chunked plain tally: %s", diff)
 	}
 }

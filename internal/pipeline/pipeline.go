@@ -7,18 +7,17 @@
 //
 // over an Env that bundles what used to be five separately threaded
 // parameters (fusion policy, worker count, failure policy, recorder,
-// progress hook, dedup state). The map and combine stages are derived
-// from the Env's payload kind: the plain summary or the hash-consed
-// distinct-type multiset, both implementations of the Accumulator
-// monoid (see accumulator.go). A future backend — sharded, serving,
+// progress hook, dedup state). A future backend — sharded, serving,
 // remote — is a new feed plus (at most) a new Accumulator, not a sixth
 // copy of the pipeline.
 //
 // Two drivers share the stages: Run distributes line-aligned chunks
-// over the map-reduce engine (parallel, fault-tolerant), RunStream
-// types one record at a time with constant memory (sequential). Both
-// leave no goroutines behind on error or cancellation, which
-// pipeline_test.go pins with mid-feed and mid-combine cancel tests.
+// over the map-reduce engine (parallel, fault-tolerant), and each chunk
+// picks its own tactic under one adaptive cost model (see Dedup);
+// RunStream types one record at a time with constant memory
+// (sequential, never interning). Both leave no goroutines behind on
+// error or cancellation, which pipeline_test.go pins with mid-feed and
+// mid-combine cancel tests.
 package pipeline
 
 import (
@@ -64,9 +63,11 @@ type Env struct {
 	// ProgressEveryRecords records on the streaming path); nil reports
 	// nothing.
 	Progress func()
-	// Dedup, when non-nil, selects the hash-consed payload: the map
-	// phase interns types and emits distinct-type multisets, fusion
-	// runs through the memo.
+	// Dedup is the run's dedup machinery, which lets Run's chunks
+	// intern their types when that pays. Nil means every chunk is
+	// degraded from its first record: the plain tally and the balanced
+	// tree fold, the tactic the experiments harness measures. RunStream
+	// ignores it.
 	Dedup *Dedup
 	// Enrich, when non-nil, computes the configured enrichment monoids
 	// (internal/enrich) alongside structural inference in the same
@@ -82,44 +83,43 @@ type Env struct {
 	Phases *Phases
 }
 
-// Dedup is the shared machinery of one deduplicating run: the
-// hash-consing table the decoders intern into and the memoized fusion
-// policy keyed by that table's IDs. One value spans all chunks, workers
-// and files of a single run.
+// Dedup is the shared machinery of one run's adaptive cost model: the
+// hash-consing table the decoders intern into, the memoized fusion
+// policy keyed by that table's IDs, and the shared decision. One value
+// spans all chunks, workers and files of a single run.
 //
-// With Auto set, the run is adaptive: each map task samples the
-// distinct-type ratio and the intern-table growth over the first
-// Sample records of its chunk and degrades the rest of the chunk to
-// the plain (non-interning) path when hash-consing cannot pay for
-// itself — an all-distinct stream past Threshold that also allocates
-// NodeGrowth or more new interned nodes per record. The decision is
-// re-checked at every combine boundary against the merged multiset
-// cardinality, and the outcome is shared across chunks through an
-// atomic hint so settled runs stop sampling. Only the cost model is
-// adaptive: schemas and statistics are byte-identical to both fixed
-// modes (pinned by the differential and chaos suites).
+// Each map task samples the distinct-type ratio and the intern-table
+// growth over the first records of its chunk (the whole chunk, if it
+// is shorter than the window) and decides. A chunk that keeps
+// interning fuses its distinct types once each, by a memoized left
+// fold. A chunk that degrades, because hash-consing cannot pay for
+// itself — an all-distinct window past the threshold that also
+// allocates several new interned nodes per record — types the rest of
+// its records down the plain tally and reduces all its types as a
+// balanced tree. The decision is re-checked at every combine boundary
+// against the merged multiset cardinality, and the outcome is shared
+// across chunks through an atomic hint so settled runs stop sampling.
+// Only the cost is adaptive: schemas and statistics are byte-identical
+// to the degraded tactic alone (pinned by the differential and chaos
+// suites).
 type Dedup struct {
 	Tab  *intern.Table
 	Memo *fusion.Memo
 
-	// Auto enables the adaptive layer.
-	Auto bool
-	// Sample is the number of records each chunk types through the
-	// interner before deciding; zero means DefaultDedupSample.
-	Sample int
-	// Threshold is the sampled distinct-type ratio at or above which a
-	// chunk degrades (subject to the NodeGrowth guard); zero means
-	// DefaultDedupThreshold.
-	Threshold float64
-	// NodeGrowth is the minimum new interned nodes per sampled record
+	// sample is the number of records each chunk types through the
+	// interner before deciding.
+	sample int64
+	// threshold is the sampled distinct-type ratio at or above which a
+	// chunk degrades (subject to the nodeGrowth guard).
+	threshold float64
+	// nodeGrowth is the minimum new interned nodes per sampled record
 	// for a degrade: high-ratio data whose subtrees still dedup (shared
-	// nested shapes) keeps paying for hash-consing. Zero means
-	// DefaultDedupNodeGrowth.
-	NodeGrowth float64
+	// nested shapes) keeps paying for hash-consing.
+	nodeGrowth float64
 
 	// hint is the shared adaptive decision: hintSample (zero) makes the
 	// next chunk sample, hintDedup keeps chunks on the interning path,
-	// hintDegrade sends whole chunks down the plain path. Cost-only:
+	// hintDegrade sends whole chunks down the plain tally. Cost-only:
 	// with several workers the hint a chunk observes depends on timing,
 	// but every mix of degraded and deduplicated chunks folds to the
 	// same bytes.
@@ -154,48 +154,65 @@ const (
 // fusion policy.
 func NewDedup(o fusion.Options) *Dedup {
 	tab := intern.NewTable()
-	return &Dedup{Tab: tab, Memo: fusion.NewMemo(o, tab)}
-}
-
-// NewAutoDedup builds adaptive dedup machinery with default knobs.
-func NewAutoDedup(o fusion.Options) *Dedup {
-	dd := NewDedup(o)
-	dd.Auto = true
-	return dd
-}
-
-func (dd *Dedup) sampleSize() int {
-	if dd.Sample > 0 {
-		return dd.Sample
+	return &Dedup{
+		Tab:        tab,
+		Memo:       fusion.NewMemo(o, tab),
+		sample:     DefaultDedupSample,
+		threshold:  DefaultDedupThreshold,
+		nodeGrowth: DefaultDedupNodeGrowth,
 	}
-	return DefaultDedupSample
 }
 
-func (dd *Dedup) threshold() float64 {
-	if dd.Threshold > 0 {
-		return dd.Threshold
-	}
-	return DefaultDedupThreshold
-}
-
-func (dd *Dedup) nodeGrowth() float64 {
-	if dd.NodeGrowth > 0 {
-		return dd.NodeGrowth
-	}
-	return DefaultDedupNodeGrowth
-}
-
-// noteSample folds one chunk's sampling evidence (records typed through
-// the interner and the intern-table growth seen while doing so) into
-// the shared tallies.
-func (dd *Dedup) noteSample(records, nodes int64) {
-	if records <= 0 {
+// Record adds the run's cache-effectiveness counters to rec once the
+// run has interned anything; a run that never interned (a stream, or a
+// nil Dedup) records none. The counters are deterministic at one worker
+// on a fault-free run; under concurrency or retries the hit/miss split
+// can shift (double-computed entries, re-parsed chunks, sampling
+// decisions that follow the shared hint), which is why obs strips them
+// with WithoutCache.
+func (dd *Dedup) Record(rec obs.Recorder) {
+	if dd == nil {
 		return
 	}
-	dd.sampRecs.Add(records)
-	if nodes > 0 {
-		dd.sampNodes.Add(nodes)
+	hits, misses := dd.Tab.Stats()
+	if hits+misses == 0 {
+		return
 	}
+	rec.Add("intern_hits", hits)
+	rec.Add("intern_misses", misses)
+	fh, fm, sh, sm := dd.Memo.CacheStats()
+	rec.Add("fuse_cache_hits", fh)
+	rec.Add("fuse_cache_misses", fm)
+	rec.Add("simplify_cache_hits", sh)
+	rec.Add("simplify_cache_misses", sm)
+}
+
+// ref returns the table entry of a type the interning decoder produced.
+func (dd *Dedup) ref(t types.Type) intern.Ref {
+	r, ok := dd.Tab.Ref(t)
+	if !ok {
+		// Unreachable under the interner invariant, but keep the
+		// multiset sound if it ever breaks.
+		r, _ = dd.Tab.Ref(dd.Tab.Canon(t))
+	}
+	return r
+}
+
+// settle closes one chunk's sample window — records typed through the
+// interner, distinct of them distinct, nodes new table entries — folds
+// its evidence into the shared tallies, evaluates the degrade predicate
+// over the window, publishes the outcome as the shared hint and reports
+// whether the chunk degrades.
+func (dd *Dedup) settle(distinct, records, nodes int64) bool {
+	dd.sampRecs.Add(records)
+	dd.sampNodes.Add(nodes)
+	degrade := float64(distinct) >= dd.threshold*float64(records) && dd.sampledGrowth() >= dd.nodeGrowth
+	if degrade {
+		dd.hint.Store(hintDegrade)
+	} else {
+		dd.hint.Store(hintDedup)
+	}
+	return degrade
 }
 
 // sampledGrowth returns the observed new-interned-nodes-per-record rate
@@ -208,16 +225,25 @@ func (dd *Dedup) sampledGrowth() float64 {
 	return float64(dd.sampNodes.Load()) / float64(recs)
 }
 
-// decide evaluates the degrade predicate over a sampled window and
-// publishes the outcome as the shared hint.
-func (dd *Dedup) decide(distinct, records int64, growth float64) bool {
-	degrade := float64(distinct) >= dd.threshold()*float64(records) && growth >= dd.nodeGrowth()
-	if degrade {
-		dd.hint.Store(hintDegrade)
-	} else {
-		dd.hint.Store(hintDedup)
+// recheck is the combine-boundary half of the cost model: once enough
+// records have merged, the multiset cardinality versus its record total
+// re-tests the degrade predicate (with the node-growth evidence
+// gathered while sampling), and a degraded run whose plain tally turns
+// repetitive is sent back to sampling. Purely a shared cost hint — it
+// never changes what the accumulator folds to.
+func (dd *Dedup) recheck(a *chunkAcc) {
+	if n := a.ms.Total(); n >= dd.sample {
+		if float64(a.ms.Len()) >= dd.threshold*float64(n) {
+			if dd.sampledGrowth() >= dd.nodeGrowth {
+				dd.hint.Store(hintDegrade)
+			}
+		} else {
+			dd.hint.Store(hintDedup)
+		}
 	}
-	return degrade
+	if n := a.sum.Count(); n >= dd.sample && float64(a.sum.Distinct()) < dd.threshold*float64(n) {
+		dd.hint.Store(hintSample)
+	}
 }
 
 // Phases holds the per-phase busy-time tallies of a run, summed across
@@ -286,8 +312,8 @@ const FeedBuffer = 4
 // one. The feed's producer goroutine is always joined before Run
 // returns, so no goroutine outlives the call. The returned Accumulator
 // is nil when the feed produced nothing (Fold handles it); callers
-// that span several inputs (multi-file dedup) Combine the returned
-// accumulators before folding.
+// that span several inputs under one Env (FromFiles) Combine the
+// returned accumulators before folding.
 func Run(ctx context.Context, env *Env, feed Feed) (Accumulator, mapreduce.Stats, error) {
 	return RunPooled(ctx, env, feed, nil)
 }
@@ -358,99 +384,43 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 }
 
 // mapChunk is the decode+infer map stage: it types every value of one
-// line-aligned chunk and folds them into a fresh Accumulator of the
-// Env's payload kind.
+// line-aligned chunk into a fresh chunkAcc under the cost model of
+// Dedup. Unless the shared hint has settled on degrading, the chunk
+// types records through the intern table until its sample window fills
+// or the chunk ends, then decides over what it sampled. A chunk that
+// keeps interning fuses each distinct type once, by a memoized left
+// fold: chunks of similar data replay the same (accumulated, distinct)
+// fuse pairs, so the memo absorbs most of the work. A degraded chunk —
+// every chunk under a nil Env.Dedup — types its remaining records into
+// the plain tally and reduces all its types, interned ones included,
+// as a balanced tree, where a left fold would rebuild (and the memo
+// cache) every growing intermediate record.
 func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
+	acc := e.newChunkAcc()
 	// A failed decode discards the chunk's lattice along with its
 	// accumulator, so retried attempts observe into a fresh one and the
 	// combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
-	lat := e.newLattice()
-	if dd := e.Dedup; dd != nil {
-		if dd.Auto {
-			return e.mapAutoChunk(chunk, lat)
-		}
-		// The dedup map task types a chunk into a multiset of distinct
-		// interned types and folds the DISTINCT types once each. By
-		// commutativity, associativity and idempotency of fusion on
-		// simplified types, this equals folding all per-record types —
-		// the chunk metrics (record counts, fused size) are therefore
-		// identical to the plain payload's.
-		t0 := e.phaseStart()
-		ms, err := infer.DedupAllWith(chunk, dd.Tab, observer(lat), e.promoter())
-		if err != nil {
-			return nil, err
-		}
-		t0 = e.lapInfer(t0)
-		// A memoized left fold beats a balanced tree here: chunks of
-		// similar data replay the same (accumulated, distinct) fuse
-		// pairs, so the memo cache absorbs most of the work, whereas
-		// tree-shaped intermediates vary per chunk and miss the cache.
-		// The all-distinct case where a left fold degenerates is
-		// exactly the case DedupAuto degrades to the plain payload,
-		// which reduces tree-shaped below.
-		fused := types.Type(types.Empty)
-		for _, el := range ms.Elems() {
-			fused = dd.Memo.Fuse(fused, dd.Memo.Simplify(el.Type))
-		}
-		e.lapFuse(t0)
-		e.recordChunk(ms.Total(), int64(len(chunk)), fused)
-		return &dedupAcc{dd: dd, ms: ms, fused: fused, lat: lat}, nil
-	}
-	t0 := e.phaseStart()
-	ts, err := infer.InferAllWith(chunk, observer(lat), e.promoter())
-	if err != nil {
-		return nil, err
-	}
-	t0 = e.lapInfer(t0)
-	acc := e.NewAcc().(*plainAcc)
-	acc.lat = lat
-	for _, t := range ts {
-		acc.sum.Add(t)
-	}
-	// Simplify in place, then reduce pairwise: ts is chunk-local scratch
-	// from here on.
-	for i, t := range ts {
-		ts[i] = acc.fz.Simplify(t)
-	}
-	acc.fused = treeFuse(ts, acc.fz.Fuse)
-	e.lapFuse(t0)
-	e.recordChunk(acc.sum.Count(), int64(len(chunk)), acc.fused)
-	return acc, nil
-}
-
-// mapAutoChunk is the adaptive map stage: it types the first
-// sampleSize records of the chunk through the interner (unless the
-// shared hint already settled on degrading), then decides — sampled
-// distinct ratio at or above the threshold with enough intern-table
-// growth per record means hash-consing is pure overhead here — and
-// types the rest of the chunk down whichever path won. The interned
-// portion fuses through the memo, the degraded portion as a balanced
-// tree; the resulting autoAcc folds to the same bytes either fixed
-// payload would.
-func (e *Env) mapAutoChunk(chunk []byte, lat *enrich.Lattice) (Accumulator, error) {
-	dd := e.Dedup
-	acc := newAutoAcc(dd, e.Fusion)
-	acc.lat = lat
+	acc.lat = e.newLattice()
 	t0 := e.phaseStart()
 	dec := infer.NewBytesDecoder(chunk, jsontext.Options{})
 	defer dec.Release()
-	if o := observer(lat); o != nil {
+	if o := observer(acc.lat); o != nil {
 		dec.SetObserver(o)
 	}
 	if pr := e.promoter(); pr != nil {
 		dec.SetPromoter(pr)
 	}
-	interned := dd.hint.Load() != hintDegrade
+	dd := e.Dedup
+	interned := dd != nil && dd.hint.Load() != hintDegrade
+	var (
+		sampled, records int64
+		tab0             int
+		plain            []types.Type
+	)
 	if interned {
 		dec.SetInterner(dd.Tab)
+		tab0 = dd.Tab.Len()
 	}
-	var (
-		sampled int64
-		tab0    = dd.Tab.Len()
-		limit   = int64(dd.sampleSize())
-		plain   []types.Type
-		records int64
-	)
 	for {
 		t, err := dec.Next()
 		if err == io.EOF {
@@ -460,42 +430,39 @@ func (e *Env) mapAutoChunk(chunk []byte, lat *enrich.Lattice) (Accumulator, erro
 			return nil, err
 		}
 		records++
-		if interned {
-			ref, ok := dd.Tab.Ref(t)
-			if !ok {
-				ref, _ = dd.Tab.Ref(dd.Tab.Canon(t))
-			}
-			acc.ms.Add(ref, 1)
-			sampled++
-			if sampled == limit {
-				dd.noteSample(sampled, int64(dd.Tab.Len()-tab0))
-				if dd.decide(int64(acc.ms.Len()), sampled, dd.sampledGrowth()) {
-					interned = false
-					dec.SetInterner(nil)
-				}
-			}
-		} else {
+		if !interned {
 			plain = append(plain, t)
+			continue
 		}
+		acc.ms.Add(dd.ref(t), 1)
+		if sampled++; sampled == dd.sample && dd.settle(int64(acc.ms.Len()), sampled, int64(dd.Tab.Len()-tab0)) {
+			interned = false
+			dec.SetInterner(nil)
+		}
+	}
+	if interned && sampled < dd.sample && sampled > 0 {
+		// The chunk ended inside its window: decide over what it sampled.
+		interned = !dd.settle(int64(acc.ms.Len()), sampled, int64(dd.Tab.Len()-tab0))
 	}
 	t0 = e.lapInfer(t0)
-	// Interned portion: memoized left fold over the distinct types, as
-	// in the fixed dedup payload. Degraded portion: balanced tree over
-	// the per-record types, as in the plain payload.
-	fused := types.Type(types.Empty)
-	for _, el := range acc.ms.Elems() {
-		fused = dd.Memo.Fuse(fused, dd.Memo.Simplify(el.Type))
-	}
-	if len(plain) > 0 {
-		for _, t := range plain {
-			acc.deg.add(t)
+	if interned {
+		for _, el := range acc.ms.Elems() {
+			acc.fused = dd.Memo.Fuse(acc.fused, dd.Memo.Simplify(el.Type))
 		}
+	} else {
+		for _, t := range plain {
+			acc.sum.Add(t)
+		}
+		// Simplify in place, then reduce pairwise: plain is chunk-local
+		// scratch from here on.
 		for i, t := range plain {
 			plain[i] = e.Fusion.Simplify(t)
 		}
-		fused = e.Fusion.Fuse(fused, treeFuse(plain, e.Fusion.Fuse))
+		for _, el := range acc.ms.Elems() {
+			plain = append(plain, e.Fusion.Simplify(el.Type))
+		}
+		acc.fused = treeFuse(plain, e.Fusion.Fuse)
 	}
-	acc.fused = fused
 	e.lapFuse(t0)
 	e.recordChunk(records, int64(len(chunk)), acc.fused)
 	return acc, nil
@@ -589,8 +556,8 @@ func (e *Env) lapFuse(t0 time.Time) {
 	e.Phases.FuseNS.Add(int64(time.Since(t0)))
 }
 
-// recordChunk emits the per-chunk metrics and progress tick shared by
-// the plain and dedup map stages.
+// recordChunk emits the per-chunk metrics and progress tick of the map
+// stage.
 func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 	if rec := e.Rec; rec != nil {
 		rec.Add("infer_chunks", 1)
@@ -607,24 +574,21 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 }
 
 // RunStream types a stream of JSON values one at a time with constant
-// memory: the sequential driver over the same Accumulator stages the
-// chunked Run uses. Returns the accumulator and the number of input
-// bytes consumed. Cancellation takes effect between records.
+// memory: the sequential driver, a left fold into one stream
+// accumulator. It never interns — Env.Dedup is ignored — so memory
+// stays flat even when every record has a type of its own. Returns the
+// accumulator and the number of input bytes consumed. Cancellation
+// takes effect between records.
 func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
-	if env.Dedup != nil {
-		dec.SetInterner(env.Dedup.Tab)
-	}
 	if pr := env.promoter(); pr != nil {
 		dec.SetPromoter(pr)
 	}
-	acc := env.NewStreamAcc()
-	if lat := env.newLattice(); lat != nil {
-		dec.SetObserver(lat)
-		attachLattice(acc, lat)
+	acc := newStreamAcc(env.Fusion)
+	if acc.lat = env.newLattice(); acc.lat != nil {
+		dec.SetObserver(acc.lat)
 	}
-	auto, _ := acc.(*autoAcc)
 	var records int64
 	for {
 		// Batched cancellation: the ctx check runs once per
@@ -652,11 +616,6 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 			return nil, 0, fmt.Errorf("record %d: %w", records+1, err)
 		}
 		acc.Add(t)
-		if auto != nil && auto.degraded {
-			// The adaptive stream accumulator degraded: stop interning
-			// decoded types (SetInterner is an idempotent field store).
-			dec.SetInterner(nil)
-		}
 		records++
 		if env.Rec != nil {
 			env.Rec.Add("infer_records", 1)

@@ -140,11 +140,10 @@ func TestRunFeedError(t *testing.T) {
 	}
 }
 
-// TestRunAndStreamAgree runs the same records through the chunked and
-// streaming drivers, plain and dedup, and compares the folds — the two
-// drivers share stages, so they must agree wherever both keep the
-// bookkeeping (the plain streaming payload legitimately reports zero
-// DistinctTypes).
+// TestRunAndStreamAgree runs the same records through the chunked
+// driver, with and without dedup machinery, and the streaming driver,
+// and compares the folds. The stream keeps no distinct-type
+// bookkeeping, so it reports zero DistinctTypes.
 func TestRunAndStreamAgree(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"a":1,"b":[1,2]}
 {"a":"x"}
@@ -171,8 +170,8 @@ func TestRunAndStreamAgree(t *testing.T) {
 		if chunked.Records != streamed.Records || chunked.Fused.String() != streamed.Fused.String() {
 			t.Errorf("dedup=%v: chunked %+v vs streamed %+v", dedup, chunked, streamed)
 		}
-		if dedup && chunked.DistinctTypes != streamed.DistinctTypes {
-			t.Errorf("dedup: DistinctTypes %d vs %d", chunked.DistinctTypes, streamed.DistinctTypes)
+		if chunked.DistinctTypes != 2 || streamed.DistinctTypes != 0 {
+			t.Errorf("dedup=%v: DistinctTypes chunked %d, streamed %d; want 2 and 0", dedup, chunked.DistinctTypes, streamed.DistinctTypes)
 		}
 	}
 }

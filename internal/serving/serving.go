@@ -1,6 +1,6 @@
 // Package serving implements the multi-tenant schema service behind
 // cmd/schemad. Each tenant owns an isolated incremental repository
-// (its own lock, partitions, and dedup state); HTTP handlers stream
+// (its own lock and partitions); HTTP handlers stream
 // NDJSON request bodies through the internal/pipeline engine via
 // jsoninference.FromChunkedReader, so ingestion gets the same
 // parallel map phase, retry budget, and quarantine policy as the
@@ -68,10 +68,6 @@ type Config struct {
 	// malformed chunks; requests can override it per call with the
 	// on_error query parameter.
 	OnErrorSkip bool
-
-	// Dedup selects the deduplication mode of ingest pipelines:
-	// jsi.DedupOff (the zero value), jsi.DedupOn, or jsi.DedupAuto.
-	Dedup jsi.DedupMode
 
 	// Enrich names the enrichment monoids (docs/ENRICHMENT.md) computed
 	// on every ingest: "ranges", "hll", ..., or "all". Empty disables
@@ -216,7 +212,6 @@ func (s *Server) ingestOptions(r *http.Request) (jsi.Options, error) {
 		Workers:    s.cfg.IngestWorkers,
 		ChunkBytes: s.cfg.ChunkBytes,
 		Retries:    s.cfg.Retries,
-		Dedup:      s.cfg.Dedup,
 	}
 	if s.cfg.OnErrorSkip {
 		opts.OnError = jsi.OnErrorSkip

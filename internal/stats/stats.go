@@ -108,7 +108,7 @@ func (s *Summary) Merge(other *Summary) {
 	// binds, which renderings win the remaining slots must not depend on
 	// Go's randomized map iteration order, or two runs over the same
 	// partitioning report different TopTypes (caught by the monoidpure
-	// analyzer via plainAcc.Merge).
+	// analyzer via the pipeline's chunkAcc.Merge).
 	sort.Slice(newExemplars, func(i, j int) bool { return newExemplars[i] < newExemplars[j] })
 	for _, h := range newExemplars {
 		if len(s.exemplars) >= maxExemplars {
@@ -124,6 +124,17 @@ func (s *Summary) Count() int64 { return s.count }
 // Distinct reports the number of distinct types recorded, the "# types"
 // column of Tables 2-5.
 func (s *Summary) Distinct() int { return len(s.distinct) }
+
+// Has reports whether a type with structural hash h (types.Hash) was
+// recorded.
+func (s *Summary) Has(h uint64) bool {
+	_, ok := s.distinct[h]
+	return ok
+}
+
+// SizeSum reports the total size of all recorded types, repeats
+// included: the exact numerator of AvgSize.
+func (s *Summary) SizeSum() int64 { return s.sumSize }
 
 // DistinctSizeSum reports the total size of all distinct types (each
 // counted once) — the cost of the naive "union of all distinct types"

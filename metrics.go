@@ -123,13 +123,13 @@ func (m Metrics) WithoutFaults() Metrics {
 }
 
 // WithoutCache returns a copy with every cache-effectiveness metric
-// (intern_hits/intern_misses and the fuse/simplify cache counters of
-// Options.Dedup) removed. Those counters are exact on a single-worker
-// fault-free run but shift under concurrency (racing workers may
-// double-compute an entry) and under retries (re-parsed chunks
-// re-intern their types); composed with WithoutTimings, what remains
-// is identical between a dedup run and a default run over the same
-// input — the invariant the differential tests assert.
+// (intern_hits/intern_misses and the fuse/simplify cache counters)
+// removed. Chunked runs record those counters whenever a chunk interns,
+// and they depend on scheduling: which chunks intern follows a shared
+// decision, racing workers may double-compute an entry, and re-parsed
+// chunks re-intern their types. Composed with WithoutTimings, what
+// remains is deterministic for a fixed input, whichever chunks interned
+// — the invariant the differential tests assert.
 func (m Metrics) WithoutCache() Metrics {
 	return metricsFromObs(m.toObs().WithoutCache())
 }

@@ -8,8 +8,8 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/enrich"
 	"repro/internal/jsontext"
+	"repro/internal/mapreduce"
 	"repro/internal/pipeline"
 	"repro/internal/value"
 )
@@ -41,10 +41,10 @@ func FromBytes(data []byte) Source { return bytesSource{data: data} }
 
 // FromReader is a stream of JSON values processed with constant
 // memory: values are typed and fused one at a time, never materialized
-// as a whole. Use it for inputs too large to buffer; note that
-// Stats.DistinctTypes is unavailable (zero) on this path unless
-// Options.Dedup is set, in which case it is exact. The reader is
-// consumed until EOF or error.
+// as a whole, and never interned. Use it for inputs too large to
+// buffer; note that Stats.DistinctTypes is unavailable (zero) on this
+// path, which keeps no set of distinct types. The reader is consumed
+// until EOF or error.
 func FromReader(r io.Reader) Source { return readerSource{r: r} }
 
 // FromFile is one NDJSON file processed with bounded memory: the file
@@ -68,11 +68,9 @@ func FromChunkedReader(r io.Reader) Source { return chunkedSource{r: r} }
 
 // FromFiles is a set of NDJSON files treated as partitions: each file
 // runs through the same bounded-memory chunked pipeline as FromFile
-// and the per-file schemas are fused, which by associativity equals
-// inferring the concatenation. Stats from multiple files are merged
-// with mergeStats, so Stats.DistinctTypes is only a lower bound —
-// unless Options.Dedup is set, which merges the per-file multisets by
-// identity and makes the count exact.
+// and the per-file results merge, which by associativity equals
+// inferring the concatenation. One intern table spans the files, so
+// Stats.DistinctTypes is exact across them.
 func FromFiles(paths ...string) Source {
 	return filesSource{paths: append([]string(nil), paths...)}
 }
@@ -159,14 +157,7 @@ type chunkedSource struct{ r io.Reader }
 
 func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
 	cr := &countingReader{r: s.r}
-	// Chunk buffers cycle through a pool: the feed fills one, the map
-	// stage decodes it, and the engine's release hook (which fires only
-	// after the chunk's final retry attempt) returns it for the next
-	// fill. A long stream allocates a handful of buffers total.
-	pool := &jsontext.ChunkPool{}
-	out, mrst, err := pipeline.RunPooled(ctx, env, func(emit func([]byte) error) error {
-		return jsontext.ChunkLinesPooled(cr, env.ChunkBytes, pool, emit)
-	}, pool.Put)
+	out, mrst, err := runChunks(ctx, env, cr)
 	if err != nil {
 		var fe *pipeline.FeedError
 		if errors.As(err, &fe) {
@@ -183,6 +174,22 @@ func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Sta
 
 func (s chunkedSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error) {
 	return scanStream(ctx, env, s.r, fn)
+}
+
+// chunkPool recycles chunk buffers across every chunked run of the
+// process: the feed fills one, the map stage decodes it, and the
+// engine's release hook (which fires only after the chunk's final retry
+// attempt) returns it for the next fill, of this run or a later one. A
+// large file or a server ingesting many small bodies allocates a
+// handful of buffers total, not two per run.
+var chunkPool jsontext.ChunkPool
+
+// runChunks feeds r through the chunked pipeline in line-aligned chunks
+// of env.ChunkBytes drawn from chunkPool.
+func runChunks(ctx context.Context, env *pipeline.Env, r io.Reader) (pipeline.Accumulator, mapreduce.Stats, error) {
+	return pipeline.RunPooled(ctx, env, func(emit func([]byte) error) error {
+		return jsontext.ChunkLinesPooled(r, env.ChunkBytes, &chunkPool, emit)
+	}, chunkPool.Put)
 }
 
 // countingReader counts the bytes delivered by Read. The pipeline's
@@ -206,47 +213,24 @@ type filesSource struct {
 }
 
 func (s filesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
-	if env.Dedup != nil {
-		// One table and one memo span all files, so per-file accumulators
-		// merge by identity: cross-file distinct counts are exact and the
-		// cross-file fusion is memoized like any other.
-		var merged pipeline.Accumulator
-		var agg Stats
-		for _, path := range s.paths {
-			out, pst, err := runFilePipeline(ctx, env, path)
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			merged = pipeline.Combine(merged, out)
-			agg.Bytes += pst.Bytes
-			agg.Retries += pst.Retries
-			agg.QuarantinedChunks += pst.QuarantinedChunks
-		}
-		st, schema := typeStats(pipeline.Fold(merged))
-		st.Bytes, st.Retries, st.QuarantinedChunks = agg.Bytes, agg.Retries, agg.QuarantinedChunks
-		return schema, st, nil
-	}
-	fz := env.Fusion
-	acc := EmptySchema()
-	var total Stats
-	for i, path := range s.paths {
+	// One intern table and memo span all files, so per-file accumulators
+	// merge exactly like chunks of one file: cross-file distinct counts
+	// are exact and the cross-file fusion runs under the run's policy.
+	var merged pipeline.Accumulator
+	var feed Stats
+	for _, path := range s.paths {
 		out, pst, err := runFilePipeline(ctx, env, path)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		st, schema := typeStats(pipeline.Fold(out))
-		st.Bytes, st.Retries, st.QuarantinedChunks = pst.Bytes, pst.Retries, pst.QuarantinedChunks
-		if i == 0 {
-			acc, total = schema, st
-			continue
-		}
-		// Fuse under the run's policy (not the zero policy), so the
-		// cross-file reduce preserves tuples exactly like the in-file
-		// reduce does. Enrichment lattices union alongside.
-		acc = newSchema(fz.Fuse(acc.t, schema.t)).withEnrichment(enrich.Union(acc.enr, schema.enr))
-		total = mergeStats(total, st)
+		merged = pipeline.Combine(merged, out)
+		feed.Bytes += pst.Bytes
+		feed.Retries += pst.Retries
+		feed.QuarantinedChunks += pst.QuarantinedChunks
 	}
-	return acc, total, nil
+	st, schema := typeStats(pipeline.Fold(merged))
+	st.Bytes, st.Retries, st.QuarantinedChunks = feed.Bytes, feed.Retries, feed.QuarantinedChunks
+	return schema, st, nil
 }
 
 func (s filesSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error) {
@@ -308,13 +292,7 @@ func runFilePipeline(ctx context.Context, env *pipeline.Env, path string) (pipel
 	//lint:ignore droppederr the file is only read; a close error cannot lose data
 	defer f.Close()
 
-	// Same pooled chunk lifecycle as the chunked-reader source: buffers
-	// are recycled through the pipeline's release hook, so reading a
-	// large file allocates a handful of chunk buffers, not one per chunk.
-	pool := &jsontext.ChunkPool{}
-	out, mrst, err := pipeline.RunPooled(ctx, env, func(emit func([]byte) error) error {
-		return jsontext.ChunkLinesPooled(f, env.ChunkBytes, pool, emit)
-	}, pool.Put)
+	out, mrst, err := runChunks(ctx, env, f)
 	if err != nil {
 		var fe *pipeline.FeedError
 		if errors.As(err, &fe) {

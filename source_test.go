@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -267,5 +268,55 @@ func TestReaderEOFVsEndless(t *testing.T) {
 		if n == 0 || err != nil {
 			t.Fatalf("endlessReader ran dry: n=%d err=%v", n, err)
 		}
+	}
+}
+
+// TestReaderStaysPlain pins the constant-memory stream on its worst
+// case, data where every record has a type of its own: FromReader
+// interns nothing, so a run records no intern or cache counters, and it
+// allocates about as much per record over 8,000 records as over 1,000.
+func TestReaderStaysPlain(t *testing.T) {
+	// Record i sets each of 12 fields to one of four kinds, picked by the
+	// base-4 digits of i: every record type is distinct, while the fused
+	// schema stays 12 fields wide.
+	allDistinct := func(n int) []byte {
+		kinds := []string{"null", "1", `"s"`, "true"}
+		var b bytes.Buffer
+		for i := 0; i < n; i++ {
+			b.WriteByte('{')
+			for f, d := 0, i; f < 12; f, d = f+1, d/4 {
+				if f > 0 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, `"f%d":%s`, f, kinds[d%4])
+			}
+			b.WriteString("}\n")
+		}
+		return b.Bytes()
+	}
+	perRecord := func(n int) float64 {
+		t.Helper()
+		data := allDistinct(n)
+		c := jsi.NewCollector()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Collector: c})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Records != int64(n) || st.DistinctTypes != 0 {
+			t.Fatalf("%d records: Stats = %+v", n, st)
+		}
+		for name := range c.Metrics().Counters {
+			if strings.HasPrefix(name, "intern_") || strings.Contains(name, "_cache_") {
+				t.Errorf("%d records: stream recorded %s", n, name)
+			}
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := perRecord(1000), perRecord(8000)
+	if large > 1.25*small {
+		t.Errorf("allocations per record grew with the stream: %.0f B at 1,000 records, %.0f B at 8,000", small, large)
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the tier-1 gate. Everything CI runs, runnable locally.
 #
-#   ./verify.sh          build + vet + repolint + tests (with -race)
+#   ./verify.sh          build + vet + repolint + tests (with -race),
+#                        then vet + tests of the bench module
 #   ./verify.sh -norace  same, but skip the race detector (slow machines)
 #
 # Exits non-zero on the first failure. See docs/ANALYSIS.md for what
@@ -37,5 +38,11 @@ if [ -z "${race}" ]; then
     echo '>> go test -race ./internal/chaos'
     go test -race ./internal/chaos
 fi
+
+# The benchmark harness is its own module (bench/go.mod) that compiles
+# against the library's internal packages, so a library change that
+# breaks it must fail here, not when the benchmark next runs.
+echo '>> (cd bench && go vet ./... && go test ./...)'
+(cd bench && go vet ./... && go test ./...)
 
 echo '>> verify.sh: all checks passed'
