@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	jsi "repro"
@@ -40,7 +43,7 @@ func TestFromChunkedReaderMatchesBytes(t *testing.T) {
 // real-world NDJSON framing variants the chunked reader must absorb:
 // CRLF line terminators (the \r is insignificant whitespace to the
 // lexer, not part of any value) and a final record with no trailing
-// newline at all (ChunkLines must flush the unterminated tail at EOF
+// newline at all (the chunker must flush the unterminated tail at EOF
 // rather than drop it). Both must infer the same schema and record
 // count as the canonical LF-terminated buffer, including across chunk
 // boundaries (tiny ChunkBytes) and on both pipelines.
@@ -83,6 +86,42 @@ func TestFromChunkedReaderLineEndings(t *testing.T) {
 		}
 		if gotStats.Bytes != int64(len(tc.data)) {
 			t.Errorf("%s: bytes = %d, want %d", tc.label, gotStats.Bytes, len(tc.data))
+		}
+	}
+}
+
+// TestChunkedSourcesNeedOneValuePerLine pins the framing contract of the
+// chunked Sources: once a chunk is full they cut at any newline, so a
+// pretty-printed value that straddles a cut fails to decode. That must
+// be an error, never a wrong schema, while FromBytes (which cuts only
+// between values) and FromReader accept the same bytes.
+func TestChunkedSourcesNeedOneValuePerLine(t *testing.T) {
+	data := []byte("{\n  \"a\": 1,\n  \"b\": [true]\n}\n{\n  \"a\": 2\n}\n")
+	path := filepath.Join(t.TempDir(), "pretty.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := jsi.Options{ChunkBytes: 8}
+	for _, tc := range []struct {
+		name    string
+		src     jsi.Source
+		chunked bool
+	}{
+		{"FromBytes", jsi.FromBytes(data), false},
+		{"FromReader", jsi.FromReader(bytes.NewReader(data)), false},
+		{"FromChunkedReader", jsi.FromChunkedReader(bytes.NewReader(data)), true},
+		{"FromFile", jsi.FromFile(path), true},
+		{"FromFiles", jsi.FromFiles(path, path), true},
+	} {
+		schema, _, err := jsi.Infer(ctx, tc.src, opts)
+		switch {
+		case !tc.chunked && err != nil:
+			t.Errorf("%s rejected a multi-line value: %v", tc.name, err)
+		case tc.chunked && err == nil:
+			t.Errorf("%s accepted a value split across chunks, schema %s", tc.name, schema)
+		case tc.chunked && !strings.Contains(err.Error(), "syntax error"):
+			t.Errorf("%s: err = %v, want a syntax error in a cut value", tc.name, err)
 		}
 	}
 }
@@ -179,9 +218,9 @@ func TestFromChunkedReaderEmpty(t *testing.T) {
 }
 
 // TestFromChunkedReaderReusesChunkBuffers pins the process-wide chunk
-// pool: a second FromChunkedReader run takes its chunk buffers from the
-// pool the first run returned them to, instead of allocating a fresh
-// 4 MiB buffer for a small body.
+// pool: a second FromChunkedReader run takes its chunk buffer from the
+// pool the first run returned it to, instead of allocating even the
+// smallest (64 KiB) size class afresh for a small body.
 func TestFromChunkedReaderReusesChunkBuffers(t *testing.T) {
 	// One P, so the release hook's Put and the next feed's Get meet in
 	// the same per-P pool slot, and no GC to empty the pool in between.
@@ -201,12 +240,12 @@ func TestFromChunkedReaderReusesChunkBuffers(t *testing.T) {
 	run()
 	// The race detector drops a quarter of sync.Pool puts on purpose, so
 	// allow a few runs before calling a miss a failure.
-	const chunkBuffer = 4 << 20
+	const smallestClass = 64 << 10
 	var allocated uint64
 	for attempt := 0; attempt < 16; attempt++ {
-		if allocated = run(); allocated < chunkBuffer {
+		if allocated = run(); allocated < smallestClass {
 			return
 		}
 	}
-	t.Fatalf("every repeated run allocated %d bytes, at least one %d-byte chunk buffer", allocated, chunkBuffer)
+	t.Fatalf("every repeated run allocated %d bytes, at least one %d-byte chunk buffer", allocated, smallestClass)
 }

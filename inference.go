@@ -60,8 +60,9 @@ type Options struct {
 	// (default 40); longer strings are treated as data, not tags. Only
 	// meaningful with TaggedUnions.
 	MaxTagLen int
-	// ChunkBytes is the chunk size of the bounded-memory file
-	// partitioner used by FromFile and FromFiles; zero means 4 MiB.
+	// ChunkBytes is the chunk size of the bounded-memory partitioner
+	// used by FromFile, FromFiles and FromChunkedReader; zero means
+	// 4 MiB.
 	ChunkBytes int
 	// Collector, when non-nil, accumulates pipeline metrics (records,
 	// bytes, per-chunk latencies, the fusion-growth curve, map-reduce

@@ -91,17 +91,36 @@ func GoodDeferredPut(pool *chunkPool) {
 	sink(buf)
 }
 
-// GoodHandoff is the ChunkLinesPooled idiom: the emitted chunk and the
-// Put spare are different variables, so ownership transfer is clean.
-func GoodHandoff(pool *chunkPool, emit func([]byte) error) error {
-	buf := pool.Get(64)
-	chunk := buf
-	buf = pool.Get(64)
-	if err := emit(chunk); err != nil {
-		return err
+// grow is the ChunkLinesPooled growth step: copy into the bigger
+// buffer first, then release the old one and never touch it again.
+func grow(pool *chunkPool, b []byte) []byte {
+	nb := append(pool.Get(2*cap(b)), b...)
+	pool.Put(b)
+	return nb
+}
+
+// GoodGrowThenHandoff is the ChunkLinesPooled idiom: the buffer grows
+// through a helper that releases the old one, and the bytes past the
+// cut move into a fresh buffer before the chunk is handed to emit, so
+// every buffer has one owner at a time.
+func GoodGrowThenHandoff(pool *chunkPool, emit func([]byte) error) ([]byte, error) {
+	buf := append(pool.Get(64), "a\nb"...)
+	buf = grow(pool, buf)
+	rest := append(pool.Get(64), buf[2:]...)
+	err := emit(buf[:2])
+	if err != nil {
+		pool.Put(rest)
+		rest = nil
 	}
-	pool.Put(buf)
-	return nil
+	return rest, err
+}
+
+// BadGrowAfterPut releases the old buffer before copying out of it: by
+// then a concurrent Get may have handed it to a new owner.
+func BadGrowAfterPut(pool *chunkPool, b []byte) []byte {
+	nb := pool.Get(2 * cap(b))
+	pool.Put(b)
+	return append(nb, b...) // want "used after being released"
 }
 
 // BadStageAlias returns the released item from a map stage: the engine

@@ -50,7 +50,10 @@ func FromReader(r io.Reader) Source { return readerSource{r: r} }
 // FromFile is one NDJSON file processed with bounded memory: the file
 // streams through line-aligned chunks (Options.ChunkBytes each) that
 // are inferred and fused by parallel workers while the file is still
-// being read.
+// being read. Each value must sit on one line: a chunk ends at the
+// first newline past Options.ChunkBytes, so a pretty-printed value
+// that straddles the cut fails with a syntax error. FromBytes and
+// FromReader accept such values.
 func FromFile(path string) Source { return filesSource{paths: []string{path}} }
 
 // FromChunkedReader is a stream of JSON values processed through the
@@ -63,14 +66,17 @@ func FromFile(path string) Source { return filesSource{paths: []string{path}} }
 // semantics are wanted — an HTTP request body, a pipe, a socket;
 // cmd/schemad feeds ingest request bodies through it. Use FromReader
 // when strict record-at-a-time sequencing matters more than
-// throughput. The reader is consumed until EOF or error.
+// throughput. The reader is consumed until EOF or error. As with
+// FromFile, each value must sit on one line; a multi-line value that
+// straddles a chunk cut fails with a syntax error.
 func FromChunkedReader(r io.Reader) Source { return chunkedSource{r: r} }
 
 // FromFiles is a set of NDJSON files treated as partitions: each file
 // runs through the same bounded-memory chunked pipeline as FromFile
 // and the per-file results merge, which by associativity equals
 // inferring the concatenation. One intern table spans the files, so
-// Stats.DistinctTypes is exact across them.
+// Stats.DistinctTypes is exact across them. As with FromFile, each
+// value must sit on one line.
 func FromFiles(paths ...string) Source {
 	return filesSource{paths: append([]string(nil), paths...)}
 }
@@ -181,7 +187,7 @@ func (s chunkedSource) scan(ctx context.Context, env *pipeline.Env, fn func(valu
 // engine's release hook (which fires only after the chunk's final retry
 // attempt) returns it for the next fill, of this run or a later one. A
 // large file or a server ingesting many small bodies allocates a
-// handful of buffers total, not two per run.
+// handful of buffers total, each sized to its chunk, not one per run.
 var chunkPool jsontext.ChunkPool
 
 // runChunks feeds r through the chunked pipeline in line-aligned chunks
