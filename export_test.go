@@ -14,3 +14,8 @@ func InferPlain(ctx context.Context, src Source, opts Options) (*Schema, Stats, 
 	env.Dedup = nil
 	return runSource(ctx, src, env)
 }
+
+// WithLatticeOf returns s's type carrying from's enrichment lattice, so
+// a test can pair a hand-built or transformed type with real
+// annotations.
+func WithLatticeOf(s, from *Schema) *Schema { return newSchema(s.t).withEnrichment(from.enr) }
