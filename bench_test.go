@@ -481,3 +481,32 @@ func BenchmarkAbstraction(b *testing.B) {
 	}
 	b.ReportMetric(float64(out.Size()), "output-size")
 }
+
+// BenchmarkJSONSchema measures the JSON Schema export alone on the
+// schema Infer builds from wikidata's ids-as-keys records (the paper's
+// §6.2 pathology: tens of thousands of schema nodes), plain and with
+// every enrichment annotation.
+func BenchmarkJSONSchema(b *testing.B) {
+	g, _ := dataset.New("wikidata")
+	data := dataset.NDJSON(g, 1500, 1)
+	for _, c := range []struct {
+		name   string
+		enrich []string
+	}{{"plain", nil}, {"enriched", []string{"all"}}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, _, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Enrich: c.enrich})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := s.JSONSchema()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(out)))
+			}
+		})
+	}
+}

@@ -220,7 +220,7 @@ func TestFromChunkedReaderEmpty(t *testing.T) {
 // TestFromChunkedReaderReusesChunkBuffers pins the process-wide chunk
 // pool: a second FromChunkedReader run takes its chunk buffer from the
 // pool the first run returned it to, instead of allocating even the
-// smallest (64 KiB) size class afresh for a small body.
+// smallest (64 KiB plus slack) size class afresh for a small body.
 func TestFromChunkedReaderReusesChunkBuffers(t *testing.T) {
 	// One P, so the release hook's Put and the next feed's Get meet in
 	// the same per-P pool slot, and no GC to empty the pool in between.

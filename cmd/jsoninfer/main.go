@@ -249,8 +249,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if !ok {
 			return fmt.Errorf("the schema admits no values")
 		}
-		fmt.Fprintln(stdout, string(out))
-		return nil
+		return writeLine(stdout, out)
 	}
 
 	if *expand != "" {
@@ -282,21 +281,31 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, string(out))
+		return writeLine(stdout, out)
 	case "codec":
 		out, err := schema.MarshalJSON()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, string(out))
+		return writeLine(stdout, out)
 	case "enrich":
 		out, err := schema.EnrichmentJSON()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, string(out))
+		return writeLine(stdout, out)
 	default:
 		return fmt.Errorf("unknown format %q (want type, indent, jsonschema, codec, or enrich)", *format)
 	}
 	return nil
+}
+
+// writeLine writes a rendered document and then a newline, so the
+// document is neither copied into a string nor grown to append one.
+func writeLine(w io.Writer, doc []byte) error {
+	if _, err := w.Write(doc); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "\n")
+	return err
 }

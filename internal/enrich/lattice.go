@@ -465,7 +465,8 @@ func (c Cursor) Elem() Cursor {
 }
 
 // Annotations returns the annotation keys of the cursor's node that
-// attach to schema nodes of kind; nil when there are none.
+// attach to schema nodes of kind, in a fresh map the caller may modify;
+// nil when there are none.
 func (c Cursor) Annotations(kind Kind) map[string]any {
 	if c.n == nil {
 		return nil

@@ -29,327 +29,447 @@
 // additionalProperties is false because inferred record types are
 // complete: every key that occurs anywhere in the dataset is present
 // (Section 1's "global description" property).
+//
+// The byte contract: the output is exactly what json.MarshalIndent(doc,
+// "", "  ") prints for the document as a map[string]any tree — keys in
+// encoding/json's sorted order, encoding/json's string escaping
+// (HTML-safe <, > and &, U+2028 and U+2029 escaped, U+FFFD for invalid
+// UTF-8) and two-space indentation — but it is written directly, by one
+// walk of the type, into one buffer allocated at its final length (a
+// sizing pass over the same walk measures it first). The root golden
+// test TestJSONSchemaGolden pins the bytes on every generator and
+// policy, and FuzzJSONSchemaCanonical checks that re-encoding the output
+// through encoding/json reproduces it.
 package jsonschema
 
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/enrich"
 	"repro/internal/types"
 )
 
-// Export converts a type to a JSON Schema document tree (the shapes
-// encoding/json produces: map[string]any, []any, ...).
-func Export(t types.Type) (map[string]any, error) {
-	if t == nil {
-		return nil, fmt.Errorf("jsonschema: nil type")
-	}
-	return export(t)
-}
-
 // Marshal renders the JSON Schema for t, including the draft-04 $schema
 // marker, as indented JSON.
-func Marshal(t types.Type) ([]byte, error) {
-	doc, err := Export(t)
-	if err != nil {
-		return nil, err
-	}
-	doc["$schema"] = "http://json-schema.org/draft-04/schema#"
-	return json.MarshalIndent(doc, "", "  ")
-}
+func Marshal(t types.Type) ([]byte, error) { return MarshalAnnotated(t, nil) }
 
-// ExportAnnotated converts a type to a JSON Schema document tree with
-// enrichment annotations (docs/ENRICHMENT.md) woven in. The lattice is
-// walked in parallel with the type: record fields descend into the
-// matching lattice field, array elements into the shared element node.
-// Annotations are placed by kind — numeric ranges on number schemas,
-// format on string schemas, length statistics on array schemas — and
-// whole-value annotations (approximate distinct counts, Bloom filters)
-// on the top schema node of each path, so a union is annotated once
-// rather than once per alternative. Annotations never overwrite
-// structural keywords, and never tighten validation: minimum/maximum
-// and format reflect only what was observed. A nil lattice yields the
-// same document as Export.
-func ExportAnnotated(t types.Type, l *enrich.Lattice) (map[string]any, error) {
+// MarshalAnnotated renders the JSON Schema for t with enrichment
+// annotations (docs/ENRICHMENT.md) woven in, including the draft-04
+// $schema marker, as indented JSON. The lattice is walked in parallel
+// with the type: record fields descend into the matching lattice field,
+// array elements into the shared element node. Annotations are placed
+// by kind — numeric ranges on number schemas, format on string schemas,
+// length statistics on array schemas — and whole-value annotations
+// (approximate distinct counts, Bloom filters) on the top schema node
+// of each path, so a union is annotated once rather than once per
+// alternative. Below a map type, and on ε, nothing is annotated.
+// Annotations never overwrite structural keywords, and never tighten
+// validation: minimum/maximum and format reflect only what was
+// observed. A nil lattice yields the same bytes as Marshal.
+func MarshalAnnotated(t types.Type, l *enrich.Lattice) ([]byte, error) {
 	if t == nil {
 		return nil, fmt.Errorf("jsonschema: nil type")
 	}
-	return exportAnn(t, l.Cursor(), true)
-}
-
-// MarshalAnnotated renders the annotated JSON Schema for t, including
-// the draft-04 $schema marker, as indented JSON.
-func MarshalAnnotated(t types.Type, l *enrich.Lattice) ([]byte, error) {
-	doc, err := ExportAnnotated(t, l)
-	if err != nil {
-		return nil, err
+	size := writer{sizing: true, annotated: l != nil}
+	size.root(t, l.Cursor())
+	if size.err != nil {
+		return nil, size.err
 	}
-	doc["$schema"] = "http://json-schema.org/draft-04/schema#"
-	return json.MarshalIndent(doc, "", "  ")
+	w := writer{buf: make([]byte, 0, size.n), annotated: l != nil, notes: size.notes}
+	w.root(t, l.Cursor())
+	return w.buf, w.err
 }
 
-// annotate copies the cursor's annotations of the given kind into doc,
-// skipping any key the structural export already set.
-func annotate(doc map[string]any, c enrich.Cursor, kind enrich.Kind) {
-	for k, v := range c.Annotations(kind) {
-		if _, exists := doc[k]; !exists {
-			doc[k] = v
-		}
+// A writer renders one document. The same walk runs twice: first with
+// sizing set, when buf is scratch space emptied at every line and n
+// counts the bytes, then into a buffer of exactly that length.
+type writer struct {
+	buf    []byte
+	sizing bool
+	n      int
+	err    error
+	// With a lattice, the sizing pass queues every node's extras in
+	// notes and the writing pass takes them back in the same walk
+	// order, so each annotation is folded and rendered once.
+	annotated bool
+	notes     [][]field
+}
+
+// A field is an object entry beyond a node's structural keys, its
+// value already encoded.
+type field struct {
+	key string
+	val []byte
+}
+
+// A pin is a key a parent adds to a child's schema object — $schema at
+// the root, const on a keyed variant's discriminator — which wins over
+// any annotation of the same name.
+type pin struct {
+	key string
+	val any
+}
+
+func (w *writer) root(t types.Type, c enrich.Cursor) {
+	w.node(t, c, 0, true, pin{"$schema", "http://json-schema.org/draft-04/schema#"})
+	w.newline(-1)
+}
+
+func (w *writer) fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
 }
 
-// exportAnn mirrors export, threading a lattice cursor. includeValue
-// marks the top schema node of a path: only there do whole-value
-// annotations attach (union alternatives are exported with
-// includeValue=false so the union node carries them once).
-func exportAnn(t types.Type, c enrich.Cursor, includeValue bool) (map[string]any, error) {
-	var doc map[string]any
-	var err error
+// node writes the schema object of t at indentation depth. whole marks
+// the top schema node of a path: only there do whole-value annotations
+// attach (union alternatives and variant branches pass false, so the
+// union node carries them once).
+func (w *writer) node(t types.Type, c enrich.Cursor, depth int, whole bool, p pin) {
+	if w.err != nil {
+		return
+	}
+	if v, ok := t.(*types.Variants); ok && v.Collapsed() {
+		w.node(v.Other(), c, depth, whole, p)
+		return
+	}
+	o := object{depth: depth, extra: w.extras(t, c, depth, whole, p)}
+	w.raw("{")
 	switch tt := t.(type) {
 	case types.Basic:
-		doc, err = export(tt)
-		if err != nil {
-			return nil, err
+		name, ok := basicNames[tt]
+		if !ok {
+			w.fail(fmt.Errorf("jsonschema: unknown basic type %v", tt))
+			return
 		}
-		switch tt {
-		case types.Num:
-			annotate(doc, c, enrich.KindNumber)
-		case types.Str:
-			annotate(doc, c, enrich.KindString)
-		}
+		w.key(&o, "type")
+		w.str(name)
+	case types.EmptyType:
+		w.key(&o, "not")
+		w.raw("{}")
 	case *types.Record:
-		props := map[string]any{}
-		var required []any
-		for _, f := range tt.Fields() {
-			s, err := exportAnn(f.Type, c.Field(f.Key), true)
-			if err != nil {
-				return nil, fmt.Errorf("field %q: %w", f.Key, err)
-			}
-			props[f.Key] = s
-			if !f.Optional {
-				required = append(required, f.Key)
-			}
-		}
-		doc = map[string]any{
-			"type":                 "object",
-			"properties":           props,
-			"additionalProperties": false,
-		}
-		if len(required) > 0 {
-			doc["required"] = required
-		}
+		w.record(&o, tt, c, "", "")
 	case *types.Tuple:
-		items := make([]any, tt.Len())
-		for i, e := range tt.Elems() {
-			// Tuple positions share the lattice's collapsed element
-			// node, mirroring the fusion rule that merges array
-			// positions.
-			s, err := exportAnn(e, c.Elem(), true)
-			if err != nil {
-				return nil, fmt.Errorf("tuple element %d: %w", i, err)
+		if tt.Len() > 0 {
+			w.key(&o, "additionalItems")
+			w.raw("false")
+			w.key(&o, "items")
+			w.raw("[")
+			for i, e := range tt.Elems() {
+				// Tuple positions share the lattice's collapsed element
+				// node, mirroring the fusion rule that merges array
+				// positions.
+				w.item(depth+1, i)
+				w.node(e, c.Elem(), depth+2, true, pin{})
 			}
-			items[i] = s
+			w.newline(depth + 1)
+			w.raw("]")
 		}
-		n := float64(tt.Len())
-		doc = map[string]any{
-			"type":     "array",
-			"minItems": n,
-			"maxItems": n,
-		}
-		if len(items) > 0 {
-			doc["items"] = items
-			doc["additionalItems"] = false
-		}
-		annotate(doc, c, enrich.KindArray)
+		w.key(&o, "maxItems")
+		w.num(tt.Len())
+		w.key(&o, "minItems")
+		w.num(tt.Len())
+		w.key(&o, "type")
+		w.str("array")
 	case *types.Map:
 		// A map schema collapses all keys into one element schema; the
 		// lattice keeps per-key nodes, so there is no single node to
 		// annotate the element with — stop annotating below here.
-		elem, err := exportAnn(tt.Elem(), enrich.Cursor{}, true)
-		if err != nil {
-			return nil, fmt.Errorf("map element: %w", err)
-		}
-		doc = map[string]any{"type": "object", "additionalProperties": elem}
+		w.key(&o, "additionalProperties")
+		w.node(tt.Elem(), enrich.Cursor{}, depth+1, true, pin{})
+		w.key(&o, "type")
+		w.str("object")
 	case *types.Repeated:
 		if _, isEmpty := tt.Elem().(types.EmptyType); isEmpty {
-			doc = map[string]any{"type": "array", "maxItems": float64(0)}
+			w.key(&o, "maxItems")
+			w.num(0)
 		} else {
-			s, err := exportAnn(tt.Elem(), c.Elem(), true)
-			if err != nil {
-				return nil, fmt.Errorf("array element: %w", err)
-			}
-			doc = map[string]any{"type": "array", "items": s}
+			w.key(&o, "items")
+			w.node(tt.Elem(), c.Elem(), depth+1, true, pin{})
 		}
-		annotate(doc, c, enrich.KindArray)
+		w.key(&o, "type")
+		w.str("array")
 	case *types.Union:
-		alts := make([]any, tt.Len())
+		w.key(&o, "anyOf")
+		w.raw("[")
 		for i, a := range tt.Alts() {
-			s, err := exportAnn(a, c, false)
-			if err != nil {
-				return nil, fmt.Errorf("union alternative %d: %w", i, err)
-			}
-			alts[i] = s
+			w.item(depth+1, i)
+			w.node(a, c, depth+2, false, pin{})
 		}
-		doc = map[string]any{"anyOf": alts}
+		w.newline(depth + 1)
+		w.raw("]")
 	case *types.Variants:
-		if tt.Collapsed() {
-			return exportAnn(tt.Other(), c, includeValue)
-		}
 		// Every branch sits at the same path, so each descends with the
 		// same cursor (record fields pick up their per-path annotations
-		// through c.Field inside the record case) and whole-value
-		// annotations attach once, on the oneOf node.
-		branches := make([]any, 0, tt.Len()+1)
-		for _, vc := range tt.Cases() {
-			s, err := exportAnn(vc.Type, c, false)
-			if err != nil {
-				return nil, fmt.Errorf("variant %q: %w", vc.Tag, err)
-			}
-			pinDiscriminator(s, tt.Key(), vc.Tag)
-			branches = append(branches, s)
+		// through c.Field) and whole-value annotations attach once, on
+		// the oneOf node.
+		w.key(&o, "oneOf")
+		w.raw("[")
+		for i, vc := range tt.Cases() {
+			w.item(depth+1, i)
+			b := object{depth: depth + 2}
+			w.raw("{")
+			w.record(&b, vc.Type, c, tt.Key(), vc.Tag)
+			w.close(&b)
 		}
 		if tt.Other() != nil {
-			s, err := exportAnn(tt.Other(), c, false)
-			if err != nil {
-				return nil, fmt.Errorf("variants catch-all: %w", err)
-			}
-			branches = append(branches, s)
+			w.item(depth+1, tt.Len())
+			w.node(tt.Other(), c, depth+2, false, pin{})
 		}
-		doc = map[string]any{"oneOf": branches}
+		w.newline(depth + 1)
+		w.raw("]")
 	default:
-		return export(t)
+		w.fail(fmt.Errorf("jsonschema: unknown type %T", t))
+		return
 	}
-	if includeValue {
-		annotate(doc, c, enrich.KindValue)
-	}
-	return doc, nil
+	w.close(&o)
 }
 
-func export(t types.Type) (map[string]any, error) {
-	switch tt := t.(type) {
-	case types.Basic:
-		switch tt {
-		case types.Null:
-			return map[string]any{"type": "null"}, nil
-		case types.Bool:
-			return map[string]any{"type": "boolean"}, nil
-		case types.Num:
-			return map[string]any{"type": "number"}, nil
-		case types.Str:
-			return map[string]any{"type": "string"}, nil
+var basicNames = map[types.Basic]string{
+	types.Null: "null", types.Bool: "boolean", types.Num: "number", types.Str: "string",
+}
+
+// record writes the structural keys of a record schema into o. A keyed
+// variant's branch passes its discriminator key and tag: that property
+// gains {"const": tag}, or is added as {"const": tag, "type": "string"}
+// when the branch lacks it. Wrapper branches pass key == "" — their
+// required single property name already discriminates.
+func (w *writer) record(o *object, r *types.Record, c enrich.Cursor, key, tag string) {
+	w.key(o, "additionalProperties")
+	w.raw("false")
+	w.key(o, "properties")
+	props := object{depth: o.depth + 1}
+	w.raw("{")
+	pinned := key == ""
+	required := false
+	for _, f := range r.Fields() {
+		if !pinned && key < f.Key {
+			w.discriminator(&props, key, tag)
+			pinned = true
 		}
-		return nil, fmt.Errorf("jsonschema: unknown basic type %v", tt)
-	case types.EmptyType:
-		return map[string]any{"not": map[string]any{}}, nil
-	case *types.Record:
-		props := map[string]any{}
-		var required []any
-		for _, f := range tt.Fields() {
-			s, err := export(f.Type)
-			if err != nil {
-				return nil, fmt.Errorf("field %q: %w", f.Key, err)
-			}
-			props[f.Key] = s
+		w.key(&props, f.Key)
+		if f.Key == key {
+			w.node(f.Type, c.Field(f.Key), props.depth+1, true, pin{"const", tag})
+			pinned = true
+		} else {
+			w.node(f.Type, c.Field(f.Key), props.depth+1, true, pin{})
+		}
+		required = required || !f.Optional
+	}
+	if !pinned {
+		w.discriminator(&props, key, tag)
+	}
+	w.close(&props)
+	if required {
+		w.key(o, "required")
+		w.raw("[")
+		i := 0
+		for _, f := range r.Fields() {
 			if !f.Optional {
-				required = append(required, f.Key)
+				w.item(o.depth+1, i)
+				w.str(f.Key)
+				i++
 			}
 		}
-		doc := map[string]any{
-			"type":                 "object",
-			"properties":           props,
-			"additionalProperties": false,
-		}
-		if len(required) > 0 {
-			doc["required"] = required
-		}
-		return doc, nil
-	case *types.Tuple:
-		items := make([]any, tt.Len())
-		for i, e := range tt.Elems() {
-			s, err := export(e)
-			if err != nil {
-				return nil, fmt.Errorf("tuple element %d: %w", i, err)
+		w.newline(o.depth + 1)
+		w.raw("]")
+	}
+	w.key(o, "type")
+	w.str("object")
+}
+
+// discriminator adds the pinned property a keyed variant's branch lacks.
+func (w *writer) discriminator(props *object, key, tag string) {
+	w.key(props, key)
+	o := object{depth: props.depth + 1}
+	w.raw("{")
+	w.key(&o, "const")
+	w.str(tag)
+	w.key(&o, "type")
+	w.str("string")
+	w.close(&o)
+}
+
+// extras returns a node's non-structural keys, sorted and rendered. The
+// writing pass of an annotated document takes them from the sizing
+// pass's notes.
+func (w *writer) extras(t types.Type, c enrich.Cursor, depth int, whole bool, p pin) []field {
+	if w.annotated && !w.sizing {
+		e := w.notes[0]
+		w.notes = w.notes[1:]
+		return e
+	}
+	e := w.annotations(t, c, depth, whole, p)
+	if w.annotated {
+		w.notes = append(w.notes, e)
+	}
+	return e
+}
+
+// annotations gathers the cursor's annotations of t's kind, then, when
+// whole, its whole-value annotations — earlier ones winning a key
+// collision — and the pin over both, and renders each value as
+// MarshalIndent does inside the whole document. ε carries no
+// annotations.
+func (w *writer) annotations(t types.Type, c enrich.Cursor, depth int, whole bool, p pin) []field {
+	var anns map[string]any
+	if kind, ok := annotationKind(t); ok {
+		anns = c.Annotations(kind)
+	}
+	if _, empty := t.(types.EmptyType); whole && !empty {
+		for k, v := range c.Annotations(enrich.KindValue) {
+			if _, dup := anns[k]; !dup {
+				if anns == nil {
+					anns = make(map[string]any)
+				}
+				anns[k] = v
 			}
-			items[i] = s
 		}
-		n := float64(tt.Len())
-		doc := map[string]any{
-			"type":     "array",
-			"minItems": n,
-			"maxItems": n,
+	}
+	if p.key != "" {
+		if anns == nil {
+			anns = make(map[string]any, 1)
 		}
-		if len(items) > 0 {
-			doc["items"] = items
-			doc["additionalItems"] = false
-		}
-		return doc, nil
-	case *types.Map:
-		elem, err := export(tt.Elem())
+		anns[p.key] = p.val
+	}
+	if len(anns) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(anns))
+	for k := range anns {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]field, len(keys))
+	for i, k := range keys {
+		val, err := json.MarshalIndent(anns[k], indent(depth+1), "  ")
 		if err != nil {
-			return nil, fmt.Errorf("map element: %w", err)
+			w.fail(fmt.Errorf("jsonschema: annotation %q: %w", k, err))
 		}
-		return map[string]any{"type": "object", "additionalProperties": elem}, nil
-	case *types.Repeated:
-		if _, isEmpty := tt.Elem().(types.EmptyType); isEmpty {
-			return map[string]any{"type": "array", "maxItems": float64(0)}, nil
+		out[i] = field{key: k, val: val}
+	}
+	return out
+}
+
+// annotationKind is the lattice kind whose annotations attach to t's
+// own schema node beyond the whole-value ones.
+func annotationKind(t types.Type) (enrich.Kind, bool) {
+	switch t {
+	case types.Num:
+		return enrich.KindNumber, true
+	case types.Str:
+		return enrich.KindString, true
+	}
+	switch t.(type) {
+	case *types.Tuple, *types.Repeated:
+		return enrich.KindArray, true
+	}
+	return 0, false
+}
+
+// An object is a JSON object being written: its structural keys come
+// in sorted order through key, which first flushes the extras that sort
+// before them.
+type object struct {
+	depth   int
+	entries int
+	extra   []field
+}
+
+// key starts the entry for structural key k. Pending extras sorting
+// before k are written first; an extra named k is dropped, since a
+// structural key always wins.
+func (w *writer) key(o *object, k string) {
+	for len(o.extra) > 0 && o.extra[0].key <= k {
+		e := o.extra[0]
+		o.extra = o.extra[1:]
+		if e.key != k {
+			w.entry(o, e.key)
+			w.buf = append(w.buf, e.val...)
 		}
-		s, err := export(tt.Elem())
-		if err != nil {
-			return nil, fmt.Errorf("array element: %w", err)
+	}
+	w.entry(o, k)
+}
+
+func (w *writer) entry(o *object, k string) {
+	w.item(o.depth, o.entries)
+	o.entries++
+	w.str(k)
+	w.raw(": ")
+}
+
+func (w *writer) close(o *object) {
+	for _, e := range o.extra {
+		w.entry(o, e.key)
+		w.buf = append(w.buf, e.val...)
+	}
+	if o.entries > 0 {
+		w.newline(o.depth)
+	}
+	w.raw("}")
+}
+
+// item starts element i of an array or object whose opening bracket
+// sits at indentation depth.
+func (w *writer) item(depth, i int) {
+	if i > 0 {
+		w.raw(",")
+	}
+	w.newline(depth + 1)
+}
+
+// newline ends the line and indents the next one to depth; depth -1
+// only settles the sizing count at the end of the document.
+func (w *writer) newline(depth int) {
+	if w.sizing {
+		w.n += len(w.buf)
+		w.buf = w.buf[:0]
+		if depth >= 0 {
+			w.n += 1 + 2*depth
 		}
-		return map[string]any{"type": "array", "items": s}, nil
-	case *types.Union:
-		alts := make([]any, tt.Len())
-		for i, a := range tt.Alts() {
-			s, err := export(a)
-			if err != nil {
-				return nil, fmt.Errorf("union alternative %d: %w", i, err)
-			}
-			alts[i] = s
-		}
-		return map[string]any{"anyOf": alts}, nil
-	case *types.Variants:
-		if tt.Collapsed() {
-			return export(tt.Other())
-		}
-		branches := make([]any, 0, tt.Len()+1)
-		for _, c := range tt.Cases() {
-			s, err := export(c.Type)
-			if err != nil {
-				return nil, fmt.Errorf("variant %q: %w", c.Tag, err)
-			}
-			pinDiscriminator(s, tt.Key(), c.Tag)
-			branches = append(branches, s)
-		}
-		if tt.Other() != nil {
-			s, err := export(tt.Other())
-			if err != nil {
-				return nil, fmt.Errorf("variants catch-all: %w", err)
-			}
-			branches = append(branches, s)
-		}
-		return map[string]any{"oneOf": branches}, nil
-	default:
-		return nil, fmt.Errorf("jsonschema: unknown type %T", t)
+		return
+	}
+	if depth >= 0 {
+		w.buf = append(w.buf, '\n')
+		w.buf = append(w.buf, indent(depth)...)
 	}
 }
 
-// pinDiscriminator narrows the discriminator property of a keyed
-// variant's branch schema to its tag. Wrapper variants pass key == ""
-// and are left alone — their required single property name already
-// discriminates.
-func pinDiscriminator(branch map[string]any, key, tag string) {
-	if key == "" {
-		return
+func (w *writer) raw(s string) { w.buf = append(w.buf, s...) }
+func (w *writer) num(n int)    { w.buf = strconv.AppendInt(w.buf, int64(n), 10) }
+
+// str writes s as a JSON string exactly as encoding/json encodes it.
+// Printable ASCII with nothing to escape is copied as is; any other
+// string goes through json.Marshal, so its escaping rules (<, > and &
+// for HTML safety, control bytes, U+2028 and U+2029, U+FFFD for
+// invalid UTF-8) hold by construction.
+func (w *writer) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			q, err := json.Marshal(s)
+			if err != nil {
+				w.fail(err)
+			}
+			w.buf = append(w.buf, q...)
+			return
+		}
 	}
-	props, ok := branch["properties"].(map[string]any)
-	if !ok {
-		return
+	w.buf = append(w.buf, '"')
+	w.buf = append(w.buf, s...)
+	w.buf = append(w.buf, '"')
+}
+
+const spaces = "                                                                "
+
+// indent returns the leading whitespace of a line at depth.
+func indent(depth int) string {
+	if 2*depth <= len(spaces) {
+		return spaces[:2*depth]
 	}
-	if ps, ok := props[key].(map[string]any); ok {
-		ps["const"] = tag
-	} else {
-		props[key] = map[string]any{"type": "string", "const": tag}
-	}
+	return strings.Repeat("  ", depth)
 }

@@ -6,11 +6,34 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/enrich"
 	"repro/internal/fusion"
 	"repro/internal/infer"
 	"repro/internal/types"
 	"repro/internal/value"
 )
+
+// schemaDoc renders typ with Marshal and decodes the document into the
+// tree encoding/json builds (map[string]any, []any, float64, ...), the
+// shape the tests and the validate mini-validator read.
+func schemaDoc(typ types.Type) (map[string]any, error) {
+	data, err := Marshal(typ)
+	if err != nil {
+		return nil, err
+	}
+	var doc map[string]any
+	err = json.Unmarshal(data, &doc)
+	return doc, err
+}
+
+func mustDoc(t *testing.T, typ types.Type) map[string]any {
+	t.Helper()
+	doc, err := schemaDoc(typ)
+	if err != nil {
+		t.Fatalf("schemaDoc %s: %v", typ, err)
+	}
+	return doc
+}
 
 func TestExportBasics(t *testing.T) {
 	cases := []struct {
@@ -49,10 +72,7 @@ func TestMarshalIsValidJSONWithSchemaMarker(t *testing.T) {
 }
 
 func TestExportRecord(t *testing.T) {
-	doc, err := Export(types.MustParse("{a: Num, b: Str?}"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustDoc(t, types.MustParse("{a: Num, b: Str?}"))
 	if doc["type"] != "object" {
 		t.Errorf("type = %v", doc["type"])
 	}
@@ -70,10 +90,7 @@ func TestExportRecord(t *testing.T) {
 }
 
 func TestExportAllOptionalRecordHasNoRequired(t *testing.T) {
-	doc, err := Export(types.MustParse("{a: Num?, b: Str?}"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustDoc(t, types.MustParse("{a: Num?, b: Str?}"))
 	if _, ok := doc["required"]; ok {
 		t.Error("required should be absent when every field is optional")
 	}
@@ -81,10 +98,7 @@ func TestExportAllOptionalRecordHasNoRequired(t *testing.T) {
 
 func TestExportArrays(t *testing.T) {
 	// Tuple.
-	doc, err := Export(types.MustParse("[Num, Str]"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustDoc(t, types.MustParse("[Num, Str]"))
 	if doc["minItems"] != 2.0 || doc["maxItems"] != 2.0 {
 		t.Errorf("tuple bounds = %v..%v", doc["minItems"], doc["maxItems"])
 	}
@@ -92,49 +106,40 @@ func TestExportArrays(t *testing.T) {
 		t.Errorf("items = %v", items)
 	}
 	// Repeated.
-	doc, err = Export(types.MustParse("[Num*]"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc = mustDoc(t, types.MustParse("[Num*]"))
 	if _, isList := doc["items"].([]any); isList {
 		t.Error("repeated type should have a single items schema")
 	}
 	// Empty array type.
-	doc, err = Export(types.MustParse("[ε*]"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc = mustDoc(t, types.MustParse("[ε*]"))
 	if doc["maxItems"] != 0.0 {
 		t.Errorf("[ε*] maxItems = %v", doc["maxItems"])
 	}
 	// Empty tuple [] also admits only the empty array.
-	doc, err = Export(types.MustParse("[]"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc = mustDoc(t, types.MustParse("[]"))
 	if doc["maxItems"] != 0.0 {
 		t.Errorf("[] maxItems = %v", doc["maxItems"])
 	}
 }
 
 func TestExportUnion(t *testing.T) {
-	doc, err := Export(types.MustParse("Num + Str"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustDoc(t, types.MustParse("Num + Str"))
 	if alts := doc["anyOf"].([]any); len(alts) != 2 {
 		t.Errorf("anyOf = %v", alts)
 	}
 }
 
 func TestExportNil(t *testing.T) {
-	if _, err := Export(nil); err == nil {
-		t.Error("Export(nil) should fail")
+	if _, err := Marshal(nil); err == nil {
+		t.Error("Marshal(nil) should fail")
+	}
+	if _, err := MarshalAnnotated(nil, nil); err == nil {
+		t.Error("MarshalAnnotated(nil, nil) should fail")
 	}
 }
 
 // validate is a miniature draft-04 validator for exactly the vocabulary
-// Export emits. It lets the property test below check that the exported
+// Marshal emits. It lets the property test below check that the exported
 // schema accepts the same values as types.Member.
 func validate(doc map[string]any, v value.Value) bool {
 	if anyOf, ok := doc["anyOf"].([]any); ok {
@@ -146,7 +151,7 @@ func validate(doc map[string]any, v value.Value) bool {
 		return false
 	}
 	if _, ok := doc["not"]; ok {
-		return false // Export only emits "not": {}
+		return false // Marshal only emits "not": {}
 	}
 	switch doc["type"] {
 	case "null":
@@ -281,8 +286,9 @@ func TestPropertyExportAgreesWithMember(t *testing.T) {
 		t1 := infer.Infer(randomValue(r, 3))
 		t2 := infer.Infer(randomValue(r, 3))
 		fused := fusion.Fuse(t1, t2)
-		doc, err := Export(fused)
+		doc, err := schemaDoc(fused)
 		if err != nil {
+			t.Logf("schemaDoc %s: %v", fused, err)
 			return false
 		}
 		for i := 0; i < 6; i++ {
@@ -305,8 +311,9 @@ func TestPropertyExportValidatesSourceValues(t *testing.T) {
 		v1 := randomValue(r, 3)
 		v2 := randomValue(r, 3)
 		fused := fusion.Fuse(infer.Infer(v1), infer.Infer(v2))
-		doc, err := Export(fused)
+		doc, err := schemaDoc(fused)
 		if err != nil {
+			t.Logf("schemaDoc %s: %v", fused, err)
 			return false
 		}
 		return validate(doc, v1) && validate(doc, v2)
@@ -317,10 +324,7 @@ func TestPropertyExportValidatesSourceValues(t *testing.T) {
 }
 
 func TestExportMapType(t *testing.T) {
-	doc, err := Export(types.MustParse("{*: {v: Num}}"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := mustDoc(t, types.MustParse("{*: {v: Num}}"))
 	if doc["type"] != "object" {
 		t.Errorf("type = %v", doc["type"])
 	}
@@ -333,10 +337,7 @@ func TestExportMapType(t *testing.T) {
 	}
 	// The mini validator agrees with Member on the map type.
 	m := types.MustParse("{*: Num}")
-	mdoc, err := Export(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mdoc := mustDoc(t, m)
 	yes := value.Obj("anything", value.Num(1), "other", value.Num(2))
 	no := value.Obj("bad", value.Str("s"))
 	if !validate(mdoc, yes) || validate(mdoc, no) {
@@ -344,5 +345,148 @@ func TestExportMapType(t *testing.T) {
 	}
 	if types.Member(yes, m) != validate(mdoc, yes) || types.Member(no, m) != validate(mdoc, no) {
 		t.Error("validator and Member disagree")
+	}
+}
+
+// reencode is the encoding/json oracle for the byte contract: out's own
+// json.Unmarshal, printed again by json.MarshalIndent.
+func reencode(out []byte) ([]byte, error) {
+	var v any
+	if err := json.Unmarshal(out, &v); err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(v, "", "  ")
+}
+
+// observe feeds v to l through the observer hooks, as the decoder does.
+func observe(l *enrich.Lattice, v value.Value) {
+	switch vv := v.(type) {
+	case value.Null:
+		l.Null()
+	case value.Bool:
+		l.Bool(bool(vv))
+	case value.Num:
+		l.Num(float64(vv))
+	case value.Str:
+		l.Str(string(vv))
+	case *value.Record:
+		l.BeginObject()
+		for _, f := range vv.Fields() {
+			l.Key(f.Key)
+			observe(l, f.Value)
+		}
+		l.EndObject()
+	case value.Array:
+		l.BeginArray()
+		for _, e := range vv {
+			observe(l, e)
+		}
+		l.EndArray(len(vv))
+	}
+}
+
+// TestMarshalSizedExactly: the document is allocated once, at its final
+// length, and reads back through encoding/json byte for byte — also
+// past the depth the indentation constant covers.
+func TestMarshalSizedExactly(t *testing.T) {
+	deep := "Num"
+	for i := 0; i < 40; i++ {
+		deep = "{a: [" + deep + "*], b: Str?}"
+	}
+	for _, src := range []string{
+		"Null", "ε", "[]", "[ε*]", "{}", "{*: {v: Num}}", "Num + Str + [Bool, Null]",
+		`{"<&>": Num, "\u2028": Str, "ctl\u0001": Bool}`,
+		"variants(type){a: {x: Num}, b: {type: Str}, *: {id: Num}}",
+		deep,
+	} {
+		out, err := Marshal(types.MustParse(src))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if cap(out) != len(out) {
+			t.Errorf("%s: %d bytes in a %d-byte buffer", src, len(out), cap(out))
+		}
+		want, err := reencode(out)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if string(out) != string(want) {
+			t.Errorf("%s: output differs from encoding/json\n got: %s\nwant: %s", src, out, want)
+		}
+	}
+}
+
+// TestPropertyAnnotatedExport: with every enrichment monoid on, the
+// annotated document is exactly sized, matches encoding/json's bytes,
+// and still accepts the values it was inferred from (annotations never
+// tighten validation). A nil lattice gives Marshal's bytes.
+func TestPropertyAnnotatedExport(t *testing.T) {
+	set, err := enrich.ParseSet([]string{"all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(seed uint64) bool {
+		r := &rng{s: seed | 1}
+		v1, v2 := randomValue(r, 3), randomValue(r, 3)
+		fused := fusion.Fuse(infer.Infer(v1), infer.Infer(v2))
+		plain, err := Marshal(fused)
+		if err != nil {
+			t.Logf("Marshal %s: %v", fused, err)
+			return false
+		}
+		if nilLattice, err := MarshalAnnotated(fused, nil); err != nil || string(nilLattice) != string(plain) {
+			t.Logf("MarshalAnnotated(%s, nil) differs from Marshal (err %v)", fused, err)
+			return false
+		}
+		l := set.NewLattice()
+		observe(l, v1)
+		observe(l, v2)
+		out, err := MarshalAnnotated(fused, l)
+		if err != nil {
+			t.Logf("MarshalAnnotated %s: %v", fused, err)
+			return false
+		}
+		want, err := reencode(out)
+		if err != nil || string(out) != string(want) || cap(out) != len(out) {
+			t.Logf("type %s: annotated output is not canonical or not exactly sized (err %v)\n%s", fused, err, out)
+			return false
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(out, &doc); err != nil {
+			return false
+		}
+		return validate(doc, v1) && validate(doc, v2)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestExportVariantsPinDiscriminator: each keyed branch pins its tag on
+// the discriminator property, adding the property where the branch
+// lacks it; wrapper branches and the catch-all are left alone.
+func TestExportVariantsPinDiscriminator(t *testing.T) {
+	doc := mustDoc(t, types.MustParse("variants(type){a: {x: Num}, b: {type: Str, y: Str?}, *: {id: Num}}"))
+	branches := doc["oneOf"].([]any)
+	if len(branches) != 3 {
+		t.Fatalf("oneOf = %v", branches)
+	}
+	for i, want := range []string{"a", "b"} {
+		props := branches[i].(map[string]any)["properties"].(map[string]any)
+		disc := props["type"].(map[string]any)
+		if disc["const"] != want || disc["type"] != "string" {
+			t.Errorf("branch %d discriminator = %v, want const %q", i, disc, want)
+		}
+	}
+	if _, ok := branches[2].(map[string]any)["properties"].(map[string]any)["type"]; ok {
+		t.Error("the catch-all branch must not gain a discriminator")
+	}
+	wrapper := mustDoc(t, types.MustParse("wrapper{delete: {delete: {id: Num}}, *: {id: Num}}"))
+	for _, b := range wrapper["oneOf"].([]any) {
+		for k, p := range b.(map[string]any)["properties"].(map[string]any) {
+			if _, ok := p.(map[string]any)["const"]; ok {
+				t.Errorf("wrapper property %q gained a const", k)
+			}
+		}
 	}
 }

@@ -331,21 +331,49 @@ func TestChunkLinesLargeFileFullChunks(t *testing.T) {
 	l.balanced("file")
 }
 
+// TestChunkLinesClassSizedChunks: a stream cut at a class size, with
+// every line shorter than chunkSlack, fills each chunk inside that
+// class's buffer and never draws one from a class above it, while the
+// cuts stay where the reference puts them.
+func TestChunkLinesClassSizedChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for c, chunkBytes := range []int{64 << 10, 256 << 10, 1 << 20, defaultChunkBytes} {
+		var b bytes.Buffer
+		for b.Len() < 5*chunkBytes/2 {
+			b.Write(bytes.Repeat([]byte("x"), rng.Intn(chunkSlack-1)))
+			b.WriteByte('\n')
+		}
+		data := b.Bytes()
+		got, l, err := collect(t, bytes.NewReader(data), chunkBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := refChunkLines(bytes.NewReader(data), chunkBytes)
+		label := strconv.Itoa(chunkBytes)
+		sameChunks(t, label, got, want)
+		if l.maxCap > chunkClasses[c] {
+			t.Errorf("chunks of %d bytes drew a %d-byte buffer, above their %d-byte class", chunkBytes, l.maxCap, chunkClasses[c])
+		}
+		l.balanced(label)
+	}
+}
+
 // TestChunkPoolClasses: Get serves the smallest class that fits, and
 // exactly the hint beyond the top class; a nil pool allocates the same.
 func TestChunkPoolClasses(t *testing.T) {
 	var p ChunkPool
 	for _, tc := range []struct{ hint, cap int }{
-		{0, 64 << 10}, {1, 64 << 10}, {64 << 10, 64 << 10}, {64<<10 + 1, 256 << 10},
-		{1 << 20, 1 << 20}, {4 << 20, defaultChunkBytes + chunkSlack}, {5 << 20, 5 << 20},
+		{0, 64<<10 + chunkSlack}, {1, 64<<10 + chunkSlack}, {64<<10 + chunkSlack, 64<<10 + chunkSlack},
+		{64<<10 + chunkSlack + 1, 256<<10 + chunkSlack}, {1 << 20, 1<<20 + chunkSlack},
+		{4 << 20, defaultChunkBytes + chunkSlack}, {5 << 20, 5 << 20},
 	} {
 		if b := p.Get(tc.hint); cap(b) != tc.cap || len(b) != 0 {
 			t.Errorf("Get(%d): len %d cap %d, want 0, %d", tc.hint, len(b), cap(b), tc.cap)
 		}
 	}
 	var nilPool *ChunkPool
-	if b := nilPool.Get(10); cap(b) != 64<<10 {
-		t.Errorf("nil pool Get(10): cap %d, want %d", cap(b), 64<<10)
+	if b := nilPool.Get(10); cap(b) != 64<<10+chunkSlack {
+		t.Errorf("nil pool Get(10): cap %d, want %d", cap(b), 64<<10+chunkSlack)
 	}
 	nilPool.Put(make([]byte, 1)) // dropped, not a panic
 }

@@ -104,16 +104,17 @@ func SplitLines(data []byte, n int) [][]byte {
 // zero.
 const defaultChunkBytes = 4 << 20
 
-// chunkSlack is the room the top size class leaves above
-// defaultChunkBytes, so a default chunk whose last line runs a little
-// past the threshold fits without growing. Once a chunk is full,
+// chunkSlack is the room every size class leaves above its power of
+// four, so a chunk cut at a class size (the default, or a ChunkBytes of
+// 64 KiB, 256 KiB or 1 MiB) whose last line runs a little past the
+// threshold fits without moving up a class. Once a chunk is full,
 // ChunkLinesPooled also reads at most this much at a time, which bounds
 // the bytes it carries into the next chunk.
 const chunkSlack = 4 << 10
 
 // chunkClasses are the buffer capacities a ChunkPool serves: powers of
-// four from 64 KiB, topped by a default chunk plus slack.
-var chunkClasses = [...]int{64 << 10, 256 << 10, 1 << 20, defaultChunkBytes + chunkSlack}
+// four from 64 KiB up to a default chunk, each plus slack.
+var chunkClasses = [...]int{64<<10 + chunkSlack, 256<<10 + chunkSlack, 1<<20 + chunkSlack, defaultChunkBytes + chunkSlack}
 
 // classFor returns the index of the smallest class holding n bytes, or
 // len(chunkClasses) when n exceeds them all.

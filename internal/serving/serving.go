@@ -361,28 +361,34 @@ func (s *Server) renderSchema(w http.ResponseWriter, r *http.Request, schema *js
 			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(out, '\n'))
+		writeDocument(w, out)
 	case "codec":
 		out, err := schema.MarshalJSON()
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(out, '\n'))
+		writeDocument(w, out)
 	case "enrich":
 		out, err := schema.EnrichmentJSON()
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(out, '\n'))
+		writeDocument(w, out)
 	default:
 		s.writeError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown format %q (want type, indent, jsonschema, codec, or enrich)", format))
 	}
+}
+
+// writeDocument sends a rendered JSON document and a trailing newline
+// as two writes, so the exactly sized document is never reallocated to
+// append the newline.
+func writeDocument(w http.ResponseWriter, doc []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(doc)
+	fmt.Fprintln(w)
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request, t *tenant) {
