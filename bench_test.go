@@ -459,7 +459,7 @@ func BenchmarkProfile(b *testing.B) {
 	data := dataset.NDJSON(g, 1000, 1)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := jsi.ProfileNDJSON(data, jsi.Options{}); err != nil {
+		if _, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(data), jsi.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

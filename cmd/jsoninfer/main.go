@@ -127,7 +127,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	maxTagLen := fs.Int("max-tag-len", 0, "longest string value considered a discriminator tag (0 = default 40)")
 	retries := fs.Int("retries", 0, "per-chunk retry budget for transient failures (0 = no retry)")
 	onError := fs.String("on-error", "fail", "chunk failure policy once retries are exhausted: fail or skip")
-	enrichNames := fs.String("enrich", "", "enrichment monoids computed alongside inference (comma list: ranges,hll,bloom,formats,lengths,numprec; or \"all\")")
+	enrichNames := fs.String("enrich", "", "enrichment monoids computed alongside inference (comma list: ranges,hll,bloom,formats,lengths,numprec,counts; or \"all\")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

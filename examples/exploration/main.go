@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -78,7 +79,7 @@ func main() {
 	// 4. Statistics-annotated profile (the Section 7 extension): how
 	// often is each field present, what ranges do the numbers span?
 	small := dataset.NDJSON(gen, 60, 7)
-	prof, err := jsi.ProfileNDJSON(small, jsi.Options{})
+	prof, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(small), jsi.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

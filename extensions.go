@@ -2,13 +2,13 @@ package jsoninference
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/abstraction"
+	"repro/internal/enrich"
 	"repro/internal/jsontext"
 	"repro/internal/pathquery"
-	"repro/internal/profile"
 	"repro/internal/value"
 )
 
@@ -19,95 +19,113 @@ import (
 
 // Profile is a statistics-enriched schema: the same structure as a
 // Schema, annotated at every position with occurrence shares, field
-// presence percentages, numeric ranges, string lengths and array
-// lengths. Profiles merge like schemas (commutatively, associatively),
-// so they support the same incremental maintenance.
+// presence percentages, numeric ranges and means, string lengths and
+// array lengths. It is a rendering of the enrichment lattice
+// (docs/ENRICHMENT.md) that InferProfile computes alongside the schema,
+// so profiles merge like schemas (commutatively, associatively) and
+// support the same incremental maintenance.
 type Profile struct {
-	p profile.Profile
+	// s carries a lattice with the enrich.ProfileMonoids.
+	s *Schema
 }
 
 // InferProfile runs statistics-enriched inference over a Source — the
-// profile counterpart of Infer, and like it the only profile entry
-// point that accepts a context and therefore supports cancellation and
-// deadlines (taking effect between records). Any Source kind works:
-// bytes, readers (plain or chunked), files. Values are decoded and
-// profiled sequentially with constant memory — a profile accumulates
-// every value's statistics, so there is no parallel map phase to
-// distribute. The returned Stats carries the feed-side numbers
-// (Records, Bytes); the type-level fields stay zero.
+// profile counterpart of Infer, and Infer itself with the
+// enrich.ProfileMonoids (counts, ranges, lengths) added to
+// Options.Enrich. Every Source kind, worker count, retry schedule and
+// failure policy therefore works as it does for Infer, and renders the
+// same profile; cancellation and deadlines take effect between chunks
+// (or records, on the streaming path). The returned Stats are Infer's.
 //
 // Profiles merge commutatively and associatively (Profile.Merge), so
 // partitioned datasets can be profiled partition by partition and
 // merged, exactly like schemas.
 func InferProfile(ctx context.Context, src Source, opts Options) (*Profile, Stats, error) {
-	if err := opts.validate(); err != nil {
+	opts.Enrich = append(append([]string(nil), opts.Enrich...), enrich.ProfileMonoids)
+	s, st, err := Infer(ctx, src, opts)
+	if err != nil {
 		return nil, Stats{}, err
 	}
-	if src == nil {
-		return nil, Stats{}, fmt.Errorf("%w: nil Source", ErrInvalidOptions)
+	if s.enr == nil {
+		// Nothing was fed, so the run built no lattice: start from the
+		// empty one.
+		set, err := enrich.ParseSet(opts.Enrich)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		s.enr = set.NewLattice()
 	}
-	var out Profile
-	n, err := src.scan(ctx, opts.env(), func(v value.Value) error {
-		out.p.Add(v)
-		return nil
-	})
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("jsoninference: %w", err)
-	}
-	return &out, Stats{Records: out.p.Count, Bytes: n}, nil
-}
-
-// ProfileNDJSON profiles a collection of whitespace-separated JSON
-// values. It is InferProfile over FromBytes with a background context.
-//
-// Deprecated: use InferProfile, which accepts a context and any Source
-// kind. ProfileNDJSON remains for compatibility, mirroring how the
-// Infer* wrappers sit over Infer.
-func ProfileNDJSON(data []byte, opts Options) (*Profile, error) {
-	p, _, err := InferProfile(context.Background(), FromBytes(data), opts)
-	return p, err
-}
-
-// ProfileReader profiles a stream of JSON values with constant memory.
-// It is InferProfile over FromReader with a background context.
-//
-// Deprecated: use InferProfile, which accepts a context and any Source
-// kind. ProfileReader remains for compatibility, mirroring how the
-// Infer* wrappers sit over Infer.
-func ProfileReader(r io.Reader, opts Options) (*Profile, error) {
-	p, _, err := InferProfile(context.Background(), FromReader(r), opts)
-	return p, err
+	return &Profile{s: s}, st, nil
 }
 
 // Records reports the number of values profiled.
-func (p *Profile) Records() int64 { return p.p.Count }
+func (p *Profile) Records() int64 { return p.s.enr.Values() }
 
-// Merge folds another profile into this one; like Schema.Fuse, the
-// result describes the concatenated collections.
+// Merge folds another profile into this one; like Schema.Fuse, which
+// it calls, the result describes the concatenated collections.
 func (p *Profile) Merge(other *Profile) {
 	if other != nil {
-		p.p.Merge(&other.p)
+		p.s = p.s.Fuse(other.s)
 	}
 }
 
-// Schema returns the plain schema the profile implies. It equals the
-// schema the inference pipeline produces for the same data.
-func (p *Profile) Schema() *Schema { return newSchema(p.p.Type()) }
+// Schema returns the plain schema the profile describes: the schema
+// Infer returns for the same data and Options.
+func (p *Profile) Schema() *Schema { return p.s.WithoutEnrichment() }
 
 // String renders the annotated schema for human consumption.
-func (p *Profile) String() string { return p.p.Render() }
+func (p *Profile) String() string {
+	out, err := p.s.enr.RenderProfile()
+	if err != nil {
+		// Unreachable: InferProfile and UnmarshalProfileJSON only build
+		// profiles whose lattice carries the monoids it renders from.
+		panic(err)
+	}
+	return out
+}
 
-// MarshalJSON serializes the profile so statistics can be stored next to
-// schemas and merged across processes.
-func (p *Profile) MarshalJSON() ([]byte, error) { return p.p.MarshalJSON() }
+// wireProfile is the profile codec: the schema codec plus the lattice.
+type wireProfile struct {
+	Schema  json.RawMessage `json:"schema"`
+	Lattice json.RawMessage `json:"lattice"`
+}
+
+// MarshalJSON serializes the profile — its schema in the MarshalJSON
+// codec and its lattice — so statistics can be stored next to schemas
+// and merged across processes.
+func (p *Profile) MarshalJSON() ([]byte, error) {
+	schema, err := p.s.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	lat, err := p.s.enr.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(wireProfile{Schema: schema, Lattice: lat})
+}
 
 // UnmarshalProfileJSON decodes a profile encoded with MarshalJSON.
 func UnmarshalProfileJSON(data []byte) (*Profile, error) {
-	var out Profile
-	if err := out.p.UnmarshalJSON(data); err != nil {
-		return nil, err
+	var w wireProfile
+	if err := json.Unmarshal(data, &w); err != nil {
+		return nil, fmt.Errorf("jsoninference: decoding profile: %w", err)
 	}
-	return &out, nil
+	if len(w.Schema) == 0 || len(w.Lattice) == 0 {
+		return nil, fmt.Errorf("jsoninference: decoding profile: want a schema and a lattice")
+	}
+	s, err := UnmarshalSchemaJSON(w.Schema)
+	if err != nil {
+		return nil, fmt.Errorf("jsoninference: decoding profile: %w", err)
+	}
+	lat, err := enrich.UnmarshalLattice(w.Lattice)
+	if err == nil {
+		err = lat.CheckProfile()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("jsoninference: decoding profile: %w", err)
+	}
+	return &Profile{s: s.withEnrichment(lat)}, nil
 }
 
 // AbstractKeys rewrites dictionary-like record types — many keys, similar

@@ -1,6 +1,8 @@
 package jsoninference_test
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -8,15 +10,22 @@ import (
 	"repro/internal/dataset"
 )
 
-func TestProfileNDJSON(t *testing.T) {
+// inferProfile profiles data through InferProfile over FromBytes.
+func inferProfile(t *testing.T, data []byte) *jsi.Profile {
+	t.Helper()
+	p, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(data), jsi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestProfileOfRecords(t *testing.T) {
 	data := []byte(`{"id": 1, "name": "ada", "score": 3.5}
 {"id": 2, "name": "bob"}
 {"id": 3, "name": "eve", "score": 9.5}
 `)
-	p, err := jsi.ProfileNDJSON(data, jsi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := inferProfile(t, data)
 	if p.Records() != 3 {
 		t.Errorf("Records = %d", p.Records())
 	}
@@ -36,26 +45,24 @@ func TestProfileNDJSON(t *testing.T) {
 	}
 }
 
-func TestProfileReaderAndMerge(t *testing.T) {
+// TestProfileMergeOfHalves: profiling two halves through the streaming
+// Source and merging renders exactly the whole profile.
+func TestProfileMergeOfHalves(t *testing.T) {
 	g, _ := dataset.New("twitter")
 	data := dataset.NDJSON(g, 80, 21)
-	whole, err := jsi.ProfileNDJSON(data, jsi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Split, profile halves via the reader path, merge.
+	whole := inferProfile(t, data)
 	half := len(data) / 2
 	for data[half] != '\n' {
 		half++
 	}
-	a, err := jsi.ProfileReader(strings.NewReader(string(data[:half+1])), jsi.Options{})
-	if err != nil {
-		t.Fatal(err)
+	stream := func(part []byte) *jsi.Profile {
+		p, _, err := jsi.InferProfile(context.Background(), jsi.FromReader(bytes.NewReader(part)), jsi.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	b, err := jsi.ProfileReader(strings.NewReader(string(data[half+1:])), jsi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := stream(data[:half+1]), stream(data[half+1:])
 	a.Merge(b)
 	a.Merge(nil) // no-op
 	if a.Records() != whole.Records() {
@@ -67,10 +74,11 @@ func TestProfileReaderAndMerge(t *testing.T) {
 }
 
 func TestProfileErrors(t *testing.T) {
-	if _, err := jsi.ProfileNDJSON([]byte(`{"bad`), jsi.Options{}); err == nil {
+	ctx := context.Background()
+	if _, _, err := jsi.InferProfile(ctx, jsi.FromBytes([]byte(`{"bad`)), jsi.Options{}); err == nil {
 		t.Error("malformed input accepted")
 	}
-	if _, err := jsi.ProfileReader(strings.NewReader(`{"a":1} [`), jsi.Options{}); err == nil {
+	if _, _, err := jsi.InferProfile(ctx, jsi.FromReader(strings.NewReader(`{"a":1} [`)), jsi.Options{}); err == nil {
 		t.Error("malformed stream accepted")
 	}
 }
@@ -279,10 +287,7 @@ func TestAbstractKeys(t *testing.T) {
 
 func TestProfileCodecFacade(t *testing.T) {
 	g, _ := dataset.New("github")
-	p, err := jsi.ProfileNDJSON(dataset.NDJSON(g, 40, 3), jsi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := inferProfile(t, dataset.NDJSON(g, 40, 3))
 	data, err := p.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +302,33 @@ func TestProfileCodecFacade(t *testing.T) {
 	if !back.Schema().Equal(p.Schema()) {
 		t.Error("derived schema differs after round trip")
 	}
-	if _, err := jsi.UnmarshalProfileJSON([]byte("garbage")); err == nil {
-		t.Error("garbage accepted")
+	if again, err := back.MarshalJSON(); err != nil || !bytes.Equal(again, data) {
+		t.Errorf("re-encoding the decoded profile differs (err %v)", err)
+	}
+	// The decoded profile keeps merging.
+	more := inferProfile(t, dataset.NDJSON(g, 20, 9))
+	back.Merge(more)
+	if back.Records() != p.Records()+20 {
+		t.Errorf("merged records = %d", back.Records())
+	}
+	// The empty profile round-trips too.
+	empty := inferProfile(t, nil)
+	data, err = empty.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := jsi.UnmarshalProfileJSON(data); err != nil || back.Records() != 0 || back.String() != empty.String() {
+		t.Errorf("empty round trip: %v", err)
+	}
+	for _, bad := range []string{
+		"garbage",
+		// The former {count, root} encoding carries no lattice.
+		`{"count":1,"root":{"total":1,"kinds":{"num":{"count":1,"minNum":1,"maxNum":1,"sumNum":1}}}}`,
+		// A lattice without the monoids a profile renders from.
+		`{"schema":{"k":"num"},"lattice":{"monoids":["hll"],"params":{"hll_precision":8,"bloom_bits":1024,"bloom_hashes":4}}}`,
+	} {
+		if _, err := jsi.UnmarshalProfileJSON([]byte(bad)); err == nil {
+			t.Errorf("accepted %s", bad)
+		}
 	}
 }

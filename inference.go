@@ -103,7 +103,8 @@ type Options struct {
 	// statistics — "ranges" (numeric min/max), "hll" (approximate
 	// distinct values), "bloom" (membership sketch), "formats" (string
 	// format detection), "lengths" (array lengths), "numprec" (number
-	// precision) — or "all". Each entry may itself be a comma-separated
+	// precision), "counts" (per-kind counts, string byte lengths, exact
+	// numeric means) — or "all". Each entry may itself be a comma-separated
 	// list, matching flag syntax. Results surface on the Schema:
 	// JSONSchema output gains annotations, EnrichmentJSON reports them
 	// per path, and Repository snapshots persist them. Enrichment is

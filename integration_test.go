@@ -6,6 +6,7 @@ package jsoninference_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -67,7 +68,7 @@ func TestEquivalenceOfInferencePaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := jsi.ProfileNDJSON(data, jsi.Options{})
+		prof, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(data), jsi.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

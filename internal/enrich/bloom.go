@@ -19,20 +19,10 @@ type bloom struct {
 	invalid bool
 }
 
+// newBloom builds the empty filter; p is within the bounds
+// ParseSetParams enforces, so the bits fill whole bytes.
 func newBloom(p Params) Monoid {
-	m := p.BloomBits
-	if m < 64 {
-		m = 64
-	}
-	m = (m + 7) &^ 7 // whole bytes
-	k := p.BloomHashes
-	if k < 1 {
-		k = 1
-	}
-	if k > 16 {
-		k = 16
-	}
-	return &bloom{m: m, k: k, bits: make([]byte, m/8)}
+	return &bloom{m: p.BloomBits, k: p.BloomHashes, bits: make([]byte, p.BloomBits/8)}
 }
 
 type wireBloom struct {
@@ -97,6 +87,7 @@ func (b *bloom) Null()         { b.observe(hashNull()) }
 func (b *bloom) Bool(v bool)   { b.observe(hashBool(v)) }
 func (b *bloom) Num(f float64) { b.observe(hashNum(f)) }
 func (b *bloom) Str(s string)  { b.observe(hashStr(s)) }
+func (b *bloom) Object()       {}
 func (b *bloom) ArrayLen(int)  {}
 
 func (b *bloom) zero() bool {

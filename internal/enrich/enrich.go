@@ -2,8 +2,11 @@
 // structural inference, in the same single pass: numeric ranges,
 // approximate distinct counts (HyperLogLog), Bloom-filter value
 // sketches, string format detection, array-length and number-precision
-// stats. The design follows JSONoid ("Monoid-based Enrichment for
-// Configurable and Scalable Data-Driven Schema Discovery", PAPERS.md):
+// stats, and per-kind occurrence counts. A profile (profile.go) renders
+// the lattice as an annotated schema, the statistics-enriched schemas
+// of the paper's Section 7. The design follows JSONoid ("Monoid-based
+// Enrichment for Configurable and Scalable Data-Driven Schema
+// Discovery", PAPERS.md):
 // every statistic is a commutative monoid — an empty identity plus an
 // associative, commutative Merge — so enrichment distributes over any
 // chunking, merge tree, worker count and retry schedule exactly like
@@ -37,12 +40,15 @@ import (
 // the monoidpure analyzer checks this interprocedurally for every
 // Merge in this package, with zero suppressions.
 type Monoid interface {
-	// Observation hooks, one per scalar kind plus the array-length
-	// event (fired once per array with its element count).
+	// Observation hooks, one per scalar kind plus the object event
+	// (fired once per object as it opens) and the array-length event
+	// (fired once per array with its element count), both on the
+	// composite's own node.
 	Null()
 	Bool(b bool)
 	Num(f float64)
 	Str(s string)
+	Object()
 	ArrayLen(n int)
 
 	// Empty reports whether the state equals the identity. Empty
@@ -94,6 +100,9 @@ type Def struct {
 // serialized state, so lattices built with different knobs still merge
 // deterministically (mismatched sketches collapse to the absorbing
 // invalid state rather than silently combining incompatible registers).
+// ParseSetParams accepts only geometry the sketches can honour:
+// HLLPrecision in 4..16, BloomHashes in 1..16, and BloomBits a multiple
+// of 8 in 64..MaxBloomBits.
 type Params struct {
 	// HLLPrecision is the HyperLogLog register-index width p; the
 	// sketch keeps 2^p one-byte registers (p=8 → 256 B, ~6.5% relative
@@ -108,6 +117,25 @@ type Params struct {
 // DefaultParams are the knobs used when none are given.
 func DefaultParams() Params {
 	return Params{HLLPrecision: 8, BloomBits: 1024, BloomHashes: 4}
+}
+
+// MaxBloomBits caps Params.BloomBits at 8 KiB of filter per lattice
+// node, 64 times the default. Every node allocates its filter up front,
+// so a larger value read from a serialized lattice would cost that
+// memory per path before any data arrived.
+const MaxBloomBits = 1 << 16
+
+// validate rejects sketch geometry the constructors cannot honour.
+func (p Params) validate() error {
+	switch {
+	case p.HLLPrecision < 4 || p.HLLPrecision > 16:
+		return fmt.Errorf("enrich: hll_precision %d outside 4..16", p.HLLPrecision)
+	case p.BloomHashes < 1 || p.BloomHashes > 16:
+		return fmt.Errorf("enrich: bloom_hashes %d outside 1..16", p.BloomHashes)
+	case p.BloomBits < 64 || p.BloomBits > MaxBloomBits || p.BloomBits%8 != 0:
+		return fmt.Errorf("enrich: bloom_bits %d is not a multiple of 8 in 64..%d", p.BloomBits, MaxBloomBits)
+	}
+	return nil
 }
 
 // merge combines two parameter sets field-wise by maximum — the only
@@ -132,6 +160,7 @@ func catalogue() []Def {
 		{Name: "formats", Kind: KindString, New: newFormats, Unmarshal: unmarshalFormats},
 		{Name: "lengths", Kind: KindArray, New: newLengths, Unmarshal: unmarshalLengths},
 		{Name: "numprec", Kind: KindNumber, New: newNumPrec, Unmarshal: unmarshalNumPrec},
+		{Name: "counts", Kind: KindValue, New: newCounts, Unmarshal: unmarshalCounts},
 	}
 }
 
@@ -160,8 +189,12 @@ func ParseSet(names []string) (*Set, error) {
 	return ParseSetParams(names, DefaultParams())
 }
 
-// ParseSetParams is ParseSet with explicit sketch knobs.
+// ParseSetParams is ParseSet with explicit sketch knobs, which must be
+// within the bounds Params documents.
 func ParseSetParams(names []string, p Params) (*Set, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	want := make(map[string]bool)
 	for _, entry := range names {
 		for _, name := range strings.Split(entry, ",") {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ var randNums = []float64{
 func observeRandom(r *rand.Rand, m Monoid) {
 	n := r.Intn(24)
 	for i := 0; i < n; i++ {
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0:
 			m.Null()
 		case 1:
@@ -57,6 +58,8 @@ func observeRandom(r *rand.Rand, m Monoid) {
 			m.ArrayLen(r.Intn(10))
 		case 5:
 			m.Num(float64(r.Intn(5)))
+		case 6:
+			m.Object()
 		}
 	}
 }
@@ -431,5 +434,69 @@ func TestLatticeResetAfterError(t *testing.T) {
 	l.Num(5)
 	if got := l.Report()["$"]["minimum"]; got != float64(5) {
 		t.Fatalf("after Reset, the next value must observe at the root; report %v", l.Report())
+	}
+}
+
+// TestCountsExactSum pins the exact numeric sum: float64 addition would
+// lose the 1 below, and its bits would depend on the order of the adds.
+func TestCountsExactSum(t *testing.T) {
+	for _, order := range [][]float64{{1e17, 1, -1e17}, {1, 1e17, -1e17}, {-1e17, 1e17, 1}} {
+		c := newCounts(DefaultParams()).(*counts)
+		for _, f := range order {
+			c.Num(f)
+		}
+		if got := c.sumRat().RatString(); got != "1" {
+			t.Errorf("sum of %v = %s, want 1", order, got)
+		}
+	}
+	c := newCounts(DefaultParams()).(*counts)
+	c.Num(0.1)
+	c.Num(0.2)
+	state, err := c.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"num":2,"num_sum":"0.3000000000000000166533453693773481063544750213623046875"}`; string(state) != want {
+		t.Errorf("state = %s, want %s", state, want)
+	}
+	if m := c.mean(); m != 0.15000000000000002 {
+		t.Errorf("mean = %v, want the float64 nearest the exact mean", m)
+	}
+	for _, sum := range []string{`"1e5"`, `"0.1"`, `"1/2"`, `"0x10"`, `"` + strings.Repeat("1", maxSumText+1) + `"`} {
+		if _, err := unmarshalCounts([]byte(`{"num":1,"num_sum":`+sum+`}`), DefaultParams()); err == nil {
+			t.Errorf("num_sum %.20s accepted", sum)
+		}
+	}
+}
+
+// TestParseSetParamsBounds: sketch geometry read from the wire is
+// checked before any sketch is built. Unchecked, the first document
+// allocated 128 MiB per lattice node and the second panicked.
+func TestParseSetParamsBounds(t *testing.T) {
+	for _, params := range []string{
+		`{"hll_precision":8,"bloom_bits":1073741824,"bloom_hashes":4}`,
+		`{"hll_precision":8,"bloom_bits":9223372036854775800,"bloom_hashes":4}`,
+		`{"hll_precision":8,"bloom_bits":1004,"bloom_hashes":4}`,
+		`{"hll_precision":8,"bloom_bits":56,"bloom_hashes":4}`,
+		`{"hll_precision":8,"bloom_bits":1024,"bloom_hashes":0}`,
+		`{"hll_precision":8,"bloom_bits":1024,"bloom_hashes":17}`,
+		`{"hll_precision":3,"bloom_bits":1024,"bloom_hashes":4}`,
+		`{"hll_precision":17,"bloom_bits":1024,"bloom_hashes":4}`,
+		`{}`,
+	} {
+		doc := `{"monoids":["bloom","hll"],"params":` + params + `}`
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalLattice([]byte(doc))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("params %s accepted", params)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("params %s: rejecting them allocated %d bytes", params, grew)
+		}
+	}
+	if _, err := ParseSetParams([]string{"all"}, Params{HLLPrecision: 16, BloomBits: MaxBloomBits, BloomHashes: 16}); err != nil {
+		t.Errorf("the largest valid geometry is rejected: %v", err)
 	}
 }

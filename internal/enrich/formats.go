@@ -43,6 +43,7 @@ func unmarshalFormats(data []byte, _ Params) (Monoid, error) {
 func (f *formats) Null()        {}
 func (f *formats) Bool(bool)    {}
 func (f *formats) Num(float64)  {}
+func (f *formats) Object()      {}
 func (f *formats) ArrayLen(int) {}
 
 func (f *formats) Str(s string) {

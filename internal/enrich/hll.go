@@ -26,15 +26,10 @@ type hll struct {
 	invalid bool
 }
 
+// newHLL builds the empty sketch; p is within the bounds ParseSetParams
+// enforces.
 func newHLL(p Params) Monoid {
-	prec := p.HLLPrecision
-	if prec < 4 {
-		prec = 4
-	}
-	if prec > 16 {
-		prec = 16
-	}
-	return &hll{p: prec, reg: make([]byte, 1<<prec)}
+	return &hll{p: p.HLLPrecision, reg: make([]byte, 1<<p.HLLPrecision)}
 }
 
 type wireHLL struct {
@@ -81,6 +76,7 @@ func (h *hll) Null()         { h.observe(hashNull()) }
 func (h *hll) Bool(b bool)   { h.observe(hashBool(b)) }
 func (h *hll) Num(f float64) { h.observe(hashNum(f)) }
 func (h *hll) Str(s string)  { h.observe(hashStr(s)) }
+func (h *hll) Object()       {}
 func (h *hll) ArrayLen(int)  {}
 
 func (h *hll) zero() bool {

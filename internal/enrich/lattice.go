@@ -83,7 +83,8 @@ func (l *Lattice) cur() *node {
 
 // The observer hooks (see internal/infer.Observer). Scalars dispatch
 // to every state of the current node; composites push/pop walk frames,
-// and closing an array fires the length event on the array's own node.
+// opening an object fires the object event and closing an array fires
+// the length event, both on the composite's own node.
 
 func (l *Lattice) Null() {
 	for _, s := range l.cur().states {
@@ -110,7 +111,11 @@ func (l *Lattice) Str(s string) {
 }
 
 func (l *Lattice) BeginObject() {
-	l.stack = append(l.stack, frame{n: l.cur()})
+	n := l.cur()
+	for _, s := range n.states {
+		s.Object()
+	}
+	l.stack = append(l.stack, frame{n: n})
 }
 
 func (l *Lattice) Key(k string) {
@@ -373,6 +378,9 @@ func (n *node) unwire(s *Set, w *wireNode) error {
 		n.states[i] = st
 	}
 	for k, cw := range w.Fields {
+		if cw == nil {
+			continue
+		}
 		child := s.newNode()
 		if err := child.unwire(s, cw); err != nil {
 			return err

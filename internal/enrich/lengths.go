@@ -27,6 +27,7 @@ func (l *lengths) Null()         {}
 func (l *lengths) Bool(bool)     {}
 func (l *lengths) Num(float64)   {}
 func (l *lengths) Str(string)    {}
+func (l *lengths) Object()       {}
 func (l *lengths) Empty() bool   { return l.Count == 0 }
 func (l *lengths) Clone() Monoid { c := *l; return &c }
 

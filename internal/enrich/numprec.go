@@ -31,6 +31,7 @@ func unmarshalNumPrec(data []byte, _ Params) (Monoid, error) {
 func (n *numPrec) Null()        {}
 func (n *numPrec) Bool(bool)    {}
 func (n *numPrec) Str(string)   {}
+func (n *numPrec) Object()      {}
 func (n *numPrec) ArrayLen(int) {}
 func (n *numPrec) Empty() bool  { return n.Ints == 0 && n.Fracs == 0 }
 func (n *numPrec) Clone() Monoid {

@@ -25,6 +25,7 @@ func unmarshalRanges(data []byte, _ Params) (Monoid, error) {
 func (r *ranges) Null()         {}
 func (r *ranges) Bool(bool)     {}
 func (r *ranges) Str(string)    {}
+func (r *ranges) Object()       {}
 func (r *ranges) ArrayLen(int)  {}
 func (r *ranges) Empty() bool   { return r.Count == 0 }
 func (r *ranges) Clone() Monoid { c := *r; return &c }

@@ -189,8 +189,14 @@ func TestTable6(t *testing.T) {
 	}
 }
 
+// TestTable7ShowsSkewPenalty checks the simulation at a fixed compute
+// rate: the calibrated rate follows the host's load, and at 2 MB/s the
+// skewed placement already keeps 5 of 6 nodes busy.
 func TestTable7ShowsSkewPenalty(t *testing.T) {
-	tab, err := Table7(tinyCfg())
+	if tab, err := Table7(tinyCfg()); err != nil || len(tab.Rows) != 2 {
+		t.Fatalf("Table7: %d rows, err %v", len(tab.Rows), err)
+	}
+	tab, err := table7At(15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,6 +116,13 @@ func Table7(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	return table7At(mbps)
+}
+
+// table7At simulates Table 7 at a per-core compute rate of mbps MB/s.
+// How many nodes the skewed placement keeps busy depends on the rate,
+// so the tests pin it instead of calibrating.
+func table7At(mbps float64) (Table, error) {
 	sim := cluster.PaperCluster(mbps)
 	const paperBytes = 22e9 // Table 1: NYTimes 1M+ records = 22 GB
 	sizes := cluster.SplitBytes(paperBytes, 176)

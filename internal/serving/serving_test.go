@@ -321,6 +321,26 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotPutRejectsSketchGeometry: a restored snapshot whose
+// enrichment params would make every lattice node allocate a huge
+// sketch (or panic) is a client error, and the server keeps serving.
+func TestSnapshotPutRejectsSketchGeometry(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	ingest(t, hs.URL, "live", "default", []byte(`{"a":1}`+"\n"))
+	_, wantSchema := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil)
+	for _, bits := range []string{"1073741824", "9223372036854775800"} {
+		snap := `{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` +
+			`{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":` + bits + `,"bloom_hashes":4}}}]}`
+		if status, body := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/bomb/snapshot", []byte(snap)); status != http.StatusBadRequest {
+			t.Errorf("bloom_bits %s: status %d (%s), want 400", bits, status, body)
+		}
+	}
+	if status, got := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil); status != http.StatusOK || !bytes.Equal(got, wantSchema) {
+		t.Errorf("after the rejected restores: status %d, schema %s, want %s", status, got, wantSchema)
+	}
+	ingest(t, hs.URL, "bomb", "default", []byte(`{"b":2}`+"\n"))
+}
+
 // TestEnrichmentEndToEnd drives the enrichment lattice through the
 // whole serving surface: server-wide -enrich config, the per-request
 // ingest override, the format=enrich report, the enrich=off strip, and

@@ -3,6 +3,7 @@ package jsoninference_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +104,27 @@ func TestRepositorySaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := jsi.LoadRepository(strings.NewReader("{not json")); err == nil {
 		t.Error("LoadRepository accepted malformed input")
+	}
+}
+
+// TestLoadRepositoryRejectsSketchGeometry: a snapshot's enrichment
+// params are checked before any sketch is built. Unchecked, the first
+// snapshot loaded after allocating 128 MiB for its one lattice node and
+// the second panicked.
+func TestLoadRepositoryRejectsSketchGeometry(t *testing.T) {
+	for _, bits := range []string{"1073741824", "9223372036854775800"} {
+		snap := `{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` +
+			`{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":` + bits + `,"bloom_hashes":4}}}]}`
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := jsi.LoadRepository(strings.NewReader(snap))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("bloom_bits %s: snapshot loaded", bits)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("bloom_bits %s: rejecting the snapshot allocated %d bytes", bits, grew)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package jsoninference
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/jsontext"
 	"repro/internal/mapreduce"
 	"repro/internal/pipeline"
-	"repro/internal/value"
 )
 
 // A Source is an input to Infer: a byte buffer, a stream, a file or a
@@ -26,11 +24,6 @@ type Source interface {
 	// the run's cross-cutting state (fusion policy, workers, failure
 	// policy, recorder, progress hook, dedup machinery).
 	run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error)
-	// scan decodes the input's values sequentially, calling fn for each
-	// and checking ctx between records; it returns the number of input
-	// bytes consumed. InferProfile drives this path — profiling needs
-	// the values themselves, not just their types.
-	scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error)
 }
 
 // FromBytes is an in-memory NDJSON buffer (one or more
@@ -134,10 +127,6 @@ func (s bytesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats
 	return schema, st, nil
 }
 
-func (s bytesSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error) {
-	return scanStream(ctx, env, bytes.NewReader(s.data), fn)
-}
-
 // readerSource implements FromReader: the sequential constant-memory
 // driver over the same accumulator stages.
 type readerSource struct{ r io.Reader }
@@ -150,10 +139,6 @@ func (s readerSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stat
 	st, schema := typeStats(pipeline.Fold(out))
 	st.Bytes = n
 	return schema, st, nil
-}
-
-func (s readerSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error) {
-	return scanStream(ctx, env, s.r, fn)
 }
 
 // chunkedSource implements FromChunkedReader: the stream feeds the
@@ -176,10 +161,6 @@ func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Sta
 	st.Retries = mrst.Retries
 	st.QuarantinedChunks = len(mrst.Quarantined)
 	return schema, st, nil
-}
-
-func (s chunkedSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error) {
-	return scanStream(ctx, env, s.r, fn)
 }
 
 // chunkPool recycles chunk buffers across every chunked run of the
@@ -237,52 +218,6 @@ func (s filesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats
 	st, schema := typeStats(pipeline.Fold(merged))
 	st.Bytes, st.Retries, st.QuarantinedChunks = feed.Bytes, feed.Retries, feed.QuarantinedChunks
 	return schema, st, nil
-}
-
-func (s filesSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error) {
-	var total int64
-	for _, path := range s.paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return total, &FeedError{Path: path, Err: err}
-		}
-		n, err := scanStream(ctx, env, f, fn)
-		total += n
-		cerr := f.Close()
-		if err != nil {
-			return total, fmt.Errorf("%s: %w", path, err)
-		}
-		if cerr != nil {
-			return total, &FeedError{Path: path, Err: cerr}
-		}
-	}
-	return total, nil
-}
-
-// scanStream decodes JSON values sequentially from r, calling fn for
-// each. Cancellation takes effect between records, like the streaming
-// inference path. Returns the number of bytes consumed.
-func scanStream(ctx context.Context, env *pipeline.Env, r io.Reader, fn func(value.Value) error) (int64, error) {
-	p := jsontext.NewParser(r, jsontext.Options{MaxDepth: env.MaxDepth})
-	var records int64
-	for {
-		select {
-		case <-ctx.Done():
-			return p.Offset(), fmt.Errorf("record %d: %w", records+1, ctx.Err())
-		default:
-		}
-		v, err := p.Next()
-		if err == io.EOF {
-			return p.Offset(), nil
-		}
-		if err != nil {
-			return p.Offset(), fmt.Errorf("record %d: %w", records+1, err)
-		}
-		if err := fn(v); err != nil {
-			return p.Offset(), err
-		}
-		records++
-	}
 }
 
 // runFilePipeline feeds one file through the chunked pipeline. The

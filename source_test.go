@@ -206,9 +206,12 @@ func TestOptionsValidation(t *testing.T) {
 		}},
 		{"InferFile", func(o jsi.Options) error { _, _, err := jsi.InferFile("/dev/null", o); return err }},
 		{"InferFiles", func(o jsi.Options) error { _, _, err := jsi.InferFiles([]string{"/dev/null"}, o); return err }},
-		{"ProfileNDJSON", func(o jsi.Options) error { _, err := jsi.ProfileNDJSON(data, o); return err }},
-		{"ProfileReader", func(o jsi.Options) error {
-			_, err := jsi.ProfileReader(strings.NewReader(`{"a":1}`), o)
+		{"InferProfile", func(o jsi.Options) error {
+			_, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(data), o)
+			return err
+		}},
+		{"InferProfileFromReader", func(o jsi.Options) error {
+			_, _, err := jsi.InferProfile(context.Background(), jsi.FromReader(strings.NewReader(`{"a":1}`)), o)
 			return err
 		}},
 	}
