@@ -84,10 +84,10 @@ func benchDatasetTable(b *testing.B, name string) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.Summary.Distinct()), "distinct-types")
-	b.ReportMetric(res.Summary.AvgSize(), "avg-type-size")
+	b.ReportMetric(float64(res.DistinctTypes), "distinct-types")
+	b.ReportMetric(res.AvgTypeSize, "avg-type-size")
 	b.ReportMetric(float64(res.Fused.Size()), "fused-size")
-	if avg := res.Summary.AvgSize(); avg > 0 {
+	if avg := res.AvgTypeSize; avg > 0 {
 		b.ReportMetric(float64(res.Fused.Size())/avg, "fused-to-avg-ratio")
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	jsi "repro"
 	"repro/internal/dataset"
-	"repro/internal/schemarepo"
 )
 
 func main() {
@@ -47,7 +46,7 @@ func main() {
 	}
 
 	// Pass 1: infer each partition in isolation, store its schema.
-	repo := schemarepo.New()
+	repo := jsi.NewRepository()
 	fmt.Println("partition        records   schema-size   time")
 	for i, path := range paths {
 		data, err := os.ReadFile(path)
@@ -67,7 +66,7 @@ func main() {
 		if err != nil || !stored.Equal(schema) {
 			log.Fatal("schema persistence round trip failed")
 		}
-		repoSet(repo, fmt.Sprintf("partition-%d", i+1), schema, stats.Records)
+		repo.Append(fmt.Sprintf("partition-%d", i+1), schema, stats.Records)
 		fmt.Printf("partition-%d      %7d   %11d   %s\n", i+1, stats.Records, schema.Size(), time.Since(t0).Round(time.Millisecond))
 	}
 
@@ -76,7 +75,8 @@ func main() {
 	global := repo.Schema()
 	fmt.Printf("\nglobal schema: %d nodes, fused in %s\n", global.Size(), time.Since(t0).Round(time.Microsecond))
 
-	// An update lands in partition 2: re-infer just that partition.
+	// An update lands in partition 2: re-infer just that partition and
+	// replace its schema.
 	update := dataset.NDJSON(gen, 150, 99)
 	if err := os.WriteFile(paths[1], update, 0o600); err != nil {
 		log.Fatal(err)
@@ -89,7 +89,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	repoSet(repo, "partition-2", schema, stats.Records)
+	repo.DropPartition("partition-2")
+	repo.Append("partition-2", schema, stats.Records)
 	fmt.Printf("\nafter updating partition-2 (%d records re-inferred, others untouched):\n", stats.Records)
 	fmt.Printf("global schema: %d nodes\n", repo.Schema().Size())
 
@@ -100,18 +101,6 @@ func main() {
 	}
 	same := full.String() == repo.Schema().String()
 	fmt.Printf("incremental refresh == full re-run: %v\n", same)
-}
-
-// repoSet stores a facade schema in the repository via its codec
-// encoding.
-func repoSet(repo *schemarepo.Repo, part string, schema *jsi.Schema, count int64) {
-	raw, err := schema.MarshalJSON()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := repo.SetPartitionJSON(part, raw, count); err != nil {
-		log.Fatal(err)
-	}
 }
 
 // splitLines cuts NDJSON into n line-aligned chunks.

@@ -18,9 +18,10 @@ import (
 //
 // Roots:
 //
-//   - every Add/Merge/Fold method of an accumulator-shaped type: a
-//     named non-interface type whose pointer method set carries all
-//     three (the duck-typed form of pipeline.Accumulator);
+//   - the Merge and Fold methods of an accumulator-shaped type — a
+//     named non-interface type whose pointer method set carries both
+//     (the duck-typed form of pipeline.Accumulator) — and its Add
+//     method when it declares one;
 //   - every function or method of repro/internal/fusion whose name
 //     involves fusing, simplifying or collapsing — the Fuse/Simplify
 //     paths;
@@ -59,10 +60,6 @@ var nameRoots = map[string][]string{
 	fusionPkgPath: {"fuse", "simplify", "collapse"},
 	enrichPkgPath: {"merge", "fold", "union", "absorb"},
 }
-
-// monoidMethodNames are the accumulator operations checked on
-// accumulator-shaped types.
-var monoidMethodNames = map[string]bool{"Add": true, "Merge": true, "Fold": true}
 
 func runMonoidPure(pass *Pass) {
 	if pass.Sums == nil {
@@ -117,21 +114,22 @@ func monoidRoots(pass *Pass) []*types.Func {
 		}
 		ms := types.NewMethodSet(types.NewPointer(named))
 		var ops []*types.Func
+		shaped := true
 		for _, mname := range [...]string{"Add", "Fold", "Merge"} {
-			sel := ms.Lookup(pass.Pkg, mname)
-			if sel == nil {
-				break
+			var fn *types.Func
+			if sel := ms.Lookup(pass.Pkg, mname); sel != nil {
+				fn, _ = sel.Obj().(*types.Func)
 			}
-			fn, ok := sel.Obj().(*types.Func)
 			// Only methods declared in the package under analysis: a
 			// promoted method from an embedded foreign type is that
 			// package's to check.
-			if !ok || fn.Pkg() != pass.Pkg {
-				break
+			if fn == nil || fn.Pkg() != pass.Pkg {
+				shaped = shaped && mname == "Add" // Add is optional
+				continue
 			}
 			ops = append(ops, fn)
 		}
-		if len(ops) == len(monoidMethodNames) {
+		if shaped {
 			for _, fn := range ops {
 				add(fn)
 			}

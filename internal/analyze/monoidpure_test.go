@@ -12,29 +12,8 @@ import (
 // operand-mutating enrichment merge fails repolint, not just the
 // conformance harness.
 func TestMonoidPureRootsEnrich(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := loader.Load(filepath.Join(loader.root, "internal", "enrich"))
-	if err != nil {
-		t.Fatalf("Load(internal/enrich): %v", err)
-	}
-	if len(pkgs) != 1 || pkgs[0].Path != "repro/internal/enrich" {
-		t.Fatalf("loaded %+v, want one package repro/internal/enrich", pkgs)
-	}
+	pkgs, names := loadMonoidRoots(t, "enrich")
 	pkg := pkgs[0]
-	pass := &Pass{
-		Analyzer: MonoidPure,
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
-	}
-	names := make(map[string]bool)
-	for _, fn := range monoidRoots(pass) {
-		names[rootDisplayName(fn)] = true
-	}
 	for _, want := range []string{
 		"Lattice.Merge", "node.merge", "Union", "node.absorb",
 		"ranges.Merge", "hll.Merge", "bloom.Merge", "formats.Merge",
@@ -57,4 +36,50 @@ func TestMonoidPureRootsEnrich(t *testing.T) {
 	if len(sup) > 0 {
 		t.Errorf("internal/enrich carries lint:ignore suppression(s) in %d file(s); enrichment merge paths must be clean without them", len(sup))
 	}
+}
+
+// TestMonoidPureRootsPipeline pins that both pipeline accumulators are
+// rooted although the chunk accumulator has no Add: Merge and Fold make
+// a type accumulator-shaped, so chunkAcc.Merge's reach into
+// stats.Summary.Merge and intern.Multiset.Merge is checked.
+func TestMonoidPureRootsPipeline(t *testing.T) {
+	_, names := loadMonoidRoots(t, "pipeline")
+	for _, want := range []string{
+		"chunkAcc.Merge", "chunkAcc.Fold",
+		"streamAcc.Add", "streamAcc.Merge", "streamAcc.Fold",
+	} {
+		if !names[want] {
+			t.Errorf("monoidRoots missed %s (got %v)", want, names)
+		}
+	}
+}
+
+// loadMonoidRoots loads repro/internal/<dir> and returns it with the
+// display names of its monoidpure roots.
+func loadMonoidRoots(t *testing.T, dir string) ([]*Package, map[string]bool) {
+	t.Helper()
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := loader.Load(filepath.Join(loader.root, "internal", dir))
+	if err != nil {
+		t.Fatalf("Load(internal/%s): %v", dir, err)
+	}
+	if want := "repro/internal/" + dir; len(pkgs) != 1 || pkgs[0].Path != want {
+		t.Fatalf("loaded %+v, want one package %s", pkgs, want)
+	}
+	pkg := pkgs[0]
+	pass := &Pass{
+		Analyzer: MonoidPure,
+		Fset:     pkg.Fset,
+		Files:    pkg.Files,
+		Pkg:      pkg.Types,
+		Info:     pkg.Info,
+	}
+	names := make(map[string]bool)
+	for _, fn := range monoidRoots(pass) {
+		names[rootDisplayName(fn)] = true
+	}
+	return pkgs, names
 }

@@ -1,7 +1,7 @@
 // Package fixture holds known-bad and known-good snippets for the
 // monoidpure analyzer's golden tests. Every type here is
-// accumulator-shaped (Add/Merge/Fold in its pointer method set), which
-// makes its three methods monoid roots.
+// accumulator-shaped (Merge and Fold in its pointer method set), which
+// makes those methods, and Add where declared, monoid roots.
 package fixture
 
 import (
@@ -104,3 +104,15 @@ func (t *TimedAcc) Merge(o *TimedAcc) {
 }
 
 func (t *TimedAcc) Fold() int { return t.n }
+
+// PairAcc has no Add: Merge and Fold alone (the pipeline.Accumulator
+// contract) make a type accumulator-shaped, so its operand write is
+// still caught.
+type PairAcc struct{ parts []int }
+
+func (p *PairAcc) Merge(o *PairAcc) {
+	p.parts = append(p.parts, o.parts...)
+	o.parts = nil // want "must not mutate its parameter o"
+}
+
+func (p *PairAcc) Fold() int { return len(p.parts) }

@@ -1,8 +1,9 @@
 // Package monoidtest is the shared conformance harness for every
 // commutative monoid in the repository: the enrichment monoids and the
 // Lattice (internal/enrich), the pipeline accumulators
-// (internal/pipeline), obs metric snapshots (internal/obs) and the
-// intern multiset (internal/intern) all run the same property suite —
+// (internal/pipeline), obs metric snapshots (internal/obs), the intern
+// multiset (internal/intern) and the type-size tallies (internal/stats)
+// all run the same property suite —
 // identity, commutativity, associativity, random merge trees versus
 // the sequential fold, non-mutation of the second operand, and (when
 // the subject serializes) byte-stable serialization round-trips.

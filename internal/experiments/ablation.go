@@ -14,6 +14,7 @@ import (
 	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/mapreduce"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -34,15 +35,28 @@ func AblationSuccinctness(cfg Config) (Table, error) {
 	scales := cfg.scales()
 	n := scales[len(scales)-1].N
 	for _, name := range dataset.PaperNames() {
-		res, err := RunPipeline(context.Background(), name, n, cfg)
+		g, err := dataset.New(name)
 		if err != nil {
 			return Table{}, err
 		}
-		sumDistinct := res.Summary.DistinctSizeSum()
+		data := dataset.NDJSON(g, n, cfg.seed())
+		res, err := RunPipelineOverNDJSON(context.Background(), data, cfg)
+		if err != nil {
+			return Table{}, err
+		}
+		ts, err := infer.InferAll(data)
+		if err != nil {
+			return Table{}, err
+		}
+		var sum stats.Summary
+		for _, tt := range ts {
+			sum.Add(tt)
+		}
+		sumDistinct := sum.DistinctSizeSum()
 		comp := float64(sumDistinct) / float64(res.Fused.Size())
 		t.Rows = append(t.Rows, []string{
 			name,
-			fmt.Sprintf("%d", res.Summary.Distinct()),
+			fmt.Sprintf("%d", sum.Distinct()),
 			fmt.Sprintf("%d", sumDistinct),
 			fmt.Sprintf("%d", res.Fused.Size()),
 			fmt.Sprintf("%.1fx", comp),

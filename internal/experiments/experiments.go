@@ -25,7 +25,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -119,11 +118,10 @@ type PipelineResult struct {
 	N       int
 	// Bytes is the NDJSON size of the input (the Table 1 measurement).
 	Bytes int64
-	// Summary holds the distinct/min/max/avg measurements of Tables 2-5.
-	Summary stats.Summary
-	// Fused is the final schema; its Size is the "fused type size"
-	// column.
-	Fused types.Type
+	// Result holds the fused schema, whose Size is the "fused type size"
+	// column, and the record count and distinct/min/max/avg type
+	// measurements of Tables 2-5.
+	pipeline.Result
 	// InferTime is the total time spent parsing + inferring types
 	// (summed across workers), FuseTime the total time fusing, and Wall
 	// the end-to-end elapsed time — the Table 6 measurements.
@@ -174,21 +172,17 @@ func RunPipelineOverNDJSON(ctx context.Context, data []byte, cfg Config) (Pipeli
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	fold := pipeline.Fold(out)
 	res := PipelineResult{
 		Bytes:       int64(len(data)),
-		Fused:       fold.Fused,
+		Result:      pipeline.Fold(out),
 		InferTime:   time.Duration(ph.InferNS.Load()),
 		FuseTime:    time.Duration(ph.FuseNS.Load()),
 		Wall:        time.Since(wall0),
 		Retries:     mrst.Retries,
 		Quarantined: len(mrst.Quarantined),
 	}
-	if fold.Summary != nil {
-		res.Summary = *fold.Summary
-	}
 	if rec := cfg.Recorder; rec != nil {
-		rec.Add("experiments_records", res.Summary.Count())
+		rec.Add("experiments_records", res.Records)
 		rec.Add("experiments_bytes", res.Bytes)
 		rec.Add("experiments_infer_ns", ph.InferNS.Load())
 		rec.Add("experiments_fuse_ns", ph.FuseNS.Load())

@@ -46,8 +46,8 @@ func TestRunPipelineBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.Count() != 300 {
-		t.Errorf("Count = %d", res.Summary.Count())
+	if res.Records != 300 {
+		t.Errorf("Count = %d", res.Records)
 	}
 	if res.Bytes <= 0 {
 		t.Error("no bytes measured")
@@ -81,7 +81,7 @@ func TestRunPipelineDeterministicSchema(t *testing.T) {
 	if !types.Equal(a.Fused, b.Fused) {
 		t.Error("pipeline schema not deterministic")
 	}
-	if a.Summary.Distinct() != b.Summary.Distinct() {
+	if a.DistinctTypes != b.DistinctTypes {
 		t.Error("distinct counts not deterministic")
 	}
 }
@@ -395,8 +395,8 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 	if !types.Equal(res.Fused, clean.Fused) {
 		t.Errorf("retried run fused %s, clean run %s", res.Fused, clean.Fused)
 	}
-	if res.Summary.Count() != clean.Summary.Count() {
-		t.Errorf("records = %d, want %d", res.Summary.Count(), clean.Summary.Count())
+	if res.Records != clean.Records {
+		t.Errorf("records = %d, want %d", res.Records, clean.Records)
 	}
 	if res.Retries == 0 {
 		t.Error("Retries = 0, want > 0")
@@ -429,7 +429,7 @@ func TestPipelineSkipQuarantinesChunk(t *testing.T) {
 	if res.Quarantined != 1 {
 		t.Fatalf("Quarantined = %d, want 1", res.Quarantined)
 	}
-	if res.Summary.Count() >= clean.Summary.Count() {
-		t.Errorf("skipped run counted %d records, clean %d: the quarantined chunk's records should be missing", res.Summary.Count(), clean.Summary.Count())
+	if res.Records >= clean.Records {
+		t.Errorf("skipped run counted %d records, clean %d: the quarantined chunk's records should be missing", res.Records, clean.Records)
 	}
 }

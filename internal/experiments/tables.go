@@ -61,15 +61,15 @@ func DatasetTable(name string, cfg Config) (Table, error) {
 			return Table{}, err
 		}
 		ratio := 0.0
-		if res.Summary.AvgSize() > 0 {
-			ratio = float64(res.Fused.Size()) / res.Summary.AvgSize()
+		if res.AvgTypeSize > 0 {
+			ratio = float64(res.Fused.Size()) / res.AvgTypeSize
 		}
 		t.Rows = append(t.Rows, []string{
 			s.Label,
-			fmt.Sprintf("%d", res.Summary.Distinct()),
-			fmt.Sprintf("%d", res.Summary.MinSize()),
-			fmt.Sprintf("%d", res.Summary.MaxSize()),
-			fmt.Sprintf("%.1f", res.Summary.AvgSize()),
+			fmt.Sprintf("%d", res.DistinctTypes),
+			fmt.Sprintf("%d", res.MinTypeSize),
+			fmt.Sprintf("%d", res.MaxTypeSize),
+			fmt.Sprintf("%.1f", res.AvgTypeSize),
 			fmt.Sprintf("%d", res.Fused.Size()),
 			fmt.Sprintf("%.2f", ratio),
 		})
@@ -206,8 +206,8 @@ func Table8(cfg Config) (Table, error) {
 		totalTime += reports[0].Makespan
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("partition %d", i+1),
-			fmt.Sprintf("%d", res.Summary.Count()),
-			fmt.Sprintf("%d", res.Summary.Distinct()),
+			fmt.Sprintf("%d", res.Records),
+			fmt.Sprintf("%d", res.DistinctTypes),
 			fmtMinutes(reports[0].Makespan),
 		})
 	}

@@ -1,11 +1,6 @@
 package fusion
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/types"
-)
+import "repro/internal/types"
 
 // A Strategy is a record-fusion policy: it decides how much structure
 // fusion preserves beyond the paper's exact algorithm. Strategies are
@@ -120,24 +115,6 @@ func (s Tagged) params() params {
 		par.maxTagLen = DefaultMaxTagLen
 	}
 	return par
-}
-
-// ParseStrategy resolves a strategy name as accepted by the CLI tools:
-// "paper", "tuples", "tagged" and "tagged+tuples" (the composition of
-// both extensions).
-func ParseStrategy(name string) (Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "paper":
-		return Paper{}, nil
-	case "tuples":
-		return Tuples{}, nil
-	case "tagged", "tagged+paper":
-		return Tagged{}, nil
-	case "tagged+tuples", "tuples+tagged":
-		return Tagged{Inner: Tuples{}}, nil
-	default:
-		return nil, fmt.Errorf("fusion: unknown strategy %q (want paper, tuples, tagged or tagged+tuples)", name)
-	}
 }
 
 // DefaultMaxTupleLen is the tuple-length cutoff used when

@@ -455,17 +455,12 @@ func (d *Decoder) inferArray(depth int) (types.Type, error) {
 
 // InferAll infers one type per top-level JSON value in data.
 func InferAll(data []byte) ([]types.Type, error) {
-	return InferAllObserved(data, nil)
+	return InferAllWith(data, nil, nil)
 }
 
-// InferAllObserved is InferAll with value events reported to obs (when
-// non-nil) — the enrichment-enabled map stage.
-func InferAllObserved(data []byte, obs Observer) ([]types.Type, error) {
-	return InferAllWith(data, obs, nil)
-}
-
-// InferAllWith is InferAllObserved with a tagged-union promoter (both
-// may be nil) — the fully optioned map stage.
+// InferAllWith is InferAll with value events reported to obs and a
+// tagged-union promoter (both may be nil) — the fully optioned map
+// stage.
 func InferAllWith(data []byte, obs Observer, pr Promoter) ([]types.Type, error) {
 	var ts []types.Type
 	d := NewBytesDecoder(data, jsontext.Options{})
@@ -495,18 +490,13 @@ func InferAllWith(data []byte, obs Observer, pr Promoter) ([]types.Type, error) 
 // exactly the same fused type as folding all n per-record types, because
 // fusion is commutative, associative and idempotent.
 func DedupAll(data []byte, tab *intern.Table) (*intern.Multiset, error) {
-	return DedupAllObserved(data, tab, nil)
+	return DedupAllWith(data, tab, nil, nil)
 }
 
-// DedupAllObserved is DedupAll with value events reported to obs (when
-// non-nil). Observation stays per record — the multiset deduplicates
-// types, not values, and enrichment wants every value.
-func DedupAllObserved(data []byte, tab *intern.Table, obs Observer) (*intern.Multiset, error) {
-	return DedupAllWith(data, tab, obs, nil)
-}
-
-// DedupAllWith is DedupAllObserved with a tagged-union promoter (both
-// obs and pr may be nil) — the fully optioned deduplicating map stage.
+// DedupAllWith is DedupAll with value events reported to obs and a
+// tagged-union promoter (both may be nil) — the fully optioned
+// deduplicating map stage. Observation stays per record: the multiset
+// deduplicates types, not values, and enrichment wants every value.
 func DedupAllWith(data []byte, tab *intern.Table, obs Observer, pr Promoter) (*intern.Multiset, error) {
 	ms := intern.NewMultiset()
 	d := NewBytesDecoder(data, jsontext.Options{})

@@ -46,11 +46,6 @@ type Result struct {
 	// type sizes.
 	MinTypeSize, MaxTypeSize int
 	AvgTypeSize              float64
-	// Summary is the plain tally's full measurement payload (exemplars,
-	// distinct sizes), used by the experiments harness. It is set only
-	// when the tally saw every record: on the chunked driver when no
-	// record was interned, as under a nil Env.Dedup.
-	Summary *stats.Summary
 	// Enrichment is the combined enrichment lattice of the run; nil
 	// with Env.Enrich unset (or when nothing was fed).
 	Enrichment *enrich.Lattice
@@ -83,9 +78,10 @@ func Fold(acc Accumulator) Result {
 // through the intern table live in the multiset ms: distinct counts by
 // identity, fusion through the memo. Records typed down the degraded
 // tactic live in the plain tally sum: distinct counts by structural
-// hash. Any mix of the two folds to the same bytes: min, max and the
-// int64 size sum combine exactly, the average is one division, and the
-// distinct count is the union of both portions' structural hashes.
+// hash. Any mix of the two folds to the same bytes: both portions feed
+// one size tally (min, max and an exact int64 sum, so the average is
+// one division), and the distinct count is the union of both portions'
+// structural hashes.
 type chunkAcc struct {
 	// dd is the run's dedup machinery; nil means every record takes the
 	// degraded tactic.
@@ -117,51 +113,39 @@ func (a *chunkAcc) Merge(other Accumulator) {
 }
 
 // Fold combines both portions into the statistics the plain tally alone
-// would derive over every record.
+// would derive over every record: the multiset's elements join a copy
+// of the tally's sizes, and count as distinct unless the tally saw their
+// structural hash.
 func (a *chunkAcc) Fold() Result {
-	r := Result{
+	sizes := a.sum.Sizes
+	distinct := a.sum.Distinct()
+	for _, el := range a.ms.Elems() {
+		sizes.Add(el.Size, el.Count)
+		if !a.sum.Has(types.Hash(el.Type)) {
+			distinct++
+		}
+	}
+	return Result{
 		Fused:         a.fz.Finalize(a.fused),
-		Records:       a.sum.Count(),
-		DistinctTypes: a.sum.Distinct(),
-		MinTypeSize:   a.sum.MinSize(),
-		MaxTypeSize:   a.sum.MaxSize(),
+		Records:       sizes.Count(),
+		DistinctTypes: distinct,
+		MinTypeSize:   sizes.MinSize(),
+		MaxTypeSize:   sizes.MaxSize(),
+		AvgTypeSize:   sizes.AvgSize(),
 		Enrichment:    a.lat,
 	}
-	if a.ms.Len() == 0 {
-		r.Summary = &a.sum
-	}
-	sumSize := a.sum.SizeSum()
-	for _, el := range a.ms.Elems() {
-		if r.Records == 0 || el.Size < r.MinTypeSize {
-			r.MinTypeSize = el.Size
-		}
-		if el.Size > r.MaxTypeSize {
-			r.MaxTypeSize = el.Size
-		}
-		sumSize += int64(el.Size) * el.Count
-		r.Records += el.Count
-		if !a.sum.Has(types.Hash(el.Type)) {
-			r.DistinctTypes++
-		}
-	}
-	if r.Records > 0 {
-		r.AvgTypeSize = float64(sumSize) / float64(r.Records)
-	}
-	return r
 }
 
 // streamAcc is the constant-memory accumulator of the streaming
 // driver: the running fused type, left-folded one record at a time,
-// plus inline size tallies. It never interns and keeps no distinct-type
+// plus the size tally. It never interns and keeps no distinct-type
 // bookkeeping, so memory stays flat however many distinct types the
 // stream holds.
 type streamAcc struct {
-	fz       fusion.Options
-	count    int64
-	sumSize  int64
-	min, max int
-	fused    types.Type
-	lat      *enrich.Lattice
+	fz    fusion.Options
+	sizes stats.Sizes
+	fused types.Type
+	lat   *enrich.Lattice
 }
 
 func newStreamAcc(fz fusion.Options) *streamAcc {
@@ -170,41 +154,26 @@ func newStreamAcc(fz fusion.Options) *streamAcc {
 
 // Add types one record into the accumulator.
 func (a *streamAcc) Add(t types.Type) {
-	size := t.Size()
-	if a.count == 0 || size < a.min {
-		a.min = size
-	}
-	if size > a.max {
-		a.max = size
-	}
-	a.count++
-	a.sumSize += int64(size)
+	a.sizes.Add(t.Size(), 1)
 	a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
 }
 
 func (a *streamAcc) Merge(other Accumulator) {
 	b := other.(*streamAcc)
-	if b.count > 0 {
-		if a.count == 0 || b.min < a.min {
-			a.min = b.min
-		}
-		if b.max > a.max {
-			a.max = b.max
-		}
-		a.count += b.count
-		a.sumSize += b.sumSize
-	}
+	a.sizes.Merge(b.sizes)
 	a.fused = a.fz.Fuse(a.fused, b.fused)
 	a.lat = mergeLattices(a.lat, b.lat)
 }
 
 func (a *streamAcc) Fold() Result {
-	r := Result{Fused: a.fz.Finalize(a.fused), Records: a.count, MaxTypeSize: a.max, Enrichment: a.lat}
-	if a.count > 0 {
-		r.MinTypeSize = a.min
-		r.AvgTypeSize = float64(a.sumSize) / float64(a.count)
+	return Result{
+		Fused:       a.fz.Finalize(a.fused),
+		Records:     a.sizes.Count(),
+		MinTypeSize: a.sizes.MinSize(),
+		MaxTypeSize: a.sizes.MaxSize(),
+		AvgTypeSize: a.sizes.AvgSize(),
+		Enrichment:  a.lat,
 	}
-	return r
 }
 
 // mergeLattices combines the enrichment lattices of two accumulators

@@ -51,8 +51,8 @@ type Env struct {
 	// ChunkBytes is the chunk size of bounded-memory file feeds; zero
 	// means the partitioner default (4 MiB).
 	ChunkBytes int
-	// MaxDepth bounds value nesting in the streaming decoder; zero
-	// means the parser default.
+	// MaxDepth bounds value nesting in the decoders of both drivers;
+	// zero means the parser default.
 	MaxDepth int
 	// Failure and Injector configure the map-reduce failure handling.
 	Failure  mapreduce.FailurePolicy
@@ -402,7 +402,7 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	// combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
 	acc.lat = e.newLattice()
 	t0 := e.phaseStart()
-	dec := infer.NewBytesDecoder(chunk, jsontext.Options{})
+	dec := infer.NewBytesDecoder(chunk, jsontext.Options{MaxDepth: e.MaxDepth})
 	defer dec.Release()
 	if o := observer(acc.lat); o != nil {
 		dec.SetObserver(o)

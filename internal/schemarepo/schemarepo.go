@@ -75,18 +75,13 @@ func (r *Repo) AppendType(part string, t types.Type) {
 	r.invalidateLocked()
 }
 
-// AppendSchema fuses an already-fused schema describing count values
+// AppendEnriched fuses an already-fused schema describing count values
 // into the named partition — the bulk insert path: a batch of records
 // is inferred once (anywhere — another process, an HTTP client) and
 // its schema lands here in one O(schema-size) fuse. By associativity
-// this equals appending the batch record by record.
-func (r *Repo) AppendSchema(part string, t types.Type, count int64) {
-	r.AppendEnriched(part, t, count, nil)
-}
-
-// AppendEnriched is AppendSchema carrying the batch's enrichment
-// lattice (nil for none). The lattice unions into the partition's
-// lattice; Union is pure, so the caller's lattice is never mutated and
+// this equals appending the batch record by record. lat is the batch's
+// enrichment lattice (nil for none); it unions into the partition's
+// lattice. Union is pure, so the caller's lattice is never mutated and
 // may keep accumulating elsewhere.
 func (r *Repo) AppendEnriched(part string, t types.Type, count int64, lat *enrich.Lattice) {
 	t = fusion.Simplify(t)
@@ -120,18 +115,6 @@ func (r *Repo) SetPartition(part string, schema types.Type, count int64) {
 	defer r.mu.Unlock()
 	r.partitions[part] = &partition{schema: schema, count: count}
 	r.invalidateLocked()
-}
-
-// SetPartitionJSON is SetPartition for a schema in its codec JSON
-// encoding (Schema.MarshalJSON of the public API), so callers that only
-// hold serialized schemas can feed the repository.
-func (r *Repo) SetPartitionJSON(part string, data []byte, count int64) error {
-	schema, err := types.UnmarshalJSON(data)
-	if err != nil {
-		return fmt.Errorf("schemarepo: partition %q: %w", part, err)
-	}
-	r.SetPartition(part, schema, count)
-	return nil
 }
 
 // ReplacePartition re-infers a partition from its values, the "re-infer

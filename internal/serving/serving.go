@@ -200,9 +200,38 @@ func (s *Server) tenantHandler(fn func(w http.ResponseWriter, r *http.Request, t
 	}
 }
 
+// cappedBody is a request body capped at Config.MaxBodyBytes that
+// remembers hitting the cap. Decoders do not reliably pass the
+// *http.MaxBytesError through (the lexer reports a string cut by the cap
+// as unterminated), so handlers ask the body instead of the error.
+type cappedBody struct {
+	io.ReadCloser
+	hit bool
+}
+
+func (b *cappedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		b.hit = true
+	}
+	return n, err
+}
+
 // body returns the request body capped at the configured limit.
-func (s *Server) body(w http.ResponseWriter, r *http.Request) io.ReadCloser {
-	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+func (s *Server) body(w http.ResponseWriter, r *http.Request) *cappedBody {
+	return &cappedBody{ReadCloser: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
+}
+
+// writeBodyError answers a request whose body failed to decode: 413
+// when the body hit the cap, whatever the decoder made of the cut, and
+// 400 with err otherwise.
+func (s *Server) writeBodyError(w http.ResponseWriter, body *cappedBody, err error) {
+	if body.hit {
+		s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, err)
 }
 
 // ingestOptions builds the pipeline options for one ingest request,
@@ -303,21 +332,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	schema, stats, err := jsi.Infer(r.Context(), jsi.FromChunkedReader(s.body(w, r)), opts)
+	body := s.body(w, r)
+	schema, stats, err := jsi.Infer(r.Context(), jsi.FromChunkedReader(body), opts)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(err, &mbe):
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		case r.Context().Err() != nil:
+		if !body.hit && r.Context().Err() != nil {
 			// The client went away mid-stream; nothing was committed
 			// and nobody is reading the response.
 			s.reg.Add("schemad_cancelled_ingests", 1)
-			s.writeError(w, http.StatusBadRequest, r.Context().Err())
-		default:
-			s.writeError(w, http.StatusBadRequest, err)
+			err = r.Context().Err()
 		}
+		s.writeBodyError(w, body, err)
 		return
 	}
 	repo := t.repo.Load()
@@ -441,9 +465,10 @@ func (s *Server) handleDropPartition(w http.ResponseWriter, r *http.Request, t *
 // version posted as the request body (codec JSON, as produced by the
 // snapshot of GET schema?format=codec).
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request, t *tenant) {
-	data, err := io.ReadAll(s.body(w, r))
+	body := s.body(w, r)
+	data, err := io.ReadAll(body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeBodyError(w, body, err)
 		return
 	}
 	prior, err := jsi.UnmarshalSchemaJSON(data)
@@ -491,7 +516,8 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, t *tenan
 		failures []validateFailure
 	)
 	ctx := r.Context()
-	p := jsontext.NewParser(s.body(w, r), jsontext.Options{})
+	body := s.body(w, r)
+	p := jsontext.NewParser(body, jsontext.Options{})
 	for {
 		if ctx.Err() != nil {
 			s.writeError(w, http.StatusBadRequest, ctx.Err())
@@ -504,6 +530,10 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, t *tenan
 		checked++
 		switch {
 		case err != nil:
+			if body.hit {
+				s.writeBodyError(w, body, err)
+				return
+			}
 			if len(failures) < maxValidateFailures {
 				failures = append(failures, validateFailure{Record: checked, Error: err.Error()})
 			}
@@ -547,9 +577,10 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, _ *http.Request, t *te
 // handleSnapshotPut replaces the tenant's repository with one decoded
 // from the request body — the restore half of snapshot/restore.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request, t *tenant) {
-	repo, err := jsi.LoadRepository(s.body(w, r))
+	body := s.body(w, r)
+	repo, err := jsi.LoadRepository(body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding snapshot: %w", err))
+		s.writeBodyError(w, body, fmt.Errorf("decoding snapshot: %w", err))
 		return
 	}
 	t.repo.Store(repo)

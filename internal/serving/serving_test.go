@@ -604,6 +604,32 @@ func TestIngestBodyCap(t *testing.T) {
 	}
 }
 
+// TestBodyCapEveryEndpoint pins that every endpoint reading a body
+// answers 413 once the body passes MaxBodyBytes, whether the cut lands
+// between records, inside a string the lexer then calls unterminated,
+// or in a document read whole.
+func TestBodyCapEveryEndpoint(t *testing.T) {
+	_, hs := newTestServer(t, Config{MaxBodyBytes: 1 << 10})
+	records := bytes.Repeat([]byte(`{"pad":"xxxxxxxxxxxxxxxx"}`+"\n"), 200)
+	longString := []byte(`{"s":"` + strings.Repeat("x", 4<<10) + `"}` + "\n")
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+	}{
+		{"ingest", http.MethodPost, "ingest", records},
+		{"ingest-string", http.MethodPost, "ingest", longString},
+		{"validate", http.MethodPost, "validate", records},
+		{"validate-string", http.MethodPost, "validate", longString},
+		{"diff", http.MethodPost, "diff", longString},
+		{"snapshot", http.MethodPut, "snapshot", longString},
+	} {
+		status, body := doReq(t, tc.method, hs.URL+"/v1/tenants/cap/"+tc.path, tc.body)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body: status %d: %s", tc.name, status, body)
+		}
+	}
+}
+
 // slowBody feeds records then blocks until its context dies,
 // simulating a client that stalls mid-upload.
 type slowBody struct {

@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/enrich/monoidtest"
 	"repro/internal/types"
 )
 
@@ -73,73 +77,6 @@ func TestSummaryMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestTopTypes(t *testing.T) {
-	var s Summary
-	for i := 0; i < 5; i++ {
-		s.Add(types.Num)
-	}
-	for i := 0; i < 3; i++ {
-		s.Add(types.Str)
-	}
-	s.Add(types.Bool)
-	top := s.TopTypes(2)
-	if len(top) != 2 || top[0].Type != "Num" || top[0].Count != 5 || top[1].Type != "Str" {
-		t.Errorf("TopTypes = %+v", top)
-	}
-	all := s.TopTypes(100)
-	if len(all) != 3 {
-		t.Errorf("TopTypes(100) has %d entries", len(all))
-	}
-}
-
-func TestTopTypesDeterministicTieBreak(t *testing.T) {
-	var s Summary
-	s.Add(types.Str)
-	s.Add(types.Num)
-	top := s.TopTypes(2)
-	if top[0].Type != "Num" || top[1].Type != "Str" {
-		t.Errorf("tie break not lexicographic: %+v", top)
-	}
-}
-
-func TestPropertyMergeOrderIrrelevant(t *testing.T) {
-	mk := func(seed uint64) *Summary {
-		var s Summary
-		r := seed | 1
-		for i := 0; i < int(seed%7); i++ {
-			r ^= r << 13
-			r ^= r >> 7
-			r ^= r << 17
-			switch r % 4 {
-			case 0:
-				s.Add(types.Num)
-			case 1:
-				s.Add(types.Str)
-			case 2:
-				s.Add(types.MustParse("{a: Num}"))
-			default:
-				s.Add(types.MustParse("[Str*]"))
-			}
-		}
-		return &s
-	}
-	f := func(s1, s2, s3 uint64) bool {
-		// (a+b)+c == a+(b+c), built from scratch both times since Merge
-		// mutates the receiver.
-		left1, left2, left3 := mk(s1), mk(s2), mk(s3)
-		left1.Merge(left2)
-		left1.Merge(left3)
-		right2, right3 := mk(s2), mk(s3)
-		right2.Merge(right3)
-		right1 := mk(s1)
-		right1.Merge(right2)
-		return left1.String() == right1.String() && left1.Distinct() == right1.Distinct()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDistinctSizeSum(t *testing.T) {
 	var s Summary
 	s.Add(types.MustParse("{a: Num}"))         // size 3, first seen
@@ -157,62 +94,87 @@ func TestDistinctSizeSum(t *testing.T) {
 	}
 }
 
-// TestMergeExemplarAdmissionDeterministic pins the fix for the
-// map-order bug the monoidpure analyzer caught: when the exemplar cap
-// binds during Merge, which renderings win the remaining slots must be
-// a pure function of the two summaries, not of Go's randomized map
-// iteration order. New exemplars are admitted in sorted-hash order, so
-// repeated merges of identical inputs retain identical sets.
-func TestMergeExemplarAdmissionDeterministic(t *testing.T) {
-	defer func(old int) { maxExemplars = old }(maxExemplars)
-	maxExemplars = 2
-
-	mkOther := func() *Summary {
-		var o Summary
-		o.Add(types.MustParse("{a: Num}"))
-		o.Add(types.MustParse("{b: Str}"))
-		o.Add(types.MustParse("{c: Bool}"))
-		o.Add(types.MustParse("{d: Null}"))
-		return &o
+// TestSizesAddCounts pins that Add(size, n) is n single additions.
+func TestSizesAddCounts(t *testing.T) {
+	var bulk, single Sizes
+	bulk.Add(4, 3)
+	bulk.Add(2, 1)
+	bulk.Add(9, 0) // records nothing
+	for _, size := range []int{4, 4, 4, 2} {
+		single.Add(size, 1)
 	}
-	mk := func() map[string]bool {
-		var s Summary
-		s.Merge(mkOther())
-		got := make(map[string]bool)
-		for _, tc := range s.TopTypes(10) {
-			got[tc.Type] = true
-		}
-		if len(got) != 2 {
-			t.Fatalf("retained %d exemplars, want cap 2", len(got))
-		}
-		return got
+	if bulk != single {
+		t.Errorf("Add(size, n) = %+v, n single adds = %+v", bulk, single)
 	}
-
-	first := mk()
-	for i := 0; i < 20; i++ {
-		if got := mk(); len(got) != len(first) {
-			t.Fatalf("run %d retained %d exemplars, first run %d", i, len(got), len(first))
-		} else {
-			for k := range got {
-				if !first[k] {
-					t.Fatalf("run %d retained %q, first run did not: %v vs %v", i, k, got, first)
-				}
-			}
-		}
+	if bulk.Count() != 4 || bulk.MinSize() != 2 || bulk.MaxSize() != 4 || bulk.AvgSize() != 3.5 {
+		t.Errorf("tally = %+v", bulk)
 	}
 }
 
-// TestAddExemplarCap pins that Add also respects the effective cap.
-func TestAddExemplarCap(t *testing.T) {
-	defer func(old int) { maxExemplars = old }(maxExemplars)
-	maxExemplars = 1
-	var s Summary
-	s.Add(types.MustParse("{a: Num}"))
-	s.Add(types.MustParse("{b: Str}"))
-	if got := len(s.TopTypes(10)); got != 1 {
-		t.Fatalf("retained %d exemplars, want 1", got)
-	}
-	if s.Distinct() != 2 {
-		t.Fatalf("Distinct = %d, want 2 (counting is uncapped)", s.Distinct())
-	}
+// sampleTypes is the pool the conformance generators draw from: sizes
+// 1 to 7, so min and max move, and repeats across elements, so the
+// distinct sets overlap.
+var sampleTypes = []types.Type{
+	types.Num,
+	types.Str,
+	types.MustParse("{a: Num}"),
+	types.MustParse("[Str*]"),
+	types.MustParse("{a: Num, b: Str}"),
+	types.MustParse("{a: [Num*], b: {c: Bool}}"),
+}
+
+// TestSummaryMergeConformance runs the Summary through the shared
+// monoid harness: identity, commutativity, associativity, random merge
+// trees against the sequential fold, and no mutation of the operand.
+func TestSummaryMergeConformance(t *testing.T) {
+	monoidtest.Run(t, monoidtest.Subject{
+		Name:  "stats.Summary",
+		Empty: func() any { return &Summary{} },
+		Rand: func(r *rand.Rand) any {
+			s := &Summary{}
+			for i, n := 0, r.Intn(8); i < n; i++ {
+				s.Add(sampleTypes[r.Intn(len(sampleTypes))])
+			}
+			return s
+		},
+		Merge: func(a, b any) any {
+			a.(*Summary).Merge(b.(*Summary))
+			return a
+		},
+		Fingerprint: func(x any) string {
+			s := x.(*Summary)
+			hs := make([]uint64, 0, len(s.distinct))
+			for h := range s.distinct {
+				hs = append(hs, h)
+			}
+			sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "%+v", s.Sizes)
+			for _, h := range hs {
+				fmt.Fprintf(&sb, " %x:%d", h, s.distinct[h])
+			}
+			return sb.String()
+		},
+	})
+}
+
+// TestSizesMergeConformance runs the size tally through the shared
+// monoid harness on its own, including multi-count adds.
+func TestSizesMergeConformance(t *testing.T) {
+	monoidtest.Run(t, monoidtest.Subject{
+		Name:  "stats.Sizes",
+		Empty: func() any { return &Sizes{} },
+		Rand: func(r *rand.Rand) any {
+			s := &Sizes{}
+			for i, n := 0, r.Intn(6); i < n; i++ {
+				s.Add(1+r.Intn(50), int64(r.Intn(4)))
+			}
+			return s
+		},
+		Merge: func(a, b any) any {
+			a.(*Sizes).Merge(*b.(*Sizes))
+			return a
+		},
+		Fingerprint: func(x any) string { return fmt.Sprintf("%+v", *x.(*Sizes)) },
+	})
 }

@@ -234,6 +234,32 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestMaxDepthEverySource pins that Options.MaxDepth bounds nesting on
+// every Source kind, the chunked ones included: a 50-deep array is
+// rejected under MaxDepth 10 and accepted under the default.
+func TestMaxDepthEverySource(t *testing.T) {
+	deep := []byte(strings.Repeat("[", 50) + strings.Repeat("]", 50) + "\n")
+	path := filepath.Join(t.TempDir(), "deep.json")
+	if err := os.WriteFile(path, deep, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func() jsi.Source{
+		"FromBytes":         func() jsi.Source { return jsi.FromBytes(deep) },
+		"FromReader":        func() jsi.Source { return jsi.FromReader(bytes.NewReader(deep)) },
+		"FromChunkedReader": func() jsi.Source { return jsi.FromChunkedReader(bytes.NewReader(deep)) },
+		"FromFile":          func() jsi.Source { return jsi.FromFile(path) },
+		"FromFiles":         func() jsi.Source { return jsi.FromFiles(path, path) },
+	}
+	for name, src := range sources {
+		if _, _, err := jsi.Infer(context.Background(), src(), jsi.Options{MaxDepth: 10}); err == nil || !strings.Contains(err.Error(), "nesting deeper than 10") {
+			t.Errorf("%s: MaxDepth 10 over depth 50: err = %v, want a nesting error", name, err)
+		}
+		if _, _, err := jsi.Infer(context.Background(), src(), jsi.Options{}); err != nil {
+			t.Errorf("%s: default MaxDepth rejected depth 50: %v", name, err)
+		}
+	}
+}
+
 // TestProgressCallback asserts Progress fires during a run (with and
 // without an explicit Collector) and sees monotonically growing
 // counters, plus one final complete snapshot.
