@@ -15,7 +15,6 @@ import (
 	jsi "repro"
 	"repro/internal/dataset"
 	"repro/internal/diff"
-	"repro/internal/schemarepo"
 	"repro/internal/types"
 )
 
@@ -73,7 +72,7 @@ func TestEquivalenceOfInferencePaths(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		repo := schemarepo.New()
+		repo := jsi.NewRepository()
 		for i, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
 			part := fmt.Sprintf("p%d", i%5)
 			s, err := jsi.InferJSON([]byte(line))
@@ -84,11 +83,6 @@ func TestEquivalenceOfInferencePaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := jsi.UnmarshalSchemaJSON(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = one
 			if err := appendViaCodec(repo, part, raw); err != nil {
 				t.Fatal(err)
 			}
@@ -108,13 +102,13 @@ func TestEquivalenceOfInferencePaths(t *testing.T) {
 }
 
 // appendViaCodec simulates a distributed writer that only holds schema
-// bytes: decode, fuse into the partition.
-func appendViaCodec(repo *schemarepo.Repo, part string, raw []byte) error {
-	tt, err := types.UnmarshalJSON(raw)
+// bytes: decode, fuse into the partition as one record.
+func appendViaCodec(repo *jsi.Repository, part string, raw []byte) error {
+	s, err := jsi.UnmarshalSchemaJSON(raw)
 	if err != nil {
 		return err
 	}
-	repo.AppendType(part, tt)
+	repo.Append(part, s, 1)
 	return nil
 }
 

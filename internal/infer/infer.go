@@ -136,11 +136,11 @@ func NewDecoder(r io.Reader, opts jsontext.Options) *Decoder {
 }
 
 // NewBytesDecoder returns a streaming type decoder reading directly
-// from data — the map-task entry point. It skips the bufio copy of
-// NewDecoder(bytes.NewReader(data)) and lexes strings zero-copy:
-// object keys are materialized through the lexer's intern cache (free
-// after first occurrence) and value strings are never materialized at
-// all unless an Observer is attached.
+// from data — the map-task entry point. It lexes data in place, with
+// no copy into a reader window, and lexes strings zero-copy: object
+// keys are materialized through the lexer's intern cache (free after
+// first occurrence) and value strings are never materialized at all
+// unless an Observer is attached.
 func NewBytesDecoder(data []byte, opts jsontext.Options) *Decoder {
 	lex := jsontext.AcquireLexerBytes(data)
 	lex.RawStrings(true)

@@ -20,47 +20,64 @@ func benchData(b *testing.B) []byte {
 	return dataset.NDJSON(g, 1000, 1)
 }
 
-// BenchmarkLexNDJSON drains the token stream of a realistic NDJSON
-// buffer. Allocations per op are dominated by string tokens; the
-// lexer-level string cache exists to flatten exactly this number.
-func BenchmarkLexNDJSON(b *testing.B) {
-	data := benchData(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lex := jsontext.NewLexer(bytes.NewReader(data))
-		for {
-			tok, err := lex.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tok.Kind == jsontext.TokEOF {
-				break
-			}
+// lexInputs point a lexer at the two inputs it reads: a slice lexed in
+// place, as the map phase lexes its chunks, and a reader refilling the
+// window, as FromReader streams.
+var lexInputs = []struct {
+	name  string
+	reset func(l *jsontext.Lexer, data []byte)
+}{
+	{"slice", func(l *jsontext.Lexer, data []byte) { l.ResetBytes(data) }},
+	{"reader", func(l *jsontext.Lexer, data []byte) { l.Reset(bytes.NewReader(data)) }},
+}
+
+// drain lexes every token of l.
+func drain(b *testing.B, l *jsontext.Lexer) {
+	for {
+		tok, err := l.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tok.Kind == jsontext.TokEOF {
+			return
 		}
 	}
 }
 
-// BenchmarkLexNDJSONPooled is BenchmarkLexNDJSON through the lexer pool:
-// the per-chunk cost the map phase pays, with the bufio buffer, scratch
-// and string cache carried over between chunks.
+// BenchmarkLexNDJSON drains the token stream of a realistic NDJSON
+// buffer through a fresh lexer per pass, from each input kind.
+// Allocations per op are dominated by string tokens; the lexer-level
+// string cache exists to flatten exactly this number.
+func BenchmarkLexNDJSON(b *testing.B) {
+	data := benchData(b)
+	for _, in := range lexInputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l := new(jsontext.Lexer)
+				in.reset(l, data)
+				drain(b, l)
+			}
+		})
+	}
+}
+
+// BenchmarkLexNDJSONPooled is BenchmarkLexNDJSON through the lexer pool,
+// with the window, scratch and string cache carried over between
+// passes: on a slice, the per-chunk cost the map phase pays.
 func BenchmarkLexNDJSONPooled(b *testing.B) {
 	data := benchData(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lex := jsontext.AcquireLexer(bytes.NewReader(data))
-		for {
-			tok, err := lex.Next()
-			if err != nil {
-				b.Fatal(err)
+	for _, in := range lexInputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l := jsontext.AcquireLexerBytes(nil)
+				in.reset(l, data)
+				drain(b, l)
+				l.Release()
 			}
-			if tok.Kind == jsontext.TokEOF {
-				break
-			}
-		}
-		lex.Release()
+		})
 	}
 }

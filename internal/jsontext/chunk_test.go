@@ -371,6 +371,12 @@ func TestChunkPoolClasses(t *testing.T) {
 			t.Errorf("Get(%d): len %d cap %d, want 0, %d", tc.hint, len(b), cap(b), tc.cap)
 		}
 	}
+	// A full-chunk buffer is dropped on Put, never handed out again.
+	top := p.Get(defaultChunkBytes)[:1]
+	p.Put(top)
+	if b := p.Get(defaultChunkBytes)[:1]; &b[0] == &top[0] {
+		t.Error("a top-class buffer came back from the pool")
+	}
 	var nilPool *ChunkPool
 	if b := nilPool.Get(10); cap(b) != 64<<10+chunkSlack {
 		t.Errorf("nil pool Get(10): cap %d, want %d", cap(b), 64<<10+chunkSlack)

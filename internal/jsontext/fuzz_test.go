@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/value"
 )
@@ -56,22 +57,21 @@ func FuzzParseAgainstEncodingJSON(f *testing.F) {
 }
 
 // FuzzLexerNeverHangs feeds arbitrary bytes to the raw lexer and checks
-// it always terminates with a token or an error.
+// it always terminates with a token or an error, and that lexing the
+// bytes through a one-byte-at-a-time reader, which refills the window
+// on every byte, gives exactly the steps of lexing the slice.
 func FuzzLexerNeverHangs(f *testing.F) {
 	f.Add([]byte(`{"a": [1, true, "x"]}`))
 	f.Add([]byte("\\\\\\"))
 	f.Add([]byte(`"unterminated`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lex := NewLexer(bytes.NewReader(data))
-		for i := 0; i < len(data)+2; i++ {
-			tok, err := lex.Next()
-			if err != nil {
-				return
-			}
-			if tok.Kind == TokEOF {
-				return
-			}
+		want := lexSteps(AcquireLexerBytes(data), true)
+		if last := want[len(want)-1]; last.kind != TokEOF && last.err == "" {
+			t.Fatalf("lexer produced more tokens than input bytes for %q", data)
 		}
-		t.Fatalf("lexer produced more tokens than input bytes for %q", data)
+		got := lexSteps(AcquireLexer(iotest.OneByteReader(bytes.NewReader(data))), true)
+		if d := diffSteps(got, want); d != "" {
+			t.Fatalf("reader and slice lexing differ for %q: %s", data, d)
+		}
 	})
 }

@@ -7,10 +7,14 @@
 // The grammar implemented is RFC 8259 JSON. Duplicate object keys are
 // rejected by the parser (well-formedness per Section 4 of the paper);
 // the lexer itself is key-agnostic.
+//
+// The lexer has one scanning path: it always scans a window of bytes.
+// A byte slice is a window holding the whole input; a reader refills
+// the window in place. Both inputs run the same loops and produce the
+// same tokens, errors and offsets.
 package jsontext
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -75,11 +79,12 @@ func (k TokenKind) String() string {
 // token's first byte in the input.
 //
 // In raw-string mode (see RawStrings) TokStr tokens carry the decoded
-// bytes in Bytes and leave Str empty: Bytes is a view into the lexer's
-// input or scratch buffer, valid only until the next string token is
-// scanned. Callers that need the string to outlive the token
-// materialize it with InternBytes; callers that only classify the token
-// (type inference over values) never pay for a string at all.
+// bytes in Bytes and leave Str empty. Bytes is a view into the lexer's
+// window or string scratch, valid only until the next call to Next: a
+// reader refill may move the window. Callers that need the string to
+// outlive the token materialize it with InternBytes; callers that only
+// classify the token (type inference over values) never pay for a
+// string at all.
 type Token struct {
 	Kind   TokenKind
 	Str    string
@@ -99,28 +104,33 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("jsontext: syntax error at offset %d: %s", e.Offset, e.Msg)
 }
 
-// Lexer reads JSON tokens from an io.Reader, or — in direct mode (see
-// ResetBytes) — straight out of a byte slice with no intermediate
-// buffering or copying.
+// Lexer reads JSON tokens from a byte slice or an io.Reader. Either
+// way it scans the window data[pos:]: a slice is one window holding the
+// whole input, and a reader refills the window in place (see fill).
 type Lexer struct {
-	r      *bufio.Reader
-	offset int64
-	// data/pos implement direct mode: when direct is true the lexer
-	// reads data[pos:] instead of r, so chunk-shaped inputs skip the
-	// bufio copy entirely and escape-free strings are returned as views
-	// into data.
-	data   []byte
-	pos    int
-	direct bool
+	// r is the reader input; nil when data is the whole input.
+	r io.Reader
+	// data is the window and pos its next unread byte; base is the input
+	// offset of data[0].
+	data []byte
+	pos  int
+	base int64
+	// mark is the window index of the current token's first byte. A
+	// refill keeps data[mark:], so a token's bytes stay contiguous and
+	// an escape-free string is returned as a view into the window.
+	mark int
+	// err is a read error that arrived together with bytes; it is
+	// reported once those bytes are consumed.
+	err error
+	// buf backs the window for reader input. It is kept across Reset and
+	// pooling; slice input never allocates it.
+	buf []byte
 	// raw enables raw-string mode: TokStr tokens carry Bytes instead of
 	// a materialized Str (see Token and RawStrings).
 	raw bool
 	// strBuf is reused across string tokens to avoid per-token
 	// allocations when strings contain escapes.
 	strBuf []byte
-	// numBuf is reused across number tokens for the ParseFloat slow
-	// path.
-	numBuf []byte
 	// strCache interns short string tokens: NDJSON repeats the same few
 	// record keys (and enum-like values) on every line, so after the
 	// first occurrence a repeated string costs zero allocations — the
@@ -129,6 +139,10 @@ type Lexer struct {
 	// share hot keys across the chunks of a whole run.
 	strCache map[string]string
 }
+
+// windowSize is the initial capacity of a reader's window. The window
+// grows only for a token longer than it.
+const windowSize = 64 << 10
 
 // String-cache bounds: values longer than maxCachedStrLen are almost
 // certainly payload (tweet texts, URLs), not keys, and a full cache
@@ -140,14 +154,16 @@ const (
 
 // NewLexer returns a lexer reading from r.
 func NewLexer(r io.Reader) *Lexer {
-	return &Lexer{r: bufio.NewReaderSize(r, 64<<10)}
+	l := new(Lexer)
+	l.Reset(r)
+	return l
 }
 
-// lexerPool recycles lexers — each carries a 64 KiB bufio buffer, the
+// lexerPool recycles lexers — each carries its reader window, the
 // string scratch and the string cache, which is exactly the per-chunk
 // state worth keeping warm across map tasks.
 var lexerPool = sync.Pool{
-	New: func() any { return &Lexer{r: bufio.NewReaderSize(nil, 64<<10)} },
+	New: func() any { return new(Lexer) },
 }
 
 // AcquireLexer returns a pooled lexer reading from r. Release it when
@@ -159,7 +175,7 @@ func AcquireLexer(r io.Reader) *Lexer {
 	return l
 }
 
-// AcquireLexerBytes returns a pooled lexer in direct mode over data.
+// AcquireLexerBytes returns a pooled lexer reading data directly.
 // Release it when the input is fully consumed.
 func AcquireLexerBytes(data []byte) *Lexer {
 	l := lexerPool.Get().(*Lexer)
@@ -171,35 +187,28 @@ func AcquireLexerBytes(data []byte) *Lexer {
 // lexer afterwards.
 func (l *Lexer) Release() {
 	// Drop the stream and input references so the pool does not pin
-	// them; raw mode is per-stream, not per-lexer.
-	l.r.Reset(nil)
-	l.data = nil
-	l.direct = false
+	// them, and a window grown for one long token; raw mode is
+	// per-stream, not per-lexer.
+	l.ResetBytes(nil)
+	if len(l.buf) > windowSize {
+		l.buf = nil
+	}
 	l.raw = false
 	lexerPool.Put(l)
 }
 
-// Reset redirects the lexer to a new stream, keeping the buffer, the
+// Reset redirects the lexer to a new stream, keeping the window, the
 // scratch and the string cache.
 func (l *Lexer) Reset(r io.Reader) {
-	l.r.Reset(r)
-	l.data = nil
-	l.pos = 0
-	l.direct = false
-	l.offset = 0
+	l.ResetBytes(l.buf[:0])
+	l.r = r
 }
 
 // ResetBytes redirects the lexer to read directly from data, keeping
-// the scratch and the string cache. Direct mode produces exactly the
-// same tokens, errors and offsets as reading the equivalent stream, but
-// skips the per-byte bufio indirection and returns escape-free strings
+// the scratch and the string cache. Escape-free strings are returned
 // as views into data.
 func (l *Lexer) ResetBytes(data []byte) {
-	l.r.Reset(nil)
-	l.data = data
-	l.pos = 0
-	l.direct = true
-	l.offset = 0
+	l.r, l.data, l.pos, l.base, l.mark, l.err = nil, data, 0, 0, 0, nil
 }
 
 // RawStrings toggles raw-string mode for the current stream: when on,
@@ -208,65 +217,84 @@ func (l *Lexer) ResetBytes(data []byte) {
 func (l *Lexer) RawStrings(on bool) { l.raw = on }
 
 // Offset returns the number of bytes consumed so far.
-func (l *Lexer) Offset() int64 { return l.offset }
+func (l *Lexer) Offset() int64 { return l.base + int64(l.pos) }
 
 func (l *Lexer) errorf(off int64, format string, args ...any) error {
 	return &SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *Lexer) readByte() (byte, error) {
-	if l.direct {
-		if l.pos >= len(l.data) {
-			return 0, io.EOF
+// fill reads more input once the window is exhausted. It keeps
+// data[mark:], moving it to the front of buf, and grows buf only when
+// that token fills it. Errors follow bufio.Reader: a read error is
+// reported once, after any bytes that came with it, 100 consecutive
+// empty reads fail with io.ErrNoProgress, and slice input ends with
+// io.EOF.
+func (l *Lexer) fill() error {
+	if err := l.err; err != nil {
+		l.err = nil
+		return err
+	}
+	if l.r == nil {
+		return io.EOF
+	}
+	n := len(l.data) - l.mark
+	if l.mark > 0 || n == len(l.buf) {
+		buf := l.buf
+		if n == len(buf) {
+			buf = make([]byte, max(windowSize, 2*len(buf)))
 		}
-		b := l.data[l.pos]
-		l.pos++
-		l.offset++
-		return b, nil
+		copy(buf, l.data[l.mark:])
+		l.buf = buf
+		l.base += int64(l.mark)
+		l.pos -= l.mark
+		l.mark = 0
 	}
-	b, err := l.r.ReadByte()
-	if err == nil {
-		l.offset++
+	for empty := 0; empty < 100; empty++ {
+		m, err := l.r.Read(l.buf[n:])
+		n += m
+		l.data = l.buf[:n]
+		if err != nil {
+			if m > 0 {
+				l.err = err
+				return nil
+			}
+			return err
+		}
+		if m > 0 {
+			return nil
+		}
 	}
-	return b, err
+	return io.ErrNoProgress
 }
 
-func (l *Lexer) unreadByte() {
-	if l.direct {
-		l.pos--
-		l.offset--
-		return
+func (l *Lexer) readByte() (byte, error) {
+	if l.pos == len(l.data) {
+		if err := l.fill(); err != nil {
+			return 0, err
+		}
 	}
-	// ReadByte was the last operation, so UnreadByte cannot fail.
-	_ = l.r.UnreadByte()
-	l.offset--
+	b := l.data[l.pos]
+	l.pos++
+	return b, nil
 }
+
+// unreadByte steps back over the byte readByte just returned.
+func (l *Lexer) unreadByte() { l.pos-- }
 
 // skipSpace consumes insignificant whitespace and reports io.EOF at the
-// end of input.
+// end of input. It marks the next token's first byte.
 func (l *Lexer) skipSpace() error {
-	if l.direct {
+	for {
 		i, data := l.pos, l.data
 		for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
 			i++
 		}
-		l.offset += int64(i - l.pos)
-		l.pos = i
-		if i >= len(data) {
-			return io.EOF
-		}
-		return nil
-	}
-	for {
-		b, err := l.readByte()
-		if err != nil {
-			return err
-		}
-		switch b {
-		case ' ', '\t', '\n', '\r':
-		default:
-			l.unreadByte()
+		l.pos, l.mark = i, i
+		if i < len(data) {
 			return nil
+		}
+		if err := l.fill(); err != nil {
+			return err
 		}
 	}
 }
@@ -277,11 +305,11 @@ func (l *Lexer) skipSpace() error {
 func (l *Lexer) Next() (Token, error) {
 	if err := l.skipSpace(); err != nil {
 		if err == io.EOF {
-			return Token{Kind: TokEOF, Offset: l.offset}, nil
+			return Token{Kind: TokEOF, Offset: l.Offset()}, nil
 		}
 		return Token{}, err
 	}
-	start := l.offset
+	start := l.Offset()
 	b, err := l.readByte()
 	if err != nil {
 		return Token{}, err
@@ -348,33 +376,39 @@ func (l *Lexer) expectWord(start int64, rest string) error {
 
 // scanString reads the body of a string; the opening quote has been
 // consumed. It decodes escapes including \uXXXX surrogate pairs and
-// returns the decoded bytes, valid until the next string token: a view
-// into the input for escape-free direct-mode strings, into the lexer's
-// scratch otherwise.
+// returns the decoded bytes, valid until the next call to Next: a view
+// into the window for escape-free strings, into the lexer's scratch
+// otherwise.
 func (l *Lexer) scanString(start int64) ([]byte, error) {
-	buf := l.strBuf[:0]
-	if l.direct {
-		// Fast span: most strings contain no escapes, so the whole body
-		// is sitting contiguously in the input and needs no copy at
-		// all. Stop at the first byte the per-byte loop would treat
-		// specially and fall through with the clean prefix copied.
+	// Fast span: most strings contain no escapes, and a refill keeps the
+	// token's bytes, so the whole body sits contiguously in the window
+	// and needs no copy at all. Stop at the first byte the per-byte loop
+	// would treat specially.
+	for {
 		i, data := l.pos, l.data
 		for i < len(data) && data[i] != '"' && data[i] != '\\' && data[i] >= 0x20 {
 			i++
 		}
-		if i < len(data) && data[i] == '"' {
-			seg := data[l.pos:i]
-			l.offset += int64(i + 1 - l.pos)
-			l.pos = i + 1
-			if !utf8.Valid(seg) {
-				seg = sanitizeUTF8(seg)
-			}
-			return seg, nil
-		}
-		buf = append(buf, data[l.pos:i]...)
-		l.offset += int64(i - l.pos)
 		l.pos = i
+		if i < len(data) {
+			break
+		}
+		if l.fill() != nil {
+			return nil, l.errorf(start, "unterminated string")
+		}
 	}
+	seg := l.data[l.mark+1 : l.pos]
+	if l.data[l.pos] == '"' {
+		l.pos++
+		if !utf8.Valid(seg) {
+			seg = sanitizeUTF8(seg)
+		}
+		return seg, nil
+	}
+	// Decode the rest into the scratch, which owns the clean prefix from
+	// here on, so the window no longer needs to keep the token.
+	buf := append(l.strBuf[:0], seg...)
+	l.mark = l.pos
 	for {
 		b, err := l.readByte()
 		if err != nil {
@@ -430,10 +464,10 @@ func (l *Lexer) scanString(start int64) ([]byte, error) {
 				}
 				buf = utf8.AppendRune(buf, r)
 			default:
-				return nil, l.errorf(l.offset-1, "invalid escape character %q", string(rune(esc)))
+				return nil, l.errorf(l.Offset()-1, "invalid escape character %q", string(rune(esc)))
 			}
 		case b < 0x20:
-			return nil, l.errorf(l.offset-1, "control character %#x in string", b)
+			return nil, l.errorf(l.Offset()-1, "control character %#x in string", b)
 		default:
 			buf = append(buf, b)
 		}
@@ -497,7 +531,7 @@ func (l *Lexer) scanHex4(start int64) (rune, error) {
 		case b >= 'A' && b <= 'F':
 			d = rune(b-'A') + 10
 		default:
-			return 0, l.errorf(l.offset-1, "invalid hex digit %q in \\u escape", string(rune(b)))
+			return 0, l.errorf(l.Offset()-1, "invalid hex digit %q in \\u escape", string(rune(b)))
 		}
 		r = r<<4 | d
 	}
@@ -520,10 +554,9 @@ func (l *Lexer) maybeLowSurrogate(start int64) (rune, bool, error) {
 		return 0, false, l.errorf(start, "unterminated escape")
 	}
 	if b2 != 'u' {
-		// Not a \u escape: un-consume is impossible for two bytes with
-		// bufio, so treat as an error; encoding/json behaves the same
-		// way for a lone high surrogate followed by another escape.
-		return 0, false, l.errorf(l.offset-2, "expected low surrogate escape")
+		// A high surrogate followed by an escape other than \u is
+		// rejected.
+		return 0, false, l.errorf(l.Offset()-2, "expected low surrogate escape")
 	}
 	r, err := l.scanHex4(start)
 	if err != nil {
@@ -532,45 +565,29 @@ func (l *Lexer) maybeLowSurrogate(start int64) (rune, bool, error) {
 	return r, true, nil
 }
 
+// scanDigits consumes a run of ASCII digits and returns its length. A
+// read error ends the run, as the end of input does.
+func (l *Lexer) scanDigits() int {
+	n := 0
+	for {
+		i, data := l.pos, l.data
+		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+		n += i - l.pos
+		l.pos = i
+		if i < len(data) || l.fill() != nil {
+			return n
+		}
+	}
+}
+
 // scanNumber reads a JSON number whose first byte is first, validating
 // the RFC 8259 grammar. Integers short enough to be exact in an int64
 // are converted directly; everything else goes through ParseFloat over
-// the reusable number scratch.
+// the token's bytes in the window.
 func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
-	raw := l.numBuf[:0]
-	defer func() { l.numBuf = raw[:0] }()
-	raw = append(raw, first)
 	isInt := true
-	readDigits := func(minOne bool) error {
-		n := 0
-		if l.direct {
-			i, data := l.pos, l.data
-			for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-				i++
-			}
-			raw = append(raw, data[l.pos:i]...)
-			n = i - l.pos
-			l.offset += int64(n)
-			l.pos = i
-		} else {
-			for {
-				b, err := l.readByte()
-				if err != nil {
-					break
-				}
-				if b < '0' || b > '9' {
-					l.unreadByte()
-					break
-				}
-				raw = append(raw, b)
-				n++
-			}
-		}
-		if minOne && n == 0 {
-			return l.errorf(start, "malformed number")
-		}
-		return nil
-	}
 	b := first
 	if b == '-' {
 		var err error
@@ -578,13 +595,10 @@ func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
 		if err != nil || b < '0' || b > '9' {
 			return 0, l.errorf(start, "malformed number")
 		}
-		raw = append(raw, b)
 	}
 	// Integer part: a leading zero cannot be followed by more digits.
 	if b != '0' {
-		if err := readDigits(false); err != nil {
-			return 0, err
-		}
+		l.scanDigits()
 	} else {
 		if nb, err := l.readByte(); err == nil {
 			if nb >= '0' && nb <= '9' {
@@ -596,10 +610,9 @@ func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
 	// Fraction.
 	if nb, err := l.readByte(); err == nil {
 		if nb == '.' {
-			raw = append(raw, nb)
 			isInt = false
-			if err := readDigits(true); err != nil {
-				return 0, err
+			if l.scanDigits() == 0 {
+				return 0, l.errorf(start, "malformed number")
 			}
 		} else {
 			l.unreadByte()
@@ -608,24 +621,22 @@ func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
 	// Exponent.
 	if nb, err := l.readByte(); err == nil {
 		if nb == 'e' || nb == 'E' {
-			raw = append(raw, nb)
 			isInt = false
 			sb, err := l.readByte()
 			if err != nil {
 				return 0, l.errorf(start, "malformed exponent")
 			}
-			if sb == '+' || sb == '-' {
-				raw = append(raw, sb)
-			} else {
+			if sb != '+' && sb != '-' {
 				l.unreadByte()
 			}
-			if err := readDigits(true); err != nil {
-				return 0, err
+			if l.scanDigits() == 0 {
+				return 0, l.errorf(start, "malformed number")
 			}
 		} else {
 			l.unreadByte()
 		}
 	}
+	raw := l.data[l.mark:l.pos]
 	// Integer fast path: up to 18 digits fits int64 exactly, and
 	// float64(int64) rounds to nearest just like ParseFloat would on
 	// the same exact decimal value — identical results, no allocation.

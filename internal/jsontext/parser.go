@@ -1,7 +1,6 @@
 package jsontext
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -39,9 +38,11 @@ func NewParser(r io.Reader, opts Options) *Parser {
 }
 
 // ParseBytes parses a single JSON value from data, requiring that
-// nothing but whitespace follows it.
+// nothing but whitespace follows it. It lexes data directly through a
+// pooled lexer.
 func ParseBytes(data []byte) (value.Value, error) {
-	p := NewParser(bytes.NewReader(data), Options{})
+	p := &Parser{lex: AcquireLexerBytes(data)}
+	defer p.lex.Release()
 	v, err := p.Next()
 	if err != nil {
 		return nil, err

@@ -127,22 +127,27 @@ func classFor(n int) int {
 }
 
 // A ChunkPool recycles chunk buffers between a feed and the release
-// hook of the pipeline that consumed them, so a long streaming run
-// allocates a handful of buffers total instead of one per chunk. It
-// keeps one sync.Pool per size class (chunkClasses), so a small input
-// reuses small buffers and never holds a chunk-sized one. The zero
-// value is ready to use; a nil *ChunkPool degrades to plain allocation
-// (Get allocates fresh, Put drops), so pooled code paths need no nil
-// branches. Buffers must only be Put back once their consumer is
-// finished with them — with the map-reduce engine that is its Release
-// hook, which fires after a chunk's final retry attempt.
+// hook of the pipeline that consumed them, so the many small bodies of
+// a server reuse a handful of buffers instead of allocating one per
+// run. It keeps one sync.Pool per size class below the top one
+// (chunkClasses), so a small input reuses small buffers and never
+// holds a chunk-sized one. The zero value is ready to use; a nil
+// *ChunkPool degrades to plain allocation (Get allocates fresh, Put
+// drops), so pooled code paths need no nil branches. Buffers must only
+// be Put back once their consumer is finished with them — with the
+// map-reduce engine that is its Release hook, which fires after a
+// chunk's final retry attempt.
 //
-// The pool has no cap on the bytes it retains, and needs none: a
-// sync.Pool drops buffers left idle across two garbage collections,
-// and the runtime forces a collection at least every two minutes, so
-// an idle process hands the memory back.
+// Buffers of the top class, a full default chunk, are not kept. A run
+// that fills them has megabytes to lex per buffer, so allocating one
+// costs little, while a kept one stays resident across the next garbage
+// collection (a sync.Pool drops idle buffers only after two) and counts
+// as live heap, which raises the collector's goal for whatever runs
+// next. The smaller classes have no cap on the bytes they retain, and
+// need none: the runtime forces a collection at least every two
+// minutes, so an idle process hands the memory back.
 type ChunkPool struct {
-	classes [len(chunkClasses)]sync.Pool
+	classes [len(chunkClasses) - 1]sync.Pool
 	// observe, when set, sees every buffer Get returns and every buffer
 	// Put accepts; tests count ownership through it.
 	observe func(put bool, b []byte)
@@ -154,7 +159,7 @@ type ChunkPool struct {
 func (p *ChunkPool) Get(capHint int) []byte {
 	var b []byte
 	if c := classFor(capHint); c < len(chunkClasses) {
-		if p != nil {
+		if p != nil && c < len(p.classes) {
 			if v := p.classes[c].Get(); v != nil {
 				b = *(v.(*[]byte))
 			}
@@ -171,8 +176,9 @@ func (p *ChunkPool) Get(capHint int) []byte {
 }
 
 // Put returns a buffer to the pool for a later Get, filed under the
-// largest class its capacity covers; a buffer below the smallest class
-// is dropped. The caller must not touch b afterwards.
+// largest class its capacity covers; a buffer below the smallest class,
+// or of the top class or beyond, is dropped. The caller must not touch
+// b afterwards.
 func (p *ChunkPool) Put(b []byte) {
 	if p == nil || cap(b) == 0 {
 		return
@@ -181,7 +187,7 @@ func (p *ChunkPool) Put(b []byte) {
 		p.observe(true, b)
 	}
 	c := classFor(cap(b) + 1)
-	if c == 0 {
+	if c == 0 || c > len(p.classes) {
 		return
 	}
 	b = b[:0]

@@ -46,30 +46,30 @@ type Bucket struct {
 // commutative and associative with the zero Metrics as identity
 // (property-tested in metrics_test.go), so snapshots from parallel
 // partitions reduce in any order — the same contract as type fusion.
-func Merge(a, b Metrics) Metrics {
+func (m Metrics) Merge(other Metrics) Metrics {
 	out := Metrics{
-		Counters:   make(map[string]int64, len(a.Counters)+len(b.Counters)),
-		Gauges:     make(map[string]int64, len(a.Gauges)+len(b.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(a.Histograms)+len(b.Histograms)),
+		Counters:   make(map[string]int64, len(m.Counters)+len(other.Counters)),
+		Gauges:     make(map[string]int64, len(m.Gauges)+len(other.Gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(m.Histograms)+len(other.Histograms)),
 	}
-	for name, v := range a.Counters {
+	for name, v := range m.Counters {
 		out.Counters[name] = v
 	}
-	for name, v := range b.Counters {
+	for name, v := range other.Counters {
 		out.Counters[name] += v
 	}
-	for name, v := range a.Gauges {
+	for name, v := range m.Gauges {
 		out.Gauges[name] = v
 	}
-	for name, v := range b.Gauges {
+	for name, v := range other.Gauges {
 		if cur, ok := out.Gauges[name]; !ok || v > cur {
 			out.Gauges[name] = v
 		}
 	}
-	for name, h := range a.Histograms {
+	for name, h := range m.Histograms {
 		out.Histograms[name] = cloneHistogram(h)
 	}
-	for name, h := range b.Histograms {
+	for name, h := range other.Histograms {
 		out.Histograms[name] = mergeHistograms(out.Histograms[name], h)
 	}
 	return out

@@ -56,14 +56,14 @@ func metricsJSON(t *testing.T, m Metrics) string {
 // shared harness: identity, commutativity, associativity, random merge
 // trees versus the sequential fold, non-mutation, and serialization
 // round-trips — the laws that let per-partition metrics reduce in any
-// order. (obs.Merge is pure, which is stricter than the harness's
+// order. (Metrics.Merge is pure, which is stricter than the harness's
 // may-mutate-first contract; the suite holds a fortiori.)
 func TestMergeConformance(t *testing.T) {
 	monoidtest.Run(t, monoidtest.Subject{
 		Name:  "metrics",
 		Empty: func() any { return Metrics{} },
 		Rand:  func(r *rand.Rand) any { return randomMetrics(r) },
-		Merge: func(a, b any) any { return Merge(a.(Metrics), b.(Metrics)) },
+		Merge: func(a, b any) any { return a.(Metrics).Merge(b.(Metrics)) },
 		Fingerprint: func(x any) string {
 			return metricsJSON(t, x.(Metrics))
 		},
@@ -89,7 +89,7 @@ func TestMergeSemantics(t *testing.T) {
 		Gauges:     map[string]int64{"g": 7},
 		Histograms: map[string]HistogramSnapshot{"h": {Count: 1, Sum: 9, Buckets: []Bucket{{Le: 15, Count: 1}}}},
 	}
-	m := Merge(a, b)
+	m := a.Merge(b)
 	if m.Counters["c"] != 8 || m.Counters["d"] != 1 {
 		t.Errorf("counters = %v, want c=8 d=1", m.Counters)
 	}

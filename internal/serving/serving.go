@@ -87,8 +87,8 @@ type Config struct {
 	// call with the union_keys query parameter (a comma list).
 	UnionKeys []string
 
-	// Logf receives operational messages (eviction failures, snapshot
-	// errors). Nil discards them.
+	// Logf receives operational messages: a failed snapshot while
+	// evicting a tenant, naming the tenant. Nil discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -128,7 +128,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{cfg: cfg, reg: obs.NewRegistry()}
-	s.tenants = newTenantSet(cfg.DataDir, cfg.MaxResidentTenants, s.reg)
+	s.tenants = newTenantSet(cfg.DataDir, cfg.MaxResidentTenants, s.reg, cfg.Logf)
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s, nil

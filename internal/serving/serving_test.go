@@ -525,6 +525,63 @@ func TestEvictionPreservesSchemas(t *testing.T) {
 	}
 }
 
+// TestEvictionFailureIsLogged: when spilling a tenant fails (here the
+// data dir has vanished), Logf hears about it once, by name.
+func TestEvictionFailureIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var logged []string
+	_, hs := newTestServer(t, Config{DataDir: dir, MaxResidentTenants: 1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, hs.URL, "victim", "default", []byte(`{"a":1}`+"\n"))
+	ingest(t, hs.URL, "second", "default", []byte(`{"b":1}`+"\n"))
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 1 || !strings.Contains(logged[0], `"victim"`) {
+		t.Errorf("Logf saw %q, want one message naming the victim", logged)
+	}
+}
+
+// TestTaggedIngestLowersCollapsedUnions: two tagged ingests whose
+// unions collapse once fused serve the plain record offline inference
+// gives, in the type and JSON Schema formats alike.
+func TestTaggedIngestLowersCollapsedUnions(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	var all []byte
+	for b := 0; b < 2; b++ {
+		var batch []byte
+		for i := 0; i < 10; i++ {
+			batch = fmt.Appendf(batch, `{"type": "t%d", "x": %d}`+"\n", 10*b+i, i)
+		}
+		all = append(all, batch...)
+		status, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/v1/tenants/tg/ingest?partition=p%d&tagged=true", hs.URL, b), batch)
+		if status != http.StatusOK {
+			t.Fatalf("ingest: status %d: %s", status, body)
+		}
+	}
+	offline, _, err := jsi.InferNDJSON(all, jsi.Options{TaggedUnions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, typ := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/tg/schema?format=type", nil)
+	if got, want := string(bytes.TrimSpace(typ)), offline.String(); got != want {
+		t.Errorf("served type %s, want %s", got, want)
+	}
+	want, err := offline.JSONSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/tg/schema?format=jsonschema", nil); !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
+		t.Errorf("served JSON Schema differs from offline:\nserved:  %s\noffline: %s", got, want)
+	}
+}
+
 // TestSnapshotSurvivesRestart: SaveAll + a fresh Server over the same
 // data dir restores every tenant.
 func TestSnapshotSurvivesRestart(t *testing.T) {

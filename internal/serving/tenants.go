@@ -42,17 +42,18 @@ type tenant struct {
 // snapshots are one small JSON document per tenant (schemas, not
 // data), so the critical sections stay short.
 type tenantSet struct {
-	dir string
-	max int
-	reg *obs.Registry
+	dir  string
+	max  int
+	reg  *obs.Registry
+	logf func(format string, args ...any)
 
 	mu       sync.Mutex
 	resident map[string]*tenant
 	lru      list.List // front = most recently used; values are *tenant
 }
 
-func newTenantSet(dir string, max int, reg *obs.Registry) *tenantSet {
-	ts := &tenantSet{dir: dir, max: max, reg: reg, resident: make(map[string]*tenant)}
+func newTenantSet(dir string, max int, reg *obs.Registry, logf func(string, ...any)) *tenantSet {
+	ts := &tenantSet{dir: dir, max: max, reg: reg, logf: logf, resident: make(map[string]*tenant)}
 	ts.lru.Init()
 	return ts
 }
@@ -180,7 +181,7 @@ func (ts *tenantSet) writeSnapshot(name string, repo *jsi.Repository) (err error
 // the residency cap holds. Tenants with requests in flight are never
 // evicted; if everything is busy the set stays over cap until requests
 // drain. A failed snapshot keeps its tenant resident (the data must
-// not be dropped) and stops this eviction round.
+// not be dropped), is logged, and stops this eviction round.
 func (ts *tenantSet) evictLocked() {
 	for ts.max > 0 && ts.lru.Len() > ts.max {
 		var victim *tenant
@@ -195,6 +196,7 @@ func (ts *tenantSet) evictLocked() {
 		}
 		if err := ts.writeSnapshot(victim.name, victim.repo.Load()); err != nil {
 			ts.reg.Add("schemad_eviction_errors", 1)
+			ts.logf("evicting tenant %q: %v", victim.name, err)
 			return
 		}
 		ts.lru.Remove(victim.elem)

@@ -6,8 +6,8 @@ import (
 )
 
 // The codec serializes types to a small JSON document format so that
-// inferred schemas can be persisted and exchanged (the schema repository
-// in internal/schemarepo stores per-partition schemas this way). This is
+// inferred schemas can be persisted and exchanged (the public Repository
+// stores per-partition schemas this way). This is
 // distinct from the JSON Schema export in internal/jsonschema: the codec
 // is a loss-free round trip of our own AST.
 

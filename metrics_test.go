@@ -56,8 +56,8 @@ func TestMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPublicMetricsMerge spot-checks the public mirror of the merge
-// algebra (the full property tests live in internal/obs): counters
+// TestPublicMetricsMerge spot-checks the merge algebra through the
+// public names (the full property tests live in internal/obs): counters
 // add, gauges max, histograms add bucket-wise, inputs stay untouched,
 // and the zero Metrics is an identity.
 func TestPublicMetricsMerge(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	jsi "repro"
+	"repro/internal/dataset"
 )
 
 func inferSchema(t *testing.T, data string) (*jsi.Schema, jsi.Stats) {
@@ -71,13 +72,302 @@ func TestRepositoryDropPartition(t *testing.T) {
 	s2, st2 := inferSchema(t, `{"name": "x"}`)
 	repo.Append("a", s1, st1.Records)
 	repo.Append("b", s2, st2.Records)
-	repo.DropPartition("b")
+	if !repo.DropPartition("b") {
+		t.Error("DropPartition(b) reported an absent partition")
+	}
 	if got, want := repo.Schema().String(), s1.String(); got != want {
 		t.Errorf("after drop: schema = %s, want %s", got, want)
 	}
-	repo.DropPartition("absent") // no-op
+	if repo.DropPartition("absent") { // no-op
+		t.Error("DropPartition(absent) reported a partition")
+	}
 	if got := len(repo.Partitions()); got != 1 {
 		t.Errorf("partitions = %d, want 1", got)
+	}
+}
+
+// TestRepositoryDropPartitionKeepsOthers: dropping one partition leaves
+// the union of the rest, and dropping an unknown name changes nothing.
+func TestRepositoryDropPartitionKeepsOthers(t *testing.T) {
+	repo := jsi.NewRepository()
+	keep, _ := inferSchema(t, `{"a": 1}`)
+	drop, _ := inferSchema(t, `{"b": 1}`)
+	repo.Append("keep", keep, 1)
+	repo.Append("drop", drop, 1)
+	repo.DropPartition("drop")
+	repo.DropPartition("never-existed") // no-op
+	if got, want := repo.Schema().String(), "{a: Num}"; got != want {
+		t.Errorf("Schema = %s, want %s", got, want)
+	}
+	if repo.Count() != 1 {
+		t.Errorf("Count = %d, want 1", repo.Count())
+	}
+}
+
+// TestRepositoryConcurrentAppends races eight writers appending
+// per-record schemas into two partitions, then checks the count and
+// that the union equals batch inference over every record.
+func TestRepositoryConcurrentAppends(t *testing.T) {
+	const (
+		writers = 8
+		records = 50
+	)
+	g, _ := dataset.New("mixed")
+	var all bytes.Buffer
+	data := make([][]byte, writers)
+	for w := range data {
+		data[w] = dataset.NDJSON(g, records, int64(w))
+		all.Write(data[w])
+	}
+	repo := jsi.NewRepository()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, line := range bytes.SplitAfter(data[w], []byte("\n")) {
+				if len(line) == 0 {
+					continue
+				}
+				s, err := jsi.InferJSON(line)
+				if err != nil {
+					t.Errorf("InferJSON: %v", err)
+					return
+				}
+				repo.Append(fmt.Sprintf("p%d", w%2), s, 1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := repo.Count(), int64(writers*records); got != want {
+		t.Errorf("Count = %d, want %d", got, want)
+	}
+	batch, _ := inferSchema(t, all.String())
+	if got, want := repo.Schema().String(), batch.String(); got != want {
+		t.Errorf("concurrent %s != batch %s", got, want)
+	}
+}
+
+func TestRepositoryEmpty(t *testing.T) {
+	repo := jsi.NewRepository()
+	if !repo.Schema().IsEmpty() {
+		t.Errorf("empty repository schema = %s", repo.Schema())
+	}
+	if repo.Count() != 0 || len(repo.Partitions()) != 0 {
+		t.Error("empty repository not empty")
+	}
+	if _, ok := repo.PartitionSchema("nope"); ok {
+		t.Error("missing partition reported present")
+	}
+}
+
+// TestRepositoryRecordAppendsMatchBatch: appending every record's schema
+// one at a time equals batch inference — the associativity corollary
+// the paper highlights.
+func TestRepositoryRecordAppendsMatchBatch(t *testing.T) {
+	g, _ := dataset.New("twitter")
+	data := dataset.NDJSON(g, 120, 3)
+	repo := jsi.NewRepository()
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		s, err := jsi.InferJSON(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repo.Append("main", s, 1)
+	}
+	batch, _ := inferSchema(t, string(data))
+	if got, want := repo.Schema().String(), batch.String(); got != want {
+		t.Errorf("incremental %s != batch %s", got, want)
+	}
+	if repo.Count() != 120 {
+		t.Errorf("Count = %d", repo.Count())
+	}
+}
+
+func TestRepositoryPartitionsFuse(t *testing.T) {
+	repo := jsi.NewRepository()
+	s1, _ := inferSchema(t, `{"a": 1}`)
+	s2, _ := inferSchema(t, `{"b": "x"}`)
+	repo.Append("p1", s1, 1)
+	repo.Append("p2", s2, 1)
+	if got, want := repo.Schema().String(), "{a: Num?, b: Str?}"; got != want {
+		t.Errorf("Schema = %s, want %s", got, want)
+	}
+	if got := repo.Partitions(); len(got) != 2 || got[0] != "p1" || got[1] != "p2" {
+		t.Errorf("Partitions = %v", got)
+	}
+	if p1, ok := repo.PartitionSchema("p1"); !ok || p1.String() != "{a: Num}" {
+		t.Errorf("p1 schema = %v", p1)
+	}
+}
+
+// TestRepositoryReplacePartition re-infers one partition — the "re-infer
+// the schema for the updated parts" maintenance step of Section 1 — as
+// a drop and an append, leaving the other partitions alone.
+func TestRepositoryReplacePartition(t *testing.T) {
+	repo := jsi.NewRepository()
+	stable, _ := inferSchema(t, `{"a": 1}`)
+	old, _ := inferSchema(t, `{"b": "old"}`)
+	repo.Append("stable", stable, 1)
+	repo.Append("dirty", old, 1)
+	fresh, st := inferSchema(t, `{"c": true}`+"\n"+`{"c": false, "d": null}`)
+	repo.DropPartition("dirty")
+	repo.Append("dirty", fresh, st.Records)
+	if got, want := repo.Schema().String(), "{a: Num?, c: Bool?, d: Null?}"; got != want {
+		t.Errorf("Schema = %s, want %s", got, want)
+	}
+	if repo.Count() != 3 {
+		t.Errorf("Count = %d, want 3", repo.Count())
+	}
+}
+
+// TestRepositoryAppendSimplifiesTuples: stored schemas are simplified,
+// so a positional schema from PreserveTupleArrays is kept as the
+// paper's repeated type, unlike offline inference under that option.
+func TestRepositoryAppendSimplifiesTuples(t *testing.T) {
+	pos, st, err := jsi.InferNDJSON([]byte(`{"p": [1, "x"]}`), jsi.Options{PreserveTupleArrays: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pos.String(), "{p: [Num, Str]}"; got != want {
+		t.Fatalf("offline positional schema = %s, want %s", got, want)
+	}
+	repo := jsi.NewRepository()
+	repo.Append("p", pos, st.Records)
+	if got, _ := repo.PartitionSchema("p"); got.String() != "{p: [(Num + Str)*]}" {
+		t.Errorf("stored schema = %s, want simplified", got)
+	}
+}
+
+func TestRepositorySchemaCacheInvalidation(t *testing.T) {
+	repo := jsi.NewRepository()
+	s1, _ := inferSchema(t, `{"a": 1}`)
+	s2, _ := inferSchema(t, `{"b": 2}`)
+	repo.Append("p", s1, 1)
+	first := repo.Schema()
+	if again := repo.Schema(); !first.Equal(again) {
+		t.Error("cached schema differs")
+	}
+	repo.Append("p", s2, 1)
+	updated := repo.Schema()
+	if first.Equal(updated) {
+		t.Error("schema not invalidated after append")
+	}
+	if got, want := updated.String(), "{a: Num?, b: Num?}"; got != want {
+		t.Errorf("updated schema = %s, want %s", got, want)
+	}
+}
+
+func TestRepositorySaveLoadPartitions(t *testing.T) {
+	g, _ := dataset.New("nytimes")
+	lines := bytes.SplitAfter(dataset.NDJSON(g, 40, 9), []byte("\n"))
+	repo := jsi.NewRepository()
+	for i, line := range lines[:40] {
+		s, err := jsi.InferJSON(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repo.Append(fmt.Sprintf("part%d", i%3), s, 1)
+	}
+	var buf bytes.Buffer
+	if err := repo.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := jsi.LoadRepository(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !repo.Schema().Equal(back.Schema()) {
+		t.Errorf("loaded schema %s != saved %s", back.Schema(), repo.Schema())
+	}
+	if repo.Count() != back.Count() {
+		t.Errorf("loaded count %d != saved %d", back.Count(), repo.Count())
+	}
+	if len(back.Partitions()) != 3 {
+		t.Errorf("loaded partitions = %v", back.Partitions())
+	}
+}
+
+func TestLoadRepositoryErrors(t *testing.T) {
+	if _, err := jsi.LoadRepository(strings.NewReader("not json")); err == nil {
+		t.Error("LoadRepository accepted garbage")
+	}
+	if _, err := jsi.LoadRepository(strings.NewReader(`{"partitions":[{"name":"p","schema":{"k":"bogus"}}]}`)); err == nil {
+		t.Error("LoadRepository accepted a bad schema")
+	}
+}
+
+// TestRepositoryPartitionedEqualsSingle: fusing per-partition schemas
+// equals fusing everything in one partition — the Table 8 strategy's
+// correctness argument.
+func TestRepositoryPartitionedEqualsSingle(t *testing.T) {
+	g, _ := dataset.New("github")
+	lines := bytes.SplitAfter(dataset.NDJSON(g, 90, 21), []byte("\n"))
+	parts, single := jsi.NewRepository(), jsi.NewRepository()
+	for i, line := range lines[:90] {
+		s, err := jsi.InferJSON(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts.Append(fmt.Sprintf("part%d", i/30), s, 1)
+		single.Append("all", s, 1)
+	}
+	if got, want := parts.Schema().String(), single.Schema().String(); got != want {
+		t.Errorf("partitioned %s != single %s", got, want)
+	}
+}
+
+// taggedBatches returns two batches of ten discriminated records each,
+// with twenty distinct tags between them: more than a tagged union
+// holds, so fusing the batches collapses their unions.
+func taggedBatches() [2]string {
+	var out [2]string
+	for b := range out {
+		var sb strings.Builder
+		for i := 0; i < 10; i++ {
+			fmt.Fprintf(&sb, `{"type": "t%d", "x": %d}`+"\n", 10*b+i, i)
+		}
+		out[b] = sb.String()
+	}
+	return out
+}
+
+// TestRepositoryLowersCollapsedUnions: a tagged union that collapses
+// when finalized schemas fuse is lowered to the plain record, as
+// offline inference lowers it, through Repository and Schema.Fuse.
+func TestRepositoryLowersCollapsedUnions(t *testing.T) {
+	opts := jsi.Options{TaggedUnions: true}
+	batches := taggedBatches()
+	offline, _, err := jsi.InferNDJSON([]byte(batches[0]+batches[1]), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := offline.String()
+	if want != "{type: Str, x: Num}" {
+		t.Fatalf("offline schema = %s, want the plain record", want)
+	}
+	var schemas [2]*jsi.Schema
+	repo := jsi.NewRepository()
+	for i, b := range batches {
+		s, st, err := jsi.InferNDJSON([]byte(b), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemas[i] = s
+		repo.Append(fmt.Sprintf("part-%d", i), s, st.Records)
+		repo.Append("both", s, st.Records)
+	}
+	if got := repo.Schema().String(); got != want {
+		t.Errorf("Repository.Schema = %s, want %s", got, want)
+	}
+	if got, _ := repo.PartitionSchema("both"); got.String() != want {
+		t.Errorf("Repository.PartitionSchema = %s, want %s", got, want)
+	}
+	if got := schemas[0].Fuse(schemas[1]).String(); got != want {
+		t.Errorf("Schema.Fuse = %s, want %s", got, want)
 	}
 }
 

@@ -74,13 +74,21 @@ func (s *Schema) Equal(other *Schema) bool {
 // Fuse merges this schema with another, returning the schema of the
 // union of the two collections. Fuse is commutative and associative
 // (Theorems 5.4 and 5.5 of the paper), so schemas inferred from
-// partitions of a dataset can be fused in any order.
+// partitions of a dataset can be fused in any order. Tagged unions
+// that collapse in the merge are lowered to plain records, as Infer
+// lowers them.
 func (s *Schema) Fuse(other *Schema) *Schema {
 	if other == nil {
 		return s
 	}
-	return newSchema(fusion.Fuse(s.t, other.t)).withEnrichment(enrich.Union(s.enr, other.enr))
+	return newSchema(lower(fusion.Fuse(s.t, other.t))).withEnrichment(enrich.Union(s.enr, other.enr))
 }
+
+// lower applies the final lowering of tagged-union merge states to a
+// fusion of finalized schemas: collapsed unions become plain records
+// and single-tag wrapper unions fold back. Types without unions are
+// returned as they are.
+func lower(t types.Type) types.Type { return fusion.Options{}.Finalize(t) }
 
 // Contains reports whether the JSON value in data conforms to the
 // schema (the semantic membership V ∈ ⟦T⟧ of Section 4 of the paper).
