@@ -62,7 +62,7 @@ type Options struct {
 	MaxTagLen int
 	// ChunkBytes is the chunk size of the bounded-memory partitioner
 	// used by FromFile, FromFiles and FromChunkedReader; zero means
-	// 4 MiB.
+	// 256 KiB.
 	ChunkBytes int
 	// Collector, when non-nil, accumulates pipeline metrics (records,
 	// bytes, per-chunk latencies, the fusion-growth curve, map-reduce
@@ -85,7 +85,8 @@ type Options struct {
 	// schema is byte-identical to a fault-free run — the guarantee the
 	// chaos harness in internal/chaos verifies. Zero disables retry.
 	// Retries applies to the chunked pipeline (FromBytes, FromFile,
-	// FromFiles); the sequential FromReader path has no tasks to retry.
+	// FromFiles, FromChunkedReader); the sequential FromReader path has
+	// no tasks to retry.
 	Retries int
 	// OnError selects what the pipeline does with a chunk that still
 	// fails after its retry budget: OnErrorFail (the default) aborts
@@ -255,7 +256,7 @@ func (o Options) validate() error {
 	case o.Workers < 0:
 		return fmt.Errorf("%w: Workers = %d, must be >= 0 (0 means one per CPU)", ErrInvalidOptions, o.Workers)
 	case o.ChunkBytes < 0:
-		return fmt.Errorf("%w: ChunkBytes = %d, must be >= 0 (0 means 4 MiB)", ErrInvalidOptions, o.ChunkBytes)
+		return fmt.Errorf("%w: ChunkBytes = %d, must be >= 0 (0 means 256 KiB)", ErrInvalidOptions, o.ChunkBytes)
 	case o.MaxDepth < 0:
 		return fmt.Errorf("%w: MaxDepth = %d, must be >= 0 (0 means the parser default)", ErrInvalidOptions, o.MaxDepth)
 	case o.MaxTupleLen < 0:

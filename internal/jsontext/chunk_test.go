@@ -18,7 +18,7 @@ import (
 // and appended until a chunk reaches chunkBytes.
 func refChunkLines(r io.Reader, chunkBytes int) ([][]byte, error) {
 	if chunkBytes <= 0 {
-		chunkBytes = 4 << 20
+		chunkBytes = defaultChunkBytes
 	}
 	br := bufio.NewReaderSize(r, 256<<10)
 	var chunks [][]byte
@@ -160,9 +160,10 @@ func sameChunks(t *testing.T, label string, got, want [][]byte) {
 
 // TestChunkLinesMatchesReference pins every chunk boundary to the
 // bufio+ReadBytes chunker over random inputs, chunk sizes from one byte
-// to 4 MiB and the default, and readers that return everything, half,
-// one byte, or the last bytes together with io.EOF. Every drawn buffer
-// must also be emitted or Put back exactly once.
+// to 4 MiB (on and just past the top size class too) and the default,
+// and readers that return everything, half, one byte, or the last bytes
+// together with io.EOF. Every drawn buffer must also be emitted or Put
+// back exactly once.
 func TestChunkLinesMatchesReference(t *testing.T) {
 	readers := []struct {
 		name string
@@ -175,7 +176,7 @@ func TestChunkLinesMatchesReference(t *testing.T) {
 	}
 	fixed := [][]byte{nil, []byte("\n"), []byte("\r\n\r\n"), []byte("abc"), []byte("{}\n{}")}
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range []int{1, 2, 3, 7, 64, 1000, 4095, 4096, 4097, 64 << 10, 300 << 10, 1 << 20, 4 << 20, 0} {
+	for _, c := range []int{1, 2, 3, 7, 64, 1000, 4095, 4096, 4097, 64 << 10, 256 << 10, 260<<10 + 1, 300 << 10, 1 << 20, 4 << 20, 0} {
 		gen := c
 		if gen == 0 {
 			gen = defaultChunkBytes
@@ -283,18 +284,22 @@ func TestChunkLinesEmitError(t *testing.T) {
 	}
 }
 
-// TestChunkLinesBufferFollowsBody: a body well under the default chunk
-// size, like a typical schemad ingest, never draws a buffer of the top
-// (chunk-sized) class.
+// TestChunkLinesBufferFollowsBody: a 300 KB body, a large schemad
+// ingest, is cut at the default 256 KiB into two chunks, and neither
+// draws a buffer above the default chunk's class.
 func TestChunkLinesBufferFollowsBody(t *testing.T) {
 	body := bytes.Repeat([]byte(`{"id": 123456, "text": "a tweet-sized body of text"}`+"\n"), 6000)
 	got, l, err := collect(t, bytes.NewReader(body), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameChunks(t, "body", got, [][]byte{body})
-	if top := chunkClasses[len(chunkClasses)-1]; l.maxCap >= top {
-		t.Errorf("a %d-byte body drew a %d-byte buffer; want one below the %d-byte chunk class", len(body), l.maxCap, top)
+	want, _ := refChunkLines(bytes.NewReader(body), 256<<10)
+	sameChunks(t, "body", got, want)
+	if len(got) != 2 {
+		t.Errorf("a %d-byte body made %d chunks, want 2", len(body), len(got))
+	}
+	if top := chunkClasses[len(chunkClasses)-1]; l.maxCap > top {
+		t.Errorf("a %d-byte body drew a %d-byte buffer; want none above the %d-byte chunk class", len(body), l.maxCap, top)
 	}
 	l.balanced("body")
 }
@@ -328,6 +333,9 @@ func TestChunkLinesLargeFileFullChunks(t *testing.T) {
 			t.Errorf("chunk %d is %d bytes, want a full %d-byte chunk plus at most one line", i, len(c), defaultChunkBytes)
 		}
 	}
+	if top := chunkClasses[len(chunkClasses)-1]; l.maxCap > top {
+		t.Errorf("full chunks drew a %d-byte buffer; want none above the %d-byte chunk class", l.maxCap, top)
+	}
 	l.balanced("file")
 }
 
@@ -337,7 +345,8 @@ func TestChunkLinesLargeFileFullChunks(t *testing.T) {
 // cuts stay where the reference puts them.
 func TestChunkLinesClassSizedChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for c, chunkBytes := range []int{64 << 10, 256 << 10, 1 << 20, defaultChunkBytes} {
+	for c, class := range chunkClasses {
+		chunkBytes := class - chunkSlack
 		var b bytes.Buffer
 		for b.Len() < 5*chunkBytes/2 {
 			b.Write(bytes.Repeat([]byte("x"), rng.Intn(chunkSlack-1)))
@@ -360,22 +369,39 @@ func TestChunkLinesClassSizedChunks(t *testing.T) {
 
 // TestChunkPoolClasses: Get serves the smallest class that fits, and
 // exactly the hint beyond the top class; a nil pool allocates the same.
+// Every class is pooled, the default chunk's included, while a buffer
+// beyond the top class is dropped on Put.
 func TestChunkPoolClasses(t *testing.T) {
 	var p ChunkPool
+	top := defaultChunkBytes + chunkSlack
 	for _, tc := range []struct{ hint, cap int }{
 		{0, 64<<10 + chunkSlack}, {1, 64<<10 + chunkSlack}, {64<<10 + chunkSlack, 64<<10 + chunkSlack},
-		{64<<10 + chunkSlack + 1, 256<<10 + chunkSlack}, {1 << 20, 1<<20 + chunkSlack},
-		{4 << 20, defaultChunkBytes + chunkSlack}, {5 << 20, 5 << 20},
+		{64<<10 + chunkSlack + 1, top}, {defaultChunkBytes, top}, {top, top},
+		{top + 1, top + 1}, {1 << 20, 1 << 20},
 	} {
 		if b := p.Get(tc.hint); cap(b) != tc.cap || len(b) != 0 {
 			t.Errorf("Get(%d): len %d cap %d, want 0, %d", tc.hint, len(b), cap(b), tc.cap)
 		}
 	}
-	// A full-chunk buffer is dropped on Put, never handed out again.
-	top := p.Get(defaultChunkBytes)[:1]
-	p.Put(top)
-	if b := p.Get(defaultChunkBytes)[:1]; &b[0] == &top[0] {
-		t.Error("a top-class buffer came back from the pool")
+	if len(chunkClasses) != 2 || chunkClasses[len(chunkClasses)-1] != top {
+		t.Errorf("chunkClasses = %v, want 64 KiB and the default chunk, each plus slack", chunkClasses)
+	}
+	// A buffer beyond the top class is not filed under it.
+	big := p.Get(top + 1)[:1]
+	p.Put(big)
+	if b := p.Get(top)[:1]; &b[0] == &big[0] {
+		t.Error("a buffer beyond the top class came back from the pool")
+	}
+	// A default-chunk buffer is kept. The race detector drops a quarter
+	// of sync.Pool puts on purpose, so allow a few tries.
+	reused := false
+	for try := 0; try < 16 && !reused; try++ {
+		b := p.Get(defaultChunkBytes)[:1]
+		p.Put(b)
+		reused = &p.Get(defaultChunkBytes)[:1][0] == &b[0]
+	}
+	if !reused {
+		t.Error("a default-chunk buffer never came back from the pool")
 	}
 	var nilPool *ChunkPool
 	if b := nilPool.Get(10); cap(b) != 64<<10+chunkSlack {

@@ -3,6 +3,7 @@ package jsontext
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 	"testing/iotest"
@@ -73,5 +74,122 @@ func FuzzLexerNeverHangs(f *testing.F) {
 		if d := diffSteps(got, want); d != "" {
 			t.Fatalf("reader and slice lexing differ for %q: %s", data, d)
 		}
+	})
+}
+
+// patternReader serves data in reads whose sizes cycle through a
+// pattern: a pattern byte p yields minRead+(p&0x7f)² bytes, after an
+// empty (0, nil) read when its high bit is set. With eofWithData the
+// last bytes arrive together with io.EOF.
+type patternReader struct {
+	data, pattern []byte
+	minRead, i    int
+	eofWithData   bool
+	skipped       bool
+}
+
+func (r *patternReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	size := len(p)
+	if len(r.pattern) > 0 {
+		b := r.pattern[r.i%len(r.pattern)]
+		if b&0x80 != 0 && !r.skipped {
+			r.skipped = true
+			return 0, nil
+		}
+		r.i, r.skipped = r.i+1, false
+		size = r.minRead + int(b&0x7f)*int(b&0x7f)
+	}
+	n := copy(p[:min(len(p), size)], r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 && r.eofWithData {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// grownFrom is the capacity a chunk buffer of capacity c grew out of:
+// the class below c, or half of c beyond the top class.
+func grownFrom(c int) int {
+	if c > chunkClasses[len(chunkClasses)-1] {
+		return c / 2
+	}
+	return chunkClasses[classFor(c)-1]
+}
+
+// FuzzChunkLinesPooled checks ChunkLinesPooled on arbitrary bytes
+// repeated up to 1 MiB (so short inputs still reach every size class,
+// and stay quick for the fuzzer to minimize), a chunk size taken from the input (0 for the default, 1 for a
+// cut at every newline) and a read-size pattern. Chunk and read sizes
+// have a floor of one 4096th of the input, which keeps a run short.
+//
+//   - the chunks concatenate back to the input;
+//   - every chunk but the last ends at its first newline at or past
+//     index chunkBytes-1, and the last one has no newline there short
+//     of its final byte;
+//   - a buffer grows out of a class only once a chunk has filled it, so
+//     no buffer above the default chunk's class is drawn unless a chunk
+//     needs one;
+//   - every buffer drawn from the pool is emitted or Put back exactly
+//     once.
+func FuzzChunkLinesPooled(f *testing.F) {
+	line := []byte(`{"a": [1, true, "x"]}` + "\n")
+	f.Add([]byte("{}\n{}"), uint16(0), uint32(0), []byte(nil))
+	f.Add([]byte("a\nbb\n\nccc\r\n"), uint16(3), uint32(1), []byte{0, 3, 0x85})
+	f.Add([]byte("\n\n\n"), uint16(0), uint32(2), []byte{0x80})
+	f.Add(line, uint16(200), uint32(64), []byte{1, 40, 7})
+	f.Add(line, uint16(15000), uint32(0), []byte{0x7f, 0x90, 0x7f, 3})
+	f.Add(line, uint16(15000), uint32(100<<10), []byte{0x7f, 0x40, 0x22})
+	f.Add([]byte("xxxxxxxxxx"), uint16(30000), uint32(0), []byte{0x7f, 0x7f, 0x7e})
+	f.Fuzz(func(t *testing.T, unit []byte, rep uint16, cb uint32, reads []byte) {
+		data := bytes.Repeat(unit, min(1+int(rep), 1+(1<<20)/(1+len(unit))))
+		floor := 1 + len(data)>>12
+		chunkBytes := int(cb % (1 << 20))
+		if chunkBytes != 0 {
+			chunkBytes = max(chunkBytes, floor)
+		}
+		cut := chunkBytes
+		if cut == 0 {
+			cut = defaultChunkBytes
+		}
+		r := &patternReader{data: data, pattern: reads, minRead: floor, eofWithData: len(reads)%2 == 1}
+		pool, l := newLedger(t)
+		var chunks [][]byte
+		maxCap := chunkClasses[0]
+		err := ChunkLinesPooled(r, chunkBytes, pool, func(b []byte) error {
+			l.emitted(b)
+			if len(b) == 0 {
+				t.Error("empty chunk")
+			}
+			if cap(b) > chunkClasses[0] && len(b) < grownFrom(cap(b)) {
+				t.Errorf("a %d-byte chunk sits in a %d-byte buffer, grown before the %d-byte one was full", len(b), cap(b), grownFrom(cap(b)))
+			}
+			maxCap = max(maxCap, cap(b))
+			chunks = append(chunks, bytes.Clone(b))
+			pool.Put(b)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Join(chunks, nil); !bytes.Equal(got, data) {
+			t.Fatalf("chunks join to %d bytes, want the %d input bytes", len(got), len(data))
+		}
+		for i, c := range chunks {
+			from := min(cut-1, len(c))
+			j := bytes.IndexByte(c[from:], '\n')
+			switch {
+			case j >= 0 && from+j != len(c)-1:
+				t.Errorf("chunk %d of %d bytes runs past its cut at byte %d", i, len(c), from+j)
+			case j < 0 && i < len(chunks)-1:
+				t.Errorf("chunk %d of %d bytes ends without a newline at or past index %d", i, len(c), cut-1)
+			}
+		}
+		if l.maxCap > maxCap {
+			t.Errorf("drew a %d-byte buffer, but no chunk needed more than %d", l.maxCap, maxCap)
+		}
+		l.balanced("fuzz")
 	})
 }

@@ -101,20 +101,24 @@ func SplitLines(data []byte, n int) [][]byte {
 }
 
 // defaultChunkBytes is the chunk size ChunkLinesPooled uses when given
-// zero.
-const defaultChunkBytes = 4 << 20
+// zero. Partition size never shows in the schema (the reduce is
+// associative and commutative), so it is only a cost choice: chunks this
+// size keep the in-flight buffers of a run small, while much shorter
+// ones spend more CPU on per-chunk work (the dedup sample window, the
+// chunk's own fold and its merge).
+const defaultChunkBytes = 256 << 10
 
 // chunkSlack is the room every size class leaves above its power of
 // four, so a chunk cut at a class size (the default, or a ChunkBytes of
-// 64 KiB, 256 KiB or 1 MiB) whose last line runs a little past the
-// threshold fits without moving up a class. Once a chunk is full,
-// ChunkLinesPooled also reads at most this much at a time, which bounds
-// the bytes it carries into the next chunk.
+// 64 KiB) whose last line runs a little past the threshold fits without
+// moving up a class. Once a chunk is full, ChunkLinesPooled also reads
+// at most this much at a time, which bounds the bytes it carries into
+// the next chunk.
 const chunkSlack = 4 << 10
 
 // chunkClasses are the buffer capacities a ChunkPool serves: powers of
 // four from 64 KiB up to a default chunk, each plus slack.
-var chunkClasses = [...]int{64<<10 + chunkSlack, 256<<10 + chunkSlack, 1<<20 + chunkSlack, defaultChunkBytes + chunkSlack}
+var chunkClasses = [...]int{64<<10 + chunkSlack, defaultChunkBytes + chunkSlack}
 
 // classFor returns the index of the smallest class holding n bytes, or
 // len(chunkClasses) when n exceeds them all.
@@ -127,27 +131,24 @@ func classFor(n int) int {
 }
 
 // A ChunkPool recycles chunk buffers between a feed and the release
-// hook of the pipeline that consumed them, so the many small bodies of
-// a server reuse a handful of buffers instead of allocating one per
-// run. It keeps one sync.Pool per size class below the top one
-// (chunkClasses), so a small input reuses small buffers and never
-// holds a chunk-sized one. The zero value is ready to use; a nil
-// *ChunkPool degrades to plain allocation (Get allocates fresh, Put
+// hook of the pipeline that consumed them, so the chunks of a large
+// file and the many small bodies of a server reuse a handful of buffers
+// instead of allocating one per chunk. It keeps one sync.Pool per size
+// class (chunkClasses), so a small input reuses small buffers and never
+// holds a chunk-sized one; a buffer beyond the top class, which only a
+// line longer than a default chunk or a larger ChunkBytes needs, is
+// allocated exactly and never kept. The zero value is ready to use; a
+// nil *ChunkPool degrades to plain allocation (Get allocates fresh, Put
 // drops), so pooled code paths need no nil branches. Buffers must only
 // be Put back once their consumer is finished with them — with the
 // map-reduce engine that is its Release hook, which fires after a
 // chunk's final retry attempt.
 //
-// Buffers of the top class, a full default chunk, are not kept. A run
-// that fills them has megabytes to lex per buffer, so allocating one
-// costs little, while a kept one stays resident across the next garbage
-// collection (a sync.Pool drops idle buffers only after two) and counts
-// as live heap, which raises the collector's goal for whatever runs
-// next. The smaller classes have no cap on the bytes they retain, and
-// need none: the runtime forces a collection at least every two
-// minutes, so an idle process hands the memory back.
+// The pool has no cap on the bytes it retains, and needs none: a run
+// holds a few buffers at a time, and the runtime forces a collection at
+// least every two minutes, so an idle process hands the memory back.
 type ChunkPool struct {
-	classes [len(chunkClasses) - 1]sync.Pool
+	classes [len(chunkClasses)]sync.Pool
 	// observe, when set, sees every buffer Get returns and every buffer
 	// Put accepts; tests count ownership through it.
 	observe func(put bool, b []byte)
@@ -159,7 +160,7 @@ type ChunkPool struct {
 func (p *ChunkPool) Get(capHint int) []byte {
 	var b []byte
 	if c := classFor(capHint); c < len(chunkClasses) {
-		if p != nil && c < len(p.classes) {
+		if p != nil {
 			if v := p.classes[c].Get(); v != nil {
 				b = *(v.(*[]byte))
 			}
@@ -177,8 +178,8 @@ func (p *ChunkPool) Get(capHint int) []byte {
 
 // Put returns a buffer to the pool for a later Get, filed under the
 // largest class its capacity covers; a buffer below the smallest class,
-// or of the top class or beyond, is dropped. The caller must not touch
-// b afterwards.
+// or beyond the top class, is dropped. The caller must not touch b
+// afterwards.
 func (p *ChunkPool) Put(b []byte) {
 	if p == nil || cap(b) == 0 {
 		return
@@ -187,7 +188,7 @@ func (p *ChunkPool) Put(b []byte) {
 		p.observe(true, b)
 	}
 	c := classFor(cap(b) + 1)
-	if c == 0 || c > len(p.classes) {
+	if c == 0 || cap(b) > chunkClasses[len(chunkClasses)-1] {
 		return
 	}
 	b = b[:0]
@@ -207,7 +208,7 @@ func (p *ChunkPool) grow(b []byte) []byte {
 }
 
 // ChunkLinesPooled reads NDJSON from r and calls emit with line-aligned
-// chunks of roughly chunkBytes bytes (zero means 4 MiB). A chunk ends
+// chunks of roughly chunkBytes bytes (zero means 256 KiB). A chunk ends
 // right after the first newline at or past its chunkBytes-th byte, and
 // whatever follows the last cut is flushed at EOF, so the final chunk
 // may be smaller and a single line longer than chunkBytes becomes its

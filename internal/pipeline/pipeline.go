@@ -49,7 +49,7 @@ type Env struct {
 	// one worker per CPU (resolved by the map-reduce engine).
 	Workers int
 	// ChunkBytes is the chunk size of bounded-memory file feeds; zero
-	// means the partitioner default (4 MiB).
+	// means the partitioner default (256 KiB).
 	ChunkBytes int
 	// MaxDepth bounds value nesting in the decoders of both drivers;
 	// zero means the parser default.
@@ -298,14 +298,6 @@ const ProgressEveryRecords = 1024
 // only cancellation latency is quantized, to at most one batch.
 const StreamBatchRecords = 64
 
-// FeedBuffer is the capacity of the chunk channel between the feed and
-// the map workers: a small batch of in-flight chunks lets the input
-// reader run ahead of the workers (I/O overlapping compute) without
-// unbounding memory. Cancellation semantics are unchanged — a feed
-// blocked on a full buffer still unblocks through the emit error, and
-// chunks parked in the buffer at abort are simply dropped.
-const FeedBuffer = 4
-
 // Run distributes the feed's chunks over the map-reduce engine: each
 // chunk is typed and locally folded into an Accumulator (the
 // combiner), and accumulators merge associatively + commutatively into
@@ -331,7 +323,14 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	src := make(chan []byte, FeedBuffer)
+	// The chunk channel holds one queued chunk per worker (one when
+	// Workers is left to the engine): the reader runs ahead of the map
+	// stage (I/O overlapping compute), and a run holds at most
+	// 2·Workers+2 emitted chunks — one per map attempt, one per queue
+	// slot, one in the engine's hand-off and one blocked in emit — plus
+	// the feed's buffer for the next chunk. Chunks parked in the queue
+	// at abort are simply dropped.
+	src := make(chan []byte, max(env.Workers, 1))
 	feedDone := make(chan struct{})
 	var feedErr error
 	go func() {

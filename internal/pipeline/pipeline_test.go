@@ -7,10 +7,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fusion"
+	"repro/internal/mapreduce"
 )
 
 // checkNoLeakedGoroutines asserts the goroutine count returns to its
@@ -137,6 +139,42 @@ func TestRunFeedError(t *testing.T) {
 	}
 	if errors.As(err, &fe) {
 		t.Fatalf("decode error surfaced as FeedError: %v", err)
+	}
+}
+
+// TestRunPooledBoundsChunksInFlight pins RunPooled's memory bound: with
+// the map stage slowed by an injected delay, so the feed always runs
+// ahead, the chunks emit has accepted but the release hook has not yet
+// returned never number more than 2·Workers+1 — one per map attempt, one
+// per queued slot and one in the engine's hand-off — and every one is
+// released by the time the run returns.
+func TestRunPooledBoundsChunksInFlight(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		// Counting after emit returns and before release can only
+		// under-count, so a peak above the bound is a real one. RunPooled
+		// joins the feed before returning, so peak needs no lock.
+		var inFlight atomic.Int64
+		var peak int64
+		feed := func(emit func([]byte) error) error {
+			for i := 0; i < 12*workers; i++ {
+				if err := emit([]byte(`{"a":1}` + "\n")); err != nil {
+					return nil
+				}
+				peak = max(peak, inFlight.Add(1))
+			}
+			return nil
+		}
+		slow := func(int, int) mapreduce.Fault { return mapreduce.Fault{Delay: 2 * time.Millisecond} }
+		env := &Env{Workers: workers, Injector: slow}
+		if _, _, err := RunPooled(context.Background(), env, feed, func([]byte) { inFlight.Add(-1) }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if bound := int64(2*workers + 1); peak > bound {
+			t.Errorf("workers=%d: %d chunks in flight, want at most %d", workers, peak, bound)
+		}
+		if n := inFlight.Load(); n != 0 {
+			t.Errorf("workers=%d: %d chunks never released", workers, n)
+		}
 	}
 }
 
