@@ -1,5 +1,5 @@
 // Command repolint runs this repository's custom static-analysis suite
-// (internal/analyze): ten stdlib-only analyzers guarding the
+// (internal/analyze): eight stdlib-only analyzers guarding the
 // determinism, immutability, purity and concurrency invariants the
 // schema inference pipeline is built on — three of them
 // interprocedural, consuming call-graph function summaries. See
@@ -8,20 +8,20 @@
 //
 // Usage:
 //
-//	repolint [-json | -sarif] [-fix] [-stats] [-list] [packages...]
+//	repolint [-json | -sarif] [-stats] [-list] [packages...]
 //
 // Packages are directory patterns relative to the working directory
 // (default "./..."); a trailing /... recurses. The exit status is 0
 // when no findings remain after suppression, 1 when findings are
 // reported, and 2 on usage or load errors — the same convention as go
-// vet, so CI can tell "dirty tree" from "broken run".
+// vet, so CI can tell "dirty tree" from "broken run". The convention
+// holds for the built binary only: `go run` reports any non-zero exit
+// of the program it ran as its own exit status 1.
 //
 // -json emits the findings as a JSON array (start and end positions,
-// analyzer doc anchor, fixability). -sarif emits a SARIF 2.1.0 log for
-// code-scanning upload. -fix applies the suggested fixes attached to
-// mechanical findings in place and reports what it rewrote; a second
-// run after -fix reports zero fixable findings. -stats prints
-// per-analyzer finding counts and wall time to stderr.
+// analyzer doc anchor). -sarif emits a SARIF 2.1.0 log for
+// code-scanning upload. -stats prints per-analyzer finding counts and
+// wall time to stderr.
 package main
 
 import (
@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of text")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place")
 	stats := fs.Bool("stats", false, "print per-analyzer finding counts and wall time to stderr")
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
 	if err := fs.Parse(args); err != nil {
@@ -86,33 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags, perAnalyzer := analyze.CheckStats(pkgs, analyze.All())
-
-	if *fix {
-		results, err := analyze.ApplyFixes(loader.Fset(), diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
-		}
-		applied := 0
-		for _, r := range results {
-			if r.Applied > 0 {
-				fmt.Fprintf(stdout, "%s: applied %d fix(es)\n", relPath(r.File), r.Applied)
-				applied += r.Applied
-			}
-			if r.Skipped > 0 {
-				fmt.Fprintf(stdout, "%s: skipped %d overlapping fix(es); re-run repolint\n", relPath(r.File), r.Skipped)
-			}
-		}
-		fmt.Fprintf(stderr, "repolint: %d fix(es) applied\n", applied)
-		// Fixed findings are cured; the rest still stand.
-		remaining := diags[:0]
-		for _, d := range diags {
-			if !d.Fixable {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
-	}
 
 	switch {
 	case *jsonOut:

@@ -72,11 +72,11 @@ type Options struct {
 	// BenchmarkInferNDJSONObserved).
 	Collector *Collector
 	// Progress, when non-nil, is called with a metrics snapshot after
-	// each processed chunk (or every few thousand records on the
-	// streaming path) and once after the run completes. It runs on
-	// pipeline goroutines: keep it fast and do not call back into the
-	// pipeline. If Collector is nil a private one is used, so Progress
-	// works on its own.
+	// each processed chunk (or every 1024 records on the streaming
+	// path) and once after the run completes. It runs on pipeline
+	// goroutines: keep it fast and do not call back into the pipeline.
+	// If Collector is nil a private one is used, so Progress works on
+	// its own.
 	Progress func(Metrics)
 	// Retries is the per-chunk retry budget for transient map-phase
 	// failures (I/O hiccups, timeouts, injected faults). Retried chunks
@@ -414,12 +414,12 @@ func InferReader(r io.Reader, opts Options) (*Schema, Stats, error) {
 }
 
 // InferFile infers the schema of one NDJSON file with bounded memory:
-// the file streams through line-aligned chunks (a few MB each) that are
-// inferred and fused by parallel workers while the file is still being
-// read. Use this for files too large for InferNDJSON's in-memory
-// partitioning; the resulting schema is identical (associativity +
-// commutativity), which the tests verify. It is Infer over FromFile
-// with a background context.
+// the file streams through line-aligned chunks (Options.ChunkBytes
+// each, 256 KiB by default) that are inferred and fused by parallel
+// workers while the file is still being read. Use this for files too
+// large for InferNDJSON's in-memory partitioning; the resulting schema
+// is identical (associativity + commutativity), which the tests
+// verify. It is Infer over FromFile with a background context.
 func InferFile(path string, opts Options) (*Schema, Stats, error) {
 	return Infer(context.Background(), FromFile(path), opts)
 }

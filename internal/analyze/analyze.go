@@ -5,26 +5,21 @@
 // of the algorithms: fusion is commutative and associative so any
 // reduction order must give byte-for-byte identical schemas, fused
 // types share subtrees so they must never be mutated after
-// construction, and the map-reduce layer must not leak goroutines or
-// copy locks. Runtime property tests exercise these invariants on the
-// inputs they happen to generate; the analyzers in this package check
-// the *source* for the coding patterns that break them, on every build.
+// construction, and the map-reduce layer must not leak goroutines.
+// Runtime property tests exercise these invariants on the inputs they
+// happen to generate; the analyzers in this package check the *source*
+// for the coding patterns that break them, on every build.
 //
-// The ten project-specific analyzers are:
+// The eight project-specific analyzers are:
 //
 //   - nondetmap: iteration over a Go map whose body performs an
 //     order-sensitive operation (append to an outer slice, channel
 //     send, writer emission) without sorting — the determinism
 //     guarantee (docs/ANALYSIS.md).
-//   - typemut: writes through the shared slices returned by
-//     types.Type accessors (Fields/Elems/Alts) outside the constructor
-//     packages — fused types alias subtrees, so such writes corrupt
-//     sibling schemas.
 //   - goroleak: `go func` literals with no completion accounting (no
 //     WaitGroup, no channel close/send, no done-channel) in scope.
 //   - droppederr: discarded error results from encoding/json, io and
 //     os calls.
-//   - lockcopy: by-value copies of structs embedding sync primitives.
 //   - stagecapture: pipeline stage literals (map/combine/feed functions
 //     passed to internal/pipeline.Run or internal/mapreduce.Run) that
 //     capture loop variables or assign to captured state — stages run
@@ -34,10 +29,12 @@
 //     entry points must be transitively free of nondeterminism and
 //     external mutation — checked through calls via the function
 //     summaries of callgraph.go/summary.go.
-//   - internmut: writes through accessor slices of interned types
-//     reached across call boundaries (a callee that mutates its slice
-//     parameter receiving an accessor result), extending typemut
-//     interprocedurally.
+//   - internmut: writes through the shared slices returned by
+//     types.Type accessors (Fields/Elems/Alts) outside the constructor
+//     packages — fused types alias subtrees, so such writes corrupt
+//     sibling schemas. Covers direct writes and append/copy in the
+//     function holding the slice, and escapes into callees that mutate
+//     it (via the summaries).
 //   - ctxflow: functions that receive a context.Context must pass it
 //     down rather than minting context.Background(), and loops that
 //     spawn goroutines must observe ctx.Done().
@@ -46,10 +43,13 @@
 //     engine drivers whose output aliases the released item — the
 //     batched-feed recycling contract (docs/PERFORMANCE.md).
 //
-// The last three consume the per-function fact summaries built by
-// ComputeSummaries (pass 1); the driver computes those once per Check
-// over the full package set, so facts flow across every package loaded
-// together.
+// Copied locks are left to go vet's copylocks check, which verify.sh
+// runs in the same gate.
+//
+// monoidpure, internmut and ctxflow consume the per-function fact
+// summaries built by ComputeSummaries (pass 1); the driver computes
+// those once per Check over the full package set, so facts flow across
+// every package loaded together.
 //
 // Diagnostics can be suppressed with a `//lint:ignore <analyzers>
 // <reason>` comment on the flagged line or the line directly above it;
@@ -113,29 +113,21 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, token.NoPos, nil, format, args...)
+	p.report(pos, token.NoPos, format, args...)
 }
 
 // ReportNode records a finding spanning the node, so the diagnostic
 // carries an end position (JSON endLine/endCol, SARIF region).
 func (p *Pass) ReportNode(n ast.Node, format string, args ...any) {
-	p.report(n.Pos(), n.End(), nil, format, args...)
+	p.report(n.Pos(), n.End(), format, args...)
 }
 
-// ReportNodeFix records a finding spanning the node with an attached
-// suggested fix, applied by `repolint -fix`.
-func (p *Pass) ReportNodeFix(n ast.Node, fix *SuggestedFix, format string, args ...any) {
-	p.report(n.Pos(), n.End(), fix, format, args...)
-}
-
-func (p *Pass) report(pos, end token.Pos, fix *SuggestedFix, format string, args ...any) {
+func (p *Pass) report(pos, end token.Pos, format string, args ...any) {
 	d := Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Doc:      p.Analyzer.DocAnchor(),
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-		Fixable:  fix != nil,
 	}
 	if end.IsValid() {
 		d.End = p.Fset.Position(end)
@@ -179,11 +171,6 @@ type Diagnostic struct {
 	Col     int    `json:"col"`
 	EndLine int    `json:"endLine,omitempty"`
 	EndCol  int    `json:"endCol,omitempty"`
-
-	// Fixable reports whether a suggested fix is attached; Fix is the
-	// fix itself (not serialized — `repolint -fix` applies it).
-	Fixable bool          `json:"fixable"`
-	Fix     *SuggestedFix `json:"-"`
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -195,10 +182,8 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NondetMap,
-		TypeMut,
 		GoroLeak,
 		DroppedErr,
-		LockCopy,
 		StageCapture,
 		MonoidPure,
 		InternMut,

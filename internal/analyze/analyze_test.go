@@ -3,7 +3,9 @@ package analyze
 import (
 	"go/ast"
 	"go/parser"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -80,5 +82,57 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	for _, d := range Check(pkgs, All()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestDocAnchorsResolve checks that every finding's documentation link
+// lands on a section: "## The analyzers" in docs/ANALYSIS.md holds
+// exactly one "### <name>" heading per registered analyzer and none for
+// anything else, so a deleted analyzer cannot leave a stale section and
+// a new one cannot ship undocumented. The suppress pseudo-analyzer's
+// anchor must name a heading too.
+func TestDocAnchorsResolve(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	file, _, _ := strings.Cut(suppressDoc, "#")
+	src, err := os.ReadFile(filepath.Join(loader.root, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headings []string
+	sections := make(map[string]int)
+	inAnalyzers := false
+	for _, line := range strings.Split(string(src), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			headings = append(headings, h)
+			inAnalyzers = h == "The analyzers"
+		} else if h, ok := strings.CutPrefix(line, "### "); ok && inAnalyzers {
+			sections[h]++
+		}
+	}
+
+	for _, a := range All() {
+		anchorFile, name, _ := strings.Cut(a.DocAnchor(), "#")
+		if anchorFile != file || name != a.Name {
+			t.Errorf("%s: doc anchor %q, want %s#%s", a.Name, a.DocAnchor(), file, a.Name)
+		}
+		if sections[name] != 1 {
+			t.Errorf("%s: %d \"### %s\" sections under \"## The analyzers\", want 1", a.Name, sections[name], name)
+		}
+		delete(sections, name)
+	}
+	for name := range sections {
+		t.Errorf("\"### %s\" under \"## The analyzers\" documents no registered analyzer", name)
+	}
+
+	_, frag, _ := strings.Cut(suppressDoc, "#")
+	found := false
+	for _, h := range headings {
+		found = found || strings.ReplaceAll(strings.ToLower(h), " ", "-") == frag
+	}
+	if !found {
+		t.Errorf("suppress anchor %q matches no \"## \" heading in %s", suppressDoc, file)
 	}
 }

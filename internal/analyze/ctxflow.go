@@ -14,12 +14,10 @@ import (
 //
 //  1. A function that receives a context.Context must not construct
 //     context.Background() or context.TODO(); pass the received ctx
-//     (or a context derived from it) down instead. The direct form
-//     carries a suggested fix (replace the call with the ctx
-//     parameter); the transitive form — calling a ctx-less module
-//     function that mints a Background somewhere below, detected via
-//     the FactBackground summaries — is reported at the call site
-//     with the witness chain.
+//     (or a context derived from it) down instead. The transitive
+//     form — calling a ctx-less module function that mints a
+//     Background somewhere below, detected via the FactBackground
+//     summaries — is reported at the call site with the witness chain.
 //
 //  2. In package main, only func main may mint the root context
 //     (typically via signal.NotifyContext); any other function
@@ -103,11 +101,7 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, ctxParam string) {
 		return
 	}
 	if fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO") {
-		fix := &SuggestedFix{
-			Message: "replace context." + fn.Name() + "() with " + ctxParam,
-			Edits:   []TextEdit{{Pos: call.Pos(), End: call.End(), NewText: ctxParam}},
-		}
-		pass.ReportNodeFix(call, fix, "function receives %s but calls context.%s(); pass %s down so cancellation reaches this path",
+		pass.ReportNode(call, "function receives %s but calls context.%s(); pass %s down so cancellation reaches this path",
 			ctxParam, fn.Name(), ctxParam)
 		return
 	}

@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -43,7 +42,7 @@ func runDroppedErr(pass *Pass) {
 				}
 				return false // the call is handled; don't re-visit it
 			case *ast.DeferStmt:
-				checkDeferredCall(pass, f, nn)
+				checkDiscardedCall(pass, nn.Call, "dropped by defer")
 				return true // descend: argument expressions may contain calls
 			case *ast.GoStmt:
 				checkDiscardedCall(pass, nn.Call, "dropped by go")
@@ -64,69 +63,6 @@ func checkDiscardedCall(pass *Pass, call *ast.CallExpr, how string) {
 		return
 	}
 	pass.ReportNode(call, "error result of %s.%s %s", fn.Pkg().Name(), fn.Name(), how)
-}
-
-// checkDeferredCall reports a deferred call whose error is dropped.
-// When the enclosing function (not a nested literal) has a named error
-// result and the deferred call returns exactly one error, the finding
-// carries the mechanical fix: wrap the call so its error joins the
-// function's — `defer f.Close()` becomes
-// `defer func() { err = errors.Join(err, f.Close()) }()`.
-func checkDeferredCall(pass *Pass, file *ast.File, ds *ast.DeferStmt) {
-	fn := guardedCallee(pass, ds.Call)
-	if fn == nil {
-		return
-	}
-	errName := enclosingErrResult(pass, file, ds.Pos())
-	sig := fn.Type().(*types.Signature)
-	if errName == "" || sig.Results().Len() != 1 || !isErrorType(sig.Results().At(0).Type()) {
-		pass.ReportNode(ds.Call, "error result of %s.%s dropped by defer", fn.Pkg().Name(), fn.Name())
-		return
-	}
-	callText := exprString(ds.Call)
-	fix := &SuggestedFix{
-		Message:    "join the deferred error into " + errName,
-		Edits:      []TextEdit{{Pos: ds.Call.Pos(), End: ds.Call.End(), NewText: "func() { " + errName + " = errors.Join(" + errName + ", " + callText + ") }()"}},
-		NeedImport: "errors",
-	}
-	pass.ReportNodeFix(ds.Call, fix, "error result of %s.%s dropped by defer", fn.Pkg().Name(), fn.Name())
-}
-
-// enclosingErrResult finds the innermost function enclosing pos and
-// returns the name of its named error result, or "". A surrounding
-// function literal with its own result list shadows the declaration's.
-func enclosingErrResult(pass *Pass, file *ast.File, pos token.Pos) string {
-	name := ""
-	ast.Inspect(file, func(n ast.Node) bool {
-		var ft *ast.FuncType
-		var body *ast.BlockStmt
-		switch nn := n.(type) {
-		case *ast.FuncDecl:
-			ft, body = nn.Type, nn.Body
-		case *ast.FuncLit:
-			ft, body = nn.Type, nn.Body
-		default:
-			return true
-		}
-		if body == nil || !withinNode(pos, body) {
-			return true
-		}
-		name = "" // innermost function wins; reset any outer result
-		if ft.Results != nil {
-			for _, field := range ft.Results.List {
-				if t := pass.TypeOf(field.Type); t == nil || !isErrorType(t) {
-					continue
-				}
-				for _, id := range field.Names {
-					if id.Name != "_" {
-						name = id.Name
-					}
-				}
-			}
-		}
-		return true // keep descending: a nested literal may be closer
-	})
-	return name
 }
 
 // checkBlankAssign reports assignments where every error result of a

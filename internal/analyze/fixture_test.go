@@ -9,31 +9,56 @@ import (
 	"testing"
 )
 
-// TestFixtures runs each analyzer over its golden fixture package under
-// testdata/src/<name> and checks the diagnostics against the fixture's
+// fixture is a golden fixture package under testdata/src/<dir> and the
+// analyzer it exercises.
+type fixture struct {
+	dir string
+	a   *Analyzer
+}
+
+// fixtures lists one fixture per registered analyzer, named after it,
+// plus typemut: internmut's intraprocedural cases (writes in the
+// function that called the accessor), kept apart from the
+// interprocedural ones in testdata/src/internmut.
+func fixtures(t *testing.T) []fixture {
+	var fs []fixture
+	for _, a := range All() {
+		fs = append(fs, fixture{a.Name, a})
+		if a.Name == "internmut" {
+			fs = append(fs, fixture{"typemut", a})
+		}
+	}
+	if len(fs) != len(All())+1 {
+		t.Fatalf("no internmut analyzer registered for the typemut fixture")
+	}
+	return fs
+}
+
+// TestFixtures runs each analyzer over its golden fixture packages under
+// testdata/src/<dir> and checks the diagnostics against the fixture's
 // `// want "substring"` annotations: every annotated line must produce
 // a diagnostic containing the substring, and no unannotated diagnostics
 // may appear. Fixture lines suppressed with //lint:ignore have no
 // annotation, so the test also proves suppression works.
 func TestFixtures(t *testing.T) {
-	for _, a := range All() {
-		t.Run(a.Name, func(t *testing.T) {
-			runFixture(t, a)
+	for _, f := range fixtures(t) {
+		t.Run(f.dir, func(t *testing.T) {
+			runFixture(t, f)
 		})
 	}
 }
 
-func runFixture(t *testing.T, a *Analyzer) {
+func runFixture(t *testing.T, f fixture) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	dir := filepath.Join("testdata", "src", a.Name)
-	pkg, err := loader.LoadDir(dir, "repro/internal/analyze/testdata/src/"+a.Name)
+	dir := filepath.Join("testdata", "src", f.dir)
+	pkg, err := loader.LoadDir(dir, "repro/internal/analyze/testdata/src/"+f.dir)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
-	diags := Check([]*Package{pkg}, []*Analyzer{a})
+	diags := Check([]*Package{pkg}, []*Analyzer{f.a})
 
 	wants := collectWants(t, pkg)
 	matched := make(map[string]bool)
@@ -89,9 +114,9 @@ func TestFixturesHaveSuppressedCase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	for _, a := range All() {
-		dir := filepath.Join("testdata", "src", a.Name)
-		pkg, err := loader.LoadDir(dir, "repro/internal/analyze/testdata/suppr/"+a.Name)
+	for _, fx := range fixtures(t) {
+		dir := filepath.Join("testdata", "src", fx.dir)
+		pkg, err := loader.LoadDir(dir, "repro/internal/analyze/testdata/suppr/"+fx.dir)
 		if err != nil {
 			t.Fatalf("LoadDir(%s): %v", dir, err)
 		}
@@ -99,14 +124,14 @@ func TestFixturesHaveSuppressedCase(t *testing.T) {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if strings.HasPrefix(c.Text, "//lint:ignore "+a.Name) {
+					if strings.HasPrefix(c.Text, "//lint:ignore "+fx.a.Name) {
 						found = true
 					}
 				}
 			}
 		}
 		if !found {
-			t.Errorf("fixture %s has no //lint:ignore %s case", dir, a.Name)
+			t.Errorf("fixture %s has no //lint:ignore %s case", dir, fx.a.Name)
 		}
 	}
 }
@@ -121,7 +146,7 @@ var a int
 
 var b int //lint:ignore all reason two
 
-//lint:ignore goroleak,typemut reason three
+//lint:ignore goroleak,internmut reason three
 var c int
 
 //lint:ignore droppederr
@@ -145,9 +170,9 @@ var d int
 		{4, "nondetmap", true},    // directive on line above
 		{4, "goroleak", false},    // wrong analyzer
 		{6, "droppederr", true},   // trailing "all" directive
-		{9, "typemut", true},      // comma list
+		{9, "internmut", true},    // comma list
 		{9, "goroleak", true},     // comma list
-		{9, "lockcopy", false},    // not in list
+		{9, "poolescape", false},  // not in list
 		{12, "droppederr", false}, // malformed: missing reason
 	}
 	for _, tc := range cases {

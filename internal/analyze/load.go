@@ -94,11 +94,6 @@ func findModule(dir string) (root, modPath string, err error) {
 // ModulePath returns the module path from go.mod.
 func (l *Loader) ModulePath() string { return l.modPath }
 
-// Fset returns the file set shared by every package this loader
-// produced, needed to resolve diagnostic positions back to byte offsets
-// (e.g. when applying suggested fixes).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves the patterns to module packages and type-checks them.
 // A pattern is either a directory path (absolute, or relative to the
 // current working directory) or such a path followed by "/..." to

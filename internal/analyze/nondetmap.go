@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // NondetMap guards the repository's byte-for-byte determinism claim:
@@ -148,49 +147,7 @@ func checkMapRangeAssign(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt, sort
 		if sorted[exprString(lhs)] {
 			continue // collect-then-sort idiom
 		}
-		if fix := sortAfterLoopFix(pass, rs, lhs); fix != nil {
-			pass.ReportNodeFix(as, fix, "append to %s inside map iteration without a later sort: element order depends on map iteration order", exprString(lhs))
-		} else {
-			pass.ReportNode(as, "append to %s inside map iteration without a later sort: element order depends on map iteration order", exprString(lhs))
-		}
-	}
-}
-
-// sortAfterLoopFix builds the mechanical cure for the collect-without-
-// sort finding — insert a sort of the destination right after the range
-// loop — when the destination is a simple variable of a sortable
-// element type (string or int, covering the key-collection idiom). The
-// loop keeps collecting; the sort restores determinism.
-func sortAfterLoopFix(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr) *SuggestedFix {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	t := pass.TypeOf(id)
-	if t == nil {
-		return nil
-	}
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	var sortFn string
-	if basic, ok := sl.Elem().Underlying().(*types.Basic); ok {
-		switch basic.Kind() {
-		case types.String:
-			sortFn = "sort.Strings"
-		case types.Int:
-			sortFn = "sort.Ints"
-		}
-	}
-	if sortFn == "" {
-		return nil
-	}
-	indent := strings.Repeat("\t", max(pass.Fset.Position(rs.Pos()).Column-1, 0))
-	return &SuggestedFix{
-		Message:    "sort " + id.Name + " after the loop",
-		Edits:      []TextEdit{{Pos: rs.End(), End: rs.End(), NewText: "\n" + indent + sortFn + "(" + id.Name + ")"}},
-		NeedImport: "sort",
+		pass.ReportNode(as, "append to %s inside map iteration without a later sort: element order depends on map iteration order", exprString(lhs))
 	}
 }
 

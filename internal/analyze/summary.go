@@ -31,15 +31,12 @@ import (
 //     context.TODO(), directly or via callees that do not themselves
 //     take a context (callees with a ctx parameter own the fact and
 //     are flagged directly by ctxflow).
-//   - Allocates: the function may allocate (make/new/composite
-//     literal/append), directly or transitively.
 type Fact uint8
 
 const (
 	FactNondet Fact = 1 << iota
 	FactMutGlobal
 	FactBackground
-	FactAllocates
 )
 
 // FuncSummary is the propagated fact set of one declared function.
@@ -137,8 +134,6 @@ func localFacts(sum *FuncSummary) {
 			sum.recordWrite(p, nn.X, false)
 		case *ast.CallExpr:
 			sum.recordCallFacts(p, nn)
-		case *ast.CompositeLit:
-			sum.Facts |= FactAllocates
 		case *ast.RangeStmt:
 			if t := p.TypeOf(nn.X); t != nil {
 				if _, isMap := t.Underlying().(*types.Map); isMap {
@@ -223,22 +218,17 @@ func (sum *FuncSummary) setMutation(root argRoot, pos token.Pos, why string) {
 }
 
 // recordCallFacts handles the fact sources that arrive via calls:
-// builtin growers, the known standard-library tables, and allocation.
+// builtin growers and the known standard-library tables.
 func (sum *FuncSummary) recordCallFacts(p *Pass, call *ast.CallExpr) {
 	n := sum.node
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, isB := p.ObjectOf(id).(*types.Builtin); isB {
 			switch b.Name() {
-			case "append":
-				sum.Facts |= FactAllocates
-				fallthrough
-			case "copy", "delete":
+			case "append", "copy", "delete":
 				if len(call.Args) > 0 {
 					root := n.exprRoot(p, call.Args[0])
 					sum.setMutation(root, call.Pos(), fmt.Sprintf("%s into %s", b.Name(), exprString(call.Args[0])))
 				}
-			case "make", "new":
-				sum.Facts |= FactAllocates
 			}
 			return
 		}
@@ -433,10 +423,6 @@ func (s *Summaries) importFacts(caller, callee *FuncSummary, cs callSite) bool {
 		caller.Facts |= FactMutGlobal
 		caller.MutGlobalPos = cs.pos
 		caller.MutGlobalWhy = chainWhy(name, callee.MutGlobalWhy)
-		changed = true
-	}
-	if callee.Facts&FactAllocates != 0 && caller.Facts&FactAllocates == 0 {
-		caller.Facts |= FactAllocates
 		changed = true
 	}
 	// Background propagates only through callees that do not themselves

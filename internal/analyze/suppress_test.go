@@ -40,11 +40,11 @@ var tracked int
 			}
 		}
 	}
-	d := Diagnostic{Analyzer: "typemut"}
+	d := Diagnostic{Analyzer: "internmut"}
 	d.Pos.Filename = "multi.go"
 	d.Pos.Line = 4
 	if sup.matches(d) {
-		t.Errorf("typemut suppressed despite not being in the list")
+		t.Errorf("internmut suppressed despite not being in the list")
 	}
 }
 
@@ -55,10 +55,10 @@ var tracked int
 func TestSuppressionVarBlockScope(t *testing.T) {
 	src := `package p
 
-//lint:ignore typemut the whole block is scratch state
+//lint:ignore internmut the whole block is scratch state
 var (
 	first  int
-	second int //lint:ignore typemut per-line directive inside the block
+	second int //lint:ignore internmut per-line directive inside the block
 	third  int
 )
 `
@@ -84,7 +84,7 @@ var (
 		{7, true},  // third: covered by second's directive one line above
 	}
 	for _, tc := range cases {
-		d := Diagnostic{Analyzer: "typemut"}
+		d := Diagnostic{Analyzer: "internmut"}
 		d.Pos.Filename = "block.go"
 		d.Pos.Line = tc.line
 		if got := sup.matches(d); got != tc.want {

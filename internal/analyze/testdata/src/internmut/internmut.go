@@ -38,7 +38,7 @@ func Deep(r *types.Record) {
 }
 
 // SortShared hands the shared backing array to an in-place
-// standard-library sort, which typemut's local rules cannot see.
+// standard-library sort, which the local write rules cannot see.
 func SortShared(r *types.Record) {
 	fs := r.Fields()
 	sort.Slice(fs, func(i, j int) bool { return fs[i].Key < fs[j].Key }) // want "escapes into the slice argument of Slice"

@@ -1,5 +1,6 @@
-// Package fixture holds known-bad and known-good snippets for the
-// typemut analyzer's golden tests.
+// Package fixture holds the intraprocedural cases of the internmut
+// analyzer: writes through an accessor slice in the function that
+// obtained it. TestFixtures runs them as its typemut subtest.
 package fixture
 
 import "repro/internal/types"
@@ -51,7 +52,7 @@ func Scratch(ts ...types.Type) []types.Type {
 // record itself has been discarded.
 func DropRetained(r *types.Record) []types.Field {
 	fs := r.Fields()
-	//lint:ignore typemut r is a throwaway parse artifact owned by this call
+	//lint:ignore internmut r is a throwaway parse artifact owned by this call
 	fs[0].Optional = false
 	return fs
 }
