@@ -4,8 +4,8 @@ import "context"
 
 // InferPlain is Infer with the dedup machinery detached: every chunk
 // takes the degraded tactic from its first record (the plain tally and
-// the balanced tree fold). The differential suite checks the adaptive
-// path against it.
+// the online balanced-tree fold, fusing each record as it is decoded).
+// The differential suite checks the adaptive path against it.
 func InferPlain(ctx context.Context, src Source, opts Options) (*Schema, Stats, error) {
 	if err := opts.validate(); err != nil {
 		return nil, Stats{}, err

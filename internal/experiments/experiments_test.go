@@ -41,25 +41,30 @@ func TestDefaultMaxScaleEnv(t *testing.T) {
 	}
 }
 
+// TestRunPipelineBasics also covers Wikidata, whose chunks fuse each
+// record while decoding it: the Table 6 split must still charge the
+// decoding to InferTime and that fusion to FuseTime.
 func TestRunPipelineBasics(t *testing.T) {
-	res, err := RunPipeline(context.Background(), "twitter", 300, tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records != 300 {
-		t.Errorf("Count = %d", res.Records)
-	}
-	if res.Bytes <= 0 {
-		t.Error("no bytes measured")
-	}
-	if types.Equal(res.Fused, types.Empty) {
-		t.Error("fused schema is ε")
-	}
-	if !types.IsNormal(res.Fused) {
-		t.Errorf("fused schema is not normal: %s", res.Fused)
-	}
-	if res.InferTime <= 0 || res.FuseTime <= 0 || res.Wall <= 0 {
-		t.Errorf("times not measured: %v %v %v", res.InferTime, res.FuseTime, res.Wall)
+	for _, name := range []string{"twitter", "wikidata"} {
+		res, err := RunPipeline(context.Background(), name, 300, tinyCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Records != 300 {
+			t.Errorf("%s: Count = %d", name, res.Records)
+		}
+		if res.Bytes <= 0 {
+			t.Errorf("%s: no bytes measured", name)
+		}
+		if types.Equal(res.Fused, types.Empty) {
+			t.Errorf("%s: fused schema is ε", name)
+		}
+		if !types.IsNormal(res.Fused) {
+			t.Errorf("%s: fused schema is not normal: %s", name, res.Fused)
+		}
+		if res.InferTime <= 0 || res.FuseTime <= 0 || res.Wall <= 0 {
+			t.Errorf("%s: times not measured: %v %v %v", name, res.InferTime, res.FuseTime, res.Wall)
+		}
 	}
 }
 

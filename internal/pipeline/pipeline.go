@@ -65,9 +65,9 @@ type Env struct {
 	Progress func()
 	// Dedup is the run's dedup machinery, which lets Run's chunks
 	// intern their types when that pays. Nil means every chunk is
-	// degraded from its first record: the plain tally and the balanced
-	// tree fold, the tactic the experiments harness measures. RunStream
-	// ignores it.
+	// degraded from its first record: the plain tally and the online
+	// balanced-tree fold, the tactic the experiments harness measures.
+	// RunStream ignores it.
 	Dedup *Dedup
 	// Enrich, when non-nil, computes the configured enrichment monoids
 	// (internal/enrich) alongside structural inference in the same
@@ -79,7 +79,9 @@ type Env struct {
 	Enrich *enrich.Set
 	// Phases, when non-nil, accumulates per-phase busy times (decode +
 	// infer versus fuse) across workers — the experiments harness's
-	// Table 6 measurements. Nil costs one branch per chunk.
+	// Table 6 measurements. A degraded chunk fuses while it decodes, so
+	// its records' fusion is clocked one record at a time. Nil costs one
+	// branch per chunk and per degraded record, and reads no clock.
 	Phases *Phases
 }
 
@@ -95,10 +97,12 @@ type Env struct {
 // fold. A chunk that degrades, because hash-consing cannot pay for
 // itself — an all-distinct window past the threshold that also
 // allocates several new interned nodes per record — types the rest of
-// its records down the plain tally and reduces all its types as a
-// balanced tree. The decision is re-checked at every combine boundary
-// against the merged multiset cardinality, and the outcome is shared
-// across chunks through an atomic hint so settled runs stop sampling.
+// its records down the plain tally, fusing each into an online
+// balanced-tree fold as it is decoded, and adds its interned types to
+// that fold at the end. The decision is re-checked at every combine
+// boundary against the merged multiset cardinality, and the outcome is
+// shared across chunks through an atomic hint so settled runs stop
+// sampling.
 // Only the cost is adaptive: schemas and statistics are byte-identical
 // to the degraded tactic alone (pinned by the differential and chaos
 // suites).
@@ -390,10 +394,13 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 // keeps interning fuses each distinct type once, by a memoized left
 // fold: chunks of similar data replay the same (accumulated, distinct)
 // fuse pairs, so the memo absorbs most of the work. A degraded chunk —
-// every chunk under a nil Env.Dedup — types its remaining records into
-// the plain tally and reduces all its types, interned ones included,
-// as a balanced tree, where a left fold would rebuild (and the memo
-// cache) every growing intermediate record.
+// every chunk under a nil Env.Dedup — tallies, simplifies and fuses
+// each remaining record as soon as it is decoded, through one online
+// balanced-tree fold (fusion.TreeFold) that the sampled, interned types
+// join at the end. The chunk never holds its records' types: the fold
+// keeps O(log records) partial types, and its balanced shape avoids
+// the left fold that would rebuild (and the memo cache) every growing
+// intermediate record on high-entropy data.
 func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	acc := e.newChunkAcc()
 	// A failed decode discards the chunk's lattice along with its
@@ -414,8 +421,11 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	var (
 		sampled, records int64
 		tab0             int
-		plain            []types.Type
+		// foldNS is the time spent fusing inside the decode loop, read
+		// only with phase timing on.
+		foldNS int64
 	)
+	fold := fusion.NewTreeFold(e.Fusion.Fuse)
 	if interned {
 		dec.SetInterner(dd.Tab)
 		tab0 = dd.Tab.Len()
@@ -430,7 +440,8 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 		}
 		records++
 		if !interned {
-			plain = append(plain, t)
+			acc.sum.Add(t)
+			foldNS += e.foldRecord(&fold, t)
 			continue
 		}
 		acc.ms.Add(dd.ref(t), 1)
@@ -443,60 +454,34 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 		// The chunk ended inside its window: decide over what it sampled.
 		interned = !dd.settle(int64(acc.ms.Len()), sampled, int64(dd.Tab.Len()-tab0))
 	}
-	t0 = e.lapInfer(t0)
+	t0 = e.lapInfer(t0, foldNS)
 	if interned {
 		for _, el := range acc.ms.Elems() {
 			acc.fused = dd.Memo.Fuse(acc.fused, dd.Memo.Simplify(el.Type))
 		}
 	} else {
-		for _, t := range plain {
-			acc.sum.Add(t)
-		}
-		// Simplify in place, then reduce pairwise: plain is chunk-local
-		// scratch from here on.
-		for i, t := range plain {
-			plain[i] = e.Fusion.Simplify(t)
-		}
 		for _, el := range acc.ms.Elems() {
-			plain = append(plain, e.Fusion.Simplify(el.Type))
+			fold.Add(e.Fusion.Simplify(el.Type))
 		}
-		acc.fused = treeFuse(plain, e.Fusion.Fuse)
+		acc.fused = fold.Result()
 	}
 	e.lapFuse(t0)
 	e.recordChunk(records, int64(len(chunk)), acc.fused)
 	return acc, nil
 }
 
-// treeFuse reduces the (already simplified) types pairwise, level by
-// level, instead of left-folding one giant accumulated type. On
-// repetitive data the two shapes cost the same, but on high-entropy
-// data (Wikidata's ids-as-keys records, where no two records share a
-// shape and the accumulated type keeps growing) the left fold rebuilds
-// an ever-larger record per input type — O(records x fused size) — while
-// the balanced tree keeps operand sizes matched and the total merge work
-// near O(total size x log records). Fusion is associative and
-// commutative (Theorems 5.4 and 5.5, property-tested), so the fold
-// shape is invisible in the result: schemas stay byte-identical, which
-// the differential suite pins against the sequential left fold of
-// RunStream. ts is scratch owned by the caller and is overwritten.
-func treeFuse(ts []types.Type, fuse func(a, b types.Type) types.Type) types.Type {
-	if len(ts) == 0 {
-		return types.Empty
+// foldRecord simplifies a degraded record's type into the chunk's fold.
+// With phase timing on it returns the time that took, so the Table 6
+// split charges it to fusion rather than decoding; otherwise it reads
+// no clock and returns zero.
+func (e *Env) foldRecord(fold *fusion.TreeFold, t types.Type) int64 {
+	if e.Phases == nil {
+		fold.Add(e.Fusion.Simplify(t))
+		return 0
 	}
-	n := len(ts)
-	for n > 1 {
-		k := 0
-		for i := 0; i+1 < n; i += 2 {
-			ts[k] = fuse(ts[i], ts[i+1])
-			k++
-		}
-		if n%2 == 1 {
-			ts[k] = ts[n-1]
-			k++
-		}
-		n = k
-	}
-	return ts[0]
+	t0 := time.Now()
+	fold.Add(e.Fusion.Simplify(t))
+	return int64(time.Since(t0))
 }
 
 // promoter returns the Env's phase-one tagged-union promoter as the
@@ -536,15 +521,17 @@ func (e *Env) phaseStart() time.Time {
 	return time.Now()
 }
 
-// lapInfer charges the elapsed segment to the infer phase and restarts
-// the clock; lapFuse charges it to the fuse phase. Both are no-ops with
-// Phases nil.
-func (e *Env) lapInfer(t0 time.Time) time.Time {
+// lapInfer charges the elapsed segment to the infer phase, less the
+// foldNS nanoseconds of fusion spent inside it, which go to the fuse
+// phase, and restarts the clock; lapFuse charges the elapsed segment to
+// the fuse phase. Both are no-ops with Phases nil.
+func (e *Env) lapInfer(t0 time.Time, foldNS int64) time.Time {
 	if e.Phases == nil {
 		return time.Time{}
 	}
 	now := time.Now()
-	e.Phases.InferNS.Add(int64(now.Sub(t0)))
+	e.Phases.InferNS.Add(int64(now.Sub(t0)) - foldNS)
+	e.Phases.FuseNS.Add(foldNS)
 	return now
 }
 

@@ -341,6 +341,27 @@ func TestSnapshotPutRejectsSketchGeometry(t *testing.T) {
 	ingest(t, hs.URL, "bomb", "default", []byte(`{"b":2}`+"\n"))
 }
 
+// TestSnapshotPutRejectsLostRecords: a restored snapshot that names a
+// partition twice or carries a negative count would lose or invent
+// records; it is a client error, and the server keeps serving.
+func TestSnapshotPutRejectsLostRecords(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	ingest(t, hs.URL, "live", "default", []byte(`{"a":1}`+"\n"))
+	_, wantSchema := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil)
+	for name, snap := range map[string]string{
+		"duplicate": `{"partitions":[{"name":"a","count":5,"schema":{"k":"num"}},{"name":"a","count":7,"schema":{"k":"str"}}]}`,
+		"negative":  `{"partitions":[{"name":"a","count":-9,"schema":{"k":"num"}}]}`,
+	} {
+		if status, body := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/lost/snapshot", []byte(snap)); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, status, body)
+		}
+	}
+	if status, got := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil); status != http.StatusOK || !bytes.Equal(got, wantSchema) {
+		t.Errorf("after the rejected restores: status %d, schema %s, want %s", status, got, wantSchema)
+	}
+	ingest(t, hs.URL, "lost", "default", []byte(`{"b":2}`+"\n"))
+}
+
 // TestEnrichmentEndToEnd drives the enrichment lattice through the
 // whole serving surface: server-wide -enrich config, the per-request
 // ingest override, the format=enrich report, the enrich=off strip, and

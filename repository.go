@@ -225,14 +225,26 @@ func (r *Repository) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadRepository reads a repository previously written with Save.
+// LoadRepository reads a repository previously written with Save. It
+// rejects a document that would lose or invent records: a partition
+// named twice, a negative count, or counts whose total overflows.
 func LoadRepository(rd io.Reader) (*Repository, error) {
 	var doc wireRepo
 	if err := json.NewDecoder(rd).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("jsoninference: decoding repository: %w", err)
 	}
 	r := NewRepository()
+	var total int64
 	for _, wp := range doc.Partitions {
+		if _, dup := r.partitions[wp.Name]; dup {
+			return nil, fmt.Errorf("jsoninference: partition %q appears twice", wp.Name)
+		}
+		if wp.Count < 0 {
+			return nil, fmt.Errorf("jsoninference: partition %q: negative count %d", wp.Name, wp.Count)
+		}
+		if total += wp.Count; total < 0 {
+			return nil, fmt.Errorf("jsoninference: partition %q: record total overflows", wp.Name)
+		}
 		schema, err := types.UnmarshalJSON(wp.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("jsoninference: partition %q: %w", wp.Name, err)

@@ -2,6 +2,8 @@ package jsoninference_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -298,6 +300,109 @@ func TestLoadRepositoryErrors(t *testing.T) {
 	if _, err := jsi.LoadRepository(strings.NewReader(`{"partitions":[{"name":"p","schema":{"k":"bogus"}}]}`)); err == nil {
 		t.Error("LoadRepository accepted a bad schema")
 	}
+	for name, snap := range lostRecordSnapshots {
+		r, err := jsi.LoadRepository(strings.NewReader(snap))
+		if err == nil {
+			t.Errorf("%s: snapshot loaded, Count() = %d", name, r.Count())
+		} else if !strings.Contains(err.Error(), `partition "a"`) {
+			t.Errorf("%s: error %q does not name the partition", name, err)
+		}
+	}
+}
+
+// lostRecordSnapshots are documents that decode but describe a
+// repository they cannot be: a partition named twice (loading would
+// keep only the last count), a negative count, and counts whose total
+// overflows.
+var lostRecordSnapshots = map[string]string{
+	"duplicate": `{"partitions":[{"name":"a","count":5,"schema":{"k":"num"}},{"name":"a","count":7,"schema":{"k":"str"}}]}`,
+	"negative":  `{"partitions":[{"name":"a","count":-9,"schema":{"k":"num"}}]}`,
+	"overflow": `{"partitions":[{"name":"b","count":9223372036854775807,"schema":{"k":"num"}},` +
+		`{"name":"a","count":1,"schema":{"k":"num"}}]}`,
+}
+
+// FuzzLoadRepository: a document LoadRepository accepts must save,
+// load and save again to the same bytes, and its Count() must equal the
+// sum of the document's partition counts.
+func FuzzLoadRepository(f *testing.F) {
+	for _, snap := range goldenSnapshots(f) {
+		f.Add(snap)
+	}
+	for _, snap := range lostRecordSnapshots {
+		f.Add([]byte(snap))
+	}
+	f.Add([]byte(`{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` +
+		`{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":1073741824,"bloom_hashes":4}}}]}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		r, err := jsi.LoadRepository(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var wire struct {
+			Partitions []struct {
+				Count int64 `json:"count"`
+			} `json:"partitions"`
+		}
+		if err := json.NewDecoder(bytes.NewReader(doc)).Decode(&wire); err != nil {
+			t.Fatalf("LoadRepository accepted a document encoding/json rejects: %v", err)
+		}
+		var sum int64
+		for _, p := range wire.Partitions {
+			sum += p.Count
+		}
+		if r.Count() != sum {
+			t.Fatalf("Count() = %d, partition counts sum to %d", r.Count(), sum)
+		}
+		var first, second bytes.Buffer
+		if err := r.Save(&first); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		back, err := jsi.LoadRepository(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved repository: %v\n%s", err, first.Bytes())
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatalf("Save after reload: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save/load/save changed the bytes:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+// goldenSnapshots returns snapshots built the way TestRepositorySaveGolden
+// builds its own — every generator, plain and enriched, over three
+// partitions — from 15 records instead of 150. At full size they reach
+// 5 MB, which slows every execution and minimization of the fuzzer.
+func goldenSnapshots(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, name := range dataset.Names() {
+		g, err := dataset.New(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines := bytes.SplitAfter(dataset.NDJSON(g, 15, 29), []byte("\n"))
+		for _, opts := range []jsi.Options{{Workers: 2}, {Workers: 2, Enrich: goldenEnrich}} {
+			repo := jsi.NewRepository()
+			for part := 0; part < 3; part++ {
+				var batch []byte
+				for i := part; i < len(lines); i += 3 {
+					batch = append(batch, lines[i]...)
+				}
+				s, stats, err := jsi.Infer(context.Background(), jsi.FromBytes(batch), opts)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				repo.Append(fmt.Sprintf("part-%d", part), s, stats.Records)
+			}
+			var buf bytes.Buffer
+			if err := repo.Save(&buf); err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, buf.Bytes())
+		}
+	}
+	return out
 }
 
 // TestRepositoryPartitionedEqualsSingle: fusing per-partition schemas

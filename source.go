@@ -29,7 +29,10 @@ type Source interface {
 // FromBytes is an in-memory NDJSON buffer (one or more
 // whitespace-separated JSON values): the buffer is split at line
 // boundaries into one chunk per map task and the chunks are inferred
-// in parallel.
+// in parallel. Beyond the buffer itself, a task's type memory grows
+// with its chunk's distinct types and fused schema, not its record
+// count: records whose types repeat are interned once, and records
+// whose types do not are fused as they are decoded.
 func FromBytes(data []byte) Source { return bytesSource{data: data} }
 
 // FromReader is a stream of JSON values processed with constant
