@@ -132,8 +132,7 @@ func TestFromChunkedReaderCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := jsi.Options{Workers: 2, ChunkBytes: 4 << 10,
-		Progress: func(jsi.Metrics) { cancel() }}
+	opts := jsi.Options{Workers: 2, ChunkBytes: 4 << 10, FaultInjector: cancelOnMap(cancel)}
 	src := jsi.FromChunkedReader(endlessReader{record: []byte(`{"a":1}` + "\n")})
 	if _, _, err := jsi.Infer(ctx, src, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -7,14 +7,15 @@
 // With no files, jsoninfer reads from standard input. Inputs hold one or
 // more whitespace-separated JSON values (NDJSON works). Multiple files
 // are treated as partitions: inferred independently and fused, which by
-// associativity equals inferring the concatenation.
+// associativity equals inferring the concatenation. With -stream they
+// are read in order as one stream.
 //
 // Flags:
 //
 //	-format      output format: type (default), indent, jsonschema, codec,
 //	             enrich (the per-path enrichment report; requires -enrich)
 //	-stream      constant-memory streaming mode (single worker, no
-//	             distinct type statistics)
+//	             distinct type statistics; no -retries or -on-error skip)
 //	-workers     map-phase parallelism (default: number of CPUs)
 //	-retries     per-chunk retry budget for transient failures
 //	-on-error    fail (default) aborts on a chunk that exhausts its
@@ -141,6 +142,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	default:
 		return fmt.Errorf("unknown -on-error %q (want fail or skip)", *onError)
 	}
+	if *stream && (*retries > 0 || errPolicy == jsi.OnErrorSkip) {
+		return fmt.Errorf("-stream has no chunks to retry or quarantine: drop -retries and -on-error skip")
+	}
 	opts := jsi.Options{
 		Workers:             *workers,
 		PreserveTupleArrays: *positional,
@@ -198,24 +202,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 		schema, stats, err = jsi.Infer(ctx, jsi.FromBytes(data), opts)
 	case *stream:
-		schema = jsi.EmptySchema()
-		for _, path := range fs.Args() {
-			f, oerr := os.Open(path)
-			if oerr != nil {
-				return oerr
-			}
-			s, st, serr := jsi.Infer(ctx, jsi.FromReader(f), opts)
-			cerr := f.Close()
-			if serr != nil {
-				return fmt.Errorf("%s: %w", path, serr)
-			}
-			if cerr != nil {
-				return fmt.Errorf("%s: %w", path, cerr)
-			}
-			schema = schema.Fuse(s)
-			stats.Records += st.Records
-			stats.Bytes += st.Bytes
-		}
+		files := &fileStream{paths: fs.Args()}
+		defer files.Close() // a failed run can stop mid-file
+		schema, stats, err = jsi.Infer(ctx, jsi.FromReader(files), opts)
+		stats.Bytes = files.n
 	default:
 		// Files are partitions of one dataset: each runs through the
 		// bounded-memory chunked pipeline and the per-file schemas fuse,
@@ -296,6 +286,64 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return writeLine(stdout, out)
 	default:
 		return fmt.Errorf("unknown format %q (want type, indent, jsonschema, codec, or enrich)", *format)
+	}
+	return nil
+}
+
+// fileStream reads the named files in order as one stream, opening
+// each only when the previous one is exhausted and closing it at its
+// EOF. A newline separates consecutive files, so a value that ends one
+// file cannot run into the first value of the next ("1" then "2" stays
+// two values); n counts the file bytes alone.
+type fileStream struct {
+	paths []string
+	f     *os.File
+	sep   bool
+	n     int64
+}
+
+func (s *fileStream) Read(p []byte) (int, error) {
+	for {
+		if s.sep && len(p) > 0 {
+			s.sep = false
+			p[0] = '\n'
+			return 1, nil
+		}
+		if s.f == nil {
+			if len(s.paths) == 0 {
+				return 0, io.EOF
+			}
+			f, err := os.Open(s.paths[0])
+			if err != nil {
+				return 0, err
+			}
+			s.f = f
+		}
+		n, err := s.f.Read(p)
+		s.n += int64(n)
+		if err != io.EOF {
+			return n, err
+		}
+		if err := s.Close(); err != nil {
+			return n, err
+		}
+		s.paths = s.paths[1:]
+		s.sep = len(s.paths) > 0
+		if n > 0 {
+			return n, nil
+		}
+	}
+}
+
+// Close closes the file being read, if any.
+func (s *fileStream) Close() error {
+	if s.f == nil {
+		return nil
+	}
+	err := s.f.Close()
+	s.f = nil
+	if err != nil {
+		return fmt.Errorf("%s: %w", s.paths[0], err)
 	}
 	return nil
 }

@@ -142,10 +142,9 @@ func TestProfileFlagOverFiles(t *testing.T) {
 	}
 }
 
-// TestStreamOverFiles covers the per-file streaming loop, whose close
-// handling was rewritten to surface close errors (droppederr finding):
-// both files must be fully read, fused, and closed without losing the
-// inference result.
+// TestStreamOverFiles covers the -stream file reader: both files must
+// be fully read, typed, and closed without losing the inference result,
+// and a missing file fails the run.
 func TestStreamOverFiles(t *testing.T) {
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
@@ -165,6 +164,59 @@ func TestStreamOverFiles(t *testing.T) {
 	}
 	if _, _, err := runCmd(t, []string{"-stream", "/no/such/file"}, ""); err == nil {
 		t.Error("missing stream file accepted")
+	}
+}
+
+// TestStreamOverFilesMatchesBatch: -stream reads its files as one
+// stream, so its stats and its schema under every fusion policy equal
+// the non-stream run's. Only distinct-types differs: the stream keeps
+// no distinct-type set.
+func TestStreamOverFilesMatchesBatch(t *testing.T) {
+	dir := t.TempDir()
+	distinct := regexp.MustCompile(`distinct-types=\d+ `)
+	for _, tc := range []struct {
+		flag   string
+		f1, f2 string
+	}{
+		// The first file ends in a number without a newline: it must not
+		// run into the second file's value.
+		{"-stats", `{"a":1}` + "\n" + `{"a":2,"b":[true]}` + "\n" + `3`, `4`},
+		{"-positional", `{"p":[1,"x"]}`, `{"p":[2,"y"]}`},
+		{"-tagged", `{"delete":{"id":1}}`, `{"create":{"id":2,"x":"s"}}`},
+	} {
+		paths := []string{filepath.Join(dir, tc.flag[1:]+"1.ndjson"), filepath.Join(dir, tc.flag[1:]+"2.ndjson")}
+		for i, data := range []string{tc.f1, tc.f2} {
+			if err := os.WriteFile(paths[i], []byte(data), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, errOut, err := runCmd(t, append([]string{tc.flag}, paths...), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sOut, sErrOut, err := runCmd(t, append([]string{tc.flag, "-stream"}, paths...), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sOut != out {
+			t.Errorf("%s: -stream output %q, want %q", tc.flag, sOut, out)
+		}
+		if got, want := distinct.ReplaceAllString(sErrOut, ""), distinct.ReplaceAllString(errOut, ""); got != want {
+			t.Errorf("%s: -stream stderr %q, want %q", tc.flag, got, want)
+		}
+	}
+}
+
+// TestStreamRejectsFailurePolicy: the streaming path has no chunks, so
+// it cannot honor a retry budget or quarantine.
+func TestStreamRejectsFailurePolicy(t *testing.T) {
+	for _, args := range [][]string{
+		{"-stream", "-retries", "2"},
+		{"-stream", "-on-error", "skip"},
+	} {
+		if _, _, err := runCmd(t, args, `{"a":1}`); err == nil || !strings.Contains(err.Error(), "-stream") {
+			t.Errorf("%v: err = %v, want a -stream conflict", args, err)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command repolint runs this repository's custom static-analysis suite
-// (internal/analyze): eight stdlib-only analyzers guarding the
+// (internal/analyze): seven stdlib-only analyzers guarding the
 // determinism, immutability, purity and concurrency invariants the
 // schema inference pipeline is built on — three of them
 // interprocedural, consuming call-graph function summaries. See

@@ -119,26 +119,6 @@ func TestPreserveTupleArrays(t *testing.T) {
 	}
 }
 
-func TestMaxTupleLenOption(t *testing.T) {
-	data := []byte(`{"v": [1, 2, 3, 4, 5, 6]}
-{"v": [9, 8, 7, 6, 5, 4]}
-`)
-	def, _, err := jsi.InferNDJSON(data, jsi.Options{PreserveTupleArrays: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.String() != "{v: [Num*]}" {
-		t.Errorf("6-tuples should simplify at the default cutoff: %s", def)
-	}
-	wide, _, err := jsi.InferNDJSON(data, jsi.Options{PreserveTupleArrays: true, MaxTupleLen: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.String() != "{v: [Num, Num, Num, Num, Num, Num]}" {
-		t.Errorf("6-tuples should survive cutoff 8: %s", wide)
-	}
-}
-
 func TestExpandPath(t *testing.T) {
 	schema, err := jsi.ParseSchema("{user: {id: Num, name: Str?}, tags: [{k: Str}*]}")
 	if err != nil {

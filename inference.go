@@ -13,7 +13,6 @@ import (
 	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/value"
 )
@@ -28,11 +27,9 @@ type Options struct {
 	MaxDepth int
 	// PreserveTupleArrays enables the positional array extension
 	// (Section 7 of the paper): arrays that always have the same small
-	// length keep one type per position instead of collapsing to [T*].
+	// length (at most 4) keep one type per position instead of
+	// collapsing to [T*].
 	PreserveTupleArrays bool
-	// MaxTupleLen bounds the preserved tuple length (default 4); only
-	// meaningful with PreserveTupleArrays.
-	MaxTupleLen int
 	// TaggedUnions enables tagged-union (discriminated record) inference
 	// — the record-fusion strategy described in docs/UNIONS.md. Records
 	// that carry a discriminator field ("type", "event", "kind" by
@@ -71,15 +68,8 @@ type Options struct {
 	// instrumentation point (see BenchmarkInferNDJSON vs
 	// BenchmarkInferNDJSONObserved).
 	Collector *Collector
-	// Progress, when non-nil, is called with a metrics snapshot after
-	// each processed chunk (or every 1024 records on the streaming
-	// path) and once after the run completes. It runs on pipeline
-	// goroutines: keep it fast and do not call back into the pipeline.
-	// If Collector is nil a private one is used, so Progress works on
-	// its own.
-	Progress func(Metrics)
 	// Retries is the per-chunk retry budget for transient map-phase
-	// failures (I/O hiccups, timeouts, injected faults). Retried chunks
+	// failures (I/O hiccups, injected faults). Retried chunks
 	// re-execute with exponential backoff and deterministic jitter, and
 	// by the fusion laws (associativity + commutativity) the resulting
 	// schema is byte-identical to a fault-free run — the guarantee the
@@ -119,23 +109,22 @@ type Options struct {
 
 // env resolves the Options into the pipeline environment one Infer
 // call runs under — the bundle every Source adapter and stage reads
-// instead of threading (options, recorder, progress, dedup state) as
+// instead of threading (options, recorder, dedup state) as
 // separate parameters. Every run gets fresh dedup machinery: one intern
 // table and memo span all its chunks and files.
 func (o Options) env() *pipeline.Env {
-	pol, inj := o.failureConfig()
-	rec, progress := o.observer()
 	fz := o.fusionOptions()
 	env := &pipeline.Env{
 		Fusion:     fz,
 		Workers:    o.workers(),
 		ChunkBytes: o.ChunkBytes,
 		MaxDepth:   o.MaxDepth,
-		Failure:    pol,
-		Injector:   inj,
-		Rec:        rec,
-		Progress:   progress,
+		Failure:    mapreduce.FailurePolicy{Retries: o.Retries, Skip: o.OnError == OnErrorSkip},
+		Injector:   o.injector(),
 		Dedup:      pipeline.NewDedup(fz),
+	}
+	if o.Collector != nil {
+		env.Rec = o.Collector.recorder()
 	}
 	if len(o.Enrich) > 0 {
 		// validate() already vetted the selection; an error here is
@@ -201,7 +190,7 @@ func PermanentFault(err error) error { return mapreduce.Permanent(err) }
 func (o Options) fusionOptions() fusion.Options {
 	var fz fusion.Options
 	if o.PreserveTupleArrays {
-		fz.Strategy = fusion.Tuples{MaxLen: o.MaxTupleLen}
+		fz.Strategy = fusion.Tuples{}
 	}
 	if o.TaggedUnions {
 		fz.Strategy = fusion.Tagged{
@@ -214,25 +203,16 @@ func (o Options) fusionOptions() fusion.Options {
 	return fz
 }
 
-// failureConfig translates the Options into the engine's failure
-// policy and fault injector.
-func (o Options) failureConfig() (mapreduce.FailurePolicy, mapreduce.FaultInjector) {
-	pol := mapreduce.FailurePolicy{MaxRetries: o.Retries}
-	switch {
-	case o.OnError == OnErrorSkip:
-		pol.Mode = mapreduce.Skip
-	case o.Retries > 0:
-		pol.Mode = mapreduce.Retry
+// injector adapts Options.FaultInjector to the engine's hook.
+func (o Options) injector() mapreduce.FaultInjector {
+	fi := o.FaultInjector
+	if fi == nil {
+		return nil
 	}
-	var inj mapreduce.FaultInjector
-	if o.FaultInjector != nil {
-		fi := o.FaultInjector
-		inj = func(seq, attempt int) mapreduce.Fault {
-			f := fi(seq, attempt)
-			return mapreduce.Fault{Delay: f.Delay, Err: f.Err}
-		}
+	return func(seq, attempt int) mapreduce.Fault {
+		f := fi(seq, attempt)
+		return mapreduce.Fault{Delay: f.Delay, Err: f.Err}
 	}
-	return pol, inj
 }
 
 // workers resolves the effective worker count.
@@ -259,8 +239,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: ChunkBytes = %d, must be >= 0 (0 means 256 KiB)", ErrInvalidOptions, o.ChunkBytes)
 	case o.MaxDepth < 0:
 		return fmt.Errorf("%w: MaxDepth = %d, must be >= 0 (0 means the parser default)", ErrInvalidOptions, o.MaxDepth)
-	case o.MaxTupleLen < 0:
-		return fmt.Errorf("%w: MaxTupleLen = %d, must be >= 0 (0 means the default of 4)", ErrInvalidOptions, o.MaxTupleLen)
 	case o.Retries < 0:
 		return fmt.Errorf("%w: Retries = %d, must be >= 0 (0 disables retry)", ErrInvalidOptions, o.Retries)
 	case o.OnError != OnErrorFail && o.OnError != OnErrorSkip:
@@ -281,25 +259,6 @@ func (o Options) validate() error {
 		}
 	}
 	return nil
-}
-
-// observer resolves the Options into the recorder and progress hook
-// the pipeline threads through its stages. With neither Collector nor
-// Progress set both are nil and every instrumentation point reduces to
-// one branch.
-func (o Options) observer() (obs.Recorder, func()) {
-	c := o.Collector
-	if c == nil && o.Progress == nil {
-		return nil, nil
-	}
-	if c == nil {
-		c = NewCollector()
-	}
-	if o.Progress == nil {
-		return c.recorder(), nil
-	}
-	onProgress := o.Progress
-	return c.recorder(), func() { onProgress(c.Metrics()) }
 }
 
 // Stats summarizes an inference run — the same measurements the paper
@@ -336,8 +295,7 @@ type Stats struct {
 // on the streaming path) and leaves no goroutines behind.
 //
 // Construct the Source with FromBytes, FromReader, FromFile or
-// FromFiles; set Options.Collector or Options.Progress to observe the
-// run.
+// FromFiles; set Options.Collector to observe the run.
 func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error) {
 	if err := opts.validate(); err != nil {
 		return nil, Stats{}, err
@@ -369,9 +327,6 @@ func runSource(ctx context.Context, src Source, env *pipeline.Env) (*Schema, Sta
 			env.Rec.Set("infer_records_per_sec", st.Records*int64(time.Second)/ns)
 			env.Rec.Set("infer_bytes_per_sec", st.Bytes*int64(time.Second)/ns)
 		}
-	}
-	if env.Progress != nil {
-		env.Progress()
 	}
 	return schema, st, nil
 }

@@ -10,7 +10,7 @@
 // happen to generate; the analyzers in this package check the *source*
 // for the coding patterns that break them, on every build.
 //
-// The eight project-specific analyzers are:
+// The seven project-specific analyzers are:
 //
 //   - nondetmap: iteration over a Go map whose body performs an
 //     order-sensitive operation (append to an outer slice, channel
@@ -20,11 +20,6 @@
 //     WaitGroup, no channel close/send, no done-channel) in scope.
 //   - droppederr: discarded error results from encoding/json, io and
 //     os calls.
-//   - stagecapture: pipeline stage literals (map/combine/feed functions
-//     passed to internal/pipeline.Run or internal/mapreduce.Run) that
-//     capture loop variables or assign to captured state — stages run
-//     concurrently and may be retried, so mutable state belongs in the
-//     Accumulator or Env.
 //   - monoidpure: accumulator methods (Add/Merge/Fold) and the fusion
 //     entry points must be transitively free of nondeterminism and
 //     external mutation — checked through calls via the function
@@ -184,7 +179,6 @@ func All() []*Analyzer {
 		NondetMap,
 		GoroLeak,
 		DroppedErr,
-		StageCapture,
 		MonoidPure,
 		InternMut,
 		CtxFlow,

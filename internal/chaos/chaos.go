@@ -53,7 +53,7 @@ type Plan struct {
 	// therefore always reaches the successful attempt.
 	MaxTransient int
 	// PStraggle is the probability that a faulty task's attempts are
-	// also delayed (artificial stragglers), exercising timeouts.
+	// also delayed (artificial stragglers).
 	PStraggle float64
 	// MaxDelay bounds the straggler delay; zero disables delays even
 	// when PStraggle fires.

@@ -386,7 +386,7 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := cfg
-	faulty.Failure = mapreduce.FailurePolicy{Mode: mapreduce.Retry, MaxRetries: 2, BaseBackoff: 10 * time.Microsecond}
+	faulty.Failure = mapreduce.FailurePolicy{Retries: 2}
 	faulty.Injector = func(seq, attempt int) mapreduce.Fault {
 		if seq%3 == 0 && attempt == 0 {
 			return mapreduce.Fault{Err: errors.New("injected transient fault")}
@@ -420,7 +420,7 @@ func TestPipelineSkipQuarantinesChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := cfg
-	faulty.Failure = mapreduce.FailurePolicy{Mode: mapreduce.Skip, MaxRetries: 1, BaseBackoff: 10 * time.Microsecond}
+	faulty.Failure = mapreduce.FailurePolicy{Retries: 1, Skip: true}
 	faulty.Injector = func(seq, attempt int) mapreduce.Fault {
 		if seq == 2 {
 			return mapreduce.Fault{Err: mapreduce.Permanent(errors.New("injected permanent fault"))}

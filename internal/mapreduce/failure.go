@@ -3,109 +3,62 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 )
 
-// FailureMode selects how Run responds to a failing map task. The
+// FailurePolicy tunes how Run responds to a failing map task. The
 // paper's pipeline inherits fault tolerance from Spark, which re-runs
-// failed tasks; these modes are the hand-rolled engine's equivalent,
-// and they are safe precisely because the combiner is associative and
+// failed tasks; this policy is the hand-rolled engine's equivalent, and
+// it is safe precisely because the combiner is associative and
 // commutative — a re-executed task's output meets the fold in a
 // different order but yields the same reduction (the fusion laws of
 // Theorems 5.4 and 5.5, exercised as a crash-safety oracle by
-// internal/chaos).
-type FailureMode int
-
-const (
-	// FailFast aborts the whole run on the first task error — the
-	// engine's historical behavior and the zero value.
-	FailFast FailureMode = iota
-	// Retry re-attempts a failed task up to MaxRetries times with
-	// exponential backoff and deterministic jitter, then aborts the run
-	// if the task still fails.
-	Retry
-	// Skip retries like Retry, then quarantines the task instead of
-	// aborting: the run completes without the task's output and the
+// internal/chaos). The zero value aborts the run on the first task
+// failure.
+type FailurePolicy struct {
+	// Retries is the per-task retry budget (attempts beyond the first).
+	// A failed task is re-attempted with exponential backoff and
+	// deterministic jitter (see backoff) until it succeeds or the
+	// budget runs out.
+	Retries int
+	// Skip quarantines a task whose budget is exhausted instead of
+	// aborting: the run completes without the task's output, and the
 	// quarantined tasks are reported in Stats.Quarantined and via the
 	// mapreduce_skipped counter.
-	Skip
-)
-
-// String names the mode for reports and errors.
-func (m FailureMode) String() string {
-	switch m {
-	case FailFast:
-		return "fail-fast"
-	case Retry:
-		return "retry"
-	case Skip:
-		return "skip"
-	default:
-		return fmt.Sprintf("FailureMode(%d)", int(m))
-	}
-}
-
-// FailurePolicy tunes the engine's failure handling. The zero value is
-// FailFast with no retries — exactly the pre-policy behavior.
-type FailurePolicy struct {
-	// Mode selects the response to a task failure.
-	Mode FailureMode
-	// MaxRetries is the per-task retry budget (attempts beyond the
-	// first). It is ignored under FailFast; zero under Retry degrades to
-	// FailFast, zero under Skip quarantines on the first failure.
-	MaxRetries int
-	// BaseBackoff is the pause before the first retry; each further
-	// retry doubles it. Zero means 1ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubled backoff. Zero means 50ms.
-	MaxBackoff time.Duration
-	// Seed seeds the deterministic backoff jitter: the pause before
-	// attempt a of task s is a pure function of (Seed, s, a), so a run's
-	// retry schedule is reproducible.
-	Seed int64
-	// TaskTimeout bounds each attempt. The timeout is cooperative — the
-	// map function must honor its context — but injected straggler
-	// delays (Fault.Delay) always honor it, and a timed-out attempt
-	// counts as transient: it is retried like any other failure.
-	// Zero means no per-attempt timeout.
-	TaskTimeout time.Duration
+	Skip bool
 }
 
 // maxAttempts is the total attempt budget per task.
 func (p FailurePolicy) maxAttempts() int {
-	if p.Mode == FailFast || p.MaxRetries <= 0 {
-		return 1
-	}
-	return 1 + p.MaxRetries
+	return 1 + max(p.Retries, 0)
 }
 
+// The retry schedule: the pause before the first retry, doubled on
+// each further retry up to the cap.
+const (
+	baseBackoff = time.Millisecond
+	maxBackoff  = 50 * time.Millisecond
+)
+
 // backoff returns the pause before retry attempt a (1-based) of task
-// seq: exponential doubling from BaseBackoff capped at MaxBackoff,
-// jittered deterministically into [d/2, d] so retries of neighboring
-// tasks spread out without sacrificing reproducibility.
-func (p FailurePolicy) backoff(seq, attempt int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	limit := p.MaxBackoff
-	if limit <= 0 {
-		limit = 50 * time.Millisecond
-	}
-	d := limit
+// seq: exponential doubling from baseBackoff capped at maxBackoff,
+// jittered deterministically into [d/2, d] by a hash of (seq, attempt),
+// so retries of neighboring tasks spread out and a run's retry
+// schedule is reproducible.
+func backoff(seq, attempt int) time.Duration {
+	d := maxBackoff
 	if shift := attempt - 1; shift < 20 {
-		if dd := base << shift; dd < limit {
+		if dd := baseBackoff << shift; dd < maxBackoff {
 			d = dd
 		}
 	}
 	half := d / 2
-	h := mix64(uint64(p.Seed) ^ uint64(seq)<<32 ^ uint64(attempt))
+	h := mix64(uint64(seq)<<32 ^ uint64(attempt))
 	return half + time.Duration(h%uint64(half+1))
 }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed hash
-// used to derive deterministic jitter from (seed, seq, attempt).
+// used to derive deterministic jitter from (seq, attempt).
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -120,8 +73,7 @@ func mix64(x uint64) uint64 {
 // attempt.
 type Fault struct {
 	// Delay stalls the attempt before anything else runs — an
-	// artificial straggler. It honors the attempt's context, so a
-	// TaskTimeout cuts it short.
+	// artificial straggler. Cancelling the run cuts it short.
 	Delay time.Duration
 	// Err, when non-nil, aborts the attempt with this error instead of
 	// running the map function. Wrap it with Permanent to defeat the
@@ -143,9 +95,9 @@ type permanentError struct{ err error }
 func (e permanentError) Error() string { return e.err.Error() }
 func (e permanentError) Unwrap() error { return e.err }
 
-// Permanent wraps err to mark it non-retryable: under Retry the run
-// aborts immediately, under Skip the task quarantines without burning
-// its retry budget. Use it for failures that cannot succeed on
+// Permanent wraps err to mark it non-retryable: the task gives up at
+// once, without burning its retry budget — the run aborts, or under
+// Skip the task quarantines. Use it for failures that cannot succeed on
 // re-execution — malformed input, a poisoned record, a panic.
 func Permanent(err error) error {
 	if err == nil {
@@ -161,7 +113,7 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// QuarantinedTask records one task dropped under the Skip policy.
+// QuarantinedTask records one task dropped under FailurePolicy.Skip.
 type QuarantinedTask struct {
 	// Seq is the task's input sequence number.
 	Seq int

@@ -12,17 +12,12 @@ import (
 	"repro/internal/obs"
 )
 
-// fastRetry is a retry policy with backoffs small enough for tests.
-func fastRetry(n int) FailurePolicy {
-	return FailurePolicy{Mode: Retry, MaxRetries: n, BaseBackoff: 10 * time.Microsecond, MaxBackoff: 100 * time.Microsecond}
-}
+// retry is a policy with a budget of n retries that aborts once the
+// budget is spent.
+func retry(n int) FailurePolicy { return FailurePolicy{Retries: n} }
 
-// fastSkip is fastRetry with quarantine instead of aborting.
-func fastSkip(n int) FailurePolicy {
-	p := fastRetry(n)
-	p.Mode = Skip
-	return p
-}
+// skip is retry with quarantine instead of aborting.
+func skip(n int) FailurePolicy { return FailurePolicy{Retries: n, Skip: true} }
 
 var errTransient = errors.New("transient test fault")
 
@@ -46,7 +41,7 @@ func TestRetryRecoversFromTransientFaults(t *testing.T) {
 	got, st, err := RunSlice(context.Background(), items,
 		func(_ context.Context, n int) (int, error) { return n, nil },
 		func(a, b int) int { return a + b }, 0,
-		Config{Workers: 4, Failure: fastRetry(2), Injector: faultFirstAttempts(2, func(seq int) bool { return seq%5 == 0 }), Recorder: reg})
+		Config{Workers: 4, Failure: retry(2), Injector: faultFirstAttempts(2, func(seq int) bool { return seq%5 == 0 }), Recorder: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +72,7 @@ func TestRetryBudgetExhaustedAborts(t *testing.T) {
 	_, _, err := RunSlice(context.Background(), items,
 		func(_ context.Context, n int) (int, error) { return n, nil },
 		func(a, b int) int { return a + b }, 0,
-		Config{Workers: 2, Failure: fastRetry(2), Injector: faultFirstAttempts(99, func(seq int) bool { return seq == 3 })})
+		Config{Workers: 2, Failure: retry(2), Injector: faultFirstAttempts(99, func(seq int) bool { return seq == 3 })})
 	if !errors.Is(err, errTransient) {
 		t.Fatalf("err = %v, want wrapped errTransient", err)
 	}
@@ -98,7 +93,7 @@ func TestPermanentErrorIsNotRetried(t *testing.T) {
 			return n, nil
 		},
 		func(a, b int) int { return a + b }, 0,
-		Config{Workers: 1, Failure: fastRetry(5)})
+		Config{Workers: 1, Failure: retry(5)})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -120,7 +115,7 @@ func TestSkipQuarantinesPoisonedTasks(t *testing.T) {
 	got, st, err := RunSlice(context.Background(), items,
 		func(_ context.Context, n int) (int, error) { return n, nil },
 		func(a, b int) int { return a + b }, 0,
-		Config{Workers: 4, Failure: fastSkip(1), Injector: faultFirstAttempts(99, poison), Recorder: reg})
+		Config{Workers: 4, Failure: skip(1), Injector: faultFirstAttempts(99, poison), Recorder: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +167,7 @@ func TestPanicQuarantinedUnderSkip(t *testing.T) {
 			return n, nil
 		},
 		func(a, b int) int { return a + b }, 0,
-		Config{Workers: 3, Failure: fastSkip(4)})
+		Config{Workers: 3, Failure: skip(4)})
 	if err != nil {
 		t.Fatalf("run should survive the panic, got %v", err)
 	}
@@ -195,39 +190,6 @@ func TestPanicQuarantinedUnderSkip(t *testing.T) {
 	}
 }
 
-func TestTaskTimeoutRetriesStraggler(t *testing.T) {
-	pol := fastRetry(2)
-	pol.TaskTimeout = 5 * time.Millisecond
-	// Attempt 0 of task 1 straggles far past the timeout; attempt 1 is
-	// clean.
-	inj := func(seq, attempt int) Fault {
-		if seq == 1 && attempt == 0 {
-			return Fault{Delay: time.Second}
-		}
-		return Fault{}
-	}
-	start := time.Now()
-	got, st, err := RunSlice(context.Background(), []int{10, 20, 30},
-		func(_ context.Context, n int) (int, error) { return n, nil },
-		func(a, b int) int { return a + b }, 0,
-		Config{Workers: 2, Failure: pol, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 60 {
-		t.Errorf("sum = %d, want 60", got)
-	}
-	if st.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1", st.Timeouts)
-	}
-	if st.Retries != 1 {
-		t.Errorf("Retries = %d, want 1", st.Retries)
-	}
-	if el := time.Since(start); el > 500*time.Millisecond {
-		t.Errorf("run took %v: the straggler's delay was not cut by the timeout", el)
-	}
-}
-
 func TestSkipDoesNotQuarantineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	items := make([]int, 1000)
@@ -241,7 +203,7 @@ func TestSkipDoesNotQuarantineCancellation(t *testing.T) {
 			return n, nil
 		},
 		func(a, b int) int { return a + b }, 0,
-		Config{Workers: 2, Failure: fastSkip(3)})
+		Config{Workers: 2, Failure: skip(3)})
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -253,54 +215,42 @@ func TestSkipDoesNotQuarantineCancellation(t *testing.T) {
 }
 
 func TestBackoffIsDeterministicAndBounded(t *testing.T) {
-	p := FailurePolicy{Mode: Retry, MaxRetries: 8, BaseBackoff: time.Millisecond, MaxBackoff: 16 * time.Millisecond, Seed: 42}
 	for seq := 0; seq < 50; seq++ {
 		for attempt := 1; attempt <= 8; attempt++ {
-			d1 := p.backoff(seq, attempt)
-			d2 := p.backoff(seq, attempt)
+			d1 := backoff(seq, attempt)
+			d2 := backoff(seq, attempt)
 			if d1 != d2 {
 				t.Fatalf("backoff(%d, %d) is not deterministic: %v vs %v", seq, attempt, d1, d2)
 			}
-			// Exponential cap: raw delay is min(base<<(attempt-1), max),
+			// Exponential cap: raw delay is min(1ms<<(attempt-1), 50ms),
 			// jittered into [d/2, d].
 			raw := time.Millisecond << (attempt - 1)
-			if raw > 16*time.Millisecond {
-				raw = 16 * time.Millisecond
+			if raw > 50*time.Millisecond {
+				raw = 50 * time.Millisecond
 			}
 			if d1 < raw/2 || d1 > raw {
 				t.Fatalf("backoff(%d, %d) = %v, outside [%v, %v]", seq, attempt, d1, raw/2, raw)
 			}
 		}
 	}
-	// A different seed yields a different schedule somewhere.
-	q := p
-	q.Seed = 43
-	same := true
-	for seq := 0; seq < 50 && same; seq++ {
-		if p.backoff(seq, 1) != q.backoff(seq, 1) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("jitter ignores the seed")
-	}
 }
 
-func TestFailFastIgnoresRetryBudget(t *testing.T) {
-	var attempts atomic.Int64
-	boom := errors.New("boom")
-	_, _, err := RunSlice(context.Background(), []int{1},
-		func(_ context.Context, n int) (int, error) {
-			attempts.Add(1)
-			return 0, boom
-		},
-		func(a, b int) int { return a + b }, 0,
-		Config{Failure: FailurePolicy{Mode: FailFast, MaxRetries: 5}})
-	if !errors.Is(err, boom) {
-		t.Fatal(err)
+// TestBackoffSchedule pins the retry schedule Options.Retries runs:
+// the pauses of tasks 0-3 before retry attempts 1-8, in nanoseconds.
+// A change to the base, the cap or the jitter hash shows up here.
+func TestBackoffSchedule(t *testing.T) {
+	want := [4][8]time.Duration{
+		{868846, 1527869, 2949749, 4339149, 8075077, 25218578, 48801958, 39514823},
+		{754488, 1038344, 2352527, 7481488, 11268715, 23311294, 35725060, 28102867},
+		{879749, 1790671, 2675227, 6995544, 14809689, 26500065, 38528462, 33849475},
+		{778951, 1567969, 2182947, 6984440, 11056475, 31686885, 28565016, 48024787},
 	}
-	if got := attempts.Load(); got != 1 {
-		t.Errorf("FailFast attempted %d times, want 1", got)
+	for seq, row := range want {
+		for i, d := range row {
+			if got := backoff(seq, i+1); got != d {
+				t.Errorf("backoff(%d, %d) = %d, want %d", seq, i+1, got, d)
+			}
+		}
 	}
 }
 

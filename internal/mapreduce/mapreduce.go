@@ -37,8 +37,8 @@ type Config struct {
 	// Ordered selects the ordered reduction discipline documented in the
 	// package comment.
 	Ordered bool
-	// Failure selects the failure-handling policy; the zero value is
-	// FailFast, the engine's historical behavior. See FailurePolicy.
+	// Failure selects the failure-handling policy; the zero value
+	// aborts on the first task failure. See FailurePolicy.
 	Failure FailurePolicy
 	// Injector, when non-nil, intercepts every task attempt for chaos
 	// testing; see FaultInjector.
@@ -72,11 +72,9 @@ type Stats struct {
 	// Wall is the end-to-end elapsed time of the run.
 	Wall time.Duration
 	// Retries counts re-executed task attempts (attempts beyond each
-	// task's first) under the Retry and Skip policies.
+	// task's first).
 	Retries int
-	// Timeouts counts attempts cut off by FailurePolicy.TaskTimeout.
-	Timeouts int
-	// Quarantined lists the tasks dropped under the Skip policy, in
+	// Quarantined lists the tasks dropped under FailurePolicy.Skip, in
 	// input order. Their outputs are missing from the reduction; the
 	// caller decides whether that is acceptable.
 	Quarantined []QuarantinedTask
@@ -84,12 +82,11 @@ type Stats struct {
 
 // Run maps every item received from src and reduces the outputs with
 // combine, starting from zero. What happens when a task fails — a mapFn
-// error, a mapFn panic (converted to a Permanent error), a timeout or
-// an injected fault — is governed by cfg.Failure: FailFast (the
-// default) aborts the run on the first failure, Retry re-executes the
-// task with seeded exponential backoff before aborting, and Skip
-// quarantines tasks whose retry budget is exhausted so the run can
-// complete without them (see Stats.Quarantined). Context cancellation
+// error, a mapFn panic (converted to a Permanent error) or an injected
+// fault — is governed by cfg.Failure: the task is re-executed with
+// exponential backoff up to its retry budget, and a task that still
+// fails aborts the run or, under Skip, is quarantined so the run can
+// complete without it (see Stats.Quarantined). Context cancellation
 // always aborts, regardless of policy.
 //
 // Re-execution is safe because combine must be associative (and, in
@@ -104,7 +101,7 @@ func Run[I, M any](ctx context.Context, src <-chan I, mapFn func(context.Context
 // non-nil) is called exactly once per dequeued item after its final
 // map attempt completes — success, quarantine, or failure — so feeds
 // that recycle item buffers (pooled chunks) can reclaim them safely
-// even under Retry, which re-invokes mapFn with the same item. mapFn's
+// even under retries, which re-invoke mapFn with the same item. mapFn's
 // output must not alias the item once it returns. Items still queued
 // when a run aborts are never released: they fall to the garbage
 // collector, which can only under-recycle, never double-free.
@@ -170,7 +167,6 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 		mapTime     time.Duration
 		tasks       int
 		retries     int
-		timeouts    int
 		quarantined []QuarantinedTask
 		ordered     []seqOut // ordered mode: all outputs
 		locals      = make([]M, nw)
@@ -204,10 +200,9 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 				mapTime += res.dur
 				tasks++
 				retries += res.retries
-				timeouts += res.timeouts
 				mu.Unlock()
 				if res.err != nil {
-					if res.aborted || cfg.Failure.Mode != Skip {
+					if res.aborted || !cfg.Failure.Skip {
 						fail(fmt.Errorf("mapreduce: task %d: %w", it.seq, res.err))
 						return
 					}
@@ -248,7 +243,7 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 	// Workers quarantine in completion order; canonicalize to input
 	// order so Stats is deterministic.
 	sort.Slice(quarantined, func(i, j int) bool { return quarantined[i].Seq < quarantined[j].Seq })
-	st := Stats{Tasks: tasks, MapTime: mapTime, Retries: retries, Timeouts: timeouts, Quarantined: quarantined}
+	st := Stats{Tasks: tasks, MapTime: mapTime, Retries: retries, Quarantined: quarantined}
 	if firstErr != nil {
 		st.Wall = time.Since(start)
 		record(rec, st, nw)
@@ -297,7 +292,6 @@ type taskResult struct {
 	dur      time.Duration // time inside attempts, summed
 	attempts int
 	retries  int
-	timeouts int
 	err      error // nil on success
 	aborted  bool  // err came from run cancellation: never quarantine
 }
@@ -309,15 +303,14 @@ type taskResult struct {
 func runTaskAttempts[I, M any](ctx context.Context, mapFn func(context.Context, I) (M, error), item I, seq int, cfg Config, rec obs.Recorder) (M, taskResult) {
 	var res taskResult
 	var zero M
-	pol := cfg.Failure
-	budget := pol.maxAttempts()
+	budget := cfg.Failure.maxAttempts()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			res.retries++
 			if rec != nil {
 				rec.Add("mapreduce_retries", 1)
 			}
-			if err := sleepCtx(ctx, pol.backoff(seq, attempt)); err != nil {
+			if err := sleepCtx(ctx, backoff(seq, attempt)); err != nil {
 				res.err, res.aborted = err, true
 				return zero, res
 			}
@@ -329,7 +322,7 @@ func runTaskAttempts[I, M any](ctx context.Context, mapFn func(context.Context, 
 				rec.Add("mapreduce_faults_injected", 1)
 			}
 		}
-		out, dur, timedOut, err := runAttempt(ctx, mapFn, item, fault, pol.TaskTimeout)
+		out, dur, err := runAttempt(ctx, mapFn, item, fault)
 		res.dur += dur
 		res.attempts++
 		if rec != nil {
@@ -342,12 +335,6 @@ func runTaskAttempts[I, M any](ctx context.Context, mapFn func(context.Context, 
 			res.err, res.aborted = err, true
 			return zero, res
 		}
-		if timedOut {
-			res.timeouts++
-			if rec != nil {
-				rec.Add("mapreduce_task_timeouts", 1)
-			}
-		}
 		if IsPermanent(err) || attempt+1 >= budget {
 			if res.attempts > 1 {
 				err = fmt.Errorf("%w (after %d attempts)", err, res.attempts)
@@ -359,39 +346,28 @@ func runTaskAttempts[I, M any](ctx context.Context, mapFn func(context.Context, 
 }
 
 // runAttempt executes one attempt of a task: the injected fault (if
-// any), then mapFn, under the per-attempt timeout and with panic
-// recovery. A panic converts to a Permanent error — a poisoned record
-// panics on every re-execution, so retrying it only wastes the budget;
-// under Skip it quarantines at once instead of crashing the process.
-func runAttempt[I, M any](ctx context.Context, mapFn func(context.Context, I) (M, error), item I, fault Fault, timeout time.Duration) (out M, dur time.Duration, timedOut bool, err error) {
-	attemptCtx := ctx
-	cancel := func() {}
-	if timeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, timeout)
-	}
+// any), then mapFn, with panic recovery. A panic converts to a
+// Permanent error — a poisoned record panics on every re-execution, so
+// retrying it only wastes the budget; under Skip it quarantines at once
+// instead of crashing the process.
+func runAttempt[I, M any](ctx context.Context, mapFn func(context.Context, I) (M, error), item I, fault Fault) (out M, dur time.Duration, err error) {
 	start := time.Now()
 	defer func() {
-		cancel()
 		dur = time.Since(start)
 		if r := recover(); r != nil {
 			err = Permanent(fmt.Errorf("map function panicked: %v", r))
 		}
-		if err != nil && attemptCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			timedOut = true
-			err = fmt.Errorf("attempt timed out after %v: %w", timeout, err)
-		}
 	}()
 	if fault.Delay > 0 {
-		if serr := sleepCtx(attemptCtx, fault.Delay); serr != nil {
-			err = serr
-			return out, 0, false, err
+		if err = sleepCtx(ctx, fault.Delay); err != nil {
+			return out, 0, err
 		}
 	}
 	if fault.Err != nil {
-		return out, 0, false, fault.Err
+		return out, 0, fault.Err
 	}
-	out, err = mapFn(attemptCtx, item)
-	return out, 0, false, err // dur and timedOut are set by the deferred closure
+	out, err = mapFn(ctx, item)
+	return out, 0, err // dur is set by the deferred closure
 }
 
 // RunSlice is Run over an in-memory slice of items.

@@ -104,17 +104,16 @@ func mergeHistograms(a, b HistogramSnapshot) HistogramSnapshot {
 }
 
 // faultSuffixes lists the name suffixes that mark a metric as counting
-// failure handling: retries, timeouts, quarantined (skipped) tasks,
-// injected faults and simulated crashes. The convention spans the
-// recording components — mapreduce_retries, mapreduce_skipped,
-// mapreduce_task_timeouts, mapreduce_faults_injected,
+// failure handling: retries, quarantined (skipped) tasks, injected
+// faults and simulated crashes. The convention spans the recording
+// components — mapreduce_retries, mapreduce_skipped,
+// mapreduce_faults_injected,
 // cluster_retried_tasks, cluster_crashed_nodes,
 // cluster_retry_lost_virtual — and docs/FAULTS.md documents it.
 var faultSuffixes = []string{
 	"_retries",
 	"_retried_tasks",
 	"_skipped",
-	"_timeouts",
 	"_faults_injected",
 	"_crashed_nodes",
 	"_retry_lost_virtual",

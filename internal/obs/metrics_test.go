@@ -131,7 +131,7 @@ func TestWithoutTimings(t *testing.T) {
 
 func TestIsFaultMetric(t *testing.T) {
 	faulty := []string{
-		"mapreduce_retries", "mapreduce_skipped", "mapreduce_task_timeouts",
+		"mapreduce_retries", "mapreduce_skipped",
 		"mapreduce_faults_injected", "cluster_retried_tasks",
 		"cluster_crashed_nodes", "cluster_retry_lost_virtual",
 	}

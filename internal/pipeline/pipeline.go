@@ -5,9 +5,9 @@
 //
 //	split → decode+infer map → combine (monoid) → fold
 //
-// over an Env that bundles what used to be five separately threaded
+// over an Env that bundles what used to be separately threaded
 // parameters (fusion policy, worker count, failure policy, recorder,
-// progress hook, dedup state). A future backend — sharded, serving,
+// dedup state). A future backend — sharded, serving,
 // remote — is a new feed plus (at most) a new Accumulator, not a sixth
 // copy of the pipeline.
 //
@@ -39,9 +39,8 @@ import (
 
 // Env bundles the cross-cutting state of one inference run. Build it
 // once per run and pass it to Run or RunStream; every field is
-// read-only to the stages (the stagecapture analyzer in
-// internal/analyze enforces that stages keep mutable state in their
-// Accumulators, not in captured variables).
+// read-only to the stages, which keep mutable state in their
+// Accumulators.
 type Env struct {
 	// Fusion is the run's fusion policy.
 	Fusion fusion.Options
@@ -59,10 +58,6 @@ type Env struct {
 	Injector mapreduce.FaultInjector
 	// Rec receives pipeline metrics; nil records nothing.
 	Rec obs.Recorder
-	// Progress is called after each processed chunk (or every
-	// ProgressEveryRecords records on the streaming path); nil reports
-	// nothing.
-	Progress func()
 	// Dedup is the run's dedup machinery, which lets Run's chunks
 	// intern their types when that pays. Nil means every chunk is
 	// degraded from its first record: the plain tally and the online
@@ -286,12 +281,6 @@ type FeedError struct{ Err error }
 
 func (e *FeedError) Error() string { return e.Err.Error() }
 func (e *FeedError) Unwrap() error { return e.Err }
-
-// ProgressEveryRecords throttles Progress callbacks on the sequential
-// streaming path, where "per chunk" has no natural meaning. It must be
-// a multiple of StreamBatchRecords: the streaming driver only looks up
-// from the decode loop at batch boundaries.
-const ProgressEveryRecords = 1024
 
 // StreamBatchRecords is the cancellation batch of the streaming
 // driver: RunStream checks the context once per batch instead of once
@@ -542,8 +531,7 @@ func (e *Env) lapFuse(t0 time.Time) {
 	e.Phases.FuseNS.Add(int64(time.Since(t0)))
 }
 
-// recordChunk emits the per-chunk metrics and progress tick of the map
-// stage.
+// recordChunk emits the per-chunk metrics of the map stage.
 func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 	if rec := e.Rec; rec != nil {
 		rec.Add("infer_chunks", 1)
@@ -553,9 +541,6 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 		// Per-chunk fused sizes are the fusion-growth curve: how
 		// far each partition's types collapse before the reduce.
 		rec.Observe("infer_chunk_fused_size", int64(fused.Size()))
-	}
-	if e.Progress != nil {
-		e.Progress()
 	}
 }
 
@@ -589,9 +574,6 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 			case <-ctx.Done():
 				return nil, 0, fmt.Errorf("record %d: %w", records+1, ctx.Err())
 			default:
-			}
-			if env.Progress != nil && records > 0 && records%ProgressEveryRecords == 0 {
-				env.Progress()
 			}
 		}
 		t, err := dec.Next()

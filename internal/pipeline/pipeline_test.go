@@ -63,15 +63,19 @@ func (c *cancelOnObserve) Observe(name string, _ int64) {
 	}
 }
 
-// TestRunMidFeedCancel cancels from the first progress tick — the feed
-// is endless, so the feeder goroutine is provably mid-emit — and
-// asserts a prompt, clean return with no surviving goroutines. This
-// pins Run's own contract, independent of any Source adapter.
+// TestRunMidFeedCancel cancels from the fault injector as the first
+// chunk's map attempt starts — the feed is endless, so the feeder
+// goroutine is provably mid-emit — and asserts a prompt, clean return
+// with no surviving goroutines. This pins Run's own contract,
+// independent of any Source adapter.
 func TestRunMidFeedCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	env := &Env{Workers: 2, Progress: cancel}
+	env := &Env{Workers: 2, Injector: func(int, int) mapreduce.Fault {
+		cancel()
+		return mapreduce.Fault{}
+	}}
 	_, _, err := Run(ctx, env, endlessFeed([]byte(`{"a":1}`)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

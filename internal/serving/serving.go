@@ -57,10 +57,6 @@ type Config struct {
 	// concurrency across tenants is the service's main axis.
 	IngestWorkers int
 
-	// ChunkBytes is the pipeline chunk size for ingest bodies; zero
-	// means the library default.
-	ChunkBytes int
-
 	// Retries is the per-chunk retry budget applied to every ingest.
 	Retries int
 
@@ -238,9 +234,8 @@ func (s *Server) writeBodyError(w http.ResponseWriter, body *cappedBody, err err
 // applying any per-request on_error override.
 func (s *Server) ingestOptions(r *http.Request) (jsi.Options, error) {
 	opts := jsi.Options{
-		Workers:    s.cfg.IngestWorkers,
-		ChunkBytes: s.cfg.ChunkBytes,
-		Retries:    s.cfg.Retries,
+		Workers: s.cfg.IngestWorkers,
+		Retries: s.cfg.Retries,
 	}
 	if s.cfg.OnErrorSkip {
 		opts.OnError = jsi.OnErrorSkip

@@ -623,16 +623,20 @@ func TestSnapshotSurvivesRestart(t *testing.T) {
 }
 
 func TestIngestQuarantine(t *testing.T) {
-	// Small chunks so the one malformed record poisons a single chunk
-	// rather than the whole body.
-	_, hs := newTestServer(t, Config{ChunkBytes: 1 << 10})
+	// A body of three default (256 KiB) chunks, so the one malformed
+	// record poisons a single chunk rather than the whole body.
+	_, hs := newTestServer(t, Config{})
 	var buf bytes.Buffer
-	for i := 0; i < 2000; i++ {
-		if i == 999 {
+	const n = 60000
+	for i := 0; i < n; i++ {
+		if i == n/2 {
 			buf.WriteString("{broken\n")
 			continue
 		}
 		fmt.Fprintf(&buf, `{"id": %d}`+"\n", i)
+	}
+	if buf.Len() <= 2*256<<10 {
+		t.Fatalf("body is %d bytes, want more than two default chunks", buf.Len())
 	}
 	// Default policy: the malformed chunk fails the request and leaves
 	// the repository untouched.
@@ -655,8 +659,8 @@ func TestIngestQuarantine(t *testing.T) {
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.QuarantinedChunks < 1 {
-		t.Errorf("quarantined_chunks = %d, want >= 1", doc.QuarantinedChunks)
+	if doc.QuarantinedChunks != 1 || doc.Records == 0 {
+		t.Errorf("quarantined_chunks = %d, records = %d: want one chunk dropped and the rest committed", doc.QuarantinedChunks, doc.Records)
 	}
 	_, schema = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/q/schema", nil)
 	if got := string(bytes.TrimSpace(schema)); got != "{id: Num}" {

@@ -48,6 +48,32 @@ func (r endlessReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// cancelingReader passes r through and cancels once its first read
+// has delivered bytes, so a stream over it is provably mid-flight when
+// its context dies.
+type cancelingReader struct {
+	r      io.Reader
+	cancel context.CancelFunc
+}
+
+func (c cancelingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if n > 0 {
+		c.cancel()
+	}
+	return n, err
+}
+
+// cancelOnMap is a FaultInjector that injects nothing but cancels the
+// run as a chunk's map attempt starts: the run is then provably
+// mid-flight on every chunked Source.
+func cancelOnMap(cancel context.CancelFunc) jsi.FaultInjector {
+	return func(int, int) jsi.InjectedFault {
+		cancel()
+		return jsi.InjectedFault{}
+	}
+}
+
 // checkNoLeakedGoroutines asserts the goroutine count returns to its
 // pre-test level, allowing the runtime a moment to wind workers down.
 func checkNoLeakedGoroutines(t *testing.T, before int) {
@@ -75,23 +101,24 @@ func TestInferCancellation(t *testing.T) {
 	path, data := manyChunks(t, 2000)
 	opts := jsi.Options{Workers: 2, ChunkBytes: 4 << 10}
 
-	sources := map[string]func() jsi.Source{
-		"bytes":  func() jsi.Source { return jsi.FromBytes(data) },
-		"reader": func() jsi.Source { return jsi.FromReader(endlessReader{record: []byte(`{"a":1}` + "\n")}) },
-		"file":   func() jsi.Source { return jsi.FromFile(path) },
-		"files":  func() jsi.Source { return jsi.FromFiles(path, path) },
+	// The chunked sources cancel from the fault injector, which only
+	// they consult; the stream cancels from its reader.
+	sources := map[string]func(cancel context.CancelFunc) jsi.Source{
+		"bytes": func(context.CancelFunc) jsi.Source { return jsi.FromBytes(data) },
+		"reader": func(cancel context.CancelFunc) jsi.Source {
+			return jsi.FromReader(cancelingReader{r: endlessReader{record: []byte(`{"a":1}` + "\n")}, cancel: cancel})
+		},
+		"file":  func(context.CancelFunc) jsi.Source { return jsi.FromFile(path) },
+		"files": func(context.CancelFunc) jsi.Source { return jsi.FromFiles(path, path) },
 	}
 	for name, src := range sources {
 		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// Cancel from the first progress callback: the run is then
-			// provably mid-flight, past at least one chunk (or batch of
-			// records on the streaming path).
 			o := opts
-			o.Progress = func(jsi.Metrics) { cancel() }
-			_, _, err := jsi.Infer(ctx, src(), o)
+			o.FaultInjector = cancelOnMap(cancel)
+			_, _, err := jsi.Infer(ctx, src(cancel), o)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -188,7 +215,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"Workers", jsi.Options{Workers: -1}},
 		{"ChunkBytes", jsi.Options{ChunkBytes: -1}},
 		{"MaxDepth", jsi.Options{MaxDepth: -1}},
-		{"MaxTupleLen", jsi.Options{MaxTupleLen: -1}},
 	}
 	data := []byte(`{"a":1}`)
 	entries := []struct {
@@ -257,32 +283,6 @@ func TestMaxDepthEverySource(t *testing.T) {
 		if _, _, err := jsi.Infer(context.Background(), src(), jsi.Options{}); err != nil {
 			t.Errorf("%s: default MaxDepth rejected depth 50: %v", name, err)
 		}
-	}
-}
-
-// TestProgressCallback asserts Progress fires during a run (with and
-// without an explicit Collector) and sees monotonically growing
-// counters, plus one final complete snapshot.
-func TestProgressCallback(t *testing.T) {
-	_, data := manyChunks(t, 500)
-	var snaps []int64
-	opts := jsi.Options{Workers: 1, Progress: func(m jsi.Metrics) {
-		snaps = append(snaps, m.Counters["infer_records"])
-	}}
-	_, stats, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("Progress fired %d times, want at least per-chunk + final", len(snaps))
-	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i] < snaps[i-1] {
-			t.Errorf("records counter went backwards: %v", snaps)
-		}
-	}
-	if last := snaps[len(snaps)-1]; last != stats.Records {
-		t.Errorf("final snapshot saw %d records, stats say %d", last, stats.Records)
 	}
 }
 

@@ -31,7 +31,7 @@ echo ">> go test ${race} ./..."
 # shellcheck disable=SC2086 # race is intentionally empty or one flag
 go test ${race} ./...
 
-# The chaos suite stresses the engine's retry/timeout/quarantine
+# The chaos suite stresses the engine's retry/quarantine
 # concurrency, so it always runs under the race detector — even when
 # -norace skipped it for the bulk of the suite.
 if [ -z "${race}" ]; then
