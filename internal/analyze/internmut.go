@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -31,9 +32,15 @@ import (
 //     copy(fs, ...), append in place two calls down), or into a known
 //     in-place standard-library mutator (sort.Slice, slices.Sort, ...).
 //
+// The same three rules cover a slice handed to types.NewRecordSorted or
+// types.MustRecordSorted: those constructors keep their argument as the
+// record's fields instead of copying it, so from the call on, the
+// caller's variable aliases an immutable type.
+//
 // Excused: read-only consumption (iteration, len, rendering), passing
 // accessor slices into the constructor packages' own entry points
-// (types.NewRecord copies its input), and call targets with no static
+// (types.NewRecord copies its input; the sorted constructors share it
+// between two immutable records), and call targets with no static
 // summary (interface methods, func values) — a documented blind spot
 // rather than a guess.
 var InternMut = &Analyzer{
@@ -61,6 +68,13 @@ var accessorNames = map[string]bool{
 	"Alts":   true,
 }
 
+// keepingConstructors are the functions of the protected types package
+// that keep their slice argument instead of copying it.
+var keepingConstructors = map[string]bool{
+	"NewRecordSorted":  true,
+	"MustRecordSorted": true,
+}
+
 func runInternMut(pass *Pass) {
 	if typeMutAllowed[pass.Pkg.Path()] {
 		return
@@ -84,30 +98,60 @@ func runInternMut(pass *Pass) {
 	}
 }
 
+// taint is what the analyzer knows of one file's variables: which are
+// bound to an accessor result (shared from the start), and which were
+// handed to a keeping constructor (shared from the end of the first
+// such call, in source order).
+type taint struct {
+	accessor map[types.Object]bool
+	keptFrom map[types.Object]token.Pos
+}
+
 // taintedObjects finds variables bound directly to an accessor result
-// (fs := r.Fields(); alts := u.Alts()[1:]) so writes through them can
-// be traced. This is a local, flow-insensitive approximation: it
-// catches the direct-binding idiom, not arbitrary aliasing.
-func taintedObjects(pass *Pass, f *ast.File) map[types.Object]bool {
-	tainted := make(map[types.Object]bool)
+// (fs := r.Fields(); alts := u.Alts()[1:]) and variables passed, whole
+// or sliced, to a keeping constructor, so writes through them can be
+// traced. This is a local, flow-insensitive approximation: it catches
+// the direct-binding idiom, not arbitrary aliasing, and "after the
+// constructor call" means later in the file, not later in control
+// flow.
+func taintedObjects(pass *Pass, f *ast.File) taint {
+	tt := taint{accessor: make(map[types.Object]bool), keptFrom: make(map[types.Object]token.Pos)}
 	ast.Inspect(f, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			if !isAccessorExpr(pass, rhs) {
-				continue
+		switch nn := n.(type) {
+		case *ast.AssignStmt:
+			if len(nn.Lhs) != len(nn.Rhs) {
+				return true
 			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
+			for i, rhs := range nn.Rhs {
+				if !isAccessorExpr(pass, rhs) {
+					continue
+				}
+				if id, ok := nn.Lhs[i].(*ast.Ident); ok {
+					if obj := pass.ObjectOf(id); obj != nil {
+						tt.accessor[obj] = true
+					}
+				}
+			}
+		case *ast.CallExpr:
+			fn := calleeFunc(pass, nn)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != typesPkgPath || !keepingConstructors[fn.Name()] || len(nn.Args) == 0 {
+				return true
+			}
+			arg := ast.Unparen(nn.Args[0])
+			if se, ok := arg.(*ast.SliceExpr); ok {
+				arg = ast.Unparen(se.X)
+			}
+			if id, ok := arg.(*ast.Ident); ok {
 				if obj := pass.ObjectOf(id); obj != nil {
-					tainted[obj] = true
+					if from, seen := tt.keptFrom[obj]; !seen || nn.End() < from {
+						tt.keptFrom[obj] = nn.End()
+					}
 				}
 			}
 		}
 		return true
 	})
-	return tainted
+	return tt
 }
 
 // isAccessorExpr reports whether e is (possibly a slice of) a call to a
@@ -135,29 +179,41 @@ func isAccessorCall(pass *Pass, call *ast.CallExpr) bool {
 	return fn.Pkg().Path() == typesPkgPath && fn.Type().(*types.Signature).Recv() != nil
 }
 
-// isTaintedIdent reports whether e is a variable bound to an accessor
-// result.
-func isTaintedIdent(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
+// taintedDesc describes e for diagnostics when it is (a slice of) a
+// variable bound to an accessor result, or one used after a keeping
+// constructor took its slice; otherwise it returns "".
+func taintedDesc(pass *Pass, e ast.Expr, tt taint) string {
+	e = ast.Unparen(e)
+	if se, ok := e.(*ast.SliceExpr); ok {
+		e = se.X
+	}
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
-		return false
+		return ""
 	}
 	obj := pass.ObjectOf(id)
-	return obj != nil && tainted[obj]
+	if obj == nil {
+		return ""
+	}
+	if tt.accessor[obj] {
+		return id.Name + " (bound to a types accessor result)"
+	}
+	if from, ok := tt.keptFrom[obj]; ok && id.Pos() >= from {
+		return id.Name + " (kept by the record types.NewRecordSorted built from it)"
+	}
+	return ""
 }
 
 // reportSharedWrite walks an l-value chain (e.g. r.Fields()[0].Type)
 // and reports it if the chain passes through an index into an accessor
 // slice.
-func reportSharedWrite(pass *Pass, lhs ast.Expr, tainted map[types.Object]bool) {
+func reportSharedWrite(pass *Pass, lhs ast.Expr, tainted taint) {
 	for e := lhs; ; {
 		switch ee := ast.Unparen(e).(type) {
 		case *ast.IndexExpr:
-			base := ""
+			base := taintedDesc(pass, ee.X, tainted)
 			if isAccessorExpr(pass, ee.X) {
 				base = exprString(ee.X)
-			} else if isTaintedIdent(pass, ee.X, tainted) {
-				base = exprString(ast.Unparen(ee.X)) + " (bound to a types accessor result)"
 			}
 			if base != "" {
 				pass.ReportNode(lhs, "write into %s mutates a shared immutable type; rebuild with a types constructor instead", base)
@@ -177,7 +233,7 @@ func reportSharedWrite(pass *Pass, lhs ast.Expr, tainted map[types.Object]bool) 
 // checkSliceGrower flags append/copy calls whose destination is an
 // accessor slice: append may write in place when capacity allows, and
 // copy always writes through.
-func checkSliceGrower(pass *Pass, call *ast.CallExpr, tainted map[types.Object]bool) {
+func checkSliceGrower(pass *Pass, call *ast.CallExpr, tainted taint) {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || len(call.Args) == 0 {
 		return
@@ -187,48 +243,42 @@ func checkSliceGrower(pass *Pass, call *ast.CallExpr, tainted map[types.Object]b
 		return
 	}
 	dst := call.Args[0]
-	if isAccessorExpr(pass, dst) || isTaintedIdent(pass, dst, tainted) {
-		pass.ReportNode(call, "%s with destination %s may write into a shared immutable type; copy the slice first", b.Name(), exprString(dst))
+	desc := taintedDesc(pass, dst, tainted)
+	if isAccessorExpr(pass, dst) {
+		desc = exprString(dst)
+	}
+	if desc != "" {
+		pass.ReportNode(call, "%s with destination %s may write into a shared immutable type; copy the slice first", b.Name(), desc)
 	}
 }
 
 // checkInternEscape inspects one call: does any argument carry an
 // accessor slice into a mutating parameter?
-func checkInternEscape(pass *Pass, call *ast.CallExpr, tainted map[types.Object]bool) {
+func checkInternEscape(pass *Pass, call *ast.CallExpr, tainted taint) {
 	fn := calleeFunc(pass, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
 	for i, arg := range call.Args {
-		if !isAccessorArg(pass, arg, tainted) {
+		desc := accessorDesc(pass, arg, tainted)
+		if desc == "" {
 			continue
 		}
 		if why, pname := mutatesArg(pass, fn, i); why != "" {
 			pass.ReportNode(call, "%s escapes into %s of %s, which %s; copy the slice first",
-				accessorDesc(pass, arg), pname, fn.Name(), why)
+				desc, pname, fn.Name(), why)
 		}
 	}
 }
 
-// isAccessorArg reports whether the argument expression is an accessor
-// result, a slice of one, or a variable bound to one.
-func isAccessorArg(pass *Pass, arg ast.Expr, tainted map[types.Object]bool) bool {
-	if isAccessorExpr(pass, arg) {
-		return true
-	}
-	e := ast.Unparen(arg)
-	if se, ok := e.(*ast.SliceExpr); ok {
-		e = se.X
-	}
-	return isTaintedIdent(pass, e, tainted)
-}
-
-// accessorDesc renders the argument for diagnostics.
-func accessorDesc(pass *Pass, arg ast.Expr) string {
+// accessorDesc describes the argument for diagnostics when it is an
+// accessor result, a slice of one, or a tainted variable (whole or
+// sliced); otherwise it returns "".
+func accessorDesc(pass *Pass, arg ast.Expr, tainted taint) string {
 	if isAccessorExpr(pass, arg) {
 		return "accessor slice " + exprString(arg)
 	}
-	return exprString(arg) + " (bound to a types accessor result)"
+	return taintedDesc(pass, arg, tainted)
 }
 
 // mutatesArg reports how fn may write through its i-th argument: a
@@ -240,7 +290,7 @@ func mutatesArg(pass *Pass, fn *types.Func, i int) (why, pname string) {
 		return "sorts it in place", "the slice argument"
 	}
 	if typeMutAllowed[fn.Pkg().Path()] {
-		return "", "" // constructor packages own the invariant (and copy their inputs)
+		return "", "" // constructor packages own the invariant
 	}
 	sum := pass.Sums.Of(fn)
 	if sum == nil {

@@ -56,3 +56,33 @@ func DropRetained(r *types.Record) []types.Field {
 	fs[0].Optional = false
 	return fs
 }
+
+// KeptThenWritten edits fields after NewRecordSorted made them the
+// record's own: the record changes under its holders.
+func KeptThenWritten(fields []types.Field) *types.Record {
+	fs := make([]types.Field, len(fields))
+	copy(fs, fields)
+	fs[0].Optional = true // before the hand-over: allowed
+	r, err := types.NewRecordSorted(fs)
+	if err != nil {
+		return nil
+	}
+	fs[0].Optional = false // want "write into fs (kept by the record types.NewRecordSorted built from it)"
+	return r
+}
+
+// KeptThenGrown appends to and copies into a slice a record kept.
+func KeptThenGrown(fs []types.Field, f types.Field) *types.Record {
+	r := types.MustRecordSorted(fs[:1])
+	fs = append(fs, f) // want "append with destination fs (kept by the record"
+	copy(fs[1:], fs)   // want "copy with destination fs (kept by the record"
+	return r
+}
+
+// HandOver is the fixed form: the slice is finished before the
+// constructor keeps it, and not touched afterwards.
+func HandOver(fields []types.Field) *types.Record {
+	fs := append([]types.Field(nil), fields...)
+	fs[0].Optional = true
+	return types.MustRecordSorted(fs)
+}

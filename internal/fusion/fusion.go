@@ -23,6 +23,7 @@ package fusion
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -48,7 +49,7 @@ func LFuse(t1, t2 types.Type) types.Type { return policy{}.lfuse(t1, t2) }
 // element types with their fusion. The empty tuple collapses to ε, so
 // the simplified form of [] is [ε*], which denotes exactly the empty
 // array (footnote 1 of the paper).
-func Collapse(t *types.Tuple) types.Type { return policy{}.collapse(t) }
+func Collapse(t *types.Tuple) types.Type { return policy{}.collapse(t.Elems()) }
 
 // Simplify rewrites every tuple array type inside t into its simplified
 // repeated form [collapse(...)​*]. Phase one of the paper infers tuple
@@ -150,23 +151,78 @@ func (p policy) fuse(t1, t2 types.Type) types.Type {
 	return p.fuseDirect(t1, t2)
 }
 
-// fuseDirect implements Fuse under a policy, with no caching.
+// fuseDirect implements Fuse under a policy, with no caching. Two
+// non-union operands skip the kind tables: ε is the identity, the same
+// kind goes to lfuse, and different kinds meet in a two-alternative
+// union. Whenever the result is structurally an operand, the operand
+// itself is returned (see fuseRecords for the copy-on-write rule).
 func (p policy) fuseDirect(t1, t2 types.Type) types.Type {
+	_, u1 := t1.(*types.Union)
+	_, u2 := t2.(*types.Union)
+	if !u1 && !u2 {
+		if t1 == types.Empty {
+			return t2
+		}
+		if t2 == types.Empty {
+			return t1
+		}
+		k1, _ := types.KindOf(t1)
+		k2, _ := types.KindOf(t2)
+		if k1 == k2 {
+			return p.lfuse(t1, t2)
+		}
+		return types.MustUnion(t1, t2)
+	}
 	g1 := p.groupByKind(t1)
 	g2 := p.groupByKind(t2)
-	out := make([]types.Type, 0, 6)
-	for k := 0; k < 6; k++ {
+	var out [6]types.Type
+	n := 0
+	for k := range out {
 		a, b := g1[k], g2[k]
 		switch {
 		case a != nil && b != nil:
-			out = append(out, p.lfuse(a, b))
+			out[n] = p.lfuse(a, b)
 		case a != nil:
-			out = append(out, a)
+			out[n] = a
 		case b != nil:
-			out = append(out, b)
+			out[n] = b
+		default:
+			continue
 		}
+		n++
 	}
-	return types.MustUnion(out...)
+	if sameUnion(t1, out[:n]) {
+		return t1
+	}
+	if sameUnion(t2, out[:n]) {
+		return t2
+	}
+	return types.MustUnion(out[:n]...)
+}
+
+// sameUnion reports whether t is a union whose alternatives are exactly
+// alts, pointer for pointer. alts holds one type per kind, in kind
+// order, which is a normal union's canonical order. A non-normal union
+// never matches: it has more alternatives than kinds, so alts can only
+// be as long if the other operand adds a kind, and that alternative is
+// not one of t's.
+func sameUnion(t types.Type, alts []types.Type) bool {
+	u, ok := t.(*types.Union)
+	return ok && slices.Equal(u.Alts(), alts)
+}
+
+// distinctKinds reports whether no two alternatives of u share a kind,
+// the top level of types.IsNormal.
+func distinctKinds(u *types.Union) bool {
+	var seen [6]bool
+	for _, a := range u.Alts() {
+		k, ok := types.KindOf(a)
+		if !ok || seen[k] {
+			return false
+		}
+		seen[k] = true
+	}
+	return true
 }
 
 // groupByKind buckets the non-union addends of t by kind, folding
@@ -260,53 +316,126 @@ func (p policy) absorbIntoMapElem(elem types.Type, t types.Type) types.Type {
 // recursively keeping the minimum cardinality (? < 1, so a field is
 // mandatory only when mandatory on both sides); FUnmatch fields become
 // optional.
+//
+// Copy-on-write: the merge runs without a field slice while its output
+// is still a prefix of r1's or r2's fields (same keys, same optional
+// flags, pointer-identical field types). When the whole output is such
+// a prefix, that operand is the result and nothing is allocated: this
+// is the fold step Fuse(F, t) = F on data that repeats. Otherwise the
+// slice is allocated once, at its exact size, at the first field that
+// differs from both operands, and handed to the record without a copy.
 func (p policy) fuseRecords(r1, r2 *types.Record) types.Type {
 	f1, f2 := r1.Fields(), r2.Fields()
-	out := make([]types.Field, 0, len(f1)+len(f2))
+	var out []types.Field
+	same1, same2 := true, true
+	n := 0 // fields merged so far
 	i, j := 0, 0
-	for i < len(f1) && j < len(f2) {
+	for i < len(f1) || j < len(f2) {
+		var f types.Field
 		switch {
-		case f1[i].Key == f2[j].Key:
-			out = append(out, types.Field{
+		case j == len(f2) || (i < len(f1) && f1[i].Key < f2[j].Key):
+			f = types.Field{Key: f1[i].Key, Type: f1[i].Type, Optional: true}
+			i++
+		case i == len(f1) || f2[j].Key < f1[i].Key:
+			f = types.Field{Key: f2[j].Key, Type: f2[j].Type, Optional: true}
+			j++
+		default:
+			f = types.Field{
 				Key:      f1[i].Key,
 				Type:     p.fuse(f1[i].Type, f2[j].Type),
 				Optional: f1[i].Optional || f2[j].Optional,
-			})
+			}
+			i++
+			j++
+		}
+		if out == nil {
+			s1 := same1 && n < len(f1) && f1[n] == f
+			s2 := same2 && n < len(f2) && f2[n] == f
+			if !s1 && !s2 {
+				prefix := f1
+				if !same1 {
+					prefix = f2
+				}
+				out = make([]types.Field, n, n+1+mergedLen(f1[i:], f2[j:]))
+				copy(out, prefix[:n])
+			}
+			same1, same2 = s1, s2
+		}
+		if out != nil {
+			out = append(out, f)
+		}
+		n++
+	}
+	switch {
+	case out != nil:
+		// Keys are unique within each input, so the merge is strictly
+		// ascending.
+		return types.MustRecordSorted(out)
+	case same1:
+		return r1
+	default:
+		return r2
+	}
+}
+
+// mergedLen returns the number of distinct keys of two key-sorted field
+// lists: the length of their merge.
+func mergedLen(f1, f2 []types.Field) int {
+	n, i, j := 0, 0, 0
+	for i < len(f1) && j < len(f2) {
+		switch {
+		case f1[i].Key == f2[j].Key:
 			i++
 			j++
 		case f1[i].Key < f2[j].Key:
-			out = append(out, types.Field{Key: f1[i].Key, Type: f1[i].Type, Optional: true})
 			i++
 		default:
-			out = append(out, types.Field{Key: f2[j].Key, Type: f2[j].Type, Optional: true})
 			j++
 		}
+		n++
 	}
-	for ; i < len(f1); i++ {
-		out = append(out, types.Field{Key: f1[i].Key, Type: f1[i].Type, Optional: true})
-	}
-	for ; j < len(f2); j++ {
-		out = append(out, types.Field{Key: f2[j].Key, Type: f2[j].Type, Optional: true})
-	}
-	// Keys are unique within each input, so the merge cannot collide.
-	return types.MustRecord(out...)
+	return n + len(f1) - i + len(f2) - j
 }
 
 // fuseArrays implements lines 4-7 of Figure 6, plus the positional
 // extension: two equal-length tuples within the policy's cutoff fuse
 // element-wise and stay positional; every other combination simplifies
-// to a repeated type over the fused body types.
+// to a repeated type over the fused body types. An operand whose
+// elements (or [T*] body) the fusion leaves pointer-identical is
+// returned as is.
 func (p policy) fuseArrays(t1, t2 types.Type) types.Type {
 	a1, ok1 := t1.(*types.Tuple)
 	a2, ok2 := t2.(*types.Tuple)
 	if ok1 && ok2 && a1.Len() == a2.Len() && p.keepTuple(a1.Len()) {
-		elems := make([]types.Type, a1.Len())
-		for i := range elems {
-			elems[i] = p.fuse(a1.Elems()[i], a2.Elems()[i])
+		e1, e2 := a1.Elems(), a2.Elems()
+		var elems []types.Type // nil while the result is still a1
+		for i := range e1 {
+			e := p.fuse(e1[i], e2[i])
+			if elems == nil {
+				if e == e1[i] {
+					continue
+				}
+				elems = make([]types.Type, len(e1))
+				copy(elems, e1[:i])
+			}
+			elems[i] = e
+		}
+		switch {
+		case elems == nil:
+			return a1
+		case slices.Equal(elems, e2):
+			return a2
 		}
 		return types.MustTuple(elems...)
 	}
-	return types.MustRepeated(p.fuse(p.body(t1), p.body(t2)))
+	body := p.fuse(p.body(t1), p.body(t2))
+	if r, ok := t1.(*types.Repeated); ok && r.Elem() == body {
+		return t1
+	}
+	if r, ok := t2.(*types.Repeated); ok && r.Elem() == body {
+		return t2
+	}
+	return types.MustRepeated(body)
 }
 
 // body returns the content type an array-kind type contributes to
@@ -317,16 +446,16 @@ func (p policy) body(t types.Type) types.Type {
 	case *types.Repeated:
 		return tt.Elem()
 	case *types.Tuple:
-		return p.collapse(tt)
+		return p.collapse(tt.Elems())
 	default:
 		panic(fmt.Sprintf("fusion: array body of %T", t))
 	}
 }
 
-// collapse implements lines 8-9 of Figure 6 under a policy.
-func (p policy) collapse(t *types.Tuple) types.Type {
+// collapse implements lines 8-9 of Figure 6 under a policy, on the
+// element types of a tuple.
+func (p policy) collapse(elems []types.Type) types.Type {
 	acc := types.Type(types.Empty)
-	elems := t.Elems()
 	// Right fold, as in collapse(ArrT(T, AT)) = Fuse(T, collapse(AT)).
 	for i := len(elems) - 1; i >= 0; i-- {
 		acc = p.fuse(elems[i], acc)
@@ -343,53 +472,71 @@ func (p policy) simplify(t types.Type) types.Type {
 	return p.simplifyDirect(t)
 }
 
-// simplifyDirect implements simplify with no caching.
+// simplifyDirect implements simplify with no caching. A node none of
+// whose children changes is returned as is, so a tuple-free type
+// simplifies to itself without allocating.
 func (p policy) simplifyDirect(t types.Type) types.Type {
 	switch tt := t.(type) {
 	case types.Basic, types.EmptyType:
 		return t
 	case *types.Record:
-		fs := tt.Fields()
-		out := make([]types.Field, len(fs))
-		for i, f := range fs {
-			out[i] = types.Field{Key: f.Key, Type: p.simplify(f.Type), Optional: f.Optional}
+		fs, changed := types.MapChildren(tt.Fields(), func(f types.Field) types.Field {
+			f.Type = p.simplify(f.Type)
+			return f
+		})
+		if !changed {
+			return t
 		}
-		return types.MustRecord(out...)
+		return types.MustRecordSorted(fs)
 	case *types.Tuple:
-		simplified := make([]types.Type, tt.Len())
-		for i, e := range tt.Elems() {
-			simplified[i] = p.simplify(e)
-		}
+		simplified, changed := types.MapChildren(tt.Elems(), p.simplify)
 		if p.keepTuple(tt.Len()) {
+			if !changed {
+				return t
+			}
 			return types.MustTuple(simplified...)
 		}
-		return types.MustRepeated(p.collapse(types.MustTuple(simplified...)))
+		return types.MustRepeated(p.collapse(simplified))
 	case *types.Map:
-		return types.MustMap(p.simplify(tt.Elem()))
+		if e := p.simplify(tt.Elem()); e != tt.Elem() {
+			return types.MustMap(e)
+		}
+		return t
 	case *types.Variants:
 		if tt.Collapsed() {
-			return types.MustCollapsedVariants(p.simplify(tt.Other()).(*types.Record))
+			if o := p.simplify(tt.Other()); o != types.Type(tt.Other()) {
+				return types.MustCollapsedVariants(o.(*types.Record))
+			}
+			return t
 		}
-		cs := make([]types.Variant, tt.Len())
-		for i, c := range tt.Cases() {
-			cs[i] = types.Variant{Tag: c.Tag, Type: p.simplify(c.Type).(*types.Record)}
+		cs, changed := types.MapChildren(tt.Cases(), func(c types.Variant) types.Variant {
+			c.Type = p.simplify(c.Type).(*types.Record)
+			return c
+		})
+		other := tt.Other()
+		if other != nil {
+			if o := p.simplify(other); o != types.Type(other) {
+				other, changed = o.(*types.Record), true
+			}
 		}
-		var other *types.Record
-		if tt.Other() != nil {
-			other = p.simplify(tt.Other()).(*types.Record)
+		if !changed {
+			return t
 		}
 		return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
 	case *types.Repeated:
-		return types.MustRepeated(p.simplify(tt.Elem()))
+		if e := p.simplify(tt.Elem()); e != tt.Elem() {
+			return types.MustRepeated(e)
+		}
+		return t
 	case *types.Union:
-		alts := tt.Alts()
-		out := make([]types.Type, len(alts))
-		for i, a := range alts {
-			out[i] = p.simplify(a)
+		out, changed := types.MapChildren(tt.Alts(), p.simplify)
+		if !changed && distinctKinds(tt) {
+			return t
 		}
 		// Simplification can merge two array-kind alternatives (a tuple
-		// and a repeated type) into the same kind slot; refuse through
-		// fuse to restore normality.
+		// and a repeated type) into the same kind slot, and a non-normal
+		// input has same-kind alternatives already; refuse through fuse
+		// to restore normality.
 		acc := types.Type(types.Empty)
 		for _, a := range out {
 			acc = p.fuse(acc, a)

@@ -1,0 +1,62 @@
+package fusion
+
+import (
+	"testing"
+
+	"repro/internal/types"
+)
+
+// FuzzFuseLaws parses two or three types (c may be empty), simplifies
+// them under each strategy and checks, in codec bytes, that Fuse is
+// commutative and associative on them and that Simplify, Fuse and
+// Finalize equal the rebuild-everything oracle — on the raw parsed
+// types too, which may hold tuples and non-normal unions.
+func FuzzFuseLaws(f *testing.F) {
+	seeds := [][3]string{
+		{"{a: Num, b: Str}", "{b: Bool, c: Str}", "{a: Null, b: Num}"},
+		{"{l: Bool + Str + {A: Num}}", "{l: {A: Str}, B: Num}", ""},
+		{"[Num, Bool, Num, {l1: Num, l2: Str}]", "[Str*]", "[]"},
+		{"{a: Num?}", "{}", "{a: Num}"},
+		{"Num + Str", "Str + Null", "ε"},
+		{"{a: Num} + {b: Str}", "[Num] + [Str*]", "{x: [Num, Str]}"},
+		{"{*: Num}", "{a: Str, b: Num}", "{*: Bool}"},
+		{"variants(type){push: {type: Str, a: Num}}", "variants(type){fork: {type: Str, b: Str}}", "{c: Num}"},
+		{"wrapper{delete: {delete: {id: Num}}}", "{id: Num, text: Str}", "collapsed{*: {id: Num}}"},
+		{"[[Num, Num], [Num, Num]]", "[[Num, Str]]", "[Num, Num]"},
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, a, b, c string) {
+		raw := make([]types.Type, 0, 3)
+		for _, src := range []string{a, b, c} {
+			if src == "" && len(raw) == 2 {
+				break
+			}
+			ty, err := types.Parse(src)
+			if err != nil {
+				return
+			}
+			raw = append(raw, ty)
+		}
+		for _, p := range kernelPolicies {
+			orc := oracle{par: p.o.params()}
+			ts := make([]types.Type, len(raw))
+			for i, r := range raw {
+				ts[i] = p.o.Simplify(r)
+				requireSameBytes(t, p.name+" Simplify", ts[i], orc.simplify(r))
+				requireSameBytes(t, p.name+" Finalize", p.o.Finalize(r), orc.finalize(r))
+			}
+			x, y := ts[0], ts[1]
+			xy := p.o.Fuse(x, y)
+			requireSameBytes(t, p.name+" commutativity", xy, p.o.Fuse(y, x))
+			requireSameBytes(t, p.name+" Fuse", xy, orc.fuse(x, y))
+			requireSameBytes(t, p.name+" Fuse of raw types", p.o.Fuse(raw[0], raw[1]), orc.fuse(raw[0], raw[1]))
+			requireSameBytes(t, p.name+" Finalize of fusion", p.o.Finalize(xy), orc.finalize(xy))
+			if len(ts) == 3 {
+				z := ts[2]
+				requireSameBytes(t, p.name+" associativity", p.o.Fuse(xy, z), p.o.Fuse(x, p.o.Fuse(y, z)))
+			}
+		}
+	})
+}

@@ -21,7 +21,10 @@ import (
 // slot. Equal IDs share the (id, id) slot like any other pair — they are
 // NOT short-circuited to the operand, because fusion is idempotent only
 // on simplified types (fusing a positional tuple with itself simplifies
-// it away), and the memo must be correct for arbitrary operands.
+// it away), and the memo must be correct for arbitrary operands. The
+// kernel's copy-on-write does not change this: it returns an operand
+// only after computing a result structurally identical to it, never
+// because two IDs are equal.
 //
 // The memo hook sits on the policy's internal fuse/simplify dispatch,
 // so recursive sub-fusions (record fields, array elements, union

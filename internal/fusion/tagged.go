@@ -158,17 +158,24 @@ func hasVariants(t types.Type) bool {
 // prove themselves by exhibiting several tags), and keyed unions keep
 // even a single case (the constant discriminator is informative). The
 // pass recurses structurally, so nested unions lower too.
+//
+// Like simplify, finalize returns a node none of whose children changes
+// as is. That includes a union with alternatives of one kind: finalize
+// rebuilds unions without re-fusing them, so the rebuilt union would
+// equal the input anyway.
 func (p policy) finalize(t types.Type) types.Type {
 	switch tt := t.(type) {
 	case types.Basic, types.EmptyType:
 		return t
 	case *types.Record:
-		fs := tt.Fields()
-		out := make([]types.Field, len(fs))
-		for i, f := range fs {
-			out[i] = types.Field{Key: f.Key, Type: p.finalize(f.Type), Optional: f.Optional}
+		fs, changed := types.MapChildren(tt.Fields(), func(f types.Field) types.Field {
+			f.Type = p.finalize(f.Type)
+			return f
+		})
+		if !changed {
+			return t
 		}
-		return types.MustRecord(out...)
+		return types.MustRecordSorted(fs)
 	case *types.Variants:
 		if tt.Collapsed() {
 			return p.finalize(tt.Other())
@@ -176,30 +183,40 @@ func (p policy) finalize(t types.Type) types.Type {
 		if tt.Wrapper() && tt.Len() < 2 {
 			return p.finalize(p.flattenVariants(tt))
 		}
-		cs := make([]types.Variant, tt.Len())
-		for i, c := range tt.Cases() {
-			cs[i] = types.Variant{Tag: c.Tag, Type: p.finalize(c.Type).(*types.Record)}
+		cs, changed := types.MapChildren(tt.Cases(), func(c types.Variant) types.Variant {
+			c.Type = p.finalize(c.Type).(*types.Record)
+			return c
+		})
+		other := tt.Other()
+		if other != nil {
+			if o := p.finalize(other); o != types.Type(other) {
+				other, changed = o.(*types.Record), true
+			}
 		}
-		var other *types.Record
-		if tt.Other() != nil {
-			other = p.finalize(tt.Other()).(*types.Record)
+		if !changed {
+			return t
 		}
 		return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
 	case *types.Map:
-		return types.MustMap(p.finalize(tt.Elem()))
+		if e := p.finalize(tt.Elem()); e != tt.Elem() {
+			return types.MustMap(e)
+		}
+		return t
 	case *types.Tuple:
-		elems := make([]types.Type, tt.Len())
-		for i, e := range tt.Elems() {
-			elems[i] = p.finalize(e)
+		elems, changed := types.MapChildren(tt.Elems(), p.finalize)
+		if !changed {
+			return t
 		}
 		return types.MustTuple(elems...)
 	case *types.Repeated:
-		return types.MustRepeated(p.finalize(tt.Elem()))
+		if e := p.finalize(tt.Elem()); e != tt.Elem() {
+			return types.MustRepeated(e)
+		}
+		return t
 	case *types.Union:
-		alts := tt.Alts()
-		out := make([]types.Type, len(alts))
-		for i, a := range alts {
-			out[i] = p.finalize(a)
+		out, changed := types.MapChildren(tt.Alts(), p.finalize)
+		if !changed {
+			return t
 		}
 		// Lowering keeps every alternative in its kind (variants lower
 		// to records, both record-kind), so normality is preserved.

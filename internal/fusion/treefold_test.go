@@ -22,6 +22,16 @@ const treeFoldMaxN = 130
 // through the policy's phase-one promoter, and simplifies each type.
 func phaseOneTypes(t *testing.T, data []byte, o Options) []types.Type {
 	t.Helper()
+	ts := decodeTypes(t, data, o)
+	for i, ty := range ts {
+		ts[i] = o.Simplify(ty)
+	}
+	return ts
+}
+
+// decodeTypes is phaseOneTypes without the simplification.
+func decodeTypes(t *testing.T, data []byte, o Options) []types.Type {
+	t.Helper()
 	dec := infer.NewBytesDecoder(data, jsontext.Options{})
 	defer dec.Release()
 	if pr := o.Promoter(); pr != nil {
@@ -36,7 +46,7 @@ func phaseOneTypes(t *testing.T, data []byte, o Options) []types.Type {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts = append(ts, o.Simplify(ty))
+		ts = append(ts, ty)
 	}
 }
 

@@ -45,8 +45,8 @@ func Infer(v value.Value) types.Type {
 			fields[i] = types.Field{Key: f.Key, Type: Infer(f.Value)}
 		}
 		// Keys are unique and sorted in the record value, so this
-		// cannot fail.
-		return types.MustRecord(fields...)
+		// cannot fail, and the record can own fields as built.
+		return types.MustRecordSorted(fields)
 	case value.Array:
 		elems := make([]types.Type, len(vv))
 		for i, e := range vv {
@@ -363,15 +363,13 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 }
 
 // buildRecord turns accumulated (unique-keyed, parse-ordered) fields
-// into a record type. The interning path sorts in place — an insertion
+// into a record type. Both paths sort in place first — an insertion
 // sort, because objects are small and the keys of real datasets arrive
-// nearly sorted — and probes the table before building, so a repeated
-// record shape costs zero allocations. fields is scratch owned by the
-// caller; both paths copy out of it.
+// nearly sorted. The interning path then probes the table before
+// building, so a repeated record shape costs zero allocations; the
+// plain path builds the record on one exact copy. fields is scratch
+// owned by the caller and is never retained.
 func (d *Decoder) buildRecord(fields []types.Field) (types.Type, error) {
-	if d.tab == nil {
-		return types.NewRecord(fields...)
-	}
 	for i := 1; i < len(fields); i++ {
 		f := fields[i]
 		j := i - 1
@@ -381,7 +379,12 @@ func (d *Decoder) buildRecord(fields []types.Field) (types.Type, error) {
 		}
 		fields[j+1] = f
 	}
-	return d.tab.InternRecord(fields), nil
+	if d.tab != nil {
+		return d.tab.InternRecord(fields), nil
+	}
+	fs := make([]types.Field, len(fields))
+	copy(fs, fields)
+	return types.NewRecordSorted(fs)
 }
 
 // promote wraps a freshly inferred record into a single-case variants

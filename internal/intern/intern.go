@@ -130,16 +130,10 @@ func (tb *Table) Canon(t types.Type) types.Type {
 	case types.Basic, types.EmptyType:
 		return tb.internShallow(t)
 	case *types.Record:
-		fs := tt.Fields()
-		out := make([]types.Field, len(fs))
-		changed := false
-		for i, f := range fs {
-			ct := tb.Canon(f.Type)
-			out[i] = types.Field{Key: f.Key, Type: ct, Optional: f.Optional}
-			if ct != f.Type {
-				changed = true
-			}
-		}
+		out, changed := types.MapChildren(tt.Fields(), func(f types.Field) types.Field {
+			f.Type = tb.Canon(f.Type)
+			return f
+		})
 		if !changed {
 			return tb.internShallow(t)
 		}
@@ -151,15 +145,7 @@ func (tb *Table) Canon(t types.Type) types.Type {
 		}
 		return tb.internShallow(types.MustMap(ce))
 	case *types.Tuple:
-		es := tt.Elems()
-		out := make([]types.Type, len(es))
-		changed := false
-		for i, e := range es {
-			out[i] = tb.Canon(e)
-			if out[i] != e {
-				changed = true
-			}
-		}
+		out, changed := types.MapChildren(tt.Elems(), tb.Canon)
 		if !changed {
 			return tb.internShallow(t)
 		}
@@ -172,21 +158,14 @@ func (tb *Table) Canon(t types.Type) types.Type {
 			}
 			return tb.internShallow(types.MustCollapsedVariants(co))
 		}
-		cs := tt.Cases()
-		out := make([]types.Variant, len(cs))
-		changed := false
-		for i, c := range cs {
-			ct := tb.Canon(c.Type).(*types.Record)
-			out[i] = types.Variant{Tag: c.Tag, Type: ct}
-			if ct != c.Type {
-				changed = true
-			}
-		}
-		var other *types.Record
-		if tt.Other() != nil {
-			other = tb.Canon(tt.Other()).(*types.Record)
-			if other != tt.Other() {
-				changed = true
+		out, changed := types.MapChildren(tt.Cases(), func(c types.Variant) types.Variant {
+			c.Type = tb.Canon(c.Type).(*types.Record)
+			return c
+		})
+		other := tt.Other()
+		if other != nil {
+			if co := tb.Canon(other).(*types.Record); co != other {
+				other, changed = co, true
 			}
 		}
 		if !changed {
@@ -200,21 +179,13 @@ func (tb *Table) Canon(t types.Type) types.Type {
 		}
 		return tb.internShallow(types.MustRepeated(ce))
 	case *types.Union:
-		alts := tt.Alts()
-		out := make([]types.Type, len(alts))
-		changed := false
-		for i, a := range alts {
-			out[i] = tb.Canon(a)
-			if out[i] != a {
-				changed = true
-			}
-		}
+		out, changed := types.MapChildren(tt.Alts(), tb.Canon)
 		if !changed {
 			return tb.internShallow(t)
 		}
 		// The canonicalized alternatives are structurally unchanged, so
-		// MustUnion re-sorts them into the same order and the result
-		// stays a union of the same arity.
+		// MustUnion keeps them in the same order and the result stays a
+		// union of the same arity.
 		return tb.internShallow(types.MustUnion(out...))
 	default:
 		panic(fmt.Sprintf("intern: unknown type %T", t))
@@ -224,7 +195,7 @@ func (tb *Table) Canon(t types.Type) types.Type {
 // InternRecord interns the record type with the given fields, probing
 // before building so a repeated shape costs no allocation. fields must
 // be sorted by key, unique, and hold canonical types of this table; the
-// slice is not retained.
+// slice is not retained (a miss builds the record on one exact copy).
 func (tb *Table) InternRecord(fields []types.Field) types.Type {
 	tb.mu.RLock()
 	h, size, ok := tb.recordMetaLocked(fields)
@@ -241,7 +212,9 @@ func (tb *Table) InternRecord(fields []types.Field) types.Type {
 	if !ok {
 		panic("intern: InternRecord with non-canonical field types")
 	}
-	return tb.insert(types.MustRecord(fields...), h, size)
+	fs := make([]types.Field, len(fields))
+	copy(fs, fields)
+	return tb.insert(types.MustRecordSorted(fs), h, size)
 }
 
 // InternTuple interns the positional array type with the given

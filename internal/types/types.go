@@ -15,6 +15,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -99,7 +100,8 @@ type Field struct {
 }
 
 // Record is a record type {l1: T1 [?], ..., ln: Tn [?]}. Fields are
-// unique by key and kept sorted by key. Construct with NewRecord.
+// unique by key and kept sorted by key. Construct with NewRecord, or
+// with NewRecordSorted from fields already in key order.
 type Record struct {
 	fields []Field
 }
@@ -149,17 +151,32 @@ func KindOf(t Type) (Kind, bool) {
 
 // NewRecord builds a record type. It returns an error if two fields share
 // a key or any field type is nil. Field order in the input is irrelevant;
-// fields are stored sorted by key.
+// fields are stored sorted by key. The input slice is not retained.
 func NewRecord(fields ...Field) (*Record, error) {
 	fs := make([]Field, len(fields))
 	copy(fs, fields)
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Key < fs[j].Key })
+	if !slices.IsSortedFunc(fs, compareFieldKeys) {
+		slices.SortStableFunc(fs, compareFieldKeys)
+	}
+	return NewRecordSorted(fs)
+}
+
+// NewRecordSorted builds a record type from fields already sorted by
+// key, in one pass and with no copy: the record takes ownership of fs,
+// so the caller must not write to fs afterwards. It returns an error if
+// the keys are not strictly ascending (a duplicate or an out-of-order
+// key) or any field type is nil. This is the constructor of merges
+// that produce their fields in key order, such as record fusion.
+func NewRecordSorted(fs []Field) (*Record, error) {
 	for i, f := range fs {
 		if f.Type == nil {
 			return nil, fmt.Errorf("types: record field %q has nil type", f.Key)
 		}
-		if i > 0 && fs[i-1].Key == f.Key {
-			return nil, fmt.Errorf("types: duplicate record type key %q", f.Key)
+		if i > 0 && fs[i-1].Key >= f.Key {
+			if fs[i-1].Key == f.Key {
+				return nil, fmt.Errorf("types: duplicate record type key %q", f.Key)
+			}
+			return nil, fmt.Errorf("types: record type key %q follows %q out of order", f.Key, fs[i-1].Key)
 		}
 	}
 	return &Record{fields: fs}, nil
@@ -173,6 +190,18 @@ func MustRecord(fields ...Field) *Record {
 	}
 	return r
 }
+
+// MustRecordSorted is NewRecordSorted that panics on error. Like
+// NewRecordSorted it takes ownership of fs.
+func MustRecordSorted(fs []Field) *Record {
+	r, err := NewRecordSorted(fs)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func compareFieldKeys(a, b Field) int { return strings.Compare(a.Key, b.Key) }
 
 // Fields returns the record's fields in key order. Callers must not
 // modify the returned slice.
@@ -254,51 +283,64 @@ func (r *Repeated) Elem() Type { return r.elem }
 // NewUnion builds the canonical union of the given types: nested unions
 // are flattened, ε is dropped (it is the identity of +), duplicates are
 // removed, and alternatives are sorted. The result is Empty for zero
-// remaining alternatives and the single alternative for one; only two or
-// more alternatives yield a *Union.
+// remaining alternatives and the single alternative for one, with no
+// allocation; only two or more alternatives yield a *Union. The input
+// slice is not retained.
 func NewUnion(ts ...Type) (Type, error) {
-	var alts []Type
-	var flatten func(Type) error
-	flatten = func(t Type) error {
+	// A *Union holds only non-union, non-empty alternatives, so one
+	// level of flattening reaches every addend.
+	n := 0
+	var single Type
+	for _, t := range ts {
 		switch tt := t.(type) {
 		case nil:
-			return fmt.Errorf("types: nil union alternative")
+			return nil, fmt.Errorf("types: nil union alternative")
 		case EmptyType:
-			return nil
 		case *Union:
-			for _, a := range tt.alts {
-				if err := flatten(a); err != nil {
-					return err
-				}
-			}
-			return nil
+			n += len(tt.alts)
 		default:
-			alts = append(alts, t)
-			return nil
+			n++
+			single = t
 		}
 	}
-	for _, t := range ts {
-		if err := flatten(t); err != nil {
-			return nil, err
-		}
-	}
-	sort.SliceStable(alts, func(i, j int) bool { return Compare(alts[i], alts[j]) < 0 })
-	// Deduplicate structurally equal alternatives: T + T = T.
-	dst := alts[:0]
-	for i, a := range alts {
-		if i == 0 || Compare(alts[i-1], a) != 0 {
-			dst = append(dst, a)
-		}
-	}
-	alts = dst
-	switch len(alts) {
+	switch n {
 	case 0:
 		return Empty, nil
 	case 1:
-		return alts[0], nil
-	default:
-		return &Union{alts: alts}, nil
+		return single, nil
 	}
+	alts := make([]Type, 0, n)
+	for _, t := range ts {
+		switch tt := t.(type) {
+		case EmptyType:
+		case *Union:
+			alts = append(alts, tt.alts...)
+		default:
+			alts = append(alts, t)
+		}
+	}
+	// Fusion builds its unions in kind order, which is already the
+	// canonical order; only other inputs pay for the sort.
+	if !strictlyAscending(alts) {
+		slices.SortStableFunc(alts, Compare)
+		// Deduplicate structurally equal alternatives: T + T = T.
+		alts = slices.CompactFunc(alts, Equal)
+	}
+	if len(alts) == 1 {
+		return alts[0], nil
+	}
+	return &Union{alts: alts}, nil
+}
+
+// strictlyAscending reports whether ts is sorted by Compare with no two
+// alternatives equal.
+func strictlyAscending(ts []Type) bool {
+	for i := 1; i < len(ts); i++ {
+		if Compare(ts[i-1], ts[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // MustUnion is NewUnion that panics on error.
@@ -316,6 +358,30 @@ func (u *Union) Alts() []Type { return u.alts }
 
 // Len reports the number of alternatives (always >= 2).
 func (u *Union) Len() int { return len(u.alts) }
+
+// MapChildren applies f to each element of a node's child slice (the
+// slice Fields, Elems or Alts returns, say), copy-on-write: it returns
+// xs itself, and false, when f returns every element unchanged, and
+// otherwise a fresh slice and true. A rebuilding pass uses it to return
+// a node none of whose children changed as is.
+func MapChildren[E comparable](xs []E, f func(E) E) ([]E, bool) {
+	var out []E
+	for i, x := range xs {
+		m := f(x)
+		if out == nil {
+			if m == x {
+				continue
+			}
+			out = make([]E, len(xs))
+			copy(out, xs[:i])
+		}
+		out[i] = m
+	}
+	if out == nil {
+		return xs, false
+	}
+	return out, true
+}
 
 // Size implementations. The convention, used consistently in Tables 2-5:
 // a basic type or ε is one node; a record is one node plus, per field,

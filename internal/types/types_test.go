@@ -61,6 +61,35 @@ func TestNewRecordRejectsDuplicatesAndNil(t *testing.T) {
 	}
 }
 
+// TestNewRecordSortedOwnsAndChecks: NewRecordSorted keeps the slice it
+// is given (no copy), and rejects exactly what NewRecord would have to
+// sort or refuse: out-of-order and duplicate keys, and nil field types.
+func TestNewRecordSortedOwnsAndChecks(t *testing.T) {
+	fs := []Field{fld("a", Num), opt("b", Str)}
+	r, err := NewRecordSorted(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &r.Fields()[0] != &fs[0] {
+		t.Error("NewRecordSorted copied its input")
+	}
+	if !Equal(r, rec(opt("b", Str), fld("a", Num))) {
+		t.Errorf("got %s", r)
+	}
+	for _, bad := range [][]Field{
+		{fld("b", Num), fld("a", Str)},
+		{fld("a", Num), fld("a", Str)},
+		{fld("a", Num), {Key: "b"}},
+	} {
+		if _, err := NewRecordSorted(bad); err == nil {
+			t.Errorf("NewRecordSorted accepted %v", bad)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = NewRecordSorted(fs) }); n != 1 {
+		t.Errorf("NewRecordSorted allocates %.0f times, want 1 (the record)", n)
+	}
+}
+
 func TestRecordCanonicalOrder(t *testing.T) {
 	a := rec(fld("b", Num), fld("a", Str))
 	b := rec(fld("a", Str), fld("b", Num))
@@ -125,6 +154,19 @@ func TestNewUnionDropsEmptyAndCollapses(t *testing.T) {
 	}
 	if got := uni(Num, Num, Num); !Equal(got, Num) {
 		t.Errorf("duplicate union = %s, want Num", got)
+	}
+}
+
+// TestNewUnionSingleAlternativeAllocatesNothing: a union of one
+// alternative (with or without ε around it) is that alternative, built
+// without allocating.
+func TestNewUnionSingleAlternativeAllocatesNothing(t *testing.T) {
+	r := rec(fld("a", Num))
+	if got := uni(Empty, r, Empty); got != Type(r) {
+		t.Errorf("union of one record = %s, not the record itself", got)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = NewUnion(Empty, r) }); n != 0 {
+		t.Errorf("NewUnion of one alternative allocates %.0f times, want 0", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -69,7 +70,9 @@ func NewVariants(key string, wrapper bool, cases []Variant, other *Record) (*Var
 	}
 	cs := make([]Variant, len(cases))
 	copy(cs, cases)
-	sort.SliceStable(cs, func(i, j int) bool { return cs[i].Tag < cs[j].Tag })
+	if !slices.IsSortedFunc(cs, compareTags) {
+		slices.SortStableFunc(cs, compareTags)
+	}
 	for i, c := range cs {
 		if c.Type == nil {
 			return nil, fmt.Errorf("types: variant %q has nil type", c.Tag)
@@ -80,6 +83,8 @@ func NewVariants(key string, wrapper bool, cases []Variant, other *Record) (*Var
 	}
 	return &Variants{key: key, wrapper: wrapper, cases: cs, other: other}, nil
 }
+
+func compareTags(a, b Variant) int { return strings.Compare(a.Tag, b.Tag) }
 
 // MustVariants is NewVariants that panics on error.
 func MustVariants(key string, wrapper bool, cases []Variant, other *Record) *Variants {

@@ -3,6 +3,7 @@ package value
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -137,5 +138,5 @@ func Arr(elems ...Value) Array { return Array(elems) }
 
 // SortValues sorts a slice of values in the Compare order, in place.
 func SortValues(vs []Value) {
-	sort.Slice(vs, func(i, j int) bool { return Compare(vs[i], vs[j]) < 0 })
+	slices.SortFunc(vs, Compare)
 }

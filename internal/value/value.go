@@ -9,6 +9,7 @@ package value
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,7 +115,11 @@ func (Array) Kind() Kind { return KindArray }
 func NewRecord(fields ...Field) (*Record, error) {
 	fs := make([]Field, len(fields))
 	copy(fs, fields)
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Key < fs[j].Key })
+	// Parsed objects usually arrive with sorted keys; only the others
+	// pay for the sort.
+	if !slices.IsSortedFunc(fs, compareFieldKeys) {
+		slices.SortStableFunc(fs, compareFieldKeys)
+	}
 	for i, f := range fs {
 		if f.Value == nil {
 			return nil, fmt.Errorf("value: record field %q has nil value", f.Key)
@@ -125,6 +130,8 @@ func NewRecord(fields ...Field) (*Record, error) {
 	}
 	return &Record{fields: fs}, nil
 }
+
+func compareFieldKeys(a, b Field) int { return strings.Compare(a.Key, b.Key) }
 
 // MustRecord is like NewRecord but panics on error. It is intended for
 // tests and for literals whose well-formedness is evident.

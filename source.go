@@ -22,7 +22,7 @@ import (
 type Source interface {
 	// run executes the pipeline over this input under env, which bundles
 	// the run's cross-cutting state (fusion policy, workers, failure
-	// policy, recorder, progress hook, dedup machinery).
+	// policy, recorder, dedup machinery).
 	run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error)
 }
 
