@@ -306,26 +306,37 @@ func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error
 	return runSource(ctx, src, opts.env())
 }
 
-// runSource executes src under env and records the run-level metrics.
+// runSource executes src under env, folds its accumulator once and
+// records the run-level metrics, the final fold's time among them.
 // A nil env.Dedup degrades every chunk from its first record; the tests
 // use that as the fixed reference the adaptive path must match.
 func runSource(ctx context.Context, src Source, env *pipeline.Env) (*Schema, Stats, error) {
+	rec := env.Rec
 	var t0 time.Time
-	if env.Rec != nil {
+	if rec != nil {
 		t0 = time.Now()
 	}
-	schema, st, err := src.run(ctx, env)
+	acc, feed, err := src.run(ctx, env)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if env.Rec != nil {
-		env.Dedup.Record(env.Rec)
+	var t1 time.Time
+	if rec != nil {
+		t1 = time.Now()
+	}
+	res := pipeline.Fold(acc)
+	if rec != nil {
+		rec.Add("infer_fold_ns", int64(time.Since(t1)))
+	}
+	st, schema := typeStats(res, feed)
+	if rec != nil {
+		env.Dedup.Record(rec)
 		wall := time.Since(t0)
-		env.Rec.Add("infer_wall_ns", int64(wall))
-		env.Rec.Set("infer_fused_size", int64(schema.Size()))
+		rec.Add("infer_wall_ns", int64(wall))
+		rec.Set("infer_fused_size", int64(schema.Size()))
 		if ns := int64(wall); ns > 0 {
-			env.Rec.Set("infer_records_per_sec", st.Records*int64(time.Second)/ns)
-			env.Rec.Set("infer_bytes_per_sec", st.Bytes*int64(time.Second)/ns)
+			rec.Set("infer_records_per_sec", st.Records*int64(time.Second)/ns)
+			rec.Set("infer_bytes_per_sec", st.Bytes*int64(time.Second)/ns)
 		}
 	}
 	return schema, st, nil

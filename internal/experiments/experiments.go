@@ -53,9 +53,10 @@ type Config struct {
 	// Fusion selects the fusion policy; the zero value is the paper's
 	// algorithm, fusion.Tuples the positional-array extension.
 	Fusion fusion.Options
-	// Recorder, when non-nil, receives per-phase wall times under the
-	// experiments_* names of docs/OBSERVABILITY.md and is forwarded to
-	// the map-reduce engine for its mapreduce_* metrics.
+	// Recorder, when non-nil, receives the experiments_* metrics of
+	// docs/OBSERVABILITY.md and everything the pipeline records: its
+	// infer_* stage timings and the map-reduce engine's mapreduce_*
+	// metrics.
 	Recorder obs.Recorder
 	// Failure is the map-reduce failure policy for the pipeline runs;
 	// the zero value fail-fasts, matching the paper's Spark runs on
@@ -151,20 +152,20 @@ func RunPipeline(ctx context.Context, name string, n int, cfg Config) (PipelineR
 }
 
 // RunPipelineOverNDJSON runs the two-phase pipeline over raw NDJSON —
-// the same internal/pipeline engine the public Infer entry points use,
-// with Env.Phases attached so the two phases (parse+infer vs fuse) are
-// measured separately across workers (the Table 6 split). The context
-// cancels the underlying map-reduce run.
+// the same internal/pipeline engine the public Infer entry points use —
+// and reads the Table 6 split from the stage timings the engine records
+// into a per-run registry: parse+infer is infer_decode_ns, fusion is
+// infer_fuse_ns plus the mapreduce_combine_ns sum, both summed across
+// workers. The context cancels the underlying map-reduce run.
 func RunPipelineOverNDJSON(ctx context.Context, data []byte, cfg Config) (PipelineResult, error) {
 	chunks := jsontext.SplitLines(data, cfg.workers()*4)
-	var ph pipeline.Phases
+	reg := obs.NewRegistry()
 	env := &pipeline.Env{
 		Fusion:   cfg.Fusion,
 		Workers:  cfg.workers(),
 		Failure:  cfg.Failure,
 		Injector: cfg.Injector,
-		Rec:      cfg.Recorder,
-		Phases:   &ph,
+		Rec:      obs.Tee(reg, cfg.Recorder),
 	}
 
 	wall0 := time.Now()
@@ -175,8 +176,8 @@ func RunPipelineOverNDJSON(ctx context.Context, data []byte, cfg Config) (Pipeli
 	res := PipelineResult{
 		Bytes:       int64(len(data)),
 		Result:      pipeline.Fold(out),
-		InferTime:   time.Duration(ph.InferNS.Load()),
-		FuseTime:    time.Duration(ph.FuseNS.Load()),
+		InferTime:   time.Duration(reg.Counter("infer_decode_ns").Load()),
+		FuseTime:    time.Duration(reg.Counter("infer_fuse_ns").Load() + reg.Histogram("mapreduce_combine_ns").Sum()),
 		Wall:        time.Since(wall0),
 		Retries:     mrst.Retries,
 		Quarantined: len(mrst.Quarantined),
@@ -184,8 +185,6 @@ func RunPipelineOverNDJSON(ctx context.Context, data []byte, cfg Config) (Pipeli
 	if rec := cfg.Recorder; rec != nil {
 		rec.Add("experiments_records", res.Records)
 		rec.Add("experiments_bytes", res.Bytes)
-		rec.Add("experiments_infer_ns", ph.InferNS.Load())
-		rec.Add("experiments_fuse_ns", ph.FuseNS.Load())
 		rec.Add("experiments_wall_ns", int64(res.Wall))
 	}
 	return res, nil

@@ -129,6 +129,36 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return out
 }
 
+// Tee returns a Recorder that forwards every event to both a and b.
+// Either may be nil, so Tee(a, nil) is a and Tee(nil, nil) stays the
+// nil "don't record" value.
+func Tee(a, b Recorder) Recorder {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	return tee{a, b}
+}
+
+type tee struct{ a, b Recorder }
+
+func (t tee) Add(name string, delta int64) {
+	t.a.Add(name, delta)
+	t.b.Add(name, delta)
+}
+
+func (t tee) Set(name string, value int64) {
+	t.a.Set(name, value)
+	t.b.Set(name, value)
+}
+
+func (t tee) Observe(name string, value int64) {
+	t.a.Observe(name, value)
+	t.b.Observe(name, value)
+}
+
 // Registry is a named collection of counters, gauges and histograms,
 // created on first use. It implements Recorder. The zero value is NOT
 // ready to use; call NewRegistry.

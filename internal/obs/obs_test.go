@@ -110,3 +110,22 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 		t.Errorf("snapshots of identical recording differ:\n%s\n%s", j1, j2)
 	}
 }
+
+func TestTee(t *testing.T) {
+	if Tee(nil, nil) != nil {
+		t.Error("Tee(nil, nil) is not the nil Recorder")
+	}
+	a, b := NewRegistry(), NewRegistry()
+	if Tee(a, nil) != Recorder(a) || Tee(nil, b) != Recorder(b) {
+		t.Error("Tee with one nil side does not return the other side")
+	}
+	rec := Tee(a, b)
+	rec.Add("c", 2)
+	rec.Set("g", 5)
+	rec.Observe("h", 9)
+	for name, r := range map[string]*Registry{"a": a, "b": b} {
+		if r.Counter("c").Load() != 2 || r.Gauge("g").Load() != 5 || r.Histogram("h").Sum() != 9 {
+			t.Errorf("%s did not receive every event: %+v", name, r.Snapshot())
+		}
+	}
+}

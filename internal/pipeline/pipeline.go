@@ -5,11 +5,10 @@
 //
 //	split → decode+infer map → combine (monoid) → fold
 //
-// over an Env that bundles what used to be separately threaded
-// parameters (fusion policy, worker count, failure policy, recorder,
-// dedup state). A future backend — sharded, serving,
-// remote — is a new feed plus (at most) a new Accumulator, not a sixth
-// copy of the pipeline.
+// over an Env that carries the run's fusion policy, worker count,
+// failure policy, recorder and dedup state. A future backend — sharded,
+// serving, remote — is a new feed plus (at most) a new Accumulator, not
+// a second copy of the pipeline.
 //
 // Two drivers share the stages: Run distributes line-aligned chunks
 // over the map-reduce engine (parallel, fault-tolerant), and each chunk
@@ -18,6 +17,14 @@
 // (sequential, never interning). Both leave no goroutines behind on
 // error or cancellation, which pipeline_test.go pins with mid-feed and
 // mid-combine cancel tests.
+//
+// The stages time themselves through Env.Rec: each map task and each
+// stream adds its decode+infer and its fusion busy time to the
+// infer_decode_ns and infer_fuse_ns counters, and the map-reduce engine
+// observes every combine into mapreduce_combine_ns. With the caller's
+// final Fold they attribute a one-worker run's wall time, less what no
+// stage owns (splitting, feeding, scheduling); the experiments harness
+// reads the paper's Table 6 split from them.
 package pipeline
 
 import (
@@ -56,7 +63,8 @@ type Env struct {
 	// Failure and Injector configure the map-reduce failure handling.
 	Failure  mapreduce.FailurePolicy
 	Injector mapreduce.FaultInjector
-	// Rec receives pipeline metrics; nil records nothing.
+	// Rec receives pipeline metrics, including each stage's busy time
+	// (docs/OBSERVABILITY.md); nil records nothing and reads no clock.
 	Rec obs.Recorder
 	// Dedup is the run's dedup machinery, which lets Run's chunks
 	// intern their types when that pays. Nil means every chunk is
@@ -72,12 +80,6 @@ type Env struct {
 	// Purely additive — the structural schema and statistics are
 	// byte-identical with or without it.
 	Enrich *enrich.Set
-	// Phases, when non-nil, accumulates per-phase busy times (decode +
-	// infer versus fuse) across workers — the experiments harness's
-	// Table 6 measurements. A degraded chunk fuses while it decodes, so
-	// its records' fusion is clocked one record at a time. Nil costs one
-	// branch per chunk and per degraded record, and reads no clock.
-	Phases *Phases
 }
 
 // Dedup is the shared machinery of one run's adaptive cost model: the
@@ -245,15 +247,6 @@ func (dd *Dedup) recheck(a *chunkAcc) {
 	}
 }
 
-// Phases holds the per-phase busy-time tallies of a run, summed across
-// workers (they exceed wall time on multi-worker runs).
-type Phases struct {
-	// InferNS is time spent parsing bytes and inferring per-record
-	// types; FuseNS is time spent simplifying and fusing them
-	// (chunk-local folds and cross-chunk combines).
-	InferNS, FuseNS atomic.Int64
-}
-
 // A Feed produces the line-aligned chunks of one input through emit,
 // in order, and may block. Emit fails once the pipeline stops (error
 // or cancellation), so a feed that forwards emit's error — or simply
@@ -342,24 +335,7 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 	mapFn := func(_ context.Context, chunk []byte) (Accumulator, error) {
 		return env.mapChunk(chunk)
 	}
-	combine := Combine
-	if env.Phases != nil {
-		ph := env.Phases
-		combine = func(a, b Accumulator) Accumulator {
-			if a == nil {
-				return b
-			}
-			if b == nil {
-				return a
-			}
-			t0 := time.Now()
-			a.Merge(b)
-			ph.FuseNS.Add(int64(time.Since(t0)))
-			return a
-		}
-	}
-
-	out, mrst, err := mapreduce.RunReleased(runCtx, src, mapFn, combine, nil,
+	out, mrst, err := mapreduce.RunReleased(runCtx, src, mapFn, Combine, nil,
 		mapreduce.Config{Workers: env.Workers, Recorder: env.Rec, Failure: env.Failure, Injector: env.Injector}, release)
 	if err != nil {
 		// Unblock and join the feeder before returning so no goroutine
@@ -389,14 +365,16 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 // join at the end. The chunk never holds its records' types: the fold
 // keeps O(log records) partial types, and its balanced shape avoids
 // the left fold that would rebuild (and the memo cache) every growing
-// intermediate record on high-entropy data.
+// intermediate record on high-entropy data. With Env.Rec set, a
+// degraded record's fusion is clocked one record at a time, so the
+// infer_fuse_ns it records excludes decoding under either tactic.
 func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	acc := e.newChunkAcc()
 	// A failed decode discards the chunk's lattice along with its
 	// accumulator, so retried attempts observe into a fresh one and the
 	// combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
 	acc.lat = e.newLattice()
-	t0 := e.phaseStart()
+	clk := e.startClock()
 	dec := infer.NewBytesDecoder(chunk, jsontext.Options{MaxDepth: e.MaxDepth})
 	defer dec.Release()
 	if o := observer(acc.lat); o != nil {
@@ -410,9 +388,6 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	var (
 		sampled, records int64
 		tab0             int
-		// foldNS is the time spent fusing inside the decode loop, read
-		// only with phase timing on.
-		foldNS int64
 	)
 	fold := fusion.NewTreeFold(e.Fusion.Fuse)
 	if interned {
@@ -430,7 +405,9 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 		records++
 		if !interned {
 			acc.sum.Add(t)
-			foldNS += e.foldRecord(&fold, t)
+			clk.lap(&clk.decode)
+			fold.Add(e.Fusion.Simplify(t))
+			clk.lap(&clk.fuse)
 			continue
 		}
 		acc.ms.Add(dd.ref(t), 1)
@@ -443,7 +420,7 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 		// The chunk ended inside its window: decide over what it sampled.
 		interned = !dd.settle(int64(acc.ms.Len()), sampled, int64(dd.Tab.Len()-tab0))
 	}
-	t0 = e.lapInfer(t0, foldNS)
+	clk.lap(&clk.decode)
 	if interned {
 		for _, el := range acc.ms.Elems() {
 			acc.fused = dd.Memo.Fuse(acc.fused, dd.Memo.Simplify(el.Type))
@@ -454,23 +431,47 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 		}
 		acc.fused = fold.Result()
 	}
-	e.lapFuse(t0)
+	clk.lap(&clk.fuse)
+	clk.record()
 	e.recordChunk(records, int64(len(chunk)), acc.fused)
 	return acc, nil
 }
 
-// foldRecord simplifies a degraded record's type into the chunk's fold.
-// With phase timing on it returns the time that took, so the Table 6
-// split charges it to fusion rather than decoding; otherwise it reads
-// no clock and returns zero.
-func (e *Env) foldRecord(fold *fusion.TreeFold, t types.Type) int64 {
-	if e.Phases == nil {
-		fold.Add(e.Fusion.Simplify(t))
-		return 0
+// stageClock splits the busy time of one map task or stream between
+// decode+infer and fusion for Env.Rec. Each lap charges the time since
+// the previous lap to one side; without a recorder it reads no clock,
+// so a lap is one nil check.
+type stageClock struct {
+	rec          obs.Recorder
+	last         time.Time
+	decode, fuse int64
+}
+
+// startClock starts the stage's first lap.
+func (e *Env) startClock() stageClock {
+	if e.Rec == nil {
+		return stageClock{}
 	}
-	t0 := time.Now()
-	fold.Add(e.Fusion.Simplify(t))
-	return int64(time.Since(t0))
+	return stageClock{rec: e.Rec, last: time.Now()}
+}
+
+// lap charges the time since the previous lap to side, one of the
+// clock's own tallies.
+func (c *stageClock) lap(side *int64) {
+	if c.rec == nil {
+		return
+	}
+	now := time.Now()
+	*side += int64(now.Sub(c.last))
+	c.last = now
+}
+
+// record adds the stage's tallies to infer_decode_ns and infer_fuse_ns.
+func (c *stageClock) record() {
+	if c.rec != nil {
+		c.rec.Add("infer_decode_ns", c.decode)
+		c.rec.Add("infer_fuse_ns", c.fuse)
+	}
 }
 
 // promoter returns the Env's phase-one tagged-union promoter as the
@@ -499,36 +500,6 @@ func observer(lat *enrich.Lattice) infer.Observer {
 		return nil
 	}
 	return lat
-}
-
-// phaseStart stamps the start of a timed phase segment, or zero when
-// phase timing is off.
-func (e *Env) phaseStart() time.Time {
-	if e.Phases == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// lapInfer charges the elapsed segment to the infer phase, less the
-// foldNS nanoseconds of fusion spent inside it, which go to the fuse
-// phase, and restarts the clock; lapFuse charges the elapsed segment to
-// the fuse phase. Both are no-ops with Phases nil.
-func (e *Env) lapInfer(t0 time.Time, foldNS int64) time.Time {
-	if e.Phases == nil {
-		return time.Time{}
-	}
-	now := time.Now()
-	e.Phases.InferNS.Add(int64(now.Sub(t0)) - foldNS)
-	e.Phases.FuseNS.Add(foldNS)
-	return now
-}
-
-func (e *Env) lapFuse(t0 time.Time) {
-	if e.Phases == nil {
-		return
-	}
-	e.Phases.FuseNS.Add(int64(time.Since(t0)))
 }
 
 // recordChunk emits the per-chunk metrics of the map stage.
@@ -561,6 +532,7 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 		dec.SetObserver(acc.lat)
 	}
 	var records int64
+	clk := env.startClock()
 	for {
 		// Batched cancellation: the ctx check runs once per
 		// StreamBatchRecords (including before the first record, so a
@@ -583,12 +555,16 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 		if err != nil {
 			return nil, 0, fmt.Errorf("record %d: %w", records+1, err)
 		}
+		clk.lap(&clk.decode)
 		acc.Add(t)
+		clk.lap(&clk.fuse)
 		records++
 		if env.Rec != nil {
 			env.Rec.Add("infer_records", 1)
 		}
 	}
+	clk.lap(&clk.decode)
+	clk.record()
 	n := dec.Offset()
 	if env.Rec != nil {
 		env.Rec.Add("infer_bytes", n)

@@ -1,12 +1,21 @@
 package jsoninference_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
 	jsi "repro"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 // TestMetricsDeterministic runs the same inference twice with fixed
@@ -133,4 +142,153 @@ func TestWithoutTimingsPublic(t *testing.T) {
 	if f.Counters["infer_records"] != 1 {
 		t.Error("plain counter must survive WithoutTimings")
 	}
+}
+
+// TestStageTimingsAddUp checks that the engine's own stage timings
+// attribute a one-worker run without double counting: decode+infer,
+// chunk-local fusion, every combine and the final fold are each
+// clocked, and together they fit inside the run's wall time. Twitter
+// chunks keep interning, wikidata chunks degrade past their sample
+// window, and nytimes through FromReader takes the streaming driver.
+func TestStageTimingsAddUp(t *testing.T) {
+	for _, tc := range []struct {
+		dataset string
+		src     func([]byte) jsi.Source
+	}{
+		{"twitter", jsi.FromBytes},
+		{"wikidata", jsi.FromBytes},
+		{"nytimes", func(b []byte) jsi.Source { return jsi.FromReader(bytes.NewReader(b)) }},
+	} {
+		g, err := dataset.New(tc.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := jsi.NewCollector()
+		if _, _, err := jsi.Infer(context.Background(), tc.src(dataset.NDJSON(g, 2000, 3)), jsi.Options{Workers: 1, Collector: c}); err != nil {
+			t.Fatal(err)
+		}
+		m := c.Metrics()
+		decode, fuse, fold := m.Counters["infer_decode_ns"], m.Counters["infer_fuse_ns"], m.Counters["infer_fold_ns"]
+		if decode <= 0 || fuse <= 0 || fold <= 0 {
+			t.Errorf("%s: stage not timed: decode %d, fuse %d, fold %d ns", tc.dataset, decode, fuse, fold)
+		}
+		combine := m.Histograms["mapreduce_combine_ns"].Sum
+		if sum, wall := decode+fuse+combine+fold, m.Counters["infer_wall_ns"]; sum > wall {
+			t.Errorf("%s: stages sum to %d ns (decode %d, fuse %d, combine %d, fold %d), more than the wall time %d ns",
+				tc.dataset, sum, decode, fuse, combine, fold, wall)
+		}
+	}
+}
+
+// inventoryPrefixes are the metric families docs/OBSERVABILITY.md
+// inventories for the inference pipeline and the experiments harness.
+var inventoryPrefixes = []string{"infer_", "intern_", "fuse_cache_", "simplify_cache_", "mapreduce_", "experiments_"}
+
+// TestMetricInventoryMatchesCode records metrics from every Source
+// kind, from runs that retry an injected fault and quarantine a chunk,
+// and from the experiments harness, then checks that the inventory in
+// docs/OBSERVABILITY.md names exactly the metrics of those families
+// that the code records: no undocumented metric, and no documented one
+// that nothing records.
+func TestMetricInventoryMatchesCode(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		for _, name := range regexp.MustCompile("`([a-z0-9_]+)`").FindAllStringSubmatch(cells[1], -1) {
+			if inventoried(name[1]) {
+				documented[name[1]] = true
+			}
+		}
+	}
+
+	g, err := dataset.New("twitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := dataset.NDJSON(g, 600, 5)
+	path := filepath.Join(t.TempDir(), "twitter.ndjson")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	faultFirst := func(chunk, attempt int) jsi.InjectedFault {
+		if chunk == 0 && attempt == 0 {
+			return jsi.InjectedFault{Err: errors.New("injected fault")}
+		}
+		return jsi.InjectedFault{}
+	}
+	poison := func(chunk, _ int) jsi.InjectedFault {
+		if chunk == 0 {
+			return jsi.InjectedFault{Err: jsi.PermanentFault(errors.New("poisoned chunk"))}
+		}
+		return jsi.InjectedFault{}
+	}
+	runs := []struct {
+		name string
+		src  jsi.Source
+		opts jsi.Options
+	}{
+		{"FromBytes", jsi.FromBytes(data), jsi.Options{}},
+		{"FromReader", jsi.FromReader(bytes.NewReader(data)), jsi.Options{}},
+		{"FromChunkedReader", jsi.FromChunkedReader(bytes.NewReader(data)), jsi.Options{ChunkBytes: 8 << 10}},
+		{"FromFile", jsi.FromFile(path), jsi.Options{ChunkBytes: 8 << 10}},
+		{"FromFiles", jsi.FromFiles(path, path), jsi.Options{ChunkBytes: 8 << 10}},
+		{"Retries", jsi.FromBytes(data), jsi.Options{Retries: 1, FaultInjector: faultFirst}},
+		{"OnErrorSkip", jsi.FromBytes(data), jsi.Options{OnError: jsi.OnErrorSkip, FaultInjector: poison}},
+	}
+	recorded := map[string]string{}
+	note := func(run string, m obs.Metrics) {
+		for _, names := range []map[string]int64{m.Counters, m.Gauges} {
+			for name := range names {
+				recorded[name] = run
+			}
+		}
+		for name := range m.Histograms {
+			recorded[name] = run
+		}
+	}
+	for _, r := range runs {
+		c := jsi.NewCollector()
+		r.opts.Workers, r.opts.Collector = 2, c
+		if _, _, err := jsi.Infer(context.Background(), r.src, r.opts); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		note(r.name, c.Metrics())
+	}
+	reg := obs.NewRegistry()
+	if _, err := experiments.RunPipeline(context.Background(), "twitter", 300, experiments.Config{Workers: 2, Recorder: reg}); err != nil {
+		t.Fatal(err)
+	}
+	note("experiments.RunPipeline", reg.Snapshot())
+
+	var problems []string
+	for name, run := range recorded {
+		if inventoried(name) && !documented[name] {
+			problems = append(problems, name+" is recorded (by "+run+") but has no inventory row")
+		}
+	}
+	for name := range documented {
+		if _, ok := recorded[name]; !ok {
+			problems = append(problems, name+" has an inventory row but no run records it")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+func inventoried(name string) bool {
+	for _, p := range inventoryPrefixes {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
 }

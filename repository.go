@@ -67,7 +67,14 @@ func NewRepository() *Repository {
 // with Options.Enrich carries its enrichment lattice along: the
 // partition accumulates it, and Schema and PartitionSchema return
 // schemas enriched with the union.
+//
+// Append panics if count is negative or would overflow the int64
+// record total, the counts LoadRepository rejects, so anything Save
+// writes loads back.
 func (r *Repository) Append(part string, s *Schema, count int64) {
+	if count < 0 {
+		panic(fmt.Sprintf("jsoninference: Append(%q): negative count %d", part, count))
+	}
 	t := types.Type(types.Empty)
 	var lat *enrich.Lattice
 	if s != nil {
@@ -75,6 +82,9 @@ func (r *Repository) Append(part string, s *Schema, count int64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.countLocked()+count < 0 {
+		panic(fmt.Sprintf("jsoninference: Append(%q): record total overflows", part))
+	}
 	p := r.partitions[part]
 	if p == nil {
 		p = &partition{schema: types.Empty}
@@ -173,6 +183,10 @@ func (r *Repository) namesLocked() []string {
 func (r *Repository) Count() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.countLocked()
+}
+
+func (r *Repository) countLocked() int64 {
 	var n int64
 	for _, p := range r.partitions {
 		n += p.count

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -306,6 +307,36 @@ func TestLoadRepositoryErrors(t *testing.T) {
 			t.Errorf("%s: snapshot loaded, Count() = %d", name, r.Count())
 		} else if !strings.Contains(err.Error(), `partition "a"`) {
 			t.Errorf("%s: error %q does not name the partition", name, err)
+		}
+	}
+}
+
+// TestRepositoryAppendRejectsLostRecords: Append panics on the counts
+// LoadRepository rejects — a negative one and one that overflows the
+// total — and leaves the repository as it was, so a Save after the
+// recovered panic still loads back.
+func TestRepositoryAppendRejectsLostRecords(t *testing.T) {
+	s, _ := inferSchema(t, `{"a": 1}`)
+	for name, count := range map[string]int64{"negative": -3, "overflow": math.MaxInt64} {
+		repo := jsi.NewRepository()
+		repo.Append("p", s, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Append(%d) did not panic", name, count)
+				}
+			}()
+			repo.Append("q", s, count)
+		}()
+		var buf bytes.Buffer
+		if err := repo.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := jsi.LoadRepository(&buf)
+		if err != nil {
+			t.Errorf("%s: saved repository does not load: %v", name, err)
+		} else if back.Count() != 1 || len(back.Partitions()) != 1 {
+			t.Errorf("%s: loaded Count() = %d over %v, want 1 over [p]", name, back.Count(), back.Partitions())
 		}
 	}
 }

@@ -22,8 +22,10 @@ import (
 type Source interface {
 	// run executes the pipeline over this input under env, which bundles
 	// the run's cross-cutting state (fusion policy, workers, failure
-	// policy, recorder, dedup machinery).
-	run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error)
+	// policy, recorder, dedup machinery). It returns the unfolded
+	// accumulator and the feed-side Stats (Bytes, Retries,
+	// QuarantinedChunks); runSource folds once for the type-level rest.
+	run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error)
 }
 
 // FromBytes is an in-memory NDJSON buffer (one or more
@@ -101,47 +103,42 @@ func (e *FeedError) Error() string {
 
 func (e *FeedError) Unwrap() error { return e.Err }
 
-// typeStats translates a folded pipeline Result into the public Stats
-// and Schema. The feed-side numbers (Bytes, Retries, QuarantinedChunks)
-// are the caller's to fill in.
-func typeStats(res pipeline.Result) (Stats, *Schema) {
-	return Stats{
-		Records:       res.Records,
-		DistinctTypes: res.DistinctTypes,
-		MinTypeSize:   res.MinTypeSize,
-		MaxTypeSize:   res.MaxTypeSize,
-		AvgTypeSize:   res.AvgTypeSize,
-	}, newSchema(res.Fused).withEnrichment(res.Enrichment)
+// typeStats fills the type-level fields of feed-side Stats from a
+// folded pipeline Result and returns them with the Result's Schema.
+func typeStats(res pipeline.Result, st Stats) (Stats, *Schema) {
+	st.Records = res.Records
+	st.DistinctTypes = res.DistinctTypes
+	st.MinTypeSize, st.MaxTypeSize, st.AvgTypeSize = res.MinTypeSize, res.MaxTypeSize, res.AvgTypeSize
+	return st, newSchema(res.Fused).withEnrichment(res.Enrichment)
+}
+
+// feedStats is the feed side of a chunked run's Stats.
+func feedStats(bytes int64, mrst mapreduce.Stats) Stats {
+	return Stats{Bytes: bytes, Retries: mrst.Retries, QuarantinedChunks: len(mrst.Quarantined)}
 }
 
 // bytesSource implements FromBytes: split in memory, feed the chunks.
 type bytesSource struct{ data []byte }
 
-func (s bytesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
+func (s bytesSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
 	chunks := jsontext.SplitLines(s.data, env.Workers*4)
 	out, mrst, err := pipeline.Run(ctx, env, pipeline.SliceFeed(chunks))
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("jsoninference: %w", err)
 	}
-	st, schema := typeStats(pipeline.Fold(out))
-	st.Bytes = int64(len(s.data))
-	st.Retries = mrst.Retries
-	st.QuarantinedChunks = len(mrst.Quarantined)
-	return schema, st, nil
+	return out, feedStats(int64(len(s.data)), mrst), nil
 }
 
 // readerSource implements FromReader: the sequential constant-memory
 // driver over the same accumulator stages.
 type readerSource struct{ r io.Reader }
 
-func (s readerSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
+func (s readerSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
 	out, n, err := pipeline.RunStream(ctx, env, s.r)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("jsoninference: %w", err)
 	}
-	st, schema := typeStats(pipeline.Fold(out))
-	st.Bytes = n
-	return schema, st, nil
+	return out, Stats{Bytes: n}, nil
 }
 
 // chunkedSource implements FromChunkedReader: the stream feeds the
@@ -149,7 +146,7 @@ func (s readerSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stat
 // the file sources use.
 type chunkedSource struct{ r io.Reader }
 
-func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
+func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
 	cr := &countingReader{r: s.r}
 	out, mrst, err := runChunks(ctx, env, cr)
 	if err != nil {
@@ -159,11 +156,7 @@ func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Sta
 		}
 		return nil, Stats{}, fmt.Errorf("jsoninference: %w", err)
 	}
-	st, schema := typeStats(pipeline.Fold(out))
-	st.Bytes = cr.n
-	st.Retries = mrst.Retries
-	st.QuarantinedChunks = len(mrst.Quarantined)
-	return schema, st, nil
+	return out, feedStats(cr.n, mrst), nil
 }
 
 // chunkPool recycles chunk buffers across every chunked run of the
@@ -202,7 +195,7 @@ type filesSource struct {
 	paths []string
 }
 
-func (s filesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
+func (s filesSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
 	// One intern table and memo span all files, so per-file accumulators
 	// merge exactly like chunks of one file: cross-file distinct counts
 	// are exact and the cross-file fusion runs under the run's policy.
@@ -218,16 +211,12 @@ func (s filesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats
 		feed.Retries += pst.Retries
 		feed.QuarantinedChunks += pst.QuarantinedChunks
 	}
-	st, schema := typeStats(pipeline.Fold(merged))
-	st.Bytes, st.Retries, st.QuarantinedChunks = feed.Bytes, feed.Retries, feed.QuarantinedChunks
-	return schema, st, nil
+	return merged, feed, nil
 }
 
-// runFilePipeline feeds one file through the chunked pipeline. The
-// returned Stats carries only the I/O-side numbers (Bytes, Retries,
-// QuarantinedChunks); the caller folds the accumulator for the
-// type-level stats. Failures to open or read the file surface as
-// *FeedError; decode failures do not.
+// runFilePipeline feeds one file through the chunked pipeline and
+// returns its accumulator and feed-side Stats. Failures to open or read
+// the file surface as *FeedError; decode failures do not.
 func runFilePipeline(ctx context.Context, env *pipeline.Env, path string) (pipeline.Accumulator, Stats, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -244,11 +233,9 @@ func runFilePipeline(ctx context.Context, env *pipeline.Env, path string) (pipel
 		}
 		return nil, Stats{}, fmt.Errorf("jsoninference: %s: %w", path, err)
 	}
-	var st Stats
+	var size int64
 	if info, err := f.Stat(); err == nil {
-		st.Bytes = info.Size()
+		size = info.Size()
 	}
-	st.Retries = mrst.Retries
-	st.QuarantinedChunks = len(mrst.Quarantined)
-	return out, st, nil
+	return out, feedStats(size, mrst), nil
 }
