@@ -280,11 +280,11 @@ func BenchmarkAblationCollapse(b *testing.B) {
 	}
 	tuple := types.MustTuple(elems...)
 	b.ReportMetric(float64(tuple.Size()), "tuple-size")
-	var collapsed types.Type
+	var simplified types.Type
 	for i := 0; i < b.N; i++ {
-		collapsed = fusion.Collapse(tuple)
+		simplified = fusion.Simplify(tuple)
 	}
-	b.ReportMetric(float64(collapsed.Size()), "collapsed-size")
+	b.ReportMetric(float64(simplified.Size()), "simplified-size")
 }
 
 // BenchmarkAblationBaseline compares fusion against Spark-style

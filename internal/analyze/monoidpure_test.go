@@ -38,15 +38,14 @@ func TestMonoidPureRootsEnrich(t *testing.T) {
 	}
 }
 
-// TestMonoidPureRootsPipeline pins that both pipeline accumulators are
-// rooted although the chunk accumulator has no Add: Merge and Fold make
-// a type accumulator-shaped, so chunkAcc.Merge's reach into
-// stats.Summary.Merge and intern.Multiset.Merge is checked.
+// TestMonoidPureRootsPipeline pins that the pipeline accumulator is
+// rooted: its per-record stream step Add, and Merge and Fold, so
+// chunkAcc.Merge's reach into stats.Summary.Merge and
+// intern.Multiset.Merge is checked.
 func TestMonoidPureRootsPipeline(t *testing.T) {
 	_, names := loadMonoidRoots(t, "pipeline")
 	for _, want := range []string{
-		"chunkAcc.Merge", "chunkAcc.Fold",
-		"streamAcc.Add", "streamAcc.Merge", "streamAcc.Fold",
+		"chunkAcc.Add", "chunkAcc.Merge", "chunkAcc.Fold",
 	} {
 		if !names[want] {
 			t.Errorf("monoidRoots missed %s (got %v)", want, names)

@@ -22,7 +22,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -476,10 +475,3 @@ func SplitBytes(total int64, n int) []int64 {
 
 // secs converts simulated seconds to a time.Duration.
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-
-// SortedBusy returns node busy times in descending order, for reports.
-func SortedBusy(rep Report) []time.Duration {
-	out := append([]time.Duration(nil), rep.BusyByNode...)
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
-}

@@ -44,13 +44,6 @@ func Fuse(t1, t2 types.Type) types.Type { return policy{}.fuse(t1, t2) }
 // Calling it with types of different kinds is a programming error.
 func LFuse(t1, t2 types.Type) types.Type { return policy{}.lfuse(t1, t2) }
 
-// Collapse implements lines 8-9 of Figure 6: the simplification that
-// prepares a positional array type for fusion by over-approximating all
-// element types with their fusion. The empty tuple collapses to ε, so
-// the simplified form of [] is [ε*], which denotes exactly the empty
-// array (footnote 1 of the paper).
-func Collapse(t *types.Tuple) types.Type { return policy{}.collapse(t.Elems()) }
-
 // Simplify rewrites every tuple array type inside t into its simplified
 // repeated form [collapse(...)​*]. Phase one of the paper infers tuple
 // types; fusing a type with itself would simplify it too, but Simplify

@@ -42,7 +42,7 @@ func BenchmarkDedupAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := infer.DedupAll(data, tab); err != nil {
+		if _, err := infer.DedupAllWith(data, tab, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func TestDedupAllMatchesInferAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := intern.NewTable()
-	ms, err := infer.DedupAll(data, tab)
+	ms, err := infer.DedupAllWith(data, tab, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDedupErrorsMatchPlain(t *testing.T) {
 	}
 	for _, src := range cases {
 		_, plainErr := infer.InferAll([]byte(src))
-		_, dedupErr := infer.DedupAll([]byte(src), intern.NewTable())
+		_, dedupErr := infer.DedupAllWith([]byte(src), intern.NewTable(), nil, nil)
 		if plainErr == nil || dedupErr == nil {
 			t.Fatalf("%q: expected errors, got %v / %v", src, plainErr, dedupErr)
 		}
@@ -114,7 +114,7 @@ func TestScratchReuseIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := intern.NewTable()
-	ms, err := infer.DedupAll([]byte(src), tab)
+	ms, err := infer.DedupAllWith([]byte(src), tab, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -486,20 +486,15 @@ func InferAllWith(data []byte, obs Observer, pr Promoter) ([]types.Type, error) 
 	}
 }
 
-// DedupAll infers the types of all top-level JSON values in data as a
-// multiset over tab: one entry per distinct type with its occurrence
+// DedupAllWith infers the types of all top-level JSON values in data as
+// a multiset over tab: one entry per distinct type with its occurrence
 // count. This is the deduplicating map phase — a chunk of n records
 // reduces to its distinct shapes, and the fold over those shapes yields
 // exactly the same fused type as folding all n per-record types, because
-// fusion is commutative, associative and idempotent.
-func DedupAll(data []byte, tab *intern.Table) (*intern.Multiset, error) {
-	return DedupAllWith(data, tab, nil, nil)
-}
-
-// DedupAllWith is DedupAll with value events reported to obs and a
-// tagged-union promoter (both may be nil) — the fully optioned
-// deduplicating map stage. Observation stays per record: the multiset
-// deduplicates types, not values, and enrichment wants every value.
+// fusion is commutative, associative and idempotent. Value events go to
+// obs and a tagged-union promoter pr applies (both may be nil).
+// Observation stays per record: the multiset deduplicates types, not
+// values, and enrichment wants every value.
 func DedupAllWith(data []byte, tab *intern.Table, obs Observer, pr Promoter) (*intern.Multiset, error) {
 	ms := intern.NewMultiset()
 	d := NewBytesDecoder(data, jsontext.Options{})

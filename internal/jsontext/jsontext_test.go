@@ -210,19 +210,6 @@ func TestStreamErrorMidway(t *testing.T) {
 	}
 }
 
-func TestScanValuesPropagatesCallbackError(t *testing.T) {
-	sentinel := errors.New("stop")
-	err := ScanValues(strings.NewReader("1 2 3"), Options{}, func(v value.Value) error {
-		if value.Equal(v, value.Num(2)) {
-			return sentinel
-		}
-		return nil
-	})
-	if err != sentinel {
-		t.Errorf("err = %v, want sentinel", err)
-	}
-}
-
 func TestParseAgainstEncodingJSONOracle(t *testing.T) {
 	srcs := []string{
 		`{"menu":{"id":"file","value":"File","popup":{"menuitem":[{"value":"New","onclick":"CreateNewDoc()"},{"value":"Open","onclick":"OpenDoc()"}]}}}`,

@@ -474,6 +474,23 @@ func (l *Lexer) scanString(start int64) ([]byte, error) {
 	}
 }
 
+// UnquotePrefix decodes the JSON string literal at the start of b
+// exactly as the lexer decodes a string token — escapes, surrogate
+// pairs, U+FFFD for invalid UTF-8 — and returns the decoded string
+// with the literal's length in bytes, quotes included. It reads b only
+// up to the literal's end. Error offsets count from the start of b.
+func UnquotePrefix(b []byte) (string, int, error) {
+	l := Lexer{data: b, pos: 1}
+	if len(b) == 0 || b[0] != '"' {
+		return "", 0, l.errorf(0, "expected '\"'")
+	}
+	s, err := l.scanString(0)
+	if err != nil {
+		return "", 0, err
+	}
+	return string(s), l.pos, nil
+}
+
 // sanitizeUTF8 replaces invalid UTF-8 sequences in seg with U+FFFD,
 // decoding runes straight off the byte slice — no string conversion.
 // The result is freshly allocated (invalid input is the rare case) so

@@ -8,35 +8,20 @@ import (
 	"repro/internal/value"
 )
 
-// ScanValues parses every top-level JSON value in r and calls fn for
-// each. It stops and returns the first error from parsing or from fn.
-func ScanValues(r io.Reader, opts Options, fn func(value.Value) error) error {
-	p := NewParser(r, opts)
-	for {
-		v, err := p.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
-}
-
 // ParseAll parses every top-level JSON value in data.
 func ParseAll(data []byte) ([]value.Value, error) {
 	var vs []value.Value
-	err := ScanValues(bytes.NewReader(data), Options{}, func(v value.Value) error {
+	p := NewParser(bytes.NewReader(data), Options{})
+	for {
+		v, err := p.Next()
+		if err == io.EOF {
+			return vs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 		vs = append(vs, v)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return vs, nil
 }
 
 // SplitLines splits an NDJSON byte buffer into at most n chunks of

@@ -137,29 +137,7 @@ func IsFaultMetric(name string) bool {
 // fault-handling metric removed (see IsFaultMetric). Composed with
 // WithoutTimings, what remains must be identical between a clean run
 // and a run whose transient faults were all retried to success.
-func (m Metrics) WithoutFaults() Metrics {
-	out := Metrics{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for name, v := range m.Counters {
-		if !IsFaultMetric(name) {
-			out.Counters[name] = v
-		}
-	}
-	for name, v := range m.Gauges {
-		if !IsFaultMetric(name) {
-			out.Gauges[name] = v
-		}
-	}
-	for name, h := range m.Histograms {
-		if !IsFaultMetric(name) {
-			out.Histograms[name] = cloneHistogram(h)
-		}
-	}
-	return out
-}
+func (m Metrics) WithoutFaults() Metrics { return m.without(IsFaultMetric) }
 
 // IsCacheMetric reports whether the named metric counts cache
 // effectiveness rather than work done: the intern-table counters
@@ -177,29 +155,7 @@ func IsCacheMetric(name string) bool {
 // cache-effectiveness metric removed (see IsCacheMetric). Composed with
 // WithoutTimings, what remains must not depend on which chunks of a run
 // interned their types.
-func (m Metrics) WithoutCache() Metrics {
-	out := Metrics{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for name, v := range m.Counters {
-		if !IsCacheMetric(name) {
-			out.Counters[name] = v
-		}
-	}
-	for name, v := range m.Gauges {
-		if !IsCacheMetric(name) {
-			out.Gauges[name] = v
-		}
-	}
-	for name, h := range m.Histograms {
-		if !IsCacheMetric(name) {
-			out.Histograms[name] = cloneHistogram(h)
-		}
-	}
-	return out
-}
+func (m Metrics) WithoutCache() Metrics { return m.without(IsCacheMetric) }
 
 // IsTimingMetric reports whether the named metric depends on host
 // timing rather than on the input alone: by convention such names end
@@ -216,24 +172,28 @@ func IsTimingMetric(name string) bool {
 // timing-dependent metric removed (see IsTimingMetric). What remains
 // is byte-for-byte reproducible across runs over the same input with
 // the same configuration — the determinism tests compare exactly this.
-func (m Metrics) WithoutTimings() Metrics {
+func (m Metrics) WithoutTimings() Metrics { return m.without(IsTimingMetric) }
+
+// without returns a copy of the snapshot with every metric whose name
+// satisfies drop removed.
+func (m Metrics) without(drop func(name string) bool) Metrics {
 	out := Metrics{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	for name, v := range m.Counters {
-		if !IsTimingMetric(name) {
+		if !drop(name) {
 			out.Counters[name] = v
 		}
 	}
 	for name, v := range m.Gauges {
-		if !IsTimingMetric(name) {
+		if !drop(name) {
 			out.Gauges[name] = v
 		}
 	}
 	for name, h := range m.Histograms {
-		if !IsTimingMetric(name) {
+		if !drop(name) {
 			out.Histograms[name] = cloneHistogram(h)
 		}
 	}

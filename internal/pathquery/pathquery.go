@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/jsontext"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -122,16 +123,11 @@ func Parse(src string) (Path, error) {
 			steps = append(steps, Step{Kind: StepElem})
 			s = s[3:]
 		case strings.HasPrefix(s, `["`):
-			end := findStringEnd(s[1:])
-			if end < 0 {
-				return Path{}, fmt.Errorf("pathquery: unterminated quoted key in %q", src)
-			}
-			raw := s[1 : 1+end+1]
-			key, err := unquote(raw)
+			key, n, err := jsontext.UnquotePrefix([]byte(s[1:]))
 			if err != nil {
-				return Path{}, fmt.Errorf("pathquery: %v in %q", err, src)
+				return Path{}, fmt.Errorf("pathquery: bad quoted key in %q: %v", src, err)
 			}
-			s = s[1+end+1:]
+			s = s[1+n:]
 			if !strings.HasPrefix(s, "]") {
 				return Path{}, fmt.Errorf("pathquery: missing ']' after quoted key in %q", src)
 			}
@@ -163,55 +159,6 @@ func MustParse(src string) Path {
 		panic(err)
 	}
 	return p
-}
-
-// findStringEnd returns the index of the closing quote of the JSON
-// string starting at s[0] == '"', or -1.
-func findStringEnd(s string) int {
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			return i
-		}
-	}
-	return -1
-}
-
-func unquote(raw string) (string, error) {
-	// The type-syntax parser has a full JSON string unescaper; a local
-	// minimal version avoids the dependency cycle.
-	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
-		return "", fmt.Errorf("bad quoted key %q", raw)
-	}
-	body := raw[1 : len(raw)-1]
-	if !strings.Contains(body, "\\") {
-		return body, nil
-	}
-	var sb strings.Builder
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c != '\\' {
-			sb.WriteByte(c)
-			continue
-		}
-		i++
-		if i >= len(body) {
-			return "", fmt.Errorf("trailing backslash in %q", raw)
-		}
-		switch body[i] {
-		case '"', '\\', '/':
-			sb.WriteByte(body[i])
-		case 'n':
-			sb.WriteByte('\n')
-		case 't':
-			sb.WriteByte('\t')
-		default:
-			return "", fmt.Errorf("unsupported escape \\%c in path key", body[i])
-		}
-	}
-	return sb.String(), nil
 }
 
 // Match is one concrete path through a schema: the expansion of a

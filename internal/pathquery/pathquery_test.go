@@ -52,6 +52,25 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestPathStringRoundTrip pins that Parse reads back every escape
+// Path.String writes for a quoted key, control characters included.
+func TestPathStringRoundTrip(t *testing.T) {
+	for _, key := range []string{
+		`q"uote`, `back\slash`, "new\nline", "carriage\rreturn", "tab\tbed",
+		"ctl\x01", "bs\x08", "naïve", "😀",
+	} {
+		p := Path{steps: []Step{{Kind: StepField, Key: key}, {Kind: StepElem}}}
+		back, err := Parse(p.String())
+		if err != nil {
+			t.Errorf("Parse(%q): %v", p.String(), err)
+			continue
+		}
+		if got := back.Steps(); len(got) != 2 || got[0].Key != key {
+			t.Errorf("Parse(%q) = %v, want key %q", p.String(), got, key)
+		}
+	}
+}
+
 func TestExpandConcretePath(t *testing.T) {
 	schema := types.MustParse("{user: {id: Num, name: Str?}, tags: [Str*]}")
 	ms := Expand(schema, MustParse("$.user.id"))

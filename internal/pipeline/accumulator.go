@@ -15,10 +15,9 @@ import (
 // see Combine) is its identity — so chunking, scheduling and worker
 // count are invisible in the Fold.
 //
-// There are two implementations, one per driver: the chunk accumulator
-// of Run and the constant-memory stream accumulator of RunStream. Both
-// satisfy the same laws, property-tested in accumulator_test.go the
-// same way Fuse and obs snapshots are.
+// It has one implementation, chunkAcc, which both drivers fill: Run's
+// map tasks and RunStream's left fold. Its laws are property-tested in
+// accumulator_test.go the same way Fuse and obs snapshots are.
 type Accumulator interface {
 	// Merge absorbs other into the receiver. Associative and
 	// commutative; other must come from the same Env (same fusion
@@ -74,31 +73,41 @@ func Fold(acc Accumulator) Result {
 	return acc.Fold()
 }
 
-// chunkAcc is the accumulator of the chunked driver. Records typed
-// through the intern table live in the multiset ms: distinct counts by
-// identity, fusion through the memo. Records typed down the degraded
-// tactic live in the plain tally sum: distinct counts by structural
-// hash. Any mix of the two folds to the same bytes: both portions feed
-// one size tally (min, max and an exact int64 sum, so the average is
-// one division), and the distinct count is the union of both portions'
-// structural hashes.
+// chunkAcc is the one accumulator. Records typed through the intern
+// table live in the multiset ms: distinct counts by identity, fusion
+// through the memo. Records typed down the degraded tactic live in the
+// plain tally sum: distinct counts by structural hash. Any mix of the
+// two folds to the same bytes: both portions feed one size tally (min,
+// max and an exact int64 sum, so the average is one division), and the
+// distinct count is the union of both portions' structural hashes.
+// RunStream's records go through Add, which tallies sizes only: with
+// no distinct-type set, memory stays flat however many distinct types
+// a stream holds, and DistinctTypes stays zero.
 type chunkAcc struct {
-	// dd is the run's dedup machinery; nil means every record takes the
-	// degraded tactic.
+	// dd is the run's dedup machinery, re-checked at every merge; nil
+	// means the accumulator never interns.
 	dd    *Dedup
 	fz    fusion.Options
 	ms    *intern.Multiset
 	sum   stats.Summary
 	fused types.Type
-	// lat is the chunk's (then the run's) enrichment lattice; nil with
-	// enrichment off. Merges ride the accumulator merge, so enrichment
-	// inherits the engine's exactly-once combine.
+	// lat is the accumulator's enrichment lattice; nil with enrichment
+	// off. Merges ride the accumulator merge, so enrichment inherits the
+	// engine's exactly-once combine.
 	lat *enrich.Lattice
 }
 
-// newChunkAcc returns the empty chunk accumulator of the Env.
-func (e *Env) newChunkAcc() *chunkAcc {
-	return &chunkAcc{dd: e.Dedup, fz: e.Fusion, ms: intern.NewMultiset(), fused: types.Empty}
+// newChunkAcc returns the empty accumulator of the Env that re-checks
+// dd at merges (nil: never).
+func (e *Env) newChunkAcc(dd *Dedup) *chunkAcc {
+	return &chunkAcc{dd: dd, fz: e.Fusion, ms: intern.NewMultiset(), fused: types.Empty}
+}
+
+// Add left-folds one streamed record into the accumulator: a size-only
+// tally and one fuse.
+func (a *chunkAcc) Add(t types.Type) {
+	a.sum.Sizes.Add(t.Size(), 1)
+	a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
 }
 
 func (a *chunkAcc) Merge(other Accumulator) {
@@ -133,46 +142,6 @@ func (a *chunkAcc) Fold() Result {
 		MaxTypeSize:   sizes.MaxSize(),
 		AvgTypeSize:   sizes.AvgSize(),
 		Enrichment:    a.lat,
-	}
-}
-
-// streamAcc is the constant-memory accumulator of the streaming
-// driver: the running fused type, left-folded one record at a time,
-// plus the size tally. It never interns and keeps no distinct-type
-// bookkeeping, so memory stays flat however many distinct types the
-// stream holds.
-type streamAcc struct {
-	fz    fusion.Options
-	sizes stats.Sizes
-	fused types.Type
-	lat   *enrich.Lattice
-}
-
-func newStreamAcc(fz fusion.Options) *streamAcc {
-	return &streamAcc{fz: fz, fused: types.Empty}
-}
-
-// Add types one record into the accumulator.
-func (a *streamAcc) Add(t types.Type) {
-	a.sizes.Add(t.Size(), 1)
-	a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
-}
-
-func (a *streamAcc) Merge(other Accumulator) {
-	b := other.(*streamAcc)
-	a.sizes.Merge(b.sizes)
-	a.fused = a.fz.Fuse(a.fused, b.fused)
-	a.lat = mergeLattices(a.lat, b.lat)
-}
-
-func (a *streamAcc) Fold() Result {
-	return Result{
-		Fused:       a.fz.Finalize(a.fused),
-		Records:     a.sizes.Count(),
-		MinTypeSize: a.sizes.MinSize(),
-		MaxTypeSize: a.sizes.MaxSize(),
-		AvgTypeSize: a.sizes.AvgSize(),
-		Enrichment:  a.lat,
 	}
 }
 

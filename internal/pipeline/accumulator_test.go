@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/enrich"
 	"repro/internal/enrich/monoidtest"
 	"repro/internal/fusion"
-	"repro/internal/infer"
 	"repro/internal/types"
 )
 
@@ -55,6 +55,7 @@ func payloads(t *testing.T) []payload {
 	return []payload{
 		{"plain", &Env{Fusion: fusion.Options{}}, false},
 		{"plain-stream", &Env{Fusion: fusion.Options{}}, true},
+		{"stream-enrich", &Env{Fusion: fusion.Options{}, Enrich: set}, true},
 		{"plain-tuples", &Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, false},
 		{"dedup", &Env{Dedup: NewDedup(fusion.Options{})}, false},
 		{"adaptive", &Env{Dedup: testDedup()}, false},
@@ -63,34 +64,27 @@ func payloads(t *testing.T) []payload {
 	}
 }
 
-// empty returns the payload's identity accumulator: the stream flavour
-// for stream payloads, the chunked flavour otherwise.
+// empty returns the payload's identity accumulator.
 func (p payload) empty() Accumulator {
-	if p.stream {
-		return newStreamAcc(p.env.Fusion)
-	}
-	return p.env.newChunkAcc()
+	return p.env.newChunkAcc(p.env.Dedup)
 }
 
 // buildChunk runs a chunk of records through the payload's real map
-// path (mapChunk for chunked payloads, the stream accumulator
-// otherwise), so the harness exercises exactly what the engine
-// produces. The "adaptive" payload's tight knobs make its chunks mix
-// interned and degraded records.
+// path (mapChunk for chunked payloads, RunStream otherwise), so the
+// harness exercises exactly what the engine produces. The "adaptive"
+// payload's tight knobs make its chunks mix interned and degraded
+// records.
 func buildChunk(t *testing.T, p payload, chunk []byte) Accumulator {
 	t.Helper()
+	var (
+		acc Accumulator
+		err error
+	)
 	if p.stream {
-		acc := newStreamAcc(p.env.Fusion)
-		ts, err := infer.InferAll(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, typ := range ts {
-			acc.Add(typ)
-		}
-		return acc
+		acc, _, err = RunStream(context.Background(), p.env, bytes.NewReader(chunk))
+	} else {
+		acc, err = p.env.mapChunk(chunk)
 	}
-	acc, err := p.env.mapChunk(chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +112,7 @@ func resultFingerprint(t *testing.T, res Result) string {
 // without enrichment — through the shared monoid-law harness: identity,
 // commutativity, associativity, random merge trees versus the
 // sequential fold, and non-mutation of the second operand. AvgTypeSize
-// is fingerprinted exactly: every implementation accumulates integer
+// is fingerprinted exactly: the accumulator keeps integer
 // sums (far below 2^53) and divides once, so any merge order yields
 // the same bits.
 func TestAccumulatorConformance(t *testing.T) {

@@ -7,15 +7,16 @@
 //
 // over an Env that carries the run's fusion policy, worker count,
 // failure policy, recorder and dedup state. A future backend — sharded,
-// serving, remote — is a new feed plus (at most) a new Accumulator, not
-// a second copy of the pipeline.
+// serving, remote — is a new feed into the same Accumulator, not a
+// second copy of the pipeline.
 //
-// Two drivers share the stages: Run distributes line-aligned chunks
-// over the map-reduce engine (parallel, fault-tolerant), and each chunk
-// picks its own tactic under one adaptive cost model (see Dedup);
-// RunStream types one record at a time with constant memory
-// (sequential, never interning). Both leave no goroutines behind on
-// error or cancellation, which pipeline_test.go pins with mid-feed and
+// Two drivers share the stages and fill the one Accumulator
+// implementation: Run distributes line-aligned chunks over the
+// map-reduce engine (parallel, fault-tolerant), and each chunk picks
+// its own tactic under one adaptive cost model (see Dedup); RunStream
+// types one record at a time with constant memory (sequential, never
+// interning). Both leave no goroutines behind on error or
+// cancellation, which pipeline_test.go pins with mid-feed and
 // mid-combine cancel tests.
 //
 // The stages time themselves through Env.Rec: each map task and each
@@ -369,21 +370,11 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 // degraded record's fusion is clocked one record at a time, so the
 // infer_fuse_ns it records excludes decoding under either tactic.
 func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
-	acc := e.newChunkAcc()
-	// A failed decode discards the chunk's lattice along with its
-	// accumulator, so retried attempts observe into a fresh one and the
-	// combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
-	acc.lat = e.newLattice()
 	clk := e.startClock()
 	dec := infer.NewBytesDecoder(chunk, jsontext.Options{MaxDepth: e.MaxDepth})
 	defer dec.Release()
-	if o := observer(acc.lat); o != nil {
-		dec.SetObserver(o)
-	}
-	if pr := e.promoter(); pr != nil {
-		dec.SetPromoter(pr)
-	}
 	dd := e.Dedup
+	acc := e.feedAcc(dec, dd)
 	interned := dd != nil && dd.hint.Load() != hintDegrade
 	var (
 		sampled, records int64
@@ -474,32 +465,24 @@ func (c *stageClock) record() {
 	}
 }
 
-// promoter returns the Env's phase-one tagged-union promoter as the
-// decoder's interface, without smuggling a typed-nil interface through
-// when the fusion strategy has none.
-func (e *Env) promoter() infer.Promoter {
+// feedAcc returns an empty accumulator for dec to fill, re-checking dd
+// at merges (nil: never). dec promotes under the Env's fusion strategy
+// and, with enrichment on, observes every value into the accumulator's
+// own lattice. A failed decode discards that lattice along with its
+// accumulator, so a retried chunk observes into a fresh one and the
+// combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
+func (e *Env) feedAcc(dec *infer.Decoder, dd *Dedup) *chunkAcc {
+	acc := e.newChunkAcc(dd)
+	if e.Enrich != nil {
+		acc.lat = e.Enrich.NewLattice()
+		dec.SetObserver(acc.lat)
+	}
+	// Checked here so a nil *fusion.Promoter never reaches the decoder
+	// as a non-nil interface.
 	if pr := e.Fusion.Promoter(); pr != nil {
-		return pr
+		dec.SetPromoter(pr)
 	}
-	return nil
-}
-
-// newLattice returns a fresh enrichment lattice, or nil with
-// enrichment off.
-func (e *Env) newLattice() *enrich.Lattice {
-	if e.Enrich == nil {
-		return nil
-	}
-	return e.Enrich.NewLattice()
-}
-
-// observer adapts a possibly-nil lattice to the decoder's Observer
-// hook without smuggling a typed-nil interface through.
-func observer(lat *enrich.Lattice) infer.Observer {
-	if lat == nil {
-		return nil
-	}
-	return lat
+	return acc
 }
 
 // recordChunk emits the per-chunk metrics of the map stage.
@@ -516,21 +499,15 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 }
 
 // RunStream types a stream of JSON values one at a time with constant
-// memory: the sequential driver, a left fold into one stream
-// accumulator. It never interns — Env.Dedup is ignored — so memory
+// memory: the sequential driver, a left fold into one accumulator
+// through its Add. It never interns — Env.Dedup is ignored — so memory
 // stays flat even when every record has a type of its own. Returns the
 // accumulator and the number of input bytes consumed. Cancellation
 // takes effect between records.
 func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
-	if pr := env.promoter(); pr != nil {
-		dec.SetPromoter(pr)
-	}
-	acc := newStreamAcc(env.Fusion)
-	if acc.lat = env.newLattice(); acc.lat != nil {
-		dec.SetObserver(acc.lat)
-	}
+	acc := env.feedAcc(dec, nil)
 	var records int64
 	clk := env.startClock()
 	for {

@@ -158,12 +158,18 @@ func (ts *tenantSet) loadSnapshotLocked(name string) (*jsi.Repository, error) {
 
 // writeSnapshot persists one repository atomically (temp file +
 // rename), so a crash mid-write never corrupts an existing snapshot.
+// The file is synced before the rename and the directory after it, so
+// once writeSnapshot returns nil a crash cannot leave the snapshot
+// empty or missing.
 func (ts *tenantSet) writeSnapshot(name string, repo *jsi.Repository) (err error) {
 	f, err := os.CreateTemp(ts.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("saving tenant %q: %w", name, err)
 	}
 	err = repo.Save(f)
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -174,7 +180,24 @@ func (ts *tenantSet) writeSnapshot(name string, repo *jsi.Repository) (err error
 		err = errors.Join(err, os.Remove(f.Name()))
 		return fmt.Errorf("saving tenant %q: %w", name, err)
 	}
+	if err := syncDir(ts.dir); err != nil {
+		return fmt.Errorf("saving tenant %q: %w", name, err)
+	}
 	return nil
+}
+
+// syncDir flushes a directory's entries, making a rename into it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // evictLocked spills least-recently-used idle tenants to disk until

@@ -2,9 +2,9 @@ package types
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"unicode/utf8"
+
+	"repro/internal/jsontext"
 )
 
 // Parse parses a type expression in the concrete syntax produced by
@@ -41,6 +41,8 @@ func MustParse(src string) Type {
 type typeParser struct {
 	src string
 	pos int
+	// buf is src as bytes for the lexer, copied at the first quoted key.
+	buf []byte
 }
 
 func (p *typeParser) errorf(format string, args ...any) error {
@@ -394,103 +396,16 @@ func (p *typeParser) parseKey() (string, error) {
 	return p.src[start:p.pos], nil
 }
 
+// parseQuotedKey parses a double-quoted JSON string key, decoded as the
+// JSON lexer decodes one in data, so keys render back to what was parsed.
 func (p *typeParser) parseQuotedKey() (string, error) {
-	// Find the closing quote, honoring escapes, then let strconv do the
-	// actual unescaping (JSON string escapes are a subset of Go's).
-	start := p.pos
-	p.pos++ // opening quote
-	for p.pos < len(p.src) {
-		switch p.src[p.pos] {
-		case '\\':
-			p.pos += 2
-		case '"':
-			p.pos++
-			raw := p.src[start:p.pos]
-			key, err := unquoteJSONString(raw)
-			if err != nil {
-				return "", p.errorf("bad quoted key %s: %v", raw, err)
-			}
-			return key, nil
-		default:
-			p.pos++
-		}
+	if p.buf == nil {
+		p.buf = []byte(p.src)
 	}
-	return "", p.errorf("unterminated quoted key")
-}
-
-// unquoteJSONString unescapes a double-quoted JSON string literal.
-// Invalid UTF-8 is replaced with U+FFFD, matching the JSON lexer, so
-// keys always render back to what was parsed.
-func unquoteJSONString(raw string) (string, error) {
-	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
-		return "", fmt.Errorf("not a quoted string")
+	key, n, err := jsontext.UnquotePrefix(p.buf[p.pos:])
+	if err != nil {
+		return "", p.errorf("bad quoted key: %v", err)
 	}
-	body := sanitizeUTF8(raw[1 : len(raw)-1])
-	if !strings.ContainsRune(body, '\\') {
-		return body, nil
-	}
-	var sb strings.Builder
-	for i := 0; i < len(body); {
-		c := body[i]
-		if c != '\\' {
-			sb.WriteByte(c)
-			i++
-			continue
-		}
-		if i+1 >= len(body) {
-			return "", fmt.Errorf("trailing backslash")
-		}
-		switch body[i+1] {
-		case '"':
-			sb.WriteByte('"')
-			i += 2
-		case '\\':
-			sb.WriteByte('\\')
-			i += 2
-		case '/':
-			sb.WriteByte('/')
-			i += 2
-		case 'n':
-			sb.WriteByte('\n')
-			i += 2
-		case 't':
-			sb.WriteByte('\t')
-			i += 2
-		case 'r':
-			sb.WriteByte('\r')
-			i += 2
-		case 'b':
-			sb.WriteByte('\b')
-			i += 2
-		case 'f':
-			sb.WriteByte('\f')
-			i += 2
-		case 'u':
-			if i+6 > len(body) {
-				return "", fmt.Errorf("short \\u escape")
-			}
-			n, err := strconv.ParseUint(body[i+2:i+6], 16, 32)
-			if err != nil {
-				return "", fmt.Errorf("bad \\u escape: %v", err)
-			}
-			sb.WriteRune(rune(n))
-			i += 6
-		default:
-			return "", fmt.Errorf("unknown escape \\%c", body[i+1])
-		}
-	}
-	return sb.String(), nil
-}
-
-// sanitizeUTF8 replaces invalid byte sequences with U+FFFD.
-func sanitizeUTF8(s string) string {
-	if utf8.ValidString(s) {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s) + utf8.UTFMax)
-	for _, r := range s {
-		sb.WriteRune(r)
-	}
-	return sb.String()
+	p.pos += n
+	return key, nil
 }

@@ -71,6 +71,7 @@ func TestParseBasics(t *testing.T) {
 		{"Str + Num", uni(Num, Str)},
 		{`{"with space": Num}`, rec(fld("with space", Num))},
 		{`{"esc\"q": Num}`, rec(fld(`esc"q`, Num))},
+		{`{"\ud83d\ude00": Num}`, rec(fld("😀", Num))}, // a surrogate pair is one rune
 		{`{"A": Num}`, rec(fld("A", Num))},
 		{"{x-y: Num}", rec(fld("x-y", Num))},
 		{"[[Num*]*]", rep(rep(Num))},
@@ -108,7 +109,8 @@ func TestParseErrors(t *testing.T) {
 		`{"unterminated: Num}`,
 		`{"bad\q": Num}`,
 		`{"short\u00": Num}`,
-		"{a: Num, a: Str}", // duplicate key rejected by NewRecord
+		"{\"raw\x01control\": Num}", // rejected in keys as the lexer rejects it in data
+		"{a: Num, a: Str}",          // duplicate key rejected by NewRecord
 		"{: Num}",
 	}
 	for _, src := range bad {

@@ -3,7 +3,6 @@ package value
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -135,8 +134,3 @@ func Obj(pairs ...any) *Record {
 
 // Arr is a convenience constructor for array literals.
 func Arr(elems ...Value) Array { return Array(elems) }
-
-// SortValues sorts a slice of values in the Compare order, in place.
-func SortValues(vs []Value) {
-	slices.SortFunc(vs, Compare)
-}

@@ -328,17 +328,6 @@ func TestCompareTotalOrder(t *testing.T) {
 	}
 }
 
-func TestSortValues(t *testing.T) {
-	vs := []Value{Str("b"), Num(1), Null{}, Str("a")}
-	SortValues(vs)
-	want := []Value{Null{}, Num(1), Str("a"), Str("b")}
-	for i := range want {
-		if !Equal(vs[i], want[i]) {
-			t.Fatalf("SortValues order wrong at %d: %v", i, vs)
-		}
-	}
-}
-
 func TestObjPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"odd args":   func() { Obj("a") },

@@ -150,11 +150,7 @@ func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Acc
 	cr := &countingReader{r: s.r}
 	out, mrst, err := runChunks(ctx, env, cr)
 	if err != nil {
-		var fe *pipeline.FeedError
-		if errors.As(err, &fe) {
-			return nil, Stats{}, fmt.Errorf("jsoninference: %w", &FeedError{Err: fe.Err})
-		}
-		return nil, Stats{}, fmt.Errorf("jsoninference: %w", err)
+		return nil, Stats{}, chunkedErr("", err)
 	}
 	return out, feedStats(cr.n, mrst), nil
 }
@@ -173,6 +169,20 @@ func runChunks(ctx context.Context, env *pipeline.Env, r io.Reader) (pipeline.Ac
 	return pipeline.RunPooled(ctx, env, func(emit func([]byte) error) error {
 		return jsontext.ChunkLinesPooled(r, env.ChunkBytes, &chunkPool, emit)
 	}, chunkPool.Put)
+}
+
+// chunkedErr words the error of a chunked run over path (empty for a
+// stream): a feed failure becomes a *FeedError, and a decode error
+// names the file it came from.
+func chunkedErr(path string, err error) error {
+	var fe *pipeline.FeedError
+	if errors.As(err, &fe) {
+		return fmt.Errorf("jsoninference: %w", &FeedError{Path: path, Err: fe.Err})
+	}
+	if path != "" {
+		return fmt.Errorf("jsoninference: %s: %w", path, err)
+	}
+	return fmt.Errorf("jsoninference: %w", err)
 }
 
 // countingReader counts the bytes delivered by Read. The pipeline's
@@ -227,11 +237,7 @@ func runFilePipeline(ctx context.Context, env *pipeline.Env, path string) (pipel
 
 	out, mrst, err := runChunks(ctx, env, f)
 	if err != nil {
-		var fe *pipeline.FeedError
-		if errors.As(err, &fe) {
-			return nil, Stats{}, fmt.Errorf("jsoninference: %w", &FeedError{Path: path, Err: fe.Err})
-		}
-		return nil, Stats{}, fmt.Errorf("jsoninference: %s: %w", path, err)
+		return nil, Stats{}, chunkedErr(path, err)
 	}
 	var size int64
 	if info, err := f.Stat(); err == nil {
