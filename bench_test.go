@@ -11,7 +11,9 @@
 package jsoninference_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"testing"
 
@@ -508,5 +510,73 @@ func BenchmarkJSONSchema(b *testing.B) {
 				b.SetBytes(int64(len(out)))
 			}
 		})
+	}
+}
+
+// BenchmarkSchemaCodec measures the schema codec alone, MarshalJSON and
+// UnmarshalSchemaJSON, on the schemas Infer builds from twitter's mixed
+// records and wikidata's ids-as-keys records: the read half is what
+// every validate request and schemad reload pays per schema.
+func BenchmarkSchemaCodec(b *testing.B) {
+	for _, name := range []string{"twitter", "wikidata"} {
+		g, _ := dataset.New(name)
+		s, _, err := jsi.Infer(context.Background(), jsi.FromBytes(dataset.NDJSON(g, 1500, 1)), jsi.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		codec, err := s.MarshalJSON()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/marshal", func(b *testing.B) {
+			b.SetBytes(int64(len(codec)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.MarshalJSON(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/unmarshal", func(b *testing.B) {
+			b.SetBytes(int64(len(codec)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := jsi.UnmarshalSchemaJSON(codec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLoadRepository measures LoadRepository on a snapshot of four
+// twitter partitions, the document schemad reads per tenant on a cold
+// start or a reload.
+func BenchmarkLoadRepository(b *testing.B) {
+	g, _ := dataset.New("twitter")
+	lines := bytes.SplitAfter(dataset.NDJSON(g, 2000, 1), []byte("\n"))
+	repo := jsi.NewRepository()
+	for part := 0; part < 4; part++ {
+		var batch []byte
+		for i := part; i < len(lines); i += 4 {
+			batch = append(batch, lines[i]...)
+		}
+		s, stats, err := jsi.Infer(context.Background(), jsi.FromBytes(batch), jsi.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		repo.Append(fmt.Sprintf("part-%d", part), s, stats.Records)
+	}
+	var snap bytes.Buffer
+	if err := repo.Save(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(snap.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := jsi.LoadRepository(bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -48,9 +48,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"repro/internal/enrich"
+	"repro/internal/jsontext"
 	"repro/internal/types"
 )
 
@@ -444,25 +444,7 @@ func (w *writer) raw(s string) { w.buf = append(w.buf, s...) }
 func (w *writer) num(n int)    { w.buf = strconv.AppendInt(w.buf, int64(n), 10) }
 
 // str writes s as a JSON string exactly as encoding/json encodes it.
-// Printable ASCII with nothing to escape is copied as is; any other
-// string goes through json.Marshal, so its escaping rules (<, > and &
-// for HTML safety, control bytes, U+2028 and U+2029, U+FFFD for
-// invalid UTF-8) hold by construction.
-func (w *writer) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
-			q, err := json.Marshal(s)
-			if err != nil {
-				w.fail(err)
-			}
-			w.buf = append(w.buf, q...)
-			return
-		}
-	}
-	w.buf = append(w.buf, '"')
-	w.buf = append(w.buf, s...)
-	w.buf = append(w.buf, '"')
-}
+func (w *writer) str(s string) { w.buf = jsontext.AppendQuote(w.buf, s) }
 
 const spaces = "                                                                "
 

@@ -217,6 +217,10 @@ func TestParseAgainstEncodingJSONOracle(t *testing.T) {
 		`{"empty_obj":{},"empty_arr":[],"nested":[[[[1]]]]}`,
 		`"😀 and text"`,
 		`-123.456e-7`,
+		// A surrogate that does not pair with the next escape decodes
+		// to U+FFFD, and the next escape decodes on its own.
+		`"\ud800\u0041"`, `"\ud800\n"`, `"\udc00\udc00"`,
+		`"\ud800\ud800\udc00"`, `{"\ud83d\ude00\ud83d":"\udbff\udfff"}`,
 	}
 	for _, src := range srcs {
 		v, err := ParseBytes([]byte(src))

@@ -452,14 +452,8 @@ func (l *Lexer) scanString(start int64) ([]byte, error) {
 					return nil, err
 				}
 				if utf16.IsSurrogate(r) {
-					r2, ok, err := l.maybeLowSurrogate(start)
-					if err != nil {
+					if r, err = l.pairSurrogate(start, r); err != nil {
 						return nil, err
-					}
-					if ok {
-						r = utf16.DecodeRune(r, r2)
-					} else {
-						r = utf8.RuneError
 					}
 				}
 				buf = utf8.AppendRune(buf, r)
@@ -555,31 +549,30 @@ func (l *Lexer) scanHex4(start int64) (rune, error) {
 	return r, nil
 }
 
-// maybeLowSurrogate tries to read a \uXXXX low surrogate following a high
-// surrogate. It reports whether it consumed one.
-func (l *Lexer) maybeLowSurrogate(start int64) (rune, bool, error) {
-	b1, err := l.readByte()
+// pairSurrogate completes the UTF-16 pair whose first half r a \u
+// escape has just decoded, as encoding/json does: when the next six
+// bytes are a \u escape of the matching low surrogate it consumes them
+// and returns the pair's rune; otherwise it consumes nothing and
+// returns U+FFFD, and whatever follows decodes on its own.
+func (l *Lexer) pairSurrogate(start int64, r rune) (rune, error) {
+	back := l.Offset()
+	if b, err := l.readByte(); err != nil || b != '\\' {
+		l.pos = int(back - l.base)
+		return utf8.RuneError, nil
+	}
+	if b, err := l.readByte(); err != nil || b != 'u' {
+		l.pos = int(back - l.base)
+		return utf8.RuneError, nil
+	}
+	r2, err := l.scanHex4(start)
 	if err != nil {
-		return 0, false, nil
+		return 0, err
 	}
-	if b1 != '\\' {
-		l.unreadByte()
-		return 0, false, nil
+	if pair := utf16.DecodeRune(r, r2); pair != utf8.RuneError {
+		return pair, nil
 	}
-	b2, err := l.readByte()
-	if err != nil {
-		return 0, false, l.errorf(start, "unterminated escape")
-	}
-	if b2 != 'u' {
-		// A high surrogate followed by an escape other than \u is
-		// rejected.
-		return 0, false, l.errorf(l.Offset()-2, "expected low surrogate escape")
-	}
-	r, err := l.scanHex4(start)
-	if err != nil {
-		return 0, false, err
-	}
-	return r, true, nil
+	l.pos = int(back - l.base)
+	return utf8.RuneError, nil
 }
 
 // scanDigits consumes a run of ASCII digits and returns its length. A

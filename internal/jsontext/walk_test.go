@@ -1,0 +1,111 @@
+package jsontext
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+	"testing/quick"
+)
+
+// TestAppendQuoteMatchesEncodingJSON: AppendQuote writes every string
+// byte for byte as json.Marshal does, on the escaping corners and on
+// random byte strings (invalid UTF-8 included).
+func TestAppendQuoteMatchesEncodingJSON(t *testing.T) {
+	check := func(s string) bool {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AppendQuote([]byte("x"), s)
+		if string(got) != "x"+string(want) {
+			t.Errorf("AppendQuote(%q) = %s, want %s", s, got[1:], want)
+			return false
+		}
+		return true
+	}
+	for _, s := range []string{
+		"", "plain", `q"uote`, `back\slash`, "<a&b>", "\x00\x01\x1f\x7f",
+		"\b\f\n\r\t", "\u2028\u2029", "ünïcødé 😀", "bad\xff\xfe", "\xed\xa0\x80", "\xe2\x80",
+	} {
+		check(s)
+	}
+	if err := quick.Check(func(b []byte) bool { return check(string(b)) }, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSkipValue: SkipValue spans exactly the next value, whitespace
+// excluded, and rejects what encoding/json rejects.
+func TestSkipValue(t *testing.T) {
+	for _, v := range []string{
+		`0`, `-1.5e3`, `"s\"é"`, `null`, `true`, `[]`, `{}`,
+		`{"a":[1,{"b":null}],"a":2}`, `[[],[{}],"x"]`,
+	} {
+		l := AcquireLexerBytes([]byte(" " + v + " ,"))
+		start, err := l.SkipValue(0)
+		if err != nil {
+			t.Errorf("SkipValue(%s): %v", v, err)
+		} else if got := string(l.data[start:l.Offset()]); got != v {
+			t.Errorf("SkipValue(%s) spans %s", v, got)
+		}
+		l.Release()
+	}
+	for _, v := range []string{
+		`[1,]`, `{"a":1,}`, `{"a"}`, `{1:2}`, `[1 2]`, `{"a":1 "b":2}`, `]`, `,`, `[`, `{"a":`,
+		strings.Repeat("[", MaxNesting+1) + strings.Repeat("]", MaxNesting+1),
+	} {
+		if json.Valid([]byte(v)) {
+			t.Fatalf("%s is valid JSON", v)
+		}
+		l := AcquireLexerBytes([]byte(v))
+		if _, err := l.SkipValue(0); err == nil {
+			t.Errorf("SkipValue(%.20s) accepted it", v)
+		}
+		l.Release()
+	}
+	deep := strings.Repeat("[", MaxNesting) + strings.Repeat("]", MaxNesting)
+	l := AcquireLexerBytes([]byte(deep))
+	defer l.Release()
+	if _, err := l.SkipValue(0); err != nil || !json.Valid([]byte(deep)) {
+		t.Errorf("nesting at the bound: SkipValue err = %v, json.Valid = %v", err, json.Valid([]byte(deep)))
+	}
+}
+
+// TestNextMemberStrict: NextMember matches member names exactly and
+// rejects unknown, case-folded and repeated ones.
+func TestNextMemberStrict(t *testing.T) {
+	names := []string{"a", "bc"}
+	read := func(doc string, raw bool) ([]int, error) {
+		l := AcquireLexerBytes([]byte(doc))
+		defer l.Release()
+		l.RawStrings(raw)
+		if tok, err := l.Next(); err != nil || tok.Kind != TokBeginObject {
+			t.Fatalf("%s: no object", doc)
+		}
+		var got []int
+		var seen uint64
+		for {
+			i, err := l.NextMember(names, &seen)
+			if err != nil || i < 0 {
+				return got, err
+			}
+			got = append(got, i)
+			if _, err := l.SkipValue(1); err != nil {
+				return got, err
+			}
+		}
+	}
+	for _, raw := range []bool{false, true} {
+		if got, err := read(` { "bc" : 1 , "a":[2] } `, raw); err != nil || len(got) != 2 || got[0] != 1 || got[1] != 0 {
+			t.Errorf("raw=%v: members %v, err %v", raw, got, err)
+		}
+		if got, err := read(`{}`, raw); err != nil || len(got) != 0 {
+			t.Errorf("raw=%v: empty object: members %v, err %v", raw, got, err)
+		}
+		for _, doc := range []string{`{"A":1}`, `{"b":1}`, `{"a":1,"a":2}`, `{"a":1,}`, `{"a" 1}`, `{"a":1 "bc":2}`, `{"a":1`, `{,}`} {
+			if _, err := read(doc, raw); err == nil {
+				t.Errorf("raw=%v: %s accepted", raw, doc)
+			}
+		}
+	}
+}

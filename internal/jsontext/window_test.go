@@ -74,8 +74,8 @@ func diffSteps(got, want []lexStep) string {
 
 // windowInputs are the inputs the differential test lexes: every
 // generator's NDJSON, tokens longer than the reader window, and escapes,
-// surrogate pairs and numbers straddling the first refill at every
-// offset.
+// surrogate pairs, lone surrogates the lexer steps back over and
+// numbers straddling the first refill at every offset.
 func windowInputs() map[string][]byte {
 	in := map[string][]byte{}
 	for _, name := range dataset.Names() {
@@ -90,7 +90,7 @@ func windowInputs() map[string][]byte {
 	in["long/escaped"] = []byte(`["` + long + `\n` + long + `"]`)
 	in["long/number"] = []byte(`[1` + strings.Repeat("0", windowSize+7) + `.5e-3, 2]`)
 	in["unterminated"] = []byte(`{"a": "abc`)
-	straddlers := []string{`"éé\"x"`, `"𝄞!"`, `"\ud834x"`, `-12.5e+3`, `0.25`, `123456789012345678901`, `true`, `null`}
+	straddlers := []string{`"éé\"x"`, `"𝄞!"`, `"\ud834x"`, `"\ud834\u0041"`, `"\ud834\n"`, `-12.5e+3`, `0.25`, `123456789012345678901`, `true`, `null`}
 	for _, tok := range straddlers {
 		for k := 0; k <= len(tok); k++ {
 			// The token itself across the boundary, after whitespace.

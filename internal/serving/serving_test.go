@@ -362,6 +362,25 @@ func TestSnapshotPutRejectsLostRecords(t *testing.T) {
 	ingest(t, hs.URL, "lost", "default", []byte(`{"b":2}`+"\n"))
 }
 
+// TestSnapshotPutRejectsTrailingData: a body of two concatenated
+// snapshots is a client error, not the first snapshot restored.
+func TestSnapshotPutRejectsTrailingData(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	snap := `{"partitions":[{"name":"a","count":5,"schema":{"k":"num"}}]}`
+	for name, body := range map[string]string{"twice": snap + snap, "garbage": snap + "x"} {
+		if status, got := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/two/snapshot", []byte(body)); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, status, got)
+		}
+	}
+	status, body := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/two/partitions", nil)
+	var got struct {
+		Partitions []json.RawMessage `json:"partitions"`
+	}
+	if err := json.Unmarshal(body, &got); status != http.StatusOK || err != nil || len(got.Partitions) != 0 {
+		t.Errorf("partitions after the rejected restores: status %d, %s", status, body)
+	}
+}
+
 // TestEnrichmentEndToEnd drives the enrichment lattice through the
 // whole serving surface: server-wide -enrich config, the per-request
 // ingest override, the format=enrich report, the enrich=off strip, and

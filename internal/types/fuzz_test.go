@@ -43,7 +43,9 @@ func FuzzParseTypeSyntax(f *testing.F) {
 }
 
 // FuzzCodecRoundTrip checks the JSON codec on arbitrary documents: no
-// panics, and decoded types re-encode losslessly.
+// panics, decoded types re-encode losslessly, and whatever the reader
+// accepts the oracle (the encoding/json codec it replaced) accepts too
+// and decodes to an equal type.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, s := range []string{
 		`{"k":"num"}`,
@@ -52,6 +54,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		`{"k":"rep","elem":{"k":"empty"}}`,
 		`{"k":"tuple","elems":[]}`,
 		`{"k":"bogus"}`, `{}`, `[]`, `null`,
+		`{"fields":[{"opt":false,"type":{"k":"null"},"key":"\u003c\ud800\u0041"}], "k":"record"}`,
+		`{"k":"map","elem":{"k":"bool"}}`,
+		`{"k":"variants","elem":{"k":"record"},"key":"t","cases":[{"tag":"a","type":{"k":"record"}}]}`,
+		`{"k":"variants","wrapper":true,"cases":[{"tag":"d","type":{"k":"record","fields":[{"key":"d","type":{"k":"record"}}]}}]}`,
+		`{"k":"variants","elem":{"k":"record"},"collapsed":true}`,
+		`{"K":"num"}`, `{"k":"num"} 1`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -59,6 +67,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		tt, err := UnmarshalJSON(data)
 		if err != nil {
 			return
+		}
+		oracle, err := oracleUnmarshalJSON(data)
+		if err != nil {
+			t.Fatalf("accepted %q, which the oracle rejects: %v", data, err)
+		}
+		if !Equal(tt, oracle) {
+			t.Fatalf("decoded %q as %s, the oracle as %s", data, tt, oracle)
 		}
 		enc, err := MarshalJSON(tt)
 		if err != nil {

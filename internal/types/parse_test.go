@@ -240,6 +240,23 @@ func TestCodecErrors(t *testing.T) {
 		`{"k":"union","alts":[{"k":"num"}]}`,
 		`{"k":"rep"}`,
 		`{"k":"record","fields":[{"key":"a"}]}`,
+		// The reader is strict: unknown, repeated and case-folded
+		// member names, members the kind does not take, nulls and
+		// bytes after the document are errors.
+		`{"k":"num","x":1}`,
+		`{"K":"num"}`,
+		`{"k":"num","k":"str"}`,
+		`{"k":"record","fields":[{"key":"a","key":"b","type":{"k":"num"}}]}`,
+		`{"k":"record","fields":[{"key":"a","type":{"k":"num"},"Opt":true}]}`,
+		`{"k":"variants","key":"t","cases":[{"tag":"a","tag":"b","type":{"k":"record"}}]}`,
+		`{"k":"num","elem":{"k":"num"}}`,
+		`{"k":"tuple","alts":[]}`,
+		`{"k":"record","fields":null}`,
+		`{"k":"record","fields":[{"key":"a","type":{"k":"num"},"opt":1}]}`,
+		`{"k":"variants","collapsed":true,"key":"t","elem":{"k":"record"}}`,
+		`{"k":"num"} {"k":"num"}`,
+		`{"k":"num"}x`,
+		`{"k":"num"`,
 	}
 	for _, src := range bad {
 		if _, err := UnmarshalJSON([]byte(src)); err == nil {

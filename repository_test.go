@@ -309,6 +309,80 @@ func TestLoadRepositoryErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not name the partition", name, err)
 		}
 	}
+	// The loader is strict: unknown, case-folded and repeated member
+	// names, missing members, counts that are not integer literals and
+	// bytes after the document are errors.
+	for _, snap := range []string{
+		`{"pArtitions":0}`,
+		`{"Partitions":[]}`,
+		`{"partitions":[],"version":1}`,
+		`{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"comment":"x"}]}`,
+		`{"partitions":[{"name":"p","name":"q","count":1,"schema":{"k":"num"}}]}`,
+		`{"partitions":[{"name":"p","count":1,"count":2,"schema":{"k":"num"}}]}`,
+		`{"partitions":[{"name":"p","count":1,"schema":{"k":"num","k":"str"}}]}`,
+		`{"partitions":[{"name":"p","count":1.5,"schema":{"k":"num"}}]}`,
+		`{"partitions":[{"name":"p","count":1e2,"schema":{"k":"num"}}]}`,
+		`{"partitions":[{"name":"p","count":9223372036854775808,"schema":{"k":"num"}}]}`,
+		`{"partitions":[{"name":"p","count":"1","schema":{"k":"num"}}]}`,
+		`{"partitions":[{"name":"p","schema":{"k":"num"}}]}`,
+		`{"partitions":[{"count":1,"schema":{"k":"num"}}]}`,
+		`{"partitions":[{"name":"p","count":1}]}`,
+		`{"partitions":[{"name":"p","count":1,"schema":{"k":"num"}}]}]`,
+		`{}`,
+		``,
+	} {
+		if r, err := jsi.LoadRepository(strings.NewReader(snap)); err == nil {
+			t.Errorf("LoadRepository(%s) loaded %v", snap, r.Partitions())
+		}
+	}
+}
+
+// TestLoadRepositoryRejectsTrailingData: a snapshot followed by more
+// bytes, garbage or a second snapshot, is an error, not the first
+// snapshot restored on its own.
+func TestLoadRepositoryRejectsTrailingData(t *testing.T) {
+	s, _ := inferSchema(t, `{"a": 1}`)
+	repo := jsi.NewRepository()
+	repo.Append("p", s, 1)
+	var buf bytes.Buffer
+	if err := repo.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.String()
+	if _, err := jsi.LoadRepository(strings.NewReader(snap + " \n\t")); err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
+	for name, doc := range map[string]string{
+		"garbage":  snap + "garbage",
+		"twice":    snap + snap,
+		"brace":    snap + "}",
+		"no space": strings.TrimSpace(snap) + "0",
+	} {
+		if r, err := jsi.LoadRepository(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: snapshot with trailing data loaded %v", name, r.Partitions())
+		}
+	}
+}
+
+// TestLoadRepositoryExactCount: a count above 2^53, where float64
+// rounds, loads exactly and saves back unchanged.
+func TestLoadRepositoryExactCount(t *testing.T) {
+	const count = 9007199254740993 // 2^53 + 1
+	snap := fmt.Sprintf(`{"partitions":[{"name":"p","count":%d,"schema":{"k":"num"}}]}`, count)
+	r, err := jsi.LoadRepository(strings.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.PartitionCount("p"); got != count {
+		t.Fatalf("PartitionCount = %d, want %d", got, count)
+	}
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"count": 9007199254740993,`) {
+		t.Errorf("Save wrote\n%s", buf.Bytes())
+	}
 }
 
 // TestRepositoryAppendRejectsLostRecords: Append panics on the counts
