@@ -124,6 +124,9 @@ type Decoder struct {
 	// a fresh slice per composite value.
 	fieldScratch [][]types.Field
 	elemScratch  [][]types.Type
+
+	// match decides membership for Absorb.
+	match types.Matcher
 }
 
 // NewDecoder returns a streaming type decoder for r. The decoder draws
@@ -191,6 +194,29 @@ func (d *Decoder) Next() (types.Type, error) {
 		return nil, io.EOF
 	}
 	return d.inferValue(tok, 0)
+}
+
+// Absorb consumes the next top-level value without typing it when the
+// value is a member of t, and returns the size Next would have
+// inferred for it and true. Otherwise it returns false and leaves the
+// stream where it was, so Next reads the value (or the end of input,
+// or the error) exactly as if Absorb had not been called. The lexer
+// holds the whole value in its window until Absorb decides.
+//
+// With an observer or a promoter installed it absorbs nothing: the
+// observer needs every value, and a promoter changes what Next infers.
+func (d *Decoder) Absorb(t types.Type) (int, bool) {
+	if d.obs != nil || d.pr != nil {
+		return 0, false
+	}
+	d.lex.Pin()
+	size, ok := d.match.Match(d.lex, t)
+	if ok {
+		d.lex.Unpin()
+	} else {
+		d.lex.Rewind()
+	}
+	return size, ok
 }
 
 // Offset returns the number of input bytes consumed so far.

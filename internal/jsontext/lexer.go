@@ -116,11 +116,18 @@ type Lexer struct {
 	pos  int
 	base int64
 	// mark is the window index of the current token's first byte. A
-	// refill keeps data[mark:], so a token's bytes stay contiguous and
-	// an escape-free string is returned as a view into the window.
+	// refill keeps data[min(mark, pin):], so a token's bytes stay
+	// contiguous and an escape-free string is returned as a view into
+	// the window.
 	mark int
-	// err is a read error that arrived together with bytes; it is
-	// reported once those bytes are consumed.
+	// pin, while pinned, is the window index Rewind returns to (see
+	// Pin). A refill keeps the pinned bytes too, growing the window to
+	// hold them when they fill it.
+	pin    int
+	pinned bool
+	// err is the first read error. It is reported once the bytes that
+	// came with it are consumed, and from every later refill: a reader
+	// is never read again after it failed.
 	err error
 	// buf backs the window for reader input. It is kept across Reset and
 	// pooling; slice input never allocates it.
@@ -209,6 +216,7 @@ func (l *Lexer) Reset(r io.Reader) {
 // as views into data.
 func (l *Lexer) ResetBytes(data []byte) {
 	l.r, l.data, l.pos, l.base, l.mark, l.err = nil, data, 0, 0, 0, nil
+	l.pinned = false
 }
 
 // RawStrings toggles raw-string mode for the current stream: when on,
@@ -219,43 +227,65 @@ func (l *Lexer) RawStrings(on bool) { l.raw = on }
 // Offset returns the number of bytes consumed so far.
 func (l *Lexer) Offset() int64 { return l.base + int64(l.pos) }
 
+// Pin marks the current position so that Rewind can return to it:
+// until Unpin or Rewind, a refill keeps every byte from the pin on,
+// growing the window to hold them. A caller pins before reading one
+// value it may have to read again, so the window grows at most to
+// that value's length.
+func (l *Lexer) Pin() { l.pin, l.pinned = l.pos, true }
+
+// Unpin drops the pin; the bytes it kept may go at the next refill.
+func (l *Lexer) Unpin() { l.pinned = false }
+
+// Rewind returns to the pinned position and drops the pin, so the
+// tokens since Pin are read again, with the same offsets. A read error
+// met since Pin is kept and comes back when the re-read reaches it.
+func (l *Lexer) Rewind() {
+	l.pos, l.mark, l.pinned = l.pin, l.pin, false
+}
+
 func (l *Lexer) errorf(off int64, format string, args ...any) error {
 	return &SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }
 
 // fill reads more input once the window is exhausted. It keeps
-// data[mark:], moving it to the front of buf, and grows buf only when
-// that token fills it. Errors follow bufio.Reader: a read error is
-// reported once, after any bytes that came with it, 100 consecutive
-// empty reads fail with io.ErrNoProgress, and slice input ends with
-// io.EOF.
+// data[keep:], keep being the current token's first byte or the pin if
+// that is earlier, moving them to the front of buf, and grows buf only
+// when they fill it. A read error is reported after any bytes that
+// came with it, and then from every later call, so a failed reader is
+// never read again; 100 consecutive empty reads fail with
+// io.ErrNoProgress the same way, and slice input ends with io.EOF.
 func (l *Lexer) fill() error {
-	if err := l.err; err != nil {
-		l.err = nil
-		return err
+	if l.err != nil {
+		return l.err
 	}
 	if l.r == nil {
 		return io.EOF
 	}
-	n := len(l.data) - l.mark
-	if l.mark > 0 || n == len(l.buf) {
+	keep := l.mark
+	if l.pinned && l.pin < keep {
+		keep = l.pin
+	}
+	n := len(l.data) - keep
+	if keep > 0 || n == len(l.buf) {
 		buf := l.buf
 		if n == len(buf) {
 			buf = make([]byte, max(windowSize, 2*len(buf)))
 		}
-		copy(buf, l.data[l.mark:])
+		copy(buf, l.data[keep:])
 		l.buf = buf
-		l.base += int64(l.mark)
-		l.pos -= l.mark
-		l.mark = 0
+		l.base += int64(keep)
+		l.pos -= keep
+		l.mark -= keep
+		l.pin -= keep
 	}
 	for empty := 0; empty < 100; empty++ {
 		m, err := l.r.Read(l.buf[n:])
 		n += m
 		l.data = l.buf[:n]
 		if err != nil {
+			l.err = err
 			if m > 0 {
-				l.err = err
 				return nil
 			}
 			return err
@@ -264,7 +294,19 @@ func (l *Lexer) fill() error {
 			return nil
 		}
 	}
-	return io.ErrNoProgress
+	l.err = io.ErrNoProgress
+	return l.err
+}
+
+// cut reports a token that the end of input cut short: a syntax error
+// with msg when the input simply ended, or the read error that ended
+// it, unwrapped, so that callers can tell a failed read from malformed
+// JSON.
+func (l *Lexer) cut(err error, off int64, msg string) error {
+	if err != io.EOF {
+		return err
+	}
+	return l.errorf(off, "%s", msg)
 }
 
 func (l *Lexer) readByte() (byte, error) {
@@ -277,9 +319,6 @@ func (l *Lexer) readByte() (byte, error) {
 	l.pos++
 	return b, nil
 }
-
-// unreadByte steps back over the byte readByte just returned.
-func (l *Lexer) unreadByte() { l.pos-- }
 
 // skipSpace consumes insignificant whitespace and reports io.EOF at the
 // end of input. It marks the next token's first byte.
@@ -367,7 +406,10 @@ func (l *Lexer) Next() (Token, error) {
 func (l *Lexer) expectWord(start int64, rest string) error {
 	for i := 0; i < len(rest); i++ {
 		b, err := l.readByte()
-		if err != nil || b != rest[i] {
+		if err != nil {
+			return l.cut(err, start, "invalid literal")
+		}
+		if b != rest[i] {
 			return l.errorf(start, "invalid literal")
 		}
 	}
@@ -393,8 +435,8 @@ func (l *Lexer) scanString(start int64) ([]byte, error) {
 		if i < len(data) {
 			break
 		}
-		if l.fill() != nil {
-			return nil, l.errorf(start, "unterminated string")
+		if err := l.fill(); err != nil {
+			return nil, l.cut(err, start, "unterminated string")
 		}
 	}
 	seg := l.data[l.mark+1 : l.pos]
@@ -412,7 +454,7 @@ func (l *Lexer) scanString(start int64) ([]byte, error) {
 	for {
 		b, err := l.readByte()
 		if err != nil {
-			return nil, l.errorf(start, "unterminated string")
+			return nil, l.cut(err, start, "unterminated string")
 		}
 		switch {
 		case b == '"':
@@ -427,7 +469,7 @@ func (l *Lexer) scanString(start int64) ([]byte, error) {
 		case b == '\\':
 			esc, err := l.readByte()
 			if err != nil {
-				return nil, l.errorf(start, "unterminated escape")
+				return nil, l.cut(err, start, "unterminated escape")
 			}
 			switch esc {
 			case '"':
@@ -531,7 +573,7 @@ func (l *Lexer) scanHex4(start int64) (rune, error) {
 	for i := 0; i < 4; i++ {
 		b, err := l.readByte()
 		if err != nil {
-			return 0, l.errorf(start, "short \\u escape")
+			return 0, l.cut(err, start, "short \\u escape")
 		}
 		var d rune
 		switch {
@@ -575,9 +617,10 @@ func (l *Lexer) pairSurrogate(start int64, r rune) (rune, error) {
 	return utf8.RuneError, nil
 }
 
-// scanDigits consumes a run of ASCII digits and returns its length. A
-// read error ends the run, as the end of input does.
-func (l *Lexer) scanDigits() int {
+// scanDigits consumes a run of ASCII digits and returns its length.
+// The end of input ends the run; a read error cuts the number short
+// and is returned.
+func (l *Lexer) scanDigits() (int, error) {
 	n := 0
 	for {
 		i, data := l.pos, l.data
@@ -586,64 +629,106 @@ func (l *Lexer) scanDigits() int {
 		}
 		n += i - l.pos
 		l.pos = i
-		if i < len(data) || l.fill() != nil {
-			return n
+		if i < len(data) {
+			return n, nil
+		}
+		if err := l.fill(); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return n, err
 		}
 	}
+}
+
+// scanRequiredDigits consumes the digits after a number's '.' or exponent
+// mark, of which there must be at least one.
+func (l *Lexer) scanRequiredDigits(start int64) error {
+	n, err := l.scanDigits()
+	if err == nil && n == 0 {
+		err = l.errorf(start, "malformed number")
+	}
+	return err
+}
+
+// peekByte returns the next byte without consuming it, and false at
+// the end of input. A read error is returned: it cuts a number short.
+func (l *Lexer) peekByte() (byte, bool, error) {
+	if l.pos == len(l.data) {
+		if err := l.fill(); err != nil {
+			if err == io.EOF {
+				return 0, false, nil
+			}
+			return 0, false, err
+		}
+	}
+	return l.data[l.pos], true, nil
 }
 
 // scanNumber reads a JSON number whose first byte is first, validating
 // the RFC 8259 grammar. Integers short enough to be exact in an int64
 // are converted directly; everything else goes through ParseFloat over
-// the token's bytes in the window.
+// the token's bytes in the window. A read error met before the number
+// is known to end is returned as is.
 func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
 	isInt := true
 	b := first
 	if b == '-' {
 		var err error
 		b, err = l.readByte()
-		if err != nil || b < '0' || b > '9' {
+		if err != nil {
+			return 0, l.cut(err, start, "malformed number")
+		}
+		if b < '0' || b > '9' {
 			return 0, l.errorf(start, "malformed number")
 		}
 	}
 	// Integer part: a leading zero cannot be followed by more digits.
 	if b != '0' {
-		l.scanDigits()
+		if _, err := l.scanDigits(); err != nil {
+			return 0, err
+		}
 	} else {
-		if nb, err := l.readByte(); err == nil {
-			if nb >= '0' && nb <= '9' {
-				return 0, l.errorf(start, "leading zero in number")
-			}
-			l.unreadByte()
+		nb, ok, err := l.peekByte()
+		if err != nil {
+			return 0, err
+		}
+		if ok && nb >= '0' && nb <= '9' {
+			return 0, l.errorf(start, "leading zero in number")
 		}
 	}
 	// Fraction.
-	if nb, err := l.readByte(); err == nil {
-		if nb == '.' {
-			isInt = false
-			if l.scanDigits() == 0 {
-				return 0, l.errorf(start, "malformed number")
-			}
-		} else {
-			l.unreadByte()
+	nb, ok, err := l.peekByte()
+	if err != nil {
+		return 0, err
+	}
+	if ok && nb == '.' {
+		l.pos++
+		isInt = false
+		if err := l.scanRequiredDigits(start); err != nil {
+			return 0, err
 		}
 	}
 	// Exponent.
-	if nb, err := l.readByte(); err == nil {
-		if nb == 'e' || nb == 'E' {
-			isInt = false
-			sb, err := l.readByte()
-			if err != nil {
-				return 0, l.errorf(start, "malformed exponent")
-			}
-			if sb != '+' && sb != '-' {
-				l.unreadByte()
-			}
-			if l.scanDigits() == 0 {
-				return 0, l.errorf(start, "malformed number")
-			}
-		} else {
-			l.unreadByte()
+	nb, ok, err = l.peekByte()
+	if err != nil {
+		return 0, err
+	}
+	if ok && (nb == 'e' || nb == 'E') {
+		l.pos++
+		isInt = false
+		sb, ok, err := l.peekByte()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			return 0, l.errorf(start, "malformed exponent")
+		}
+		if sb == '+' || sb == '-' {
+			l.pos++
+		}
+		if err := l.scanRequiredDigits(start); err != nil {
+			return 0, err
 		}
 	}
 	raw := l.data[l.mark:l.pos]

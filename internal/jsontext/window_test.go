@@ -131,9 +131,10 @@ func (stuckReader) Read([]byte) (int, error) { return 0, nil }
 // TestLexerReaderFailures cuts a document at every byte and ends the
 // stream there with a read error, or with a reader that returns
 // (0, nil) forever. The reader lexers must produce exactly the slice
-// lexer's steps over the prefix, except that where the slice reaches
-// the end of input the reader reports the error — io.ErrNoProgress for
-// the stuck reader.
+// lexer's steps over the prefix, except at the cut: where the slice
+// reaches the end of input, reports a token unterminated, or ends a
+// number there (which might have gone on), the reader reports the read
+// error itself — io.ErrNoProgress for the stuck reader.
 func TestLexerReaderFailures(t *testing.T) {
 	doc := `{"k": "vé𝄞", "n": -1.5e+2, "big": 12345678901234567890, "a": [true, false, null, {}], "z": 0}` + "\n"
 	boom := errors.New("boom")
@@ -148,9 +149,11 @@ func TestLexerReaderFailures(t *testing.T) {
 			{"stuck", io.ErrNoProgress, func() io.Reader { return stuckReader{} }},
 		} {
 			want := lexSteps(AcquireLexerBytes(prefix), true)
-			if last := &want[len(want)-1]; last.kind == TokEOF && last.err == "" {
-				*last = lexStep{err: fail.err.Error(), at: last.at}
+			last := len(want) - 1
+			if last > 0 && want[last].kind == TokEOF && want[last-1].kind == TokNum && want[last-1].at == int64(cut) {
+				last--
 			}
+			want = append(want[:last], lexStep{err: fail.err.Error(), at: want[last].at})
 			for _, rk := range readerKinds {
 				if fail.name == "stuck" && rk.name == "dataerr" {
 					continue // DataErrReader itself spins on (0, nil)
@@ -185,5 +188,93 @@ func TestParseBytesAllocation(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 4<<10 {
 		t.Errorf("ParseBytes of %d bytes allocates %d B per call, want under 4 KiB", len(data), per)
+	}
+}
+
+// failOnceReader returns head, then fails once with err, then returns
+// tail: a reader whose error a lexer must not read past.
+type failOnceReader struct {
+	parts [][]byte
+	err   error
+	calls int
+}
+
+func (r *failOnceReader) Read(p []byte) (int, error) {
+	r.calls++
+	switch r.calls {
+	case 1:
+		return copy(p, r.parts[0]), nil
+	case 2:
+		return 0, r.err
+	case 3:
+		return copy(p, r.parts[1]), nil
+	}
+	return 0, io.EOF
+}
+
+// TestLexerKeepsReadErrorInsideToken cuts a number, a string and a
+// literal with a read error that the reader would follow with the
+// token's rest. The lexer must report the read error itself, at the
+// cut token, and again on every later call, never the bytes after it.
+func TestLexerKeepsReadErrorInsideToken(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct{ head, tail string }{
+		{`12`, "345\n"},
+		{`["ab`, "c\"]\n"},
+		{`[tr`, "ue]\n"},
+	} {
+		r := &failOnceReader{parts: [][]byte{[]byte(c.head), []byte(c.tail)}, err: boom}
+		l := AcquireLexer(r)
+		var kinds []TokenKind
+		var err error
+		for err == nil {
+			var tok Token
+			tok, err = l.Next()
+			if err == nil {
+				if tok.Kind == TokEOF {
+					break
+				}
+				kinds = append(kinds, tok.Kind)
+			}
+		}
+		if !errors.Is(err, boom) {
+			t.Errorf("%q|boom|%q: tokens %v, err %v; want the read error", c.head, c.tail, kinds, err)
+		}
+		for _, k := range kinds {
+			if k != TokBeginArray {
+				t.Errorf("%q|boom|%q: the cut token came back as %v", c.head, c.tail, k)
+			}
+		}
+		if _, again := l.Next(); !errors.Is(again, boom) {
+			t.Errorf("%q|boom|%q: next call after the read error returned %v", c.head, c.tail, again)
+		}
+		if r.calls != 2 {
+			t.Errorf("%q|boom|%q: reader called %d times, want 2 (never after the error)", c.head, c.tail, r.calls)
+		}
+		l.Release()
+	}
+}
+
+// TestLexerRewind pins a value, reads into it past several refills of
+// a one-byte reader and a window's worth of string, rewinds, and reads
+// it again: the tokens, offsets and the bytes after the value must be
+// what a single pass over the same input returns.
+func TestLexerRewind(t *testing.T) {
+	long := strings.Repeat("y", windowSize+100)
+	doc := `{"a": [1, "` + long + `", true]} {"b": null}`
+	for _, rk := range readerKinds {
+		want := lexSteps(AcquireLexerBytes([]byte(doc)), true)
+		l := AcquireLexer(rk.wrap(strings.NewReader(doc)))
+		l.RawStrings(true)
+		l.Pin()
+		for i := 0; i < 7; i++ { // into the first value, past the long string
+			if _, err := l.Next(); err != nil {
+				t.Fatalf("%s: %v", rk.name, err)
+			}
+		}
+		l.Rewind()
+		if got := lexSteps(l, true); diffSteps(got, want) != "" {
+			t.Fatalf("%s: after Rewind: %s", rk.name, diffSteps(got, want))
+		}
 	}
 }

@@ -80,9 +80,10 @@ func Fold(acc Accumulator) Result {
 // two folds to the same bytes: both portions feed one size tally (min,
 // max and an exact int64 sum, so the average is one division), and the
 // distinct count is the union of both portions' structural hashes.
-// RunStream's records go through Add, which tallies sizes only: with
-// no distinct-type set, memory stays flat however many distinct types
-// a stream holds, and DistinctTypes stays zero.
+// RunStream's records go through Add, or addMember for a record the
+// fused type already covers, which tally sizes only: with no
+// distinct-type set, memory stays flat however many distinct types a
+// stream holds, and DistinctTypes stays zero.
 type chunkAcc struct {
 	// dd is the run's dedup machinery, re-checked at every merge; nil
 	// means the accumulator never interns.
@@ -109,6 +110,11 @@ func (a *chunkAcc) Add(t types.Type) {
 	a.sum.Sizes.Add(t.Size(), 1)
 	a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
 }
+
+// addMember tallies one streamed record that is a member of the fused
+// type: fusing its type would leave the fused type as it is, so only
+// its size, counted without building the type, is added.
+func (a *chunkAcc) addMember(size int) { a.sum.Sizes.Add(size, 1) }
 
 func (a *chunkAcc) Merge(other Accumulator) {
 	b := other.(*chunkAcc)

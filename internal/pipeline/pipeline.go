@@ -485,6 +485,16 @@ func (e *Env) feedAcc(dec *infer.Decoder, dd *Dedup) *chunkAcc {
 	return acc
 }
 
+// absorbs reports whether RunStream absorbs members of the running
+// fused type: under the paper's fusion, for which the membership lemma
+// is proved (the tagged strategy's variants break it). With enrichment
+// on, the decoder declines by itself, since its observer must see
+// every value.
+func (e *Env) absorbs() bool {
+	_, paper := e.Fusion.ResolvedStrategy().(fusion.Paper)
+	return paper
+}
+
 // recordChunk emits the per-chunk metrics of the map stage.
 func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 	if rec := e.Rec; rec != nil {
@@ -504,10 +514,18 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 // stays flat even when every record has a type of its own. Returns the
 // accumulator and the number of input bytes consumed. Cancellation
 // takes effect between records.
+//
+// Under the paper's fusion with no enrichment, a record that is a
+// member of the type fused so far is absorbed: matched on its tokens
+// (infer.Decoder.Absorb) and tallied by size, never typed, simplified
+// or fused. Fusing it would return the fused type unchanged
+// (docs/PERFORMANCE.md, "Absorbed members"), so the result is the same
+// bytes. Only a record the fused type does not cover is decoded.
 func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
 	acc := env.feedAcc(dec, nil)
+	absorb := env.absorbs()
 	var records int64
 	clk := env.startClock()
 	for {
@@ -523,6 +541,18 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 			case <-ctx.Done():
 				return nil, 0, fmt.Errorf("record %d: %w", records+1, ctx.Err())
 			default:
+			}
+		}
+		if absorb {
+			if size, ok := dec.Absorb(acc.fused); ok {
+				acc.addMember(size)
+				clk.lap(&clk.decode)
+				records++
+				if env.Rec != nil {
+					env.Rec.Add("infer_records", 1)
+					env.Rec.Add("infer_absorbed_records", 1)
+				}
+				continue
 			}
 		}
 		t, err := dec.Next()

@@ -3,6 +3,7 @@ package types
 import (
 	"fmt"
 
+	"repro/internal/jsontext"
 	"repro/internal/value"
 )
 
@@ -136,4 +137,221 @@ func Member(v value.Value, t Type) bool {
 	default:
 		panic(fmt.Sprintf("types: unknown type %T", t))
 	}
+}
+
+// A Matcher is Member over tokens: it decides whether the next JSON
+// value a lexer reads belongs to ⟦t⟧ without building the value, and
+// counts the size the value's inferred type would have (infer.Infer's
+// Size: a scalar is 1, an object 1 plus 1 and the child's size per
+// member, an array 1 plus its elements' sizes). Member is its oracle.
+//
+// It decides every type in the paper's normal form — basic, record,
+// tuple, [T*] and a union with at most one alternative per kind, which
+// the first token of the value picks. It admits no value of a type it
+// cannot decide in one pass: a map (a repeated key would need a key
+// set to catch), variants, or a union with two alternatives of one
+// kind. Its false is therefore always safe for a caller that reads the
+// value again, and its true always means Member holds.
+//
+// The zero value is ready to use; one Matcher reuses its scratch
+// across calls. It is not safe for concurrent use.
+type Matcher struct {
+	// seen is a stack of bitsets, one per open object, marking the
+	// fields already matched so a repeated key is caught.
+	seen []uint64
+}
+
+// Match reads exactly one value from lex, which must be in raw-string
+// mode, and reports its inferred type's size and whether it belongs to
+// t. A repeated key, a syntax or read error, or anything t does not
+// admit makes the value a non-member; Match then returns false as soon
+// as it knows, leaving lex inside the value, and the caller rewinds it
+// (jsontext.Lexer.Pin) to read the value again.
+func (m *Matcher) Match(lex *jsontext.Lexer, t Type) (int, bool) {
+	if t == Type(Empty) {
+		return 0, false
+	}
+	tok, err := lex.Next()
+	if err != nil {
+		return 0, false
+	}
+	return m.value(lex, tok, t)
+}
+
+// value matches the value that starts with tok against t.
+func (m *Matcher) value(lex *jsontext.Lexer, tok jsontext.Token, t Type) (int, bool) {
+	if u, ok := t.(*Union); ok {
+		if t = u.altOfToken(tok.Kind); t == nil {
+			return 0, false
+		}
+	}
+	switch tok.Kind {
+	case jsontext.TokNull:
+		return 1, t == Type(Null)
+	case jsontext.TokTrue, jsontext.TokFalse:
+		return 1, t == Type(Bool)
+	case jsontext.TokNum:
+		return 1, t == Type(Num)
+	case jsontext.TokStr:
+		return 1, t == Type(Str)
+	case jsontext.TokBeginObject:
+		if r, ok := t.(*Record); ok {
+			return m.record(lex, r)
+		}
+	case jsontext.TokBeginArray:
+		switch tt := t.(type) {
+		case *Repeated:
+			return m.array(lex, tt.elem, nil)
+		case *Tuple:
+			return m.array(lex, nil, tt.elems)
+		}
+	}
+	return 0, false
+}
+
+// altOfToken returns the alternative of u whose kind a value starting
+// with a token of kind k has, or nil when there is none, or more than
+// one (a union outside normal form).
+func (u *Union) altOfToken(k jsontext.TokenKind) Type {
+	var want Kind
+	switch k {
+	case jsontext.TokNull:
+		want = KindNull
+	case jsontext.TokTrue, jsontext.TokFalse:
+		want = KindBool
+	case jsontext.TokNum:
+		want = KindNum
+	case jsontext.TokStr:
+		want = KindStr
+	case jsontext.TokBeginObject:
+		want = KindRecord
+	case jsontext.TokBeginArray:
+		want = KindArray
+	default:
+		return nil
+	}
+	var alt Type
+	for _, a := range u.alts {
+		if ak, _ := KindOf(a); ak == want {
+			if alt != nil {
+				return nil
+			}
+			alt = a
+		}
+	}
+	return alt
+}
+
+// record matches the members of an object whose '{' has been read.
+func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, bool) {
+	fs := r.fields
+	base := len(m.seen)
+	for w := 0; w < (len(fs)+63)/64; w++ {
+		m.seen = append(m.seen, 0)
+	}
+	defer func() { m.seen = m.seen[:base] }()
+	size, mandatory, next := 1, 0, 0
+	tok, err := lex.Next()
+	for err == nil && tok.Kind != jsontext.TokEndObject {
+		if size > 1 { // after the first member
+			if tok.Kind != jsontext.TokComma {
+				return 0, false
+			}
+			if tok, err = lex.Next(); err != nil {
+				return 0, false
+			}
+		}
+		if tok.Kind != jsontext.TokStr {
+			return 0, false
+		}
+		i := fieldIndex(fs, tok.Bytes, next)
+		if i < 0 {
+			return 0, false // a key the type does not mention
+		}
+		w, bit := base+i/64, uint64(1)<<(i%64)
+		if m.seen[w]&bit != 0 {
+			return 0, false // a repeated key: malformed
+		}
+		m.seen[w] |= bit
+		if !fs[i].Optional {
+			mandatory++
+		}
+		next = i + 1
+		if tok, err = lex.Next(); err != nil || tok.Kind != jsontext.TokColon {
+			return 0, false
+		}
+		if tok, err = lex.Next(); err != nil {
+			return 0, false
+		}
+		n, ok := m.value(lex, tok, fs[i].Type)
+		if !ok {
+			return 0, false
+		}
+		size += 1 + n
+		tok, err = lex.Next()
+	}
+	if err != nil {
+		return 0, false
+	}
+	for _, f := range fs {
+		if !f.Optional {
+			mandatory--
+		}
+	}
+	return size, mandatory == 0 // every mandatory field present
+}
+
+// fieldIndex returns the index of the field keyed key in fs, or -1.
+// Objects mostly list their keys in the type's (sorted) order, so the
+// field after the previous match, at hint, is tried first.
+func fieldIndex(fs []Field, key []byte, hint int) int {
+	if hint < len(fs) && fs[hint].Key == string(key) {
+		return hint
+	}
+	lo, hi := 0, len(fs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if fs[mid].Key < string(key) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(fs) && fs[lo].Key == string(key) {
+		return lo
+	}
+	return -1
+}
+
+// array matches the elements of an array whose '[' has been read:
+// against elem for [T*], or position by position against elems for a
+// tuple (elem nil).
+func (m *Matcher) array(lex *jsontext.Lexer, elem Type, elems []Type) (int, bool) {
+	size, i := 1, 0
+	tok, err := lex.Next()
+	for err == nil && tok.Kind != jsontext.TokEndArray {
+		if i > 0 {
+			if tok.Kind != jsontext.TokComma {
+				return 0, false
+			}
+			if tok, err = lex.Next(); err != nil {
+				return 0, false
+			}
+		}
+		et := elem
+		if et == nil {
+			if i == len(elems) {
+				return 0, false // longer than the tuple
+			}
+			et = elems[i]
+		}
+		n, ok := m.value(lex, tok, et)
+		if !ok {
+			return 0, false
+		}
+		size += n
+		i++
+		tok, err = lex.Next()
+	}
+	return size, err == nil && (elem != nil || i == len(elems))
 }

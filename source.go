@@ -39,10 +39,12 @@ func FromBytes(data []byte) Source { return bytesSource{data: data} }
 
 // FromReader is a stream of JSON values processed with constant
 // memory: values are typed and fused one at a time, never materialized
-// as a whole, and never interned. Use it for inputs too large to
-// buffer; note that Stats.DistinctTypes is unavailable (zero) on this
-// path, which keeps no set of distinct types. The reader is consumed
-// until EOF or error.
+// as a whole, and never interned. Under the default paper fusion, a
+// value the schema fused so far already covers is only matched, not
+// typed, which changes the cost but never the result. Use it for
+// inputs too large to buffer; note that Stats.DistinctTypes is
+// unavailable (zero) on this path, which keeps no set of distinct
+// types. The reader is consumed until EOF or error.
 func FromReader(r io.Reader) Source { return readerSource{r: r} }
 
 // FromFile is one NDJSON file processed with bounded memory: the file
