@@ -399,10 +399,10 @@ func BenchmarkTypePrintParse(b *testing.B) {
 }
 
 // BenchmarkInferNDJSON measures the public in-memory entry point end to
-// end with no recorder installed, on the two skew extremes of the
-// adaptive cost model (docs/PERFORMANCE.md): twitter's chunks settle on
-// interning, wikidata's all-distinct chunks degrade to the plain tally.
-// CI's -benchtime=1x smoke runs both routes.
+// end with no recorder installed, on the two extremes of absorption
+// (docs/PERFORMANCE.md): most of twitter's records are absorbed as
+// members of the schema fused so far, while most of wikidata's
+// all-distinct records are typed. CI's -benchtime=1x smoke runs both.
 func BenchmarkInferNDJSON(b *testing.B) {
 	for _, name := range []string{"twitter", "wikidata"} {
 		b.Run(name, func(b *testing.B) {
@@ -448,6 +448,22 @@ func BenchmarkInferReader(b *testing.B) {
 			}
 			b.ReportMetric(100*float64(m.Counters["infer_absorbed_records"])/float64(m.Counters["infer_records"]), "absorbed-pct")
 		})
+	}
+}
+
+// BenchmarkInferNDJSONTagged measures the in-memory entry point on
+// github records under TaggedUnions, a run that absorbs nothing: every
+// chunk types, simplifies and fuses every record.
+func BenchmarkInferNDJSONTagged(b *testing.B) {
+	g, _ := dataset.New("github")
+	data := dataset.NDJSON(g, benchScale(), 1)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := jsi.InferNDJSON(data, jsi.Options{TaggedUnions: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

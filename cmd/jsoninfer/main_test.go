@@ -421,9 +421,9 @@ func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	}
 }
 
-// TestStatsDedupExactAcrossFiles: one intern table spans every file of
-// a run, so the chunked pipeline merges distinct-type multisets by
-// identity across partitions and the stats line stays exact over
+// TestStatsDedupExactAcrossFiles: the chunked pipeline merges the
+// distinct-type hash sets of every file of a run, so the stats line
+// stays exact over
 // several files — including when both files share shapes, where a
 // per-file bound would undercount. The -stream path keeps no
 // distinct-type set and reports zero.

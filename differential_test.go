@@ -18,6 +18,10 @@ import (
 
 	jsi "repro"
 	"repro/internal/dataset"
+	"repro/internal/fusion"
+	"repro/internal/infer"
+	"repro/internal/stats"
+	"repro/internal/types"
 )
 
 // canonical renders a schema to its canonical codec bytes.
@@ -268,12 +272,49 @@ func TestDifferentialEnrichmentTransparent(t *testing.T) {
 	}
 }
 
-// TestDifferentialDedupStatsAndMetrics pins the adaptive path's
-// contract beyond schema bytes: at Workers 1, the full Stats struct
-// matches the degraded tactic's (InferPlain) field for field, and the
-// metrics snapshots are identical once timing and cache counters are
-// stripped — infer_records, infer_chunks, the fusion-growth histogram,
-// everything else must not move, whichever chunks interned.
+// typeEveryRecord is the reference that types every record of data
+// outside the engine: infer.InferAll, a stats.Summary over the inferred
+// types and a fold of their simplified forms under the paper's fusion.
+// It returns the finalized schema's codec bytes and the type-level
+// Stats.
+func typeEveryRecord(t *testing.T, data []byte) ([]byte, jsi.Stats) {
+	t.Helper()
+	ts, err := infer.InferAll(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		fz  fusion.Options
+		sum stats.Summary
+	)
+	fused := types.Type(types.Empty)
+	for _, ty := range ts {
+		sum.Add(ty)
+		fused = fz.Fuse(fused, fz.Simplify(ty))
+	}
+	b, err := types.MarshalJSON(fz.Finalize(fused))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, jsi.Stats{
+		Records:       sum.Count(),
+		Bytes:         int64(len(data)),
+		DistinctTypes: sum.Distinct(),
+		MinTypeSize:   sum.MinSize(),
+		MaxTypeSize:   sum.MaxSize(),
+		AvgTypeSize:   sum.AvgSize(),
+	}
+}
+
+// TestDifferentialDedupStatsAndMetrics pins the absorbing path's
+// contract beyond schema bytes. At Workers 1 the schema and the full
+// Stats struct, DistinctTypes included, match both the reference that
+// types every record outside the engine and the run with no cover
+// (InferPlain); the metrics snapshots match the latter's once timings
+// and the absorption metrics are stripped — infer_records,
+// infer_chunks, everything else must not move, whichever records were
+// absorbed. The absorption metrics themselves are deterministic at one
+// worker without faults: two runs record the same full snapshot.
 func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 	for _, name := range dataset.Names() {
 		g, err := dataset.New(name)
@@ -292,14 +333,23 @@ func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 			return s, st, c.Metrics()
 		}
 		refSchema, refStats, refMetrics := run("plain", jsi.InferPlain)
-		gotSchema, gotStats, gotMetrics := run("adaptive", jsi.Infer)
+		gotSchema, gotStats, gotMetrics := run("absorbing", jsi.Infer)
+		_, _, againMetrics := run("absorbing again", jsi.Infer)
 
-		if !bytes.Equal(canonical(t, refSchema), canonical(t, gotSchema)) {
-			t.Errorf("%s: adaptive schema diverged", name)
+		wantBytes, wantStats := typeEveryRecord(t, data)
+		for _, c := range []struct {
+			label string
+			s     *jsi.Schema
+			st    jsi.Stats
+		}{{"plain", refSchema, refStats}, {"absorbing", gotSchema, gotStats}} {
+			if !bytes.Equal(canonical(t, c.s), wantBytes) {
+				t.Errorf("%s: %s schema diverged from the reference", name, c.label)
+			}
+			if c.st != wantStats {
+				t.Errorf("%s: %s stats diverged\n got: %+v\nwant: %+v", name, c.label, c.st, wantStats)
+			}
 		}
-		if refStats != gotStats {
-			t.Errorf("%s: stats diverged\n got: %+v\nwant: %+v", name, gotStats, refStats)
-		}
+
 		want, err := refMetrics.WithoutTimings().WithoutCache().MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -309,36 +359,36 @@ func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: non-cache metrics diverged\n got: %s\nwant: %s", name, got, want)
+			t.Errorf("%s: metrics beyond absorption diverged\n got: %s\nwant: %s", name, got, want)
+		}
+		got, err = gotMetrics.WithoutTimings().MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := againMetrics.WithoutTimings().MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, again) {
+			t.Errorf("%s: one-worker metrics differ between runs\n got: %s\nthen: %s", name, got, again)
 		}
 
-		// The adaptive run must actually have interned (the first chunk
-		// samples through the intern table) and recorded every cache
-		// counter, zero where its chunks degraded before fusing through
-		// the memo; the plain run records none.
-		counters := gotMetrics.Counters
-		if counters["intern_hits"] == 0 || counters["intern_misses"] == 0 {
-			t.Errorf("%s: intern counters missing: %v", name, counters)
+		// Only the run with a cover absorbs, and it absorbs most records
+		// of every generator but the one whose records are all distinct.
+		if n, ok := refMetrics.Counters["infer_absorbed_records"]; ok {
+			t.Errorf("%s: the run with no cover absorbed %d records", name, n)
 		}
-		for _, c := range []string{"fuse_cache_hits", "fuse_cache_misses", "simplify_cache_hits", "simplify_cache_misses"} {
-			if _, ok := counters[c]; !ok {
-				t.Errorf("%s: %s missing", name, c)
-			}
-			if _, ok := refMetrics.Counters[c]; ok {
-				t.Errorf("%s: plain run recorded %s", name, c)
-			}
-		}
-		if _, ok := refMetrics.Counters["intern_hits"]; ok {
-			t.Errorf("%s: plain run recorded intern counters", name)
+		if n := gotMetrics.Counters["infer_absorbed_records"]; name != "wikidata" && n < 150 {
+			t.Errorf("%s: absorbed %d of 300 records, want most", name, n)
 		}
 	}
 }
 
 // TestDifferentialDedupExactDistinctAcrossSources: every chunked Source
 // reports the SAME exact DistinctTypes — in memory, chunked stream,
-// single file and several files, where one intern table spans the
-// files — while FromReader, which keeps no distinct-type set, reports
-// zero.
+// single file and several files, where one cover and the distinct-type
+// hash sets span the files — while FromReader, which keeps no
+// distinct-type set, reports zero.
 func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	dir := t.TempDir()
 	g, err := dataset.New("github")
@@ -392,14 +442,14 @@ func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	}
 }
 
-// TestDifferentialDedupAutoDeterminism pins the adaptive cost model's
-// core promise at real sample sizes: with enough records per chunk for
-// the degrade decision to fire on full windows (wikidata's all-distinct
-// records) — or to settle on interning (twitter's repetitive ones) —
-// the result is byte-identical to the degraded tactic alone across
-// 1/4/8 workers and the bytes, file and streaming sources. The shared
-// hint makes the *cost* of a chunk depend on scheduling; this test is
-// the proof the *result* does not.
+// TestDifferentialDedupAutoDeterminism pins absorption's core promise
+// at real sizes, on records that are all distinct (wikidata, mostly
+// typed) and on repetitive ones (twitter, nearly all absorbed): the
+// result is byte-identical to the fold with no cover, which types every
+// record, across 1/4/8 workers and the bytes, file and streaming
+// sources. Which records a chunk absorbs depends on which chunks were
+// mapped before it, and so on scheduling; this test is the proof the
+// *result* does not.
 func TestDifferentialDedupAutoDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"wikidata", "twitter"} {

@@ -2,16 +2,16 @@ package jsoninference
 
 import "context"
 
-// InferPlain is Infer with the dedup machinery detached: every chunk
-// takes the degraded tactic from its first record (the plain tally and
-// the online balanced-tree fold, fusing each record as it is decoded).
-// The differential suite checks the adaptive path against it.
+// InferPlain is Infer with the cover detached: every chunk types,
+// simplifies and fuses every record, absorbing none — the fold the
+// experiments harness measures. The differential suite checks the
+// absorbing path against it.
 func InferPlain(ctx context.Context, src Source, opts Options) (*Schema, Stats, error) {
 	if err := opts.validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	env := opts.env()
-	env.Dedup = nil
+	env.Cover = nil
 	return runSource(ctx, src, env)
 }
 

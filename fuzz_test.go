@@ -90,24 +90,24 @@ func FuzzInferEndToEnd(f *testing.F) {
 			t.Fatalf("streaming Records = %d, want %d", rdStats.Records, seqStats.Records)
 		}
 
-		// Cross-check the adaptive cost model against its degraded tactic
-		// alone. Chunks may intern, degrade or mix the two; the fuzzer
-		// hunts for shapes where interning, the memoized fuse cache or
-		// multiset merging would become observable in the schema or any
-		// Stats field.
+		// Cross-check absorption against the fold that types every
+		// record. Chunks absorb what the schema fused so far covers; the
+		// fuzzer hunts for shapes where absorbing, or tallying an
+		// absorbed record by its token-computed hash, would become
+		// observable in the schema or any Stats field.
 		plSchema, plStats, plErr := jsi.InferPlain(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 8})
 		if plErr != nil {
-			t.Fatalf("plain tactic rejected input the adaptive pipeline accepted: %v", plErr)
+			t.Fatalf("plain fold rejected input the absorbing pipeline accepted: %v", plErr)
 		}
 		plJSON, err := plSchema.MarshalJSON()
 		if err != nil {
 			t.Fatalf("marshal plain: %v", err)
 		}
 		if !bytes.Equal(seqJSON, plJSON) {
-			t.Fatalf("plain schema diverged\n adaptive: %s\n    plain: %s", seqJSON, plJSON)
+			t.Fatalf("plain schema diverged\n absorbing: %s\n     plain: %s", seqJSON, plJSON)
 		}
 		if plStats != seqStats || parStats != seqStats {
-			t.Fatalf("Stats diverged: adaptive %+v, parallel %+v, plain %+v", seqStats, parStats, plStats)
+			t.Fatalf("Stats diverged: sequential %+v, parallel %+v, plain %+v", seqStats, parStats, plStats)
 		}
 
 		// Tagged-union variants: the Variants merge must keep the policy

@@ -109,19 +109,18 @@ type Options struct {
 
 // env resolves the Options into the pipeline environment one Infer
 // call runs under — the bundle every Source adapter and stage reads
-// instead of threading (options, recorder, dedup state) as
-// separate parameters. Every run gets fresh dedup machinery: one intern
-// table and memo span all its chunks and files.
+// instead of threading (options, recorder, cover) as separate
+// parameters. Every run gets a fresh cover, which spans all its chunks
+// and files.
 func (o Options) env() *pipeline.Env {
-	fz := o.fusionOptions()
 	env := &pipeline.Env{
-		Fusion:     fz,
+		Fusion:     o.fusionOptions(),
 		Workers:    o.workers(),
 		ChunkBytes: o.ChunkBytes,
 		MaxDepth:   o.MaxDepth,
 		Failure:    mapreduce.FailurePolicy{Retries: o.Retries, Skip: o.OnError == OnErrorSkip},
 		Injector:   o.injector(),
-		Dedup:      pipeline.NewDedup(fz),
+		Cover:      &pipeline.Cover{},
 	}
 	if o.Collector != nil {
 		env.Rec = o.Collector.recorder()
@@ -270,8 +269,9 @@ type Stats struct {
 	Bytes int64
 	// DistinctTypes is the number of distinct types the Map phase
 	// produced. It is exact on every chunked Source (FromBytes,
-	// FromFile, FromFiles, FromChunkedReader): one intern table spans
-	// the run's chunks and files, so their distinct-type sets merge
+	// FromFile, FromFiles, FromChunkedReader): each chunk keeps the
+	// structural hashes of its records' types, absorbed records
+	// included, and the run's chunks and files merge those sets
 	// exactly. It is zero on FromReader, whose constant-memory path
 	// keeps no such set.
 	DistinctTypes int
@@ -308,8 +308,8 @@ func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error
 
 // runSource executes src under env, folds its accumulator once and
 // records the run-level metrics, the final fold's time among them.
-// A nil env.Dedup degrades every chunk from its first record; the tests
-// use that as the fixed reference the adaptive path must match.
+// With env.Cover nil every chunk types every record; the tests use that
+// as a reference the absorbing path must match.
 func runSource(ctx context.Context, src Source, env *pipeline.Env) (*Schema, Stats, error) {
 	rec := env.Rec
 	var t0 time.Time
@@ -330,7 +330,6 @@ func runSource(ctx context.Context, src Source, env *pipeline.Env) (*Schema, Sta
 	}
 	st, schema := typeStats(res, feed)
 	if rec != nil {
-		env.Dedup.Record(rec)
 		wall := time.Since(t0)
 		rec.Add("infer_wall_ns", int64(wall))
 		rec.Set("infer_fused_size", int64(schema.Size()))

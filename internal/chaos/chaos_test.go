@@ -163,12 +163,12 @@ func TestRetryEnrichmentByteIdentical(t *testing.T) {
 }
 
 // TestRetryByteIdenticalWithDedup re-runs the retry acceptance
-// criterion on the two skew extremes of the adaptive cost model:
-// twitter's chunks keep interning, wikidata's degrade to the plain
-// tally. Retried chunks re-intern their types into the shared table,
-// re-emit their multisets and re-publish the shared decision, and none
-// of it may corrupt the result — schema bytes, record counts AND the
-// exact distinct-type count must match a fault-free reference across
+// criterion on the two extremes of absorption: twitter's chunks absorb
+// most records against the run's cover, wikidata's type most of
+// theirs. A failed attempt may have absorbed records before it failed,
+// and only a successful attempt adds its chunk to the cover; none of it
+// may corrupt the result — schema bytes, record counts AND the exact
+// distinct-type count must match a fault-free reference across
 // randomized schedules.
 func TestRetryByteIdenticalWithDedup(t *testing.T) {
 	for _, name := range []string{"twitter", "wikidata"} {
@@ -326,9 +326,10 @@ func TestSkipQuarantinesPermanentChunks(t *testing.T) {
 }
 
 // TestSkipDedupMatchesDefault: under OnErrorSkip, a quarantined
-// chunk's multiset is dropped wholesale, never partially merged, and
-// its records never reach the intern table's distinct count. The skip
-// run must therefore equal a fault-free run over just the surviving
+// chunk's accumulator is dropped wholesale, never partially merged,
+// and never joins the cover, so its records reach neither the schema
+// nor the distinct count, and no later chunk absorbs against them. The
+// skip run must therefore equal a fault-free run over just the surviving
 // chunks: same schema, same records, same exact distinct types.
 func TestSkipDedupMatchesDefault(t *testing.T) {
 	data := testInput(t, "github", 400)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -65,6 +66,25 @@ func TestRunPipelineBasics(t *testing.T) {
 		if res.InferTime <= 0 || res.FuseTime <= 0 || res.Wall <= 0 {
 			t.Errorf("%s: times not measured: %v %v %v", name, res.InferTime, res.FuseTime, res.Wall)
 		}
+	}
+}
+
+// TestRunPipelineTypesEveryRecord pins that the harness measures the
+// fold that types every record, the paper's Map phase: its Env has no
+// cover, so nothing is absorbed even on repetitive data.
+func TestRunPipelineTypesEveryRecord(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := tinyCfg()
+	cfg.Recorder = reg
+	if _, err := RunPipeline(context.Background(), "twitter", 300, cfg); err != nil {
+		t.Fatal(err)
+	}
+	m := reg.Snapshot()
+	if n, ok := m.Counters["infer_absorbed_records"]; ok {
+		t.Errorf("the harness absorbed %d records", n)
+	}
+	if m.Counters["infer_records"] != 300 {
+		t.Errorf("infer_records = %d, want 300", m.Counters["infer_records"])
 	}
 }
 

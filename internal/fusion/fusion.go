@@ -89,8 +89,8 @@ func FuseAllTree(ts []types.Type) types.Type {
 // work near O(total size × log inputs). Fusion is associative and
 // commutative (Theorems 5.4 and 5.5), so the fold shape is invisible in
 // the result: TestTreeFoldConformance pins it byte for byte against
-// FuseAll, and the differential suite pins the pipeline's degraded
-// chunks against the sequential left fold of the streaming driver.
+// FuseAll, and the differential suite pins the pipeline's chunks
+// against the sequential left fold of the streaming driver.
 type TreeFold struct {
 	fuse   func(a, b types.Type) types.Type
 	levels []types.Type
@@ -114,6 +114,12 @@ func (f *TreeFold) Add(t types.Type) {
 	}
 	f.levels = append(f.levels, t)
 }
+
+// Partials returns the fold's partial results, smallest first: each
+// non-nil entry is the fusion of a run of the types added so far, and
+// Result fuses them all. The slice is the fold's own; it is valid until
+// the next Add.
+func (f *TreeFold) Partials() []types.Type { return f.levels }
 
 // Result returns the fusion of every type added so far, ε when none
 // was. It leaves the fold unchanged, so adding may continue.

@@ -50,8 +50,8 @@ type Memo struct {
 type fuseKey struct{ a, b intern.ID }
 
 // NewMemo returns a memoized fusion policy over the given intern table.
-// The table may be shared with the decoding phase (the dedup pipeline
-// does exactly that), so types interned during decoding are cache keys
+// The table may be shared with the decoding phase (as with
+// infer.DedupAllWith), so types interned during decoding are cache keys
 // without further canonicalization.
 func NewMemo(o Options, tab *intern.Table) *Memo {
 	m := &Memo{
@@ -77,8 +77,8 @@ func (m *Memo) Fuse(t1, t2 types.Type) types.Type { return m.pol.fuse(t1, t2) }
 func (m *Memo) Simplify(t types.Type) types.Type { return m.pol.simplify(t) }
 
 // Finalize lowers intermediate tagged-union states (see
-// Options.Finalize). It runs un-memoized — the pipeline calls it once
-// per fold, on the final accumulated type, and its inputs need not be
+// Options.Finalize). It runs un-memoized — it is called once per
+// fold, on the final accumulated type, and its inputs need not be
 // canonical.
 func (m *Memo) Finalize(t types.Type) types.Type {
 	if !hasVariants(t) {

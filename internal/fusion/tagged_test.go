@@ -304,7 +304,7 @@ func TestTaggedFinalizeWrapperThreshold(t *testing.T) {
 }
 
 // TestTaggedIdempotent: fusing a tagged schema with itself changes
-// nothing — the absorption law the dedup accumulator relies on.
+// nothing — the idempotence law merging accumulators relies on.
 func TestTaggedIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

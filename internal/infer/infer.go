@@ -197,26 +197,27 @@ func (d *Decoder) Next() (types.Type, error) {
 }
 
 // Absorb consumes the next top-level value without typing it when the
-// value is a member of t, and returns the size Next would have
-// inferred for it and true. Otherwise it returns false and leaves the
-// stream where it was, so Next reads the value (or the end of input,
-// or the error) exactly as if Absorb had not been called. The lexer
+// value is a member of t, and returns the size and the structural hash
+// (types.Hash) of the type Next would have inferred for it and true.
+// Otherwise it returns false and leaves the stream where it was, so
+// Next reads the value (or the end of input, or the error) exactly as
+// if Absorb had not been called. The lexer
 // holds the whole value in its window until Absorb decides.
 //
 // With an observer or a promoter installed it absorbs nothing: the
 // observer needs every value, and a promoter changes what Next infers.
-func (d *Decoder) Absorb(t types.Type) (int, bool) {
+func (d *Decoder) Absorb(t types.Type) (size int, hash uint64, ok bool) {
 	if d.obs != nil || d.pr != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	d.lex.Pin()
-	size, ok := d.match.Match(d.lex, t)
+	size, hash, ok = d.match.Match(d.lex, t)
 	if ok {
 		d.lex.Unpin()
 	} else {
 		d.lex.Rewind()
 	}
-	return size, ok
+	return size, hash, ok
 }
 
 // Offset returns the number of input bytes consumed so far.

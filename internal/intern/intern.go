@@ -1,7 +1,7 @@
 // Package intern canonicalizes types.Type values by hash-consing: every
 // structurally distinct type gets exactly one representative node, so
-// structural equality collapses to pointer (or ID) comparison and the
-// pipeline can deduplicate the types of millions of records into the
+// structural equality collapses to pointer (or ID) comparison and a
+// caller can deduplicate the types of millions of records into the
 // handful of shapes the paper's evaluation observes (Tables 2-5 report
 // tens of distinct types over millions of values).
 //
@@ -14,8 +14,8 @@
 // node is itself interned (the canonical representative of its
 // equivalence class), which all constructors below maintain.
 //
-// The table is safe for concurrent use: the map phase interns from many
-// workers at once. Lookups take a read lock; a miss re-probes under the
+// The table is safe for concurrent use: many workers may intern into
+// it at once. Lookups take a read lock; a miss re-probes under the
 // write lock before inserting, so exactly one representative wins per
 // equivalence class and the hit/miss counters stay deterministic on a
 // single-worker run (misses == distinct types).

@@ -89,8 +89,8 @@ func SplitLines(data []byte, n int) [][]byte {
 // zero. Partition size never shows in the schema (the reduce is
 // associative and commutative), so it is only a cost choice: chunks this
 // size keep the in-flight buffers of a run small, while much shorter
-// ones spend more CPU on per-chunk work (the dedup sample window, the
-// chunk's own fold and its merge).
+// ones spend more CPU on per-chunk work (the chunk's own fold, its
+// records typed before the cover grew, and its merge).
 const defaultChunkBytes = 256 << 10
 
 // chunkSlack is the room every size class leaves above its power of

@@ -139,22 +139,22 @@ func IsFaultMetric(name string) bool {
 // and a run whose transient faults were all retried to success.
 func (m Metrics) WithoutFaults() Metrics { return m.without(IsFaultMetric) }
 
-// IsCacheMetric reports whether the named metric counts cache
-// effectiveness rather than work done: the intern-table counters
-// (intern_hits, intern_misses) and the fuse/simplify cache counters
-// (fuse_cache_hits, simplify_cache_misses, ...). These are exact only
-// on a single-worker fault-free run — concurrent workers can race to
-// compute the same entry (shifting the hit/miss split) and retried
-// chunks re-intern their types — so determinism comparisons strip them
-// via WithoutCache.
+// IsCacheMetric reports whether the named metric measures how much of
+// a run's input the schema already covered rather than the input
+// itself: the records absorbed without typing (infer_absorbed_records)
+// and the per-chunk fused sizes (infer_chunk_fused_size), which leave
+// the absorbed records out. A chunk absorbs against the schema of the
+// chunks mapped before it, so these are exact only on a single-worker
+// fault-free run: under concurrency or retries, which chunks came
+// first depends on scheduling. Determinism comparisons strip them via
+// WithoutCache.
 func IsCacheMetric(name string) bool {
-	return strings.HasPrefix(name, "intern_") || strings.Contains(name, "_cache_")
+	return name == "infer_absorbed_records" || name == "infer_chunk_fused_size"
 }
 
-// WithoutCache returns a copy of the snapshot with every
-// cache-effectiveness metric removed (see IsCacheMetric). Composed with
-// WithoutTimings, what remains must not depend on which chunks of a run
-// interned their types.
+// WithoutCache returns a copy of the snapshot with every metric
+// IsCacheMetric names removed. Composed with WithoutTimings, what
+// remains must not depend on which records a run's chunks absorbed.
 func (m Metrics) WithoutCache() Metrics { return m.without(IsCacheMetric) }
 
 // IsTimingMetric reports whether the named metric depends on host

@@ -152,6 +152,23 @@ func TestIsFaultMetric(t *testing.T) {
 	}
 }
 
+func TestWithoutCache(t *testing.T) {
+	m := Metrics{
+		Counters:   map[string]int64{"infer_records": 10, "infer_absorbed_records": 7},
+		Histograms: map[string]HistogramSnapshot{"infer_chunk_records": {Count: 2}, "infer_chunk_fused_size": {Count: 2}},
+	}
+	got := m.WithoutCache()
+	if _, ok := got.Counters["infer_absorbed_records"]; ok {
+		t.Error("infer_absorbed_records survived WithoutCache")
+	}
+	if _, ok := got.Histograms["infer_chunk_fused_size"]; ok {
+		t.Error("infer_chunk_fused_size survived WithoutCache")
+	}
+	if got.Counters["infer_records"] != 10 || got.Histograms["infer_chunk_records"].Count != 2 {
+		t.Error("WithoutCache dropped a metric that does not depend on absorption")
+	}
+}
+
 func TestWithoutFaults(t *testing.T) {
 	r := NewRegistry()
 	r.Add("mapreduce_tasks", 10)

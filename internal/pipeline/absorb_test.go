@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -38,7 +40,7 @@ var streamReaders = []struct {
 func referenceStream(env *Env, r io.Reader) (Result, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
-	acc := env.feedAcc(dec, nil)
+	acc := env.feedAcc(dec)
 	for n := 1; ; n++ {
 		t, err := dec.Next()
 		if err == io.EOF {
@@ -142,4 +144,89 @@ func TestRunStreamAbsorbs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceChunks is the chunked fold with nothing absorbed: every
+// record of every chunk typed by infer.InferAll, tallied by
+// stats.Summary.Add and folded as a Simplify'd type under the paper's
+// fusion. Its Result is what
+// Run must return over the same chunks; it fails where some chunk does.
+func referenceChunks(chunks [][]byte) (Result, error) {
+	var (
+		fz  fusion.Options
+		sum stats.Summary
+	)
+	fused := types.Type(types.Empty)
+	for _, c := range chunks {
+		ts, err := infer.InferAll(c)
+		if err != nil {
+			return Result{}, err
+		}
+		for _, t := range ts {
+			sum.Add(t)
+			fused = fz.Fuse(fused, fz.Simplify(t))
+		}
+	}
+	return Result{
+		Fused:         fz.Finalize(fused),
+		Records:       sum.Count(),
+		DistinctTypes: sum.Distinct(),
+		MinTypeSize:   sum.MinSize(),
+		MaxTypeSize:   sum.MaxSize(),
+		AvgTypeSize:   sum.AvgSize(),
+	}, nil
+}
+
+// splitAtNewlines cuts data after a random subset of its newlines,
+// drawn from seed.
+func splitAtNewlines(data []byte, seed uint64) [][]byte {
+	r := rand.New(rand.NewSource(int64(seed)))
+	var chunks [][]byte
+	start := 0
+	for i, c := range data {
+		if c == '\n' && r.Intn(3) == 0 {
+			chunks = append(chunks, data[start:i+1])
+			start = i + 1
+		}
+	}
+	if start < len(data) {
+		chunks = append(chunks, data[start:])
+	}
+	return chunks
+}
+
+// FuzzChunkAbsorb checks Run with a cover, whose chunks absorb the
+// records the cover or their own fold already covers, against the
+// reference that types every record: over a random split of the input
+// into chunks at 1-3 workers, Run fails exactly where the reference
+// does, and otherwise returns the same Result, DistinctTypes included,
+// with the same finalized fused type.
+func FuzzChunkAbsorb(f *testing.F) {
+	for i, name := range dataset.Names() {
+		g, err := dataset.New(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(dataset.NDJSON(g, 40, int64(i)), uint64(i), uint8(i))
+	}
+	f.Add([]byte(`{"a": 1, "b": "x"}`+"\n"+`{"b": "y", "a": 2}`+"\n"+`{"a": 3, "b": "z", "b": "w"}`+"\n"), uint64(1), uint8(0))
+	f.Add([]byte(`[1, "x"]`+"\n"+`["x", 1]`+"\n"+`[1, "x"]`+"\n"+`[]`+"\n"), uint64(2), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, workers uint8) {
+		chunks := splitAtNewlines(data, seed)
+		want, wantErr := referenceChunks(chunks)
+		env := &Env{Workers: 1 + int(workers%3), Cover: &Cover{}}
+		acc, _, err := Run(context.Background(), env, SliceFeed(chunks))
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("Run err %v, reference err %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		got := Fold(acc)
+		if types.Compare(got.Fused, want.Fused) != 0 || got.Fused.String() != want.Fused.String() ||
+			got.Records != want.Records || got.DistinctTypes != want.DistinctTypes ||
+			got.MinTypeSize != want.MinTypeSize || got.MaxTypeSize != want.MaxTypeSize || got.AvgTypeSize != want.AvgTypeSize {
+			t.Fatalf("Run %+v\nwant %+v", got, want)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"repro/internal/enrich"
 	"repro/internal/fusion"
-	"repro/internal/intern"
 	"repro/internal/stats"
 	"repro/internal/types"
 )
@@ -21,7 +20,7 @@ import (
 type Accumulator interface {
 	// Merge absorbs other into the receiver. Associative and
 	// commutative; other must come from the same Env (same fusion
-	// policy and the same dedup machinery).
+	// policy).
 	Merge(other Accumulator)
 	// Fold finalizes the accumulator into a Result. It does not consume
 	// the accumulator, but callers treat it as the last step.
@@ -73,23 +72,16 @@ func Fold(acc Accumulator) Result {
 	return acc.Fold()
 }
 
-// chunkAcc is the one accumulator. Records typed through the intern
-// table live in the multiset ms: distinct counts by identity, fusion
-// through the memo. Records typed down the degraded tactic live in the
-// plain tally sum: distinct counts by structural hash. Any mix of the
-// two folds to the same bytes: both portions feed one size tally (min,
-// max and an exact int64 sum, so the average is one division), and the
-// distinct count is the union of both portions' structural hashes.
-// RunStream's records go through Add, or addMember for a record the
-// fused type already covers, which tally sizes only: with no
-// distinct-type set, memory stays flat however many distinct types a
-// stream holds, and DistinctTypes stays zero.
+// chunkAcc is the one accumulator. Run's chunks tally every record in
+// sum, by the size and structural hash of its type, whether the record
+// was typed or absorbed (a member's size and hash come from its
+// tokens), so the distinct count is exact. RunStream's records go
+// through Add, or addMember for a record the fused type already covers,
+// which tally sizes only: with no distinct-type set, memory stays flat
+// however many distinct types a stream holds, and DistinctTypes stays
+// zero.
 type chunkAcc struct {
-	// dd is the run's dedup machinery, re-checked at every merge; nil
-	// means the accumulator never interns.
-	dd    *Dedup
 	fz    fusion.Options
-	ms    *intern.Multiset
 	sum   stats.Summary
 	fused types.Type
 	// lat is the accumulator's enrichment lattice; nil with enrichment
@@ -98,10 +90,9 @@ type chunkAcc struct {
 	lat *enrich.Lattice
 }
 
-// newChunkAcc returns the empty accumulator of the Env that re-checks
-// dd at merges (nil: never).
-func (e *Env) newChunkAcc(dd *Dedup) *chunkAcc {
-	return &chunkAcc{dd: dd, fz: e.Fusion, ms: intern.NewMultiset(), fused: types.Empty}
+// newChunkAcc returns the empty accumulator of the Env.
+func (e *Env) newChunkAcc() *chunkAcc {
+	return &chunkAcc{fz: e.Fusion, fused: types.Empty}
 }
 
 // Add left-folds one streamed record into the accumulator: a size-only
@@ -118,35 +109,19 @@ func (a *chunkAcc) addMember(size int) { a.sum.Sizes.Add(size, 1) }
 
 func (a *chunkAcc) Merge(other Accumulator) {
 	b := other.(*chunkAcc)
-	a.ms.Merge(b.ms)
 	a.sum.Merge(&b.sum)
 	a.fused = a.fz.Fuse(a.fused, b.fused)
 	a.lat = mergeLattices(a.lat, b.lat)
-	if a.dd != nil {
-		a.dd.recheck(a)
-	}
 }
 
-// Fold combines both portions into the statistics the plain tally alone
-// would derive over every record: the multiset's elements join a copy
-// of the tally's sizes, and count as distinct unless the tally saw their
-// structural hash.
 func (a *chunkAcc) Fold() Result {
-	sizes := a.sum.Sizes
-	distinct := a.sum.Distinct()
-	for _, el := range a.ms.Elems() {
-		sizes.Add(el.Size, el.Count)
-		if !a.sum.Has(types.Hash(el.Type)) {
-			distinct++
-		}
-	}
 	return Result{
 		Fused:         a.fz.Finalize(a.fused),
-		Records:       sizes.Count(),
-		DistinctTypes: distinct,
-		MinTypeSize:   sizes.MinSize(),
-		MaxTypeSize:   sizes.MaxSize(),
-		AvgTypeSize:   sizes.AvgSize(),
+		Records:       a.sum.Count(),
+		DistinctTypes: a.sum.Distinct(),
+		MinTypeSize:   a.sum.MinSize(),
+		MaxTypeSize:   a.sum.MaxSize(),
+		AvgTypeSize:   a.sum.AvgSize(),
 		Enrichment:    a.lat,
 	}
 }

@@ -38,8 +38,7 @@ func monoidRecords() [][]byte {
 }
 
 // payload is one engine configuration under test plus the way it
-// builds accumulators. All accumulators from the same payload share
-// dedup state, exactly as the engine guarantees within one run.
+// builds accumulators.
 type payload struct {
 	name   string
 	env    *Env
@@ -57,33 +56,53 @@ func payloads(t *testing.T) []payload {
 		{"plain-stream", &Env{Fusion: fusion.Options{}}, true},
 		{"stream-enrich", &Env{Fusion: fusion.Options{}, Enrich: set}, true},
 		{"plain-tuples", &Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, false},
-		{"dedup", &Env{Dedup: NewDedup(fusion.Options{})}, false},
-		{"adaptive", &Env{Dedup: testDedup()}, false},
+		// "dedup": chunks absorb against their own fold, and tally
+		// absorbed records by hash.
+		{"dedup", &Env{Cover: &Cover{}}, false},
+		// "adaptive": the cover holds the whole corpus, so nearly every
+		// record is absorbed.
+		{"adaptive", seededEnv(t), false},
 		{"plain-enrich", &Env{Fusion: fusion.Options{}, Enrich: set}, false},
-		{"dedup-enrich", &Env{Dedup: NewDedup(fusion.Options{}), Enrich: set}, false},
+		// A cover with enrichment on: the decoder absorbs nothing.
+		{"dedup-enrich", &Env{Cover: &Cover{}, Enrich: set}, false},
 	}
+}
+
+// seededEnv returns an Env whose cover is the fused type of the whole
+// monoid corpus.
+func seededEnv(t *testing.T) *Env {
+	t.Helper()
+	env := &Env{Cover: &Cover{}}
+	if _, err := env.mapChunk(chunk{data: monoidNDJSON}); err != nil {
+		t.Fatal(err)
+	}
+	return env
 }
 
 // empty returns the payload's identity accumulator.
 func (p payload) empty() Accumulator {
-	return p.env.newChunkAcc(p.env.Dedup)
+	return p.env.newChunkAcc()
 }
 
 // buildChunk runs a chunk of records through the payload's real map
 // path (mapChunk for chunked payloads, RunStream otherwise), so the
-// harness exercises exactly what the engine produces. The "adaptive"
-// payload's tight knobs make its chunks mix interned and degraded
-// records.
-func buildChunk(t *testing.T, p payload, chunk []byte) Accumulator {
+// harness exercises exactly what the engine produces. Each chunk starts
+// from a copy of the payload's cover: the harness builds the same chunk
+// more than once and expects the same accumulator.
+func buildChunk(t *testing.T, p payload, data []byte) Accumulator {
 	t.Helper()
 	var (
 		acc Accumulator
 		err error
 	)
 	if p.stream {
-		acc, _, err = RunStream(context.Background(), p.env, bytes.NewReader(chunk))
+		acc, _, err = RunStream(context.Background(), p.env, bytes.NewReader(data))
 	} else {
-		acc, err = p.env.mapChunk(chunk)
+		env := *p.env
+		if env.Cover != nil {
+			env.Cover = &Cover{t: env.Cover.get()}
+		}
+		acc, err = env.mapChunk(chunk{data: data})
 	}
 	if err != nil {
 		t.Fatal(err)

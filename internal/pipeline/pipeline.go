@@ -6,18 +6,20 @@
 //	split → decode+infer map → combine (monoid) → fold
 //
 // over an Env that carries the run's fusion policy, worker count,
-// failure policy, recorder and dedup state. A future backend — sharded,
+// failure policy, recorder and cover. A future backend — sharded,
 // serving, remote — is a new feed into the same Accumulator, not a
 // second copy of the pipeline.
 //
 // Two drivers share the stages and fill the one Accumulator
 // implementation: Run distributes line-aligned chunks over the
-// map-reduce engine (parallel, fault-tolerant), and each chunk picks
-// its own tactic under one adaptive cost model (see Dedup); RunStream
-// types one record at a time with constant memory (sequential, never
-// interning). Both leave no goroutines behind on error or
-// cancellation, which pipeline_test.go pins with mid-feed and
-// mid-combine cancel tests.
+// map-reduce engine (parallel, fault-tolerant), and RunStream types one
+// record at a time with constant memory (sequential). Both run one
+// tactic: under the paper's fusion without enrichment, a record the
+// schema fused so far already covers is matched on its tokens and
+// tallied, never typed (see Cover and RunStream); every other record is
+// typed, simplified and fused as soon as it is decoded. Both leave no
+// goroutines behind on error or cancellation, which pipeline_test.go
+// pins with mid-feed and mid-combine cancel tests.
 //
 // The stages time themselves through Env.Rec: each map task and each
 // stream adds its decode+infer and its fusion busy time to the
@@ -30,15 +32,15 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/enrich"
 	"repro/internal/fusion"
 	"repro/internal/infer"
-	"repro/internal/intern"
 	"repro/internal/jsontext"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
@@ -67,12 +69,12 @@ type Env struct {
 	// Rec receives pipeline metrics, including each stage's busy time
 	// (docs/OBSERVABILITY.md); nil records nothing and reads no clock.
 	Rec obs.Recorder
-	// Dedup is the run's dedup machinery, which lets Run's chunks
-	// intern their types when that pays. Nil means every chunk is
-	// degraded from its first record: the plain tally and the online
-	// balanced-tree fold, the tactic the experiments harness measures.
-	// RunStream ignores it.
-	Dedup *Dedup
+	// Cover, when non-nil, lets Run's chunks absorb the records it or
+	// the chunk's own fold already covers (see Cover); Options.env
+	// gives every run a fresh one. Nil means every chunk types every
+	// record, the fold the experiments harness measures. RunStream
+	// ignores it: its own fused type is its cover.
+	Cover *Cover
 	// Enrich, when non-nil, computes the configured enrichment monoids
 	// (internal/enrich) alongside structural inference in the same
 	// pass: each map task observes its chunk into a fresh lattice
@@ -83,168 +85,37 @@ type Env struct {
 	Enrich *enrich.Set
 }
 
-// Dedup is the shared machinery of one run's adaptive cost model: the
-// hash-consing table the decoders intern into, the memoized fusion
-// policy keyed by that table's IDs, and the shared decision. One value
-// spans all chunks, workers and files of a single run.
-//
-// Each map task samples the distinct-type ratio and the intern-table
-// growth over the first records of its chunk (the whole chunk, if it
-// is shorter than the window) and decides. A chunk that keeps
-// interning fuses its distinct types once each, by a memoized left
-// fold. A chunk that degrades, because hash-consing cannot pay for
-// itself — an all-distinct window past the threshold that also
-// allocates several new interned nodes per record — types the rest of
-// its records down the plain tally, fusing each into an online
-// balanced-tree fold as it is decoded, and adds its interned types to
-// that fold at the end. The decision is re-checked at every combine
-// boundary against the merged multiset cardinality, and the outcome is
-// shared across chunks through an atomic hint so settled runs stop
-// sampling.
-// Only the cost is adaptive: schemas and statistics are byte-identical
-// to the degraded tactic alone (pinned by the differential and chaos
-// suites).
-type Dedup struct {
-	Tab  *intern.Table
-	Memo *fusion.Memo
-
-	// sample is the number of records each chunk types through the
-	// interner before deciding.
-	sample int64
-	// threshold is the sampled distinct-type ratio at or above which a
-	// chunk degrades (subject to the nodeGrowth guard).
-	threshold float64
-	// nodeGrowth is the minimum new interned nodes per sampled record
-	// for a degrade: high-ratio data whose subtrees still dedup (shared
-	// nested shapes) keeps paying for hash-consing.
-	nodeGrowth float64
-
-	// hint is the shared adaptive decision: hintSample (zero) makes the
-	// next chunk sample, hintDedup keeps chunks on the interning path,
-	// hintDegrade sends whole chunks down the plain tally. Cost-only:
-	// with several workers the hint a chunk observes depends on timing,
-	// but every mix of degraded and deduplicated chunks folds to the
-	// same bytes.
-	hint atomic.Int32
-	// sampRecs/sampNodes accumulate the sampled record count and the
-	// intern-table growth across chunks — the node-growth evidence the
-	// combine-boundary re-check reuses.
-	sampRecs  atomic.Int64
-	sampNodes atomic.Int64
+// A Cover is the schema one run's chunks absorb members against: the
+// fusion of the chunks mapped so far. Only a map attempt that returned
+// without error adds its chunk, and the engine combines every such
+// result into the run's, so the cover is always the fusion of a subset
+// of the records the run folds. A record that is a member of it would
+// leave the run's fused type as it is (docs/PERFORMANCE.md, "Absorbed
+// members"), under retries and quarantine alike. The zero value is the
+// empty cover; one Cover serves every chunk, worker and file of a run.
+type Cover struct {
+	mu sync.Mutex
+	t  types.Type // nil until the first chunk is added
 }
 
-// Adaptive-dedup defaults: sample size, degrade ratio, and the
-// node-growth guard. The guard separates data that is all-distinct at
-// the top level but shares subtrees (nytimes: ~0.7-1.4 new nodes per
-// record, dedup wins) from ids-as-keys data where nearly every node is
-// fresh (wikidata: 3-7 new nodes per record, interning is pure
-// overhead).
-const (
-	DefaultDedupSample     = 256
-	DefaultDedupThreshold  = 0.9
-	DefaultDedupNodeGrowth = 2.5
-)
-
-// Shared hint values.
-const (
-	hintSample  int32 = 0
-	hintDedup   int32 = 1
-	hintDegrade int32 = -1
-)
-
-// NewDedup builds the dedup machinery for one run under the given
-// fusion policy.
-func NewDedup(o fusion.Options) *Dedup {
-	tab := intern.NewTable()
-	return &Dedup{
-		Tab:        tab,
-		Memo:       fusion.NewMemo(o, tab),
-		sample:     DefaultDedupSample,
-		threshold:  DefaultDedupThreshold,
-		nodeGrowth: DefaultDedupNodeGrowth,
+// get returns the cover as it stands, ε when nothing was added.
+func (c *Cover) get() types.Type {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.t == nil {
+		return types.Empty
 	}
+	return c.t
 }
 
-// Record adds the run's cache-effectiveness counters to rec once the
-// run has interned anything; a run that never interned (a stream, or a
-// nil Dedup) records none. The counters are deterministic at one worker
-// on a fault-free run; under concurrency or retries the hit/miss split
-// can shift (double-computed entries, re-parsed chunks, sampling
-// decisions that follow the shared hint), which is why obs strips them
-// with WithoutCache.
-func (dd *Dedup) Record(rec obs.Recorder) {
-	if dd == nil {
-		return
-	}
-	hits, misses := dd.Tab.Stats()
-	if hits+misses == 0 {
-		return
-	}
-	rec.Add("intern_hits", hits)
-	rec.Add("intern_misses", misses)
-	fh, fm, sh, sm := dd.Memo.CacheStats()
-	rec.Add("fuse_cache_hits", fh)
-	rec.Add("fuse_cache_misses", fm)
-	rec.Add("simplify_cache_hits", sh)
-	rec.Add("simplify_cache_misses", sm)
-}
-
-// ref returns the table entry of a type the interning decoder produced.
-func (dd *Dedup) ref(t types.Type) intern.Ref {
-	r, ok := dd.Tab.Ref(t)
-	if !ok {
-		// Unreachable under the interner invariant, but keep the
-		// multiset sound if it ever breaks.
-		r, _ = dd.Tab.Ref(dd.Tab.Canon(t))
-	}
-	return r
-}
-
-// settle closes one chunk's sample window — records typed through the
-// interner, distinct of them distinct, nodes new table entries — folds
-// its evidence into the shared tallies, evaluates the degrade predicate
-// over the window, publishes the outcome as the shared hint and reports
-// whether the chunk degrades.
-func (dd *Dedup) settle(distinct, records, nodes int64) bool {
-	dd.sampRecs.Add(records)
-	dd.sampNodes.Add(nodes)
-	degrade := float64(distinct) >= dd.threshold*float64(records) && dd.sampledGrowth() >= dd.nodeGrowth
-	if degrade {
-		dd.hint.Store(hintDegrade)
+// add fuses the fused type of one mapped chunk into the cover.
+func (c *Cover) add(fz fusion.Options, t types.Type) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.t == nil {
+		c.t = t
 	} else {
-		dd.hint.Store(hintDedup)
-	}
-	return degrade
-}
-
-// sampledGrowth returns the observed new-interned-nodes-per-record rate
-// across all samples so far, or 0 before any sample completes.
-func (dd *Dedup) sampledGrowth() float64 {
-	recs := dd.sampRecs.Load()
-	if recs == 0 {
-		return 0
-	}
-	return float64(dd.sampNodes.Load()) / float64(recs)
-}
-
-// recheck is the combine-boundary half of the cost model: once enough
-// records have merged, the multiset cardinality versus its record total
-// re-tests the degrade predicate (with the node-growth evidence
-// gathered while sampling), and a degraded run whose plain tally turns
-// repetitive is sent back to sampling. Purely a shared cost hint — it
-// never changes what the accumulator folds to.
-func (dd *Dedup) recheck(a *chunkAcc) {
-	if n := a.ms.Total(); n >= dd.sample {
-		if float64(a.ms.Len()) >= dd.threshold*float64(n) {
-			if dd.sampledGrowth() >= dd.nodeGrowth {
-				dd.hint.Store(hintDegrade)
-			}
-		} else {
-			dd.hint.Store(hintDedup)
-		}
-	}
-	if n := a.sum.Count(); n >= dd.sample && float64(a.sum.Distinct()) < dd.threshold*float64(n) {
-		dd.hint.Store(hintSample)
+		c.t = fz.Fuse(c.t, t)
 	}
 }
 
@@ -317,15 +188,17 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 	// slot, one in the engine's hand-off and one blocked in emit — plus
 	// the feed's buffer for the next chunk. Chunks parked in the queue
 	// at abort are simply dropped.
-	src := make(chan []byte, max(env.Workers, 1))
+	src := make(chan chunk, max(env.Workers, 1))
 	feedDone := make(chan struct{})
 	var feedErr error
 	go func() {
 		defer close(feedDone)
 		defer close(src)
-		feedErr = feed(func(chunk []byte) error {
+		var base int64
+		feedErr = feed(func(data []byte) error {
 			select {
-			case src <- chunk:
+			case src <- chunk{data: data, base: base}:
+				base += int64(len(data))
 				return nil
 			case <-runCtx.Done():
 				return runCtx.Err()
@@ -333,11 +206,15 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 		})
 	}()
 
-	mapFn := func(_ context.Context, chunk []byte) (Accumulator, error) {
-		return env.mapChunk(chunk)
+	mapFn := func(_ context.Context, c chunk) (Accumulator, error) {
+		return env.mapChunk(c)
+	}
+	var releaseChunk func(chunk)
+	if release != nil {
+		releaseChunk = func(c chunk) { release(c.data) }
 	}
 	out, mrst, err := mapreduce.RunReleased(runCtx, src, mapFn, Combine, nil,
-		mapreduce.Config{Workers: env.Workers, Recorder: env.Rec, Failure: env.Failure, Injector: env.Injector}, release)
+		mapreduce.Config{Workers: env.Workers, Recorder: env.Rec, Failure: env.Failure, Injector: env.Injector}, releaseChunk)
 	if err != nil {
 		// Unblock and join the feeder before returning so no goroutine
 		// outlives the call.
@@ -352,80 +229,94 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 	return out, mrst, nil
 }
 
+// A chunk is one line-aligned piece of a feed and its offset in the
+// input: the feed's chunks are contiguous, so the offset is the length
+// of the chunks emitted before it.
+type chunk struct {
+	data []byte
+	base int64
+}
+
 // mapChunk is the decode+infer map stage: it types every value of one
-// line-aligned chunk into a fresh chunkAcc under the cost model of
-// Dedup. Unless the shared hint has settled on degrading, the chunk
-// types records through the intern table until its sample window fills
-// or the chunk ends, then decides over what it sampled. A chunk that
-// keeps interning fuses each distinct type once, by a memoized left
-// fold: chunks of similar data replay the same (accumulated, distinct)
-// fuse pairs, so the memo absorbs most of the work. A degraded chunk —
-// every chunk under a nil Env.Dedup — tallies, simplifies and fuses
-// each remaining record as soon as it is decoded, through one online
-// balanced-tree fold (fusion.TreeFold) that the sampled, interned types
-// join at the end. The chunk never holds its records' types: the fold
-// keeps O(log records) partial types, and its balanced shape avoids
-// the left fold that would rebuild (and the memo cache) every growing
-// intermediate record on high-entropy data. With Env.Rec set, a
-// degraded record's fusion is clocked one record at a time, so the
-// infer_fuse_ns it records excludes decoding under either tactic.
-func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
+// line-aligned chunk into a fresh chunkAcc. Each record is tallied,
+// simplified and fused as soon as it is decoded, through one online
+// balanced-tree fold (fusion.TreeFold): the chunk never holds its
+// records' types, the fold keeps O(log records) partial types, and its
+// balanced shape avoids the left fold that would rebuild every growing
+// intermediate record on high-entropy data.
+//
+// With a Cover, when the Env absorbs (see absorbs), a record is first
+// matched against the cover as the chunk found it, then against the
+// fold's partials; a member of either is tallied by the size and hash
+// of its type and never typed, simplified or fused. When the chunk is
+// done its fused type joins the cover. With Env.Rec set, a typed record's fusion
+// is clocked one record at a time, so the infer_fuse_ns it records
+// excludes decoding, and an absorbed record's time counts as decoding.
+//
+// A syntax error reports its offset in the input, not in the chunk.
+func (e *Env) mapChunk(c chunk) (Accumulator, error) {
 	clk := e.startClock()
-	dec := infer.NewBytesDecoder(chunk, jsontext.Options{MaxDepth: e.MaxDepth})
+	dec := infer.NewBytesDecoder(c.data, jsontext.Options{MaxDepth: e.MaxDepth})
 	defer dec.Release()
-	dd := e.Dedup
-	acc := e.feedAcc(dec, dd)
-	interned := dd != nil && dd.hint.Load() != hintDegrade
-	var (
-		sampled, records int64
-		tab0             int
-	)
+	acc := e.feedAcc(dec)
 	fold := fusion.NewTreeFold(e.Fusion.Fuse)
-	if interned {
-		dec.SetInterner(dd.Tab)
-		tab0 = dd.Tab.Len()
+	var cover types.Type
+	if e.Cover != nil && e.absorbs() {
+		cover = e.Cover.get()
 	}
+	var records, absorbed int64
 	for {
+		if cover != nil {
+			if size, hash, ok := absorb(dec, cover, fold.Partials()); ok {
+				acc.sum.Tally(size, hash)
+				records++
+				absorbed++
+				continue
+			}
+		}
 		t, err := dec.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
+			// The decoder's error is its own, fresh per call.
+			if se := (*jsontext.SyntaxError)(nil); errors.As(err, &se) {
+				se.Offset += c.base
+			}
 			return nil, err
 		}
 		records++
-		if !interned {
-			acc.sum.Add(t)
-			clk.lap(&clk.decode)
-			fold.Add(e.Fusion.Simplify(t))
-			clk.lap(&clk.fuse)
-			continue
-		}
-		acc.ms.Add(dd.ref(t), 1)
-		if sampled++; sampled == dd.sample && dd.settle(int64(acc.ms.Len()), sampled, int64(dd.Tab.Len()-tab0)) {
-			interned = false
-			dec.SetInterner(nil)
-		}
-	}
-	if interned && sampled < dd.sample && sampled > 0 {
-		// The chunk ended inside its window: decide over what it sampled.
-		interned = !dd.settle(int64(acc.ms.Len()), sampled, int64(dd.Tab.Len()-tab0))
+		acc.sum.Add(t)
+		clk.lap(&clk.decode)
+		fold.Add(e.Fusion.Simplify(t))
+		clk.lap(&clk.fuse)
 	}
 	clk.lap(&clk.decode)
-	if interned {
-		for _, el := range acc.ms.Elems() {
-			acc.fused = dd.Memo.Fuse(acc.fused, dd.Memo.Simplify(el.Type))
-		}
-	} else {
-		for _, el := range acc.ms.Elems() {
-			fold.Add(e.Fusion.Simplify(el.Type))
-		}
-		acc.fused = fold.Result()
+	acc.fused = fold.Result()
+	if cover != nil {
+		e.Cover.add(e.Fusion, acc.fused)
 	}
 	clk.lap(&clk.fuse)
 	clk.record()
-	e.recordChunk(records, int64(len(chunk)), acc.fused)
+	e.recordChunk(records, absorbed, int64(len(c.data)), acc.fused)
 	return acc, nil
+}
+
+// absorb matches the decoder's next record against the cover and then
+// against each partial of a chunk's fold, from the largest down, and
+// reports the first that admits it (see infer.Decoder.Absorb).
+func absorb(dec *infer.Decoder, cover types.Type, partials []types.Type) (size int, hash uint64, ok bool) {
+	if size, hash, ok = dec.Absorb(cover); ok {
+		return size, hash, ok
+	}
+	for i := len(partials) - 1; i >= 0; i-- {
+		if p := partials[i]; p != nil {
+			if size, hash, ok = dec.Absorb(p); ok {
+				return size, hash, ok
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // stageClock splits the busy time of one map task or stream between
@@ -465,14 +356,14 @@ func (c *stageClock) record() {
 	}
 }
 
-// feedAcc returns an empty accumulator for dec to fill, re-checking dd
-// at merges (nil: never). dec promotes under the Env's fusion strategy
+// feedAcc returns an empty accumulator for dec to fill. dec promotes
+// under the Env's fusion strategy
 // and, with enrichment on, observes every value into the accumulator's
 // own lattice. A failed decode discards that lattice along with its
 // accumulator, so a retried chunk observes into a fresh one and the
 // combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
-func (e *Env) feedAcc(dec *infer.Decoder, dd *Dedup) *chunkAcc {
-	acc := e.newChunkAcc(dd)
+func (e *Env) feedAcc(dec *infer.Decoder) *chunkAcc {
+	acc := e.newChunkAcc()
 	if e.Enrich != nil {
 		acc.lat = e.Enrich.NewLattice()
 		dec.SetObserver(acc.lat)
@@ -485,21 +376,23 @@ func (e *Env) feedAcc(dec *infer.Decoder, dd *Dedup) *chunkAcc {
 	return acc
 }
 
-// absorbs reports whether RunStream absorbs members of the running
-// fused type: under the paper's fusion, for which the membership lemma
-// is proved (the tagged strategy's variants break it). With enrichment
-// on, the decoder declines by itself, since its observer must see
-// every value.
+// absorbs reports whether the drivers absorb members of a cover: under
+// the paper's fusion, for which the membership lemma is proved (the
+// tagged strategy's variants break it), and without enrichment, whose
+// observer must see every value.
 func (e *Env) absorbs() bool {
 	_, paper := e.Fusion.ResolvedStrategy().(fusion.Paper)
-	return paper
+	return paper && e.Enrich == nil
 }
 
 // recordChunk emits the per-chunk metrics of the map stage.
-func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
+func (e *Env) recordChunk(records, absorbed, bytes int64, fused types.Type) {
 	if rec := e.Rec; rec != nil {
 		rec.Add("infer_chunks", 1)
 		rec.Add("infer_records", records)
+		if absorbed > 0 {
+			rec.Add("infer_absorbed_records", absorbed)
+		}
 		rec.Add("infer_bytes", bytes)
 		rec.Observe("infer_chunk_records", records)
 		// Per-chunk fused sizes are the fusion-growth curve: how
@@ -510,8 +403,8 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 
 // RunStream types a stream of JSON values one at a time with constant
 // memory: the sequential driver, a left fold into one accumulator
-// through its Add. It never interns — Env.Dedup is ignored — so memory
-// stays flat even when every record has a type of its own. Returns the
+// through its Add. It keeps no set of distinct types, so memory stays
+// flat even when every record has a type of its own. Returns the
 // accumulator and the number of input bytes consumed. Cancellation
 // takes effect between records.
 //
@@ -524,7 +417,7 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
-	acc := env.feedAcc(dec, nil)
+	acc := env.feedAcc(dec)
 	absorb := env.absorbs()
 	var records int64
 	clk := env.startClock()
@@ -544,7 +437,7 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 			}
 		}
 		if absorb {
-			if size, ok := dec.Absorb(acc.fused); ok {
+			if size, _, ok := dec.Absorb(acc.fused); ok {
 				acc.addMember(size)
 				clk.lap(&clk.decode)
 				records++

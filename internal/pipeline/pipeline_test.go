@@ -183,9 +183,9 @@ func TestRunPooledBoundsChunksInFlight(t *testing.T) {
 }
 
 // TestRunAndStreamAgree runs the same records through the chunked
-// driver, with and without dedup machinery, and the streaming driver,
-// and compares the folds. The stream keeps no distinct-type
-// bookkeeping, so it reports zero DistinctTypes.
+// driver, with and without a cover, and the streaming driver, and
+// compares the folds. The stream keeps no distinct-type bookkeeping, so
+// it reports zero DistinctTypes.
 func TestRunAndStreamAgree(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"a":1,"b":[1,2]}
 {"a":"x"}
@@ -194,8 +194,7 @@ func TestRunAndStreamAgree(t *testing.T) {
 		env := &Env{Workers: 2, Fusion: fusion.Options{}}
 		streamEnv := &Env{Fusion: fusion.Options{}}
 		if dedup {
-			env.Dedup = NewDedup(env.Fusion)
-			streamEnv.Dedup = NewDedup(streamEnv.Fusion)
+			env.Cover = &Cover{}
 		}
 		acc, _, err := Run(context.Background(), env, SliceFeed([][]byte{data}))
 		if err != nil {

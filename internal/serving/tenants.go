@@ -18,7 +18,7 @@ import (
 )
 
 // A tenant is one isolated schema namespace: its own Repository (with
-// its own lock and, per ingest run, its own dedup tables), its own
+// its own lock and, per ingest run, its own cover), its own
 // snapshot file, its own LRU slot. Handlers hold a tenant only between
 // acquire and release; the refs count pins it against eviction while
 // a request is in flight.

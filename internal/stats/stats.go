@@ -75,13 +75,16 @@ type Summary struct {
 }
 
 // Add records one inferred type.
-func (s *Summary) Add(t types.Type) {
-	size := t.Size()
+func (s *Summary) Add(t types.Type) { s.Tally(t.Size(), types.Hash(t)) }
+
+// Tally records one inferred type by its size and structural hash
+// (types.Hash), for a type known without being built.
+func (s *Summary) Tally(size int, hash uint64) {
 	s.Sizes.Add(size, 1)
 	if s.distinct == nil {
 		s.distinct = make(map[uint64]int)
 	}
-	s.distinct[types.Hash(t)] = size
+	s.distinct[hash] = size
 }
 
 // Merge folds other into s. Merging is commutative and associative, so
@@ -102,13 +105,6 @@ func (s *Summary) Merge(other *Summary) {
 // Distinct reports the number of distinct types recorded, the "# types"
 // column of Tables 2-5.
 func (s *Summary) Distinct() int { return len(s.distinct) }
-
-// Has reports whether a type with structural hash h (types.Hash) was
-// recorded.
-func (s *Summary) Has(h uint64) bool {
-	_, ok := s.distinct[h]
-	return ok
-}
 
 // DistinctSizeSum reports the total size of all distinct types (each
 // counted once) — the cost of the naive "union of all distinct types"

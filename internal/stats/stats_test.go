@@ -38,6 +38,21 @@ func TestSummaryAdd(t *testing.T) {
 	}
 }
 
+// TestSummaryTally pins that tallying a type by its size and hash, as
+// the engine does for a record it absorbs without typing, records
+// exactly what Add records.
+func TestSummaryTally(t *testing.T) {
+	var added, tallied Summary
+	for _, s := range []string{"{a: Num}", "{a: Num}", "[Num, Str]", "Null"} {
+		ty := types.MustParse(s)
+		added.Add(ty)
+		tallied.Tally(ty.Size(), types.Hash(ty))
+	}
+	if added.String() != tallied.String() || added.DistinctSizeSum() != tallied.DistinctSizeSum() {
+		t.Errorf("Tally %s, Add %s", tallied.String(), added.String())
+	}
+}
+
 func TestSummaryMerge(t *testing.T) {
 	var a, b, whole Summary
 	ts := []types.Type{

@@ -7,6 +7,13 @@ import "fmt"
 // per partition (Tables 2-5); hashing directly over the structure avoids
 // rendering every type to a string first, which dominates the cost on
 // datasets where most types repeat.
+//
+// A record field's hash and a tuple element's hash are each computed on
+// their own and mixed into their parent as one 64-bit word, so a
+// parent's hash depends on its children only through their hashes. That
+// is what lets Matcher hash a value's inferred type from its tokens: it
+// hashes an object's members in document order and combines them in key
+// order at the closing brace.
 func Hash(t Type) uint64 {
 	return hashType(fnvOffset, t)
 }
@@ -28,6 +35,28 @@ func hashString(h uint64, s string) uint64 {
 	return hashByte(h, 0xff)
 }
 
+// hashWord mixes the child hash w into h as one word. The murmur3
+// finalizer first spreads every bit of w over all 64, which the
+// multiply alone would only carry upwards.
+func hashWord(h, w uint64) uint64 {
+	w ^= w >> 33
+	w *= 0xff51afd7ed558ccd
+	w ^= w >> 33
+	return (h ^ w) * fnvPrime
+}
+
+// fieldHash is the word a record field keyed key, whose type hashes to
+// child, contributes to its record's hash.
+func fieldHash(key string, optional bool, child uint64) uint64 {
+	h := hashString(fnvOffset, key)
+	if optional {
+		h = hashByte(h, 0x10)
+	} else {
+		h = hashByte(h, 0x11)
+	}
+	return hashWord(h, child)
+}
+
 func hashType(h uint64, t Type) uint64 {
 	switch tt := t.(type) {
 	case EmptyType:
@@ -37,13 +66,7 @@ func hashType(h uint64, t Type) uint64 {
 	case *Record:
 		h = hashByte(h, 0x03)
 		for _, f := range tt.fields {
-			h = hashString(h, f.Key)
-			if f.Optional {
-				h = hashByte(h, 0x10)
-			} else {
-				h = hashByte(h, 0x11)
-			}
-			h = hashType(h, f.Type)
+			h = hashWord(h, fieldHash(f.Key, f.Optional, Hash(f.Type)))
 		}
 		return hashByte(h, 0x04)
 	case *Map:
@@ -69,7 +92,7 @@ func hashType(h uint64, t Type) uint64 {
 	case *Tuple:
 		h = hashByte(h, 0x06)
 		for _, e := range tt.elems {
-			h = hashType(h, e)
+			h = hashWord(h, Hash(e))
 		}
 		return hashByte(h, 0x07)
 	case *Repeated:

@@ -152,20 +152,21 @@ func appendDoc(dst []byte, v value.Value, rev bool, dup *int) []byte {
 
 // match runs a Matcher over doc and also reports whether it consumed
 // exactly one value.
-func match(m *types.Matcher, doc []byte, t types.Type) (size int, ok, exact bool) {
+func match(m *types.Matcher, doc []byte, t types.Type) (size int, hash uint64, ok, exact bool) {
 	lex := jsontext.AcquireLexerBytes(doc)
 	defer lex.Release()
 	lex.RawStrings(true)
-	size, ok = m.Match(lex, t)
+	size, hash, ok = m.Match(lex, t)
 	tok, err := lex.Next()
-	return size, ok, err == nil && tok.Kind == jsontext.TokEOF
+	return size, hash, ok, err == nil && tok.Kind == jsontext.TokEOF
 }
 
 // TestMatcherAgreesWithMember draws random normal types, witnesses of
 // them and mutations of the witnesses, and checks the Matcher against
-// Member on each: the same verdict, a member's size equal to its
-// inferred type's, and a member consumed to its last byte. A repeated
-// key makes any document a non-member.
+// Member on each: the same verdict, a member's size and structural hash
+// equal to its inferred type's, whatever order the document lists its
+// keys in, and a member consumed to its last byte. A repeated key makes
+// any document a non-member.
 func TestMatcherAgreesWithMember(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	var m types.Matcher
@@ -188,14 +189,18 @@ func TestMatcherAgreesWithMember(t *testing.T) {
 		none := -1
 		doc := appendDoc(nil, v, rev, &none)
 		want := types.Member(v, ty)
-		size, got, exact := match(&m, doc, ty)
+		size, hash, got, exact := match(&m, doc, ty)
 		if got != want {
 			t.Fatalf("type %s, value %s: Matcher %v, Member %v", ty, doc, got, want)
 		}
 		if got {
 			members++
-			if wantSize := infer.Infer(v).Size(); size != wantSize || !exact {
+			inferred := infer.Infer(v)
+			if wantSize := inferred.Size(); size != wantSize || !exact {
 				t.Fatalf("type %s, value %s: size %d (inferred %d), consumed exactly: %v", ty, doc, size, wantSize, exact)
+			}
+			if wantHash := types.Hash(inferred); hash != wantHash {
+				t.Fatalf("type %s, value %s: hash %#x, want %#x (of %s)", ty, doc, hash, wantHash, inferred)
 			}
 		} else {
 			nonMembers++
@@ -204,7 +209,7 @@ func TestMatcherAgreesWithMember(t *testing.T) {
 		doc = appendDoc(nil, v, rev, &dup)
 		if dup < 0 {
 			repeats++
-			if _, got, _ := match(&m, doc, ty); got {
+			if _, _, got, _ := match(&m, doc, ty); got {
 				t.Fatalf("type %s: a repeated key matched: %s", ty, doc)
 			}
 		}
@@ -254,7 +259,7 @@ func TestMatcherCases(t *testing.T) {
 		ty := types.MustParse(c.typ)
 		lex := jsontext.AcquireLexerBytes([]byte(c.doc))
 		lex.RawStrings(true)
-		size, ok := m.Match(lex, ty)
+		size, _, ok := m.Match(lex, ty)
 		lex.Release()
 		if ok != c.ok || (ok && size != c.size) {
 			t.Errorf("Match(%s, %s) = %d, %v; want %d, %v", c.doc, c.typ, size, ok, c.size, c.ok)

@@ -2,6 +2,8 @@ package types
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/jsontext"
 	"repro/internal/value"
@@ -141,9 +143,10 @@ func Member(v value.Value, t Type) bool {
 
 // A Matcher is Member over tokens: it decides whether the next JSON
 // value a lexer reads belongs to ⟦t⟧ without building the value, and
-// counts the size the value's inferred type would have (infer.Infer's
-// Size: a scalar is 1, an object 1 plus 1 and the child's size per
-// member, an array 1 plus its elements' sizes). Member is its oracle.
+// computes the size and the structural hash (Hash) the value's inferred
+// type would have (infer.Infer's Size: a scalar is 1, an object 1 plus 1
+// and the child's size per member, an array 1 plus its elements'
+// sizes). Member is its oracle.
 //
 // It decides every type in the paper's normal form — basic, record,
 // tuple, [T*] and a union with at most one alternative per kind, which
@@ -159,41 +162,48 @@ type Matcher struct {
 	// seen is a stack of bitsets, one per open object, marking the
 	// fields already matched so a repeated key is caught.
 	seen []uint64
+	// words is a stack of field-hash slots, one run of len(fields) per
+	// open object: the slot of a matched field holds the word its member
+	// contributes to the object's hash, read back in key order at '}'.
+	words []uint64
 }
 
 // Match reads exactly one value from lex, which must be in raw-string
-// mode, and reports its inferred type's size and whether it belongs to
-// t. A repeated key, a syntax or read error, or anything t does not
-// admit makes the value a non-member; Match then returns false as soon
-// as it knows, leaving lex inside the value, and the caller rewinds it
-// (jsontext.Lexer.Pin) to read the value again.
-func (m *Matcher) Match(lex *jsontext.Lexer, t Type) (int, bool) {
+// mode, and reports whether it belongs to t and, if so, the size and
+// hash of its inferred type. A repeated key, a syntax or read error, or
+// anything t does not admit makes the value a non-member; Match then
+// returns false as soon as it knows, leaving lex inside the value, and
+// the caller rewinds it (jsontext.Lexer.Pin) to read the value again.
+func (m *Matcher) Match(lex *jsontext.Lexer, t Type) (size int, hash uint64, ok bool) {
 	if t == Type(Empty) {
-		return 0, false
+		return 0, 0, false
 	}
 	tok, err := lex.Next()
 	if err != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	return m.value(lex, tok, t)
 }
 
+// basicHash holds Hash of each basic type, indexed by the type.
+var basicHash = [...]uint64{Null: Hash(Null), Bool: Hash(Bool), Num: Hash(Num), Str: Hash(Str)}
+
 // value matches the value that starts with tok against t.
-func (m *Matcher) value(lex *jsontext.Lexer, tok jsontext.Token, t Type) (int, bool) {
+func (m *Matcher) value(lex *jsontext.Lexer, tok jsontext.Token, t Type) (int, uint64, bool) {
 	if u, ok := t.(*Union); ok {
 		if t = u.altOfToken(tok.Kind); t == nil {
-			return 0, false
+			return 0, 0, false
 		}
 	}
 	switch tok.Kind {
 	case jsontext.TokNull:
-		return 1, t == Type(Null)
+		return 1, basicHash[Null], t == Type(Null)
 	case jsontext.TokTrue, jsontext.TokFalse:
-		return 1, t == Type(Bool)
+		return 1, basicHash[Bool], t == Type(Bool)
 	case jsontext.TokNum:
-		return 1, t == Type(Num)
+		return 1, basicHash[Num], t == Type(Num)
 	case jsontext.TokStr:
-		return 1, t == Type(Str)
+		return 1, basicHash[Str], t == Type(Str)
 	case jsontext.TokBeginObject:
 		if r, ok := t.(*Record); ok {
 			return m.record(lex, r)
@@ -206,7 +216,7 @@ func (m *Matcher) value(lex *jsontext.Lexer, tok jsontext.Token, t Type) (int, b
 			return m.array(lex, nil, tt.elems)
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // altOfToken returns the alternative of u whose kind a value starting
@@ -243,34 +253,35 @@ func (u *Union) altOfToken(k jsontext.TokenKind) Type {
 }
 
 // record matches the members of an object whose '{' has been read.
-func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, bool) {
+func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, uint64, bool) {
 	fs := r.fields
-	base := len(m.seen)
+	base, wbase := len(m.seen), len(m.words)
 	for w := 0; w < (len(fs)+63)/64; w++ {
 		m.seen = append(m.seen, 0)
 	}
-	defer func() { m.seen = m.seen[:base] }()
+	m.words = slices.Grow(m.words, len(fs))[:wbase+len(fs)]
+	defer func() { m.seen, m.words = m.seen[:base], m.words[:wbase] }()
 	size, mandatory, next := 1, 0, 0
 	tok, err := lex.Next()
 	for err == nil && tok.Kind != jsontext.TokEndObject {
 		if size > 1 { // after the first member
 			if tok.Kind != jsontext.TokComma {
-				return 0, false
+				return 0, 0, false
 			}
 			if tok, err = lex.Next(); err != nil {
-				return 0, false
+				return 0, 0, false
 			}
 		}
 		if tok.Kind != jsontext.TokStr {
-			return 0, false
+			return 0, 0, false
 		}
 		i := fieldIndex(fs, tok.Bytes, next)
 		if i < 0 {
-			return 0, false // a key the type does not mention
+			return 0, 0, false // a key the type does not mention
 		}
 		w, bit := base+i/64, uint64(1)<<(i%64)
 		if m.seen[w]&bit != 0 {
-			return 0, false // a repeated key: malformed
+			return 0, 0, false // a repeated key: malformed
 		}
 		m.seen[w] |= bit
 		if !fs[i].Optional {
@@ -278,27 +289,40 @@ func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, bool) {
 		}
 		next = i + 1
 		if tok, err = lex.Next(); err != nil || tok.Kind != jsontext.TokColon {
-			return 0, false
+			return 0, 0, false
 		}
 		if tok, err = lex.Next(); err != nil {
-			return 0, false
+			return 0, 0, false
 		}
-		n, ok := m.value(lex, tok, fs[i].Type)
+		n, ch, ok := m.value(lex, tok, fs[i].Type)
 		if !ok {
-			return 0, false
+			return 0, 0, false
 		}
 		size += 1 + n
+		// The inferred type's fields are mandatory.
+		m.words[wbase+i] = fieldHash(fs[i].Key, false, ch)
 		tok, err = lex.Next()
 	}
 	if err != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	for _, f := range fs {
 		if !f.Optional {
 			mandatory--
 		}
 	}
-	return size, mandatory == 0 // every mandatory field present
+	if mandatory != 0 {
+		return 0, 0, false // a mandatory field is missing
+	}
+	// Combine the members' words in key order, the order of fs, framed
+	// as hashType frames a record.
+	h := hashByte(fnvOffset, 0x03)
+	for w, bs := range m.seen[base:] {
+		for ; bs != 0; bs &= bs - 1 {
+			h = hashWord(h, m.words[wbase+w*64+bits.TrailingZeros64(bs)])
+		}
+	}
+	return size, hashByte(h, 0x04), true
 }
 
 // fieldIndex returns the index of the field keyed key in fs, or -1.
@@ -325,33 +349,35 @@ func fieldIndex(fs []Field, key []byte, hint int) int {
 
 // array matches the elements of an array whose '[' has been read:
 // against elem for [T*], or position by position against elems for a
-// tuple (elem nil).
-func (m *Matcher) array(lex *jsontext.Lexer, elem Type, elems []Type) (int, bool) {
+// tuple (elem nil). The inferred type of an array is a tuple.
+func (m *Matcher) array(lex *jsontext.Lexer, elem Type, elems []Type) (int, uint64, bool) {
 	size, i := 1, 0
+	h := hashByte(fnvOffset, 0x06) // framed as hashType frames a tuple
 	tok, err := lex.Next()
 	for err == nil && tok.Kind != jsontext.TokEndArray {
 		if i > 0 {
 			if tok.Kind != jsontext.TokComma {
-				return 0, false
+				return 0, 0, false
 			}
 			if tok, err = lex.Next(); err != nil {
-				return 0, false
+				return 0, 0, false
 			}
 		}
 		et := elem
 		if et == nil {
 			if i == len(elems) {
-				return 0, false // longer than the tuple
+				return 0, 0, false // longer than the tuple
 			}
 			et = elems[i]
 		}
-		n, ok := m.value(lex, tok, et)
+		n, ch, ok := m.value(lex, tok, et)
 		if !ok {
-			return 0, false
+			return 0, 0, false
 		}
 		size += n
+		h = hashWord(h, ch)
 		i++
 		tok, err = lex.Next()
 	}
-	return size, err == nil && (elem != nil || i == len(elems))
+	return size, hashByte(h, 0x07), err == nil && (elem != nil || i == len(elems))
 }

@@ -21,9 +21,9 @@ import (
 // TestMetricsDeterministic runs the same inference twice with fixed
 // parallelism and asserts the two metric snapshots are byte-identical
 // once timing-dependent metrics (_ns, _permille, _per_sec) and the
-// intern and memo cache counters, which follow which chunks interned,
-// are stripped: chunk counts, record counts, byte counts and the
-// fusion-growth histogram must not depend on scheduling.
+// absorption metrics, which follow which chunks were mapped first, are
+// stripped: chunk counts, record counts, byte counts and the
+// records-per-chunk histogram must not depend on scheduling.
 func TestMetricsDeterministic(t *testing.T) {
 	g, err := dataset.New("github")
 	if err != nil {
@@ -60,8 +60,8 @@ func TestMetricsDeterministic(t *testing.T) {
 	if m.Counters["infer_records"] != 400 || m.Counters["infer_chunks"] == 0 {
 		t.Errorf("deterministic metrics incomplete: %s", first)
 	}
-	if _, ok := m.Histograms["infer_chunk_fused_size"]; !ok {
-		t.Errorf("fusion-growth histogram missing: %s", first)
+	if _, ok := m.Histograms["infer_chunk_records"]; !ok {
+		t.Errorf("chunk-records histogram missing: %s", first)
 	}
 }
 
@@ -148,8 +148,8 @@ func TestWithoutTimingsPublic(t *testing.T) {
 // attribute a one-worker run without double counting: decode+infer,
 // chunk-local fusion, every combine and the final fold are each
 // clocked, and together they fit inside the run's wall time. Twitter
-// chunks keep interning, wikidata chunks degrade past their sample
-// window, and nytimes through FromReader takes the streaming driver.
+// chunks absorb most records, wikidata chunks type most of theirs,
+// and nytimes through FromReader takes the streaming driver.
 func TestStageTimingsAddUp(t *testing.T) {
 	for _, tc := range []struct {
 		dataset string
@@ -182,7 +182,7 @@ func TestStageTimingsAddUp(t *testing.T) {
 
 // inventoryPrefixes are the metric families docs/OBSERVABILITY.md
 // inventories for the inference pipeline and the experiments harness.
-var inventoryPrefixes = []string{"infer_", "intern_", "fuse_cache_", "simplify_cache_", "mapreduce_", "experiments_"}
+var inventoryPrefixes = []string{"infer_", "mapreduce_", "experiments_"}
 
 // TestMetricInventoryMatchesCode records metrics from every Source
 // kind, from runs that retry an injected fault and quarantine a chunk,

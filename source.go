@@ -22,7 +22,7 @@ import (
 type Source interface {
 	// run executes the pipeline over this input under env, which bundles
 	// the run's cross-cutting state (fusion policy, workers, failure
-	// policy, recorder, dedup machinery). It returns the unfolded
+	// policy, recorder, cover). It returns the unfolded
 	// accumulator and the feed-side Stats (Bytes, Retries,
 	// QuarantinedChunks); runSource folds once for the type-level rest.
 	run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error)
@@ -32,14 +32,15 @@ type Source interface {
 // whitespace-separated JSON values): the buffer is split at line
 // boundaries into one chunk per map task and the chunks are inferred
 // in parallel. Beyond the buffer itself, a task's type memory grows
-// with its chunk's distinct types and fused schema, not its record
-// count: records whose types repeat are interned once, and records
-// whose types do not are fused as they are decoded.
+// with its chunk's fused schema and the hashes of its distinct types,
+// not its record count: each record is fused as it is decoded or, under
+// the default paper fusion, only matched when the schema fused so far
+// already covers it.
 func FromBytes(data []byte) Source { return bytesSource{data: data} }
 
 // FromReader is a stream of JSON values processed with constant
 // memory: values are typed and fused one at a time, never materialized
-// as a whole, and never interned. Under the default paper fusion, a
+// as a whole. Under the default paper fusion, a
 // value the schema fused so far already covers is only matched, not
 // typed, which changes the cost but never the result. Use it for
 // inputs too large to buffer; note that Stats.DistinctTypes is
@@ -74,9 +75,9 @@ func FromChunkedReader(r io.Reader) Source { return chunkedSource{r: r} }
 // FromFiles is a set of NDJSON files treated as partitions: each file
 // runs through the same bounded-memory chunked pipeline as FromFile
 // and the per-file results merge, which by associativity equals
-// inferring the concatenation. One intern table spans the files, so
-// Stats.DistinctTypes is exact across them. As with FromFile, each
-// value must sit on one line.
+// inferring the concatenation. One cover and the distinct-type sets
+// span the files, so Stats.DistinctTypes is exact across them. As with
+// FromFile, each value must sit on one line.
 func FromFiles(paths ...string) Source {
 	return filesSource{paths: append([]string(nil), paths...)}
 }
@@ -208,9 +209,9 @@ type filesSource struct {
 }
 
 func (s filesSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
-	// One intern table and memo span all files, so per-file accumulators
-	// merge exactly like chunks of one file: cross-file distinct counts
-	// are exact and the cross-file fusion runs under the run's policy.
+	// One cover spans all files, and per-file accumulators merge
+	// exactly like chunks of one file: cross-file distinct counts are
+	// exact and the cross-file fusion runs under the run's policy.
 	var merged pipeline.Accumulator
 	var feed Stats
 	for _, path := range s.paths {

@@ -286,6 +286,43 @@ func TestMaxDepthEverySource(t *testing.T) {
 	}
 }
 
+// TestSyntaxErrorOffsetEverySource pins that every Source kind reports
+// a decode error at its offset in the input, not in the chunk that
+// holds it: a duplicate key in record 401 of 450, past many chunks of
+// every chunked Source, is reported at the same offset as FromReader
+// reports it.
+func TestSyntaxErrorOffsetEverySource(t *testing.T) {
+	var data []byte
+	var want int64
+	for i := 0; i < 450; i++ {
+		if i == 400 {
+			data = append(data, `{"a": 1, `...)
+			want = int64(len(data))
+			data = append(data, `"a": 2}`+"\n"...)
+			continue
+		}
+		data = fmt.Appendf(data, `{"a": %d, "b": "%s"}`+"\n", i, strings.Repeat("x", i%50))
+	}
+	path := filepath.Join(t.TempDir(), "dup.ndjson")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func() jsi.Source{
+		"FromBytes":         func() jsi.Source { return jsi.FromBytes(data) },
+		"FromReader":        func() jsi.Source { return jsi.FromReader(bytes.NewReader(data)) },
+		"FromChunkedReader": func() jsi.Source { return jsi.FromChunkedReader(bytes.NewReader(data)) },
+		"FromFile":          func() jsi.Source { return jsi.FromFile(path) },
+		"FromFiles":         func() jsi.Source { return jsi.FromFiles(path) },
+	}
+	at := fmt.Sprintf("syntax error at offset %d:", want)
+	for name, src := range sources {
+		_, _, err := jsi.Infer(context.Background(), src(), jsi.Options{Workers: 2, ChunkBytes: 1 << 10})
+		if err == nil || !strings.Contains(err.Error(), at) {
+			t.Errorf("%s: err = %v, want %q", name, err, at)
+		}
+	}
+}
+
 // TestReaderEOFVsEndless sanity-checks the endlessReader helper against
 // a bounded read, so the cancellation test above cannot silently pass
 // by the reader running dry.
@@ -302,7 +339,6 @@ func TestReaderEOFVsEndless(t *testing.T) {
 
 // TestReaderStaysPlain pins the constant-memory stream on its worst
 // case, data where every record has a type of its own: FromReader
-// interns nothing, so a run records no intern or cache counters, and it
 // allocates about as much per record over 8,000 records as over 1,000.
 func TestReaderStaysPlain(t *testing.T) {
 	// Record i sets each of 12 fields to one of four kinds, picked by the
@@ -336,11 +372,6 @@ func TestReaderStaysPlain(t *testing.T) {
 		}
 		if st.Records != int64(n) || st.DistinctTypes != 0 {
 			t.Fatalf("%d records: Stats = %+v", n, st)
-		}
-		for name := range c.Metrics().Counters {
-			if strings.HasPrefix(name, "intern_") || strings.Contains(name, "_cache_") {
-				t.Errorf("%d records: stream recorded %s", n, name)
-			}
 		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	}
