@@ -59,7 +59,9 @@ type Options struct {
 	MaxTagLen int
 	// ChunkBytes is the chunk size of the bounded-memory partitioner
 	// used by FromFile, FromFiles and FromChunkedReader; zero means
-	// 256 KiB.
+	// 256 KiB. Those runs hold one chunk buffer per worker (Workers of
+	// them, each ChunkBytes plus at most one line), plus the few bytes
+	// read past the last cut.
 	ChunkBytes int
 	// Collector, when non-nil, accumulates pipeline metrics (records,
 	// bytes, per-chunk latencies, the fusion-growth curve, map-reduce

@@ -34,9 +34,10 @@
 //     down rather than minting context.Background(), and loops that
 //     spawn goroutines must observe ctx.Done().
 //   - poolescape: pooled chunk buffers (sync.Pool, jsontext.ChunkPool)
-//     used after being Put back, and map stages handed to the releasing
-//     engine drivers whose output aliases the released item — the
-//     batched-feed recycling contract (docs/PERFORMANCE.md).
+//     used after being Put back, and map stages handed to the engine
+//     (mapreduce.Run hands each item back to its feed for recycling)
+//     whose output aliases that item — the pull feed's recycling
+//     contract (docs/PERFORMANCE.md).
 //
 // Copied locks are left to go vet's copylocks check, which verify.sh
 // runs in the same gate.

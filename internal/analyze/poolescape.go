@@ -7,7 +7,8 @@ import (
 )
 
 // PoolEscape guards the buffer-recycling contract of the pooled feed
-// path (jsontext.ChunkPool + pipeline.RunPooled + mapreduce.RunReleased):
+// path (jsontext.ChunkPool + jsontext.LineCutter + mapreduce.Run, whose
+// workers hand each finished item back to the feed's next function):
 // once a buffer is handed back to its pool, the next Get may hand it to
 // a concurrent owner, so the releasing code must be completely done
 // with it. Two patterns break that contract:
@@ -17,12 +18,12 @@ import (
 //     type — one whose method set has both Get and Put, which covers
 //     sync.Pool and jsontext.ChunkPool — with no intervening
 //     reassignment handing the variable a fresh buffer;
-//   - stage aliasing: a map-stage literal passed to
-//     mapreduce.RunReleased returns a value aliasing its input item
-//     (the item itself, a subslice, its address, or a composite
-//     holding one of those). The engine releases the item right after
-//     the task's final attempt, so stage output sharing memory with it
-//     escapes the stage that released it.
+//   - stage aliasing: a map-stage literal passed to mapreduce.Run
+//     returns a value aliasing its input item (the item itself, a
+//     subslice, its address, or a composite holding one of those). The
+//     engine hands the item back to next, which may recycle it, right
+//     after the task's final attempt, so stage output sharing memory
+//     with it escapes the stage that released it.
 //
 // Statement order within one function body approximates execution
 // order, so a use that precedes the Put textually but follows it
@@ -39,12 +40,13 @@ var PoolEscape = &Analyzer{
 	Run:  runPoolEscape,
 }
 
-// releaseDrivers are the engine entry points that release their input
-// items after the final map attempt: package path -> function name ->
-// index of the map-stage argument (whose second parameter is the
-// released item).
+// releaseDrivers are the engine entry points that hand their input
+// items back for recycling after the final map attempt: package path ->
+// function name -> index of the map-stage argument (whose second
+// parameter is the released item). mapreduce.Run hands every item back
+// to its next function, the feed that may recycle it.
 var releaseDrivers = map[string]map[string]int{
-	"repro/internal/mapreduce": {"RunReleased": 2},
+	"repro/internal/mapreduce": {"Run": 2},
 }
 
 func runPoolEscape(pass *Pass) {

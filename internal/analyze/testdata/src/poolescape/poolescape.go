@@ -91,28 +91,40 @@ func GoodDeferredPut(pool *chunkPool) {
 	sink(buf)
 }
 
-// grow is the ChunkLinesPooled growth step: copy into the bigger
-// buffer first, then release the old one and never touch it again.
+// grow is the LineCutter growth step: copy into the bigger buffer
+// first, then release the old one and never touch it again.
 func grow(pool *chunkPool, b []byte) []byte {
 	nb := append(pool.Get(2*cap(b)), b...)
 	pool.Put(b)
 	return nb
 }
 
-// GoodGrowThenHandoff is the ChunkLinesPooled idiom: the buffer grows
-// through a helper that releases the old one, and the bytes past the
-// cut move into a fresh buffer before the chunk is handed to emit, so
-// every buffer has one owner at a time.
-func GoodGrowThenHandoff(pool *chunkPool, emit func([]byte) error) ([]byte, error) {
-	buf := append(pool.Get(64), "a\nb"...)
-	buf = grow(pool, buf)
-	rest := append(pool.Get(64), buf[2:]...)
-	err := emit(buf[:2])
-	if err != nil {
-		pool.Put(rest)
-		rest = nil
-	}
-	return rest, err
+// cutter is the shape of jsontext.LineCutter: the bytes read past the
+// last cut wait in a carry of its own between calls.
+type cutter struct {
+	pool  *chunkPool
+	carry []byte
+}
+
+// GoodNextHandsBack is the LineCutter.Next idiom, the pull feed of
+// mapreduce.Run: the chunk the worker hands back goes to the pool
+// before anything else and is never touched again; the next chunk grows
+// through a helper that releases the old buffer, and the bytes past the
+// cut move into the carry before the chunk is returned, so every buffer
+// has one owner at a time.
+func (c *cutter) GoodNextHandsBack(prev []byte) ([]byte, bool, error) {
+	c.pool.Put(prev)
+	buf := append(c.pool.Get(len(c.carry)), c.carry...)
+	buf = grow(c.pool, append(buf, "a\nb"...))
+	c.carry = append(c.carry[:0], buf[2:]...)
+	return buf[:2], true, nil
+}
+
+// BadNextReusesPrev hands the returned chunk back to the pool and then
+// refills it: the pool may already have given it to another worker.
+func (c *cutter) BadNextReusesPrev(prev []byte) ([]byte, bool, error) {
+	c.pool.Put(prev)
+	return append(prev[:0], c.carry...), true, nil // want "used after being released"
 }
 
 // BadGrowAfterPut releases the old buffer before copying out of it: by
@@ -124,36 +136,36 @@ func BadGrowAfterPut(pool *chunkPool, b []byte) []byte {
 }
 
 // BadStageAlias returns the released item from a map stage: the engine
-// recycles the chunk after the attempt, so the output must not share
-// memory with it.
-func BadStageAlias(ctx context.Context, src <-chan []byte) {
-	_, _, _ = mapreduce.RunReleased(ctx, src, func(_ context.Context, chunk []byte) ([]byte, error) {
+// hands the chunk back to next after the attempt, which may recycle it,
+// so the output must not share memory with it.
+func BadStageAlias(ctx context.Context, next func([]byte) ([]byte, bool, error)) {
+	_, _, _ = mapreduce.Run(ctx, next, func(_ context.Context, chunk []byte) ([]byte, error) {
 		return chunk[1:], nil // want "aliases released item chunk"
-	}, first, nil, mapreduce.Config{}, func([]byte) {})
+	}, first, nil, mapreduce.Config{})
 }
 
 // BadStageComposite hides the alias inside a composite literal.
-func BadStageComposite(ctx context.Context, src <-chan []byte) {
+func BadStageComposite(ctx context.Context, next func([]byte) ([]byte, bool, error)) {
 	type out struct{ raw []byte }
-	_, _, _ = mapreduce.RunReleased(ctx, src, func(_ context.Context, chunk []byte) (out, error) {
+	_, _, _ = mapreduce.Run(ctx, next, func(_ context.Context, chunk []byte) (out, error) {
 		return out{raw: chunk}, nil // want "aliases released item chunk"
-	}, func(a, b out) out { return a }, out{}, mapreduce.Config{}, func([]byte) {})
+	}, func(a, b out) out { return a }, out{}, mapreduce.Config{})
 }
 
 // GoodStageCopy copies what it keeps — string conversion and explicit
 // append both produce fresh memory.
-func GoodStageCopy(ctx context.Context, src <-chan []byte) {
-	_, _, _ = mapreduce.RunReleased(ctx, src, func(_ context.Context, chunk []byte) (string, error) {
+func GoodStageCopy(ctx context.Context, next func([]byte) ([]byte, bool, error)) {
+	_, _, _ = mapreduce.Run(ctx, next, func(_ context.Context, chunk []byte) (string, error) {
 		return string(chunk), nil
-	}, firstStr, "", mapreduce.Config{}, func([]byte) {})
+	}, firstStr, "", mapreduce.Config{})
 }
 
 // SuppressedStageAlias is acknowledged with a lint:ignore directive.
-func SuppressedStageAlias(ctx context.Context, src <-chan []byte) {
-	_, _, _ = mapreduce.RunReleased(ctx, src, func(_ context.Context, chunk []byte) ([]byte, error) {
-		//lint:ignore poolescape release hook is a no-op in this run
+func SuppressedStageAlias(ctx context.Context, next func([]byte) ([]byte, bool, error)) {
+	_, _, _ = mapreduce.Run(ctx, next, func(_ context.Context, chunk []byte) ([]byte, error) {
+		//lint:ignore poolescape this next never recycles what it is handed back
 		return chunk, nil
-	}, first, nil, mapreduce.Config{}, func([]byte) {})
+	}, first, nil, mapreduce.Config{})
 }
 
 func first(a, b []byte) []byte { return a }

@@ -84,6 +84,7 @@ type poolLedger struct {
 	t      *testing.T
 	owner  map[*byte]int
 	maxCap int
+	peak   int // most buffers drawn and not yet Put back at once
 }
 
 // newLedger returns a pool whose Gets and Puts the ledger records.
@@ -102,6 +103,7 @@ func newLedger(t *testing.T) (*ChunkPool, *poolLedger) {
 		}
 		l.owner[base(b)] = byChunker
 		l.maxCap = max(l.maxCap, cap(b))
+		l.peak = max(l.peak, len(l.owner))
 	}}
 	return pool, l
 }
@@ -129,8 +131,8 @@ func (l *poolLedger) balanced(label string) {
 }
 
 // collect runs ChunkLinesPooled over r with a ledger-tracked pool and
-// returns copies of the chunks it emitted, each buffer Put back the way
-// the pipeline's release hook does.
+// returns copies of the chunks it emitted, each buffer Put back at
+// once, the way a consumer that is done with it does.
 func collect(t *testing.T, r io.Reader, chunkBytes int) ([][]byte, *poolLedger, error) {
 	pool, l := newLedger(t)
 	var chunks [][]byte

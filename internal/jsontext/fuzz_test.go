@@ -193,3 +193,94 @@ func FuzzChunkLinesPooled(f *testing.F) {
 		l.balanced("fuzz")
 	})
 }
+
+// FuzzLineCutterWorkers drives a LineCutter the way the map-reduce
+// engine's workers pull from it: up to eight simulated workers each
+// take a chunk, then, in an order taken from the input, hand it back
+// through Next as they take their next one, until every worker has
+// seen the end. Input, chunk and read sizes are drawn as in
+// FuzzChunkLinesPooled.
+//
+//   - the chunks, in the order Next cut them, are the reference cuts of
+//     refChunkLines: they concatenate back to the input, each ends at
+//     its first newline at or past chunkBytes-1, and the base offset
+//     the engine would give each (the bytes cut before it) matches;
+//   - a chunk a worker holds is never touched by later cuts;
+//   - at most one buffer per worker is out of the pool, plus the one a
+//     chunk grows out of, and every buffer is back once all workers
+//     have handed theirs back.
+func FuzzLineCutterWorkers(f *testing.F) {
+	line := []byte(`{"a": [1, true, "x"]}` + "\n")
+	f.Add([]byte("{}\n{}"), uint16(0), uint32(0), []byte(nil), uint8(0), []byte(nil))
+	f.Add([]byte("a\nbb\n\nccc\r\n"), uint16(3), uint32(1), []byte{0, 3, 0x85}, uint8(2), []byte{1, 0, 2})
+	f.Add(line, uint16(200), uint32(64), []byte{1, 40, 7}, uint8(3), []byte{3, 1, 4, 1, 5})
+	f.Add(line, uint16(15000), uint32(0), []byte{0x7f, 0x90, 0x7f, 3}, uint8(1), []byte{0})
+	f.Add(line, uint16(15000), uint32(100<<10), []byte{0x7f, 0x40, 0x22}, uint8(7), []byte{9, 2, 6, 5})
+	f.Add([]byte("xxxxxxxxxx"), uint16(30000), uint32(0), []byte{0x7f, 0x7f, 0x7e}, uint8(4), []byte{2, 7})
+	f.Fuzz(func(t *testing.T, unit []byte, rep uint16, cb uint32, reads []byte, workers uint8, order []byte) {
+		data := bytes.Repeat(unit, min(1+int(rep), 1+(1<<20)/(1+len(unit))))
+		floor := 1 + len(data)>>12
+		chunkBytes := int(cb % (1 << 20))
+		if chunkBytes != 0 {
+			chunkBytes = max(chunkBytes, floor)
+		}
+		want, err := refChunkLines(bytes.NewReader(data), chunkBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &patternReader{data: data, pattern: reads, minRead: floor, eofWithData: len(reads)%2 == 1}
+		pool, l := newLedger(t)
+		cut := NewLineCutter(r, chunkBytes, pool)
+		nw := 1 + int(workers%8)
+		held := make([][]byte, nw) // the chunk each worker holds
+		kept := make([][]byte, nw) // a copy of it, taken when it was cut
+		active := make([]int, nw)  // the workers yet to see the end
+		for w := range active {
+			active[w] = w
+		}
+		var got [][]byte
+		var bases []int64
+		var base int64
+		for step := 0; len(active) > 0; step++ {
+			// Every worker takes its first chunk in turn; after that the
+			// input picks who hands back next.
+			i := step % len(active)
+			if step >= nw && len(order) > 0 {
+				i = int(order[step%len(order)]) % len(active)
+			}
+			w := active[i]
+			if held[w] != nil && !bytes.Equal(held[w], kept[w]) {
+				t.Fatalf("the chunk worker %d held changed before it was handed back", w)
+			}
+			chunk, ok, err := cut.Next(held[w])
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[w], kept[w] = chunk, bytes.Clone(chunk)
+			if !ok {
+				active = append(active[:i], active[i+1:]...)
+				continue
+			}
+			got = append(got, kept[w])
+			bases = append(bases, base)
+			base += int64(len(chunk))
+		}
+		sameChunks(t, "workers", got, want)
+		var off int64
+		for i, c := range want {
+			if i < len(bases) && bases[i] != off {
+				t.Errorf("chunk %d has base %d, want %d", i, bases[i], off)
+			}
+			off += int64(len(c))
+		}
+		if _, ok, err := cut.Next(nil); ok || err != nil {
+			t.Errorf("Next after the end = %v, %v; want the end again", ok, err)
+		}
+		if l.Peak() > nw+1 {
+			t.Errorf("%d buffers out of the pool at once with %d workers, want at most %d", l.Peak(), nw, nw+1)
+		}
+		if n := l.Live(); n != 0 {
+			t.Errorf("%d buffers never returned to the pool", n)
+		}
+	})
+}

@@ -85,7 +85,7 @@ func SplitLines(data []byte, n int) [][]byte {
 	return chunks
 }
 
-// defaultChunkBytes is the chunk size ChunkLinesPooled uses when given
+// defaultChunkBytes is the chunk size a LineCutter uses when given
 // zero. Partition size never shows in the schema (the reduce is
 // associative and commutative), so it is only a cost choice: chunks this
 // size keep the in-flight buffers of a run small, while much shorter
@@ -96,7 +96,7 @@ const defaultChunkBytes = 256 << 10
 // chunkSlack is the room every size class leaves above its power of
 // four, so a chunk cut at a class size (the default, or a ChunkBytes of
 // 64 KiB) whose last line runs a little past the threshold fits without
-// moving up a class. Once a chunk is full, ChunkLinesPooled also reads
+// moving up a class. Once a chunk is full, a LineCutter also reads
 // at most this much at a time, which bounds the bytes it carries into
 // the next chunk.
 const chunkSlack = 4 << 10
@@ -115,8 +115,8 @@ func classFor(n int) int {
 	return c
 }
 
-// A ChunkPool recycles chunk buffers between a feed and the release
-// hook of the pipeline that consumed them, so the chunks of a large
+// A ChunkPool recycles chunk buffers between a LineCutter and the
+// workers of the pipeline that consume them, so the chunks of a large
 // file and the many small bodies of a server reuse a handful of buffers
 // instead of allocating one per chunk. It keeps one sync.Pool per size
 // class (chunkClasses), so a small input reuses small buffers and never
@@ -126,11 +126,11 @@ func classFor(n int) int {
 // nil *ChunkPool degrades to plain allocation (Get allocates fresh, Put
 // drops), so pooled code paths need no nil branches. Buffers must only
 // be Put back once their consumer is finished with them — with the
-// map-reduce engine that is its Release hook, which fires after a
-// chunk's final retry attempt.
+// map-reduce engine that is when a worker hands the chunk back to
+// LineCutter.Next, after the chunk's final retry attempt.
 //
 // The pool has no cap on the bytes it retains, and needs none: a run
-// holds a few buffers at a time, and the runtime forces a collection at
+// holds one buffer per worker, and the runtime forces a collection at
 // least every two minutes, so an idle process hands the memory back.
 type ChunkPool struct {
 	classes [len(chunkClasses)]sync.Pool
@@ -192,99 +192,109 @@ func (p *ChunkPool) grow(b []byte) []byte {
 	return nb
 }
 
-// ChunkLinesPooled reads NDJSON from r and calls emit with line-aligned
-// chunks of roughly chunkBytes bytes (zero means 256 KiB). A chunk ends
-// right after the first newline at or past its chunkBytes-th byte, and
-// whatever follows the last cut is flushed at EOF, so the final chunk
-// may be smaller and a single line longer than chunkBytes becomes its
-// own chunk. This is the streaming partitioner for inputs too large to
-// hold in memory: chunks flow to parallel workers while the input is
-// still being read. Any newline can end a chunk, so every value must
-// sit on one line; a value spanning a cut fails to decode (SplitLines,
-// by contrast, cuts only between values).
+// A LineCutter cuts a stream of NDJSON into line-aligned chunks of
+// roughly chunkBytes bytes (zero means 256 KiB), one per call to Next.
+// A chunk ends right after the first newline at or past its
+// chunkBytes-th byte, and whatever follows the last cut becomes the
+// final chunk at EOF, so the final chunk may be smaller and a single
+// line longer than chunkBytes becomes its own chunk. Any newline can
+// end a chunk, so every value must sit on one line; a value spanning a
+// cut fails to decode (SplitLines, by contrast, cuts only between
+// values).
 //
-// Chunk buffers come from pool and r reads straight into them. A chunk
-// starts in the smallest size class and moves up a class (copy, then
-// Put the old buffer) only when its buffer is full, it is short of
-// chunkBytes and r has not ended, so a small input never holds a
-// chunk-sized buffer. Bytes read past a cut move into a fresh buffer
-// for the next chunk. Each emitted chunk is handed to emit without
-// copying, and ownership transfers with it — the consumer returns the
-// buffer with pool.Put when (and only when) it is done, typically
-// through the pipeline's release hook so retried map attempts never see
-// a recycled buffer. With a nil pool every buffer is a fresh
-// allocation. A read error is returned as is, and the unterminated tail
-// pending at that point is never emitted.
-func ChunkLinesPooled(r io.Reader, chunkBytes int, pool *ChunkPool, emit func([]byte) error) error {
+// r reads straight into a buffer from pool, which the caller owns until
+// it hands the chunk back. A chunk starts in the smallest size class
+// and moves up a class (copy, then Put the old buffer) only when its
+// buffer is full, it is short of chunkBytes and r has not ended, so a
+// small input never holds a chunk-sized buffer. Between calls the
+// cutter holds only the bytes it read past the last cut, fewer than
+// chunkSlack, in a carry of its own. With a nil pool every buffer is a
+// fresh allocation.
+type LineCutter struct {
+	r          io.Reader
+	chunkBytes int
+	pool       *ChunkPool
+	carry      []byte // bytes read past the last cut
+	ended      bool   // r has reported an error or io.EOF
+	err        error  // that error, nil at io.EOF
+}
+
+// NewLineCutter returns a cutter over r.
+func NewLineCutter(r io.Reader, chunkBytes int, pool *ChunkPool) *LineCutter {
 	if chunkBytes <= 0 {
 		chunkBytes = defaultChunkBytes
+	}
+	return &LineCutter{r: r, chunkBytes: chunkBytes, pool: pool}
+}
+
+// Next Puts prev (a chunk it returned before, or nil) back to the pool
+// and cuts the next chunk; its shape is the pull feed of mapreduce.Run,
+// which hands each chunk back after its final map attempt. At the end
+// of the stream ok is false and err is the read error, if any, which is
+// returned as is; the unterminated tail pending at a read error is never
+// returned. Called again after the end, Next only takes back prev.
+func (c *LineCutter) Next(prev []byte) (chunk []byte, ok bool, err error) {
+	c.pool.Put(prev)
+	if c.ended && (c.err != nil || len(c.carry) == 0) {
+		return nil, false, c.err
 	}
 	// Once a chunk is full, reads shrink to step bytes, so what one read
 	// brings in past the cut is shorter than chunkBytes and holds no
 	// second cut.
-	step := min(chunkSlack, chunkBytes)
-	var buf []byte
-	empty := 0 // consecutive reads returning (0, nil)
-	for {
+	step := min(chunkSlack, c.chunkBytes)
+	buf := append(c.pool.Get(len(c.carry)), c.carry...)
+	c.carry = c.carry[:0]
+	for empty := 0; !c.ended; { // empty counts consecutive (0, nil) reads
 		if len(buf) == cap(buf) {
-			buf = pool.grow(buf)
+			buf = c.pool.grow(buf)
 		}
-		end := min(cap(buf), chunkBytes)
-		if len(buf) >= chunkBytes {
+		end := min(cap(buf), c.chunkBytes)
+		if len(buf) >= c.chunkBytes {
 			end = min(cap(buf), len(buf)+step)
 		}
-		n, rerr := r.Read(buf[len(buf):end])
+		n, rerr := c.r.Read(buf[len(buf):end])
 		// buf[:len(buf)] holds no cut, so only the new bytes past the
 		// threshold need scanning.
-		from := max(len(buf), chunkBytes-1)
+		from := max(len(buf), c.chunkBytes-1)
 		buf = buf[:len(buf)+n]
-		if from < len(buf) {
-			if i := bytes.IndexByte(buf[from:], '\n'); i >= 0 {
-				var err error
-				if buf, err = cutChunk(pool, buf, from+i+1, emit); err != nil {
-					return err
-				}
-			}
-		}
 		if n > 0 || rerr != nil {
 			empty = 0
 		} else if empty++; empty == 100 {
 			rerr = io.ErrNoProgress // a stuck reader fails as it does under bufio
 		}
-		if rerr != nil {
-			return finishChunks(pool, buf, rerr, emit)
+		if c.ended = rerr != nil; rerr != io.EOF {
+			c.err = rerr
+		}
+		if from < len(buf) {
+			if i := bytes.IndexByte(buf[from:], '\n'); i >= 0 {
+				c.carry = append(c.carry, buf[from+i+1:]...)
+				return buf[:from+i+1], true, nil
+			}
 		}
 	}
+	// At io.EOF what is left becomes the last chunk.
+	if c.err == nil && len(buf) > 0 {
+		return buf, true, nil
+	}
+	c.pool.Put(buf)
+	return nil, false, c.err
 }
 
-// cutChunk emits buf[:at] and returns the bytes after the cut in a
-// fresh buffer from pool (nil when there are none). They move before
-// emit runs, because emit takes ownership of buf.
-func cutChunk(pool *ChunkPool, buf []byte, at int, emit func([]byte) error) ([]byte, error) {
-	var rest []byte
-	if at < len(buf) {
-		rest = append(pool.Get(len(buf)-at), buf[at:]...)
+// ChunkLinesPooled reads NDJSON from r and calls emit with the chunks a
+// LineCutter cuts, in order, each without copying: the consumer owns
+// the buffer and returns it with pool.Put when it is done. An emit
+// error stops the cutting and is returned, as is a read error.
+func ChunkLinesPooled(r io.Reader, chunkBytes int, pool *ChunkPool, emit func([]byte) error) error {
+	c := NewLineCutter(r, chunkBytes, pool)
+	for {
+		chunk, ok, err := c.Next(nil)
+		if !ok {
+			return err
+		}
+		if err := emit(chunk); err != nil {
+			return err
+		}
 	}
-	err := emit(buf[:at])
-	if err != nil {
-		pool.Put(rest)
-		rest = nil
-	}
-	return rest, err
-}
-
-// finishChunks ends the stream once r reports rerr: at io.EOF the tail
-// in buf becomes the last chunk; after any other error nothing more is
-// emitted and rerr is returned.
-func finishChunks(pool *ChunkPool, buf []byte, rerr error, emit func([]byte) error) error {
-	if rerr == io.EOF && len(buf) > 0 {
-		return emit(buf)
-	}
-	pool.Put(buf)
-	if rerr == io.EOF {
-		return nil
-	}
-	return rerr
 }
 
 // CountLines reports the number of non-empty lines in an NDJSON buffer,

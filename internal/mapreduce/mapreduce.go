@@ -46,9 +46,12 @@ type Config struct {
 	// Recorder, when non-nil, receives engine metrics under the
 	// mapreduce_* names documented in docs/OBSERVABILITY.md: task
 	// counts, per-task map and combine timings, queue wait, reduce and
-	// wall times, and worker utilization. A nil Recorder costs one
-	// branch per task on the hot path (benchmarked at the repository
-	// root against BenchmarkInferNDJSON).
+	// wall times, and worker utilization. There is no queue: the queue
+	// wait (mapreduce_queue_wait_ns) is a worker's wait for its next
+	// item, the engine's feed lock plus the call to next, so with a
+	// feed that reads its input it includes the read. A nil Recorder
+	// costs one branch per task on the hot path (benchmarked at the
+	// repository root against BenchmarkInferNDJSON).
 	Recorder obs.Recorder
 }
 
@@ -80,7 +83,7 @@ type Stats struct {
 	Quarantined []QuarantinedTask
 }
 
-// Run maps every item received from src and reduces the outputs with
+// Run maps every item next yields and reduces the outputs with
 // combine, starting from zero. What happens when a task fails — a mapFn
 // error, a mapFn panic (converted to a Permanent error) or an injected
 // fault — is governed by cfg.Failure: the task is re-executed with
@@ -89,23 +92,23 @@ type Stats struct {
 // complete without it (see Stats.Quarantined). Context cancellation
 // always aborts, regardless of policy.
 //
+// Workers pull their items: each calls next under a lock of the
+// engine's, so next needs no synchronization, and items are numbered in
+// the order next yields them. prev is the worker's last item (the zero
+// I at first), handed back after its final attempt — success,
+// quarantine or failure — so a feed can recycle it; mapFn's output must
+// not alias its item. next reports the end with ok false and a failure
+// with an error, and must report the end again to each worker that
+// calls it after that. A next error stops new items; those handed out
+// are still mapped, and the error is returned as is unless one of their
+// tasks failed first. After an abort next is not called again, and the
+// items still held fall to the garbage collector.
+//
 // Re-execution is safe because combine must be associative (and, in
 // the default unordered mode, commutative): a retried task's output
 // meets the fold in a different order but yields the same reduction.
 // zero must be the identity of combine.
-func Run[I, M any](ctx context.Context, src <-chan I, mapFn func(context.Context, I) (M, error), combine func(M, M) M, zero M, cfg Config) (M, Stats, error) {
-	return RunReleased(ctx, src, mapFn, combine, zero, cfg, nil)
-}
-
-// RunReleased is Run with a per-item release hook: release (when
-// non-nil) is called exactly once per dequeued item after its final
-// map attempt completes — success, quarantine, or failure — so feeds
-// that recycle item buffers (pooled chunks) can reclaim them safely
-// even under retries, which re-invoke mapFn with the same item. mapFn's
-// output must not alias the item once it returns. Items still queued
-// when a run aborts are never released: they fall to the garbage
-// collector, which can only under-recycle, never double-free.
-func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context.Context, I) (M, error), combine func(M, M) M, zero M, cfg Config, release func(I)) (M, Stats, error) {
+func Run[I, M any](ctx context.Context, next func(prev I) (I, bool, error), mapFn func(context.Context, I) (M, error), combine func(M, M) M, zero M, cfg Config) (M, Stats, error) {
 	start := time.Now()
 	nw := cfg.workers()
 	rec := cfg.Recorder
@@ -113,11 +116,6 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 		rec.Set("mapreduce_workers", int64(nw))
 	}
 
-	type seqItem struct {
-		seq  int
-		item I
-		enq  time.Time // stamped only when a Recorder is installed
-	}
 	type seqOut struct {
 		seq int
 		out M
@@ -139,29 +137,13 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	items := make(chan seqItem)
-	// Feed items with sequence numbers; stop early on cancellation.
-	go func() {
-		defer close(items)
-		seq := 0
-		for it := range src {
-			si := seqItem{seq: seq, item: it}
-			if rec != nil {
-				si.enq = time.Now()
-			}
-			select {
-			case items <- si:
-				seq++
-			case <-runCtx.Done():
-				// Drain src so a blocked producer can finish.
-				for range src {
-				}
-				return
-			}
-		}
-	}()
-
 	var (
+		// feedMu serializes the calls to next, so next needs no lock of
+		// its own and items are numbered in the order it yields them;
+		// mu guards the rest, so no bookkeeping waits on a read.
+		feedMu      sync.Mutex
+		nextSeq     int   // sequence number of the next item
+		feedErr     error // next's first error
 		mu          sync.Mutex
 		firstErr    error
 		mapTime     time.Duration
@@ -186,16 +168,38 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for it := range items {
-				if rec != nil && !it.enq.IsZero() {
-					rec.Observe("mapreduce_queue_wait_ns", int64(time.Since(it.enq)))
+			var (
+				item I // handed back to next when the worker pulls again
+				seq  int
+				ok   bool
+				err  error
+				t0   time.Time
+			)
+			for {
+				if rec != nil {
+					t0 = time.Now()
 				}
-				out, res := runTaskAttempts(runCtx, mapFn, it.item, it.seq, cfg, rec)
-				if release != nil {
-					// All attempts for this item are over; nothing can touch
-					// it again.
-					release(it.item)
+				feedMu.Lock()
+				select {
+				case <-runCtx.Done():
+					ok = false
+				default:
+					if item, ok, err = next(item); err != nil && feedErr == nil {
+						feedErr = err
+					}
+					if ok = ok && feedErr == nil; ok {
+						seq = nextSeq
+						nextSeq++
+					}
 				}
+				feedMu.Unlock()
+				if !ok {
+					return
+				}
+				if rec != nil {
+					rec.Observe("mapreduce_queue_wait_ns", int64(time.Since(t0)))
+				}
+				out, res := runTaskAttempts(runCtx, mapFn, item, seq, cfg, rec)
 				mu.Lock()
 				mapTime += res.dur
 				tasks++
@@ -203,12 +207,12 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 				mu.Unlock()
 				if res.err != nil {
 					if res.aborted || !cfg.Failure.Skip {
-						fail(fmt.Errorf("mapreduce: task %d: %w", it.seq, res.err))
+						fail(fmt.Errorf("mapreduce: task %d: %w", seq, res.err))
 						return
 					}
 					// Skip: quarantine the task and keep going.
 					mu.Lock()
-					quarantined = append(quarantined, QuarantinedTask{Seq: it.seq, Attempts: res.attempts, Err: res.err})
+					quarantined = append(quarantined, QuarantinedTask{Seq: seq, Attempts: res.attempts, Err: res.err})
 					mu.Unlock()
 					if rec != nil {
 						rec.Add("mapreduce_skipped", 1)
@@ -217,7 +221,7 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 				}
 				if cfg.Ordered {
 					mu.Lock()
-					ordered = append(ordered, seqOut{seq: it.seq, out: out})
+					ordered = append(ordered, seqOut{seq: seq, out: out})
 					mu.Unlock()
 				} else {
 					if started[w] {
@@ -227,11 +231,6 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 						started[w] = true
 					}
 				}
-				select {
-				case <-runCtx.Done():
-					return
-				default:
-				}
 			}
 		}(w)
 	}
@@ -239,6 +238,9 @@ func RunReleased[I, M any](ctx context.Context, src <-chan I, mapFn func(context
 
 	if firstErr == nil && ctx.Err() != nil {
 		firstErr = ctx.Err()
+	}
+	if firstErr == nil {
+		firstErr = feedErr
 	}
 	// Workers quarantine in completion order; canonicalize to input
 	// order so Stats is deterministic.
@@ -372,16 +374,13 @@ func runAttempt[I, M any](ctx context.Context, mapFn func(context.Context, I) (M
 
 // RunSlice is Run over an in-memory slice of items.
 func RunSlice[I, M any](ctx context.Context, items []I, mapFn func(context.Context, I) (M, error), combine func(M, M) M, zero M, cfg Config) (M, Stats, error) {
-	src := make(chan I)
-	go func() {
-		defer close(src)
-		for _, it := range items {
-			select {
-			case src <- it:
-			case <-ctx.Done():
-				return
-			}
+	i := 0
+	next := func(I) (item I, ok bool, _ error) {
+		if i < len(items) {
+			item, ok = items[i], true
+			i++
 		}
-	}()
-	return Run(ctx, src, mapFn, combine, zero, cfg)
+		return item, ok, nil
+	}
+	return Run(ctx, next, mapFn, combine, zero, cfg)
 }

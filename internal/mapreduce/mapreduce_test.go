@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,7 +192,11 @@ func TestRunFromChannelStreams(t *testing.T) {
 			src <- i
 		}
 	}()
-	got, _, err := Run(context.Background(), src,
+	next := func(int) (int, bool, error) {
+		n, ok := <-src
+		return n, ok, nil
+	}
+	got, _, err := Run(context.Background(), next,
 		func(_ context.Context, n int) (int, error) { return n * n, nil },
 		func(a, b int) int { return a + b }, 0, Config{Workers: 4})
 	if err != nil {
@@ -203,6 +208,92 @@ func TestRunFromChannelStreams(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("sum of squares = %d, want %d", got, want)
+	}
+}
+
+// TestRunHandsBackEveryItem: every item next yields comes back through
+// next exactly once, after its final attempt, so a worker never holds
+// more than one — quarantined and retried items included.
+func TestRunHandsBackEveryItem(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		// next runs under the engine's lock, so its state needs none.
+		yielded, held, peak := 0, map[int]bool{}, 0
+		next := func(prev int) (int, bool, error) {
+			if prev != 0 {
+				if !held[prev] {
+					t.Errorf("workers=%d: item %d handed back twice or never yielded", workers, prev)
+				}
+				delete(held, prev)
+			}
+			if yielded == 200 {
+				return 0, false, nil
+			}
+			yielded++
+			held[yielded] = true
+			peak = max(peak, len(held))
+			return yielded, true, nil
+		}
+		cfg := Config{Workers: workers, Failure: FailurePolicy{Retries: 1, Skip: true},
+			Injector: func(seq, attempt int) Fault {
+				if seq%7 == 0 && attempt == 0 {
+					return Fault{Err: errors.New("transient")}
+				}
+				return Fault{}
+			}}
+		_, st, err := Run(context.Background(), next, func(_ context.Context, n int) (int, error) {
+			if n%10 == 0 {
+				return 0, Permanent(errors.New("poisoned"))
+			}
+			return n, nil
+		}, func(a, b int) int { return a + b }, 0, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(held) != 0 || peak > workers {
+			t.Errorf("workers=%d: %d items never handed back, %d held at once; want 0 and at most %d", workers, len(held), peak, workers)
+		}
+		if len(st.Quarantined) != 20 || st.Tasks != 200 {
+			t.Errorf("workers=%d: %d tasks, %d quarantined; want 200 and 20", workers, st.Tasks, len(st.Quarantined))
+		}
+	}
+}
+
+// TestRunNextError: a next error stops the handing out of items, the
+// items already handed out are still mapped, and the run returns the
+// error as is — unless one of those tasks fails, whose error wins.
+func TestRunNextError(t *testing.T) {
+	cause := errors.New("disk on fire")
+	feed := func() func(int) (int, bool, error) {
+		n := 0
+		return func(int) (int, bool, error) {
+			if n == 3 {
+				return 0, false, cause
+			}
+			n++
+			return n, true, nil
+		}
+	}
+	sum := func(a, b int) int { return a + b }
+	var mapped atomic.Int64
+	_, st, err := Run(context.Background(), feed(), func(_ context.Context, n int) (int, error) {
+		mapped.Add(1)
+		return n, nil
+	}, sum, 0, Config{Workers: 2})
+	if err != cause {
+		t.Errorf("err = %v, want the next error as is", err)
+	}
+	if st.Tasks != 3 || mapped.Load() != 3 {
+		t.Errorf("%d tasks, %d mapped; want the 3 items next yielded", st.Tasks, mapped.Load())
+	}
+	boom := errors.New("boom")
+	_, _, err = Run(context.Background(), feed(), func(_ context.Context, n int) (int, error) {
+		if n == 2 {
+			return 0, boom
+		}
+		return n, nil
+	}, sum, 0, Config{Workers: 1})
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the task error", err)
 	}
 }
 

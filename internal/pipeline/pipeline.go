@@ -12,8 +12,10 @@
 //
 // Two drivers share the stages and fill the one Accumulator
 // implementation: Run distributes line-aligned chunks over the
-// map-reduce engine (parallel, fault-tolerant), and RunStream types one
-// record at a time with constant memory (sequential). Both run one
+// map-reduce engine (parallel, fault-tolerant), whose workers pull each
+// chunk from the Feed themselves and hand the last one back as they do,
+// so a run holds one chunk per worker; RunStream types one record at a
+// time with constant memory (sequential). Both run one
 // tactic: under the paper's fusion without enrichment, a record the
 // schema fused so far already covers is matched on its tokens and
 // tallied, never typed (see Cover and RunStream); every other record is
@@ -119,23 +121,25 @@ func (c *Cover) add(fz fusion.Options, t types.Type) {
 	}
 }
 
-// A Feed produces the line-aligned chunks of one input through emit,
-// in order, and may block. Emit fails once the pipeline stops (error
-// or cancellation), so a feed that forwards emit's error — or simply
-// stops, like SliceFeed — can never wedge the run. A non-nil return
-// marks the *producer* as failed (an I/O error reading the input) and
-// surfaces as a FeedError, distinguishable from decode errors.
-type Feed func(emit func([]byte) error) error
+// A Feed yields the line-aligned chunks of one input, in order, one per
+// call, with the shape of mapreduce.Run's next: prev is a chunk it
+// yielded before (nil on a worker's first call), handed back once its
+// final map attempt is over, so a pooled feed (jsontext.LineCutter's
+// Next) can recycle the buffer. ok false marks the end of the input,
+// and the feed must report the end again if called once more. A
+// non-nil error marks the *producer* as failed (an I/O error reading
+// the input) and surfaces as a FeedError, distinguishable from decode
+// errors. The engine calls a Feed under its lock, so it needs no
+// synchronization of its own, and stops calling it once the run ends.
+type Feed func(prev []byte) (chunk []byte, ok bool, err error)
 
 // SliceFeed feeds an in-memory slice of chunks.
 func SliceFeed(chunks [][]byte) Feed {
-	return func(emit func([]byte) error) error {
-		for _, chunk := range chunks {
-			if err := emit(chunk); err != nil {
-				return nil // the pipeline stopped; it carries the error
-			}
+	return func([]byte) (chunk []byte, ok bool, _ error) {
+		if len(chunks) > 0 {
+			chunk, chunks, ok = chunks[0], chunks[1:], true
 		}
-		return nil
+		return chunk, ok, nil
 	}
 }
 
@@ -159,74 +163,30 @@ const StreamBatchRecords = 64
 // Run distributes the feed's chunks over the map-reduce engine: each
 // chunk is typed and locally folded into an Accumulator (the
 // combiner), and accumulators merge associatively + commutatively into
-// one. The feed's producer goroutine is always joined before Run
-// returns, so no goroutine outlives the call. The returned Accumulator
-// is nil when the feed produced nothing (Fold handles it); callers
-// that span several inputs under one Env (FromFiles) Combine the
-// returned accumulators before folding.
+// one. Workers pull the chunks from the feed themselves, each handing
+// back the chunk it finished as it takes the next, so a run holds at
+// most one chunk per worker and no goroutine outlives the call. The map
+// stage never retains chunk bytes past its return (decoded types copy
+// every string they keep), which is what makes recycling them sound.
+// The returned Accumulator is nil when the feed produced nothing (Fold
+// handles it); callers that span several inputs under one Env
+// (FromFiles) Combine the returned accumulators before folding.
 func Run(ctx context.Context, env *Env, feed Feed) (Accumulator, mapreduce.Stats, error) {
-	return RunPooled(ctx, env, feed, nil)
-}
-
-// RunPooled is Run with a buffer-recycling hook for pooled feeds:
-// release (when non-nil) is called exactly once per chunk after its
-// final map attempt completes — success, quarantine, or failure — so a
-// ChunkPool-backed feed can hand each buffer back for reuse. The hook
-// fires only after every retry of the chunk is over (retries re-decode
-// the same bytes), and chunks still queued when a run aborts are never
-// released; they fall to the garbage collector. The map stage never
-// retains chunk bytes past its return (decoded types copy every string
-// they keep), which is what makes recycling sound.
-func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (Accumulator, mapreduce.Stats, error) {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// The chunk channel holds one queued chunk per worker (one when
-	// Workers is left to the engine): the reader runs ahead of the map
-	// stage (I/O overlapping compute), and a run holds at most
-	// 2·Workers+2 emitted chunks — one per map attempt, one per queue
-	// slot, one in the engine's hand-off and one blocked in emit — plus
-	// the feed's buffer for the next chunk. Chunks parked in the queue
-	// at abort are simply dropped.
-	src := make(chan chunk, max(env.Workers, 1))
-	feedDone := make(chan struct{})
-	var feedErr error
-	go func() {
-		defer close(feedDone)
-		defer close(src)
-		var base int64
-		feedErr = feed(func(data []byte) error {
-			select {
-			case src <- chunk{data: data, base: base}:
-				base += int64(len(data))
-				return nil
-			case <-runCtx.Done():
-				return runCtx.Err()
-			}
-		})
-	}()
-
+	var base int64
+	next := func(prev chunk) (chunk, bool, error) {
+		data, ok, err := feed(prev.data)
+		if err != nil {
+			return chunk{}, false, &FeedError{Err: err}
+		}
+		c := chunk{data: data, base: base}
+		base += int64(len(data))
+		return c, ok, nil
+	}
 	mapFn := func(_ context.Context, c chunk) (Accumulator, error) {
 		return env.mapChunk(c)
 	}
-	var releaseChunk func(chunk)
-	if release != nil {
-		releaseChunk = func(c chunk) { release(c.data) }
-	}
-	out, mrst, err := mapreduce.RunReleased(runCtx, src, mapFn, Combine, nil,
-		mapreduce.Config{Workers: env.Workers, Recorder: env.Rec, Failure: env.Failure, Injector: env.Injector}, releaseChunk)
-	if err != nil {
-		// Unblock and join the feeder before returning so no goroutine
-		// outlives the call.
-		cancel()
-		<-feedDone
-		return nil, mrst, err
-	}
-	<-feedDone
-	if feedErr != nil {
-		return nil, mrst, &FeedError{Err: feedErr}
-	}
-	return out, mrst, nil
+	return mapreduce.Run(ctx, next, mapFn, Combine, nil,
+		mapreduce.Config{Workers: env.Workers, Recorder: env.Rec, Failure: env.Failure, Injector: env.Injector})
 }
 
 // A chunk is one line-aligned piece of a feed and its offset in the

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,16 +33,10 @@ func checkNoLeakedGoroutines(t *testing.T, before int) {
 	}
 }
 
-// endlessFeed emits the same chunk until the pipeline refuses it, so
-// only cancellation can end a run over it.
+// endlessFeed yields the same chunk for as long as it is asked, so only
+// cancellation can end a run over it.
 func endlessFeed(chunk []byte) Feed {
-	return func(emit func([]byte) error) error {
-		for {
-			if err := emit(chunk); err != nil {
-				return nil
-			}
-		}
-	}
+	return func([]byte) ([]byte, bool, error) { return chunk, true, nil }
 }
 
 // cancelOnObserve is an obs.Recorder that fires a cancel the first time
@@ -64,10 +57,10 @@ func (c *cancelOnObserve) Observe(name string, _ int64) {
 }
 
 // TestRunMidFeedCancel cancels from the fault injector as the first
-// chunk's map attempt starts — the feed is endless, so the feeder
-// goroutine is provably mid-emit — and asserts a prompt, clean return
-// with no surviving goroutines. This pins Run's own contract,
-// independent of any Source adapter.
+// chunk's map attempt starts — the feed is endless, so only the
+// cancellation can stop the workers pulling from it — and asserts a
+// prompt, clean return with no surviving goroutines. This pins Run's
+// own contract, independent of any Source adapter.
 func TestRunMidFeedCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -102,7 +95,7 @@ func TestRunMidCombineCancel(t *testing.T) {
 }
 
 // TestRunPreCancelled asserts an already-dead context never starts
-// work and still joins the feeder.
+// work and leaves no goroutine behind.
 func TestRunPreCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -120,11 +113,13 @@ func TestRunPreCancelled(t *testing.T) {
 func TestRunFeedError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cause := errors.New("disk on fire")
-	feed := func(emit func([]byte) error) error {
-		if err := emit([]byte(`{"a":1}`)); err != nil {
-			return nil
+	fed := false
+	feed := func([]byte) ([]byte, bool, error) {
+		if fed {
+			return nil, false, cause
 		}
-		return cause
+		fed = true
+		return []byte(`{"a":1}`), true, nil
 	}
 	_, _, err := Run(context.Background(), &Env{Workers: 2}, feed)
 	var fe *FeedError
@@ -146,38 +141,39 @@ func TestRunFeedError(t *testing.T) {
 	}
 }
 
-// TestRunPooledBoundsChunksInFlight pins RunPooled's memory bound: with
-// the map stage slowed by an injected delay, so the feed always runs
-// ahead, the chunks emit has accepted but the release hook has not yet
-// returned never number more than 2·Workers+1 — one per map attempt, one
-// per queued slot and one in the engine's hand-off — and every one is
-// released by the time the run returns.
+// TestRunPooledBoundsChunksInFlight pins Run's memory bound: with the
+// map stage slowed by an injected delay, so every worker is busy when
+// another asks for a chunk, the chunks the feed has yielded but not yet
+// taken back never number more than Workers — each worker hands its
+// chunk back as it takes the next — and every one is back by the time
+// the run returns.
 func TestRunPooledBoundsChunksInFlight(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		// Counting after emit returns and before release can only
-		// under-count, so a peak above the bound is a real one. RunPooled
-		// joins the feed before returning, so peak needs no lock.
-		var inFlight atomic.Int64
-		var peak int64
-		feed := func(emit func([]byte) error) error {
-			for i := 0; i < 12*workers; i++ {
-				if err := emit([]byte(`{"a":1}` + "\n")); err != nil {
-					return nil
-				}
-				peak = max(peak, inFlight.Add(1))
+		// The engine calls the feed under its lock, so the counts need
+		// none.
+		yielded, inFlight, peak := 0, 0, 0
+		feed := func(prev []byte) ([]byte, bool, error) {
+			if prev != nil {
+				inFlight--
 			}
-			return nil
+			if yielded == 12*workers {
+				return nil, false, nil
+			}
+			yielded++
+			inFlight++
+			peak = max(peak, inFlight)
+			return []byte(`{"a":1}` + "\n"), true, nil
 		}
 		slow := func(int, int) mapreduce.Fault { return mapreduce.Fault{Delay: 2 * time.Millisecond} }
 		env := &Env{Workers: workers, Injector: slow}
-		if _, _, err := RunPooled(context.Background(), env, feed, func([]byte) { inFlight.Add(-1) }); err != nil {
+		if _, _, err := Run(context.Background(), env, feed); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if bound := int64(2*workers + 1); peak > bound {
-			t.Errorf("workers=%d: %d chunks in flight, want at most %d", workers, peak, bound)
+		if peak > workers {
+			t.Errorf("workers=%d: %d chunks in flight, want at most %d", workers, peak, workers)
 		}
-		if n := inFlight.Load(); n != 0 {
-			t.Errorf("workers=%d: %d chunks never released", workers, n)
+		if inFlight != 0 {
+			t.Errorf("workers=%d: %d chunks never handed back", workers, inFlight)
 		}
 	}
 }

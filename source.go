@@ -51,18 +51,21 @@ func FromReader(r io.Reader) Source { return readerSource{r: r} }
 // FromFile is one NDJSON file processed with bounded memory: the file
 // streams through line-aligned chunks (Options.ChunkBytes each) that
 // are inferred and fused by parallel workers while the file is still
-// being read. Each value must sit on one line: a chunk ends at the
-// first newline past Options.ChunkBytes, so a pretty-printed value
-// that straddles the cut fails with a syntax error. FromBytes and
-// FromReader accept such values.
+// being read. Each worker cuts its own next chunk from the file as it
+// finishes the last, so a run holds one chunk buffer per worker. Each
+// value must sit on one line: a chunk ends at the first newline past
+// Options.ChunkBytes, so a pretty-printed value that straddles the cut
+// fails with a syntax error. FromBytes and FromReader accept such
+// values.
 func FromFile(path string) Source { return filesSource{paths: []string{path}} }
 
 // FromChunkedReader is a stream of JSON values processed through the
 // same bounded-memory chunked parallel pipeline as FromFile: the
 // stream is cut into line-aligned chunks (Options.ChunkBytes each)
 // that are inferred by parallel workers while the stream is still
-// being read, and the full failure machinery (Options.Retries,
-// Options.OnError) applies per chunk. Use it when the input arrives as
+// being read, each worker cutting its own next chunk, so a run holds
+// one chunk buffer per worker; the full failure machinery
+// (Options.Retries, Options.OnError) applies per chunk. Use it when the input arrives as
 // a stream too large to buffer but parallel inference or quarantine
 // semantics are wanted — an HTTP request body, a pipe, a socket;
 // cmd/schemad feeds ingest request bodies through it. Use FromReader
@@ -159,19 +162,18 @@ func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Acc
 }
 
 // chunkPool recycles chunk buffers across every chunked run of the
-// process: the feed fills one, the map stage decodes it, and the
-// engine's release hook (which fires only after the chunk's final retry
-// attempt) returns it for the next fill, of this run or a later one. A
-// large file or a server ingesting many small bodies allocates a
-// handful of buffers total, each sized to its chunk, not one per run.
+// process: the cutter fills one, the map stage decodes it, and the
+// worker hands it back (only after the chunk's final retry attempt) as
+// it pulls its next chunk, which the cutter cuts into a buffer from the
+// pool, of this run or a later one. A large file or a server ingesting
+// many small bodies allocates a handful of buffers total, each sized to
+// its chunk, not one per run.
 var chunkPool jsontext.ChunkPool
 
 // runChunks feeds r through the chunked pipeline in line-aligned chunks
-// of env.ChunkBytes drawn from chunkPool.
+// of env.ChunkBytes cut into buffers from chunkPool.
 func runChunks(ctx context.Context, env *pipeline.Env, r io.Reader) (pipeline.Accumulator, mapreduce.Stats, error) {
-	return pipeline.RunPooled(ctx, env, func(emit func([]byte) error) error {
-		return jsontext.ChunkLinesPooled(r, env.ChunkBytes, &chunkPool, emit)
-	}, chunkPool.Put)
+	return pipeline.Run(ctx, env, jsontext.NewLineCutter(r, env.ChunkBytes, &chunkPool).Next)
 }
 
 // chunkedErr words the error of a chunked run over path (empty for a
@@ -189,8 +191,8 @@ func chunkedErr(path string, err error) error {
 }
 
 // countingReader counts the bytes delivered by Read. The pipeline's
-// feeder goroutine is always joined before Run returns, so reading n
-// afterwards does not race.
+// workers read it under the engine's lock and are joined before Run
+// returns, so reading n afterwards does not race.
 type countingReader struct {
 	r io.Reader
 	n int64
