@@ -1,0 +1,120 @@
+package infer
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/fusion"
+	"repro/internal/jsontext"
+	"repro/internal/types"
+)
+
+// matchCovers are the covers FuzzMatcherAgreesWithDecoder matches
+// against: for each generator, the fusion of its first one, two and
+// four records, and the fusion of a few hand-written records whose
+// scalars sit where the seeds put malformed ones.
+func matchCovers(tb testing.TB) []types.Type {
+	var sets [][]byte
+	for _, name := range dataset.Names() {
+		g, err := dataset.New(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sets = append(sets, dataset.NDJSON(g, 4, 3))
+	}
+	sets = append(sets, []byte(`{"a": 1, "b": "x", "c": [true, null]}`+"\n"+`{"a": 2.5, "d": {"e": [1, "y"]}}`+"\n"+`[1, "z", {}]`))
+	var covers []types.Type
+	for _, data := range sets {
+		ts, err := InferAll(data)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 4} {
+			covers = append(covers, fusion.FuseAll(ts[:min(n, len(ts))]))
+		}
+	}
+	return covers
+}
+
+// smallReads serves at most n bytes per Read, so the lexer refills its
+// window every n bytes, inside keys, values and separators alike.
+type smallReads struct {
+	r io.Reader
+	n int
+}
+
+func (s smallReads) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), s.n)]) }
+
+// FuzzMatcherAgreesWithDecoder checks Absorb against Next on arbitrary
+// input and a cover the input picks: whenever Absorb reads the next
+// value as a member, a fresh decoder's Next over the same bytes types
+// it without error, ends at the same offset, and gives a type with the
+// size and hash Absorb reported; whenever Absorb declines, the stream
+// has not moved. Absorb runs over the slice and through a reader whose
+// read size the input picks, and must give the same verdicts both
+// ways: the pinned value survives every refill.
+func FuzzMatcherAgreesWithDecoder(f *testing.F) {
+	covers := matchCovers(f)
+	for i, name := range dataset.Names() {
+		g, err := dataset.New(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Three records of the four whose fusion is cover 3i+2.
+		f.Add(dataset.NDJSON(g, 3, 3), uint8(3*i+2), uint8(5*i))
+	}
+	for i, doc := range []string{
+		`{"a": 1e999, "b": "x"}`, `{"a": 1e308, "b": "x"}`, `{"a": -1e-999}`,
+		`{"a": 01}`, `{"a": 1, "b": "\x"}`, `{"a": 1, "b": "\u12"}`,
+		`{"a": 1, "b": "` + "\x01" + `"}`, `{"a": 1, "b": "` + "\xff" + `"}`,
+		`{"a": 1, "a": 2}`, `{"a": 1, "b": "x", "c": [tru]}`, `[1, "z", {}]`, `[1, "z", {},]`,
+		`{"a" : 1, "b"` + "\n\t" + `: "x"}`,
+	} {
+		f.Add([]byte(doc+"\n"+doc), uint8(len(covers)-1), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pick, reads uint8) {
+		cover := covers[int(pick)%len(covers)]
+		want := absorbAgrees(t, NewBytesDecoder(data, jsontext.Options{}), data, cover)
+		r := smallReads{bytes.NewReader(data), 1 + int(reads%32)}
+		if got := absorbAgrees(t, NewDecoder(r, jsontext.Options{}), data, cover); got != want {
+			t.Fatalf("%d-byte reads of %q: Absorb verdicts %s, over the slice %s", r.n, data, got, want)
+		}
+	})
+}
+
+// absorbAgrees reads data's values off abs, offering each to Absorb
+// first, checks every member Absorb reports against Next, and returns
+// the offsets of the values Absorb took and declined.
+func absorbAgrees(t *testing.T, abs *Decoder, data []byte, cover types.Type) string {
+	defer abs.Release()
+	var verdicts strings.Builder
+	for {
+		start := abs.Offset()
+		size, hash, ok := abs.Absorb(cover)
+		fmt.Fprintf(&verdicts, "%d:%v ", start, ok)
+		if !ok {
+			if abs.Offset() != start {
+				t.Fatalf("Absorb declined at offset %d of %q but moved to %d", start, data, abs.Offset())
+			}
+			if _, err := abs.Next(); err != nil {
+				return verdicts.String()
+			}
+			continue
+		}
+		dec := NewBytesDecoder(data[start:], jsontext.Options{})
+		typ, err := dec.Next()
+		end := start + dec.Offset()
+		dec.Release()
+		if err != nil {
+			t.Fatalf("Absorb accepted the value at offset %d of %q, Next rejects it: %v", start, data, err)
+		}
+		if end != abs.Offset() || size != typ.Size() || hash != types.Hash(typ) {
+			t.Fatalf("value at offset %d of %q: Absorb ends at %d with size %d, hash %#x; Next ends at %d with %s (size %d, hash %#x)",
+				start, data, abs.Offset(), size, hash, end, typ, typ.Size(), types.Hash(typ))
+		}
+	}
+}

@@ -8,12 +8,16 @@ import (
 	"repro/internal/jsontext"
 )
 
-// benchData renders a realistic NDJSON buffer: the twitter generator has
-// the key-repetition profile the lexer's string cache targets (the same
-// few dozen keys on every record).
-func benchData(b *testing.B) []byte {
+// benchSets are the NDJSON buffers the lexer benchmarks drain: twitter
+// has the key-repetition profile the lexer's string cache targets (the
+// same few dozen keys on every record), nytimes long text fields, where
+// string scanning dominates.
+var benchSets = []string{"twitter", "nytimes"}
+
+// benchData renders 1,000 records of the named generator as NDJSON.
+func benchData(b *testing.B, name string) []byte {
 	b.Helper()
-	g, err := dataset.New("twitter")
+	g, err := dataset.New(name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,22 +48,24 @@ func drain(b *testing.B, l *jsontext.Lexer) {
 	}
 }
 
-// BenchmarkLexNDJSON drains the token stream of a realistic NDJSON
-// buffer through a fresh lexer per pass, from each input kind.
+// BenchmarkLexNDJSON drains the token stream of realistic NDJSON
+// buffers through a fresh lexer per pass, from each input kind.
 // Allocations per op are dominated by string tokens; the lexer-level
 // string cache exists to flatten exactly this number.
 func BenchmarkLexNDJSON(b *testing.B) {
-	data := benchData(b)
-	for _, in := range lexInputs {
-		b.Run(in.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := new(jsontext.Lexer)
-				in.reset(l, data)
-				drain(b, l)
-			}
-		})
+	for _, set := range benchSets {
+		data := benchData(b, set)
+		for _, in := range lexInputs {
+			b.Run(set+"/"+in.name, func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					l := new(jsontext.Lexer)
+					in.reset(l, data)
+					drain(b, l)
+				}
+			})
+		}
 	}
 }
 
@@ -67,7 +73,7 @@ func BenchmarkLexNDJSON(b *testing.B) {
 // with the window, scratch and string cache carried over between
 // passes: on a slice, the per-chunk cost the map phase pays.
 func BenchmarkLexNDJSONPooled(b *testing.B) {
-	data := benchData(b)
+	data := benchData(b, "twitter")
 	for _, in := range lexInputs {
 		b.Run(in.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

@@ -284,3 +284,88 @@ func FuzzLineCutterWorkers(f *testing.F) {
 		}
 	})
 }
+
+// refSpan is span a byte at a time over a slice: the index of the first
+// '"', '\' or control byte at or after i, or len(data) when there is
+// none, and whether a byte before it has its high bit set.
+func refSpan(data []byte, i int) (int, bool) {
+	high := false
+	for ; i < len(data); i++ {
+		c := data[i]
+		if c == '"' || c == '\\' || c < 0x20 {
+			break
+		}
+		high = high || c >= 0x80
+	}
+	return i, high
+}
+
+// kindSteps drains l with NextKind, recording the kind, the error and
+// the offset after each call, and releases l.
+func kindSteps(l *Lexer) []lexStep {
+	defer l.Release()
+	var out []lexStep
+	for {
+		k, err := l.NextKind()
+		s := lexStep{kind: k, at: l.Offset()}
+		if err != nil {
+			s.err = err.Error()
+		}
+		out = append(out, s)
+		if err != nil || k == TokEOF || len(out) > int(s.at)+1 {
+			return out
+		}
+	}
+}
+
+// FuzzWordScanReads checks the word-at-a-time string scanner on
+// arbitrary input, served through a reader whose read sizes the input
+// picks (the patternReader of FuzzChunkLinesPooled, one byte at least):
+//
+//   - from every start index, span stops where a byte-at-a-time scan
+//     stops and reports the same high-bit flag, so a word that ends
+//     mid-escape or mid-rune is scanned as bytes are;
+//   - lexing through the reader gives exactly the slice lexer's tokens,
+//     errors and offsets in both string modes, so a string straddling
+//     a refill scans as it does in one window;
+//   - NextKind reads the kinds, errors and offsets Next reads, from the
+//     slice and through the reader.
+func FuzzWordScanReads(f *testing.F) {
+	f.Add([]byte(`"abcdefg\"hijklmnop\\qrsétuv𝄞w"`), []byte{0, 1, 2, 3})
+	f.Add([]byte(`["é","Abcdefgh","1234567\n","ab\/cdefghij\t"]`), []byte{2, 0x81, 1})
+	f.Add([]byte("\"abcdefgh\x1f\" \"ab\x7f\xc3\xa9\xff\xfecdefghij\""), []byte{1, 1, 2})
+	f.Add([]byte(`{"a":"\x"} "\u12" "\ud800A" "abc`), []byte{0})
+	f.Add([]byte(`{"a":1e999} [01] -0.5e-3 123456789012345678901 1e308 tru`), []byte{3, 0})
+	f.Fuzz(func(t *testing.T, data, reads []byte) {
+		for i := 0; i <= len(data); i++ {
+			l := Lexer{data: data, pos: i}
+			high, err := l.span(0)
+			end, wantHigh := refSpan(data, i)
+			if l.pos != end || (err == nil) != (end < len(data)) || (err == nil && high != wantHigh) {
+				t.Fatalf("span from %d of %q: stops at %d (high %v, err %v), want %d (high %v)", i, data, l.pos, high, err, end, wantHigh)
+			}
+		}
+		reader := func() io.Reader {
+			return &patternReader{data: data, pattern: reads, minRead: 1, eofWithData: len(reads)%2 == 1}
+		}
+		for _, raw := range []bool{false, true} {
+			want := lexSteps(AcquireLexerBytes(data), raw)
+			if d := diffSteps(lexSteps(AcquireLexer(reader()), raw), want); d != "" {
+				t.Fatalf("reader and slice lexing differ for %q, raw=%v: %s", data, raw, d)
+			}
+			if raw {
+				continue
+			}
+			kinds := make([]lexStep, len(want))
+			for i, s := range want {
+				kinds[i] = lexStep{kind: s.kind, err: s.err, at: s.at}
+			}
+			if d := diffSteps(kindSteps(AcquireLexerBytes(data)), kinds); d != "" {
+				t.Fatalf("NextKind and Next differ for %q: %s", data, d)
+			}
+			if d := diffSteps(kindSteps(AcquireLexer(reader())), kinds); d != "" {
+				t.Fatalf("NextKind through the reader and Next differ for %q: %s", data, d)
+			}
+		}
+	})
+}

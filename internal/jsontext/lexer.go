@@ -15,8 +15,10 @@
 package jsontext
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"sync"
 	"unicode/utf16"
@@ -341,7 +343,22 @@ func (l *Lexer) skipSpace() error {
 // Next returns the next token. At the end of the input it returns a token
 // with Kind TokEOF and a nil error; any other error is either an
 // unexpected io error or a *SyntaxError.
-func (l *Lexer) Next() (Token, error) {
+func (l *Lexer) Next() (Token, error) { return l.next(true) }
+
+// NextKind reads the next token as Next does, making every check Next
+// makes, and returns only its kind: it is the read for callers that
+// ignore a scalar's content. It skips what Next does only to deliver
+// the content: replacing invalid UTF-8 in a string, which is never an
+// error, and converting a number to float64, though a number out of
+// float64's range is still an error.
+func (l *Lexer) NextKind() (TokenKind, error) {
+	tok, err := l.next(false)
+	return tok.Kind, err
+}
+
+// next reads the next token; with content false it checks a string or
+// number as Next does but returns the token's kind and offset only.
+func (l *Lexer) next(content bool) (Token, error) {
 	if err := l.skipSpace(); err != nil {
 		if err == io.EOF {
 			return Token{Kind: TokEOF, Offset: l.Offset()}, nil
@@ -367,11 +384,13 @@ func (l *Lexer) Next() (Token, error) {
 	case ':':
 		return Token{Kind: TokColon, Offset: start}, nil
 	case '"':
-		b, err := l.scanString(start)
-		if err != nil {
+		b, err := l.scanString(start, content)
+		switch {
+		case err != nil:
 			return Token{}, err
-		}
-		if l.raw {
+		case !content:
+			return Token{Kind: TokStr, Offset: start}, nil
+		case l.raw:
 			return Token{Kind: TokStr, Bytes: b, Offset: start}, nil
 		}
 		return Token{Kind: TokStr, Str: l.internString(b), Offset: start}, nil
@@ -392,7 +411,7 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{Kind: TokNull, Offset: start}, nil
 	default:
 		if b == '-' || (b >= '0' && b <= '9') {
-			n, err := l.scanNumber(start, b)
+			n, err := l.scanNumber(start, b, content)
 			if err != nil {
 				return Token{}, err
 			}
@@ -420,53 +439,42 @@ func (l *Lexer) expectWord(start int64, rest string) error {
 // consumed. It decodes escapes including \uXXXX surrogate pairs and
 // returns the decoded bytes, valid until the next call to Next: a view
 // into the window for escape-free strings, into the lexer's scratch
-// otherwise.
-func (l *Lexer) scanString(start int64) ([]byte, error) {
-	// Fast span: most strings contain no escapes, and a refill keeps the
-	// token's bytes, so the whole body sits contiguously in the window
-	// and needs no copy at all. Stop at the first byte the per-byte loop
-	// would treat specially.
-	for {
-		i, data := l.pos, l.data
-		for i < len(data) && data[i] != '"' && data[i] != '\\' && data[i] >= 0x20 {
-			i++
-		}
-		l.pos = i
-		if i < len(data) {
-			break
-		}
-		if err := l.fill(); err != nil {
-			return nil, l.cut(err, start, "unterminated string")
-		}
+// otherwise. With sanitize it replaces invalid UTF-8 with U+FFFD, as
+// encoding/json does; a caller that ignores the text passes false.
+func (l *Lexer) scanString(start int64, sanitize bool) ([]byte, error) {
+	// Most strings contain no escapes, and a refill keeps the token's
+	// bytes, so the whole body sits contiguously in the window and needs
+	// no copy at all.
+	high, err := l.span(start)
+	if err != nil {
+		return nil, err
 	}
 	seg := l.data[l.mark+1 : l.pos]
 	if l.data[l.pos] == '"' {
 		l.pos++
-		if !utf8.Valid(seg) {
+		if high && sanitize && !utf8.Valid(seg) {
 			seg = sanitizeUTF8(seg)
 		}
 		return seg, nil
 	}
 	// Decode the rest into the scratch, which owns the clean prefix from
-	// here on, so the window no longer needs to keep the token.
+	// here on, so the window no longer needs to keep the token. Each
+	// pass decodes the byte the last span stopped at, then spans again.
 	buf := append(l.strBuf[:0], seg...)
 	l.mark = l.pos
 	for {
-		b, err := l.readByte()
-		if err != nil {
-			return nil, l.cut(err, start, "unterminated string")
-		}
-		switch {
+		switch b := l.data[l.pos]; {
 		case b == '"':
-			if !utf8.Valid(buf) {
-				// RFC 8259 strings are UTF-8; like encoding/json we
-				// replace invalid sequences with U+FFFD instead of
-				// propagating raw bytes.
+			l.pos++
+			// Escapes decode to valid UTF-8, so only a span with a
+			// non-ASCII byte can make buf invalid.
+			if high && sanitize && !utf8.Valid(buf) {
 				buf = sanitizeUTF8(buf)
 			}
 			l.strBuf = buf
 			return buf, nil
 		case b == '\\':
+			l.pos++
 			esc, err := l.readByte()
 			if err != nil {
 				return nil, l.cut(err, start, "unterminated escape")
@@ -502,10 +510,65 @@ func (l *Lexer) scanString(start int64) ([]byte, error) {
 			default:
 				return nil, l.errorf(l.Offset()-1, "invalid escape character %q", string(rune(esc)))
 			}
-		case b < 0x20:
-			return nil, l.errorf(l.Offset()-1, "control character %#x in string", b)
 		default:
-			buf = append(buf, b)
+			return nil, l.errorf(l.Offset(), "control character %#x in string", b)
+		}
+		l.mark = l.pos
+		h, err := l.span(start)
+		if err != nil {
+			return nil, err
+		}
+		high = high || h
+		buf = append(buf, l.data[l.mark:l.pos]...)
+	}
+}
+
+// Word-at-a-time constants: a byte's lowest and highest bit in each of
+// a word's eight bytes.
+const (
+	lsbs uint64 = 0x0101010101010101
+	msbs uint64 = 0x8080808080808080
+)
+
+// special returns a word whose lowest set bit is the high bit of the
+// first byte of w (little-endian) that is '"', '\' or below 0x20, and
+// zero when there is none. Each term is a has-zero-byte test (the last
+// one for bytes below 0x20), exact up to its first match: a borrow may
+// flag bytes above it, never below.
+func special(w uint64) uint64 {
+	q := w ^ (lsbs * '"')
+	e := w ^ (lsbs * '\\')
+	return ((q-lsbs)&^q | (e-lsbs)&^e | (w-lsbs*0x20)&^w) & msbs
+}
+
+// span advances pos over a string body to the next '"', '\' or control
+// byte, eight bytes at a time, refilling the window as needed, and
+// reports whether any byte it passed had its high bit set, the only
+// bytes that can be invalid UTF-8. The end of input ends the string
+// unterminated.
+func (l *Lexer) span(start int64) (high bool, err error) {
+	var seen uint64
+	for {
+		i, data := l.pos, l.data
+		for ; i+8 <= len(data); i += 8 {
+			w := binary.LittleEndian.Uint64(data[i:])
+			if m := special(w); m != 0 {
+				n := bits.TrailingZeros64(m) / 8
+				l.pos = i + n
+				return (seen|w&(1<<(8*n)-1))&msbs != 0, nil
+			}
+			seen |= w
+		}
+		for ; i < len(data); i++ {
+			if c := data[i]; c == '"' || c == '\\' || c < 0x20 {
+				l.pos = i
+				return seen&msbs != 0, nil
+			}
+			seen |= uint64(data[i])
+		}
+		l.pos = i
+		if err := l.fill(); err != nil {
+			return false, l.cut(err, start, "unterminated string")
 		}
 	}
 }
@@ -520,7 +583,7 @@ func UnquotePrefix(b []byte) (string, int, error) {
 	if len(b) == 0 || b[0] != '"' {
 		return "", 0, l.errorf(0, "expected '\"'")
 	}
-	s, err := l.scanString(0)
+	s, err := l.scanString(0, true)
 	if err != nil {
 		return "", 0, err
 	}
@@ -665,13 +728,18 @@ func (l *Lexer) peekByte() (byte, bool, error) {
 	return l.data[l.pos], true, nil
 }
 
+// maxPlainNumber is the longest number without an exponent that cannot
+// exceed float64's range: at most 308 digits stay below 1e308.
+const maxPlainNumber = 308
+
 // scanNumber reads a JSON number whose first byte is first, validating
 // the RFC 8259 grammar. Integers short enough to be exact in an int64
 // are converted directly; everything else goes through ParseFloat over
-// the token's bytes in the window. A read error met before the number
-// is known to end is returned as is.
-func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
-	isInt := true
+// the token's bytes in the window. Without convert it returns 0, and
+// calls ParseFloat only where its range error can occur. A read error
+// met before the number is known to end is returned as is.
+func (l *Lexer) scanNumber(start int64, first byte, convert bool) (float64, error) {
+	isInt, exp := true, false
 	b := first
 	if b == '-' {
 		var err error
@@ -716,7 +784,7 @@ func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
 	}
 	if ok && (nb == 'e' || nb == 'E') {
 		l.pos++
-		isInt = false
+		isInt, exp = false, true
 		sb, ok, err := l.peekByte()
 		if err != nil {
 			return 0, err
@@ -732,6 +800,9 @@ func (l *Lexer) scanNumber(start int64, first byte) (float64, error) {
 		}
 	}
 	raw := l.data[l.mark:l.pos]
+	if !convert && !exp && len(raw) <= maxPlainNumber {
+		return 0, nil
+	}
 	// Integer fast path: up to 18 digits fits int64 exactly, and
 	// float64(int64) rounds to nearest just like ParseFloat would on
 	// the same exact decimal value — identical results, no allocation.

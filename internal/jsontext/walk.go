@@ -5,10 +5,15 @@ import (
 	"slices"
 )
 
-// Strict readers walk a document of a fixed grammar token by token —
-// the types codec and Repository snapshots are read this way — with
-// NextMember and NextElem consuming the separators and SkipValue the
-// members whose bytes another decoder reads.
+// The walk API reads a document structure by structure: NextMember and
+// NextKey consume an object member's separators and name, NextElem an
+// array element's separator, and SkipValue a whole value whose bytes
+// another decoder reads. It has three clients. The strict readers of a
+// fixed grammar, the types codec and Repository snapshots, match member
+// names with NextMember and read values with Next. The membership
+// matcher (types.Matcher) compares keys from NextKey with a type's
+// fields and reads scalars with NextKind, which checks a value without
+// delivering its content; SkipValue reads the same way.
 
 // MaxNesting is encoding/json's bound on the nesting depth of a
 // document. Strict readers reject anything deeper, so a document they
@@ -67,8 +72,32 @@ func (l *Lexer) memberKey(later bool) (key []byte, off int64, ok bool, err error
 		return nil, 0, false, l.errorf(off, "expected object key string, got %q", b)
 	}
 	l.pos++
-	key, err = l.scanString(off)
+	key, err = l.scanString(off, true)
 	return key, off, err == nil, err
+}
+
+// NextKey reads the next member name of the object whose '{' was the
+// last structural token read, with the ',' before it unless it is the
+// first (later false) and the ':' after it; the member's value is the
+// next token. The name is decoded as Next decodes a string, into a
+// transient view as a raw-mode token's Bytes is. At the closing '}' it
+// returns ok false.
+func (l *Lexer) NextKey(later bool) (key []byte, ok bool, err error) {
+	if key, _, ok, err = l.memberKey(later); !ok {
+		return nil, false, err
+	}
+	if l.pos < len(l.data) && l.data[l.pos] == ':' {
+		l.pos++
+		return key, true, nil
+	}
+	// A refill to reach the ':' would move the window under a key that
+	// is a view into it, so the key moves to the scratch first.
+	key = append(l.strBuf[:0], key...)
+	l.strBuf = key
+	if err := l.punct(':', "after key"); err != nil {
+		return nil, false, err
+	}
+	return key, true, nil
 }
 
 // peek skips whitespace and returns the next byte, unread; the end of
@@ -96,26 +125,25 @@ func (l *Lexer) punct(c byte, where string) error {
 	return err
 }
 
-// NextElem reads the first token of the next element of the array
-// whose '[' was the last structural token read, consuming the ','
-// before it; n is the number of elements read so far. At the closing
-// ']' it returns ok false.
-func (l *Lexer) NextElem(n int) (Token, bool, error) {
+// NextElem reads up to the next element of the array whose '[' was
+// the last structural token read: the ',' before it unless n, the
+// number of elements read so far, is 0. The element is the next token.
+// At the closing ']' it returns false.
+func (l *Lexer) NextElem(n int) (bool, error) {
 	b, err := l.peek()
 	if err != nil {
-		return Token{}, false, err
+		return false, err
 	}
 	if b == ']' {
 		l.pos++
-		return Token{}, false, nil
+		return false, nil
 	}
 	if n > 0 {
 		if err := l.punct(',', "or ']' in array"); err != nil {
-			return Token{}, false, err
+			return false, err
 		}
 	}
-	tok, err := l.Next()
-	return tok, err == nil, err
+	return true, nil
 }
 
 // SkipValue reads the next value, validating its syntax, and returns
@@ -124,14 +152,18 @@ func (l *Lexer) NextElem(n int) (Token, bool, error) {
 // MaxNesting. Duplicate keys are not checked: the decoder the skipped
 // bytes are handed to decides about them.
 func (l *Lexer) SkipValue(depth int) (int64, error) {
-	tok, err := l.Next()
-	if err != nil {
+	if _, err := l.peek(); err != nil {
 		return 0, err
 	}
-	return tok.Offset, l.skip(tok, depth)
+	start := l.Offset()
+	return start, l.skip(depth)
 }
 
-func (l *Lexer) skip(tok Token, depth int) error {
+func (l *Lexer) skip(depth int) error {
+	tok, err := l.next(false)
+	if err != nil {
+		return err
+	}
 	switch tok.Kind {
 	case TokNull, TokTrue, TokFalse, TokNum, TokStr:
 		return nil
@@ -145,30 +177,18 @@ func (l *Lexer) skip(tok Token, depth int) error {
 	object := tok.Kind == TokBeginObject
 	for n := 0; ; n++ {
 		var ok bool
-		var err error
-		if tok, ok, err = l.nextEntry(object, n); err != nil || !ok {
+		if object {
+			_, ok, err = l.NextKey(n > 0)
+		} else {
+			ok, err = l.NextElem(n)
+		}
+		if err != nil || !ok {
 			return err
 		}
-		if err := l.skip(tok, depth); err != nil {
+		if err := l.skip(depth); err != nil {
 			return err
 		}
 	}
-}
-
-// nextEntry is NextElem for arrays; for objects it reads the next
-// member's key and ':' and returns its value's first token.
-func (l *Lexer) nextEntry(object bool, n int) (Token, bool, error) {
-	if !object {
-		return l.NextElem(n)
-	}
-	if _, _, ok, err := l.memberKey(n > 0); err != nil || !ok {
-		return Token{}, false, err
-	}
-	if err := l.punct(':', "after key"); err != nil {
-		return Token{}, false, err
-	}
-	tok, err := l.Next()
-	return tok, err == nil, err
 }
 
 // Lookup returns the index of string token tok's text in names, or -1,

@@ -109,3 +109,37 @@ func TestNextMemberStrict(t *testing.T) {
 		}
 	}
 }
+
+// TestNextKeySurvivesRefill: NextKey's key is intact after it has read
+// the ':', even when reaching the ':' refilled the window and the
+// refill overwrote the bytes the key was read from. The key ends at
+// and around the end of the first window, before a ':' that follows
+// at once or after whitespace, plain or escaped.
+func TestNextKeySurvivesRefill(t *testing.T) {
+	tail := `,"` + strings.Repeat("y", windowSize+windowSize/2) + `"]`
+	for _, key := range []string{`"key"`, `"k\u0065y"`} {
+		for _, colon := range []string{":", " \n:"} {
+			for k := 0; k < 10; k++ {
+				head := `{` + key
+				pad := strings.Repeat("x", windowSize-k-len(`["",`)-len(head))
+				doc := `["` + pad + `",` + head + colon + `1}` + tail
+				l := AcquireLexer(strings.NewReader(doc))
+				if _, err := l.Next(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					if ok, err := l.NextElem(i); !ok || err != nil {
+						t.Fatalf("element %d: %v, %v", i, ok, err)
+					}
+					if _, err := l.NextKind(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got, ok, err := l.NextKey(false); string(got) != "key" || !ok || err != nil {
+					t.Errorf("key %s ending %d bytes before the window, then %q: NextKey = %q, %v, %v", key, k, colon, got, ok, err)
+				}
+				l.Release()
+			}
+		}
+	}
+}

@@ -539,8 +539,11 @@ func (d *decoder) array(depth int, elem func(i int, tok jsontext.Token, depth in
 		return err
 	}
 	for i := 0; ; i++ {
-		tok, ok, err := d.l.NextElem(i)
-		if err != nil || !ok {
+		if ok, err := d.l.NextElem(i); err != nil || !ok {
+			return err
+		}
+		tok, err := d.l.Next()
+		if err != nil {
 			return err
 		}
 		if err := elem(i, tok, depth); err != nil {

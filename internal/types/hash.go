@@ -27,7 +27,12 @@ func hashByte(h uint64, b byte) uint64 {
 	return (h ^ uint64(b)) * fnvPrime
 }
 
+// hashString mixes s into h eight bytes at a time, then byte by byte.
 func hashString(h uint64, s string) uint64 {
+	for ; len(s) >= 8; s = s[8:] {
+		h = hashWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
 	for i := 0; i < len(s); i++ {
 		h = hashByte(h, s[i])
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/fusion"
 	"repro/internal/infer"
 	"repro/internal/jsontext"
 	"repro/internal/types"
@@ -264,5 +266,39 @@ func TestMatcherCases(t *testing.T) {
 		if ok != c.ok || (ok && size != c.size) {
 			t.Errorf("Match(%s, %s) = %d, %v; want %d, %v", c.doc, c.typ, size, ok, c.size, c.ok)
 		}
+	}
+}
+
+// BenchmarkMatch matches each generator's records against their own
+// fused type, the work absorption does for a record the running schema
+// already covers: every record is a member, read once from the slice.
+func BenchmarkMatch(b *testing.B) {
+	for _, name := range dataset.Names() {
+		g, err := dataset.New(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := dataset.NDJSON(g, 1000, 1)
+		ts, err := infer.InferAll(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cover := fusion.FuseAll(ts)
+		b.Run(name, func(b *testing.B) {
+			var m types.Matcher
+			lex := jsontext.AcquireLexerBytes(nil)
+			defer lex.Release()
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lex.ResetBytes(data)
+				lex.RawStrings(true)
+				for range ts {
+					if _, _, ok := m.Match(lex, cover); !ok {
+						b.Fatalf("a %s record at offset %d is not a member of the fused type", name, lex.Offset())
+					}
+				}
+			}
+		})
 	}
 }

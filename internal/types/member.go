@@ -168,9 +168,9 @@ type Matcher struct {
 	words []uint64
 }
 
-// Match reads exactly one value from lex, which must be in raw-string
-// mode, and reports whether it belongs to t and, if so, the size and
-// hash of its inferred type. A repeated key, a syntax or read error, or
+// Match reads exactly one value from lex, in either string mode, and
+// reports whether it belongs to t and, if so, the size and hash of its
+// inferred type. A repeated key, a syntax or read error, or
 // anything t does not admit makes the value a non-member; Match then
 // returns false as soon as it knows, leaving lex inside the value, and
 // the caller rewinds it (jsontext.Lexer.Pin) to read the value again.
@@ -178,24 +178,25 @@ func (m *Matcher) Match(lex *jsontext.Lexer, t Type) (size int, hash uint64, ok 
 	if t == Type(Empty) {
 		return 0, 0, false
 	}
-	tok, err := lex.Next()
+	kind, err := lex.NextKind()
 	if err != nil {
 		return 0, 0, false
 	}
-	return m.value(lex, tok, t)
+	return m.value(lex, kind, t)
 }
 
 // basicHash holds Hash of each basic type, indexed by the type.
 var basicHash = [...]uint64{Null: Hash(Null), Bool: Hash(Bool), Num: Hash(Num), Str: Hash(Str)}
 
-// value matches the value that starts with tok against t.
-func (m *Matcher) value(lex *jsontext.Lexer, tok jsontext.Token, t Type) (int, uint64, bool) {
+// value matches the value whose first token, of kind k, NextKind has
+// read against t.
+func (m *Matcher) value(lex *jsontext.Lexer, k jsontext.TokenKind, t Type) (int, uint64, bool) {
 	if u, ok := t.(*Union); ok {
-		if t = u.altOfToken(tok.Kind); t == nil {
+		if t = u.altOfToken(k); t == nil {
 			return 0, 0, false
 		}
 	}
-	switch tok.Kind {
+	switch k {
 	case jsontext.TokNull:
 		return 1, basicHash[Null], t == Type(Null)
 	case jsontext.TokTrue, jsontext.TokFalse:
@@ -262,20 +263,15 @@ func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, uint64, bool) {
 	m.words = slices.Grow(m.words, len(fs))[:wbase+len(fs)]
 	defer func() { m.seen, m.words = m.seen[:base], m.words[:wbase] }()
 	size, mandatory, next := 1, 0, 0
-	tok, err := lex.Next()
-	for err == nil && tok.Kind != jsontext.TokEndObject {
-		if size > 1 { // after the first member
-			if tok.Kind != jsontext.TokComma {
-				return 0, 0, false
-			}
-			if tok, err = lex.Next(); err != nil {
-				return 0, 0, false
-			}
-		}
-		if tok.Kind != jsontext.TokStr {
+	for n := 0; ; n++ {
+		key, more, err := lex.NextKey(n > 0)
+		if err != nil {
 			return 0, 0, false
 		}
-		i := fieldIndex(fs, tok.Bytes, next)
+		if !more {
+			break
+		}
+		i := fieldIndex(fs, key, next)
 		if i < 0 {
 			return 0, 0, false // a key the type does not mention
 		}
@@ -288,23 +284,17 @@ func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, uint64, bool) {
 			mandatory++
 		}
 		next = i + 1
-		if tok, err = lex.Next(); err != nil || tok.Kind != jsontext.TokColon {
+		k, err := lex.NextKind()
+		if err != nil {
 			return 0, 0, false
 		}
-		if tok, err = lex.Next(); err != nil {
-			return 0, 0, false
-		}
-		n, ch, ok := m.value(lex, tok, fs[i].Type)
+		cs, ch, ok := m.value(lex, k, fs[i].Type)
 		if !ok {
 			return 0, 0, false
 		}
-		size += 1 + n
+		size += 1 + cs
 		// The inferred type's fields are mandatory.
 		m.words[wbase+i] = fieldHash(fs[i].Key, false, ch)
-		tok, err = lex.Next()
-	}
-	if err != nil {
-		return 0, 0, false
 	}
 	for _, f := range fs {
 		if !f.Optional {
@@ -351,17 +341,15 @@ func fieldIndex(fs []Field, key []byte, hint int) int {
 // against elem for [T*], or position by position against elems for a
 // tuple (elem nil). The inferred type of an array is a tuple.
 func (m *Matcher) array(lex *jsontext.Lexer, elem Type, elems []Type) (int, uint64, bool) {
-	size, i := 1, 0
+	size := 1
 	h := hashByte(fnvOffset, 0x06) // framed as hashType frames a tuple
-	tok, err := lex.Next()
-	for err == nil && tok.Kind != jsontext.TokEndArray {
-		if i > 0 {
-			if tok.Kind != jsontext.TokComma {
-				return 0, 0, false
-			}
-			if tok, err = lex.Next(); err != nil {
-				return 0, 0, false
-			}
+	for i := 0; ; i++ {
+		more, err := lex.NextElem(i)
+		if err != nil {
+			return 0, 0, false
+		}
+		if !more {
+			return size, hashByte(h, 0x07), elem != nil || i == len(elems)
 		}
 		et := elem
 		if et == nil {
@@ -370,14 +358,15 @@ func (m *Matcher) array(lex *jsontext.Lexer, elem Type, elems []Type) (int, uint
 			}
 			et = elems[i]
 		}
-		n, ch, ok := m.value(lex, tok, et)
+		k, err := lex.NextKind()
+		if err != nil {
+			return 0, 0, false
+		}
+		n, ch, ok := m.value(lex, k, et)
 		if !ok {
 			return 0, 0, false
 		}
 		size += n
 		h = hashWord(h, ch)
-		i++
-		tok, err = lex.Next()
 	}
-	return size, hashByte(h, 0x07), err == nil && (elem != nil || i == len(elems))
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -270,7 +272,7 @@ var (
 // rejects a document that would lose or invent records: a partition
 // named twice, a negative count, or counts whose total overflows.
 func LoadRepository(rd io.Reader) (*Repository, error) {
-	data, err := io.ReadAll(rd)
+	data, err := readSized(rd)
 	if err != nil {
 		return nil, fmt.Errorf("jsoninference: reading repository: %w", err)
 	}
@@ -282,6 +284,29 @@ func LoadRepository(rd io.Reader) (*Repository, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// readSized reads rd to its end into a buffer sized up front from the
+// length rd reports, if any: Len for an in-memory reader, Stat for a
+// file. The size is only a hint, so a file that grew or shrank since
+// Stat is still read whole; without one the buffer grows as it fills.
+func readSized(rd io.Reader) ([]byte, error) {
+	var size int64
+	switch r := rd.(type) {
+	case interface{ Len() int }:
+		size = int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+	}
+	var buf bytes.Buffer
+	if size > 0 && size < math.MaxInt-bytes.MinRead {
+		// One MinRead past the end lets the read that meets EOF fit.
+		buf.Grow(int(size) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(rd)
+	return buf.Bytes(), err
 }
 
 // load decodes the snapshot data into r, which is empty and not yet
@@ -316,12 +341,16 @@ func (r *Repository) load(l *jsontext.Lexer, data []byte) error {
 		}
 		var total int64
 		for i := 0; ; i++ {
-			tok, ok, err := l.NextElem(i)
+			ok, err := l.NextElem(i)
 			if err != nil {
 				return syntax(err)
 			}
 			if !ok {
 				break
+			}
+			tok, err := l.Next()
+			if err != nil {
+				return syntax(err)
 			}
 			if tok.Kind != jsontext.TokBeginObject {
 				return syntax(&jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected partition object, got %s", tok.Kind)})

@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -291,6 +294,62 @@ func TestRepositorySaveLoadPartitions(t *testing.T) {
 	}
 	if len(back.Partitions()) != 3 {
 		t.Errorf("loaded partitions = %v", back.Partitions())
+	}
+}
+
+// hintReader reports a length that need not be the number of bytes it
+// holds, as a file that grew or shrank after its size was read does.
+type hintReader struct {
+	*bytes.Reader
+	n int
+}
+
+func (r hintReader) Len() int { return r.n }
+
+// TestLoadRepositorySizeHints: LoadRepository sizes its buffer from the
+// reader's Len or the file's Stat but reads to the end, so a size that
+// is wrong loads the same repository, and bytes past it still count.
+func TestLoadRepositorySizeHints(t *testing.T) {
+	g, _ := dataset.New("nytimes")
+	repo := jsi.NewRepository()
+	for i, line := range bytes.SplitAfter(dataset.NDJSON(g, 12, 5), []byte("\n"))[:12] {
+		s, err := jsi.InferJSON(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repo.Append(fmt.Sprintf("part%d", i%2), s, 1)
+	}
+	var buf bytes.Buffer
+	if err := repo.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "snapshot.json")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, rd := range map[string]io.Reader{
+		"file":  f,
+		"exact": hintReader{bytes.NewReader(snap), len(snap)},
+		"short": hintReader{bytes.NewReader(snap), 1},
+		"long":  hintReader{bytes.NewReader(snap), 3 * len(snap)},
+	} {
+		back, err := jsi.LoadRepository(rd)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !repo.Schema().Equal(back.Schema()) || repo.Count() != back.Count() {
+			t.Errorf("%s: loaded %s (%d records), saved %s (%d)", name, back.Schema(), back.Count(), repo.Schema(), repo.Count())
+		}
+	}
+	grown := append(bytes.Clone(snap), "{}"...)
+	if _, err := jsi.LoadRepository(hintReader{bytes.NewReader(grown), len(snap)}); err == nil {
+		t.Error("bytes past the size hint were not read: trailing data accepted")
 	}
 }
 
