@@ -118,3 +118,48 @@ func absorbAgrees(t *testing.T, abs *Decoder, data []byte, cover types.Type) str
 		}
 	}
 }
+
+// FuzzDecoderAgreesWithParser checks the typing decoder against the
+// value parser, the two clients of the lexer's walk API that read whole
+// documents: on any input, InferAll accepts exactly what ParseAll
+// accepts and gives the types Infer gives the parsed values, or fails
+// with the same error, message and offset alike.
+func FuzzDecoderAgreesWithParser(f *testing.F) {
+	for _, name := range dataset.Names() {
+		g, err := dataset.New(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(dataset.NDJSON(g, 2, 5))
+	}
+	for _, doc := range []string{
+		`{"a": 1 "b": 2}`, `[1 2]`, // a missing ','
+		`{"a" 1}`, `{"a"`, // a missing ':'
+		`{1: 2}`, `{"a": 1, true: 2}`, `{"a": 1, "\q": 2}`, // a key that is not a string
+		`{"a": 1, "a": 2}`, `{"a": 1, "b": {"a": 2, "a": 3}}`, // a duplicate key
+		`{"a": 1,}`, `[1,]`, `[,]`, `{,}`, // a trailing comma
+		`{"a": {"b": [1, `, `{`, `{"a": 1`, `{"a":`, // the end inside an object
+		`[[1, {}], [`, `[`, `[1`, `[1,`, // the end inside an array
+		`{"a": 1 "\x"}`, `[1 tru]`, `[1 @]`, `{"a": 1} ]`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts, derr := InferAll(data)
+		vs, perr := jsontext.ParseAll(data)
+		if derr != nil || perr != nil {
+			if derr == nil || perr == nil || derr.Error() != perr.Error() {
+				t.Fatalf("%q: InferAll error %v, ParseAll error %v", data, derr, perr)
+			}
+			return
+		}
+		if len(ts) != len(vs) {
+			t.Fatalf("%q: InferAll gives %d types, ParseAll %d values", data, len(ts), len(vs))
+		}
+		for i, v := range vs {
+			if want := Infer(v); !types.Equal(ts[i], want) {
+				t.Fatalf("%q: value %d: InferAll gives %s, Infer of the parsed value %s", data, i, ts[i], want)
+			}
+		}
+	})
+}

@@ -5,9 +5,12 @@
 // only by the fusion phase (internal/fusion).
 //
 // Two entry points are provided: Infer types an already-parsed
-// value.Value, and a streaming decoder (Decoder) infers types directly
-// from the token stream of internal/jsontext without materializing
-// values, which is how the map phase processes large files.
+// value.Value, and a streaming decoder (Decoder) infers types while it
+// reads the input, without materializing values, which is how the map
+// phase processes large files. The decoder is a client of the lexer's
+// walk API (internal/jsontext): it reads object keys with NextKey and
+// array elements with NextElem, so the object and array grammar and its
+// syntax errors are the lexer's, and it types each value from Next.
 package infer
 
 import (
@@ -291,7 +294,6 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 		d.obs.BeginObject()
 	}
 	fields := d.fieldsAt(depth)
-	first := true
 	// Discriminator capture for the tagged strategy: the best (lowest
 	// priority index) candidate key seen with a short string value, and
 	// whether the first field's value was an object (the wrapper shape).
@@ -299,63 +301,28 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 	var tagKey, tagVal string
 	wrapperCand := false
 	for {
-		tok, err := d.lex.Next()
-		if err != nil {
-			return nil, err
-		}
-		if first && tok.Kind == jsontext.TokEndObject {
-			if d.obs != nil {
-				d.obs.EndObject()
+		kb, off, ok, err := d.lex.NextKey(len(fields) > 0)
+		if !ok {
+			if err != nil {
+				return nil, err
 			}
-			if d.tab != nil {
-				return d.tab.InternRecord(nil), nil
-			}
-			return types.MustRecord(), nil
-		}
-		if !first {
-			switch tok.Kind {
-			case jsontext.TokEndObject:
-				if d.obs != nil {
-					d.obs.EndObject()
-				}
-				d.fieldScratch[depth] = fields
-				rt, err := d.buildRecord(fields)
-				if err != nil || d.pr == nil {
-					return rt, err
-				}
-				return d.promote(rt.(*types.Record), tagPrio >= 0, tagKey, tagVal, wrapperCand && len(fields) == 1), nil
-			case jsontext.TokComma:
-				tok, err = d.lex.Next()
-				if err != nil {
-					return nil, err
-				}
-			default:
-				return nil, d.syntaxErr(tok.Offset, "expected ',' or '}' in object, got %s", tok.Kind)
-			}
-		}
-		first = false
-		if tok.Kind != jsontext.TokStr {
-			return nil, d.syntaxErr(tok.Offset, "expected object key string, got %s", tok.Kind)
+			break
 		}
 		// Keys go through the lexer's intern cache: after the first
 		// occurrence a repeated field name costs zero allocations.
-		key := d.lex.InternBytes(tok.Bytes)
+		key := d.lex.InternBytes(kb)
 		// Objects have few keys in practice, so a linear scan of the
 		// accumulated fields beats allocating a per-object set.
 		for i := range fields {
 			if fields[i].Key == key {
-				return nil, d.syntaxErr(tok.Offset, "duplicate object key %q", key)
+				return nil, d.syntaxErr(off, "duplicate object key %q", key)
 			}
+		}
+		if err != nil { // the ':' after the key
+			return nil, err
 		}
 		if d.obs != nil {
 			d.obs.Key(key)
-		}
-		colon, err := d.lex.Next()
-		if err != nil {
-			return nil, err
-		}
-		if colon.Kind != jsontext.TokColon {
-			return nil, d.syntaxErr(colon.Offset, "expected ':' after key, got %s", colon.Kind)
 		}
 		vt, err := d.lex.Next()
 		if err != nil {
@@ -387,6 +354,15 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 		}
 		fields = append(fields, types.Field{Key: key, Type: ft})
 	}
+	if d.obs != nil {
+		d.obs.EndObject()
+	}
+	d.fieldScratch[depth] = fields
+	rt, err := d.buildRecord(fields)
+	if err != nil || d.pr == nil {
+		return rt, err
+	}
+	return d.promote(rt.(*types.Record), tagPrio >= 0, tagKey, tagVal, wrapperCand && len(fields) == 1), nil
 }
 
 // buildRecord turns accumulated (unique-keyed, parse-ordered) fields
@@ -440,47 +416,37 @@ func (d *Decoder) inferArray(depth int) (types.Type, error) {
 		d.obs.BeginArray()
 	}
 	elems := d.elemsAt(depth)
-	first := true
 	for {
+		ok, err := d.lex.NextElem(len(elems))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
 		tok, err := d.lex.Next()
 		if err != nil {
 			return nil, err
 		}
-		if first && tok.Kind == jsontext.TokEndArray {
-			if d.obs != nil {
-				d.obs.EndArray(0)
-			}
-			// EmptyTuple is one shared node, pre-seeded in every table, so
-			// both paths return the canonical representative.
-			return types.EmptyTuple, nil
-		}
-		if !first {
-			switch tok.Kind {
-			case jsontext.TokEndArray:
-				if d.obs != nil {
-					d.obs.EndArray(len(elems))
-				}
-				d.elemScratch[depth] = elems
-				if d.tab != nil {
-					return d.tab.InternTuple(elems), nil
-				}
-				return types.NewTuple(elems...)
-			case jsontext.TokComma:
-				tok, err = d.lex.Next()
-				if err != nil {
-					return nil, err
-				}
-			default:
-				return nil, d.syntaxErr(tok.Offset, "expected ',' or ']' in array, got %s", tok.Kind)
-			}
-		}
-		first = false
 		et, err := d.inferValue(tok, depth+1)
 		if err != nil {
 			return nil, err
 		}
 		elems = append(elems, et)
 	}
+	if d.obs != nil {
+		d.obs.EndArray(len(elems))
+	}
+	if len(elems) == 0 {
+		// EmptyTuple is one shared node, pre-seeded in every table, so
+		// both paths return the canonical representative.
+		return types.EmptyTuple, nil
+	}
+	d.elemScratch[depth] = elems
+	if d.tab != nil {
+		return d.tab.InternTuple(elems), nil
+	}
+	return types.NewTuple(elems...)
 }
 
 // InferAll infers one type per top-level JSON value in data.

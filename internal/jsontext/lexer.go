@@ -1,12 +1,15 @@
 // Package jsontext implements a streaming JSON lexer and parser for the
-// inference pipeline: it turns byte streams into the value model of
-// internal/value, and exposes the raw token stream so that type inference
-// can run directly over tokens without materializing values (the role
-// Json4s plays in the paper's Scala implementation).
+// inference pipeline (the role Json4s plays in the paper's Scala
+// implementation). The lexer delivers values as tokens (Next) and
+// objects and arrays through its walk API (walk.go), which holds the
+// one copy of the object and array grammar. Both readers of whole
+// documents are its clients: the value parser (Parser), which builds
+// the value model of internal/value, and the typing decoder of
+// internal/infer, which infers types without materializing values.
 //
 // The grammar implemented is RFC 8259 JSON. Duplicate object keys are
-// rejected by the parser (well-formedness per Section 4 of the paper);
-// the lexer itself is key-agnostic.
+// rejected by the parser and the decoder (well-formedness per Section 4
+// of the paper); the lexer itself is key-agnostic.
 //
 // The lexer has one scanning path: it always scans a window of bytes.
 // A byte slice is a window holding the whole input; a reader refills

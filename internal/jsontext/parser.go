@@ -1,7 +1,6 @@
 package jsontext
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/value"
@@ -72,7 +71,7 @@ func (p *Parser) Offset() int64 { return p.lex.Offset() }
 
 func (p *Parser) parseValue(tok Token, depth int) (value.Value, error) {
 	if depth > p.opts.maxDepth() {
-		return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("nesting deeper than %d", p.opts.maxDepth())}
+		return nil, p.lex.errorf(tok.Offset, "nesting deeper than %d", p.opts.maxDepth())
 	}
 	switch tok.Kind {
 	case TokNull:
@@ -90,57 +89,37 @@ func (p *Parser) parseValue(tok Token, depth int) (value.Value, error) {
 	case TokBeginArray:
 		return p.parseArray(depth)
 	default:
-		return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("unexpected %s", tok.Kind)}
+		return nil, p.lex.errorf(tok.Offset, "unexpected %s", tok.Kind)
 	}
 }
 
 func (p *Parser) parseObject(depth int) (value.Value, error) {
 	var fields []value.Field
-	seen := make(map[string]bool)
-	first := true
 	for {
+		kb, off, ok, err := p.lex.NextKey(len(fields) > 0)
+		if !ok {
+			if err != nil {
+				return nil, err
+			}
+			return value.NewRecord(fields...)
+		}
+		key := p.lex.internString(kb)
+		// Well-formedness per Section 4: keys must be unique. Objects
+		// have few keys, so a scan of the fields read so far beats a
+		// per-object set.
+		for _, f := range fields {
+			if f.Key == key {
+				return nil, p.lex.errorf(off, "duplicate object key %q", key)
+			}
+		}
+		if err != nil { // the ':' after the key
+			return nil, err
+		}
 		tok, err := p.lex.Next()
 		if err != nil {
 			return nil, err
 		}
-		if first && tok.Kind == TokEndObject {
-			return value.MustRecord(), nil
-		}
-		if !first {
-			switch tok.Kind {
-			case TokEndObject:
-				return value.NewRecord(fields...)
-			case TokComma:
-				tok, err = p.lex.Next()
-				if err != nil {
-					return nil, err
-				}
-			default:
-				return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected ',' or '}' in object, got %s", tok.Kind)}
-			}
-		}
-		first = false
-		if tok.Kind != TokStr {
-			return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected object key string, got %s", tok.Kind)}
-		}
-		key := tok.Str
-		if seen[key] {
-			// Well-formedness per Section 4: keys must be unique.
-			return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("duplicate object key %q", key)}
-		}
-		seen[key] = true
-		colon, err := p.lex.Next()
-		if err != nil {
-			return nil, err
-		}
-		if colon.Kind != TokColon {
-			return nil, &SyntaxError{Offset: colon.Offset, Msg: fmt.Sprintf("expected ':' after key, got %s", colon.Kind)}
-		}
-		vt, err := p.lex.Next()
-		if err != nil {
-			return nil, err
-		}
-		v, err := p.parseValue(vt, depth+1)
+		v, err := p.parseValue(tok, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -149,30 +128,19 @@ func (p *Parser) parseObject(depth int) (value.Value, error) {
 }
 
 func (p *Parser) parseArray(depth int) (value.Value, error) {
-	var elems value.Array
-	first := true
+	elems := value.Array{}
 	for {
+		ok, err := p.lex.NextElem(len(elems))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return elems, nil
+		}
 		tok, err := p.lex.Next()
 		if err != nil {
 			return nil, err
 		}
-		if first && tok.Kind == TokEndArray {
-			return value.Array{}, nil
-		}
-		if !first {
-			switch tok.Kind {
-			case TokEndArray:
-				return elems, nil
-			case TokComma:
-				tok, err = p.lex.Next()
-				if err != nil {
-					return nil, err
-				}
-			default:
-				return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected ',' or ']' in array, got %s", tok.Kind)}
-			}
-		}
-		first = false
 		v, err := p.parseValue(tok, depth+1)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package jsontext
 
 import (
+	"fmt"
 	"io"
 	"slices"
 )
@@ -8,12 +9,23 @@ import (
 // The walk API reads a document structure by structure: NextMember and
 // NextKey consume an object member's separators and name, NextElem an
 // array element's separator, and SkipValue a whole value whose bytes
-// another decoder reads. It has three clients. The strict readers of a
-// fixed grammar, the types codec and Repository snapshots, match member
-// names with NextMember and read values with Next. The membership
-// matcher (types.Matcher) compares keys from NextKey with a type's
-// fields and reads scalars with NextKind, which checks a value without
-// delivering its content; SkipValue reads the same way.
+// another decoder reads. It holds the one copy of the object and array
+// grammar, and of its syntax errors; a reader that walks a document
+// gets values from Next and structure from here. Its clients:
+//   - the typing decoder (infer.Decoder) and the value parser (Parser)
+//     read keys with NextKey, elements with NextElem and values with
+//     Next;
+//   - the strict readers of a fixed grammar, the types codec and
+//     Repository snapshots, match member names with NextMember;
+//   - the membership matcher (types.Matcher) compares keys from NextKey
+//     with a type's fields and reads scalars with NextKind, which
+//     checks a value without delivering its content; SkipValue reads
+//     the same way.
+//
+// A separator or key that is not where the grammar needs it is reported
+// as the token-at-a-time reader would: the token there is lexed, so a
+// malformed one reports its own error, and a well-formed one is named,
+// "expected ',' or '}' in object, got number", at its offset.
 
 // MaxNesting is encoding/json's bound on the nesting depth of a
 // document. Strict readers reject anything deeper, so a document they
@@ -60,17 +72,17 @@ func (l *Lexer) memberKey(later bool) (key []byte, off int64, ok bool, err error
 	}
 	if later {
 		if b != ',' {
-			return nil, 0, false, l.errorf(l.Offset(), "expected ',' or '}' in object, got %q", b)
+			return nil, 0, false, l.unexpected("',' or '}' in object")
 		}
 		l.pos++
 		if b, err = l.peek(); err != nil {
 			return nil, 0, false, err
 		}
 	}
-	off = l.Offset()
 	if b != '"' {
-		return nil, 0, false, l.errorf(off, "expected object key string, got %q", b)
+		return nil, 0, false, l.unexpected("object key string")
 	}
+	off = l.Offset()
 	l.pos++
 	key, err = l.scanString(off, true)
 	return key, off, err == nil, err
@@ -80,33 +92,43 @@ func (l *Lexer) memberKey(later bool) (key []byte, off int64, ok bool, err error
 // last structural token read, with the ',' before it unless it is the
 // first (later false) and the ':' after it; the member's value is the
 // next token. The name is decoded as Next decodes a string, into a
-// transient view as a raw-mode token's Bytes is. At the closing '}' it
-// returns ok false.
-func (l *Lexer) NextKey(later bool) (key []byte, ok bool, err error) {
-	if key, _, ok, err = l.memberKey(later); !ok {
-		return nil, false, err
+// transient view as a raw-mode token's Bytes is, and off is the offset
+// of its opening quote. At the closing '}' it returns ok false. ok is
+// true whenever a name was read, even if reading the ':' after it
+// failed: err is then that failure, and a caller that checks names, for
+// a duplicate say, reports its own error first, as it would reading the
+// name and the ':' as two tokens.
+func (l *Lexer) NextKey(later bool) (key []byte, off int64, ok bool, err error) {
+	if key, off, ok, err = l.memberKey(later); !ok {
+		return nil, 0, false, err
 	}
 	if l.pos < len(l.data) && l.data[l.pos] == ':' {
 		l.pos++
-		return key, true, nil
+		return key, off, true, nil
 	}
 	// A refill to reach the ':' would move the window under a key that
 	// is a view into it, so the key moves to the scratch first.
 	key = append(l.strBuf[:0], key...)
 	l.strBuf = key
-	if err := l.punct(':', "after key"); err != nil {
-		return nil, false, err
+	b, err := l.peek()
+	switch {
+	case err != nil:
+	case b == ':':
+		l.pos++
+	default:
+		// A string in place of the ':' is lexed into the scratch too.
+		key, err = slices.Clone(key), l.unexpected("':' after key")
 	}
-	return key, true, nil
+	return key, off, true, err
 }
 
-// peek skips whitespace and returns the next byte, unread; the end of
-// the input is a syntax error, since strict readers call it only inside
-// an object or array.
+// peek skips whitespace and returns the next byte, unread, or 0 at the
+// end of the input: no structural byte, so the end reaches unexpected
+// as any other wrong byte does.
 func (l *Lexer) peek() (byte, error) {
 	if err := l.skipSpace(); err != nil {
 		if err == io.EOF {
-			err = l.errorf(l.Offset(), "unexpected end of input")
+			err = nil
 		}
 		return 0, err
 	}
@@ -116,19 +138,32 @@ func (l *Lexer) peek() (byte, error) {
 // punct reads the structural byte c; where names its place in errors.
 func (l *Lexer) punct(c byte, where string) error {
 	b, err := l.peek()
-	if err == nil && b != c {
-		err = l.errorf(l.Offset(), "expected %q %s, got %q", c, where, b)
+	if err != nil {
+		return err
 	}
+	if b != c {
+		return l.unexpected(fmt.Sprintf("%q %s", c, where))
+	}
+	l.pos++
+	return nil
+}
+
+// unexpected reports the token at the next byte, where the grammar
+// needs what instead: the token's own error if it does not lex, else an
+// error naming its kind, at its offset.
+func (l *Lexer) unexpected(what string) error {
+	tok, err := l.next(false)
 	if err == nil {
-		l.pos++
+		err = l.errorf(tok.Offset, "expected %s, got %s", what, tok.Kind)
 	}
 	return err
 }
 
 // NextElem reads up to the next element of the array whose '[' was
 // the last structural token read: the ',' before it unless n, the
-// number of elements read so far, is 0. The element is the next token.
-// At the closing ']' it returns false.
+// number of elements read so far, is 0. The element is the next token;
+// the end of the input there is left for its reader to report. At the
+// closing ']' it returns false.
 func (l *Lexer) NextElem(n int) (bool, error) {
 	b, err := l.peek()
 	if err != nil {
@@ -178,7 +213,7 @@ func (l *Lexer) skip(depth int) error {
 	for n := 0; ; n++ {
 		var ok bool
 		if object {
-			_, ok, err = l.NextKey(n > 0)
+			_, _, ok, err = l.NextKey(n > 0)
 		} else {
 			ok, err = l.NextElem(n)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -135,11 +136,38 @@ func TestNextKeySurvivesRefill(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got, ok, err := l.NextKey(false); string(got) != "key" || !ok || err != nil {
+				if got, _, ok, err := l.NextKey(false); string(got) != "key" || !ok || err != nil {
 					t.Errorf("key %s ending %d bytes before the window, then %q: NextKey = %q, %v, %v", key, k, colon, got, ok, err)
 				}
 				l.Release()
 			}
+		}
+	}
+}
+
+// TestNextKeyBeforeBadColon: where the ':' after a key is missing,
+// NextKey still returns the key, so that a caller can report a
+// duplicate first, and the key is intact also when a refill moved the
+// window and the string in place of the ':' was decoded into the
+// lexer's scratch.
+func TestNextKeyBeforeBadColon(t *testing.T) {
+	for _, tc := range []struct{ doc, err string }{
+		{`{"key" "x\ny"}`, "offset 7: expected ':' after key, got string"},
+		{`{"key" 1}`, "offset 7: expected ':' after key, got number"},
+		{`{"key" "\q"}`, "offset 9: invalid escape character"},
+		{`{"key"`, "offset 6: expected ':' after key, got end of input"},
+	} {
+		for _, raw := range []bool{false, true} {
+			l := AcquireLexer(iotest.OneByteReader(strings.NewReader(tc.doc)))
+			l.RawStrings(raw)
+			if _, err := l.Next(); err != nil {
+				t.Fatal(err)
+			}
+			key, off, ok, err := l.NextKey(false)
+			if string(key) != "key" || off != 1 || !ok || err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s, raw=%v: NextKey = %q, %d, %v, %v; want \"key\", 1, true and an error at %s", tc.doc, raw, key, off, ok, err, tc.err)
+			}
+			l.Release()
 		}
 	}
 }

@@ -264,7 +264,7 @@ func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, uint64, bool) {
 	defer func() { m.seen, m.words = m.seen[:base], m.words[:wbase] }()
 	size, mandatory, next := 1, 0, 0
 	for n := 0; ; n++ {
-		key, more, err := lex.NextKey(n > 0)
+		key, _, more, err := lex.NextKey(n > 0)
 		if err != nil {
 			return 0, 0, false
 		}

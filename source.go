@@ -240,13 +240,12 @@ func runFilePipeline(ctx context.Context, env *pipeline.Env, path string) (pipel
 	//lint:ignore droppederr the file is only read; a close error cannot lose data
 	defer f.Close()
 
-	out, mrst, err := runChunks(ctx, env, f)
+	// Count what is read rather than Stat the file: a FIFO or a device
+	// has no size.
+	cr := &countingReader{r: f}
+	out, mrst, err := runChunks(ctx, env, cr)
 	if err != nil {
 		return nil, Stats{}, chunkedErr(path, err)
 	}
-	var size int64
-	if info, err := f.Stat(); err == nil {
-		size = info.Size()
-	}
-	return out, feedStats(size, mrst), nil
+	return out, feedStats(cr.n, mrst), nil
 }
