@@ -467,6 +467,26 @@ func BenchmarkInferNDJSONTagged(b *testing.B) {
 	}
 }
 
+// BenchmarkInferNDJSONTuples measures the in-memory entry point under
+// PreserveTupleArrays, whose decoder absorbs like the default's: most
+// records are matched against the schema fused so far, not typed.
+func BenchmarkInferNDJSONTuples(b *testing.B) {
+	for _, name := range []string{"github", "twitter", "nytimes"} {
+		b.Run(name, func(b *testing.B) {
+			g, _ := dataset.New(name)
+			data := dataset.NDJSON(g, benchScale(), 1)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := jsi.InferNDJSON(data, jsi.Options{PreserveTupleArrays: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkInferNDJSONObserved is BenchmarkInferNDJSON/twitter with a
 // Collector installed: the difference between the two is the full cost
 // of observing a run (atomic counters, histogram observations, timing

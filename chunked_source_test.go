@@ -171,6 +171,37 @@ func TestFromChunkedReaderQuarantine(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorsSpendNoRetries: a chunk that fails to decode fails
+// the same way on every attempt, so it is never retried, whatever the
+// retry budget. The run fails at once under the default policy, with
+// the input offset of the error, and under OnErrorSkip the chunk is
+// quarantined with no retry counted, on every chunked Source.
+func TestDecodeErrorsSpendNoRetries(t *testing.T) {
+	data := []byte("{\"a\":1}\n{\"a\":\n")
+	path := filepath.Join(t.TempDir(), "bad.ndjson")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func() jsi.Source{
+		"FromBytes":         func() jsi.Source { return jsi.FromBytes(data) },
+		"FromChunkedReader": func() jsi.Source { return jsi.FromChunkedReader(bytes.NewReader(data)) },
+		"FromFile":          func() jsi.Source { return jsi.FromFile(path) },
+	}
+	for name, src := range sources {
+		_, _, err := jsi.Infer(context.Background(), src(), jsi.Options{Workers: 1, Retries: 5})
+		if err == nil || strings.Contains(err.Error(), "attempts)") || !strings.Contains(err.Error(), "syntax error at offset 14:") {
+			t.Errorf("%s: err = %v, want the syntax error at offset 14, not retried", name, err)
+		}
+		_, st, err := jsi.Infer(context.Background(), src(), jsi.Options{Workers: 1, Retries: 5, OnError: jsi.OnErrorSkip})
+		if err != nil {
+			t.Fatalf("%s under OnErrorSkip: %v", name, err)
+		}
+		if st.Retries != 0 || st.QuarantinedChunks != 1 {
+			t.Errorf("%s under OnErrorSkip: Retries %d, QuarantinedChunks %d; want 0 and 1", name, st.Retries, st.QuarantinedChunks)
+		}
+	}
+}
+
 // failingReader fails after yielding some bytes, standing in for a
 // network stream that drops mid-request.
 type failingReader struct {

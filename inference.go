@@ -28,7 +28,10 @@ type Options struct {
 	// PreserveTupleArrays enables the positional array extension
 	// (Section 7 of the paper): arrays that always have the same small
 	// length (at most 4) keep one type per position instead of
-	// collapsing to [T*].
+	// collapsing to [T*]. As under the default fusion, a record the
+	// schema fused so far already covers is only matched, not typed
+	// (docs/PERFORMANCE.md, "Absorbed members"), which changes the cost
+	// but never the result.
 	PreserveTupleArrays bool
 	// TaggedUnions enables tagged-union (discriminated record) inference
 	// — the record-fusion strategy described in docs/UNIONS.md. Records
@@ -78,7 +81,9 @@ type Options struct {
 	// chaos harness in internal/chaos verifies. Zero disables retry.
 	// Retries applies to the chunked pipeline (FromBytes, FromFile,
 	// FromFiles, FromChunkedReader); the sequential FromReader path has
-	// no tasks to retry.
+	// no tasks to retry. Malformed input is never retried: a chunk that
+	// fails to decode fails the same way on every attempt, so it fails
+	// (or quarantines) at once.
 	Retries int
 	// OnError selects what the pipeline does with a chunk that still
 	// fails after its retry budget: OnErrorFail (the default) aborts

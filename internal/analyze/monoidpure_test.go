@@ -39,13 +39,12 @@ func TestMonoidPureRootsEnrich(t *testing.T) {
 }
 
 // TestMonoidPureRootsPipeline pins that the pipeline accumulator is
-// rooted: its per-record stream step Add, and Merge and Fold, so
-// chunkAcc.Merge's reach into stats.Summary.Merge and
-// intern.Multiset.Merge is checked.
+// rooted: its Merge and Fold, so chunkAcc.Merge's reach into
+// stats.Summary.Merge and intern.Multiset.Merge is checked.
 func TestMonoidPureRootsPipeline(t *testing.T) {
 	_, names := loadMonoidRoots(t, "pipeline")
 	for _, want := range []string{
-		"chunkAcc.Add", "chunkAcc.Merge", "chunkAcc.Fold",
+		"chunkAcc.Merge", "chunkAcc.Fold",
 	} {
 		if !names[want] {
 			t.Errorf("monoidRoots missed %s (got %v)", want, names)

@@ -89,8 +89,8 @@ func FuseAllTree(ts []types.Type) types.Type {
 // work near O(total size × log inputs). Fusion is associative and
 // commutative (Theorems 5.4 and 5.5), so the fold shape is invisible in
 // the result: TestTreeFoldConformance pins it byte for byte against
-// FuseAll, and the differential suite pins the pipeline's chunks
-// against the sequential left fold of the streaming driver.
+// FuseAll, and the pipeline's absorb fuzzers pin both of its drivers
+// against a left fold that types every record.
 type TreeFold struct {
 	fuse   func(a, b types.Type) types.Type
 	levels []types.Type

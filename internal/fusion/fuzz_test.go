@@ -13,8 +13,8 @@ import (
 // commutative and associative on them and that Simplify, Fuse and
 // Finalize equal the rebuild-everything oracle — on the raw parsed
 // types too, which may hold tuples and non-normal unions — and that
-// fusing a witness of the paper's normal fusion of the first two
-// leaves that fusion unchanged.
+// fusing a witness of the normal fusion of the first two, under the
+// paper's or the tuple strategy, leaves that fusion unchanged.
 func FuzzFuseLaws(f *testing.F) {
 	seeds := [][3]string{
 		{"{a: Num, b: Str}", "{b: Bool, c: Str}", "{a: Null, b: Num}"},
@@ -62,17 +62,21 @@ func FuzzFuseLaws(f *testing.F) {
 				requireSameBytes(t, p.name+" associativity", p.o.Fuse(xy, z), p.o.Fuse(x, p.o.Fuse(y, z)))
 			}
 		}
-		// The membership lemma the stream's absorption rests on: under
-		// the paper's fusion, a witness v of a normal fused type F
-		// teaches the fold nothing, Fuse(F, Simplify(Infer(v))) = F.
-		// Variants, which only the tagged strategy infers, are outside
-		// it: their catch-all admits records that fusion then routes.
-		fused := Fuse(Simplify(raw[0]), Simplify(raw[1]))
-		if types.IsNormal(fused) && !hasVariants(fused) {
+		// The membership lemma absorption rests on: under the paper's
+		// and the tuple strategy, a witness v of a normal fused type F
+		// teaches the fold nothing, Fuse(F, Simplify(Infer(v))) = F
+		// under the same strategy. Variants, which only the tagged
+		// strategy infers, are outside it: their catch-all admits
+		// records that fusion then routes.
+		for _, o := range []Options{{}, {Strategy: Tuples{}}} {
+			fused := o.Fuse(o.Simplify(raw[0]), o.Simplify(raw[1]))
+			if !types.IsNormal(fused) || hasVariants(fused) {
+				continue
+			}
 			r := rand.New(rand.NewSource(int64(len(a) + 31*len(b))))
 			for i := 0; i < 4; i++ {
 				if v, ok := types.Witness(fused, r); ok {
-					requireSameBytes(t, "membership lemma", Fuse(fused, Simplify(infer.Infer(v))), fused)
+					requireSameBytes(t, o.ResolvedStrategy().Name()+" membership lemma", o.Fuse(fused, o.Simplify(infer.Infer(v))), fused)
 				}
 			}
 		}

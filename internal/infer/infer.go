@@ -204,13 +204,11 @@ func (d *Decoder) Next() (types.Type, error) {
 // (types.Hash) of the type Next would have inferred for it and true.
 // Otherwise it returns false and leaves the stream where it was, so
 // Next reads the value (or the end of input, or the error) exactly as
-// if Absorb had not been called. The lexer
-// holds the whole value in its window until Absorb decides.
-//
-// With an observer or a promoter installed it absorbs nothing: the
-// observer needs every value, and a promoter changes what Next infers.
+// if Absorb had not been called. The lexer holds the whole value in its
+// window until Absorb decides. It absorbs nothing when Absorbs reports
+// false.
 func (d *Decoder) Absorb(t types.Type) (size int, hash uint64, ok bool) {
-	if d.obs != nil || d.pr != nil {
+	if !d.Absorbs() {
 		return 0, 0, false
 	}
 	d.lex.Pin()
@@ -222,6 +220,16 @@ func (d *Decoder) Absorb(t types.Type) (size int, hash uint64, ok bool) {
 	}
 	return size, hash, ok
 }
+
+// Absorbs reports whether Absorb may take a value: the one gate on
+// absorption. A member of a type fused under the paper's or the tuple
+// strategy leaves that fusion as it is (docs/PERFORMANCE.md, "Absorbed
+// members"), so skipping its typing changes no result. With an observer
+// installed the decoder absorbs nothing, since enrichment must see
+// every value. With a promoter installed it absorbs nothing either: the
+// tagged strategy's variants break the membership lemma, and a
+// promoter changes what Next infers.
+func (d *Decoder) Absorbs() bool { return d.obs == nil && d.pr == nil }
 
 // Offset returns the number of input bytes consumed so far.
 func (d *Decoder) Offset() int64 { return d.lex.Offset() }

@@ -35,8 +35,9 @@ var streamReaders = []struct {
 }
 
 // referenceStream is the stream fold with nothing absorbed: every
-// record decoded by Decoder.Next and left-folded through Add, with
-// RunStream's error positions. Its Fold is what RunStream must return.
+// record decoded by Decoder.Next, its size tallied and its type
+// left-folded into the fused type, with RunStream's error positions.
+// Its Fold is what RunStream must return.
 func referenceStream(env *Env, r io.Reader) (Result, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
@@ -49,7 +50,33 @@ func referenceStream(env *Env, r io.Reader) (Result, int64, error) {
 		if err != nil {
 			return Result{}, 0, fmt.Errorf("record %d: %w", n, err)
 		}
-		acc.Add(t)
+		acc.sum.Sizes.Add(t.Size(), 1)
+		acc.fused = env.Fusion.Fuse(acc.fused, env.Fusion.Simplify(t))
+	}
+}
+
+// An absorbPolicy is one run configuration the absorb fuzzers draw by
+// their policy byte, and whether its decoder absorbs.
+type absorbPolicy struct {
+	name    string
+	env     Env
+	absorbs bool
+}
+
+// absorbPolicies returns the paper's and the tuple strategy, which
+// absorb, and tagged unions (alone and over tuples) and enrichment,
+// under which the decoder types every record.
+func absorbPolicies(tb testing.TB) []absorbPolicy {
+	set, err := enrich.ParseSet([]string{"all"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []absorbPolicy{
+		{"paper", Env{}, true},
+		{"tuples", Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, true},
+		{"tagged", Env{Fusion: fusion.Options{Strategy: fusion.Tagged{}}}, false},
+		{"tagged+tuples", Env{Fusion: fusion.Options{Strategy: fusion.Tagged{Inner: fusion.Tuples{}}}}, false},
+		{"enrich", Env{Enrich: set}, false},
 	}
 }
 
@@ -85,31 +112,56 @@ func requireSameStream(t *testing.T, env *Env, data []byte) obs.Metrics {
 	return m
 }
 
-// FuzzStreamAbsorb checks RunStream, which absorbs records the fused
-// type already covers, against the reference fold that types every
-// record: the same Result or the same error, on any input, through
-// every reader kind, at a MaxDepth drawn from depth (0: the default).
+// FuzzStreamAbsorb checks RunStream, which absorbs records its fold
+// already covers, against the reference fold that types every record:
+// the same Result or the same error, on any input, through every reader
+// kind, at a MaxDepth drawn from depth (0: the default), under the
+// policy drawn from policy. A policy whose decoder declines absorbs
+// nothing.
 func FuzzStreamAbsorb(f *testing.F) {
+	type seed struct {
+		data  []byte
+		depth uint8
+	}
+	var seeds []seed
 	for _, name := range []string{"github", "nytimes", "wikidata", "mixed"} {
 		g, err := dataset.New(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(dataset.NDJSON(g, 12, 3), uint8(0))
+		seeds = append(seeds, seed{dataset.NDJSON(g, 12, 3), 0})
 	}
-	f.Add([]byte(`{"a": "x"}`+"\n"+`{"a": "`+strings.Repeat("y", 70<<10)+`"}`+"\n"+`{"a": "z", "b": 1}`), uint8(0))
-	f.Add([]byte(`{"a": 1, "b": "x"}`+"\n"+`{"b": "y"}`+"\n"+`{"b": "z", "a": 2, "a": 3}`+"\n"), uint8(0))
-	f.Add([]byte(`{"a": 1}`+"\n"+`{"a": 2}`+"\n"+`{"a": `), uint8(0))
-	f.Add([]byte(`[[1]]`+"\n"+`[[1], [2]]`+"\n"+`[[[1]]]`+"\n"), uint8(3))
-	f.Add([]byte(`[1]`+"\n"+strings.Repeat("[", jsontext.DefaultMaxDepth+2)), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, depth uint8) {
-		requireSameStream(t, &Env{MaxDepth: int(depth % 8)}, data)
+	seeds = append(seeds,
+		seed{[]byte(`{"a": "x"}` + "\n" + `{"a": "` + strings.Repeat("y", 70<<10) + `"}` + "\n" + `{"a": "z", "b": 1}`), 0},
+		seed{[]byte(`{"a": 1, "b": "x"}` + "\n" + `{"b": "y"}` + "\n" + `{"b": "z", "a": 2, "a": 3}` + "\n"), 0},
+		seed{[]byte(`{"a": 1}` + "\n" + `{"a": 2}` + "\n" + `{"a": `), 0},
+		seed{[]byte(`[[1]]` + "\n" + `[[1], [2]]` + "\n" + `[[[1]]]` + "\n"), 3},
+		seed{[]byte(`[1]` + "\n" + strings.Repeat("[", jsontext.DefaultMaxDepth+2)), 0},
+		seed{[]byte(`[1, "x"]` + "\n" + `[2, "y"]` + "\n" + `[1, "x", 3]` + "\n" + `[]` + "\n" + `[1, 2, 3, 4, 5]` + "\n"), 0},
+		seed{[]byte(`{"type": "a", "x": [1, 2]}` + "\n" + `{"type": "b"}` + "\n" + `{"type": "a", "x": [3, 4]}` + "\n"), 0},
+	)
+	policies := absorbPolicies(f)
+	// Every seed runs under every policy, the paper's (0) included.
+	for _, s := range seeds {
+		for p := range policies {
+			f.Add(s.data, s.depth, uint8(p))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, depth, policy uint8) {
+		p := policies[int(policy)%len(policies)]
+		env := p.env
+		env.MaxDepth = int(depth % 8)
+		m := requireSameStream(t, &env, data)
+		if n := m.Counters["infer_absorbed_records"]; !p.absorbs && n != 0 {
+			t.Fatalf("%s: absorbed %d records", p.name, n)
+		}
 	})
 }
 
 // TestRunStreamAbsorbs checks where the stream absorbs: the paper's
-// fusion without enrichment absorbs most generator records and counts
-// them, while the other strategies and enrichment absorb none. Every
+// and the tuple strategy without enrichment absorb most generator
+// records and count them, while tagged unions and enrichment absorb
+// none. Every
 // run returns the reference fold's Result.
 func TestRunStreamAbsorbs(t *testing.T) {
 	set, err := enrich.ParseSet([]string{"counts"})
@@ -127,7 +179,7 @@ func TestRunStreamAbsorbs(t *testing.T) {
 			absorb bool
 		}{
 			{Env{}, true},
-			{Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, false},
+			{Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, true},
 			{Env{Fusion: fusion.Options{Strategy: fusion.Tagged{}}}, false},
 			{Env{Enrich: set}, false},
 		} {
@@ -140,32 +192,37 @@ func TestRunStreamAbsorbs(t *testing.T) {
 			case !c.absorb && absorbed != 0:
 				t.Errorf("%s, %s, enrich %v: absorbed %d records", name, c.env.Fusion.ResolvedStrategy().Name(), c.env.Enrich != nil, absorbed)
 			case c.absorb && name != "wikidata" && absorbed < 250:
-				t.Errorf("%s: absorbed %d of 300 records, want most", name, absorbed)
+				t.Errorf("%s, %s: absorbed %d of 300 records, want most", name, c.env.Fusion.ResolvedStrategy().Name(), absorbed)
 			}
 		}
 	}
 }
 
 // referenceChunks is the chunked fold with nothing absorbed: every
-// record of every chunk typed by infer.InferAll, tallied by
-// stats.Summary.Add and folded as a Simplify'd type under the paper's
-// fusion. Its Result is what
-// Run must return over the same chunks; it fails where some chunk does.
-func referenceChunks(chunks [][]byte) (Result, error) {
-	var (
-		fz  fusion.Options
-		sum stats.Summary
-	)
+// record of every chunk typed by Decoder.Next under env's policy,
+// tallied by stats.Summary.Add and folded as a Simplify'd type. Its
+// Result is what Run must return over the same chunks; it fails where
+// some chunk does.
+func referenceChunks(env *Env, chunks [][]byte) (Result, error) {
+	var sum stats.Summary
+	fz := env.Fusion
 	fused := types.Type(types.Empty)
 	for _, c := range chunks {
-		ts, err := infer.InferAll(c)
-		if err != nil {
-			return Result{}, err
-		}
-		for _, t := range ts {
+		dec := infer.NewBytesDecoder(c, jsontext.Options{})
+		env.feedAcc(dec)
+		for {
+			t, err := dec.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				dec.Release()
+				return Result{}, err
+			}
 			sum.Add(t)
 			fused = fz.Fuse(fused, fz.Simplify(t))
 		}
+		dec.Release()
 	}
 	return Result{
 		Fused:         fz.Finalize(fused),
@@ -198,26 +255,47 @@ func splitAtNewlines(data []byte, seed uint64) [][]byte {
 // FuzzChunkAbsorb checks Run with a cover, whose chunks absorb the
 // records the cover or their own fold already covers, against the
 // reference that types every record: over a random split of the input
-// into chunks at 1-3 workers, Run fails exactly where the reference
-// does, and otherwise returns the same Result, DistinctTypes included,
-// with the same finalized fused type.
+// into chunks at 1-3 workers, under the policy drawn from policy, Run
+// fails exactly where the reference does, and otherwise returns the
+// same Result, DistinctTypes included, with the same finalized fused
+// type. A policy whose decoder declines absorbs nothing.
 func FuzzChunkAbsorb(f *testing.F) {
+	type seed struct {
+		data    []byte
+		split   uint64
+		workers uint8
+	}
+	var seeds []seed
 	for i, name := range dataset.Names() {
 		g, err := dataset.New(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(dataset.NDJSON(g, 40, int64(i)), uint64(i), uint8(i))
+		seeds = append(seeds, seed{dataset.NDJSON(g, 40, int64(i)), uint64(i), uint8(i)})
 	}
-	f.Add([]byte(`{"a": 1, "b": "x"}`+"\n"+`{"b": "y", "a": 2}`+"\n"+`{"a": 3, "b": "z", "b": "w"}`+"\n"), uint64(1), uint8(0))
-	f.Add([]byte(`[1, "x"]`+"\n"+`["x", 1]`+"\n"+`[1, "x"]`+"\n"+`[]`+"\n"), uint64(2), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, seed uint64, workers uint8) {
+	seeds = append(seeds,
+		seed{[]byte(`{"a": 1, "b": "x"}` + "\n" + `{"b": "y", "a": 2}` + "\n" + `{"a": 3, "b": "z", "b": "w"}` + "\n"), 1, 0},
+		seed{[]byte(`[1, "x"]` + "\n" + `["x", 1]` + "\n" + `[1, "x"]` + "\n" + `[]` + "\n"), 2, 1},
+		seed{[]byte(`[1, "x"]` + "\n" + `["x", 1]` + "\n" + `[1, "x"]` + "\n" + `[]` + "\n" + `[1, 2, 3, 4, 5]` + "\n" + `[2, "y"]` + "\n"), 2, 1},
+	)
+	policies := absorbPolicies(f)
+	// Every seed runs under every policy, the paper's (0) included.
+	for _, s := range seeds {
+		for p := range policies {
+			f.Add(s.data, s.split, s.workers, uint8(p))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, workers, policy uint8) {
+		p := policies[int(policy)%len(policies)]
 		chunks := splitAtNewlines(data, seed)
-		want, wantErr := referenceChunks(chunks)
-		env := &Env{Workers: 1 + int(workers%3), Cover: &Cover{}}
-		acc, _, err := Run(context.Background(), env, SliceFeed(chunks))
+		want, wantErr := referenceChunks(&p.env, chunks)
+		env := p.env
+		env.Workers, env.Cover = 1+int(workers%3), &Cover{}
+		reg := obs.NewRegistry()
+		env.Rec = reg
+		acc, _, err := Run(context.Background(), &env, SliceFeed(chunks))
 		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("Run err %v, reference err %v", err, wantErr)
+			t.Fatalf("%s: Run err %v, reference err %v", p.name, err, wantErr)
 		}
 		if err != nil {
 			return
@@ -226,7 +304,10 @@ func FuzzChunkAbsorb(f *testing.F) {
 		if types.Compare(got.Fused, want.Fused) != 0 || got.Fused.String() != want.Fused.String() ||
 			got.Records != want.Records || got.DistinctTypes != want.DistinctTypes ||
 			got.MinTypeSize != want.MinTypeSize || got.MaxTypeSize != want.MaxTypeSize || got.AvgTypeSize != want.AvgTypeSize {
-			t.Fatalf("Run %+v\nwant %+v", got, want)
+			t.Fatalf("%s: Run %+v\nwant %+v", p.name, got, want)
+		}
+		if n := reg.Snapshot().Counters["infer_absorbed_records"]; !p.absorbs && n != 0 {
+			t.Fatalf("%s: absorbed %d records", p.name, n)
 		}
 	})
 }

@@ -14,9 +14,10 @@ import (
 // see Combine) is its identity — so chunking, scheduling and worker
 // count are invisible in the Fold.
 //
-// It has one implementation, chunkAcc, which both drivers fill: Run's
-// map tasks and RunStream's left fold. Its laws are property-tested in
-// accumulator_test.go the same way Fuse and obs snapshots are.
+// It has one implementation, chunkAcc, which the one map stage fills
+// for both drivers: Run's chunks and RunStream's stream. Its laws are
+// property-tested in accumulator_test.go the same way Fuse and obs
+// snapshots are.
 type Accumulator interface {
 	// Merge absorbs other into the receiver. Associative and
 	// commutative; other must come from the same Env (same fusion
@@ -72,18 +73,19 @@ func Fold(acc Accumulator) Result {
 	return acc.Fold()
 }
 
-// chunkAcc is the one accumulator. Run's chunks tally every record in
-// sum, by the size and structural hash of its type, whether the record
-// was typed or absorbed (a member's size and hash come from its
-// tokens), so the distinct count is exact. RunStream's records go
-// through Add, or addMember for a record the fused type already covers,
-// which tally sizes only: with no distinct-type set, memory stays flat
-// however many distinct types a stream holds, and DistinctTypes stays
-// zero.
+// chunkAcc is the one accumulator, which the map stage (mapRecords)
+// fills for either driver. A chunk tallies every record in sum by the
+// size and structural hash of its type, whether the record was typed
+// or absorbed (a member's size and hash come from its tokens), so the
+// distinct count is exact. The stream's accumulator is sizesOnly: it
+// tallies sizes and computes no types.Hash; with no distinct-type set,
+// memory stays flat however many distinct types a stream holds, and
+// DistinctTypes stays zero.
 type chunkAcc struct {
-	fz    fusion.Options
-	sum   stats.Summary
-	fused types.Type
+	fz        fusion.Options
+	sum       stats.Summary
+	fused     types.Type
+	sizesOnly bool
 	// lat is the accumulator's enrichment lattice; nil with enrichment
 	// off. Merges ride the accumulator merge, so enrichment inherits the
 	// engine's exactly-once combine.
@@ -95,17 +97,25 @@ func (e *Env) newChunkAcc() *chunkAcc {
 	return &chunkAcc{fz: e.Fusion, fused: types.Empty}
 }
 
-// Add left-folds one streamed record into the accumulator: a size-only
-// tally and one fuse.
-func (a *chunkAcc) Add(t types.Type) {
-	a.sum.Sizes.Add(t.Size(), 1)
-	a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
+// tally counts one record whose type has the given size and structural
+// hash; in sizes-only mode the hash goes unused.
+func (a *chunkAcc) tally(size int, hash uint64) {
+	if a.sizesOnly {
+		a.sum.Sizes.Add(size, 1)
+		return
+	}
+	a.sum.Tally(size, hash)
 }
 
-// addMember tallies one streamed record that is a member of the fused
-// type: fusing its type would leave the fused type as it is, so only
-// its size, counted without building the type, is added.
-func (a *chunkAcc) addMember(size int) { a.sum.Sizes.Add(size, 1) }
+// add counts one typed record; in sizes-only mode it computes no
+// types.Hash.
+func (a *chunkAcc) add(t types.Type) {
+	if a.sizesOnly {
+		a.sum.Sizes.Add(t.Size(), 1)
+		return
+	}
+	a.sum.Add(t)
+}
 
 func (a *chunkAcc) Merge(other Accumulator) {
 	b := other.(*chunkAcc)

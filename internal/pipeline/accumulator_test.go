@@ -59,6 +59,9 @@ func payloads(t *testing.T) []payload {
 		// "dedup": chunks absorb against their own fold, and tally
 		// absorbed records by hash.
 		{"dedup", &Env{Cover: &Cover{}}, false},
+		// "dedup-tuples": the same under the tuple strategy, whose
+		// decoder absorbs too.
+		{"dedup-tuples", &Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}, Cover: &Cover{}}, false},
 		// "adaptive": the cover holds the whole corpus, so nearly every
 		// record is absorbed.
 		{"adaptive", seededEnv(t), false},
@@ -73,7 +76,7 @@ func payloads(t *testing.T) []payload {
 func seededEnv(t *testing.T) *Env {
 	t.Helper()
 	env := &Env{Cover: &Cover{}}
-	if _, err := env.mapChunk(chunk{data: monoidNDJSON}); err != nil {
+	if _, err := env.mapChunk(context.Background(), chunk{data: monoidNDJSON}); err != nil {
 		t.Fatal(err)
 	}
 	return env
@@ -102,7 +105,7 @@ func buildChunk(t *testing.T, p payload, data []byte) Accumulator {
 		if env.Cover != nil {
 			env.Cover = &Cover{t: env.Cover.get()}
 		}
-		acc, err = env.mapChunk(chunk{data: data})
+		acc, err = env.mapChunk(context.Background(), chunk{data: data})
 	}
 	if err != nil {
 		t.Fatal(err)

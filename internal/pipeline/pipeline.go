@@ -10,18 +10,19 @@
 // serving, remote — is a new feed into the same Accumulator, not a
 // second copy of the pipeline.
 //
-// Two drivers share the stages and fill the one Accumulator
-// implementation: Run distributes line-aligned chunks over the
-// map-reduce engine (parallel, fault-tolerant), whose workers pull each
-// chunk from the Feed themselves and hand the last one back as they do,
-// so a run holds one chunk per worker; RunStream types one record at a
-// time with constant memory (sequential). Both run one
-// tactic: under the paper's fusion without enrichment, a record the
-// schema fused so far already covers is matched on its tokens and
-// tallied, never typed (see Cover and RunStream); every other record is
-// typed, simplified and fused as soon as it is decoded. Both leave no
-// goroutines behind on error or cancellation, which pipeline_test.go
-// pins with mid-feed and mid-combine cancel tests.
+// Two drivers run one map stage, mapRecords, and fill the one
+// Accumulator implementation; they differ only in their feed. Run
+// distributes line-aligned chunks over the map-reduce engine (parallel,
+// fault-tolerant), whose workers pull each chunk from the Feed
+// themselves and hand the last one back as they do, so a run holds one
+// chunk per worker; RunStream maps a whole stream as one partition with
+// constant memory (sequential). In both, a record the schema fused so
+// far already covers is matched on its tokens and tallied, never typed
+// (see Cover and mapRecords), unless the decoder declines to absorb
+// (infer.Decoder.Absorbs: tagged unions and enrichment); every other
+// record is typed, simplified and fused as soon as it is decoded. Both
+// leave no goroutines behind on error or cancellation, which
+// pipeline_test.go pins with mid-feed and mid-combine cancel tests.
 //
 // The stages time themselves through Env.Rec: each map task and each
 // stream adds its decode+infer and its fusion busy time to the
@@ -72,10 +73,12 @@ type Env struct {
 	// (docs/OBSERVABILITY.md); nil records nothing and reads no clock.
 	Rec obs.Recorder
 	// Cover, when non-nil, lets Run's chunks absorb the records it or
-	// the chunk's own fold already covers (see Cover); Options.env
-	// gives every run a fresh one. Nil means every chunk types every
-	// record, the fold the experiments harness measures. RunStream
-	// ignores it: its own fused type is its cover.
+	// the chunk's own fold already covers (see Cover), whenever the
+	// decoder absorbs at all (infer.Decoder.Absorbs); Options.env gives
+	// every run a fresh one. Nil, or a run whose decoder declines,
+	// means every chunk types every record and the cover is never
+	// fused into; nil is the fold the experiments harness measures.
+	// RunStream ignores it: its own fold is its cover.
 	Cover *Cover
 	// Enrich, when non-nil, computes the configured enrichment monoids
 	// (internal/enrich) alongside structural inference in the same
@@ -151,15 +154,6 @@ type FeedError struct{ Err error }
 func (e *FeedError) Error() string { return e.Err.Error() }
 func (e *FeedError) Unwrap() error { return e.Err }
 
-// StreamBatchRecords is the cancellation batch of the streaming
-// driver: RunStream checks the context once per batch instead of once
-// per record, which keeps the per-record loop to decode + accumulate
-// (metrics stay per-record — a lone atomic add, and live /debug/vars
-// readers must see an in-flight stream's records). Error positions are
-// exact regardless ("record %d" comes from the per-record counter);
-// only cancellation latency is quantized, to at most one batch.
-const StreamBatchRecords = 64
-
 // Run distributes the feed's chunks over the map-reduce engine: each
 // chunk is typed and locally folded into an Accumulator (the
 // combiner), and accumulators merge associatively + commutatively into
@@ -182,10 +176,7 @@ func Run(ctx context.Context, env *Env, feed Feed) (Accumulator, mapreduce.Stats
 		base += int64(len(data))
 		return c, ok, nil
 	}
-	mapFn := func(_ context.Context, c chunk) (Accumulator, error) {
-		return env.mapChunk(c)
-	}
-	return mapreduce.Run(ctx, next, mapFn, Combine, nil,
+	return mapreduce.Run(ctx, next, env.mapChunk, Combine, nil,
 		mapreduce.Config{Workers: env.Workers, Recorder: env.Rec, Failure: env.Failure, Injector: env.Injector})
 }
 
@@ -197,40 +188,101 @@ type chunk struct {
 	base int64
 }
 
-// mapChunk is the decode+infer map stage: it types every value of one
-// line-aligned chunk into a fresh chunkAcc. Each record is tallied,
-// simplified and fused as soon as it is decoded, through one online
-// balanced-tree fold (fusion.TreeFold): the chunk never holds its
+// mapChunk runs the map stage over one line-aligned chunk (see
+// mapRecords) until ctx, the map task's, is done. A decode error is
+// permanent: the chunk's bytes fail the same way on every attempt, so
+// the map-reduce engine gives the chunk up at once, under Skip
+// quarantining it, instead of burning its retry budget. A syntax error
+// reports its offset in the input, not in the chunk.
+func (e *Env) mapChunk(ctx context.Context, c chunk) (Accumulator, error) {
+	dec := infer.NewBytesDecoder(c.data, jsontext.Options{MaxDepth: e.MaxDepth})
+	defer dec.Release()
+	acc, _, err := e.mapRecords(ctx, dec, false)
+	if err != nil {
+		// The decoder's error is its own, fresh per call.
+		if se := (*jsontext.SyntaxError)(nil); errors.As(err, &se) {
+			se.Offset += c.base
+		}
+		return nil, mapreduce.Permanent(err)
+	}
+	return acc, nil
+}
+
+// RunStream runs the map stage over a stream of JSON values as one
+// partition: the sequential driver. Its records go through the same
+// loop as a chunk's (see mapRecords), with constant memory: it keeps
+// no set of distinct types, so memory stays flat even when every record
+// has a type of its own, and DistinctTypes stays zero. Returns the
+// accumulator and the number of input bytes consumed. Cancellation
+// takes effect between records; an error names the 1-based record it
+// stopped at.
+func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
+	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
+	defer dec.Release()
+	acc, records, err := env.mapRecords(ctx, dec, true)
+	if err != nil {
+		return nil, 0, fmt.Errorf("record %d: %w", records+1, err)
+	}
+	return acc, dec.Offset(), nil
+}
+
+// mapRecords is the decode+infer map stage, the one per-record loop
+// behind both drivers: it types the records dec reads into a fresh
+// chunkAcc and returns it with the number of records read. Each record
+// is first offered to absorb; a member of the cover or of the fold so
+// far is tallied and never typed, simplified or fused. Every other
+// record is decoded, tallied, simplified and fused through one online
+// balanced-tree fold (fusion.TreeFold): the partition never holds its
 // records' types, the fold keeps O(log records) partial types, and its
 // balanced shape avoids the left fold that would rebuild every growing
 // intermediate record on high-entropy data.
 //
-// With a Cover, when the Env absorbs (see absorbs), a record is first
-// matched against the cover as the chunk found it, then against the
-// fold's partials; a member of either is tallied by the size and hash
-// of its type and never typed, simplified or fused. When the chunk is
-// done its fused type joins the cover. With Env.Rec set, a typed record's fusion
-// is clocked one record at a time, so the infer_fuse_ns it records
-// excludes decoding, and an absorbed record's time counts as decoding.
+// Whether a record may be absorbed is the decoder's call
+// (infer.Decoder.Absorbs). A chunk absorbs only under a run cover
+// (Env.Cover): it matches a record against the cover as the chunk found
+// it, then against its fold's partials, and when done adds its fused
+// type to the cover. The stream (stream true) matches against its
+// fold's partials alone, as a chunk does under an empty cover. A chunk
+// tallies each record by the size and hash of its type, so
+// DistinctTypes is exact; the stream tallies sizes only.
 //
-// A syntax error reports its offset in the input, not in the chunk.
-func (e *Env) mapChunk(c chunk) (Accumulator, error) {
+// With Env.Rec set, a typed record's fusion is clocked one record at a
+// time, so the infer_fuse_ns it records excludes decoding, and an
+// absorbed record's time counts as decoding. A chunk records its
+// metrics once it has mapped without error; the stream adds
+// infer_records as it goes, so a live /debug/vars sees an in-flight
+// stream's records.
+func (e *Env) mapRecords(ctx context.Context, dec *infer.Decoder, stream bool) (*chunkAcc, int64, error) {
 	clk := e.startClock()
-	dec := infer.NewBytesDecoder(c.data, jsontext.Options{MaxDepth: e.MaxDepth})
-	defer dec.Release()
 	acc := e.feedAcc(dec)
+	acc.sizesOnly = stream
 	fold := fusion.NewTreeFold(e.Fusion.Fuse)
+	absorbs := dec.Absorbs() && (stream || e.Cover != nil)
 	var cover types.Type
-	if e.Cover != nil && e.absorbs() {
+	if absorbs && !stream {
 		cover = e.Cover.get()
 	}
+	var live obs.Recorder
+	if stream {
+		live = e.Rec
+	}
+	done := ctx.Done()
 	var records, absorbed int64
 	for {
-		if cover != nil {
+		select {
+		case <-done:
+			return nil, records, ctx.Err()
+		default:
+		}
+		if absorbs {
 			if size, hash, ok := absorb(dec, cover, fold.Partials()); ok {
-				acc.sum.Tally(size, hash)
+				acc.tally(size, hash)
 				records++
 				absorbed++
+				if live != nil {
+					live.Add("infer_records", 1)
+					live.Add("infer_absorbed_records", 1)
+				}
 				continue
 			}
 		}
@@ -239,14 +291,13 @@ func (e *Env) mapChunk(c chunk) (Accumulator, error) {
 			break
 		}
 		if err != nil {
-			// The decoder's error is its own, fresh per call.
-			if se := (*jsontext.SyntaxError)(nil); errors.As(err, &se) {
-				se.Offset += c.base
-			}
-			return nil, err
+			return nil, records, err
 		}
+		acc.add(t)
 		records++
-		acc.sum.Add(t)
+		if live != nil {
+			live.Add("infer_records", 1)
+		}
 		clk.lap(&clk.decode)
 		fold.Add(e.Fusion.Simplify(t))
 		clk.lap(&clk.fuse)
@@ -258,16 +309,31 @@ func (e *Env) mapChunk(c chunk) (Accumulator, error) {
 	}
 	clk.lap(&clk.fuse)
 	clk.record()
-	e.recordChunk(records, absorbed, int64(len(c.data)), acc.fused)
-	return acc, nil
+	if rec := e.Rec; rec != nil {
+		rec.Add("infer_bytes", dec.Offset())
+		if !stream {
+			rec.Add("infer_chunks", 1)
+			rec.Add("infer_records", records)
+			if absorbed > 0 {
+				rec.Add("infer_absorbed_records", absorbed)
+			}
+			rec.Observe("infer_chunk_records", records)
+			// Per-chunk fused sizes are the fusion-growth curve: how
+			// far each partition's types collapse before the reduce.
+			rec.Observe("infer_chunk_fused_size", int64(acc.fused.Size()))
+		}
+	}
+	return acc, records, nil
 }
 
-// absorb matches the decoder's next record against the cover and then
-// against each partial of a chunk's fold, from the largest down, and
+// absorb matches the decoder's next record against the cover, if any,
+// and then against each partial of a fold, from the largest down, and
 // reports the first that admits it (see infer.Decoder.Absorb).
 func absorb(dec *infer.Decoder, cover types.Type, partials []types.Type) (size int, hash uint64, ok bool) {
-	if size, hash, ok = dec.Absorb(cover); ok {
-		return size, hash, ok
+	if cover != nil {
+		if size, hash, ok = dec.Absorb(cover); ok {
+			return size, hash, ok
+		}
 	}
 	for i := len(partials) - 1; i >= 0; i-- {
 		if p := partials[i]; p != nil {
@@ -279,7 +345,7 @@ func absorb(dec *infer.Decoder, cover types.Type, partials []types.Type) (size i
 	return 0, 0, false
 }
 
-// stageClock splits the busy time of one map task or stream between
+// stageClock splits the busy time of one map-stage partition between
 // decode+infer and fusion for Env.Rec. Each lap charges the time since
 // the previous lap to one side; without a recorder it reads no clock,
 // so a lap is one nil check.
@@ -334,100 +400,4 @@ func (e *Env) feedAcc(dec *infer.Decoder) *chunkAcc {
 		dec.SetPromoter(pr)
 	}
 	return acc
-}
-
-// absorbs reports whether the drivers absorb members of a cover: under
-// the paper's fusion, for which the membership lemma is proved (the
-// tagged strategy's variants break it), and without enrichment, whose
-// observer must see every value.
-func (e *Env) absorbs() bool {
-	_, paper := e.Fusion.ResolvedStrategy().(fusion.Paper)
-	return paper && e.Enrich == nil
-}
-
-// recordChunk emits the per-chunk metrics of the map stage.
-func (e *Env) recordChunk(records, absorbed, bytes int64, fused types.Type) {
-	if rec := e.Rec; rec != nil {
-		rec.Add("infer_chunks", 1)
-		rec.Add("infer_records", records)
-		if absorbed > 0 {
-			rec.Add("infer_absorbed_records", absorbed)
-		}
-		rec.Add("infer_bytes", bytes)
-		rec.Observe("infer_chunk_records", records)
-		// Per-chunk fused sizes are the fusion-growth curve: how
-		// far each partition's types collapse before the reduce.
-		rec.Observe("infer_chunk_fused_size", int64(fused.Size()))
-	}
-}
-
-// RunStream types a stream of JSON values one at a time with constant
-// memory: the sequential driver, a left fold into one accumulator
-// through its Add. It keeps no set of distinct types, so memory stays
-// flat even when every record has a type of its own. Returns the
-// accumulator and the number of input bytes consumed. Cancellation
-// takes effect between records.
-//
-// Under the paper's fusion with no enrichment, a record that is a
-// member of the type fused so far is absorbed: matched on its tokens
-// (infer.Decoder.Absorb) and tallied by size, never typed, simplified
-// or fused. Fusing it would return the fused type unchanged
-// (docs/PERFORMANCE.md, "Absorbed members"), so the result is the same
-// bytes. Only a record the fused type does not cover is decoded.
-func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
-	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
-	defer dec.Release()
-	acc := env.feedAcc(dec)
-	absorb := env.absorbs()
-	var records int64
-	clk := env.startClock()
-	for {
-		// Batched cancellation: the ctx check runs once per
-		// StreamBatchRecords (including before the first record, so a
-		// pre-cancelled context never starts work); the steady-state
-		// loop is decode + accumulate only. Metrics stay per-record —
-		// they are a single atomic add, free when no Recorder is
-		// installed, and a live /debug/vars must see an in-flight
-		// stream's records before the first batch boundary.
-		if records%StreamBatchRecords == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, 0, fmt.Errorf("record %d: %w", records+1, ctx.Err())
-			default:
-			}
-		}
-		if absorb {
-			if size, _, ok := dec.Absorb(acc.fused); ok {
-				acc.addMember(size)
-				clk.lap(&clk.decode)
-				records++
-				if env.Rec != nil {
-					env.Rec.Add("infer_records", 1)
-					env.Rec.Add("infer_absorbed_records", 1)
-				}
-				continue
-			}
-		}
-		t, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("record %d: %w", records+1, err)
-		}
-		clk.lap(&clk.decode)
-		acc.Add(t)
-		clk.lap(&clk.fuse)
-		records++
-		if env.Rec != nil {
-			env.Rec.Add("infer_records", 1)
-		}
-	}
-	clk.lap(&clk.decode)
-	clk.record()
-	n := dec.Offset()
-	if env.Rec != nil {
-		env.Rec.Add("infer_bytes", n)
-	}
-	return acc, n, nil
 }

@@ -33,17 +33,18 @@ type Source interface {
 // boundaries into one chunk per map task and the chunks are inferred
 // in parallel. Beyond the buffer itself, a task's type memory grows
 // with its chunk's fused schema and the hashes of its distinct types,
-// not its record count: each record is fused as it is decoded or, under
-// the default paper fusion, only matched when the schema fused so far
-// already covers it.
+// not its record count: each record is fused as it is decoded or,
+// without TaggedUnions and Enrich, only matched when the schema fused
+// so far already covers it.
 func FromBytes(data []byte) Source { return bytesSource{data: data} }
 
 // FromReader is a stream of JSON values processed with constant
-// memory: values are typed and fused one at a time, never materialized
-// as a whole. Under the default paper fusion, a
-// value the schema fused so far already covers is only matched, not
-// typed, which changes the cost but never the result. Use it for
-// inputs too large to buffer; note that Stats.DistinctTypes is
+// memory: the same map stage as a chunk's, over the whole stream as
+// one partition, sequentially. Values are typed and fused one at a
+// time, never materialized as a whole. Without TaggedUnions and
+// Enrich, a value the schema fused so far already covers is only
+// matched, not typed, which changes the cost but never the result. Use
+// it for inputs too large to buffer; note that Stats.DistinctTypes is
 // unavailable (zero) on this path, which keeps no set of distinct
 // types. The reader is consumed until EOF or error.
 func FromReader(r io.Reader) Source { return readerSource{r: r} }
@@ -136,7 +137,7 @@ func (s bytesSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accum
 }
 
 // readerSource implements FromReader: the sequential constant-memory
-// driver over the same accumulator stages.
+// driver over the same map stage.
 type readerSource struct{ r io.Reader }
 
 func (s readerSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
