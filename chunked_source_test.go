@@ -90,12 +90,11 @@ func TestFromChunkedReaderLineEndings(t *testing.T) {
 	}
 }
 
-// TestChunkedSourcesNeedOneValuePerLine pins the framing contract of the
-// chunked Sources: once a chunk is full they cut at any newline, so a
-// pretty-printed value that straddles a cut fails to decode. That must
-// be an error, never a wrong schema, while FromBytes (which cuts only
-// between values) and FromReader accept the same bytes.
-func TestChunkedSourcesNeedOneValuePerLine(t *testing.T) {
+// TestEverySourceAcceptsMultiLineValues pins the framing contract every
+// Source shares: chunks are cut only between values, so pretty-printed
+// values spanning several lines, and cuts far shorter than one of them,
+// give the schema FromBytes infers.
+func TestEverySourceAcceptsMultiLineValues(t *testing.T) {
 	data := []byte("{\n  \"a\": 1,\n  \"b\": [true]\n}\n{\n  \"a\": 2\n}\n")
 	path := filepath.Join(t.TempDir(), "pretty.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -103,25 +102,77 @@ func TestChunkedSourcesNeedOneValuePerLine(t *testing.T) {
 	}
 	ctx := context.Background()
 	opts := jsi.Options{ChunkBytes: 8}
+	want, _, err := jsi.Infer(ctx, jsi.FromBytes(data), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name    string
-		src     jsi.Source
-		chunked bool
+		name string
+		src  jsi.Source
 	}{
-		{"FromBytes", jsi.FromBytes(data), false},
-		{"FromReader", jsi.FromReader(bytes.NewReader(data)), false},
-		{"FromChunkedReader", jsi.FromChunkedReader(bytes.NewReader(data)), true},
-		{"FromFile", jsi.FromFile(path), true},
-		{"FromFiles", jsi.FromFiles(path, path), true},
+		{"FromReader", jsi.FromReader(bytes.NewReader(data))},
+		{"FromChunkedReader", jsi.FromChunkedReader(bytes.NewReader(data))},
+		{"FromFile", jsi.FromFile(path)},
+		{"FromFiles", jsi.FromFiles(path, path)},
 	} {
 		schema, _, err := jsi.Infer(ctx, tc.src, opts)
 		switch {
-		case !tc.chunked && err != nil:
+		case err != nil:
 			t.Errorf("%s rejected a multi-line value: %v", tc.name, err)
-		case tc.chunked && err == nil:
-			t.Errorf("%s accepted a value split across chunks, schema %s", tc.name, schema)
-		case tc.chunked && !strings.Contains(err.Error(), "syntax error"):
-			t.Errorf("%s: err = %v, want a syntax error in a cut value", tc.name, err)
+		case schema.String() != want.String():
+			t.Errorf("%s: schema %s, want %s", tc.name, schema, want)
+		}
+	}
+}
+
+// TestReaderSpillsPrettyDocument feeds one pretty-printed array of
+// more than 8 MiB, with a record on either side, through FromReader and
+// FromFile. The array has no safe cut inside, so once a chunk reaches
+// 16 chunk sizes the rest is decoded as a stream: both Sources type the
+// input as FromBytes does, and no chunk buffer above the bound, 16 ×
+// 64 KiB for FromReader and 16 × 256 KiB for FromFile, is drawn.
+func TestReaderSpillsPrettyDocument(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteString(`{"before": 1}` + "\n[\n")
+	for i := 0; b.Len() < 8<<20+1; i++ {
+		fmt.Fprintf(&b, "  {\n    \"id\": %d,\n    \"name\": \"item %d\",\n    \"tags\": [\n      \"a\",\n      \"b\"\n    ]\n  },\n", i, i)
+	}
+	b.WriteString("  {\n    \"id\": 0\n  }\n]\n" + `{"after": "x"}` + "\n")
+	data := b.Bytes()
+	path := filepath.Join(t.TempDir(), "pretty.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := jsi.Options{Workers: 2}
+	want, wantSt, err := jsi.Infer(ctx, jsi.FromBytes(data), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		src   jsi.Source
+		bound int
+	}{
+		{"FromReader", jsi.FromReader(bytes.NewReader(data)), 16 * 64 << 10},
+		{"FromFile", jsi.FromFile(path), 16 * 256 << 10},
+	} {
+		maxCap := 0
+		jsi.ObserveChunkPool(func(put bool, b []byte) {
+			if !put {
+				maxCap = max(maxCap, cap(b))
+			}
+		})
+		got, st, err := jsi.Infer(ctx, tc.src, opts)
+		jsi.ObserveChunkPool(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.String() != want.String() || st.Records != wantSt.Records || st.Bytes != int64(len(data)) {
+			t.Errorf("%s: %s, %d records, %d bytes; FromBytes %s, %d records of %d bytes", tc.name, got, st.Records, st.Bytes, want, wantSt.Records, len(data))
+		}
+		if maxCap > tc.bound {
+			t.Errorf("%s drew a %d-byte chunk buffer, above the %d-byte bound", tc.name, maxCap, tc.bound)
 		}
 	}
 }

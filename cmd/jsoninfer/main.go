@@ -14,8 +14,9 @@
 //
 //	-format      output format: type (default), indent, jsonschema, codec,
 //	             enrich (the per-path enrichment report; requires -enrich)
-//	-stream      constant-memory streaming mode (single worker, no
-//	             distinct type statistics; no -retries or -on-error skip)
+//	-stream      constant-memory streaming mode: the input is cut into
+//	             64 KiB chunks as it is read, with no distinct type
+//	             statistics; -retries and -on-error apply per chunk
 //	-workers     map-phase parallelism (default: number of CPUs)
 //	-retries     per-chunk retry budget for transient failures
 //	-on-error    fail (default) aborts on a chunk that exhausts its
@@ -141,9 +142,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		errPolicy = jsi.OnErrorSkip
 	default:
 		return fmt.Errorf("unknown -on-error %q (want fail or skip)", *onError)
-	}
-	if *stream && (*retries > 0 || errPolicy == jsi.OnErrorSkip) {
-		return fmt.Errorf("-stream has no chunks to retry or quarantine: drop -retries and -on-error skip")
 	}
 	opts := jsi.Options{
 		Workers:             *workers,

@@ -207,16 +207,36 @@ func TestStreamOverFilesMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsFailurePolicy: the streaming path has no chunks, so
-// it cannot honor a retry budget or quarantine.
-func TestStreamRejectsFailurePolicy(t *testing.T) {
-	for _, args := range [][]string{
-		{"-stream", "-retries", "2"},
-		{"-stream", "-on-error", "skip"},
-	} {
-		if _, _, err := runCmd(t, args, `{"a":1}`); err == nil || !strings.Contains(err.Error(), "-stream") {
-			t.Errorf("%v: err = %v, want a -stream conflict", args, err)
+// TestStreamOnErrorSkipQuarantines: -stream cuts its input into chunks
+// like every other mode, so -on-error skip quarantines the one chunk a
+// malformed line poisons, reports it, and types the rest.
+func TestStreamOnErrorSkipQuarantines(t *testing.T) {
+	var b strings.Builder
+	pad := strings.Repeat("x", 90)
+	const lines = 4000 // about 400 KB: several 64 KiB chunks
+	for i := 0; i < lines; i++ {
+		if i == 2500 {
+			b.WriteString("{\"a\":}\n")
+			continue
 		}
+		fmt.Fprintf(&b, `{"a":%d,"pad":"%s"}`+"\n", i, pad)
+	}
+	out, errOut, err := runCmd(t, []string{"-stream", "-on-error", "skip", "-stats"}, b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.TrimSpace(out) != "{a: Num, pad: Str}" {
+		t.Errorf("schema = %q, want the clean lines' schema", out)
+	}
+	if !strings.Contains(errOut, "warning: 1 chunk(s) quarantined") || !strings.Contains(errOut, "quarantined-chunks=1") {
+		t.Errorf("stderr missing the quarantine report: %q", errOut)
+	}
+	var records int
+	if _, err := fmt.Sscanf(errOut[strings.Index(errOut, "records="):], "records=%d", &records); err != nil || records <= 0 || records >= lines-1 {
+		t.Errorf("records = %d (%v), want the clean chunks' records only: %q", records, err, errOut)
+	}
+	if _, _, err := runCmd(t, []string{"-stream", "-retries", "2"}, `{"a":1}`); err != nil {
+		t.Errorf("-stream -retries 2: %v", err)
 	}
 }
 

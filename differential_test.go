@@ -36,8 +36,9 @@ func canonical(t *testing.T, s *jsi.Schema) []byte {
 
 // TestDifferentialParallelVsSequential compares, per dataset, a
 // 1-worker in-memory reference run against parallel in-memory runs,
-// the streaming decoder, and the bounded-memory file pipeline with a
-// deliberately tiny chunk size (many more chunks than workers).
+// the stream at its defaults, and the bounded-memory file pipeline and
+// the stream with a deliberately tiny chunk size (many more chunks than
+// workers).
 func TestDifferentialParallelVsSequential(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range dataset.Names() {
@@ -80,6 +81,9 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 		}
 		s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), jsi.Options{Workers: 8, ChunkBytes: 1 << 10})
 		check("file pipeline", s, st, err)
+
+		s, st, err = jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Workers: 8, ChunkBytes: 1 << 10})
+		check("chunked stream", s, st, err)
 	}
 }
 
@@ -140,6 +144,9 @@ func TestDifferentialTaggedUnions(t *testing.T) {
 		}
 		s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), opts(jsi.Options{Workers: 8, ChunkBytes: 1 << 10}))
 		check("file pipeline", s, st, err)
+
+		s, st, err = jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), opts(jsi.Options{Workers: 8, ChunkBytes: 1 << 10}))
+		check("chunked stream", s, st, err)
 
 		// Several files merge their accumulators before the one Finalize,
 		// like the chunks of one file, so the tagged collapse decisions
@@ -269,6 +276,10 @@ func TestDifferentialEnrichmentTransparent(t *testing.T) {
 		s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path),
 			jsi.Options{Workers: 8, ChunkBytes: 1 << 10, Enrich: enrich})
 		check("file pipeline", s, st, err)
+
+		s, st, err = jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)),
+			jsi.Options{Workers: 8, ChunkBytes: 1 << 10, Enrich: enrich})
+		check("chunked stream", s, st, err)
 	}
 }
 

@@ -19,3 +19,7 @@ func InferPlain(ctx context.Context, src Source, opts Options) (*Schema, Stats, 
 // a test can pair a hand-built or transformed type with real
 // annotations.
 func WithLatticeOf(s, from *Schema) *Schema { return newSchema(s.t).withEnrichment(from.enr) }
+
+// ObserveChunkPool installs f on the pool of every chunked run's
+// buffers (see jsontext.ChunkPool.Observe); nil removes it.
+func ObserveChunkPool(f func(put bool, b []byte)) { chunkPool.Observe(f) }

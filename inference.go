@@ -19,7 +19,7 @@ import (
 
 // Options tune the inference pipeline.
 type Options struct {
-	// Workers bounds the parallelism of the in-memory pipeline; zero
+	// Workers bounds the map-phase parallelism of every Source; zero
 	// means one worker per CPU.
 	Workers int
 	// MaxDepth bounds value nesting (protection against depth bombs);
@@ -60,11 +60,13 @@ type Options struct {
 	// (default 40); longer strings are treated as data, not tags. Only
 	// meaningful with TaggedUnions.
 	MaxTagLen int
-	// ChunkBytes is the chunk size of the bounded-memory partitioner
-	// used by FromFile, FromFiles and FromChunkedReader; zero means
-	// 256 KiB. Those runs hold one chunk buffer per worker (Workers of
-	// them, each ChunkBytes plus at most one line), plus the few bytes
-	// read past the last cut.
+	// ChunkBytes is the chunk size of the bounded-memory cutter used by
+	// FromReader, FromChunkedReader, FromFile and FromFiles; zero means
+	// 64 KiB for FromReader and 256 KiB for the others. Those runs hold
+	// one chunk buffer per worker (Workers of them, each ChunkBytes plus
+	// at most one value), plus the few bytes read past the last cut. A
+	// value longer than 16 chunks is decoded as a stream instead of
+	// being held, so no buffer outgrows 16 × ChunkBytes.
 	ChunkBytes int
 	// Collector, when non-nil, accumulates pipeline metrics (records,
 	// bytes, per-chunk latencies, the fusion-growth curve, map-reduce
@@ -79,11 +81,11 @@ type Options struct {
 	// by the fusion laws (associativity + commutativity) the resulting
 	// schema is byte-identical to a fault-free run — the guarantee the
 	// chaos harness in internal/chaos verifies. Zero disables retry.
-	// Retries applies to the chunked pipeline (FromBytes, FromFile,
-	// FromFiles, FromChunkedReader); the sequential FromReader path has
-	// no tasks to retry. Malformed input is never retried: a chunk that
-	// fails to decode fails the same way on every attempt, so it fails
-	// (or quarantines) at once.
+	// Retries applies per chunk on every Source. Malformed input is
+	// never retried: a chunk that fails to decode fails the same way on
+	// every attempt, so it fails (or quarantines) at once. Neither is a
+	// value longer than 16 chunks, which one task decodes as a stream
+	// while it reads it.
 	Retries int
 	// OnError selects what the pipeline does with a chunk that still
 	// fails after its retry budget: OnErrorFail (the default) aborts
@@ -242,7 +244,7 @@ func (o Options) validate() error {
 	case o.Workers < 0:
 		return fmt.Errorf("%w: Workers = %d, must be >= 0 (0 means one per CPU)", ErrInvalidOptions, o.Workers)
 	case o.ChunkBytes < 0:
-		return fmt.Errorf("%w: ChunkBytes = %d, must be >= 0 (0 means 256 KiB)", ErrInvalidOptions, o.ChunkBytes)
+		return fmt.Errorf("%w: ChunkBytes = %d, must be >= 0 (0 means the Source's default)", ErrInvalidOptions, o.ChunkBytes)
 	case o.MaxDepth < 0:
 		return fmt.Errorf("%w: MaxDepth = %d, must be >= 0 (0 means the parser default)", ErrInvalidOptions, o.MaxDepth)
 	case o.Retries < 0:
@@ -275,12 +277,12 @@ type Stats struct {
 	// Bytes is the number of input bytes consumed.
 	Bytes int64
 	// DistinctTypes is the number of distinct types the Map phase
-	// produced. It is exact on every chunked Source (FromBytes,
+	// produced. It is exact on every Source but FromReader (FromBytes,
 	// FromFile, FromFiles, FromChunkedReader): each chunk keeps the
 	// structural hashes of its records' types, absorbed records
 	// included, and the run's chunks and files merge those sets
-	// exactly. It is zero on FromReader, whose constant-memory path
-	// keeps no such set.
+	// exactly. It is zero on FromReader, whose constant-memory chunks
+	// tally sizes only and keep no such set.
 	DistinctTypes int
 	// MinTypeSize, MaxTypeSize and AvgTypeSize describe the sizes of the
 	// per-value types; compare with Schema.Size to judge succinctness.
@@ -298,11 +300,11 @@ type Stats struct {
 // Infer runs schema inference over a Source — the one entry point
 // behind InferNDJSON, InferReader, InferFile and InferFiles, and the
 // only one that accepts a context and therefore supports cancellation
-// and deadlines. Cancellation takes effect between chunks (or records,
-// on the streaming path) and leaves no goroutines behind.
+// and deadlines. Cancellation takes effect between records and leaves
+// no goroutines behind.
 //
-// Construct the Source with FromBytes, FromReader, FromFile or
-// FromFiles; set Options.Collector to observe the run.
+// Construct the Source with FromBytes, FromReader, FromChunkedReader,
+// FromFile or FromFiles; set Options.Collector to observe the run.
 func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error) {
 	if err := opts.validate(); err != nil {
 		return nil, Stats{}, err
@@ -377,16 +379,17 @@ func InferNDJSON(data []byte, opts Options) (*Schema, Stats, error) {
 }
 
 // InferReader infers the schema of a stream of JSON values with constant
-// memory: values are typed and fused one at a time, never materialized
-// as a whole. Use this for inputs too large to hold in memory; use
-// InferNDJSON when the bytes are available for parallel processing. It
-// is Infer over FromReader with a background context.
+// memory: the stream is cut between values into 64 KiB chunks that
+// parallel workers type and fuse while it is still being read, values
+// never materialized as a whole. Use this for inputs too large to hold
+// in memory; the schema is the one InferNDJSON gives for the same bytes.
+// It is Infer over FromReader with a background context.
 func InferReader(r io.Reader, opts Options) (*Schema, Stats, error) {
 	return Infer(context.Background(), FromReader(r), opts)
 }
 
 // InferFile infers the schema of one NDJSON file with bounded memory:
-// the file streams through line-aligned chunks (Options.ChunkBytes
+// the file streams through chunks cut between values (Options.ChunkBytes
 // each, 256 KiB by default) that are inferred and fused by parallel
 // workers while the file is still being read. Use this for files too
 // large for InferNDJSON's in-memory partitioning; the resulting schema

@@ -45,7 +45,8 @@ func schemaJSON(t *testing.T, s *jsi.Schema) []byte {
 // TestRetryByteIdenticalAcrossSchedules is the harness's acceptance
 // criterion: with a Retry policy and only transient injected faults,
 // the inferred schema is byte-identical to a no-fault reference across
-// >= 100 randomized failure schedules. The fusion laws make retried
+// >= 100 randomized failure schedules, over an in-memory buffer and over
+// a stream cut into chunks as it is read. The fusion laws make retried
 // outputs meet the fold in a different order without changing the
 // reduction, and this test is the executable evidence.
 func TestRetryByteIdenticalAcrossSchedules(t *testing.T) {
@@ -58,33 +59,44 @@ func TestRetryByteIdenticalAcrossSchedules(t *testing.T) {
 	refJSON := schemaJSON(t, refSchema)
 
 	const schedules = 120
-	totalRetries := 0
-	for seed := int64(1); seed <= schedules; seed++ {
-		plan := chaos.DefaultPlan(seed)
-		opts := jsi.Options{
-			Workers:       4,
-			Retries:       plan.MaxTransient,
-			FaultInjector: publicInjector(plan),
-		}
-		schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
-			t.Fatalf("seed %d: schema diverged from reference\n got: %s\nwant: %s", seed, got, refJSON)
-		}
-		if st.Records != refStats.Records {
-			t.Fatalf("seed %d: Records = %d, want %d", seed, st.Records, refStats.Records)
-		}
-		if st.QuarantinedChunks != 0 {
-			t.Fatalf("seed %d: QuarantinedChunks = %d, want 0 (transient-only plan)", seed, st.QuarantinedChunks)
-		}
-		totalRetries += st.Retries
+	sources := []struct {
+		name       string
+		src        func() jsi.Source
+		chunkBytes int
+	}{
+		{"FromBytes", func() jsi.Source { return jsi.FromBytes(data) }, 0},
+		{"FromReader", func() jsi.Source { return jsi.FromReader(bytes.NewReader(data)) }, 4 << 10},
 	}
-	if totalRetries == 0 {
-		t.Fatalf("no retries across %d schedules: the plans injected nothing", schedules)
+	for _, s := range sources {
+		totalRetries := 0
+		for seed := int64(1); seed <= schedules; seed++ {
+			plan := chaos.DefaultPlan(seed)
+			opts := jsi.Options{
+				Workers:       4,
+				ChunkBytes:    s.chunkBytes,
+				Retries:       plan.MaxTransient,
+				FaultInjector: publicInjector(plan),
+			}
+			schema, st, err := jsi.Infer(context.Background(), s.src(), opts)
+			if err != nil {
+				t.Fatalf("%s, seed %d: %v", s.name, seed, err)
+			}
+			if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
+				t.Fatalf("%s, seed %d: schema diverged from reference\n got: %s\nwant: %s", s.name, seed, got, refJSON)
+			}
+			if st.Records != refStats.Records {
+				t.Fatalf("%s, seed %d: Records = %d, want %d", s.name, seed, st.Records, refStats.Records)
+			}
+			if st.QuarantinedChunks != 0 {
+				t.Fatalf("%s, seed %d: QuarantinedChunks = %d, want 0 (transient-only plan)", s.name, seed, st.QuarantinedChunks)
+			}
+			totalRetries += st.Retries
+		}
+		if totalRetries == 0 {
+			t.Fatalf("%s: no retries across %d schedules: the plans injected nothing", s.name, schedules)
+		}
+		t.Logf("%s: %d schedules, %d retried attempts, schema byte-identical throughout", s.name, schedules, totalRetries)
 	}
-	t.Logf("%d schedules, %d retried attempts, schema byte-identical throughout", schedules, totalRetries)
 }
 
 // TestRetryEnrichmentByteIdentical re-runs the retry acceptance

@@ -54,9 +54,11 @@ func (s smallReads) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p),
 // value as a member, a fresh decoder's Next over the same bytes types
 // it without error, ends at the same offset, and gives a type with the
 // size and hash Absorb reported; whenever Absorb declines, the stream
-// has not moved. Absorb runs over the slice and through a reader whose
-// read size the input picks, and must give the same verdicts both
-// ways: the pinned value survives every refill.
+// has not moved. AbsorbSize, run alongside on a decoder of its own,
+// gives Absorb's verdict and size at every value. Absorb runs over the
+// slice and through a reader whose read size the input picks, and must
+// give the same verdicts both ways: the pinned value survives every
+// refill.
 func FuzzMatcherAgreesWithDecoder(f *testing.F) {
 	covers := matchCovers(f)
 	for i, name := range dataset.Names() {
@@ -78,29 +80,41 @@ func FuzzMatcherAgreesWithDecoder(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, pick, reads uint8) {
 		cover := covers[int(pick)%len(covers)]
-		want := absorbAgrees(t, NewBytesDecoder(data, jsontext.Options{}), data, cover)
+		want := absorbAgrees(t, NewBytesDecoder(data, jsontext.Options{}), NewBytesDecoder(data, jsontext.Options{}), data, cover)
 		r := smallReads{bytes.NewReader(data), 1 + int(reads%32)}
-		if got := absorbAgrees(t, NewDecoder(r, jsontext.Options{}), data, cover); got != want {
+		sr := smallReads{bytes.NewReader(data), r.n}
+		if got := absorbAgrees(t, NewDecoder(r, jsontext.Options{}), NewDecoder(sr, jsontext.Options{}), data, cover); got != want {
 			t.Fatalf("%d-byte reads of %q: Absorb verdicts %s, over the slice %s", r.n, data, got, want)
 		}
 	})
 }
 
 // absorbAgrees reads data's values off abs, offering each to Absorb
-// first, checks every member Absorb reports against Next, and returns
-// the offsets of the values Absorb took and declined.
-func absorbAgrees(t *testing.T, abs *Decoder, data []byte, cover types.Type) string {
+// first, and off sz in step, offering each to AbsorbSize; it checks
+// that both give the same verdict and size, checks every member Absorb
+// reports against Next, and returns the offsets of the values Absorb
+// took and declined.
+func absorbAgrees(t *testing.T, abs, sz *Decoder, data []byte, cover types.Type) string {
 	defer abs.Release()
+	defer sz.Release()
 	var verdicts strings.Builder
 	for {
 		start := abs.Offset()
 		size, hash, ok := abs.Absorb(cover)
 		fmt.Fprintf(&verdicts, "%d:%v ", start, ok)
+		if sizeOnly, okSize := sz.AbsorbSize(cover); okSize != ok || sizeOnly != size || sz.Offset() != abs.Offset() {
+			t.Fatalf("value at offset %d of %q: AbsorbSize gives %v, size %d, ending at %d; Absorb %v, size %d, ending at %d",
+				start, data, okSize, sizeOnly, sz.Offset(), ok, size, abs.Offset())
+		}
 		if !ok {
 			if abs.Offset() != start {
 				t.Fatalf("Absorb declined at offset %d of %q but moved to %d", start, data, abs.Offset())
 			}
-			if _, err := abs.Next(); err != nil {
+			_, err := abs.Next()
+			if _, serr := sz.Next(); (serr != nil) != (err != nil) {
+				t.Fatalf("value at offset %d of %q: Next errs %v on one decoder, %v on the other", start, data, err, serr)
+			}
+			if err != nil {
 				return verdicts.String()
 			}
 			continue

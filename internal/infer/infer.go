@@ -213,12 +213,29 @@ func (d *Decoder) Absorb(t types.Type) (size int, hash uint64, ok bool) {
 	}
 	d.lex.Pin()
 	size, hash, ok = d.match.Match(d.lex, t)
-	if ok {
+	d.settle(ok)
+	return size, hash, ok
+}
+
+// AbsorbSize is Absorb for a caller that tallies sizes alone: the same
+// verdict and size, with no hash computed.
+func (d *Decoder) AbsorbSize(t types.Type) (size int, ok bool) {
+	if !d.Absorbs() {
+		return 0, false
+	}
+	d.lex.Pin()
+	size, ok = d.match.MatchSize(d.lex, t)
+	d.settle(ok)
+	return size, ok
+}
+
+// settle keeps the value a match took, or rewinds to its start.
+func (d *Decoder) settle(absorbed bool) {
+	if absorbed {
 		d.lex.Unpin()
 	} else {
 		d.lex.Rewind()
 	}
-	return size, hash, ok
 }
 
 // Absorbs reports whether Absorb may take a value: the one gate on

@@ -1,7 +1,6 @@
 package jsontext
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -9,41 +8,170 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
 
-// refChunkLines is the boundary oracle: the chunker as it was before
-// buffers were size-classed, a bufio.Reader cut into lines by ReadBytes
-// and appended until a chunk reaches chunkBytes.
-func refChunkLines(r io.Reader, chunkBytes int) ([][]byte, error) {
+// A readEnd is where one Read a cutter made ended in the input, whether
+// it came back short of what was asked, and its error.
+type readEnd struct {
+	at    int
+	short bool
+	err   error
+}
+
+// traceReader records the reads made through it.
+type traceReader struct {
+	r     io.Reader
+	at    int
+	reads []readEnd
+}
+
+func (t *traceReader) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	t.at += n
+	t.reads = append(t.reads, readEnd{at: t.at, short: n < len(p), err: err})
+	return n, err
+}
+
+// refChunkLines is the boundary oracle: the cut rule written out the
+// slow way, replayed against the reads a cutter made of data. After
+// each read, every chunk the bytes read so far decide is cut: a chunk
+// ends after the first newline at or past its chunkBytes-th byte that
+// refSafe calls safe, once the byte after it has been read. Then a read
+// that hit io.EOF ends the last chunk at the end of the input, and one
+// that failed drops the tail; a read that came back short, with the
+// chunk so far ending in a newline at depth zero outside strings, ends
+// the chunk there. The depth (refDepths) is counted from the chunk's
+// start, or, from the chunk's first such read on, from the last safe
+// newline before it.
+func refChunkLines(data []byte, chunkBytes int, reads []readEnd) ([][]byte, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = defaultChunkBytes
 	}
-	br := bufio.NewReaderSize(r, 256<<10)
 	var chunks [][]byte
-	var buf []byte
-	for {
-		line, err := br.ReadBytes('\n')
-		buf = append(buf, line...)
-		if len(buf) >= chunkBytes {
-			chunks, buf = append(chunks, buf), nil
+	start := 0
+	end, decided := refCut(data, start, chunkBytes)
+	var depths []bool // refDepths from from up to decided
+	from := 0
+	cut := func(at int) {
+		chunks, start = append(chunks, data[start:at]), at
+		end, decided = refCut(data, start, chunkBytes)
+		depths = nil
+	}
+	for _, rd := range reads {
+		for decided <= rd.at {
+			cut(end)
 		}
-		if err == io.EOF {
-			if len(buf) > 0 {
-				chunks = append(chunks, buf)
+		if rd.err != nil {
+			if rd.err != io.EOF {
+				return chunks, rd.err
+			}
+			if start < rd.at {
+				chunks = append(chunks, data[start:rd.at])
 			}
 			return chunks, nil
 		}
-		if err != nil {
-			return chunks, err
+		if rd.short && start < rd.at && data[rd.at-1] == '\n' {
+			if depths == nil {
+				from = start
+				for i := rd.at - 1; i >= start && from == start; i-- {
+					if data[i] == '\n' {
+						if safe, _ := refSafe(data[start:rd.at], i-start); safe {
+							from = i + 1
+						}
+					}
+				}
+				depths = refDepths(data[from:min(decided, len(data))])
+			}
+			if depths[rd.at-from-1] {
+				cut(rd.at)
+			}
 		}
 	}
+	return chunks, io.ErrUnexpectedEOF // the reads never reached the end
+}
+
+// refSafe reports whether the newline at index i of chunk is safe by
+// the neighbour rule: its nearest non-whitespace neighbours in the chunk
+// are not an opener before ([ { , :) or a closer after (, ] } :). It
+// also returns the index of the byte after it that decides that, or
+// len(chunk) when none has arrived, and then the newline is not safe.
+func refSafe(chunk []byte, i int) (safe bool, next int) {
+	space := func(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+	next = i + 1
+	for next < len(chunk) && space(chunk[next]) {
+		next++
+	}
+	if next == len(chunk) {
+		return false, next
+	}
+	prev := byte(0)
+	for p := i - 1; p >= 0; p-- {
+		if !space(chunk[p]) {
+			prev = chunk[p]
+			break
+		}
+	}
+	return !strings.ContainsRune("[{,:", rune(prev)) && !strings.ContainsRune(",]}:", rune(chunk[next])), next
+}
+
+// refCut returns the index just past the first newline of data at or
+// past start+chunkBytes-1 that refSafe calls safe, and decided, the
+// length of input that decides it: up to the byte after the newline.
+// With no such newline decided stays past the input.
+func refCut(data []byte, start, chunkBytes int) (end, decided int) {
+	for i := start + chunkBytes - 1; i < len(data); i++ {
+		if data[i] != '\n' {
+			continue
+		}
+		safe, next := refSafe(data[start:], i-start)
+		if start+next == len(data) {
+			break
+		}
+		if safe {
+			return i + 1, start + next + 1
+		}
+	}
+	return -1, len(data) + 1
+}
+
+// refDepths is the byte scanner SplitLines ran before the cut rule:
+// for each byte of data, read from a value boundary, whether the
+// lexical state after it is outside every string literal and at bracket
+// depth zero. On well-formed input a newline with that state sits
+// between top-level values.
+func refDepths(data []byte) []bool {
+	at := make([]bool, len(data))
+	depth := 0
+	inStr, esc := false, false
+	for i, c := range data {
+		switch {
+		case inStr && esc:
+			esc = false
+		case inStr && c == '\\':
+			esc = true
+		case inStr && c == '"':
+			inStr = false
+		case inStr:
+		case c == '"':
+			inStr = true
+		case c == '[' || c == '{':
+			depth++
+		case (c == ']' || c == '}') && depth > 0:
+			depth--
+		}
+		at[i] = depth == 0 && !inStr
+	}
+	return at
 }
 
 // chunkInput builds a random line-structured input around chunk size c:
 // mostly short lines, some up to c, some longer than c, a quarter of
-// them CRLF-terminated, and a third of inputs with no final newline.
+// them CRLF-terminated, and a third of inputs with no final newline. A
+// quarter of the lines mix brackets, separators, quotes, escapes and
+// blanks, so the neighbour rule and the depth scan both get to say no.
 func chunkInput(rng *rand.Rand, c int) []byte {
 	size := rng.Intn(4*c + 200)
 	var b bytes.Buffer
@@ -57,7 +185,13 @@ func chunkInput(rng *rand.Rand, c int) []byte {
 		default:
 			n = rng.Intn(80)
 		}
-		b.Write(bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), n/26+1)[:n])
+		alphabet := "abcdefghijklmnopqrstuvwxyz"
+		if rng.Intn(4) == 0 {
+			alphabet = `ab [{,:}]" \`
+		}
+		for i := 0; i < n; i++ {
+			b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+		}
 		if rng.Intn(4) == 0 {
 			b.WriteString("\r\n")
 		} else {
@@ -132,17 +266,19 @@ func (l *poolLedger) balanced(label string) {
 
 // collect runs ChunkLinesPooled over r with a ledger-tracked pool and
 // returns copies of the chunks it emitted, each buffer Put back at
-// once, the way a consumer that is done with it does.
-func collect(t *testing.T, r io.Reader, chunkBytes int) ([][]byte, *poolLedger, error) {
+// once, the way a consumer that is done with it does, and the reads it
+// made.
+func collect(t *testing.T, r io.Reader, chunkBytes int) ([][]byte, []readEnd, *poolLedger, error) {
 	pool, l := newLedger(t)
 	var chunks [][]byte
-	err := ChunkLinesPooled(r, chunkBytes, pool, func(b []byte) error {
+	tr := &traceReader{r: r}
+	err := ChunkLinesPooled(tr, chunkBytes, pool, func(b []byte) error {
 		l.emitted(b)
 		chunks = append(chunks, bytes.Clone(b))
 		pool.Put(b)
 		return nil
 	})
-	return chunks, l, err
+	return chunks, tr.reads, l, err
 }
 
 func sameChunks(t *testing.T, label string, got, want [][]byte) {
@@ -161,7 +297,8 @@ func sameChunks(t *testing.T, label string, got, want [][]byte) {
 }
 
 // TestChunkLinesMatchesReference pins every chunk boundary to the
-// bufio+ReadBytes chunker over random inputs, chunk sizes from one byte
+// reference cutter, replayed against the cutter's own reads, over random
+// inputs, chunk sizes from one byte
 // to 4 MiB (on and just past the top size class too) and the default,
 // and readers that return everything, half, one byte, or the last bytes
 // together with io.EOF. Every drawn buffer must also be emitted or Put
@@ -192,18 +329,18 @@ func TestChunkLinesMatchesReference(t *testing.T) {
 			inputs = append(inputs, chunkInput(rng, gen))
 		}
 		for _, data := range inputs {
-			want, err := refChunkLines(bytes.NewReader(data), c)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, rd := range readers {
 				if rd.name == "onebyte" && len(data) > 8<<10 {
 					continue // one Read per byte: keep the test fast
 				}
 				label := rd.name + "/" + strconv.Itoa(c)
-				got, l, err := collect(t, rd.wrap(bytes.NewReader(data)), c)
+				got, reads, l, err := collect(t, rd.wrap(bytes.NewReader(data)), c)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
+				}
+				want, err := refChunkLines(data, c, reads)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
 				}
 				sameChunks(t, label, got, want)
 				l.balanced(label)
@@ -231,21 +368,21 @@ func (r *failAfter) Read(p []byte) (int, error) {
 
 // TestChunkLinesReadError: a read error mid-stream is returned as is,
 // the chunks completed before it are emitted as the reference cuts
-// them, and the unterminated tail is not.
+// them, and the tail pending at the error is not.
 func TestChunkLinesReadError(t *testing.T) {
 	cause := errors.New("connection reset")
 	const chunkBytes = 64
 	data := bytes.Repeat([]byte("0123456789abcdef\n"), 100)
 	for _, at := range []int{0, 5, 17, 67, 68, 300, 1000, len(data)} {
-		want, _ := refChunkLines(bytes.NewReader(data[:at]), chunkBytes)
-		if n := len(want); n > 0 && (len(want[n-1]) < chunkBytes || want[n-1][len(want[n-1])-1] != '\n') {
-			want = want[:n-1] // the tail flushed at EOF, which an error forgoes
-		}
 		for _, sameCall := range []bool{false, true} {
 			r := &failAfter{data: data[:at], err: cause, sameCall: sameCall}
-			got, l, err := collect(t, r, chunkBytes)
+			got, reads, l, err := collect(t, r, chunkBytes)
 			if !errors.Is(err, cause) {
 				t.Errorf("at %d: err = %v, want %v", at, err, cause)
+			}
+			want, rerr := refChunkLines(data, chunkBytes, reads)
+			if !errors.Is(rerr, cause) {
+				t.Errorf("at %d: the reference ended with %v, want %v", at, rerr, cause)
 			}
 			sameChunks(t, "at "+strconv.Itoa(at), got, want)
 			l.balanced("at " + strconv.Itoa(at))
@@ -253,7 +390,7 @@ func TestChunkLinesReadError(t *testing.T) {
 	}
 	// A reader stuck at (0, nil) fails the way bufio reports it.
 	stuck := iotest.ErrReader(nil)
-	if _, _, err := collect(t, stuck, chunkBytes); !errors.Is(err, io.ErrNoProgress) {
+	if _, _, _, err := collect(t, stuck, chunkBytes); !errors.Is(err, io.ErrNoProgress) {
 		t.Errorf("stuck reader: err = %v, want %v", err, io.ErrNoProgress)
 	}
 }
@@ -291,11 +428,11 @@ func TestChunkLinesEmitError(t *testing.T) {
 // draws a buffer above the default chunk's class.
 func TestChunkLinesBufferFollowsBody(t *testing.T) {
 	body := bytes.Repeat([]byte(`{"id": 123456, "text": "a tweet-sized body of text"}`+"\n"), 6000)
-	got, l, err := collect(t, bytes.NewReader(body), 0)
+	got, reads, l, err := collect(t, bytes.NewReader(body), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := refChunkLines(bytes.NewReader(body), 256<<10)
+	want, _ := refChunkLines(body, 256<<10, reads)
 	sameChunks(t, "body", got, want)
 	if len(got) != 2 {
 		t.Errorf("a %d-byte body made %d chunks, want 2", len(body), len(got))
@@ -321,11 +458,11 @@ func TestChunkLinesLargeFileFullChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, l, err := collect(t, f, 0)
+	got, reads, l, err := collect(t, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := refChunkLines(bytes.NewReader(data), 0)
+	want, _ := refChunkLines(data, 0, reads)
 	sameChunks(t, "file", got, want)
 	if len(got) != 3 {
 		t.Fatalf("%d chunks, want 3", len(got))
@@ -355,17 +492,95 @@ func TestChunkLinesClassSizedChunks(t *testing.T) {
 			b.WriteByte('\n')
 		}
 		data := b.Bytes()
-		got, l, err := collect(t, bytes.NewReader(data), chunkBytes)
+		got, reads, l, err := collect(t, bytes.NewReader(data), chunkBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := refChunkLines(bytes.NewReader(data), chunkBytes)
+		want, _ := refChunkLines(data, chunkBytes, reads)
 		label := strconv.Itoa(chunkBytes)
 		sameChunks(t, label, got, want)
 		if l.maxCap > chunkClasses[c] {
 			t.Errorf("chunks of %d bytes drew a %d-byte buffer, above their %d-byte class", chunkBytes, l.maxCap, chunkClasses[c])
 		}
 		l.balanced(label)
+	}
+}
+
+// TestLineCutterSpills: NextOrRest cuts as Next does until a chunk
+// reaches SpillChunks chunk sizes without a safe cut, here inside a
+// pretty-printed array twice that long. Then it returns exactly the
+// bound's worth of held bytes, in a buffer no larger, with the rest of
+// the reader, which carries on where the chunk stops, and it reports
+// the end from then on. Next holds the whole array in one chunk.
+func TestLineCutterSpills(t *testing.T) {
+	const chunkBytes = 64 << 10
+	const bound = SpillChunks * chunkBytes
+	var b bytes.Buffer
+	for b.Len() < 3*chunkBytes {
+		b.WriteString(`{"a": 1}` + "\n")
+	}
+	head := b.Len()
+	b.WriteString("[\n")
+	for b.Len() < head+2*bound {
+		b.WriteString("  1,\n")
+	}
+	b.WriteString("  2\n]\n" + `{"b": 2}` + "\n")
+	data := b.Bytes()
+
+	pool, l := newLedger(t)
+	cut := NewLineCutter(bytes.NewReader(data), chunkBytes, pool)
+	var joined []byte
+	var prev []byte
+	spills := 0
+	for {
+		chunk, rest, ok, err := cut.NextOrRest(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		l.emitted(chunk)
+		start := len(joined)
+		joined = append(joined, chunk...)
+		prev = chunk
+		if rest == nil {
+			if len(chunk) < chunkBytes || chunk[len(chunk)-1] != '\n' {
+				t.Errorf("chunk at %d of %d bytes is not a full chunk ending in a newline", start, len(chunk))
+			}
+			continue
+		}
+		spills++
+		if len(chunk) != bound || start > head {
+			t.Errorf("spilled a %d-byte chunk at %d, want %d bytes from at most %d, the array's start", len(chunk), start, bound, head)
+		}
+		tail, err := io.ReadAll(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined = append(joined, tail...)
+	}
+	if !bytes.Equal(joined, data) || spills != 1 {
+		t.Errorf("%d spills; chunks and rest join to %d bytes, want the %d input bytes", spills, len(joined), len(data))
+	}
+	if l.maxCap > bound {
+		t.Errorf("drew a %d-byte buffer, above the %d-byte bound", l.maxCap, bound)
+	}
+	if n := l.Live(); n != 0 {
+		t.Errorf("%d buffers never returned to the pool", n)
+	}
+
+	got, _, _, err := collect(t, bytes.NewReader(data), chunkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrayEnd := bytes.Index(data, []byte("]\n")) + 2
+	at := 0
+	for _, c := range got {
+		if at <= head && head < at+len(c) && at+len(c) < arrayEnd {
+			t.Errorf("Next cut the array: the %d-byte chunk at %d starts it and ends at %d, before its end at %d", len(c), at, at+len(c), arrayEnd)
+		}
+		at += len(c)
 	}
 }
 

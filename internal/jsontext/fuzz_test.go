@@ -125,10 +125,8 @@ func grownFrom(c int) int {
 // cut at every newline) and a read-size pattern. Chunk and read sizes
 // have a floor of one 4096th of the input, which keeps a run short.
 //
-//   - the chunks concatenate back to the input;
-//   - every chunk but the last ends at its first newline at or past
-//     index chunkBytes-1, and the last one has no newline there short
-//     of its final byte;
+//   - the chunks concatenate back to the input, and they are the cuts
+//     of refChunkLines replayed against the cutter's reads;
 //   - a buffer grows out of a class only once a chunk has filled it, so
 //     no buffer above the default chunk's class is drawn unless a chunk
 //     needs one;
@@ -150,11 +148,7 @@ func FuzzChunkLinesPooled(f *testing.F) {
 		if chunkBytes != 0 {
 			chunkBytes = max(chunkBytes, floor)
 		}
-		cut := chunkBytes
-		if cut == 0 {
-			cut = defaultChunkBytes
-		}
-		r := &patternReader{data: data, pattern: reads, minRead: floor, eofWithData: len(reads)%2 == 1}
+		r := &traceReader{r: &patternReader{data: data, pattern: reads, minRead: floor, eofWithData: len(reads)%2 == 1}}
 		pool, l := newLedger(t)
 		var chunks [][]byte
 		maxCap := chunkClasses[0]
@@ -177,16 +171,11 @@ func FuzzChunkLinesPooled(f *testing.F) {
 		if got := bytes.Join(chunks, nil); !bytes.Equal(got, data) {
 			t.Fatalf("chunks join to %d bytes, want the %d input bytes", len(got), len(data))
 		}
-		for i, c := range chunks {
-			from := min(cut-1, len(c))
-			j := bytes.IndexByte(c[from:], '\n')
-			switch {
-			case j >= 0 && from+j != len(c)-1:
-				t.Errorf("chunk %d of %d bytes runs past its cut at byte %d", i, len(c), from+j)
-			case j < 0 && i < len(chunks)-1:
-				t.Errorf("chunk %d of %d bytes ends without a newline at or past index %d", i, len(c), cut-1)
-			}
+		want, err := refChunkLines(data, chunkBytes, r.reads)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
 		}
+		sameChunks(t, "fuzz", chunks, want)
 		if l.maxCap > maxCap {
 			t.Errorf("drew a %d-byte buffer, but no chunk needed more than %d", l.maxCap, maxCap)
 		}
@@ -202,9 +191,9 @@ func FuzzChunkLinesPooled(f *testing.F) {
 // FuzzChunkLinesPooled.
 //
 //   - the chunks, in the order Next cut them, are the reference cuts of
-//     refChunkLines: they concatenate back to the input, each ends at
-//     its first newline at or past chunkBytes-1, and the base offset
-//     the engine would give each (the bytes cut before it) matches;
+//     refChunkLines replayed against the cutter's reads, and the base
+//     offset the engine would give each (the bytes cut before it)
+//     matches;
 //   - a chunk a worker holds is never touched by later cuts;
 //   - at most one buffer per worker is out of the pool, plus the one a
 //     chunk grows out of, and every buffer is back once all workers
@@ -224,11 +213,7 @@ func FuzzLineCutterWorkers(f *testing.F) {
 		if chunkBytes != 0 {
 			chunkBytes = max(chunkBytes, floor)
 		}
-		want, err := refChunkLines(bytes.NewReader(data), chunkBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &patternReader{data: data, pattern: reads, minRead: floor, eofWithData: len(reads)%2 == 1}
+		r := &traceReader{r: &patternReader{data: data, pattern: reads, minRead: floor, eofWithData: len(reads)%2 == 1}}
 		pool, l := newLedger(t)
 		cut := NewLineCutter(r, chunkBytes, pool)
 		nw := 1 + int(workers%8)
@@ -264,6 +249,10 @@ func FuzzLineCutterWorkers(f *testing.F) {
 			got = append(got, kept[w])
 			bases = append(bases, base)
 			base += int64(len(chunk))
+		}
+		want, err := refChunkLines(data, chunkBytes, r.reads)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
 		}
 		sameChunks(t, "workers", got, want)
 		var off int64

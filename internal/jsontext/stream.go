@@ -3,6 +3,7 @@ package jsontext
 import (
 	"bytes"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/value"
@@ -25,64 +26,200 @@ func ParseAll(data []byte) ([]value.Value, error) {
 }
 
 // SplitLines splits an NDJSON byte buffer into at most n chunks of
-// roughly equal byte size, cutting only at value-safe line boundaries
-// so each chunk holds whole JSON values. A newline is value-safe when
-// it lies outside every string literal and at bracket depth zero —
-// pretty-printed values spanning several lines stay in one chunk, so
-// splitting is invisible to the parser (the end-to-end fuzz oracle at
-// the repository root checks exactly this). Fewer than n chunks are
-// returned when the data has fewer safe boundaries. This is the
-// partitioning step of the map phase: chunks can be parsed
-// independently and in parallel.
+// roughly equal byte size, cutting only between top-level values so
+// each chunk holds whole JSON values: from each target offset it takes
+// the first safe newline (see safeNewline), the cut rule a LineCutter
+// follows too. Pretty-printed values spanning several lines stay in one
+// chunk, so splitting is invisible to the parser (the end-to-end fuzz
+// oracle at the repository root checks exactly this). Fewer than n
+// chunks are returned when the data has fewer safe boundaries. Finding
+// a cut looks at a few bytes around each newline it passes, not at
+// every byte. This is the partitioning step of the map phase: chunks
+// can be parsed independently and in parallel.
 func SplitLines(data []byte, n int) [][]byte {
-	if n <= 1 || len(data) == 0 {
-		if len(data) == 0 {
-			return nil
-		}
-		return [][]byte{data}
+	if len(data) == 0 {
+		return nil
 	}
 	var chunks [][]byte
-	target := len(data)/n + 1
+	target := len(data)/max(n, 1) + 1
 	start := 0
-	// One linear scan tracks just enough lexical state (string
-	// literals with escapes, bracket depth) to recognize safe
-	// newlines; on malformed input the state degrades toward "never
-	// split", which keeps acceptance identical to a sequential parse.
-	depth := 0
-	inStr, esc := false, false
-	for i := 0; i < len(data) && len(chunks) < n-1; i++ {
-		c := data[i]
-		if inStr {
+	for len(chunks) < n-1 {
+		s := cutScan{from: start + target - 1}
+		i := s.next(data)
+		if i < 0 {
+			break
+		}
+		chunks = append(chunks, data[start:i])
+		start = i
+	}
+	return append(chunks, data[start:])
+}
+
+// safeNewline reports whether a newline whose nearest non-whitespace
+// neighbours are prev and next (0: the start of the input) lies between
+// two top-level values, where a chunk may end. Valid JSON never has a
+// raw newline inside a string, and any two consecutive tokens inside an
+// array or object have a first token in [ { , : or a second token in
+// , ] } : — a value is followed by a separator or a closing bracket,
+// and a separator or an opening bracket by a value or a key — while two
+// consecutive top-level values have neither. So on valid input the
+// answer is exactly whether the newline sits at depth zero outside
+// strings. On other input a wrongly safe newline is followed at once by
+// the first syntax error, so a chunk it bounds fails to parse and every
+// Source still rejects what a sequential parse rejects
+// (docs/PERFORMANCE.md, "One cut rule").
+func safeNewline(prev, next byte) bool {
+	switch prev {
+	case '[', '{', ',', ':':
+		return false
+	}
+	switch next {
+	case ',', ']', '}', ':':
+		return false
+	}
+	return true
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
+
+// lastNonSpace returns the index of the last non-whitespace byte of
+// data before index i, or -1 when there is none.
+func lastNonSpace(data []byte, i int) int {
+	i--
+	for i >= 0 && isSpace(data[i]) {
+		i--
+	}
+	return i
+}
+
+// byteAt returns data[i], or 0 for the -1 of lastNonSpace: before a
+// buffer's first byte lies the end of a value or the start of the
+// input, so no opener either way.
+func byteAt(data []byte, i int) byte {
+	if i < 0 {
+		return 0
+	}
+	return data[i]
+}
+
+// A cutScan finds the first safe newline at or past index from of a
+// buffer that starts at a value boundary and may still be growing. A
+// newline is decided once the next non-whitespace byte has arrived:
+// until then it is pending, and the scan resumes there when the buffer
+// grows, without walking the whitespace again. A newline followed only
+// by whitespace up to the end of the input is never a cut, so trailing
+// whitespace stays with the chunk before it.
+type cutScan struct {
+	from int // the next byte to look at
+	nl   int // 1 + the index of the pending newline; 0 when none is
+}
+
+// next returns the index just past the first safe newline of data at or
+// past the scan's position, or -1 when data holds no decided one.
+func (s *cutScan) next(data []byte) int {
+	for s.from < len(data) {
+		if s.nl == 0 {
+			j := bytes.IndexByte(data[s.from:], '\n')
+			if j < 0 {
+				s.from = len(data)
+				return -1
+			}
+			s.from += j + 1
+			s.nl = s.from
+		}
+		for s.from < len(data) && isSpace(data[s.from]) {
+			s.from++
+		}
+		if s.from == len(data) {
+			return -1
+		}
+		nl := s.nl
+		s.nl = 0
+		if safeNewline(byteAt(data, lastNonSpace(data, nl-1)), data[s.from]) {
+			return nl
+		}
+	}
+	return -1
+}
+
+// A depthScan follows the lexical state of a buffer that starts at a
+// value boundary — string literals with escapes, bracket depth — a byte
+// at a time, resuming where it stopped when the buffer grows. It judges
+// a newline whose next token has not arrived (see LineCutter). On
+// malformed input the state degrades toward "inside a value", which
+// only holds a chunk back.
+type depthScan struct {
+	pos, depth int
+	inStr, esc bool
+	started    bool
+}
+
+// atBoundary scans data, which ends in a newline, on from where the
+// last call stopped and reports whether its end lies outside every
+// string literal and bracket. The first call starts after the last
+// newline before the end that the neighbour rule calls safe: on valid
+// input that newline lies between values, so the scan reads about one
+// line instead of the whole buffer. On malformed input a wrong start
+// can only misjudge a buffer that holds a syntax error, which fails to
+// parse wherever it is cut.
+func (d *depthScan) atBoundary(data []byte) bool {
+	if !d.started {
+		d.started = true
+		d.pos = lastSafeNewline(data) + 1
+	}
+	for ; d.pos < len(data); d.pos++ {
+		c := data[d.pos]
+		if d.inStr {
 			switch {
-			case esc:
-				esc = false
+			case d.esc:
+				d.esc = false
 			case c == '\\':
-				esc = true
+				d.esc = true
 			case c == '"':
-				inStr = false
+				d.inStr = false
 			}
 			continue
 		}
 		switch c {
 		case '"':
-			inStr = true
+			d.inStr = true
 		case '[', '{':
-			depth++
+			d.depth++
 		case ']', '}':
-			if depth > 0 {
-				depth--
-			}
-		case '\n':
-			if depth == 0 && i+1-start >= target && i+1 < len(data) {
-				chunks = append(chunks, data[start:i+1])
-				start = i + 1
+			if d.depth > 0 {
+				d.depth--
 			}
 		}
 	}
-	if start < len(data) {
-		chunks = append(chunks, data[start:])
+	return d.depth == 0 && !d.inStr
+}
+
+// lastSafeNewline returns the index of the last newline of data that
+// has a non-whitespace byte after it in data and is safe by the
+// neighbour rule (see safeNewline), or -1 when there is none. Newlines
+// in one whitespace run share their neighbours, so each byte is looked
+// at a bounded number of times.
+func lastSafeNewline(data []byte) int {
+	end := len(data)
+	for {
+		i := bytes.LastIndexByte(data[:end], '\n')
+		if i < 0 {
+			return -1
+		}
+		next := i + 1
+		for next < len(data) && isSpace(data[next]) {
+			next++
+		}
+		p := lastNonSpace(data, i)
+		if next < len(data) && safeNewline(byteAt(data, p), data[next]) {
+			return i
+		}
+		if p < 0 {
+			return -1
+		}
+		end = p
 	}
-	return chunks
 }
 
 // defaultChunkBytes is the chunk size a LineCutter uses when given
@@ -100,6 +237,14 @@ const defaultChunkBytes = 256 << 10
 // at most this much at a time, which bounds the bytes it carries into
 // the next chunk.
 const chunkSlack = 4 << 10
+
+// SpillChunks bounds the bytes NextOrRest holds for one chunk: once a
+// chunk reaches SpillChunks times the chunk size without a safe cut,
+// the cutter stops and hands the held bytes over with the rest of its
+// reader, to be decoded as one stream. In practice only a large
+// pretty-printed document has no safe newline in such a stretch, and
+// holding it whole would make a run's memory grow with the document.
+const SpillChunks = 16
 
 // chunkClasses are the buffer capacities a ChunkPool serves: powers of
 // four from 64 KiB up to a default chunk, each plus slack.
@@ -121,7 +266,7 @@ func classFor(n int) int {
 // instead of allocating one per chunk. It keeps one sync.Pool per size
 // class (chunkClasses), so a small input reuses small buffers and never
 // holds a chunk-sized one; a buffer beyond the top class, which only a
-// line longer than a default chunk or a larger ChunkBytes needs, is
+// value longer than a default chunk or a larger ChunkBytes needs, is
 // allocated exactly and never kept. The zero value is ready to use; a
 // nil *ChunkPool degrades to plain allocation (Get allocates fresh, Put
 // drops), so pooled code paths need no nil branches. Buffers must only
@@ -138,6 +283,13 @@ type ChunkPool struct {
 	// Put accepts; tests count ownership through it.
 	observe func(put bool, b []byte)
 }
+
+// Observe installs f to see every buffer Get returns (put false) and
+// every buffer Put accepts (put true); nil removes it. It lets a test
+// follow the buffers of runs that draw from the pool. Install it while
+// no run uses the pool; f is called under the same serialization as
+// Get and Put.
+func (p *ChunkPool) Observe(f func(put bool, b []byte)) { p.observe = f }
 
 // Get returns an empty buffer with at least capHint capacity: a buffer
 // of the smallest size class that fits, or of exactly capHint beyond
@@ -181,41 +333,52 @@ func (p *ChunkPool) Put(b []byte) {
 }
 
 // grow moves b into a buffer of the next class up (twice its capacity
-// past the top class) and returns b to the pool.
-func (p *ChunkPool) grow(b []byte) []byte {
+// past the top class, but no more than limit) and returns b to the
+// pool.
+func (p *ChunkPool) grow(b []byte, limit int) []byte {
 	n := 2 * cap(b)
 	if c := classFor(cap(b) + 1); c < len(chunkClasses) {
 		n = chunkClasses[c]
 	}
-	nb := append(p.Get(n), b...)
+	nb := append(p.Get(min(n, limit)), b...)
 	p.Put(b)
 	return nb
 }
 
-// A LineCutter cuts a stream of NDJSON into line-aligned chunks of
-// roughly chunkBytes bytes (zero means 256 KiB), one per call to Next.
-// A chunk ends right after the first newline at or past its
-// chunkBytes-th byte, and whatever follows the last cut becomes the
-// final chunk at EOF, so the final chunk may be smaller and a single
-// line longer than chunkBytes becomes its own chunk. Any newline can
-// end a chunk, so every value must sit on one line; a value spanning a
-// cut fails to decode (SplitLines, by contrast, cuts only between
-// values).
+// A LineCutter cuts a stream of JSON values into chunks of roughly
+// chunkBytes bytes (zero means 256 KiB), one per call to Next, each
+// ending between two top-level values. A chunk ends right after the
+// first safe newline (see safeNewline) at or past its chunkBytes-th
+// byte, decided once the next non-whitespace byte has been read, and
+// whatever follows the last cut becomes the final chunk at EOF. So the
+// final chunk may be smaller, a value longer than chunkBytes ends a
+// chunk of its own, and a value spanning several lines is never cut:
+// every Source accepts what a sequential parse accepts.
+//
+// A producer that pauses at a line end — a pipe, a socket, a request
+// body arriving in pieces — still gets its records typed as they
+// arrive. When a read comes back short and the held bytes end in a
+// newline, waiting for the next token could block, so the cutter
+// judges that newline by a depth scan of the held bytes (depthScan),
+// which start at a value boundary, from their last safe newline on, and
+// if it lies between values hands the held bytes over as a chunk of
+// whatever size. Files and in-memory readers fill every read but the
+// last, so on them the scan runs at most once per input.
 //
 // r reads straight into a buffer from pool, which the caller owns until
 // it hands the chunk back. A chunk starts in the smallest size class
 // and moves up a class (copy, then Put the old buffer) only when its
-// buffer is full, it is short of chunkBytes and r has not ended, so a
-// small input never holds a chunk-sized buffer. Between calls the
-// cutter holds only the bytes it read past the last cut, fewer than
-// chunkSlack, in a carry of its own. With a nil pool every buffer is a
-// fresh allocation.
+// buffer is full, it is short of chunkBytes or of a cut and r has not
+// ended, so a small input never holds a chunk-sized buffer. Between
+// calls the cutter holds only the bytes it read past the last cut, in a
+// carry of its own. With a nil pool every buffer is a fresh allocation.
 type LineCutter struct {
 	r          io.Reader
 	chunkBytes int
 	pool       *ChunkPool
 	carry      []byte // bytes read past the last cut
-	ended      bool   // r has reported an error or io.EOF
+	paused     bool   // the last read came back short
+	ended      bool   // r has reported an error or io.EOF, or was handed over
 	err        error  // that error, nil at io.EOF
 }
 
@@ -228,34 +391,65 @@ func NewLineCutter(r io.Reader, chunkBytes int, pool *ChunkPool) *LineCutter {
 }
 
 // Next Puts prev (a chunk it returned before, or nil) back to the pool
-// and cuts the next chunk; its shape is the pull feed of mapreduce.Run,
-// which hands each chunk back after its final map attempt. At the end
-// of the stream ok is false and err is the read error, if any, which is
-// returned as is; the unterminated tail pending at a read error is never
-// returned. Called again after the end, Next only takes back prev.
+// and cuts the next chunk, holding as many bytes as it takes to reach a
+// safe cut; its shape is the pull feed of mapreduce.Run, which hands
+// each chunk back after its final map attempt. At the end of the stream
+// ok is false and err is the read error, if any, which is returned as
+// is; the tail pending at a read error is never returned. Called again
+// after the end, Next only takes back prev.
 func (c *LineCutter) Next(prev []byte) (chunk []byte, ok bool, err error) {
+	chunk, _, ok, err = c.cut(prev, math.MaxInt)
+	return chunk, ok, err
+}
+
+// NextOrRest is Next with the bytes held for one chunk bounded by
+// SpillChunks times the chunk size. A chunk that reaches the bound
+// without a safe cut is returned with rest, the reader it continues in:
+// the chunk's bytes followed by everything rest yields are one stream
+// of values, which its consumer decodes as such, and the cutter reports
+// the end from then on. rest is nil on every other chunk.
+func (c *LineCutter) NextOrRest(prev []byte) (chunk []byte, rest io.Reader, ok bool, err error) {
+	return c.cut(prev, SpillChunks*c.chunkBytes)
+}
+
+// cut is Next and NextOrRest, the held bytes bounded by limit.
+func (c *LineCutter) cut(prev []byte, limit int) (chunk []byte, rest io.Reader, ok bool, err error) {
 	c.pool.Put(prev)
 	if c.ended && (c.err != nil || len(c.carry) == 0) {
-		return nil, false, c.err
+		return nil, nil, false, c.err
 	}
-	// Once a chunk is full, reads shrink to step bytes, so what one read
-	// brings in past the cut is shorter than chunkBytes and holds no
-	// second cut.
+	// Once a chunk is full, reads shrink to step bytes, so a read brings
+	// in little past the cut.
 	step := min(chunkSlack, c.chunkBytes)
 	buf := append(c.pool.Get(len(c.carry)), c.carry...)
 	c.carry = c.carry[:0]
-	for empty := 0; !c.ended; { // empty counts consecutive (0, nil) reads
+	scan := cutScan{from: c.chunkBytes - 1}
+	var depth depthScan
+	for empty := 0; ; { // empty counts consecutive (0, nil) reads
+		if i := scan.next(buf); i >= 0 {
+			c.carry = append(c.carry, buf[i:]...)
+			return buf[:i], nil, true, nil
+		}
+		if c.ended {
+			break
+		}
+		if c.paused && len(buf) > 0 && buf[len(buf)-1] == '\n' && depth.atBoundary(buf) {
+			return buf, nil, true, nil
+		}
+		if len(buf) >= limit {
+			// From here on r is the consumer's to read.
+			c.ended = true
+			return buf, c.r, true, nil
+		}
 		if len(buf) == cap(buf) {
-			buf = c.pool.grow(buf)
+			buf = c.pool.grow(buf, limit)
 		}
 		end := min(cap(buf), c.chunkBytes)
 		if len(buf) >= c.chunkBytes {
-			end = min(cap(buf), len(buf)+step)
+			end = min(cap(buf), len(buf)+step, limit)
 		}
 		n, rerr := c.r.Read(buf[len(buf):end])
-		// buf[:len(buf)] holds no cut, so only the new bytes past the
-		// threshold need scanning.
-		from := max(len(buf), c.chunkBytes-1)
+		c.paused = len(buf)+n < end
 		buf = buf[:len(buf)+n]
 		if n > 0 || rerr != nil {
 			empty = 0
@@ -265,19 +459,13 @@ func (c *LineCutter) Next(prev []byte) (chunk []byte, ok bool, err error) {
 		if c.ended = rerr != nil; rerr != io.EOF {
 			c.err = rerr
 		}
-		if from < len(buf) {
-			if i := bytes.IndexByte(buf[from:], '\n'); i >= 0 {
-				c.carry = append(c.carry, buf[from+i+1:]...)
-				return buf[:from+i+1], true, nil
-			}
-		}
 	}
 	// At io.EOF what is left becomes the last chunk.
 	if c.err == nil && len(buf) > 0 {
-		return buf, true, nil
+		return buf, nil, true, nil
 	}
 	c.pool.Put(buf)
-	return nil, false, c.err
+	return nil, nil, false, c.err
 }
 
 // ChunkLinesPooled reads NDJSON from r and calls emit with the chunks a

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -36,19 +35,19 @@ var streamReaders = []struct {
 
 // referenceStream is the stream fold with nothing absorbed: every
 // record decoded by Decoder.Next, its size tallied and its type
-// left-folded into the fused type, with RunStream's error positions.
-// Its Fold is what RunStream must return.
+// left-folded into the fused type. Its Fold is what RunStream must
+// return, and it fails where RunStream must fail.
 func referenceStream(env *Env, r io.Reader) (Result, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
 	acc := env.feedAcc(dec)
-	for n := 1; ; n++ {
+	for {
 		t, err := dec.Next()
 		if err == io.EOF {
 			return acc.Fold(), dec.Offset(), nil
 		}
 		if err != nil {
-			return Result{}, 0, fmt.Errorf("record %d: %w", n, err)
+			return Result{}, 0, err
 		}
 		acc.sum.Sizes.Add(t.Size(), 1)
 		acc.fused = env.Fusion.Fuse(acc.fused, env.Fusion.Simplify(t))
@@ -81,9 +80,11 @@ func absorbPolicies(tb testing.TB) []absorbPolicy {
 }
 
 // requireSameStream runs RunStream and the reference fold over data
-// through every reader kind and fails unless the results, byte counts
-// and error strings agree. It returns RunStream's recorded metrics over
-// the plain reader.
+// through every reader kind and fails unless the results and byte
+// counts agree, or both fail. The error texts may differ: a stream cut
+// between values can fail at the end of a chunk where the sequential
+// decoder reads on to the offending token. It returns RunStream's
+// recorded metrics over the plain reader.
 func requireSameStream(t *testing.T, env *Env, data []byte) obs.Metrics {
 	t.Helper()
 	var m obs.Metrics
@@ -96,7 +97,7 @@ func requireSameStream(t *testing.T, env *Env, data []byte) obs.Metrics {
 		if rk.name == "reader" {
 			m = reg.Snapshot()
 		}
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("%s: err %v, want %v", rk.name, err, wantErr)
 		}
 		if err != nil {
@@ -112,11 +113,11 @@ func requireSameStream(t *testing.T, env *Env, data []byte) obs.Metrics {
 	return m
 }
 
-// FuzzStreamAbsorb checks RunStream, which absorbs records its fold
-// already covers, against the reference fold that types every record:
-// the same Result or the same error, on any input, through every reader
-// kind, at a MaxDepth drawn from depth (0: the default), under the
-// policy drawn from policy. A policy whose decoder declines absorbs
+// FuzzStreamAbsorb checks RunStream, which absorbs records its cover or
+// its chunk's fold already covers, against the reference fold that
+// types every record: the same Result, or failure on both sides, on any
+// input, through every reader kind, at a MaxDepth drawn from depth (0:
+// the default), under the policy drawn from policy. A policy whose decoder declines absorbs
 // nothing.
 func FuzzStreamAbsorb(f *testing.F) {
 	type seed struct {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"repro/internal/enrich"
 	"repro/internal/fusion"
+	"repro/internal/infer"
 	"repro/internal/stats"
 	"repro/internal/types"
 )
@@ -15,9 +16,8 @@ import (
 // count are invisible in the Fold.
 //
 // It has one implementation, chunkAcc, which the one map stage fills
-// for both drivers: Run's chunks and RunStream's stream. Its laws are
-// property-tested in accumulator_test.go the same way Fuse and obs
-// snapshots are.
+// for every chunk. Its laws are property-tested in accumulator_test.go
+// the same way Fuse and obs snapshots are.
 type Accumulator interface {
 	// Merge absorbs other into the receiver. Associative and
 	// commutative; other must come from the same Env (same fusion
@@ -37,9 +37,8 @@ type Result struct {
 	Fused types.Type
 	// Records is the number of values typed.
 	Records int64
-	// DistinctTypes is the number of distinct types seen: exact on the
-	// chunked driver, zero on the streaming one, which cannot afford the
-	// bookkeeping.
+	// DistinctTypes is the number of distinct types seen: exact, or
+	// zero under Env.SizesOnly, which cannot afford the bookkeeping.
 	DistinctTypes int
 	// MinTypeSize, MaxTypeSize and AvgTypeSize describe the per-value
 	// type sizes.
@@ -74,13 +73,10 @@ func Fold(acc Accumulator) Result {
 }
 
 // chunkAcc is the one accumulator, which the map stage (mapRecords)
-// fills for either driver. A chunk tallies every record in sum by the
-// size and structural hash of its type, whether the record was typed
-// or absorbed (a member's size and hash come from its tokens), so the
-// distinct count is exact. The stream's accumulator is sizesOnly: it
-// tallies sizes and computes no types.Hash; with no distinct-type set,
-// memory stays flat however many distinct types a stream holds, and
-// DistinctTypes stays zero.
+// fills for each chunk. It tallies every record, typed or absorbed, by
+// the size and structural hash of its type, so the distinct count is
+// exact; under Env.SizesOnly by its size alone, with no hash computed
+// and no distinct-type set, so memory stays flat and DistinctTypes zero.
 type chunkAcc struct {
 	fz        fusion.Options
 	sum       stats.Summary
@@ -94,17 +90,32 @@ type chunkAcc struct {
 
 // newChunkAcc returns the empty accumulator of the Env.
 func (e *Env) newChunkAcc() *chunkAcc {
-	return &chunkAcc{fz: e.Fusion, fused: types.Empty}
+	return &chunkAcc{fz: e.Fusion, fused: types.Empty, sizesOnly: e.SizesOnly}
 }
 
-// tally counts one record whose type has the given size and structural
-// hash; in sizes-only mode the hash goes unused.
-func (a *chunkAcc) tally(size int, hash uint64) {
-	if a.sizesOnly {
-		a.sum.Sizes.Add(size, 1)
-		return
+// absorb offers the decoder's next record to the cover, if any, then to
+// a fold's partials, largest first, and tallies it against the first
+// that admits it (infer.Decoder.Absorb), reporting whether one did.
+func (a *chunkAcc) absorb(dec *infer.Decoder, cover types.Type, partials []types.Type) bool {
+	for i := len(partials); i >= 0; i-- {
+		t := cover
+		if i < len(partials) {
+			t = partials[i]
+		}
+		if t == nil {
+			continue
+		}
+		if a.sizesOnly {
+			if size, ok := dec.AbsorbSize(t); ok {
+				a.sum.Sizes.Add(size, 1)
+				return true
+			}
+		} else if size, hash, ok := dec.Absorb(t); ok {
+			a.sum.Tally(size, hash)
+			return true
+		}
 	}
-	a.sum.Tally(size, hash)
+	return false
 }
 
 // add counts one typed record; in sizes-only mode it computes no

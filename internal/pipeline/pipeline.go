@@ -10,33 +10,30 @@
 // serving, remote — is a new feed into the same Accumulator, not a
 // second copy of the pipeline.
 //
-// Two drivers run one map stage, mapRecords, and fill the one
-// Accumulator implementation; they differ only in their feed. Run
-// distributes line-aligned chunks over the map-reduce engine (parallel,
-// fault-tolerant), whose workers pull each chunk from the Feed
-// themselves and hand the last one back as they do, so a run holds one
-// chunk per worker; RunStream maps a whole stream as one partition with
-// constant memory (sequential). In both, a record the schema fused so
-// far already covers is matched on its tokens and tallied, never typed
-// (see Cover and mapRecords), unless the decoder declines to absorb
-// (infer.Decoder.Absorbs: tagged unions and enrichment); every other
-// record is typed, simplified and fused as soon as it is decoded. Both
-// leave no goroutines behind on error or cancellation, which
-// pipeline_test.go pins with mid-feed and mid-combine cancel tests.
+// One loop maps chunks cut between values over the map-reduce engine
+// (parallel, fault-tolerant) with one map stage, mapRecords, into the
+// one Accumulator. It has two feeds: Run takes an in-memory Feed, and
+// RunReader cuts a reader with a jsontext.LineCutter. A record the
+// schema fused so far already covers is matched on its tokens and
+// tallied, never typed (see Cover and mapRecords), unless the decoder
+// declines to absorb (infer.Decoder.Absorbs: tagged unions and
+// enrichment). A run leaves no goroutines behind on error or
+// cancellation, which pipeline_test.go pins with mid-feed and
+// mid-combine cancel tests.
 //
-// The stages time themselves through Env.Rec: each map task and each
-// stream adds its decode+infer and its fusion busy time to the
-// infer_decode_ns and infer_fuse_ns counters, and the map-reduce engine
-// observes every combine into mapreduce_combine_ns. With the caller's
-// final Fold they attribute a one-worker run's wall time, less what no
-// stage owns (splitting, feeding, scheduling); the experiments harness
-// reads the paper's Table 6 split from them.
+// The stages time themselves through Env.Rec: each map task adds its
+// decode+infer and its fusion busy time to the infer_decode_ns and
+// infer_fuse_ns counters, and the map-reduce engine observes every
+// combine into mapreduce_combine_ns. With the caller's final Fold they
+// attribute a one-worker run's wall time, less what no stage owns
+// (cutting, feeding, scheduling); the experiments harness reads the
+// paper's Table 6 split from them.
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -51,7 +48,7 @@ import (
 )
 
 // Env bundles the cross-cutting state of one inference run. Build it
-// once per run and pass it to Run or RunStream; every field is
+// once per run and pass it to Run or RunReader; every field is
 // read-only to the stages, which keep mutable state in their
 // Accumulators.
 type Env struct {
@@ -60,11 +57,16 @@ type Env struct {
 	// Workers bounds the map-phase parallelism of Run; values <= 0 mean
 	// one worker per CPU (resolved by the map-reduce engine).
 	Workers int
-	// ChunkBytes is the chunk size of bounded-memory file feeds; zero
-	// means the partitioner default (256 KiB).
+	// ChunkBytes is the chunk size RunReader cuts; zero means 256 KiB,
+	// or 64 KiB under SizesOnly.
 	ChunkBytes int
-	// MaxDepth bounds value nesting in the decoders of both drivers;
-	// zero means the parser default.
+	// SizesOnly, the stream's setting (FromReader), has every
+	// accumulator tally type sizes alone, with no hash computed or kept,
+	// so memory stays flat however many distinct types the input holds,
+	// and DistinctTypes is zero.
+	SizesOnly bool
+	// MaxDepth bounds value nesting in the decoders; zero means the
+	// parser default.
 	MaxDepth int
 	// Failure and Injector configure the map-reduce failure handling.
 	Failure  mapreduce.FailurePolicy
@@ -72,13 +74,12 @@ type Env struct {
 	// Rec receives pipeline metrics, including each stage's busy time
 	// (docs/OBSERVABILITY.md); nil records nothing and reads no clock.
 	Rec obs.Recorder
-	// Cover, when non-nil, lets Run's chunks absorb the records it or
+	// Cover, when non-nil, lets the chunks absorb the records it or
 	// the chunk's own fold already covers (see Cover), whenever the
 	// decoder absorbs at all (infer.Decoder.Absorbs); Options.env gives
 	// every run a fresh one. Nil, or a run whose decoder declines,
 	// means every chunk types every record and the cover is never
 	// fused into; nil is the fold the experiments harness measures.
-	// RunStream ignores it: its own fold is its cover.
 	Cover *Cover
 	// Enrich, when non-nil, computes the configured enrichment monoids
 	// (internal/enrich) alongside structural inference in the same
@@ -124,16 +125,17 @@ func (c *Cover) add(fz fusion.Options, t types.Type) {
 	}
 }
 
-// A Feed yields the line-aligned chunks of one input, in order, one per
-// call, with the shape of mapreduce.Run's next: prev is a chunk it
-// yielded before (nil on a worker's first call), handed back once its
-// final map attempt is over, so a pooled feed (jsontext.LineCutter's
-// Next) can recycle the buffer. ok false marks the end of the input,
-// and the feed must report the end again if called once more. A
-// non-nil error marks the *producer* as failed (an I/O error reading
-// the input) and surfaces as a FeedError, distinguishable from decode
-// errors. The engine calls a Feed under its lock, so it needs no
-// synchronization of its own, and stops calling it once the run ends.
+// A Feed yields the chunks of one input, each cut between values, in
+// order, one per call, with the shape of mapreduce.Run's next: prev is
+// a chunk it yielded before (nil on a worker's first call), handed back
+// once its final map attempt is over, so a pooled feed
+// (jsontext.LineCutter's Next) can recycle the buffer. ok false marks
+// the end of the input, and the feed must report the end again if
+// called once more. A non-nil error marks the *producer* as failed (an
+// I/O error reading the input) and surfaces as a FeedError,
+// distinguishable from decode errors. The engine calls a Feed under its
+// lock, so it needs no synchronization of its own, and stops calling it
+// once the run ends.
 type Feed func(prev []byte) (chunk []byte, ok bool, err error)
 
 // SliceFeed feeds an in-memory slice of chunks.
@@ -155,49 +157,104 @@ func (e *FeedError) Error() string { return e.Err.Error() }
 func (e *FeedError) Unwrap() error { return e.Err }
 
 // Run distributes the feed's chunks over the map-reduce engine: each
-// chunk is typed and locally folded into an Accumulator (the
-// combiner), and accumulators merge associatively + commutatively into
-// one. Workers pull the chunks from the feed themselves, each handing
-// back the chunk it finished as it takes the next, so a run holds at
-// most one chunk per worker and no goroutine outlives the call. The map
-// stage never retains chunk bytes past its return (decoded types copy
-// every string they keep), which is what makes recycling them sound.
-// The returned Accumulator is nil when the feed produced nothing (Fold
-// handles it); callers that span several inputs under one Env
-// (FromFiles) Combine the returned accumulators before folding.
+// chunk is typed and locally folded into an Accumulator (the combiner),
+// and accumulators merge associatively + commutatively into one. Workers
+// pull the chunks themselves, handing back the chunk they finished, so
+// a run holds one chunk per worker and no goroutine outlives the call;
+// the map stage keeps nothing aliasing a chunk, so recycling is sound.
+// The Accumulator is nil when the feed produced nothing (Fold handles
+// it); FromFiles Combines the accumulators of its files.
 func Run(ctx context.Context, env *Env, feed Feed) (Accumulator, mapreduce.Stats, error) {
-	var base int64
-	next := func(prev chunk) (chunk, bool, error) {
-		data, ok, err := feed(prev.data)
-		if err != nil {
-			return chunk{}, false, &FeedError{Err: err}
-		}
-		c := chunk{data: data, base: base}
-		base += int64(len(data))
-		return c, ok, nil
-	}
-	return mapreduce.Run(ctx, next, env.mapChunk, Combine, nil,
-		mapreduce.Config{Workers: env.Workers, Recorder: env.Rec, Failure: env.Failure, Injector: env.Injector})
+	return env.run(ctx, func(prev []byte) ([]byte, io.Reader, bool, error) {
+		data, ok, err := feed(prev)
+		return data, nil, ok, err
+	})
 }
 
-// A chunk is one line-aligned piece of a feed and its offset in the
-// input: the feed's chunks are contiguous, so the offset is the length
-// of the chunks emitted before it.
+// RunReader is Run over a jsontext.LineCutter of r, cutting chunks of
+// env.ChunkBytes (64 KiB by default under SizesOnly, the stream's
+// setting) into buffers from pool, and also returns the number of bytes
+// read. A chunk that spills (jsontext.SpillChunks) is decoded with the
+// rest of r as a stream by one map task, which fails for good on its
+// first error, since it consumes what it reads.
+func RunReader(ctx context.Context, env *Env, r io.Reader, pool *jsontext.ChunkPool) (Accumulator, int64, mapreduce.Stats, error) {
+	chunkBytes := env.ChunkBytes
+	if chunkBytes == 0 && env.SizesOnly {
+		chunkBytes = 64 << 10
+	}
+	fr := &feedReader{r: r}
+	acc, st, err := env.run(ctx, jsontext.NewLineCutter(fr, chunkBytes, pool).NextOrRest)
+	return acc, fr.n, st, err
+}
+
+// RunStream is RunReader under SizesOnly with no pool and, when env has
+// none, a cover of its own, so it absorbs wherever the decoder does.
+func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
+	s := *env
+	s.SizesOnly = true
+	if s.Cover == nil {
+		s.Cover = &Cover{}
+	}
+	acc, n, _, err := RunReader(ctx, &s, r, nil)
+	return acc, n, err
+}
+
+// run maps the chunks next yields: the one loop behind Run and RunReader.
+func (e *Env) run(ctx context.Context, next func(prev []byte) ([]byte, io.Reader, bool, error)) (Accumulator, mapreduce.Stats, error) {
+	var base int64
+	pull := func(prev chunk) (chunk, bool, error) {
+		data, rest, ok, err := next(prev.data)
+		if fe := (*FeedError)(nil); err != nil && !errors.As(err, &fe) {
+			err = &FeedError{Err: err}
+		}
+		c := chunk{data: data, rest: rest, base: base}
+		base += int64(len(data))
+		return c, ok, err
+	}
+	return mapreduce.Run(ctx, pull, e.mapChunk, Combine, nil,
+		mapreduce.Config{Workers: e.Workers, Recorder: e.Rec, Failure: e.Failure, Injector: e.Injector})
+}
+
+// A chunk is one piece of a feed, its offset in the input (the length
+// of the chunks before it) and, if it spilled, the reader it goes on in.
 type chunk struct {
 	data []byte
+	rest io.Reader
 	base int64
 }
 
-// mapChunk runs the map stage over one line-aligned chunk (see
-// mapRecords) until ctx, the map task's, is done. A decode error is
-// permanent: the chunk's bytes fail the same way on every attempt, so
-// the map-reduce engine gives the chunk up at once, under Skip
-// quarantining it, instead of burning its retry budget. A syntax error
-// reports its offset in the input, not in the chunk.
+// A feedReader counts the bytes read and marks a failed read a
+// FeedError; its readers never overlap and are joined by the run's end.
+type feedReader struct {
+	r io.Reader
+	n int64
+}
+
+func (f *feedReader) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	f.n += int64(n)
+	if err != nil && err != io.EOF {
+		err = &FeedError{Err: err}
+	}
+	return n, err
+}
+
+// mapChunk runs the map stage over one chunk (see mapRecords) until
+// ctx, the map task's, is done. A decode error is permanent: the
+// chunk's bytes fail the same way on every attempt (a spilled chunk's
+// rest is consumed), so the engine gives the chunk up at once, under
+// Skip quarantining it. A syntax error reports its offset in the input,
+// not in the chunk.
 func (e *Env) mapChunk(ctx context.Context, c chunk) (Accumulator, error) {
-	dec := infer.NewBytesDecoder(c.data, jsontext.Options{MaxDepth: e.MaxDepth})
+	opts := jsontext.Options{MaxDepth: e.MaxDepth}
+	var dec *infer.Decoder
+	if c.rest == nil {
+		dec = infer.NewBytesDecoder(c.data, opts)
+	} else {
+		dec = infer.NewDecoder(io.MultiReader(bytes.NewReader(c.data), c.rest), opts)
+	}
 	defer dec.Release()
-	acc, _, err := e.mapRecords(ctx, dec, false)
+	acc, err := e.mapRecords(ctx, dec)
 	if err != nil {
 		// The decoder's error is its own, fresh per call.
 		if se := (*jsontext.SyntaxError)(nil); errors.As(err, &se) {
@@ -208,96 +265,46 @@ func (e *Env) mapChunk(ctx context.Context, c chunk) (Accumulator, error) {
 	return acc, nil
 }
 
-// RunStream runs the map stage over a stream of JSON values as one
-// partition: the sequential driver. Its records go through the same
-// loop as a chunk's (see mapRecords), with constant memory: it keeps
-// no set of distinct types, so memory stays flat even when every record
-// has a type of its own, and DistinctTypes stays zero. Returns the
-// accumulator and the number of input bytes consumed. Cancellation
-// takes effect between records; an error names the 1-based record it
-// stopped at.
-func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
-	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
-	defer dec.Release()
-	acc, records, err := env.mapRecords(ctx, dec, true)
-	if err != nil {
-		return nil, 0, fmt.Errorf("record %d: %w", records+1, err)
-	}
-	return acc, dec.Offset(), nil
-}
-
-// mapRecords is the decode+infer map stage, the one per-record loop
-// behind both drivers: it types the records dec reads into a fresh
-// chunkAcc and returns it with the number of records read. Each record
-// is first offered to absorb; a member of the cover or of the fold so
-// far is tallied and never typed, simplified or fused. Every other
-// record is decoded, tallied, simplified and fused through one online
-// balanced-tree fold (fusion.TreeFold): the partition never holds its
-// records' types, the fold keeps O(log records) partial types, and its
-// balanced shape avoids the left fold that would rebuild every growing
-// intermediate record on high-entropy data.
-//
-// Whether a record may be absorbed is the decoder's call
-// (infer.Decoder.Absorbs). A chunk absorbs only under a run cover
-// (Env.Cover): it matches a record against the cover as the chunk found
-// it, then against its fold's partials, and when done adds its fused
-// type to the cover. The stream (stream true) matches against its
-// fold's partials alone, as a chunk does under an empty cover. A chunk
-// tallies each record by the size and hash of its type, so
-// DistinctTypes is exact; the stream tallies sizes only.
-//
-// With Env.Rec set, a typed record's fusion is clocked one record at a
-// time, so the infer_fuse_ns it records excludes decoding, and an
-// absorbed record's time counts as decoding. A chunk records its
-// metrics once it has mapped without error; the stream adds
-// infer_records as it goes, so a live /debug/vars sees an in-flight
-// stream's records.
-func (e *Env) mapRecords(ctx context.Context, dec *infer.Decoder, stream bool) (*chunkAcc, int64, error) {
+// mapRecords is the decode+infer map stage, the one per-record loop: it
+// types the records dec reads into a fresh chunkAcc. Under a run cover
+// (Env.Cover), and if the decoder absorbs (infer.Decoder.Absorbs), each
+// record is first matched against the cover as the chunk found it, then
+// against the partials of the chunk's fold; a member is tallied, never
+// typed. Every other record is decoded, tallied, simplified and fused
+// through one online balanced-tree fold (fusion.TreeFold), which keeps
+// O(log records) partial types and avoids the left fold that would
+// rebuild every growing intermediate record on high-entropy data. The
+// chunk's fused type then joins the cover. With Env.Rec set, fusion is
+// clocked one typed record at a time, an absorbed record's time counts
+// as decoding, and the chunk records its metrics once it has mapped.
+func (e *Env) mapRecords(ctx context.Context, dec *infer.Decoder) (*chunkAcc, error) {
 	clk := e.startClock()
 	acc := e.feedAcc(dec)
-	acc.sizesOnly = stream
 	fold := fusion.NewTreeFold(e.Fusion.Fuse)
-	absorbs := dec.Absorbs() && (stream || e.Cover != nil)
 	var cover types.Type
-	if absorbs && !stream {
+	if e.Cover != nil && dec.Absorbs() {
 		cover = e.Cover.get()
 	}
-	var live obs.Recorder
-	if stream {
-		live = e.Rec
-	}
 	done := ctx.Done()
-	var records, absorbed int64
+	var absorbed int64
 	for {
 		select {
 		case <-done:
-			return nil, records, ctx.Err()
+			return nil, ctx.Err()
 		default:
 		}
-		if absorbs {
-			if size, hash, ok := absorb(dec, cover, fold.Partials()); ok {
-				acc.tally(size, hash)
-				records++
-				absorbed++
-				if live != nil {
-					live.Add("infer_records", 1)
-					live.Add("infer_absorbed_records", 1)
-				}
-				continue
-			}
+		if cover != nil && acc.absorb(dec, cover, fold.Partials()) {
+			absorbed++
+			continue
 		}
 		t, err := dec.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, records, err
+			return nil, err
 		}
 		acc.add(t)
-		records++
-		if live != nil {
-			live.Add("infer_records", 1)
-		}
 		clk.lap(&clk.decode)
 		fold.Add(e.Fusion.Simplify(t))
 		clk.lap(&clk.fuse)
@@ -310,39 +317,19 @@ func (e *Env) mapRecords(ctx context.Context, dec *infer.Decoder, stream bool) (
 	clk.lap(&clk.fuse)
 	clk.record()
 	if rec := e.Rec; rec != nil {
+		records := acc.sum.Count()
 		rec.Add("infer_bytes", dec.Offset())
-		if !stream {
-			rec.Add("infer_chunks", 1)
-			rec.Add("infer_records", records)
-			if absorbed > 0 {
-				rec.Add("infer_absorbed_records", absorbed)
-			}
-			rec.Observe("infer_chunk_records", records)
-			// Per-chunk fused sizes are the fusion-growth curve: how
-			// far each partition's types collapse before the reduce.
-			rec.Observe("infer_chunk_fused_size", int64(acc.fused.Size()))
+		rec.Add("infer_chunks", 1)
+		rec.Add("infer_records", records)
+		if absorbed > 0 {
+			rec.Add("infer_absorbed_records", absorbed)
 		}
+		rec.Observe("infer_chunk_records", records)
+		// Per-chunk fused sizes are the fusion-growth curve: how far
+		// each partition's types collapse before the reduce.
+		rec.Observe("infer_chunk_fused_size", int64(acc.fused.Size()))
 	}
-	return acc, records, nil
-}
-
-// absorb matches the decoder's next record against the cover, if any,
-// and then against each partial of a fold, from the largest down, and
-// reports the first that admits it (see infer.Decoder.Absorb).
-func absorb(dec *infer.Decoder, cover types.Type, partials []types.Type) (size int, hash uint64, ok bool) {
-	if cover != nil {
-		if size, hash, ok = dec.Absorb(cover); ok {
-			return size, hash, ok
-		}
-	}
-	for i := len(partials) - 1; i >= 0; i-- {
-		if p := partials[i]; p != nil {
-			if size, hash, ok = dec.Absorb(p); ok {
-				return size, hash, ok
-			}
-		}
-	}
-	return 0, 0, false
+	return acc, nil
 }
 
 // stageClock splits the busy time of one map-stage partition between
@@ -383,9 +370,8 @@ func (c *stageClock) record() {
 }
 
 // feedAcc returns an empty accumulator for dec to fill. dec promotes
-// under the Env's fusion strategy
-// and, with enrichment on, observes every value into the accumulator's
-// own lattice. A failed decode discards that lattice along with its
+// under the Env's fusion strategy and, with enrichment on, observes
+// every value into the accumulator's own lattice. A failed decode discards that lattice along with its
 // accumulator, so a retried chunk observes into a fresh one and the
 // combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
 func (e *Env) feedAcc(dec *infer.Decoder) *chunkAcc {

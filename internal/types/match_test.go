@@ -163,12 +163,28 @@ func match(m *types.Matcher, doc []byte, t types.Type) (size int, hash uint64, o
 	return size, hash, ok, err == nil && tok.Kind == jsontext.TokEOF
 }
 
+// sameWithoutHash fails unless MatchSize over doc gives Match's verdict,
+// size and end: the size-only walk is the hashing walk minus the hash.
+func sameWithoutHash(t *testing.T, m *types.Matcher, doc []byte, ty types.Type) {
+	t.Helper()
+	want, _, wantOK, wantExact := match(m, doc, ty)
+	lex := jsontext.AcquireLexerBytes(doc)
+	defer lex.Release()
+	lex.RawStrings(true)
+	size, ok := m.MatchSize(lex, ty)
+	tok, err := lex.Next()
+	if exact := err == nil && tok.Kind == jsontext.TokEOF; ok != wantOK || size != want || (ok && exact != wantExact) {
+		t.Fatalf("type %s, value %s: MatchSize %v, size %d, exact %v; Match %v, size %d, exact %v", ty, doc, ok, size, exact, wantOK, want, wantExact)
+	}
+}
+
 // TestMatcherAgreesWithMember draws random normal types, witnesses of
 // them and mutations of the witnesses, and checks the Matcher against
 // Member on each: the same verdict, a member's size and structural hash
 // equal to its inferred type's, whatever order the document lists its
 // keys in, and a member consumed to its last byte. A repeated key makes
-// any document a non-member.
+// any document a non-member. MatchSize gives Match's verdict and size
+// on every document.
 func TestMatcherAgreesWithMember(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	var m types.Matcher
@@ -195,6 +211,7 @@ func TestMatcherAgreesWithMember(t *testing.T) {
 		if got != want {
 			t.Fatalf("type %s, value %s: Matcher %v, Member %v", ty, doc, got, want)
 		}
+		sameWithoutHash(t, &m, doc, ty)
 		if got {
 			members++
 			inferred := infer.Infer(v)
@@ -214,6 +231,7 @@ func TestMatcherAgreesWithMember(t *testing.T) {
 			if _, _, got, _ := match(&m, doc, ty); got {
 				t.Fatalf("type %s: a repeated key matched: %s", ty, doc)
 			}
+			sameWithoutHash(t, &m, doc, ty)
 		}
 	}
 	if members < 500 || nonMembers < 500 || repeats < 100 {

@@ -166,6 +166,8 @@ type Matcher struct {
 	// open object: the slot of a matched field holds the word its member
 	// contributes to the object's hash, read back in key order at '}'.
 	words []uint64
+	// sizeOnly skips the hash for MatchSize.
+	sizeOnly bool
 }
 
 // Match reads exactly one value from lex, in either string mode, and
@@ -175,6 +177,19 @@ type Matcher struct {
 // returns false as soon as it knows, leaving lex inside the value, and
 // the caller rewinds it (jsontext.Lexer.Pin) to read the value again.
 func (m *Matcher) Match(lex *jsontext.Lexer, t Type) (size int, hash uint64, ok bool) {
+	m.sizeOnly = false
+	return m.match(lex, t)
+}
+
+// MatchSize is Match without the hash: the same verdict and size, for
+// a caller that tallies sizes alone, at the cost of the walk.
+func (m *Matcher) MatchSize(lex *jsontext.Lexer, t Type) (size int, ok bool) {
+	m.sizeOnly = true
+	size, _, ok = m.match(lex, t)
+	return size, ok
+}
+
+func (m *Matcher) match(lex *jsontext.Lexer, t Type) (size int, hash uint64, ok bool) {
 	if t == Type(Empty) {
 		return 0, 0, false
 	}
@@ -260,7 +275,9 @@ func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, uint64, bool) {
 	for w := 0; w < (len(fs)+63)/64; w++ {
 		m.seen = append(m.seen, 0)
 	}
-	m.words = slices.Grow(m.words, len(fs))[:wbase+len(fs)]
+	if !m.sizeOnly {
+		m.words = slices.Grow(m.words, len(fs))[:wbase+len(fs)]
+	}
 	defer func() { m.seen, m.words = m.seen[:base], m.words[:wbase] }()
 	size, mandatory, next := 1, 0, 0
 	for n := 0; ; n++ {
@@ -293,8 +310,10 @@ func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, uint64, bool) {
 			return 0, 0, false
 		}
 		size += 1 + cs
-		// The inferred type's fields are mandatory.
-		m.words[wbase+i] = fieldHash(fs[i].Key, false, ch)
+		if !m.sizeOnly {
+			// The inferred type's fields are mandatory.
+			m.words[wbase+i] = fieldHash(fs[i].Key, false, ch)
+		}
 	}
 	for _, f := range fs {
 		if !f.Optional {
@@ -303,6 +322,9 @@ func (m *Matcher) record(lex *jsontext.Lexer, r *Record) (int, uint64, bool) {
 	}
 	if mandatory != 0 {
 		return 0, 0, false // a mandatory field is missing
+	}
+	if m.sizeOnly {
+		return size, 0, true
 	}
 	// Combine the members' words in key order, the order of fs, framed
 	// as hashType frames a record.
@@ -367,6 +389,8 @@ func (m *Matcher) array(lex *jsontext.Lexer, elem Type, elems []Type) (int, uint
 			return 0, 0, false
 		}
 		size += n
-		h = hashWord(h, ch)
+		if !m.sizeOnly {
+			h = hashWord(h, ch)
+		}
 	}
 }

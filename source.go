@@ -13,12 +13,15 @@ import (
 )
 
 // A Source is an input to Infer: a byte buffer, a stream, a file or a
-// set of files. Construct one with FromBytes, FromReader, FromFile or
-// FromFiles. The interface is sealed — each kind is a thin adapter
-// that feeds the one pipeline engine (internal/pipeline) its
-// partitioning strategy (in-memory split, bounded-memory chunking, or
-// sequential decoding) so Infer can stay one entry point over one code
-// path. See docs/ARCHITECTURE.md for how to add a kind.
+// set of files. Construct one with FromBytes, FromReader,
+// FromChunkedReader, FromFile or FromFiles. The interface is sealed —
+// each kind is a thin adapter that gives the one pipeline engine
+// (internal/pipeline) its feed: an in-memory split of the buffer, or a
+// reader cut into chunks as it is read. Every kind cuts by the same
+// rule, only between top-level values, so every kind accepts the same
+// inputs, pretty-printed values included, and Infer stays one entry
+// point over one code path. See docs/ARCHITECTURE.md for how to add a
+// kind.
 type Source interface {
 	// run executes the pipeline over this input under env, which bundles
 	// the run's cross-cutting state (fusion policy, workers, failure
@@ -29,59 +32,61 @@ type Source interface {
 }
 
 // FromBytes is an in-memory NDJSON buffer (one or more
-// whitespace-separated JSON values): the buffer is split at line
-// boundaries into one chunk per map task and the chunks are inferred
-// in parallel. Beyond the buffer itself, a task's type memory grows
-// with its chunk's fused schema and the hashes of its distinct types,
-// not its record count: each record is fused as it is decoded or,
-// without TaggedUnions and Enrich, only matched when the schema fused
-// so far already covers it.
+// whitespace-separated JSON values): the buffer is split between values
+// into one chunk per map task and the chunks are inferred in parallel.
+// Beyond the buffer itself, a task's type memory grows with its chunk's
+// fused schema and the hashes of its distinct types, not its record
+// count: each record is fused as it is decoded or, without TaggedUnions
+// and Enrich, only matched when the schema fused so far already covers
+// it.
 func FromBytes(data []byte) Source { return bytesSource{data: data} }
 
-// FromReader is a stream of JSON values processed with constant
-// memory: the same map stage as a chunk's, over the whole stream as
-// one partition, sequentially. Values are typed and fused one at a
-// time, never materialized as a whole. Without TaggedUnions and
-// Enrich, a value the schema fused so far already covers is only
-// matched, not typed, which changes the cost but never the result. Use
-// it for inputs too large to buffer; note that Stats.DistinctTypes is
-// unavailable (zero) on this path, which keeps no set of distinct
-// types. The reader is consumed until EOF or error.
+// FromReader is a stream of JSON values processed in constant memory:
+// the stream is cut between values into 64 KiB chunks (or
+// Options.ChunkBytes) that parallel workers infer while the stream is
+// still being read, each worker cutting its own next chunk, with the
+// full failure machinery (Options.Retries, Options.OnError) per chunk.
+// Values are typed and fused as they are decoded, never materialized as
+// a whole, and a chunk is handed on as soon as the producer pauses at a
+// line end, so a live pipe is typed as it arrives. A document that
+// spans more than 16 chunks without a cut between values, such as one
+// large pretty-printed array, is decoded as a stream by one task
+// instead of being buffered. Without TaggedUnions and Enrich, a value
+// the schema fused so far already covers is only matched, not typed,
+// which changes the cost but never the result. Use it for inputs too
+// large to buffer; note that Stats.DistinctTypes is unavailable (zero)
+// on this path, which keeps no set of distinct types. The reader is
+// consumed until EOF or error.
 func FromReader(r io.Reader) Source { return readerSource{r: r} }
 
 // FromFile is one NDJSON file processed with bounded memory: the file
-// streams through line-aligned chunks (Options.ChunkBytes each) that
-// are inferred and fused by parallel workers while the file is still
-// being read. Each worker cuts its own next chunk from the file as it
-// finishes the last, so a run holds one chunk buffer per worker. Each
-// value must sit on one line: a chunk ends at the first newline past
-// Options.ChunkBytes, so a pretty-printed value that straddles the cut
-// fails with a syntax error. FromBytes and FromReader accept such
-// values.
+// is cut between values into chunks (Options.ChunkBytes each) that are
+// inferred and fused by parallel workers while the file is still being
+// read. Each worker cuts its own next chunk from the file as it
+// finishes the last, so a run holds one chunk buffer per worker. A
+// pretty-printed value spanning several lines is never cut, and one
+// spanning more than 16 chunks is decoded as a stream, as FromReader
+// does.
 func FromFile(path string) Source { return filesSource{paths: []string{path}} }
 
 // FromChunkedReader is a stream of JSON values processed through the
-// same bounded-memory chunked parallel pipeline as FromFile: the
-// stream is cut into line-aligned chunks (Options.ChunkBytes each)
-// that are inferred by parallel workers while the stream is still
-// being read, each worker cutting its own next chunk, so a run holds
-// one chunk buffer per worker; the full failure machinery
-// (Options.Retries, Options.OnError) applies per chunk. Use it when the input arrives as
-// a stream too large to buffer but parallel inference or quarantine
-// semantics are wanted — an HTTP request body, a pipe, a socket;
-// cmd/schemad feeds ingest request bodies through it. Use FromReader
-// when strict record-at-a-time sequencing matters more than
-// throughput. The reader is consumed until EOF or error. As with
-// FromFile, each value must sit on one line; a multi-line value that
-// straddles a chunk cut fails with a syntax error.
+// same bounded-memory chunked parallel pipeline as FromFile: the stream
+// is cut between values into chunks (Options.ChunkBytes each) that are
+// inferred by parallel workers while the stream is still being read,
+// each worker cutting its own next chunk, so a run holds one chunk
+// buffer per worker; the full failure machinery (Options.Retries,
+// Options.OnError) applies per chunk. It differs from FromReader only in
+// its defaults: 256 KiB chunks, and an exact Stats.DistinctTypes.
+// cmd/schemad feeds ingest request bodies through it. The reader is
+// consumed until EOF or error.
 func FromChunkedReader(r io.Reader) Source { return chunkedSource{r: r} }
 
 // FromFiles is a set of NDJSON files treated as partitions: each file
 // runs through the same bounded-memory chunked pipeline as FromFile
 // and the per-file results merge, which by associativity equals
 // inferring the concatenation. One cover and the distinct-type sets
-// span the files, so Stats.DistinctTypes is exact across them. As with
-// FromFile, each value must sit on one line.
+// span the files, so Stats.DistinctTypes is exact across them. A value
+// must not span two files.
 func FromFiles(paths ...string) Source {
 	return filesSource{paths: append([]string(nil), paths...)}
 }
@@ -136,30 +141,22 @@ func (s bytesSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accum
 	return out, feedStats(int64(len(s.data)), mrst), nil
 }
 
-// readerSource implements FromReader: the sequential constant-memory
-// driver over the same map stage.
+// readerSource implements FromReader: the chunked pipeline in the
+// stream's setting, pipeline.Env.SizesOnly.
 type readerSource struct{ r io.Reader }
 
 func (s readerSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
-	out, n, err := pipeline.RunStream(ctx, env, s.r)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("jsoninference: %w", err)
-	}
-	return out, Stats{Bytes: n}, nil
+	stream := *env
+	stream.SizesOnly = true
+	return runReader(ctx, &stream, s.r, "")
 }
 
 // chunkedSource implements FromChunkedReader: the stream feeds the
-// chunked pipeline through the same bounded-memory line partitioner
-// the file sources use.
+// chunked pipeline through the same cutter the file sources use.
 type chunkedSource struct{ r io.Reader }
 
 func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Accumulator, Stats, error) {
-	cr := &countingReader{r: s.r}
-	out, mrst, err := runChunks(ctx, env, cr)
-	if err != nil {
-		return nil, Stats{}, chunkedErr("", err)
-	}
-	return out, feedStats(cr.n, mrst), nil
+	return runReader(ctx, env, s.r, "")
 }
 
 // chunkPool recycles chunk buffers across every chunked run of the
@@ -171,10 +168,16 @@ func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (pipeline.Acc
 // its chunk, not one per run.
 var chunkPool jsontext.ChunkPool
 
-// runChunks feeds r through the chunked pipeline in line-aligned chunks
-// of env.ChunkBytes cut into buffers from chunkPool.
-func runChunks(ctx context.Context, env *pipeline.Env, r io.Reader) (pipeline.Accumulator, mapreduce.Stats, error) {
-	return pipeline.Run(ctx, env, jsontext.NewLineCutter(r, env.ChunkBytes, &chunkPool).Next)
+// runReader feeds r, the file at path or a stream (path empty), through
+// the chunked pipeline in chunks of env.ChunkBytes cut into buffers from
+// chunkPool, and returns its accumulator and feed-side Stats. It counts
+// what is read rather than Stat a file: a FIFO or a device has no size.
+func runReader(ctx context.Context, env *pipeline.Env, r io.Reader, path string) (pipeline.Accumulator, Stats, error) {
+	out, n, mrst, err := pipeline.RunReader(ctx, env, r, &chunkPool)
+	if err != nil {
+		return nil, Stats{}, chunkedErr(path, err)
+	}
+	return out, feedStats(n, mrst), nil
 }
 
 // chunkedErr words the error of a chunked run over path (empty for a
@@ -189,20 +192,6 @@ func chunkedErr(path string, err error) error {
 		return fmt.Errorf("jsoninference: %s: %w", path, err)
 	}
 	return fmt.Errorf("jsoninference: %w", err)
-}
-
-// countingReader counts the bytes delivered by Read. The pipeline's
-// workers read it under the engine's lock and are joined before Run
-// returns, so reading n afterwards does not race.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // filesSource implements FromFile and FromFiles: each file feeds the
@@ -240,13 +229,5 @@ func runFilePipeline(ctx context.Context, env *pipeline.Env, path string) (pipel
 	}
 	//lint:ignore droppederr the file is only read; a close error cannot lose data
 	defer f.Close()
-
-	// Count what is read rather than Stat the file: a FIFO or a device
-	// has no size.
-	cr := &countingReader{r: f}
-	out, mrst, err := runChunks(ctx, env, cr)
-	if err != nil {
-		return nil, Stats{}, chunkedErr(path, err)
-	}
-	return out, feedStats(cr.n, mrst), nil
+	return runReader(ctx, env, f, path)
 }
