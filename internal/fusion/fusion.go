@@ -150,12 +150,20 @@ func (p policy) fuse(t1, t2 types.Type) types.Type {
 	return p.fuseDirect(t1, t2)
 }
 
-// fuseDirect implements Fuse under a policy, with no caching. Two
-// non-union operands skip the kind tables: ε is the identity, the same
-// kind goes to lfuse, and different kinds meet in a two-alternative
-// union. Whenever the result is structurally an operand, the operand
-// itself is returned (see fuseRecords for the copy-on-write rule).
+// fuseDirect implements Fuse under a policy, with no caching. One
+// settled operand fused with itself is returned at once: fusion is
+// idempotent on settled types (types.Settled) under every policy, and
+// the map stage's walk hands the fold records whose member subtrees
+// are the reference's own nodes, so Fuse(F, T′) meets them pointer for
+// pointer. Two non-union operands skip the kind tables: ε is the
+// identity, the same kind goes to lfuse, and different kinds meet in a
+// two-alternative union. Whenever the result is structurally an
+// operand, the operand itself is returned (see fuseRecords for the
+// copy-on-write rule).
 func (p policy) fuseDirect(t1, t2 types.Type) types.Type {
+	if t1 == t2 && types.Settled(t1) {
+		return t1
+	}
 	_, u1 := t1.(*types.Union)
 	_, u2 := t2.(*types.Union)
 	if !u1 && !u2 {

@@ -12,9 +12,11 @@ import (
 // them under each strategy and checks, in codec bytes, that Fuse is
 // commutative and associative on them and that Simplify, Fuse and
 // Finalize equal the rebuild-everything oracle — on the raw parsed
-// types too, which may hold tuples and non-normal unions — and that
-// fusing a witness of the normal fusion of the first two, under the
-// paper's or the tuple strategy, leaves that fusion unchanged.
+// types too, which may hold tuples and non-normal unions, each also
+// fused with itself — and that fusing a witness of the normal fusion
+// of the first two, under the paper's or the tuple strategy, leaves
+// that fusion unchanged. A settled type fused with itself is returned
+// as is, with no allocation (the fast path).
 func FuzzFuseLaws(f *testing.F) {
 	seeds := [][3]string{
 		{"{a: Num, b: Str}", "{b: Bool, c: Str}", "{a: Null, b: Num}"},
@@ -56,6 +58,18 @@ func FuzzFuseLaws(f *testing.F) {
 			requireSameBytes(t, p.name+" commutativity", xy, p.o.Fuse(y, x))
 			requireSameBytes(t, p.name+" Fuse", xy, orc.fuse(x, y))
 			requireSameBytes(t, p.name+" Fuse of raw types", p.o.Fuse(raw[0], raw[1]), orc.fuse(raw[0], raw[1]))
+			requireSameBytes(t, p.name+" Fuse of a raw type with itself", p.o.Fuse(raw[0], raw[0]), orc.fuse(raw[0], raw[0]))
+			for _, x := range append(ts, xy) {
+				if !types.Settled(x) {
+					continue
+				}
+				if p.o.Fuse(x, x) != x {
+					t.Fatalf("%s: Fuse(x, x) rebuilt the settled %s", p.name, x)
+				}
+				if n := testing.AllocsPerRun(2, func() { p.o.Fuse(x, x) }); n != 0 {
+					t.Fatalf("%s: Fuse(x, x) of the settled %s allocates %.0f times", p.name, x, n)
+				}
+			}
 			requireSameBytes(t, p.name+" Finalize of fusion", p.o.Finalize(xy), orc.finalize(xy))
 			if len(ts) == 3 {
 				z := ts[2]

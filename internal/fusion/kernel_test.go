@@ -2,10 +2,13 @@ package fusion
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/infer"
 	"repro/internal/intern"
+	"repro/internal/jsontext"
 	"repro/internal/types"
 )
 
@@ -115,8 +118,14 @@ func TestKernelMatchesOracleOnNonNormalUnions(t *testing.T) {
 // does in every fold: where both operands equal the result, the first
 // one is shared. Under Tuples the step still shares F but may allocate:
 // a kept tuple of t meeting a [T*] of F is collapsed first, and the
-// collapse is built.
+// collapse is built. And under the paper's policy, a later record
+// walked against F (infer.Decoder.Walk) gives a type T′ each of whose
+// nodes taken from F is a node of Fuse(F, T′) too, pointer for
+// pointer: the settled fast path fuses a reused node with itself for
+// free. (Under Tuples a kept tuple of reused elements meets F's [T*]
+// and is collapsed, so the reused element is fused with other types.)
 func TestAbsorbedFuseStepSharesAndAllocatesNothing(t *testing.T) {
+	reused := 0
 	for _, p := range kernelPolicies[:2] { // tagged variants are rebuilt
 		for _, name := range dataset.Names() {
 			g, err := dataset.New(name)
@@ -133,6 +142,7 @@ func TestAbsorbedFuseStepSharesAndAllocatesNothing(t *testing.T) {
 			if p.name != "paper" {
 				continue
 			}
+			reused += requireReusedNodesShared(t, name, p.o, dataset.NDJSON(g, 80, 9), f)
 			allocs := testing.AllocsPerRun(5, func() {
 				for _, ti := range ts {
 					p.o.Fuse(f, ti)
@@ -143,6 +153,59 @@ func TestAbsorbedFuseStepSharesAndAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
+	if reused < 100 {
+		t.Errorf("walked records reused %d nodes of F, want more", reused)
+	}
+}
+
+// requireReusedNodesShared walks the records of data against F under
+// o and fails unless every node a walked type T′ takes from F is a
+// node of Fuse(F, T′). It returns the number of such nodes.
+func requireReusedNodesShared(t *testing.T, name string, o Options, data []byte, f types.Type) int {
+	t.Helper()
+	fNodes := nodes(f)
+	dec := infer.NewBytesDecoder(data, jsontext.Options{})
+	defer dec.Release()
+	dec.SetSimplifier(o)
+	var reused int
+	for i := 0; ; i++ {
+		walked, _, _, err := dec.Walk(f, false)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walked == nil {
+			continue
+		}
+		fused := nodes(o.Fuse(f, walked))
+		types.Walk(walked, func(n types.Type) bool {
+			if !fNodes[n] {
+				return true
+			}
+			reused++
+			if !fused[n] {
+				t.Fatalf("%s record %d: Fuse(F, T′) rebuilt the node %s that T′ takes from F", name, i, n)
+			}
+			return false
+		})
+	}
+	return reused
+}
+
+// nodes returns the set of t's nodes that are pointers.
+func nodes(t types.Type) map[types.Type]bool {
+	set := map[types.Type]bool{}
+	types.Walk(t, func(n types.Type) bool {
+		switch n.(type) {
+		case types.Basic, types.EmptyType:
+		default:
+			set[n] = true
+		}
+		return true
+	})
+	return set
 }
 
 // TestSimplifyTupleFreeSharesAndAllocatesNothing: a type Simplify would

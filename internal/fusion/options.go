@@ -185,6 +185,10 @@ func (o Options) Simplify(t types.Type) types.Type {
 	return policy{par: o.params()}.simplify(t)
 }
 
+// KeepTuple reports whether Simplify keeps a tuple of n elements
+// positional under this policy, rather than collapsing it into [T*].
+func (o Options) KeepTuple(n int) bool { return policy{par: o.params()}.keepTuple(n) }
+
 // Finalize lowers the intermediate variants states a tagged fusion
 // leaves behind — collapsed unions become their plain record, weak
 // wrapper hypotheses (fewer than two observed tags) fold back into the

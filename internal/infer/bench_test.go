@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/fusion"
 	"repro/internal/infer"
 	"repro/internal/intern"
+	"repro/internal/jsontext"
+	"repro/internal/types"
 )
 
 func benchData(b *testing.B, name string) []byte {
@@ -45,5 +48,38 @@ func BenchmarkDedupAll(b *testing.B) {
 		if _, err := infer.DedupAllWith(data, tab, nil, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWalkMember walks each generator's records against their own
+// fused type, the work the map stage does for a record the running
+// schema already covers: every record is a member, read once from the
+// slice, and builds nothing.
+func BenchmarkWalkMember(b *testing.B) {
+	for _, name := range dataset.Names() {
+		data := benchData(b, name)
+		ts, err := infer.InferAll(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var o fusion.Options
+		cover := types.Type(types.Empty)
+		for _, t := range ts {
+			cover = o.Fuse(cover, o.Simplify(t))
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dec := infer.NewBytesDecoder(data, jsontext.Options{})
+				dec.SetSimplifier(o)
+				for range ts {
+					if t, _, _, err := dec.Walk(cover, true); t != nil || err != nil {
+						b.Fatalf("a %s record at offset %d is not a member of the fused type: %v", name, dec.Offset(), err)
+					}
+				}
+				dec.Release()
+			}
+		})
 	}
 }

@@ -13,11 +13,19 @@ import (
 	"repro/internal/types"
 )
 
-// matchCovers are the covers FuzzMatcherAgreesWithDecoder matches
+// A walkCover is a reference FuzzWalkAgreesWithDecoder walks against,
+// with the policy it was fused under.
+type walkCover struct {
+	o fusion.Options
+	t types.Type
+}
+
+// walkCovers are the references FuzzWalkAgreesWithDecoder walks
 // against: for each generator, the fusion of its first one, two and
 // four records, and the fusion of a few hand-written records whose
-// scalars sit where the seeds put malformed ones.
-func matchCovers(tb testing.TB) []types.Type {
+// scalars sit where the seeds put malformed ones, each under the
+// paper's and the tuple strategy, as the map stage fuses them.
+func walkCovers(tb testing.TB) []walkCover {
 	var sets [][]byte
 	for _, name := range dataset.Names() {
 		g, err := dataset.New(name)
@@ -27,14 +35,20 @@ func matchCovers(tb testing.TB) []types.Type {
 		sets = append(sets, dataset.NDJSON(g, 4, 3))
 	}
 	sets = append(sets, []byte(`{"a": 1, "b": "x", "c": [true, null]}`+"\n"+`{"a": 2.5, "d": {"e": [1, "y"]}}`+"\n"+`[1, "z", {}]`))
-	var covers []types.Type
+	var covers []walkCover
 	for _, data := range sets {
 		ts, err := InferAll(data)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 4} {
-			covers = append(covers, fusion.FuseAll(ts[:min(n, len(ts))]))
+			for _, o := range []fusion.Options{{}, {Strategy: fusion.Tuples{}}} {
+				f := types.Type(types.Empty)
+				for _, t := range ts[:min(n, len(ts))] {
+					f = o.Fuse(f, o.Simplify(t))
+				}
+				covers = append(covers, walkCover{o, f})
+			}
 		}
 	}
 	return covers
@@ -49,25 +63,25 @@ type smallReads struct {
 
 func (s smallReads) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), s.n)]) }
 
-// FuzzMatcherAgreesWithDecoder checks Absorb against Next on arbitrary
-// input and a cover the input picks: whenever Absorb reads the next
-// value as a member, a fresh decoder's Next over the same bytes types
-// it without error, ends at the same offset, and gives a type with the
-// size and hash Absorb reported; whenever Absorb declines, the stream
-// has not moved. AbsorbSize, run alongside on a decoder of its own,
-// gives Absorb's verdict and size at every value. Absorb runs over the
-// slice and through a reader whose read size the input picks, and must
-// give the same verdicts both ways: the pinned value survives every
-// refill.
-func FuzzMatcherAgreesWithDecoder(f *testing.F) {
-	covers := matchCovers(f)
+// FuzzWalkAgreesWithDecoder checks Walk against Next on arbitrary input
+// and a reference the input picks. At every value both decoders fail
+// alike or end at the same offset, a walk that declines included, so
+// the stream stays as Next types it. The walk's size and hash are
+// those of Next's type, and it reports a member exactly when
+// types.Member admits the parsed value. For a non-member, its type T′
+// satisfies the subtree lemma, Fuse(F, T′) = Fuse(F, Simplify(Next))
+// byte for byte, and a walk with no reference gives Simplify(Next)
+// itself. The walk runs over the slice and through a reader whose read
+// size the input picks, and must give the same verdicts both ways.
+func FuzzWalkAgreesWithDecoder(f *testing.F) {
+	covers := walkCovers(f)
 	for i, name := range dataset.Names() {
 		g, err := dataset.New(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		// Three records of the four whose fusion is cover 3i+2.
-		f.Add(dataset.NDJSON(g, 3, 3), uint8(3*i+2), uint8(5*i))
+		// Three records of the four whose fusion is cover 6i+4.
+		f.Add(dataset.NDJSON(g, 3, 3), uint8(6*i+4), uint8(5*i))
 	}
 	for i, doc := range []string{
 		`{"a": 1e999, "b": "x"}`, `{"a": 1e308, "b": "x"}`, `{"a": -1e-999}`,
@@ -76,59 +90,62 @@ func FuzzMatcherAgreesWithDecoder(f *testing.F) {
 		`{"a": 1, "a": 2}`, `{"a": 1, "b": "x", "c": [tru]}`, `[1, "z", {}]`, `[1, "z", {},]`,
 		`{"a" : 1, "b"` + "\n\t" + `: "x"}`,
 	} {
-		f.Add([]byte(doc+"\n"+doc), uint8(len(covers)-1), uint8(i))
+		f.Add([]byte(doc+"\n"+doc), uint8(len(covers)-2+i%2), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, pick, reads uint8) {
-		cover := covers[int(pick)%len(covers)]
-		want := absorbAgrees(t, NewBytesDecoder(data, jsontext.Options{}), NewBytesDecoder(data, jsontext.Options{}), data, cover)
+		c := covers[int(pick)%len(covers)]
+		want := walkAgrees(t, NewBytesDecoder(data, jsontext.Options{}), data, c)
 		r := smallReads{bytes.NewReader(data), 1 + int(reads%32)}
-		sr := smallReads{bytes.NewReader(data), r.n}
-		if got := absorbAgrees(t, NewDecoder(r, jsontext.Options{}), NewDecoder(sr, jsontext.Options{}), data, cover); got != want {
-			t.Fatalf("%d-byte reads of %q: Absorb verdicts %s, over the slice %s", r.n, data, got, want)
+		if got := walkAgrees(t, NewDecoder(r, jsontext.Options{}), data, c); got != want {
+			t.Fatalf("%d-byte reads of %q: walk verdicts %s, over the slice %s", r.n, data, got, want)
 		}
 	})
 }
 
-// absorbAgrees reads data's values off abs, offering each to Absorb
-// first, and off sz in step, offering each to AbsorbSize; it checks
-// that both give the same verdict and size, checks every member Absorb
-// reports against Next, and returns the offsets of the values Absorb
-// took and declined.
-func absorbAgrees(t *testing.T, abs, sz *Decoder, data []byte, cover types.Type) string {
-	defer abs.Release()
-	defer sz.Release()
+// walkAgrees walks data's values off w against the cover c, checks
+// each against Next, Member and the subtree lemma, and returns the
+// offsets of the values it absorbed and typed.
+func walkAgrees(t *testing.T, w *Decoder, data []byte, c walkCover) string {
+	next := NewBytesDecoder(data, jsontext.Options{})
+	bare := NewBytesDecoder(data, jsontext.Options{})
+	defer w.Release()
+	defer next.Release()
+	defer bare.Release()
+	w.SetSimplifier(c.o)
+	bare.SetSimplifier(c.o)
 	var verdicts strings.Builder
 	for {
-		start := abs.Offset()
-		size, hash, ok := abs.Absorb(cover)
-		fmt.Fprintf(&verdicts, "%d:%v ", start, ok)
-		if sizeOnly, okSize := sz.AbsorbSize(cover); okSize != ok || sizeOnly != size || sz.Offset() != abs.Offset() {
-			t.Fatalf("value at offset %d of %q: AbsorbSize gives %v, size %d, ending at %d; Absorb %v, size %d, ending at %d",
-				start, data, okSize, sizeOnly, sz.Offset(), ok, size, abs.Offset())
+		start := w.Offset()
+		walked, size, hash, err := w.Walk(c.t, true)
+		typ, nerr := next.Next()
+		plain, _, _, _ := bare.Walk(nil, false)
+		if err != nil || nerr != nil {
+			if err == nil || nerr == nil || err.Error() != nerr.Error() {
+				t.Fatalf("value at offset %d of %q: Walk errs %v, Next %v", start, data, err, nerr)
+			}
+			return verdicts.String()
 		}
-		if !ok {
-			if abs.Offset() != start {
-				t.Fatalf("Absorb declined at offset %d of %q but moved to %d", start, data, abs.Offset())
-			}
-			_, err := abs.Next()
-			if _, serr := sz.Next(); (serr != nil) != (err != nil) {
-				t.Fatalf("value at offset %d of %q: Next errs %v on one decoder, %v on the other", start, data, err, serr)
-			}
-			if err != nil {
-				return verdicts.String()
-			}
+		fmt.Fprintf(&verdicts, "%d:%v ", start, walked == nil)
+		if w.Offset() != next.Offset() || size != typ.Size() || hash != types.Hash(typ) {
+			t.Fatalf("value at offset %d of %q: Walk ends at %d with size %d, hash %#x; Next ends at %d with %s (size %d, hash %#x)",
+				start, data, w.Offset(), size, hash, next.Offset(), typ, typ.Size(), types.Hash(typ))
+		}
+		simple := c.o.Simplify(typ)
+		if types.Compare(plain, simple) != 0 {
+			t.Fatalf("value at offset %d of %q: Walk with no reference gives %s, Simplify(Next) %s", start, data, plain, simple)
+		}
+		v, err := jsontext.ParseBytes(data[start:w.Offset()])
+		if err != nil {
+			t.Fatalf("value at offset %d of %q: Next accepts it, ParseBytes rejects it: %v", start, data, err)
+		}
+		if member := types.Member(v, c.t); member != (walked == nil) {
+			t.Fatalf("value at offset %d of %q against %s: Walk absorbs %v, Member %v", start, data, c.t, walked == nil, member)
+		}
+		if walked == nil {
 			continue
 		}
-		dec := NewBytesDecoder(data[start:], jsontext.Options{})
-		typ, err := dec.Next()
-		end := start + dec.Offset()
-		dec.Release()
-		if err != nil {
-			t.Fatalf("Absorb accepted the value at offset %d of %q, Next rejects it: %v", start, data, err)
-		}
-		if end != abs.Offset() || size != typ.Size() || hash != types.Hash(typ) {
-			t.Fatalf("value at offset %d of %q: Absorb ends at %d with size %d, hash %#x; Next ends at %d with %s (size %d, hash %#x)",
-				start, data, abs.Offset(), size, hash, end, typ, typ.Size(), types.Hash(typ))
+		if got, want := c.o.Fuse(c.t, walked), c.o.Fuse(c.t, simple); got.String() != want.String() || types.Compare(got, want) != 0 {
+			t.Fatalf("value at offset %d of %q against %s: Fuse(F, T′) = %s, Fuse(F, Simplify(Next)) = %s", start, data, c.t, got, want)
 		}
 	}
 }

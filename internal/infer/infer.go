@@ -7,15 +7,23 @@
 // Two entry points are provided: Infer types an already-parsed
 // value.Value, and a streaming decoder (Decoder) infers types while it
 // reads the input, without materializing values, which is how the map
-// phase processes large files. The decoder is a client of the lexer's
-// walk API (internal/jsontext): it reads object keys with NextKey and
-// array elements with NextElem, so the object and array grammar and its
-// syntax errors are the lexer's, and it types each value from Next.
+// phase processes large files. The decoder types each value in one
+// walk, which is also the map stage's membership test: walked against
+// a reference type, it builds only what the reference does not already
+// cover (see Decoder.Walk). It is a client of the lexer's walk API
+// (internal/jsontext): it reads object keys with NextKey and array
+// elements with NextElem, so the object and array grammar and its
+// syntax errors are the lexer's, and it reads each value's first token
+// from Next, or from NextKind when no hook wants the content.
 package infer
 
 import (
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
+	"sort"
+	"sync"
 
 	"repro/internal/intern"
 	"repro/internal/jsontext"
@@ -103,10 +111,11 @@ type Promoter interface {
 }
 
 // Decoder infers one type per top-level JSON value read from an input
-// stream, without building intermediate value trees.
+// stream, without building intermediate value trees. Decoders are
+// pooled with their per-depth scratch, which Release recycles.
 type Decoder struct {
-	lex  *jsontext.Lexer
-	opts jsontext.Options
+	lex      *jsontext.Lexer
+	maxDepth int
 
 	// tab, when set, hash-conses every inferred node so Next returns the
 	// canonical representative of each distinct type (see SetInterner).
@@ -121,24 +130,55 @@ type Decoder struct {
 	prKeys   []string
 	prMaxTag int
 
-	// fieldScratch and elemScratch hold one reusable accumulator per
-	// nesting depth, so a record or array at depth d appends into the
-	// same backing array on every value of the stream instead of growing
-	// a fresh slice per composite value.
-	fieldScratch [][]types.Field
-	elemScratch  [][]types.Type
+	// simp, when set, is the policy Walk simplifies arrays under.
+	simp Simplifier
 
-	// match decides membership for Absorb.
-	match types.Matcher
+	// collapse and hash are the mode of the current walk: arrays
+	// simplified under simp (Walk) or kept raw tuples (Next), and
+	// whether hashes are computed.
+	collapse, hash bool
+
+	// tok is the token read last, with its content (see read).
+	tok jsontext.Token
+
+	// frames holds one typing scratch per nesting depth, so a record
+	// or array at depth d appends into the same backing arrays on every
+	// value of the stream.
+	frames []frame
+
+	// seen is a stack of bitsets, one run per open object walked
+	// against a reference record, marking the fields read, and words a
+	// stack of slots, one per field of those records, holding the hash
+	// word of each field read.
+	seen, words []uint64
 }
 
+// A frame is the typing scratch of one nesting depth: a record's fields
+// with their hash words, an array's elements, and the keys of an object
+// that its reference does not hold.
+type frame struct {
+	fields []types.Field
+	words  []uint64
+	elems  []types.Type
+	keys   jsontext.KeySet
+}
+
+// A Simplifier is a fusion policy's rule for arrays (fusion.Options
+// implements it): Walk keeps an array of n elements a tuple when
+// KeepTuple(n), and otherwise collapses it into the repeated type of
+// its elements' fusion under Fuse, as the policy's Simplify does.
+type Simplifier interface {
+	KeepTuple(n int) bool
+	Fuse(a, b types.Type) types.Type
+}
+
+var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
+
 // NewDecoder returns a streaming type decoder for r. The decoder draws
-// its lexer from a pool; call Release when done with the stream to
-// recycle it (failing to is safe, just slower).
+// itself and its lexer from pools; call Release when done with the
+// stream to recycle them (failing to is safe, just slower).
 func NewDecoder(r io.Reader, opts jsontext.Options) *Decoder {
-	lex := jsontext.AcquireLexer(r)
-	lex.RawStrings(true)
-	return &Decoder{lex: lex, opts: opts}
+	return newDecoder(jsontext.AcquireLexer(r), opts)
 }
 
 // NewBytesDecoder returns a streaming type decoder reading directly
@@ -148,25 +188,40 @@ func NewDecoder(r io.Reader, opts jsontext.Options) *Decoder {
 // first occurrence) and value strings are never materialized at all
 // unless an Observer is attached.
 func NewBytesDecoder(data []byte, opts jsontext.Options) *Decoder {
-	lex := jsontext.AcquireLexerBytes(data)
+	return newDecoder(jsontext.AcquireLexerBytes(data), opts)
+}
+
+func newDecoder(lex *jsontext.Lexer, opts jsontext.Options) *Decoder {
 	lex.RawStrings(true)
-	return &Decoder{lex: lex, opts: opts}
+	d := decoderPool.Get().(*Decoder)
+	d.lex, d.maxDepth = lex, opts.MaxDepth
+	if d.maxDepth <= 0 {
+		d.maxDepth = jsontext.DefaultMaxDepth
+	}
+	return d
 }
 
 // Release returns the decoder's pooled resources. The decoder must not
 // be used afterwards.
 func (d *Decoder) Release() {
-	if d.lex != nil {
-		d.lex.Release()
-		d.lex = nil
+	if d.lex == nil {
+		return
 	}
+	d.lex.Release()
+	for i := range d.frames { // keep the scratch, not the types in it
+		clear(d.frames[i].fields[:cap(d.frames[i].fields)])
+		clear(d.frames[i].elems[:cap(d.frames[i].elems)])
+	}
+	*d = Decoder{frames: d.frames, seen: d.seen, words: d.words}
+	decoderPool.Put(d)
 }
 
-// SetInterner directs the decoder to canonicalize every inferred type
-// in tab: Next then returns hash-consed nodes, so callers can compare
-// types by identity (Table.Ref) and deduplicate repeated shapes without
-// walking them. Inference results are unchanged — the canonical node is
-// structurally equal to what the plain decoder would build.
+// SetInterner directs the decoder to canonicalize every type Next
+// infers in tab: Next then returns hash-consed nodes, so callers can
+// compare types by identity (Table.Ref) and deduplicate repeated
+// shapes without walking them. Inference results are unchanged — the
+// canonical node is structurally equal to what the plain decoder would
+// build.
 func (d *Decoder) SetInterner(tab *intern.Table) { d.tab = tab }
 
 // SetObserver directs the decoder to report value events to obs while
@@ -186,246 +241,513 @@ func (d *Decoder) SetPromoter(pr Promoter) {
 	}
 }
 
-// Next infers the type of the next top-level value in the stream. It
-// returns io.EOF at the end of the input.
+// SetSimplifier sets the policy under which Walk simplifies arrays;
+// nil (the default) leaves them raw tuples.
+func (d *Decoder) SetSimplifier(s Simplifier) { d.simp = s }
+
+// Next infers the raw type of the next top-level value in the stream,
+// Infer's, with positional tuples for its arrays. It returns io.EOF at
+// the end of the input.
 func (d *Decoder) Next() (types.Type, error) {
-	tok, err := d.lex.Next()
-	if err != nil {
-		return nil, err
-	}
-	if tok.Kind == jsontext.TokEOF {
-		return nil, io.EOF
-	}
-	return d.inferValue(tok, 0)
+	d.collapse, d.hash = false, false
+	t, _, _, err := d.top(nil)
+	return t, err
 }
 
-// Absorb consumes the next top-level value without typing it when the
-// value is a member of t, and returns the size and the structural hash
-// (types.Hash) of the type Next would have inferred for it and true.
-// Otherwise it returns false and leaves the stream where it was, so
-// Next reads the value (or the end of input, or the error) exactly as
-// if Absorb had not been called. The lexer holds the whole value in its
-// window until Absorb decides. It absorbs nothing when Absorbs reports
-// false.
-func (d *Decoder) Absorb(t types.Type) (size int, hash uint64, ok bool) {
+// Walk types the next top-level value in one pass against ref, the
+// map stage's reference type, and returns its walked type T′ with the
+// size and structural hash (types.Hash) of Infer(v); with hash false
+// the hash is 0. It returns io.EOF at the end of the input.
+//
+// T′ is nil when the value is a member of ref, and then nothing is
+// built. Otherwise T′ is Infer(v) simplified under the Simplifier,
+// except that each subtree of the value that is a member of ref's
+// matching subtree is that subtree of ref, node for node. By the
+// subtree lemma (docs/PERFORMANCE.md, "One walk"), Fuse(F, T′) =
+// Fuse(F, Simplify(Infer(v))) for F = ref and for any F that covers
+// ref. With a nil ref, or a decoder that does not absorb, T′ is
+// exactly Simplify(Infer(v)).
+func (d *Decoder) Walk(ref types.Type, hash bool) (types.Type, int, uint64, error) {
 	if !d.Absorbs() {
-		return 0, 0, false
+		ref = nil
 	}
-	d.lex.Pin()
-	size, hash, ok = d.match.Match(d.lex, t)
-	d.settle(ok)
-	return size, hash, ok
+	d.collapse, d.hash = d.simp != nil, hash
+	return d.top(ref)
 }
 
-// AbsorbSize is Absorb for a caller that tallies sizes alone: the same
-// verdict and size, with no hash computed.
-func (d *Decoder) AbsorbSize(t types.Type) (size int, ok bool) {
-	if !d.Absorbs() {
-		return 0, false
-	}
-	d.lex.Pin()
-	size, ok = d.match.MatchSize(d.lex, t)
-	d.settle(ok)
-	return size, ok
-}
-
-// settle keeps the value a match took, or rewinds to its start.
-func (d *Decoder) settle(absorbed bool) {
-	if absorbed {
-		d.lex.Unpin()
-	} else {
-		d.lex.Rewind()
-	}
-}
-
-// Absorbs reports whether Absorb may take a value: the one gate on
+// Absorbs reports whether Walk takes a reference: the one gate on
 // absorption. A member of a type fused under the paper's or the tuple
 // strategy leaves that fusion as it is (docs/PERFORMANCE.md, "Absorbed
 // members"), so skipping its typing changes no result. With an observer
 // installed the decoder absorbs nothing, since enrichment must see
 // every value. With a promoter installed it absorbs nothing either: the
 // tagged strategy's variants break the membership lemma, and a
-// promoter changes what Next infers.
+// promoter changes what the walk infers.
 func (d *Decoder) Absorbs() bool { return d.obs == nil && d.pr == nil }
 
 // Offset returns the number of input bytes consumed so far.
 func (d *Decoder) Offset() int64 { return d.lex.Offset() }
 
-func (d *Decoder) maxDepth() int {
-	if d.opts.MaxDepth <= 0 {
-		return jsontext.DefaultMaxDepth
-	}
-	return d.opts.MaxDepth
-}
-
 func (d *Decoder) syntaxErr(off int64, format string, args ...any) error {
 	return &jsontext.SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (d *Decoder) inferValue(tok jsontext.Token, depth int) (types.Type, error) {
-	if depth > d.maxDepth() {
-		return nil, d.syntaxErr(tok.Offset, "nesting deeper than %d", d.maxDepth())
+// top walks the next top-level value against ref.
+func (d *Decoder) top(ref types.Type) (types.Type, int, uint64, error) {
+	d.seen, d.words = d.seen[:0], d.words[:0]
+	k, off, err := d.read()
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	switch tok.Kind {
+	if k == jsontext.TokEOF {
+		return nil, 0, 0, io.EOF
+	}
+	t, size, h, err := d.value(k, off, ref, 0)
+	if !d.hash {
+		h = 0
+	}
+	return t, size, h, err
+}
+
+// read reads the next token and returns its kind and offset. It reads
+// the content too, into d.tok, only when a hook wants it: the observer
+// every scalar's, the promoter a tag's.
+func (d *Decoder) read() (jsontext.TokenKind, int64, error) {
+	if d.obs == nil && d.pr == nil {
+		return d.lex.NextKind()
+	}
+	var err error
+	d.tok, err = d.lex.Next()
+	return d.tok.Kind, d.tok.Offset, err
+}
+
+// value walks the value whose first token, of kind k at offset off,
+// read has read, against ref (nil: no reference). It returns the walked
+// type, nil for a member of ref, and the size and hash of the value's
+// raw type. A value is walked in member mode while it matches ref,
+// building nothing; from its first mismatch it is typed, keeping ref's
+// nodes for the members read so far.
+func (d *Decoder) value(k jsontext.TokenKind, off int64, ref types.Type, depth int) (types.Type, int, uint64, error) {
+	if depth > d.maxDepth {
+		return nil, 0, 0, d.syntaxErr(off, "nesting deeper than %d", d.maxDepth)
+	}
+	var b types.Basic
+	switch k {
 	case jsontext.TokNull:
-		if d.obs != nil {
-			d.obs.Null()
-		}
-		return types.Null, nil
+		b = types.Null
 	case jsontext.TokTrue, jsontext.TokFalse:
-		if d.obs != nil {
-			d.obs.Bool(tok.Kind == jsontext.TokTrue)
-		}
-		return types.Bool, nil
+		b = types.Bool
 	case jsontext.TokNum:
-		if d.obs != nil {
-			d.obs.Num(tok.Num)
-		}
-		return types.Num, nil
+		b = types.Num
 	case jsontext.TokStr:
-		if d.obs != nil {
-			// The lexer runs in raw-string mode, so a value string is
-			// only materialized when someone is watching.
-			d.obs.Str(d.lex.InternBytes(tok.Bytes))
-		}
-		return types.Str, nil
+		b = types.Str
 	case jsontext.TokBeginObject:
-		return d.inferObject(depth)
+		return d.object(ref, depth)
 	case jsontext.TokBeginArray:
-		return d.inferArray(depth)
+		return d.array(ref, depth)
 	default:
-		return nil, d.syntaxErr(tok.Offset, "unexpected %s", tok.Kind)
+		return nil, 0, 0, d.syntaxErr(off, "unexpected %s", k)
+	}
+	if d.obs != nil {
+		d.observe(k)
+	}
+	h := types.HashBasic(b) // cheaper than a branch; top drops it when unwanted
+	if u, ok := ref.(*types.Union); ok {
+		ref = altOfKind(u, types.Kind(b))
+	}
+	if rb, ok := ref.(types.Basic); ok && rb == b {
+		return nil, 1, h, nil
+	}
+	return b, 1, h, nil
+}
+
+// observe reports the scalar just read, of kind k, to the observer.
+func (d *Decoder) observe(k jsontext.TokenKind) {
+	switch k {
+	case jsontext.TokNull:
+		d.obs.Null()
+	case jsontext.TokTrue, jsontext.TokFalse:
+		d.obs.Bool(k == jsontext.TokTrue)
+	case jsontext.TokNum:
+		d.obs.Num(d.tok.Num)
+	default:
+		// The lexer runs in raw-string mode, so a value string is only
+		// materialized when someone is watching.
+		d.obs.Str(d.lex.InternBytes(d.tok.Bytes))
 	}
 }
 
-// fieldsAt returns the (emptied) field accumulator for a nesting depth.
-func (d *Decoder) fieldsAt(depth int) []types.Field {
-	for len(d.fieldScratch) <= depth {
-		d.fieldScratch = append(d.fieldScratch, nil)
+// altOfKind returns the alternative of u of kind k, or nil when there
+// is none, or more than one (a union outside normal form).
+func altOfKind(u *types.Union, k types.Kind) types.Type {
+	var alt types.Type
+	for _, a := range u.Alts() {
+		if ak, _ := types.KindOf(a); ak == k {
+			if alt != nil {
+				return nil
+			}
+			alt = a
+		}
 	}
-	return d.fieldScratch[depth][:0]
+	return alt
 }
 
-// elemsAt returns the (emptied) element accumulator for a nesting depth.
-func (d *Decoder) elemsAt(depth int) []types.Type {
-	for len(d.elemScratch) <= depth {
-		d.elemScratch = append(d.elemScratch, nil)
+// frame returns the typing scratch of depth, emptied for a new value.
+// The pointer is valid until a deeper frame is added.
+func (d *Decoder) frame(depth int) *frame {
+	for len(d.frames) <= depth {
+		d.frames = append(d.frames, frame{})
 	}
-	return d.elemScratch[depth][:0]
+	f := &d.frames[depth]
+	f.fields, f.words, f.elems = f.fields[:0], f.words[:0], f.elems[:0]
+	f.keys.Reset()
+	return f
 }
 
-func (d *Decoder) inferObject(depth int) (types.Type, error) {
+// An objectWalk is the state of an object's walk that typing takes
+// over: the reference's fields fs (nil: none) and the object's runs in
+// seen and words from base and wbase, the members read (n), the hint
+// for the next key, the size so far and the fields typed so far with
+// their hash words. With pending set, key is a key read but not yet
+// walked, with its offset and the error of the ':' after it.
+type objectWalk struct {
+	depth         int
+	fs            []types.Field
+	base, wbase   int
+	n, next, size int
+	fields        []types.Field
+	words         []uint64
+	pending       bool
+	key           []byte
+	off           int64
+	err           error
+}
+
+// object walks the members of an object whose '{' has been read: in
+// member mode against a reference record, else typed.
+func (d *Decoder) object(ref types.Type, depth int) (types.Type, int, uint64, error) {
+	if u, ok := ref.(*types.Union); ok {
+		ref = altOfKind(u, types.KindRecord)
+	}
+	if r, ok := ref.(*types.Record); ok {
+		return d.matchObject(r, depth)
+	}
 	if d.obs != nil {
 		d.obs.BeginObject()
 	}
-	fields := d.fieldsAt(depth)
-	// Discriminator capture for the tagged strategy: the best (lowest
-	// priority index) candidate key seen with a short string value, and
-	// whether the first field's value was an object (the wrapper shape).
-	tagPrio := -1
-	var tagKey, tagVal string
-	wrapperCand := false
-	for {
-		kb, off, ok, err := d.lex.NextKey(len(fields) > 0)
+	f := d.frame(depth)
+	return d.typeObject(objectWalk{depth: depth, base: len(d.seen), wbase: len(d.words), size: 1, fields: f.fields, words: f.words})
+}
+
+// matchObject walks an object's members in member mode against the
+// reference record r, as a membership test does: each key costs a
+// lookup in r's fields, a bit in the seen bitset, which catches a
+// repeated key, and with hashing on a hash slot. At the first mismatch
+// it hands the walk over to typeObject.
+func (d *Decoder) matchObject(r *types.Record, depth int) (types.Type, int, uint64, error) {
+	fs := r.Fields()
+	base, wbase := len(d.seen), len(d.words)
+	d.seen = append(d.seen, make([]uint64, (len(fs)+63)/64)...)
+	if d.hash {
+		d.words = slices.Grow(d.words, len(fs))[:wbase+len(fs)]
+	}
+	size, mandatory, next, n := 1, 0, 0, 0
+	for ; ; n++ {
+		kb, off, ok, err := d.lex.NextKey(n > 0)
 		if !ok {
 			if err != nil {
-				return nil, err
+				return nil, 0, 0, err
 			}
 			break
 		}
-		// Keys go through the lexer's intern cache: after the first
-		// occurrence a repeated field name costs zero allocations.
-		key := d.lex.InternBytes(kb)
-		// Objects have few keys in practice, so a linear scan of the
-		// accumulated fields beats allocating a per-object set.
-		for i := range fields {
-			if fields[i].Key == key {
-				return nil, d.syntaxErr(off, "duplicate object key %q", key)
-			}
+		i := fieldIndex(fs, kb, next)
+		if i < 0 {
+			w := d.unmatch(objectWalk{depth: depth, fs: fs, base: base, wbase: wbase, n: n, next: next, size: size, pending: true, key: kb, off: off, err: err})
+			return d.typeObject(w)
+		}
+		sw, bit := base+i/64, uint64(1)<<(i%64)
+		if d.seen[sw]&bit != 0 {
+			return nil, 0, 0, d.syntaxErr(off, "duplicate object key %q", fs[i].Key)
 		}
 		if err != nil { // the ':' after the key
-			return nil, err
+			return nil, 0, 0, err
+		}
+		if !fs[i].Optional {
+			mandatory++
+		}
+		next = i + 1
+		k, voff, err := d.lex.NextKind()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		ct, cs, ch, err := d.value(k, voff, fs[i].Type, depth+1)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		size += 1 + cs
+		if ct != nil {
+			w := d.unmatch(objectWalk{depth: depth, fs: fs, base: base, wbase: wbase, n: n + 1, next: next, size: size})
+			d.seen[sw] |= bit
+			w.fields = append(w.fields, types.Field{Key: fs[i].Key, Type: ct})
+			w.words = append(w.words, d.fieldWord(fs[i].Key, ch))
+			return d.typeObject(w)
+		}
+		d.seen[sw] |= bit
+		if d.hash {
+			d.words[wbase+i] = types.HashField(fs[i].Key, ch) // inferred fields are mandatory
+		}
+	}
+	if mandatory != r.Mandatory() { // a mandatory field is missing
+		return d.endObject(d.unmatch(objectWalk{depth: depth, fs: fs, base: base, wbase: wbase, n: n, size: size}), nil)
+	}
+	var h uint64
+	if d.hash {
+		h = types.HashOpen(types.KindRecord)
+		for w, bs := range d.seen[base:] {
+			for ; bs != 0; bs &= bs - 1 {
+				h = types.HashMix(h, d.words[wbase+w*64+bits.TrailingZeros64(bs)])
+			}
+		}
+		h = types.HashClose(types.KindRecord, h)
+	}
+	d.seen, d.words = d.seen[:base], d.words[:wbase]
+	return nil, size, h, nil
+}
+
+// unmatch readies w, a member-mode object walk, for typing: it fills
+// the frame's fields with the members read so far, each the
+// reference's own node, in key order, the order of the seen bitset,
+// and the frame's words with their hash words.
+func (d *Decoder) unmatch(w objectWalk) objectWalk {
+	f := d.frame(w.depth)
+	for sw, bs := range d.seen[w.base:] {
+		for ; bs != 0; bs &= bs - 1 {
+			i := sw*64 + bits.TrailingZeros64(bs)
+			var word uint64
+			if d.hash {
+				word = d.words[w.wbase+i]
+			}
+			f.fields = append(f.fields, types.Field{Key: w.fs[i].Key, Type: w.fs[i].Type})
+			f.words = append(f.words, word)
+		}
+	}
+	w.fields, w.words = f.fields, f.words
+	return w
+}
+
+// typeObject types the rest of an object's members from w: a member
+// the reference holds is still walked against the field's type, any
+// other with no reference, and its key goes to the frame's key set.
+func (d *Decoder) typeObject(w objectWalk) (types.Type, int, uint64, error) {
+	fields, words, size, next := w.fields, w.words, w.size, w.next
+	tc := tagCapture{prio: -1}
+	for ; ; w.n++ {
+		kb, off, ok, err := w.key, w.off, true, w.err
+		if !w.pending {
+			kb, off, ok, err = d.lex.NextKey(w.n > 0)
+		}
+		w.pending = false
+		if !ok {
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			break
+		}
+		i, key, repeated := -1, "", false
+		if w.fs != nil {
+			i = fieldIndex(w.fs, kb, next)
+		}
+		if i >= 0 {
+			key, next = w.fs[i].Key, i+1
+			repeated = d.seen[w.base+i/64]&(1<<(i%64)) != 0
+			d.seen[w.base+i/64] |= 1 << (i % 64)
+		} else {
+			// Keys go through the lexer's intern cache: after the first
+			// occurrence a repeated field name costs zero allocations.
+			key = d.lex.InternBytes(kb)
+			repeated = d.frames[w.depth].keys.Add(key)
+		}
+		if repeated {
+			return nil, 0, 0, d.syntaxErr(off, "duplicate object key %q", key)
+		}
+		if err != nil { // the ':' after the key
+			return nil, 0, 0, err
 		}
 		if d.obs != nil {
 			d.obs.Key(key)
 		}
-		vt, err := d.lex.Next()
+		vk, voff, err := d.read()
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if d.pr != nil {
-			if len(fields) == 0 && vt.Kind == jsontext.TokBeginObject {
-				wrapperCand = true
-			}
-			if vt.Kind == jsontext.TokStr {
-				for prio, cand := range d.prKeys {
-					if cand != key || (tagPrio >= 0 && prio >= tagPrio) {
-						continue
-					}
-					// Materialize the tag now — the token's bytes are only
-					// valid until the next lexer call. Tags are low
-					// cardinality, so the intern cache makes this free
-					// after the first occurrence of each.
-					if tag := d.lex.InternBytes(vt.Bytes); len(tag) <= d.prMaxTag {
-						tagPrio, tagKey, tagVal = prio, key, tag
-					}
-					break
-				}
-			}
+			d.capture(&tc, w.n, key, vk)
 		}
-		ft, err := d.inferValue(vt, depth+1)
+		var cref types.Type
+		if i >= 0 {
+			cref = w.fs[i].Type
+		}
+		ct, cs, ch, err := d.value(vk, voff, cref, w.depth+1)
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
-		fields = append(fields, types.Field{Key: key, Type: ft})
+		size += 1 + cs
+		if ct == nil {
+			ct = cref
+		}
+		fields = append(fields, types.Field{Key: key, Type: ct})
+		words = append(words, d.fieldWord(key, ch))
 	}
 	if d.obs != nil {
 		d.obs.EndObject()
 	}
-	d.fieldScratch[depth] = fields
-	rt, err := d.buildRecord(fields)
-	if err != nil || d.pr == nil {
-		return rt, err
-	}
-	return d.promote(rt.(*types.Record), tagPrio >= 0, tagKey, tagVal, wrapperCand && len(fields) == 1), nil
+	w.fields, w.words, w.size = fields, words, size
+	return d.endObject(w, &tc)
 }
 
-// buildRecord turns accumulated (unique-keyed, parse-ordered) fields
-// into a record type. Both paths sort in place first — an insertion
-// sort, because objects are small and the keys of real datasets arrive
-// nearly sorted. The interning path then probes the table before
-// building, so a repeated record shape costs zero allocations; the
-// plain path builds the record on one exact copy. fields is scratch
-// owned by the caller and is never retained.
-func (d *Decoder) buildRecord(fields []types.Field) (types.Type, error) {
-	for i := 1; i < len(fields); i++ {
-		f := fields[i]
-		j := i - 1
-		for j >= 0 && fields[j].Key > f.Key {
-			fields[j+1] = fields[j]
-			j--
-		}
-		fields[j+1] = f
+// fieldWord returns the hash word of a member keyed key whose value
+// hashes to h, 0 with hashing off. The inferred type's fields are
+// mandatory.
+func (d *Decoder) fieldWord(key string, h uint64) uint64 {
+	if !d.hash {
+		return 0
 	}
+	return types.HashField(key, h)
+}
+
+// endObject builds the record type an object's walk typed, promoting
+// it as tc says when a promoter is installed.
+func (d *Decoder) endObject(w objectWalk, tc *tagCapture) (types.Type, int, uint64, error) {
+	d.seen, d.words = d.seen[:w.base], d.words[:w.wbase]
+	d.frames[w.depth].fields, d.frames[w.depth].words = w.fields, w.words
+	sortFields(w.fields, w.words)
+	var h uint64
+	if d.hash {
+		h = types.HashOpen(types.KindRecord)
+		for _, word := range w.words {
+			h = types.HashMix(h, word)
+		}
+		h = types.HashClose(types.KindRecord, h)
+	}
+	rt, err := d.buildRecord(w.fields)
+	if err != nil || d.pr == nil {
+		return rt, w.size, h, err
+	}
+	t := d.promote(rt.(*types.Record), tc, w.n)
+	if v, ok := t.(*types.Variants); ok {
+		w.size += 2 // a single-case variants type adds its node and its case's
+		if d.hash {
+			h = types.HashPromoted(v, w.words)
+		}
+	}
+	return t, w.size, h, nil
+}
+
+// fieldIndex returns the index of the field keyed key in fs, or -1.
+// Objects mostly list their keys in the type's (sorted) order, so the
+// field after the previous match, at hint, is tried first.
+func fieldIndex(fs []types.Field, key []byte, hint int) int {
+	if hint < len(fs) && fs[hint].Key == string(key) {
+		return hint
+	}
+	lo, hi := 0, len(fs)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); fs[mid].Key < string(key) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(fs) && fs[lo].Key == string(key) {
+		return lo
+	}
+	return -1
+}
+
+// sortFields sorts fields by key, with their hash words: by insertion
+// for a small object, whose keys real datasets list nearly sorted, and
+// in O(n log n) for a wide one.
+func sortFields(fields []types.Field, words []uint64) {
+	if len(fields) > 32 {
+		sort.Sort(byKey{fields, words})
+		return
+	}
+	for i := 1; i < len(fields); i++ {
+		for j := i; j > 0 && fields[j-1].Key > fields[j].Key; j-- {
+			fields[j-1], fields[j] = fields[j], fields[j-1]
+			words[j-1], words[j] = words[j], words[j-1]
+		}
+	}
+}
+
+// byKey sorts fields by key, with their words.
+type byKey struct {
+	fields []types.Field
+	words  []uint64
+}
+
+func (b byKey) Len() int           { return len(b.fields) }
+func (b byKey) Less(i, j int) bool { return b.fields[i].Key < b.fields[j].Key }
+func (b byKey) Swap(i, j int) {
+	b.fields[i], b.fields[j] = b.fields[j], b.fields[i]
+	b.words[i], b.words[j] = b.words[j], b.words[i]
+}
+
+// buildRecord turns sorted, unique-keyed fields into a record type.
+// The interning path probes the table before building, so a repeated
+// record shape costs zero allocations; the plain path builds the
+// record on one exact copy. fields is scratch owned by the caller and
+// is never retained.
+func (d *Decoder) buildRecord(fields []types.Field) (types.Type, error) {
 	if d.tab != nil {
 		return d.tab.InternRecord(fields), nil
 	}
-	fs := make([]types.Field, len(fields))
-	copy(fs, fields)
-	return types.NewRecordSorted(fs)
+	return types.NewRecordSorted(slices.Clone(fields))
 }
 
-// promote wraps a freshly inferred record into a single-case variants
-// type when a discriminator was captured: a keyed candidate wins over
-// the wrapper shape. The canonical representative is returned when an
-// interner is installed (children are already canonical, so this is a
-// shallow probe).
-func (d *Decoder) promote(r *types.Record, keyed bool, tagKey, tagVal string, wrapper bool) types.Type {
+// A tagCapture is the discriminator an object offers the tagged
+// strategy's promoter: the best (lowest priority index) candidate key
+// seen with a short string value, and whether the first member's value
+// was an object (the wrapper shape).
+type tagCapture struct {
+	prio     int // -1: no candidate key
+	key, tag string
+	wrapper  bool
+}
+
+// capture updates c with the n-th member of an object, keyed key,
+// whose value starts with a token of kind k, read into d.tok.
+func (d *Decoder) capture(c *tagCapture, n int, key string, k jsontext.TokenKind) {
+	c.wrapper = c.wrapper || (n == 0 && k == jsontext.TokBeginObject)
+	if k != jsontext.TokStr {
+		return
+	}
+	for prio, cand := range d.prKeys {
+		if cand != key || (c.prio >= 0 && prio >= c.prio) {
+			continue
+		}
+		// Materialize the tag now — the token's bytes are only valid
+		// until the next lexer call. Tags are low cardinality, so the
+		// intern cache makes this free after the first occurrence of
+		// each.
+		if tag := d.lex.InternBytes(d.tok.Bytes); len(tag) <= d.prMaxTag {
+			c.prio, c.key, c.tag = prio, key, tag
+		}
+		return
+	}
+}
+
+// promote wraps a freshly inferred record of n fields into a
+// single-case variants type when a discriminator was captured: a keyed
+// candidate wins over the wrapper shape. The canonical representative
+// is returned when an interner is installed (children are already
+// canonical, so this is a shallow probe).
+func (d *Decoder) promote(r *types.Record, c *tagCapture, n int) types.Type {
 	var t types.Type
 	switch {
-	case keyed:
-		t = d.pr.Promote(r, tagKey, tagVal)
-	case wrapper:
+	case c.prio >= 0:
+		t = d.pr.Promote(r, c.key, c.tag)
+	case c.wrapper && n == 1:
 		t = d.pr.PromoteWrapper(r, r.Fields()[0].Key)
 	default:
 		return r
@@ -436,42 +758,171 @@ func (d *Decoder) promote(r *types.Record, keyed bool, tagKey, tagVal string, wr
 	return t
 }
 
-func (d *Decoder) inferArray(depth int) (types.Type, error) {
+// An arrayWalk is the state of an array's walk that typing takes
+// over: the reference, [elem*] or the tuple pos (both nil: none), the
+// elements read (n), the size and hash so far, and the elements typed
+// so far.
+type arrayWalk struct {
+	depth   int
+	elem    types.Type
+	pos     []types.Type
+	n, size int
+	h       uint64
+	elems   []types.Type
+}
+
+// array walks the elements of an array whose '[' has been read: in
+// member mode against a reference [T*] or tuple, else typed.
+func (d *Decoder) array(ref types.Type, depth int) (types.Type, int, uint64, error) {
+	if u, ok := ref.(*types.Union); ok {
+		ref = altOfKind(u, types.KindArray)
+	}
+	switch rt := ref.(type) {
+	case *types.Repeated:
+		return d.matchArray(rt.Elem(), nil, depth)
+	case *types.Tuple:
+		return d.matchArray(nil, rt.Elems(), depth)
+	}
 	if d.obs != nil {
 		d.obs.BeginArray()
 	}
-	elems := d.elemsAt(depth)
-	for {
-		ok, err := d.lex.NextElem(len(elems))
+	return d.typeArray(arrayWalk{depth: depth, size: 1, h: types.HashOpen(types.KindArray), elems: d.frame(depth).elems})
+}
+
+// matchArray walks an array's elements in member mode, against elem,
+// or position by position against pos. The array is a member when all
+// its elements are and the reference is [elem*] or a tuple of its
+// length. At the first element that is not, it hands the walk over to
+// typeArray.
+func (d *Decoder) matchArray(elem types.Type, pos []types.Type, depth int) (types.Type, int, uint64, error) {
+	size, h, n := 1, types.HashOpen(types.KindArray), 0
+	for ; ; n++ {
+		ok, err := d.lex.NextElem(n)
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if !ok {
 			break
 		}
-		tok, err := d.lex.Next()
+		k, off, err := d.lex.NextKind()
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
-		et, err := d.inferValue(tok, depth+1)
+		eref := elem
+		if n < len(pos) {
+			eref = pos[n]
+		}
+		et, es, eh, err := d.value(k, off, eref, depth+1)
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
+		}
+		size += es
+		if d.hash {
+			h = types.HashMix(h, eh)
+		}
+		if et != nil {
+			elems := append(d.refElems(depth, elem, pos, n), et)
+			return d.typeArray(arrayWalk{depth: depth, elem: elem, pos: pos, n: n + 1, size: size, h: h, elems: elems})
+		}
+	}
+	if h = types.HashClose(types.KindArray, h); !d.hash {
+		h = 0
+	}
+	if pos == nil || n == len(pos) {
+		return nil, size, h, nil
+	}
+	// Shorter than the tuple.
+	return d.endArray(depth, d.refElems(depth, elem, pos, n)), size, h, nil
+}
+
+// refElems returns the frame's elements holding the first n elements
+// of a member-mode array walk at depth, each the reference's own node.
+func (d *Decoder) refElems(depth int, elem types.Type, pos []types.Type, n int) []types.Type {
+	f := d.frame(depth)
+	if elem == nil {
+		f.elems = append(f.elems, pos[:n]...)
+		return f.elems
+	}
+	for range n {
+		f.elems = append(f.elems, elem)
+	}
+	return f.elems
+}
+
+// typeArray types the rest of an array's elements from w, each walked
+// against its reference element, if any.
+func (d *Decoder) typeArray(w arrayWalk) (types.Type, int, uint64, error) {
+	elems, size, h, n := w.elems, w.size, w.h, w.n
+	for ; ; n++ {
+		ok, err := d.lex.NextElem(n)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if !ok {
+			break
+		}
+		k, off, err := d.read()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		eref := w.elem
+		if n < len(w.pos) {
+			eref = w.pos[n]
+		}
+		et, es, eh, err := d.value(k, off, eref, w.depth+1)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		size += es
+		if d.hash {
+			h = types.HashMix(h, eh)
+		}
+		if et == nil {
+			et = eref
 		}
 		elems = append(elems, et)
 	}
 	if d.obs != nil {
-		d.obs.EndArray(len(elems))
+		d.obs.EndArray(n)
 	}
-	if len(elems) == 0 {
+	if h = types.HashClose(types.KindArray, h); !d.hash {
+		h = 0
+	}
+	return d.endArray(w.depth, elems), size, h, nil
+}
+
+// endArray builds the array type an array's walk typed.
+func (d *Decoder) endArray(depth int, elems []types.Type) types.Type {
+	d.frames[depth].elems = elems
+	return d.buildArray(elems)
+}
+
+// emptyArray is [ε*], the simplified type of the empty array.
+var emptyArray = types.MustRepeated(types.Empty)
+
+// buildArray turns walked elements into an array type: a raw tuple for
+// Next, or for Walk the policy's simplified form, the right fold of
+// Fuse over the elements as the policy's collapse folds them. elems is
+// scratch owned by the caller and is never retained.
+func (d *Decoder) buildArray(elems []types.Type) types.Type {
+	switch {
+	case d.collapse && !d.simp.KeepTuple(len(elems)):
+		if len(elems) == 0 {
+			return emptyArray
+		}
+		acc := types.Type(types.Empty)
+		for i := len(elems) - 1; i >= 0; i-- {
+			acc = d.simp.Fuse(elems[i], acc)
+		}
+		return types.MustRepeated(acc)
+	case len(elems) == 0:
 		// EmptyTuple is one shared node, pre-seeded in every table, so
 		// both paths return the canonical representative.
-		return types.EmptyTuple, nil
+		return types.EmptyTuple
+	case d.tab != nil:
+		return d.tab.InternTuple(elems)
 	}
-	d.elemScratch[depth] = elems
-	if d.tab != nil {
-		return d.tab.InternTuple(elems), nil
-	}
-	return types.NewTuple(elems...)
+	return types.MustTuple(elems...)
 }
 
 // InferAll infers one type per top-level JSON value in data.

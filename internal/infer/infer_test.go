@@ -1,10 +1,13 @@
 package infer
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/jsontext"
 	"repro/internal/types"
@@ -217,5 +220,44 @@ func TestDecoderOffsetAdvances(t *testing.T) {
 	}
 	if d.Offset() < 7 {
 		t.Errorf("offset = %d after first value", d.Offset())
+	}
+}
+
+// TestWideObjectLinear: the duplicate-key check costs linear time in an
+// object's width, in the decoder and the parser alike. An object of
+// 2^18 keys, listed out of order, types and parses in well under a
+// second (the bound leaves room for the race detector), where a check
+// against every earlier key takes minutes; with
+// its last key repeated, both fail with the same message at the same
+// offset, the repeated key's.
+func TestWideObjectLinear(t *testing.T) {
+	const n = 1 << 18
+	r := rand.New(rand.NewSource(5))
+	var doc []byte
+	doc = append(doc, '{')
+	for i, k := range r.Perm(n) {
+		if i > 0 {
+			doc = append(doc, ',')
+		}
+		doc = fmt.Appendf(doc, `"k%d":%d`, k, i)
+	}
+	wide := append(doc, '}')
+	start := time.Now()
+	ts, err := InferAll(wide)
+	if err != nil || len(ts) != 1 || ts[0].(*types.Record).Len() != n {
+		t.Fatalf("InferAll: %d types, %v", len(ts), err)
+	}
+	if _, err := jsontext.ParseBytes(wide); err != nil {
+		t.Fatalf("ParseBytes: %v", err)
+	}
+	if d := time.Since(start); d > 20*time.Second {
+		t.Errorf("typing and parsing a %d-key object took %v", n, d)
+	}
+	dup := fmt.Appendf(doc, `,"k%d":0}`, n/2)
+	_, derr := InferAll(dup)
+	_, perr := jsontext.ParseBytes(dup)
+	want := fmt.Sprintf("offset %d: duplicate object key %q", len(doc)+1, fmt.Sprintf("k%d", n/2))
+	if derr == nil || perr == nil || derr.Error() != perr.Error() || !strings.HasSuffix(derr.Error(), want) {
+		t.Fatalf("repeated key: decoder %v, parser %v, want %s", derr, perr, want)
 	}
 }

@@ -295,7 +295,7 @@ func kindSteps(l *Lexer) []lexStep {
 	defer l.Release()
 	var out []lexStep
 	for {
-		k, err := l.NextKind()
+		k, _, err := l.NextKind()
 		s := lexStep{kind: k, at: l.Offset()}
 		if err != nil {
 			s.err = err.Error()

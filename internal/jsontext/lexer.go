@@ -121,15 +121,9 @@ type Lexer struct {
 	pos  int
 	base int64
 	// mark is the window index of the current token's first byte. A
-	// refill keeps data[min(mark, pin):], so a token's bytes stay
-	// contiguous and an escape-free string is returned as a view into
-	// the window.
+	// refill keeps data[mark:], so a token's bytes stay contiguous and
+	// an escape-free string is returned as a view into the window.
 	mark int
-	// pin, while pinned, is the window index Rewind returns to (see
-	// Pin). A refill keeps the pinned bytes too, growing the window to
-	// hold them when they fill it.
-	pin    int
-	pinned bool
 	// err is the first read error. It is reported once the bytes that
 	// came with it are consumed, and from every later refill: a reader
 	// is never read again after it failed.
@@ -221,7 +215,6 @@ func (l *Lexer) Reset(r io.Reader) {
 // as views into data.
 func (l *Lexer) ResetBytes(data []byte) {
 	l.r, l.data, l.pos, l.base, l.mark, l.err = nil, data, 0, 0, 0, nil
-	l.pinned = false
 }
 
 // RawStrings toggles raw-string mode for the current stream: when on,
@@ -232,34 +225,17 @@ func (l *Lexer) RawStrings(on bool) { l.raw = on }
 // Offset returns the number of bytes consumed so far.
 func (l *Lexer) Offset() int64 { return l.base + int64(l.pos) }
 
-// Pin marks the current position so that Rewind can return to it:
-// until Unpin or Rewind, a refill keeps every byte from the pin on,
-// growing the window to hold them. A caller pins before reading one
-// value it may have to read again, so the window grows at most to
-// that value's length.
-func (l *Lexer) Pin() { l.pin, l.pinned = l.pos, true }
-
-// Unpin drops the pin; the bytes it kept may go at the next refill.
-func (l *Lexer) Unpin() { l.pinned = false }
-
-// Rewind returns to the pinned position and drops the pin, so the
-// tokens since Pin are read again, with the same offsets. A read error
-// met since Pin is kept and comes back when the re-read reaches it.
-func (l *Lexer) Rewind() {
-	l.pos, l.mark, l.pinned = l.pin, l.pin, false
-}
-
 func (l *Lexer) errorf(off int64, format string, args ...any) error {
 	return &SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }
 
 // fill reads more input once the window is exhausted. It keeps
-// data[keep:], keep being the current token's first byte or the pin if
-// that is earlier, moving them to the front of buf, and grows buf only
-// when they fill it. A read error is reported after any bytes that
-// came with it, and then from every later call, so a failed reader is
-// never read again; 100 consecutive empty reads fail with
-// io.ErrNoProgress the same way, and slice input ends with io.EOF.
+// data[mark:], the current token's bytes, moving them to the front of
+// buf, and grows buf only when they fill it. A read error is reported
+// after any bytes that came with it, and then from every later call,
+// so a failed reader is never read again; 100 consecutive empty reads
+// fail with io.ErrNoProgress the same way, and slice input ends with
+// io.EOF.
 func (l *Lexer) fill() error {
 	if l.err != nil {
 		return l.err
@@ -268,9 +244,6 @@ func (l *Lexer) fill() error {
 		return io.EOF
 	}
 	keep := l.mark
-	if l.pinned && l.pin < keep {
-		keep = l.pin
-	}
 	n := len(l.data) - keep
 	if keep > 0 || n == len(l.buf) {
 		buf := l.buf
@@ -282,7 +255,6 @@ func (l *Lexer) fill() error {
 		l.base += int64(keep)
 		l.pos -= keep
 		l.mark -= keep
-		l.pin -= keep
 	}
 	for empty := 0; empty < 100; empty++ {
 		m, err := l.r.Read(l.buf[n:])
@@ -349,14 +321,14 @@ func (l *Lexer) skipSpace() error {
 func (l *Lexer) Next() (Token, error) { return l.next(true) }
 
 // NextKind reads the next token as Next does, making every check Next
-// makes, and returns only its kind: it is the read for callers that
-// ignore a scalar's content. It skips what Next does only to deliver
-// the content: replacing invalid UTF-8 in a string, which is never an
-// error, and converting a number to float64, though a number out of
-// float64's range is still an error.
-func (l *Lexer) NextKind() (TokenKind, error) {
+// makes, and returns only its kind and offset: it is the read for
+// callers that ignore a scalar's content. It skips what Next does only
+// to deliver the content: replacing invalid UTF-8 in a string, which
+// is never an error, and converting a number to float64, though a
+// number out of float64's range is still an error.
+func (l *Lexer) NextKind() (TokenKind, int64, error) {
 	tok, err := l.next(false)
-	return tok.Kind, err
+	return tok.Kind, tok.Offset, err
 }
 
 // next reads the next token; with content false it checks a string or

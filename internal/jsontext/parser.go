@@ -28,6 +28,9 @@ func (o Options) maxDepth() int {
 type Parser struct {
 	lex  *Lexer
 	opts Options
+	// keys holds one key set per nesting depth, reused by every object
+	// at that depth.
+	keys []*KeySet
 }
 
 // NewParser returns a parser reading one or more whitespace-separated
@@ -94,6 +97,11 @@ func (p *Parser) parseValue(tok Token, depth int) (value.Value, error) {
 }
 
 func (p *Parser) parseObject(depth int) (value.Value, error) {
+	for len(p.keys) <= depth {
+		p.keys = append(p.keys, new(KeySet))
+	}
+	keys := p.keys[depth]
+	keys.Reset()
 	var fields []value.Field
 	for {
 		kb, off, ok, err := p.lex.NextKey(len(fields) > 0)
@@ -104,13 +112,8 @@ func (p *Parser) parseObject(depth int) (value.Value, error) {
 			return value.NewRecord(fields...)
 		}
 		key := p.lex.internString(kb)
-		// Well-formedness per Section 4: keys must be unique. Objects
-		// have few keys, so a scan of the fields read so far beats a
-		// per-object set.
-		for _, f := range fields {
-			if f.Key == key {
-				return nil, p.lex.errorf(off, "duplicate object key %q", key)
-			}
+		if keys.Add(key) {
+			return nil, p.lex.errorf(off, "duplicate object key %q", key)
 		}
 		if err != nil { // the ':' after the key
 			return nil, err

@@ -13,14 +13,13 @@ import (
 // grammar, and of its syntax errors; a reader that walks a document
 // gets values from Next and structure from here. Its clients:
 //   - the typing decoder (infer.Decoder) and the value parser (Parser)
-//     read keys with NextKey, elements with NextElem and values with
-//     Next;
+//     read keys with NextKey and elements with NextElem, and reject a
+//     repeated key with a KeySet; the parser reads values with Next,
+//     the decoder with NextKind, which checks a value without
+//     delivering its content, unless a hook wants the content;
 //   - the strict readers of a fixed grammar, the types codec and
 //     Repository snapshots, match member names with NextMember;
-//   - the membership matcher (types.Matcher) compares keys from NextKey
-//     with a type's fields and reads scalars with NextKind, which
-//     checks a value without delivering its content; SkipValue reads
-//     the same way.
+//   - SkipValue reads a value as the decoder does, with NextKind.
 //
 // A separator or key that is not where the grammar needs it is reported
 // as the token-at-a-time reader would: the token there is lexed, so a
@@ -224,6 +223,49 @@ func (l *Lexer) skip(depth int) error {
 			return err
 		}
 	}
+}
+
+// A KeySet holds the keys of one object read so far, so that its
+// reader rejects a repeated key (well-formedness per Section 4 of the
+// paper) in time linear in the object's width: the first 16 keys are
+// scanned, the rest indexed. The zero value is empty; Reset empties it
+// for the next object and keeps its storage.
+type KeySet struct {
+	few  []string
+	many map[string]struct{}
+}
+
+// Reset empties the set, dropping an index too large to keep.
+func (s *KeySet) Reset() {
+	s.few = s.few[:0]
+	switch {
+	case len(s.many) > 4096:
+		s.many = nil
+	case len(s.many) > 0:
+		clear(s.many)
+	}
+}
+
+// Add adds key to the set and reports whether it was there already.
+func (s *KeySet) Add(key string) bool {
+	if len(s.few) < 16 {
+		if slices.Contains(s.few, key) {
+			return true
+		}
+		s.few = append(s.few, key)
+		return false
+	}
+	if len(s.many) == 0 {
+		if s.many == nil {
+			s.many = make(map[string]struct{})
+		}
+		for _, k := range s.few {
+			s.many[k] = struct{}{}
+		}
+	}
+	_, ok := s.many[key]
+	s.many[key] = struct{}{}
+	return ok
 }
 
 // Lookup returns the index of string token tok's text in names, or -1,

@@ -132,7 +132,7 @@ func TestNextKeySurvivesRefill(t *testing.T) {
 					if ok, err := l.NextElem(i); !ok || err != nil {
 						t.Fatalf("element %d: %v, %v", i, ok, err)
 					}
-					if _, err := l.NextKind(); err != nil {
+					if _, _, err := l.NextKind(); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -254,27 +254,3 @@ func TestLexerKeepsReadErrorInsideToken(t *testing.T) {
 		l.Release()
 	}
 }
-
-// TestLexerRewind pins a value, reads into it past several refills of
-// a one-byte reader and a window's worth of string, rewinds, and reads
-// it again: the tokens, offsets and the bytes after the value must be
-// what a single pass over the same input returns.
-func TestLexerRewind(t *testing.T) {
-	long := strings.Repeat("y", windowSize+100)
-	doc := `{"a": [1, "` + long + `", true]} {"b": null}`
-	for _, rk := range readerKinds {
-		want := lexSteps(AcquireLexerBytes([]byte(doc)), true)
-		l := AcquireLexer(rk.wrap(strings.NewReader(doc)))
-		l.RawStrings(true)
-		l.Pin()
-		for i := 0; i < 7; i++ { // into the first value, past the long string
-			if _, err := l.Next(); err != nil {
-				t.Fatalf("%s: %v", rk.name, err)
-			}
-		}
-		l.Rewind()
-		if got := lexSteps(l, true); diffSteps(got, want) != "" {
-			t.Fatalf("%s: after Rewind: %s", rk.name, diffSteps(got, want))
-		}
-	}
-}

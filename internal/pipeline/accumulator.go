@@ -3,7 +3,6 @@ package pipeline
 import (
 	"repro/internal/enrich"
 	"repro/internal/fusion"
-	"repro/internal/infer"
 	"repro/internal/stats"
 	"repro/internal/types"
 )
@@ -74,9 +73,10 @@ func Fold(acc Accumulator) Result {
 
 // chunkAcc is the one accumulator, which the map stage (mapRecords)
 // fills for each chunk. It tallies every record, typed or absorbed, by
-// the size and structural hash of its type, so the distinct count is
-// exact; under Env.SizesOnly by its size alone, with no hash computed
-// and no distinct-type set, so memory stays flat and DistinctTypes zero.
+// the size and structural hash of its raw type, which the decoder's
+// walk computes, so the distinct count is exact; under Env.SizesOnly
+// by its size alone, with no hash computed and no distinct-type set,
+// so memory stays flat and DistinctTypes zero.
 type chunkAcc struct {
 	fz        fusion.Options
 	sum       stats.Summary
@@ -93,39 +93,14 @@ func (e *Env) newChunkAcc() *chunkAcc {
 	return &chunkAcc{fz: e.Fusion, fused: types.Empty, sizesOnly: e.SizesOnly}
 }
 
-// absorb offers the decoder's next record to the cover, if any, then to
-// a fold's partials, largest first, and tallies it against the first
-// that admits it (infer.Decoder.Absorb), reporting whether one did.
-func (a *chunkAcc) absorb(dec *infer.Decoder, cover types.Type, partials []types.Type) bool {
-	for i := len(partials); i >= 0; i-- {
-		t := cover
-		if i < len(partials) {
-			t = partials[i]
-		}
-		if t == nil {
-			continue
-		}
-		if a.sizesOnly {
-			if size, ok := dec.AbsorbSize(t); ok {
-				a.sum.Sizes.Add(size, 1)
-				return true
-			}
-		} else if size, hash, ok := dec.Absorb(t); ok {
-			a.sum.Tally(size, hash)
-			return true
-		}
-	}
-	return false
-}
-
-// add counts one typed record; in sizes-only mode it computes no
-// types.Hash.
-func (a *chunkAcc) add(t types.Type) {
+// tally counts one record by the size and hash of its type; in
+// sizes-only mode by its size alone.
+func (a *chunkAcc) tally(size int, hash uint64) {
 	if a.sizesOnly {
-		a.sum.Sizes.Add(t.Size(), 1)
+		a.sum.Sizes.Add(size, 1)
 		return
 	}
-	a.sum.Add(t)
+	a.sum.Tally(size, hash)
 }
 
 func (a *chunkAcc) Merge(other Accumulator) {

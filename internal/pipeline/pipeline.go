@@ -13,11 +13,12 @@
 // One loop maps chunks cut between values over the map-reduce engine
 // (parallel, fault-tolerant) with one map stage, mapRecords, into the
 // one Accumulator. It has two feeds: Run takes an in-memory Feed, and
-// RunReader cuts a reader with a jsontext.LineCutter. A record the
-// schema fused so far already covers is matched on its tokens and
-// tallied, never typed (see Cover and mapRecords), unless the decoder
-// declines to absorb (infer.Decoder.Absorbs: tagged unions and
-// enrichment). A run leaves no goroutines behind on error or
+// RunReader cuts a reader with a jsontext.LineCutter. Each record is
+// walked once, against the schema fused so far (see Cover and
+// mapRecords): a member is tallied, never typed, and any other record
+// is typed only where it differs, unless the decoder declines to absorb
+// (infer.Decoder.Absorbs: tagged unions and enrichment), when it is
+// typed whole. A run leaves no goroutines behind on error or
 // cancellation, which pipeline_test.go pins with mid-feed and
 // mid-combine cancel tests.
 //
@@ -266,17 +267,20 @@ func (e *Env) mapChunk(ctx context.Context, c chunk) (Accumulator, error) {
 }
 
 // mapRecords is the decode+infer map stage, the one per-record loop: it
-// types the records dec reads into a fresh chunkAcc. Under a run cover
-// (Env.Cover), and if the decoder absorbs (infer.Decoder.Absorbs), each
-// record is first matched against the cover as the chunk found it, then
-// against the partials of the chunk's fold; a member is tallied, never
-// typed. Every other record is decoded, tallied, simplified and fused
-// through one online balanced-tree fold (fusion.TreeFold), which keeps
-// O(log records) partial types and avoids the left fold that would
-// rebuild every growing intermediate record on high-entropy data. The
-// chunk's fused type then joins the cover. With Env.Rec set, fusion is
-// clocked one typed record at a time, an absorbed record's time counts
-// as decoding, and the chunk records its metrics once it has mapped.
+// walks the records dec reads into a fresh chunkAcc, each once
+// (infer.Decoder.Walk). Under a run cover (Env.Cover), and if the
+// decoder absorbs (infer.Decoder.Absorbs), each record is walked
+// against one reference: the cover as the chunk found it when that is
+// not empty, otherwise the largest partial of the chunk's fold. A
+// member of the reference is tallied and nothing else. Every other
+// record is tallied and its walked type, simplified already and
+// holding the reference's nodes wherever the record matched it, is
+// fused through one online balanced-tree fold (fusion.TreeFold), which
+// keeps O(log records) partial types and avoids the left fold that
+// would rebuild every growing intermediate record on high-entropy data.
+// The chunk's fused type then joins the cover. With Env.Rec set, the
+// walk is clocked as decoding and the fold as fusion, and the chunk
+// records its metrics once it has mapped.
 func (e *Env) mapRecords(ctx context.Context, dec *infer.Decoder) (*chunkAcc, error) {
 	clk := e.startClock()
 	acc := e.feedAcc(dec)
@@ -293,20 +297,24 @@ func (e *Env) mapRecords(ctx context.Context, dec *infer.Decoder) (*chunkAcc, er
 			return nil, ctx.Err()
 		default:
 		}
-		if cover != nil && acc.absorb(dec, cover, fold.Partials()) {
-			absorbed++
-			continue
+		ref := cover
+		if p := fold.Partials(); ref == types.Type(types.Empty) && len(p) > 0 {
+			ref = p[len(p)-1] // the top level of a fold is never nil
 		}
-		t, err := dec.Next()
+		t, size, hash, err := dec.Walk(ref, !e.SizesOnly)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		acc.add(t)
+		acc.tally(size, hash)
 		clk.lap(&clk.decode)
-		fold.Add(e.Fusion.Simplify(t))
+		if t == nil {
+			absorbed++
+			continue
+		}
+		fold.Add(t)
 		clk.lap(&clk.fuse)
 	}
 	clk.lap(&clk.decode)
@@ -385,5 +393,6 @@ func (e *Env) feedAcc(dec *infer.Decoder) *chunkAcc {
 	if pr := e.Fusion.Promoter(); pr != nil {
 		dec.SetPromoter(pr)
 	}
+	dec.SetSimplifier(e.Fusion)
 	return acc
 }

@@ -11,12 +11,44 @@ import "fmt"
 // A record field's hash and a tuple element's hash are each computed on
 // their own and mixed into their parent as one 64-bit word, so a
 // parent's hash depends on its children only through their hashes. That
-// is what lets Matcher hash a value's inferred type from its tokens: it
-// hashes an object's members in document order and combines them in key
-// order at the closing brace.
+// is what lets a decoder hash a value's inferred type from its tokens,
+// bottom up, without building it (HashOpen): it hashes an object's
+// members in document order and combines them in key order at the
+// closing brace.
 func Hash(t Type) uint64 {
 	return hashType(fnvOffset, t)
 }
+
+// HashBasic returns Hash(b) from a table.
+func HashBasic(b Basic) uint64 { return basicHash[b] }
+
+var basicHash = [...]uint64{Null: Hash(Null), Bool: Hash(Bool), Num: Hash(Num), Str: Hash(Str)}
+
+// HashOpen, HashMix and HashClose compute Hash of a record (k is
+// KindRecord) or a tuple (KindArray) from its children: open, mix one
+// word per child, close. A tuple's word is its element's hash, mixed in
+// order; a record's is HashField of its field, mixed in key order.
+func HashOpen(k Kind) uint64 {
+	if k == KindRecord {
+		return hashByte(fnvOffset, 0x03)
+	}
+	return hashByte(fnvOffset, 0x06)
+}
+
+// HashMix mixes the word w of the next child into h (see HashOpen).
+func HashMix(h, w uint64) uint64 { return hashWord(h, w) }
+
+// HashClose closes the hash h of a record or a tuple (see HashOpen).
+func HashClose(k Kind, h uint64) uint64 {
+	if k == KindRecord {
+		return hashByte(h, 0x04)
+	}
+	return hashByte(h, 0x07)
+}
+
+// HashField returns the word a mandatory field keyed key, whose type
+// hashes to child, contributes to its record's hash (see HashOpen).
+func HashField(key string, child uint64) uint64 { return fieldHash(key, false, child) }
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -77,15 +109,7 @@ func hashType(h uint64, t Type) uint64 {
 	case *Map:
 		return hashType(hashByte(h, 0x05), tt.elem)
 	case *Variants:
-		h = hashByte(h, 0x0b)
-		switch {
-		case tt.collapsed:
-			h = hashByte(h, 0x12)
-		case tt.wrapper:
-			h = hashByte(h, 0x13)
-		default:
-			h = hashString(hashByte(h, 0x14), tt.key)
-		}
+		h = tt.hashHead(h)
 		for _, c := range tt.cases {
 			h = hashString(h, c.Tag)
 			h = hashType(h, c.Type)
@@ -111,4 +135,30 @@ func hashType(h uint64, t Type) uint64 {
 	default:
 		panic(fmt.Sprintf("types: unknown type %T", t))
 	}
+}
+
+// hashHead mixes the variants' node and mode into h.
+func (v *Variants) hashHead(h uint64) uint64 {
+	h = hashByte(h, 0x0b)
+	switch {
+	case v.collapsed:
+		return hashByte(h, 0x12)
+	case v.wrapper:
+		return hashByte(h, 0x13)
+	default:
+		return hashString(hashByte(h, 0x14), v.key)
+	}
+}
+
+// HashPromoted returns Hash of v, a single-case variants type, as if
+// its case held the record whose fields' words (HashField), in key
+// order, are words: the hash of the type a decoder promotes, computed
+// from the words of its record's raw type.
+func HashPromoted(v *Variants, words []uint64) uint64 {
+	h := hashString(v.hashHead(fnvOffset), v.cases[0].Tag)
+	h = hashByte(h, 0x03)
+	for _, w := range words {
+		h = hashWord(h, w)
+	}
+	return hashByte(hashByte(h, 0x04), 0x0c)
 }

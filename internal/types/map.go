@@ -14,7 +14,8 @@ package types
 // fusing a map with a record folds the record's field types into the
 // map's element type.
 type Map struct {
-	elem Type
+	elem    Type
+	settled bool
 }
 
 // NewMap builds the abstracted record type {*: elem}.
@@ -22,7 +23,7 @@ func NewMap(elem Type) (*Map, error) {
 	if elem == nil {
 		return nil, errNilMapElem
 	}
-	return &Map{elem: elem}, nil
+	return &Map{elem: elem, settled: Settled(elem)}, nil
 }
 
 // MustMap is NewMap that panics on error.

@@ -103,7 +103,9 @@ type Field struct {
 // unique by key and kept sorted by key. Construct with NewRecord, or
 // with NewRecordSorted from fields already in key order.
 type Record struct {
-	fields []Field
+	fields    []Field
+	mandatory int32 // 32 bits keep a record in the 32-byte size class
+	settled   bool
 }
 
 // Tuple is a positional array type [T1, ..., Tn] as produced by the
@@ -116,14 +118,16 @@ type Tuple struct {
 // Repeated is a simplified array type [T*]: arrays of any length whose
 // elements all belong to T. [ε*] denotes exactly the empty array.
 type Repeated struct {
-	elem Type
+	elem    Type
+	settled bool
 }
 
 // Union is a union type T1 + ... + Tn with n >= 2. Alternatives are
 // non-union, non-empty types kept deduplicated and sorted in canonical
 // order. Construct with NewUnion, which flattens and canonicalizes.
 type Union struct {
-	alts []Type
+	alts    []Type
+	settled bool
 }
 
 func (Basic) ordinal() int     { return 1 }
@@ -168,6 +172,7 @@ func NewRecord(fields ...Field) (*Record, error) {
 // key) or any field type is nil. This is the constructor of merges
 // that produce their fields in key order, such as record fusion.
 func NewRecordSorted(fs []Field) (*Record, error) {
+	mandatory, settled := int32(0), true
 	for i, f := range fs {
 		if f.Type == nil {
 			return nil, fmt.Errorf("types: record field %q has nil type", f.Key)
@@ -178,8 +183,12 @@ func NewRecordSorted(fs []Field) (*Record, error) {
 			}
 			return nil, fmt.Errorf("types: record type key %q follows %q out of order", f.Key, fs[i-1].Key)
 		}
+		if !f.Optional {
+			mandatory++
+		}
+		settled = settled && Settled(f.Type)
 	}
-	return &Record{fields: fs}, nil
+	return &Record{fields: fs, mandatory: mandatory, settled: settled}, nil
 }
 
 // MustRecord is NewRecord that panics on error; for literals and tests.
@@ -209,6 +218,9 @@ func (r *Record) Fields() []Field { return r.fields }
 
 // Len reports the number of fields.
 func (r *Record) Len() int { return len(r.fields) }
+
+// Mandatory reports the number of mandatory fields.
+func (r *Record) Mandatory() int { return int(r.mandatory) }
 
 // Get returns the field with the given key and true, or a zero Field and
 // false if the key is absent.
@@ -265,7 +277,7 @@ func NewRepeated(elem Type) (*Repeated, error) {
 	if elem == nil {
 		return nil, fmt.Errorf("types: repeated element type is nil")
 	}
-	return &Repeated{elem: elem}, nil
+	return &Repeated{elem: elem, settled: Settled(elem)}, nil
 }
 
 // MustRepeated is NewRepeated that panics on error.
@@ -329,7 +341,21 @@ func NewUnion(ts ...Type) (Type, error) {
 	if len(alts) == 1 {
 		return alts[0], nil
 	}
-	return &Union{alts: alts}, nil
+	return &Union{alts: alts, settled: settledAlts(alts)}, nil
+}
+
+// settledAlts reports whether alts, a union's alternatives, are settled
+// and of distinct kinds: the union is in normal form at its top.
+func settledAlts(alts []Type) bool {
+	var seen [6]bool
+	for _, a := range alts {
+		k, ok := KindOf(a)
+		if !ok || seen[k] || !Settled(a) {
+			return false
+		}
+		seen[k] = true
+	}
+	return true
 }
 
 // strictlyAscending reports whether ts is sorted by Compare with no two
@@ -358,6 +384,28 @@ func (u *Union) Alts() []Type { return u.alts }
 
 // Len reports the number of alternatives (always >= 2).
 func (u *Union) Len() int { return len(u.alts) }
+
+// Settled reports, in O(1), whether t is settled: it holds no tuple and
+// no variants, and every union inside it is normal. Fusion is
+// idempotent on a settled type, Fuse(t, t) = t, so a fold may return
+// it as is (fusion's fast path); the constructors compute the flag.
+// A tuple is never settled: fusing [] with itself gives [ε*].
+func Settled(t Type) bool {
+	switch tt := t.(type) {
+	case Basic, EmptyType:
+		return true
+	case *Record:
+		return tt.settled
+	case *Map:
+		return tt.settled
+	case *Repeated:
+		return tt.settled
+	case *Union:
+		return tt.settled
+	default:
+		return false
+	}
+}
 
 // MapChildren applies f to each element of a node's child slice (the
 // slice Fields, Elems or Alts returns, say), copy-on-write: it returns

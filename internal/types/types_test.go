@@ -264,6 +264,35 @@ func TestAddends(t *testing.T) {
 	}
 }
 
+// TestSettled: the constructors' settled flag marks exactly the types
+// with no tuple, no variants and only normal unions, at any depth.
+func TestSettled(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want bool
+	}{
+		{"Num", true},
+		{"ε", true},
+		{"[ε*]", true},
+		{"{a: Num, b: [Str*]?}", true},
+		{"Null + Str + {a: [(Num + {b: Bool})*]}", true},
+		{"{*: Num + Str}", true},
+		{"[]", false},
+		{"[Num, Str]", false},
+		{"{a: {b: [Num]}}", false},
+		{"[{a: Num} + {b: Str}*]", false},
+		{"Num + [Str] + Null", false},
+		{"{*: [Num]}", false},
+		{"variants(type){push: {type: Str}}", false},
+		{"{a: variants(type){push: {type: Str}}}", false},
+	} {
+		ty := MustParse(c.src)
+		if got := Settled(ty); got != c.want {
+			t.Errorf("Settled(%s) = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
 func TestIsNormal(t *testing.T) {
 	cases := []struct {
 		t    Type
