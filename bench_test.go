@@ -323,7 +323,7 @@ func BenchmarkAblationPositional(b *testing.B) {
 		cfg := experiments.Config{}
 		if positional {
 			name = "positional"
-			cfg.Fusion = fusion.Options{Strategy: fusion.Tuples{}}
+			cfg.Fusion = fusion.Options{Tuples: true}
 		}
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

@@ -194,21 +194,15 @@ type FaultInjector func(chunk, attempt int) InjectedFault
 // under OnErrorSkip — without burning the retry budget.
 func PermanentFault(err error) error { return mapreduce.Permanent(err) }
 
-// fusionOptions lowers the Options onto a fusion strategy.
+// fusionOptions copies the fusion switches onto the fusion policy.
 func (o Options) fusionOptions() fusion.Options {
-	var fz fusion.Options
-	if o.PreserveTupleArrays {
-		fz.Strategy = fusion.Tuples{}
+	return fusion.Options{
+		Tuples:      o.PreserveTupleArrays,
+		Tagged:      o.TaggedUnions,
+		TagKeys:     o.UnionKeys,
+		MaxVariants: o.MaxVariants,
+		MaxTagLen:   o.MaxTagLen,
 	}
-	if o.TaggedUnions {
-		fz.Strategy = fusion.Tagged{
-			Inner:       fz.ResolvedStrategy(),
-			Keys:        o.UnionKeys,
-			MaxVariants: o.MaxVariants,
-			MaxTagLen:   o.MaxTagLen,
-		}
-	}
-	return fz
 }
 
 // injector adapts Options.FaultInjector to the engine's hook.

@@ -246,7 +246,7 @@ func AblationPositional(cfg Config) (Table, error) {
 		paperCfg := cfg
 		paperCfg.Fusion = fusion.Options{}
 		posCfg := cfg
-		posCfg.Fusion = fusion.Options{Strategy: fusion.Tuples{}}
+		posCfg.Fusion = fusion.Options{Tuples: true}
 		paper, err := RunPipeline(context.Background(), name, n, paperCfg)
 		if err != nil {
 			return Table{}, err
@@ -326,7 +326,7 @@ func AblationTaggedUnions(cfg Config) (Table, error) {
 		paperCfg := cfg
 		paperCfg.Fusion = fusion.Options{}
 		taggedCfg := cfg
-		taggedCfg.Fusion = fusion.Options{Strategy: fusion.Tagged{}}
+		taggedCfg.Fusion = fusion.Options{Tagged: true}
 		paper, err := RunPipeline(context.Background(), name, n, paperCfg)
 		if err != nil {
 			return Table{}, err

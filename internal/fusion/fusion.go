@@ -413,7 +413,7 @@ func mergedLen(f1, f2 []types.Field) int {
 func (p policy) fuseArrays(t1, t2 types.Type) types.Type {
 	a1, ok1 := t1.(*types.Tuple)
 	a2, ok2 := t2.(*types.Tuple)
-	if ok1 && ok2 && a1.Len() == a2.Len() && p.keepTuple(a1.Len()) {
+	if ok1 && ok2 && a1.Len() == a2.Len() && p.o.KeepTuple(a1.Len()) {
 		e1, e2 := a1.Elems(), a2.Elems()
 		var elems []types.Type // nil while the result is still a1
 		for i := range e1 {
@@ -497,7 +497,7 @@ func (p policy) simplifyDirect(t types.Type) types.Type {
 		return types.MustRecordSorted(fs)
 	case *types.Tuple:
 		simplified, changed := types.MapChildren(tt.Elems(), p.simplify)
-		if p.keepTuple(tt.Len()) {
+		if p.o.KeepTuple(tt.Len()) {
 			if !changed {
 				return t
 			}

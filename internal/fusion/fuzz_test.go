@@ -9,12 +9,12 @@ import (
 )
 
 // FuzzFuseLaws parses two or three types (c may be empty), simplifies
-// them under each strategy and checks, in codec bytes, that Fuse is
+// them under each policy and checks, in codec bytes, that Fuse is
 // commutative and associative on them and that Simplify, Fuse and
 // Finalize equal the rebuild-everything oracle — on the raw parsed
 // types too, which may hold tuples and non-normal unions, each also
 // fused with itself — and that fusing a witness of the normal fusion
-// of the first two, under the paper's or the tuple strategy, leaves
+// of the first two, under the paper's or the tuple policy, leaves
 // that fusion unchanged. A settled type fused with itself is returned
 // as is, with no allocation (the fast path).
 func FuzzFuseLaws(f *testing.F) {
@@ -46,7 +46,7 @@ func FuzzFuseLaws(f *testing.F) {
 			raw = append(raw, ty)
 		}
 		for _, p := range kernelPolicies {
-			orc := oracle{par: p.o.params()}
+			orc := oracle{o: p.o}
 			ts := make([]types.Type, len(raw))
 			for i, r := range raw {
 				ts[i] = p.o.Simplify(r)
@@ -77,12 +77,13 @@ func FuzzFuseLaws(f *testing.F) {
 			}
 		}
 		// The membership lemma absorption rests on: under the paper's
-		// and the tuple strategy, a witness v of a normal fused type F
+		// and the tuple policy, a witness v of a normal fused type F
 		// teaches the fold nothing, Fuse(F, Simplify(Infer(v))) = F
-		// under the same strategy. Variants, which only the tagged
-		// strategy infers, are outside it: their catch-all admits
+		// under the same policy. Variants, which only the tagged
+		// policy infers, are outside it: their catch-all admits
 		// records that fusion then routes.
-		for _, o := range []Options{{}, {Strategy: Tuples{}}} {
+		for _, p := range kernelPolicies[:2] {
+			o := p.o
 			fused := o.Fuse(o.Simplify(raw[0]), o.Simplify(raw[1]))
 			if !types.IsNormal(fused) || hasVariants(fused) {
 				continue
@@ -90,7 +91,7 @@ func FuzzFuseLaws(f *testing.F) {
 			r := rand.New(rand.NewSource(int64(len(a) + 31*len(b))))
 			for i := 0; i < 4; i++ {
 				if v, ok := types.Witness(fused, r); ok {
-					requireSameBytes(t, o.ResolvedStrategy().Name()+" membership lemma", o.Fuse(fused, o.Simplify(infer.Infer(v))), fused)
+					requireSameBytes(t, p.name+" membership lemma", o.Fuse(fused, o.Simplify(infer.Infer(v))), fused)
 				}
 			}
 		}

@@ -12,14 +12,14 @@ import (
 	"repro/internal/types"
 )
 
-// kernelPolicies are the strategies the copy-on-write kernel is checked
+// kernelPolicies are the policies the copy-on-write kernel is checked
 // under against the rebuild-everything oracle.
 var kernelPolicies = []struct {
 	name string
 	o    Options
 }{
 	{"paper", Options{}},
-	{"tuples", Options{Strategy: Tuples{}}},
+	{"tuples", Options{Tuples: true}},
 	{"tagged", tagged},
 }
 
@@ -33,13 +33,13 @@ func requireSameBytes(t *testing.T, what string, got, want types.Type) {
 }
 
 // TestKernelMatchesOracle: on every dataset generator, under the paper,
-// positional and tagged strategies, Simplify of each phase-one type,
+// positional and tagged policies, Simplify of each phase-one type,
 // Fuse of consecutive raw phase-one types, every step of the left fold
 // (direct and memoized) and Finalize of the fold all equal the oracle
 // kernel in codec bytes.
 func TestKernelMatchesOracle(t *testing.T) {
 	for _, p := range kernelPolicies {
-		orc := oracle{par: p.o.params()}
+		orc := oracle{o: p.o}
 		for _, name := range dataset.Names() {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
 				g, err := dataset.New(name)
@@ -93,7 +93,7 @@ var nonNormalUnions = []string{
 func TestKernelMatchesOracleOnNonNormalUnions(t *testing.T) {
 	others := []string{"ε", "Num", "{a: Num}", "{a: Num?, b: Str?}", "[Num*]", "Null + {}"}
 	for _, p := range kernelPolicies {
-		orc := oracle{par: p.o.params()}
+		orc := oracle{o: p.o}
 		for _, src := range nonNormalUnions {
 			u := tp(t, src)
 			if types.IsNormal(u) {
@@ -133,7 +133,7 @@ func TestAbsorbedFuseStepSharesAndAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			ts := phaseOneTypes(t, dataset.NDJSON(g, 40, 9), p.o)
-			f := p.o.FuseAll(ts)
+			f := fuseAll(p.o, ts)
 			for i, ti := range ts {
 				if got := p.o.Fuse(f, ti); got != f {
 					t.Fatalf("%s/%s: Fuse(F, t%d) rebuilt F", p.name, name, i)
@@ -218,7 +218,7 @@ func TestSimplifyTupleFreeSharesAndAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := p.o.FuseAll(phaseOneTypes(t, dataset.NDJSON(g, 40, 9), p.o))
+			f := fuseAll(p.o, phaseOneTypes(t, dataset.NDJSON(g, 40, 9), p.o))
 			if got := p.o.Simplify(f); got != f {
 				t.Fatalf("%s/%s: Simplify rebuilt a simplified type", p.name, name)
 			}

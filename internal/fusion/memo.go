@@ -59,7 +59,7 @@ func NewMemo(o Options, tab *intern.Table) *Memo {
 		fuseCache: make(map[fuseKey]types.Type, 256),
 		simpCache: make(map[intern.ID]types.Type, 256),
 	}
-	m.pol = policy{par: o.params(), memo: m}
+	m.pol = policy{o: o, memo: m}
 	return m
 }
 
@@ -80,12 +80,7 @@ func (m *Memo) Simplify(t types.Type) types.Type { return m.pol.simplify(t) }
 // Options.Finalize). It runs un-memoized — it is called once per
 // fold, on the final accumulated type, and its inputs need not be
 // canonical.
-func (m *Memo) Finalize(t types.Type) types.Type {
-	if !hasVariants(t) {
-		return t
-	}
-	return policy{par: m.pol.par}.finalize(t)
-}
+func (m *Memo) Finalize(t types.Type) types.Type { return m.pol.o.Finalize(t) }
 
 // CacheStats reports the memo's cache counters. Deterministic on a
 // single-worker fault-free run; under concurrency two workers may race

@@ -13,8 +13,7 @@ import (
 // agree with the direct algorithm under each.
 var memoOptions = []Options{
 	{},
-	{Strategy: Tuples{}},
-	{Strategy: Tuples{MaxLen: 2}},
+	{Tuples: true},
 }
 
 // TestMemoMatchesDirect is the memo's soundness property: for random

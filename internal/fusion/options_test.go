@@ -9,7 +9,17 @@ import (
 	"repro/internal/value"
 )
 
-var positional = Options{Strategy: Tuples{}}
+var positional = Options{Tuples: true}
+
+// fuseAll folds ts under o through a TreeFold, which
+// TestTreeFoldConformance pins byte for byte against the left fold.
+func fuseAll(o Options, ts []types.Type) types.Type {
+	f := NewTreeFold(o.Fuse)
+	for _, t := range ts {
+		f.Add(t)
+	}
+	return f.Result()
+}
 
 func TestZeroOptionsMatchPaperFuse(t *testing.T) {
 	var o Options
@@ -50,15 +60,10 @@ func TestPositionalKeepsEqualLengthTuples(t *testing.T) {
 }
 
 func TestMaxTupleLenCutoff(t *testing.T) {
-	long := "[Num, Num, Num, Num, Num]" // length 5 > default cutoff 4
+	long := "[Num, Num, Num, Num, Num]" // length 5 > MaxTupleLen 4
 	got := positional.Fuse(types.MustParse(long), types.MustParse(long))
 	if !types.Equal(got, types.MustParse("[Num*]")) {
-		t.Errorf("5-tuple should simplify under the default cutoff, got %s", got)
-	}
-	wide := Options{Strategy: Tuples{MaxLen: 8}}
-	got = wide.Fuse(types.MustParse(long), types.MustParse(long))
-	if !types.Equal(got, types.MustParse(long)) {
-		t.Errorf("5-tuple should survive cutoff 8, got %s", got)
+		t.Errorf("5-tuple should simplify under the cutoff, got %s", got)
 	}
 }
 
@@ -92,7 +97,7 @@ func TestPositionalPrecisionExample(t *testing.T) {
 		ts[i] = infer.Infer(v)
 	}
 	paper := FuseAll(ts)
-	pos := positional.FuseAll(ts)
+	pos := fuseAll(positional, ts)
 	if !types.Equal(paper, types.MustParse("{coordinates: [Num*]}")) {
 		t.Errorf("paper fusion = %s", paper)
 	}
@@ -182,7 +187,7 @@ func TestPositionalSubsumedBySimplified(t *testing.T) {
 		for i := range ts {
 			ts[i] = infer.Infer(randomValue(r, 3))
 		}
-		pos := positional.FuseAll(ts)
+		pos := fuseAll(positional, ts)
 		paper := FuseAll(ts)
 		if !types.Subtype(pos, paper) {
 			t.Logf("pos=%s\npaper=%s", pos, paper)

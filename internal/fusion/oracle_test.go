@@ -11,9 +11,9 @@ import (
 // through the copying and sorting constructors. It is kept, test-only,
 // as the reference the optimized kernel must match byte for byte in
 // the codec (TestKernelMatchesOracle, FuzzFuseLaws).
-type oracle struct{ par params }
+type oracle struct{ o Options }
 
-func (p oracle) keepTuple(n int) bool { return n > 0 && n <= p.par.maxTuple }
+func (p oracle) keepTuple(n int) bool { return p.o.Tuples && n > 0 && n <= MaxTupleLen }
 
 // fuse is Fuse: kind tables on both sides, and a new union every time.
 func (p oracle) fuse(t1, t2 types.Type) types.Type {
@@ -260,8 +260,8 @@ func (p oracle) simplify(t types.Type) types.Type {
 // default when a variants type is fused under a policy that never
 // produces one (parsed or persisted types fed back through Fuse).
 func (p oracle) variantsCap() int {
-	if p.par.maxVariants > 0 {
-		return p.par.maxVariants
+	if p.o.Tagged && p.o.MaxVariants > 0 {
+		return p.o.MaxVariants
 	}
 	return DefaultMaxVariants
 }
@@ -309,8 +309,8 @@ func (p oracle) fuseVariantsRecord(v *types.Variants, r *types.Record) types.Typ
 // case-wise by tag; a failed hypothesis — mismatched modes, more tags
 // than the cap, or either side already collapsed — yields the absorbing
 // collapsed state around the plain record fusion of everything, which
-// is exactly what the Paper strategy would have produced for the same
-// multiset of records.
+// is exactly what the paper's record fusion would have produced for the
+// same multiset of records.
 func (p oracle) fuseVariants(a, b *types.Variants) types.Type {
 	collapse := func() types.Type {
 		return types.MustCollapsedVariants(p.fuseRecordsR(p.flattenVariants(a), p.flattenVariants(b)))
@@ -353,9 +353,9 @@ func (p oracle) fuseVariants(a, b *types.Variants) types.Type {
 	return types.MustVariants(a.Key(), a.Wrapper(), out, other)
 }
 
-// flattenVariants computes the plain record the Paper strategy would
-// have inferred for the union's constituents: the record fusion of
-// every case type and Other. fuseRecords is commutative and
+// flattenVariants computes the plain record the paper's record fusion
+// would have inferred for the union's constituents: the record fusion
+// of every case type and Other. fuseRecords is commutative and
 // associative, so the result is a function of the constituent multiset
 // and collapsing at different points of a reduce tree converges.
 func (p oracle) flattenVariants(v *types.Variants) *types.Record {

@@ -6,21 +6,22 @@ import (
 	"repro/internal/types"
 )
 
-// This file holds the record-kind half of the Tagged strategy: the
-// variants merge rules, the collapse-to-paper flattening, the
-// finalization pass that lowers intermediate states, and the Promoter
-// that phase one uses to wrap discriminated records. The algebra is
-// documented in docs/UNIONS.md; the short version is that every rule
-// computes a function of the multiset of fused constituents, which is
-// what makes the operator commutative and associative regardless of
-// the reduce tree's shape.
+// This file holds the record-kind half of the tagged policy
+// (Options.Tagged): the variants merge rules, the collapse-to-paper
+// flattening, the finalization pass that lowers intermediate states,
+// and the Promoter that phase one uses to wrap discriminated records.
+// The algebra is documented in docs/UNIONS.md; the short version is
+// that every rule computes a function of the multiset of fused
+// constituents, which is what makes the operator commutative and
+// associative regardless of the reduce tree's shape.
 
-// variantsCap returns the effective tag cap: the policy's knob, or the
-// default when a variants type is fused under a policy that never
-// produces one (parsed or persisted types fed back through Fuse).
+// variantsCap returns the effective tag cap: the tagged policy's
+// MaxVariants, or the default when it is zero or when a variants type
+// is fused under a policy that never produces one (parsed or persisted
+// types fed back through Fuse).
 func (p policy) variantsCap() int {
-	if p.par.maxVariants > 0 {
-		return p.par.maxVariants
+	if p.o.Tagged && p.o.MaxVariants > 0 {
+		return p.o.MaxVariants
 	}
 	return DefaultMaxVariants
 }
@@ -68,8 +69,8 @@ func (p policy) fuseVariantsRecord(v *types.Variants, r *types.Record) types.Typ
 // case-wise by tag; a failed hypothesis — mismatched modes, more tags
 // than the cap, or either side already collapsed — yields the absorbing
 // collapsed state around the plain record fusion of everything, which
-// is exactly what the Paper strategy would have produced for the same
-// multiset of records.
+// is exactly what the paper's record fusion would have produced for the
+// same multiset of records.
 func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 	collapse := func() types.Type {
 		return types.MustCollapsedVariants(p.fuseRecordsR(p.flattenVariants(a), p.flattenVariants(b)))
@@ -112,9 +113,9 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 	return types.MustVariants(a.Key(), a.Wrapper(), out, other)
 }
 
-// flattenVariants computes the plain record the Paper strategy would
-// have inferred for the union's constituents: the record fusion of
-// every case type and Other. fuseRecords is commutative and
+// flattenVariants computes the plain record the paper's record fusion
+// would have inferred for the union's constituents: the record fusion
+// of every case type and Other. fuseRecords is commutative and
 // associative, so the result is a function of the constituent multiset
 // and collapsing at different points of a reduce tree converges.
 func (p policy) flattenVariants(v *types.Variants) *types.Record {
@@ -137,7 +138,7 @@ func (p policy) flattenVariants(v *types.Variants) *types.Record {
 
 // hasVariants reports whether any node of t is a variants type — the
 // Finalize fast path: types never touched by tagged inference are
-// returned as-is, node identity included, so the default strategies'
+// returned as-is, node identity included, so the untagged policies'
 // folds stay byte- and pointer-identical to their pre-variants output.
 func hasVariants(t types.Type) bool {
 	found := false
@@ -226,25 +227,32 @@ func (p policy) finalize(t types.Type) types.Type {
 	}
 }
 
-// A Promoter is the phase-one half of the Tagged strategy: the decoder
+// A Promoter is the phase-one half of the tagged policy: the decoder
 // consults it while inferring each JSON object and wraps records that
 // carry a discriminator into single-case variants types, which the
 // fusion rules above then merge tag-wise. Options.Promoter returns nil
-// for strategies without tagged-union inference, so the decoder's fast
+// for policies without tagged-union inference, so the decoder's fast
 // path is untouched by default.
 type Promoter struct {
 	keys      []string
 	maxTagLen int
 }
 
-// Promoter returns the phase-one promoter for the options' strategy,
-// or nil when the strategy does not infer tagged unions.
+// Promoter returns the phase-one promoter for the options, or nil
+// when they do not infer tagged unions. It resolves the zero TagKeys
+// and MaxTagLen to DefaultTagKeys and DefaultMaxTagLen.
 func (o Options) Promoter() *Promoter {
-	par := o.params()
-	if !par.tagged {
+	if !o.Tagged {
 		return nil
 	}
-	return &Promoter{keys: par.tagKeys, maxTagLen: par.maxTagLen}
+	pr := &Promoter{keys: o.TagKeys, maxTagLen: o.MaxTagLen}
+	if pr.keys == nil {
+		pr.keys = DefaultTagKeys
+	}
+	if pr.maxTagLen <= 0 {
+		pr.maxTagLen = DefaultMaxTagLen
+	}
+	return pr
 }
 
 // CandidateKeys lists the discriminator field names in priority order.

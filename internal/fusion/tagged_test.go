@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/value"
 )
 
-var tagged = Options{Strategy: Tagged{}}
+var tagged = Options{Tagged: true}
 
 // tagPool is large enough that the default cap (16) rarely trips in the
 // random suites; the cap=2 subjects below stress the collapse path on
@@ -110,8 +111,8 @@ func TestTaggedMonoidConformance(t *testing.T) {
 		}
 	}
 	monoidtest.Run(t, subject("fusion.Tagged", tagged))
-	monoidtest.Run(t, subject("fusion.Tagged(cap=2)", Options{Strategy: Tagged{MaxVariants: 2}}))
-	monoidtest.Run(t, subject("fusion.Tagged+Tuples", Options{Strategy: Tagged{Inner: Tuples{}}}))
+	monoidtest.Run(t, subject("fusion.Tagged(cap=2)", Options{Tagged: true, MaxVariants: 2}))
+	monoidtest.Run(t, subject("fusion.Tagged+Tuples", Options{Tagged: true, Tuples: true}))
 }
 
 // randomTaggedType builds elements the way the pipeline accumulators
@@ -160,7 +161,7 @@ func TestTaggedAssociativity(t *testing.T) {
 // orders, which only converges because the collapsed state is a
 // function of the constituent multiset.
 func TestTaggedCapAssociativity(t *testing.T) {
-	capped := Options{Strategy: Tagged{MaxVariants: 2}}
+	capped := Options{Tagged: true, MaxVariants: 2}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ts := make([]types.Type, 3)
@@ -191,7 +192,7 @@ func TestTaggedNormalForm(t *testing.T) {
 	}
 }
 
-// TestTaggedCorrectness is Theorem 5.2 for the tagged strategy: source
+// TestTaggedCorrectness is Theorem 5.2 for the tagged policy: source
 // values stay members of the fused type, before and after finalize.
 func TestTaggedCorrectness(t *testing.T) {
 	pr := tagged.Promoter()
@@ -267,7 +268,7 @@ func flattenPromoted(t types.Type) types.Type {
 }
 
 // TestTaggedCollapseMatchesPaper pins the failure semantics: a mode or
-// key mismatch collapses to exactly the record the paper strategy
+// key mismatch collapses to exactly the record the paper policy
 // infers for the same constituents.
 func TestTaggedCollapseMatchesPaper(t *testing.T) {
 	a := types.MustParse(`{type: Str, ref: Str}`).(*types.Record)
@@ -313,5 +314,37 @@ func TestTaggedIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPromoterDefaults pins Promoter's resolution of the tagged knobs:
+// no promoter without Tagged, the package defaults for zero TagKeys
+// and MaxTagLen, and custom values passed through as given.
+func TestPromoterDefaults(t *testing.T) {
+	for _, o := range []Options{{}, {Tuples: true}} {
+		if pr := o.Promoter(); pr != nil {
+			t.Errorf("%+v: Promoter() = %+v, want nil", o, pr)
+		}
+	}
+	for _, c := range []struct {
+		o      Options
+		keys   []string
+		tagLen int
+	}{
+		{Options{Tagged: true}, DefaultTagKeys, DefaultMaxTagLen},
+		{Options{Tagged: true, Tuples: true, MaxVariants: 3}, DefaultTagKeys, DefaultMaxTagLen},
+		{Options{Tagged: true, TagKeys: []string{"op"}, MaxTagLen: 7}, []string{"op"}, 7},
+		{Options{Tagged: true, TagKeys: []string{}}, []string{}, DefaultMaxTagLen},
+	} {
+		pr := c.o.Promoter()
+		if pr == nil {
+			t.Fatalf("%+v: Promoter() = nil", c.o)
+		}
+		if got := pr.CandidateKeys(); !slices.Equal(got, c.keys) || (got == nil) != (c.keys == nil) {
+			t.Errorf("%+v: CandidateKeys() = %q, want %q", c.o, got, c.keys)
+		}
+		if got := pr.MaxTagLen(); got != c.tagLen {
+			t.Errorf("%+v: MaxTagLen() = %d, want %d", c.o, got, c.tagLen)
+		}
 	}
 }

@@ -62,17 +62,9 @@ func codecBytes(t *testing.T, ty types.Type) []byte {
 // TestTreeFoldConformance: for every prefix length n = 0..130 of types
 // drawn from every dataset generator and from the package's random
 // phase-one generator, under the paper, positional and tagged policies,
-// the online tree fold equals the left fold FuseAll byte for byte in the
+// the online tree fold equals the left fold byte for byte in the
 // codec, and holds at most bits.Len(n) partial types.
 func TestTreeFoldConformance(t *testing.T) {
-	policies := []struct {
-		name string
-		o    Options
-	}{
-		{"paper", Options{}},
-		{"tuples", Options{Strategy: Tuples{MaxLen: 4}}},
-		{"tagged", tagged},
-	}
 	inputs := map[string][]byte{}
 	for _, name := range dataset.Names() {
 		g, err := dataset.New(name)
@@ -81,7 +73,7 @@ func TestTreeFoldConformance(t *testing.T) {
 		}
 		inputs[name] = dataset.NDJSON(g, treeFoldMaxN, 23)
 	}
-	for _, p := range policies {
+	for _, p := range kernelPolicies {
 		streams := map[string][]types.Type{}
 		for name, data := range inputs {
 			streams[name] = phaseOneTypes(t, data, p.o)
@@ -96,7 +88,7 @@ func TestTreeFoldConformance(t *testing.T) {
 		for name, ts := range streams {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
 				fold := NewTreeFold(p.o.Fuse)
-				left := types.Type(types.Empty) // FuseAll(ts[:n]), one step at a time
+				left := types.Type(types.Empty) // the left fold of ts[:n], one step at a time
 				for n := 0; n <= len(ts); n++ {
 					if n > 0 {
 						fold.Add(ts[n-1])
@@ -114,9 +106,6 @@ func TestTreeFoldConformance(t *testing.T) {
 					if got, want := codecBytes(t, fold.Result()), codecBytes(t, left); !bytes.Equal(got, want) {
 						t.Fatalf("n=%d: tree fold\n%s\nwant left fold\n%s", n, got, want)
 					}
-				}
-				if got, want := codecBytes(t, fold.Result()), codecBytes(t, p.o.FuseAll(ts)); !bytes.Equal(got, want) {
-					t.Fatalf("tree fold\n%s\nwant FuseAll\n%s", got, want)
 				}
 			})
 		}

@@ -42,7 +42,7 @@ func walkCovers(tb testing.TB) []walkCover {
 			tb.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 4} {
-			for _, o := range []fusion.Options{{}, {Strategy: fusion.Tuples{}}} {
+			for _, o := range []fusion.Options{{}, {Tuples: true}} {
 				f := types.Type(types.Empty)
 				for _, t := range ts[:min(n, len(ts))] {
 					f = o.Fuse(f, o.Simplify(t))

@@ -34,7 +34,7 @@ func decodeAll(t *testing.T, d *Decoder) string {
 	defer d.Release()
 	var log eventLog
 	d.SetObserver(&log)
-	d.SetPromoter(fusion.Options{Strategy: fusion.Tagged{}}.Promoter())
+	d.SetPromoter(fusion.Options{Tagged: true}.Promoter())
 	var ts []types.Type
 	for {
 		tt, err := d.Next()

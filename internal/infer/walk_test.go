@@ -302,7 +302,7 @@ func TestWalkCases(t *testing.T) {
 // hash of its raw type, on every generator and under the paper's and
 // the tuple strategy.
 func TestWalkWithoutReferenceIsSimplify(t *testing.T) {
-	for _, o := range []fusion.Options{{}, {Strategy: fusion.Tuples{}}} {
+	for _, o := range []fusion.Options{{}, {Tuples: true}} {
 		for _, name := range dataset.Names() {
 			g, err := dataset.New(name)
 			if err != nil {

@@ -72,9 +72,9 @@ func absorbPolicies(tb testing.TB) []absorbPolicy {
 	}
 	return []absorbPolicy{
 		{"paper", Env{}, true},
-		{"tuples", Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, true},
-		{"tagged", Env{Fusion: fusion.Options{Strategy: fusion.Tagged{}}}, false},
-		{"tagged+tuples", Env{Fusion: fusion.Options{Strategy: fusion.Tagged{Inner: fusion.Tuples{}}}}, false},
+		{"tuples", Env{Fusion: fusion.Options{Tuples: true}}, true},
+		{"tagged", Env{Fusion: fusion.Options{Tagged: true}}, false},
+		{"tagged+tuples", Env{Fusion: fusion.Options{Tagged: true, Tuples: true}}, false},
 		{"enrich", Env{Enrich: set}, false},
 	}
 }
@@ -175,25 +175,22 @@ func TestRunStreamAbsorbs(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := dataset.NDJSON(g, 300, 4)
-		for _, c := range []struct {
-			env    Env
-			absorb bool
-		}{
-			{Env{}, true},
-			{Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, true},
-			{Env{Fusion: fusion.Options{Strategy: fusion.Tagged{}}}, false},
-			{Env{Enrich: set}, false},
+		for _, c := range []absorbPolicy{
+			{"paper", Env{}, true},
+			{"tuples", Env{Fusion: fusion.Options{Tuples: true}}, true},
+			{"tagged", Env{Fusion: fusion.Options{Tagged: true}}, false},
+			{"enrich", Env{Enrich: set}, false},
 		} {
 			m := requireSameStream(t, &c.env, data)
 			absorbed, records := m.Counters["infer_absorbed_records"], m.Counters["infer_records"]
 			if records != 300 {
-				t.Fatalf("%s, %s: %d records recorded, want 300", name, c.env.Fusion.ResolvedStrategy().Name(), records)
+				t.Fatalf("%s, %s: %d records recorded, want 300", name, c.name, records)
 			}
 			switch {
-			case !c.absorb && absorbed != 0:
-				t.Errorf("%s, %s, enrich %v: absorbed %d records", name, c.env.Fusion.ResolvedStrategy().Name(), c.env.Enrich != nil, absorbed)
-			case c.absorb && name != "wikidata" && absorbed < 250:
-				t.Errorf("%s, %s: absorbed %d of 300 records, want most", name, c.env.Fusion.ResolvedStrategy().Name(), absorbed)
+			case !c.absorbs && absorbed != 0:
+				t.Errorf("%s, %s: absorbed %d records", name, c.name, absorbed)
+			case c.absorbs && name != "wikidata" && absorbed < 250:
+				t.Errorf("%s, %s: absorbed %d of 300 records, want most", name, c.name, absorbed)
 			}
 		}
 	}

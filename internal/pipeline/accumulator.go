@@ -78,7 +78,9 @@ func Fold(acc Accumulator) Result {
 // by its size alone, with no hash computed and no distinct-type set,
 // so memory stays flat and DistinctTypes zero.
 type chunkAcc struct {
-	fz        fusion.Options
+	// fz is the Env's policy, shared: the Env is read-only to the
+	// stages, and a pointer keeps the per-chunk accumulator small.
+	fz        *fusion.Options
 	sum       stats.Summary
 	fused     types.Type
 	sizesOnly bool
@@ -90,7 +92,7 @@ type chunkAcc struct {
 
 // newChunkAcc returns the empty accumulator of the Env.
 func (e *Env) newChunkAcc() *chunkAcc {
-	return &chunkAcc{fz: e.Fusion, fused: types.Empty, sizesOnly: e.SizesOnly}
+	return &chunkAcc{fz: &e.Fusion, fused: types.Empty, sizesOnly: e.SizesOnly}
 }
 
 // tally counts one record by the size and hash of its type; in

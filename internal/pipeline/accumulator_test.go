@@ -55,13 +55,13 @@ func payloads(t *testing.T) []payload {
 		{"plain", &Env{Fusion: fusion.Options{}}, false},
 		{"plain-stream", &Env{Fusion: fusion.Options{}}, true},
 		{"stream-enrich", &Env{Fusion: fusion.Options{}, Enrich: set}, true},
-		{"plain-tuples", &Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}}, false},
+		{"plain-tuples", &Env{Fusion: fusion.Options{Tuples: true}}, false},
 		// "dedup": chunks absorb against their own fold, and tally
 		// absorbed records by hash.
 		{"dedup", &Env{Cover: &Cover{}}, false},
 		// "dedup-tuples": the same under the tuple strategy, whose
 		// decoder absorbs too.
-		{"dedup-tuples", &Env{Fusion: fusion.Options{Strategy: fusion.Tuples{}}, Cover: &Cover{}}, false},
+		{"dedup-tuples", &Env{Fusion: fusion.Options{Tuples: true}, Cover: &Cover{}}, false},
 		// "adaptive": the cover holds the whole corpus, so nearly every
 		// record is absorbed.
 		{"adaptive", seededEnv(t), false},

@@ -284,7 +284,9 @@ func (e *Env) mapChunk(ctx context.Context, c chunk) (Accumulator, error) {
 func (e *Env) mapRecords(ctx context.Context, dec *infer.Decoder) (*chunkAcc, error) {
 	clk := e.startClock()
 	acc := e.feedAcc(dec)
-	fold := fusion.NewTreeFold(e.Fusion.Fuse)
+	// A closure over e: the method value e.Fusion.Fuse would copy the
+	// policy into a closure of its own per chunk.
+	fold := fusion.NewTreeFold(func(a, b types.Type) types.Type { return e.Fusion.Fuse(a, b) })
 	var cover types.Type
 	if e.Cover != nil && dec.Absorbs() {
 		cover = e.Cover.get()
@@ -378,7 +380,7 @@ func (c *stageClock) record() {
 }
 
 // feedAcc returns an empty accumulator for dec to fill. dec promotes
-// under the Env's fusion strategy and, with enrichment on, observes
+// under the Env's fusion policy and, with enrichment on, observes
 // every value into the accumulator's own lattice. A failed decode discards that lattice along with its
 // accumulator, so a retried chunk observes into a fresh one and the
 // combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
@@ -393,6 +395,7 @@ func (e *Env) feedAcc(dec *infer.Decoder) *chunkAcc {
 	if pr := e.Fusion.Promoter(); pr != nil {
 		dec.SetPromoter(pr)
 	}
-	dec.SetSimplifier(e.Fusion)
+	// A pointer, so installing the policy boxes nothing per chunk.
+	dec.SetSimplifier(&e.Fusion)
 	return acc
 }
