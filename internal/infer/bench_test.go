@@ -1,6 +1,9 @@
 package infer_test
 
 import (
+	"bytes"
+	"io"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/intern"
 	"repro/internal/jsontext"
 	"repro/internal/types"
+	"repro/internal/value"
 )
 
 func benchData(b *testing.B, name string) []byte {
@@ -55,12 +59,24 @@ func BenchmarkDedupAll(b *testing.B) {
 // fused type, the work the map stage does for a record the running
 // schema already covers: every record is a member, read once from the
 // slice, and builds nothing.
-func BenchmarkWalkMember(b *testing.B) {
+func BenchmarkWalkMember(b *testing.B) { benchWalkMember(b, nil) }
+
+// BenchmarkWalkMemberShuffled is BenchmarkWalkMember with each object's
+// keys listed in a random order, so that the walk's prediction of the
+// next key mostly misses.
+func BenchmarkWalkMemberShuffled(b *testing.B) { benchWalkMember(b, rand.New(rand.NewSource(1))) }
+
+// benchWalkMember runs BenchmarkWalkMember on records whose keys r
+// shuffles (nil: as generated).
+func benchWalkMember(b *testing.B, r *rand.Rand) {
 	for _, name := range dataset.Names() {
 		data := benchData(b, name)
 		ts, err := infer.InferAll(data)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if r != nil {
+			data = shuffleKeys(b, data, r)
 		}
 		var o fusion.Options
 		cover := types.Type(types.Empty)
@@ -81,5 +97,51 @@ func BenchmarkWalkMember(b *testing.B) {
 				dec.Release()
 			}
 		})
+	}
+}
+
+// shuffleKeys rewrites the NDJSON records of data with each object's
+// members in an order r draws.
+func shuffleKeys(b *testing.B, data []byte, r *rand.Rand) []byte {
+	var out []byte
+	p := jsontext.NewParser(bytes.NewReader(data), jsontext.Options{})
+	for {
+		v, err := p.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(appendShuffled(out, v, r), '\n')
+	}
+}
+
+// appendShuffled writes v as JSON, each object's members in an order r
+// draws.
+func appendShuffled(dst []byte, v value.Value, r *rand.Rand) []byte {
+	switch vv := v.(type) {
+	case *value.Record:
+		fs := vv.Fields()
+		dst = append(dst, '{')
+		for i, j := range r.Perm(len(fs)) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(value.AppendQuoted(dst, fs[j].Key), ':')
+			dst = appendShuffled(dst, fs[j].Value, r)
+		}
+		return append(dst, '}')
+	case value.Array:
+		dst = append(dst, '[')
+		for i, e := range vv {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendShuffled(dst, e, r)
+		}
+		return append(dst, ']')
+	default:
+		return value.AppendJSON(dst, v)
 	}
 }

@@ -11,10 +11,12 @@
 // walk, which is also the map stage's membership test: walked against
 // a reference type, it builds only what the reference does not already
 // cover (see Decoder.Walk). It is a client of the lexer's walk API
-// (internal/jsontext): it reads object keys with NextKey and array
-// elements with NextElem, so the object and array grammar and its
-// syntax errors are the lexer's, and it reads each value's first token
-// from Next, or from NextKind when no hook wants the content.
+// (internal/jsontext): it reads object keys with NextKey, or, walking
+// against a reference record, with NextKeyIs when it can predict them,
+// and array elements with NextElem, so the object and array grammar
+// and its syntax errors are the lexer's, and it reads each value's
+// first token from Next, or from NextKind when no hook wants the
+// content.
 package infer
 
 import (
@@ -22,7 +24,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/intern"
@@ -147,20 +149,46 @@ type Decoder struct {
 	frames []frame
 
 	// seen is a stack of bitsets, one run per open object walked
-	// against a reference record, marking the fields read, and words a
-	// stack of slots, one per field of those records, holding the hash
-	// word of each field read.
-	seen, words []uint64
+	// against a reference record, marking the fields read.
+	seen []uint64
+
+	// ref is the reference the key tables were compiled from: tables
+	// holds one per record of ref that a walk visited, keys their
+	// entries, and root the chain of the tables met at the top (see
+	// keyTable). A walk against another reference starts them afresh.
+	ref    types.Type
+	tables []keyTable
+	keys   []keyEntry
+	root   int32
 }
 
-// A frame is the typing scratch of one nesting depth: a record's fields
-// with their hash words, an array's elements, and the keys of an object
-// that its reference does not hold.
+// A frame is the typing scratch of one nesting depth: a record's fields,
+// an array's elements, and the keys of an object that its reference
+// does not hold.
 type frame struct {
 	fields []types.Field
-	words  []uint64
 	elems  []types.Type
 	keys   jsontext.KeySet
+}
+
+// A keyTable is a reference record compiled for member mode: its
+// entries, one per field, are keys[lo:lo+len(rec.Fields())]. The
+// tables a value slot met are chained through next, the index of the
+// next table plus one, 0 ending the chain.
+type keyTable struct {
+	rec      *types.Record
+	lo, next int32
+}
+
+// A keyEntry caches what member mode reads of a reference field on
+// every record: its key word (types.HashKey), whether the walk may
+// predict its key (jsontext.Predictable), both set on first use (ready),
+// and the chain of the tables met in the field's values (kid, as
+// keyTable.next).
+type keyEntry struct {
+	word         uint64
+	kid          int32
+	plain, ready bool
 }
 
 // A Simplifier is a fusion policy's rule for arrays (fusion.Options
@@ -212,7 +240,8 @@ func (d *Decoder) Release() {
 		clear(d.frames[i].fields[:cap(d.frames[i].fields)])
 		clear(d.frames[i].elems[:cap(d.frames[i].elems)])
 	}
-	*d = Decoder{frames: d.frames, seen: d.seen, words: d.words}
+	clear(d.tables[:cap(d.tables)])
+	*d = Decoder{frames: d.frames, seen: d.seen, tables: d.tables[:0], keys: d.keys[:0]}
 	decoderPool.Put(d)
 }
 
@@ -294,7 +323,11 @@ func (d *Decoder) syntaxErr(off int64, format string, args ...any) error {
 
 // top walks the next top-level value against ref.
 func (d *Decoder) top(ref types.Type) (types.Type, int, uint64, error) {
-	d.seen, d.words = d.seen[:0], d.words[:0]
+	d.seen = d.seen[:0]
+	if ref != d.ref {
+		clear(d.tables)
+		d.ref, d.tables, d.keys, d.root = ref, d.tables[:0], d.keys[:0], 0
+	}
 	k, off, err := d.read()
 	if err != nil {
 		return nil, 0, 0, err
@@ -302,7 +335,7 @@ func (d *Decoder) top(ref types.Type) (types.Type, int, uint64, error) {
 	if k == jsontext.TokEOF {
 		return nil, 0, 0, io.EOF
 	}
-	t, size, h, err := d.value(k, off, ref, 0)
+	t, size, h, err := d.value(k, off, ref, -1, 0)
 	if !d.hash {
 		h = 0
 	}
@@ -326,8 +359,9 @@ func (d *Decoder) read() (jsontext.TokenKind, int64, error) {
 // type, nil for a member of ref, and the size and hash of the value's
 // raw type. A value is walked in member mode while it matches ref,
 // building nothing; from its first mismatch it is typed, keeping ref's
-// nodes for the members read so far.
-func (d *Decoder) value(k jsontext.TokenKind, off int64, ref types.Type, depth int) (types.Type, int, uint64, error) {
+// nodes for the members read so far. slot is where the key tables of
+// ref's records are found (see keyTable).
+func (d *Decoder) value(k jsontext.TokenKind, off int64, ref types.Type, slot, depth int) (types.Type, int, uint64, error) {
 	if depth > d.maxDepth {
 		return nil, 0, 0, d.syntaxErr(off, "nesting deeper than %d", d.maxDepth)
 	}
@@ -342,9 +376,9 @@ func (d *Decoder) value(k jsontext.TokenKind, off int64, ref types.Type, depth i
 	case jsontext.TokStr:
 		b = types.Str
 	case jsontext.TokBeginObject:
-		return d.object(ref, depth)
+		return d.object(ref, slot, depth)
 	case jsontext.TokBeginArray:
-		return d.array(ref, depth)
+		return d.array(ref, slot, depth)
 	default:
 		return nil, 0, 0, d.syntaxErr(off, "unexpected %s", k)
 	}
@@ -399,24 +433,68 @@ func (d *Decoder) frame(depth int) *frame {
 		d.frames = append(d.frames, frame{})
 	}
 	f := &d.frames[depth]
-	f.fields, f.words, f.elems = f.fields[:0], f.words[:0], f.elems[:0]
+	f.fields, f.elems = f.fields[:0], f.elems[:0]
 	f.keys.Reset()
 	return f
 }
 
+// keyTable returns the offset in d.keys of the entries of r's key
+// table, compiling the table when r is new to slot: the entry, in
+// d.keys, of the reference field whose value is walked, or -1 for the
+// top. A slot chains one table per record met in its values, at most
+// one per array depth below it and one per tuple position, so the
+// tables of a reference hold at most one entry per field of its tree.
+// The entries are cleared, and compiled on first use (key).
+func (d *Decoder) keyTable(r *types.Record, slot int) int {
+	head := &d.root
+	if slot >= 0 {
+		head = &d.keys[slot].kid
+	}
+	for t := *head; t != 0; t = d.tables[t-1].next {
+		if d.tables[t-1].rec == r {
+			return int(d.tables[t-1].lo)
+		}
+	}
+	lo, n := len(d.keys), len(r.Fields())
+	d.tables = append(d.tables, keyTable{rec: r, lo: int32(lo), next: *head})
+	*head = int32(len(d.tables))
+	d.keys = slices.Grow(d.keys, n)[:lo+n]
+	clear(d.keys[lo:])
+	return lo
+}
+
+// key returns entry j of d.keys, the entry of the reference field keyed
+// key, compiling it on first use. The pointer is valid until the next
+// table is compiled.
+func (d *Decoder) key(j int, key string) *keyEntry {
+	e := &d.keys[j]
+	if !e.ready {
+		e.compile(key)
+	}
+	return e
+}
+
+// compile sets the entry of the reference field keyed key. Its word is
+// a mandatory field's whatever the reference says: it hashes the
+// inferred type, whose fields are all mandatory.
+func (e *keyEntry) compile(key string) {
+	e.word, e.plain, e.ready = types.HashKey(key, false), jsontext.Predictable(key), true
+}
+
 // An objectWalk is the state of an object's walk that typing takes
-// over: the reference's fields fs (nil: none) and the object's runs in
-// seen and words from base and wbase, the members read (n), the hint
-// for the next key, the size so far and the fields typed so far with
-// their hash words. With pending set, key is a key read but not yet
-// walked, with its offset and the error of the ':' after it.
+// over: the reference's fields fs (nil: none) with their key table at
+// lo, the object's run in seen from base, the members read (n), the
+// hint for the next key, the size so far, the sum of the hash words of
+// the members read (types.HashRecord) and the fields typed so far. With
+// pending set, key is a key read but not yet walked, with its offset and
+// the error of the ':' after it.
 type objectWalk struct {
 	depth         int
 	fs            []types.Field
-	base, wbase   int
+	lo, base      int
 	n, next, size int
+	sum           uint64
 	fields        []types.Field
-	words         []uint64
 	pending       bool
 	key           []byte
 	off           int64
@@ -425,52 +503,64 @@ type objectWalk struct {
 
 // object walks the members of an object whose '{' has been read: in
 // member mode against a reference record, else typed.
-func (d *Decoder) object(ref types.Type, depth int) (types.Type, int, uint64, error) {
+func (d *Decoder) object(ref types.Type, slot, depth int) (types.Type, int, uint64, error) {
 	if u, ok := ref.(*types.Union); ok {
 		ref = altOfKind(u, types.KindRecord)
 	}
 	if r, ok := ref.(*types.Record); ok {
-		return d.matchObject(r, depth)
+		return d.matchObject(r, slot, depth)
 	}
 	if d.obs != nil {
 		d.obs.BeginObject()
 	}
 	f := d.frame(depth)
-	return d.typeObject(objectWalk{depth: depth, base: len(d.seen), wbase: len(d.words), size: 1, fields: f.fields, words: f.words})
+	return d.typeObject(objectWalk{depth: depth, base: len(d.seen), size: 1, fields: f.fields})
 }
 
 // matchObject walks an object's members in member mode against the
-// reference record r, as a membership test does: each key costs a
-// lookup in r's fields, a bit in the seen bitset, which catches a
-// repeated key, and with hashing on a hash slot. At the first mismatch
-// it hands the walk over to typeObject.
-func (d *Decoder) matchObject(r *types.Record, depth int) (types.Type, int, uint64, error) {
+// reference record r, as a membership test does. Each key is first
+// predicted to be the field after the previous match, which the
+// lexer checks with a byte compare (NextKeyIs); a key out of that order
+// costs a read and a lookup in r's fields. A bit in the seen bitset
+// catches a repeated key, and with hashing the member's word joins the
+// object's sum. At the first mismatch it hands the walk over to
+// typeObject.
+func (d *Decoder) matchObject(r *types.Record, slot, depth int) (types.Type, int, uint64, error) {
 	fs := r.Fields()
-	base, wbase := len(d.seen), len(d.words)
+	lo := d.keyTable(r, slot)
+	base := len(d.seen)
 	d.seen = append(d.seen, make([]uint64, (len(fs)+63)/64)...)
-	if d.hash {
-		d.words = slices.Grow(d.words, len(fs))[:wbase+len(fs)]
-	}
 	size, mandatory, next, n := 1, 0, 0, 0
+	var sum uint64
 	for ; ; n++ {
-		kb, off, ok, err := d.lex.NextKey(n > 0)
-		if !ok {
-			if err != nil {
-				return nil, 0, 0, err
+		i, off, ok, kw := next, int64(0), false, uint64(0)
+		if next < len(fs) {
+			if e := d.key(lo+next, fs[next].Key); e.plain {
+				off, ok = d.lex.NextKeyIs(n > 0, fs[next].Key)
+				kw = e.word
 			}
-			break
 		}
-		i := fieldIndex(fs, kb, next)
-		if i < 0 {
-			w := d.unmatch(objectWalk{depth: depth, fs: fs, base: base, wbase: wbase, n: n, next: next, size: size, pending: true, key: kb, off: off, err: err})
-			return d.typeObject(w)
+		var colon error // the ':' after the key
+		if !ok {
+			kb, koff, more, err := d.lex.NextKey(n > 0)
+			if !more {
+				if err != nil {
+					return nil, 0, 0, err
+				}
+				break
+			}
+			if i = fieldIndex(fs, kb, next); i < 0 {
+				w := d.unmatch(objectWalk{depth: depth, fs: fs, lo: lo, base: base, n: n, next: next, size: size, sum: sum, pending: true, key: kb, off: koff, err: err})
+				return d.typeObject(w)
+			}
+			off, colon, kw = koff, err, d.key(lo+i, fs[i].Key).word
 		}
-		sw, bit := base+i/64, uint64(1)<<(i%64)
+		sw, bit := base+int(uint(i)/64), uint64(1)<<(uint(i)%64)
 		if d.seen[sw]&bit != 0 {
 			return nil, 0, 0, d.syntaxErr(off, "duplicate object key %q", fs[i].Key)
 		}
-		if err != nil { // the ':' after the key
-			return nil, 0, 0, err
+		if colon != nil {
+			return nil, 0, 0, colon
 		}
 		if !fs[i].Optional {
 			mandatory++
@@ -480,58 +570,41 @@ func (d *Decoder) matchObject(r *types.Record, depth int) (types.Type, int, uint
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		ct, cs, ch, err := d.value(k, voff, fs[i].Type, depth+1)
+		ct, cs, ch, err := d.value(k, voff, fs[i].Type, lo+i, depth+1)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		size += 1 + cs
+		if d.hash {
+			sum += types.HashField(kw, ch)
+		}
 		if ct != nil {
-			w := d.unmatch(objectWalk{depth: depth, fs: fs, base: base, wbase: wbase, n: n + 1, next: next, size: size})
+			w := d.unmatch(objectWalk{depth: depth, fs: fs, lo: lo, base: base, n: n + 1, next: next, size: size, sum: sum})
 			d.seen[sw] |= bit
 			w.fields = append(w.fields, types.Field{Key: fs[i].Key, Type: ct})
-			w.words = append(w.words, d.fieldWord(fs[i].Key, ch))
 			return d.typeObject(w)
 		}
 		d.seen[sw] |= bit
-		if d.hash {
-			d.words[wbase+i] = types.HashField(fs[i].Key, ch) // inferred fields are mandatory
-		}
 	}
 	if mandatory != r.Mandatory() { // a mandatory field is missing
-		return d.endObject(d.unmatch(objectWalk{depth: depth, fs: fs, base: base, wbase: wbase, n: n, size: size}), nil)
+		return d.endObject(d.unmatch(objectWalk{depth: depth, fs: fs, lo: lo, base: base, n: n, size: size, sum: sum}), nil)
 	}
-	var h uint64
-	if d.hash {
-		h = types.HashOpen(types.KindRecord)
-		for w, bs := range d.seen[base:] {
-			for ; bs != 0; bs &= bs - 1 {
-				h = types.HashMix(h, d.words[wbase+w*64+bits.TrailingZeros64(bs)])
-			}
-		}
-		h = types.HashClose(types.KindRecord, h)
-	}
-	d.seen, d.words = d.seen[:base], d.words[:wbase]
-	return nil, size, h, nil
+	d.seen = d.seen[:base]
+	return nil, size, types.HashRecord(sum), nil // top drops the hash when unwanted
 }
 
 // unmatch readies w, a member-mode object walk, for typing: it fills
 // the frame's fields with the members read so far, each the
-// reference's own node, in key order, the order of the seen bitset,
-// and the frame's words with their hash words.
+// reference's own node, in key order, the order of the seen bitset.
 func (d *Decoder) unmatch(w objectWalk) objectWalk {
 	f := d.frame(w.depth)
 	for sw, bs := range d.seen[w.base:] {
 		for ; bs != 0; bs &= bs - 1 {
 			i := sw*64 + bits.TrailingZeros64(bs)
-			var word uint64
-			if d.hash {
-				word = d.words[w.wbase+i]
-			}
 			f.fields = append(f.fields, types.Field{Key: w.fs[i].Key, Type: w.fs[i].Type})
-			f.words = append(f.words, word)
 		}
 	}
-	w.fields, w.words = f.fields, f.words
+	w.fields = f.fields
 	return w
 }
 
@@ -539,7 +612,7 @@ func (d *Decoder) unmatch(w objectWalk) objectWalk {
 // the reference holds is still walked against the field's type, any
 // other with no reference, and its key goes to the frame's key set.
 func (d *Decoder) typeObject(w objectWalk) (types.Type, int, uint64, error) {
-	fields, words, size, next := w.fields, w.words, w.size, w.next
+	fields, size, next, sum := w.fields, w.size, w.next, w.sum
 	tc := tagCapture{prio: -1}
 	for ; ; w.n++ {
 		kb, off, ok, err := w.key, w.off, true, w.err
@@ -583,11 +656,11 @@ func (d *Decoder) typeObject(w objectWalk) (types.Type, int, uint64, error) {
 		if d.pr != nil {
 			d.capture(&tc, w.n, key, vk)
 		}
-		var cref types.Type
+		cref, slot := types.Type(nil), -1
 		if i >= 0 {
-			cref = w.fs[i].Type
+			cref, slot = w.fs[i].Type, w.lo+i
 		}
-		ct, cs, ch, err := d.value(vk, voff, cref, w.depth+1)
+		ct, cs, ch, err := d.value(vk, voff, cref, slot, w.depth+1)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -596,39 +669,30 @@ func (d *Decoder) typeObject(w objectWalk) (types.Type, int, uint64, error) {
 			ct = cref
 		}
 		fields = append(fields, types.Field{Key: key, Type: ct})
-		words = append(words, d.fieldWord(key, ch))
+		if d.hash {
+			var kw uint64
+			if i >= 0 {
+				kw = d.key(w.lo+i, key).word
+			} else {
+				kw = types.HashKey(key, false) // inferred fields are mandatory
+			}
+			sum += types.HashField(kw, ch)
+		}
 	}
 	if d.obs != nil {
 		d.obs.EndObject()
 	}
-	w.fields, w.words, w.size = fields, words, size
+	w.fields, w.size, w.sum = fields, size, sum
 	return d.endObject(w, &tc)
-}
-
-// fieldWord returns the hash word of a member keyed key whose value
-// hashes to h, 0 with hashing off. The inferred type's fields are
-// mandatory.
-func (d *Decoder) fieldWord(key string, h uint64) uint64 {
-	if !d.hash {
-		return 0
-	}
-	return types.HashField(key, h)
 }
 
 // endObject builds the record type an object's walk typed, promoting
 // it as tc says when a promoter is installed.
 func (d *Decoder) endObject(w objectWalk, tc *tagCapture) (types.Type, int, uint64, error) {
-	d.seen, d.words = d.seen[:w.base], d.words[:w.wbase]
-	d.frames[w.depth].fields, d.frames[w.depth].words = w.fields, w.words
-	sortFields(w.fields, w.words)
-	var h uint64
-	if d.hash {
-		h = types.HashOpen(types.KindRecord)
-		for _, word := range w.words {
-			h = types.HashMix(h, word)
-		}
-		h = types.HashClose(types.KindRecord, h)
-	}
+	d.seen = d.seen[:w.base]
+	d.frames[w.depth].fields = w.fields
+	sortFields(w.fields)
+	h := types.HashRecord(w.sum) // top drops the hash when unwanted
 	rt, err := d.buildRecord(w.fields)
 	if err != nil || d.pr == nil {
 		return rt, w.size, h, err
@@ -636,9 +700,7 @@ func (d *Decoder) endObject(w objectWalk, tc *tagCapture) (types.Type, int, uint
 	t := d.promote(rt.(*types.Record), tc, w.n)
 	if v, ok := t.(*types.Variants); ok {
 		w.size += 2 // a single-case variants type adds its node and its case's
-		if d.hash {
-			h = types.HashPromoted(v, w.words)
-		}
+		h = types.HashPromoted(v, w.sum)
 	}
 	return t, w.size, h, nil
 }
@@ -664,33 +726,19 @@ func fieldIndex(fs []types.Field, key []byte, hint int) int {
 	return -1
 }
 
-// sortFields sorts fields by key, with their hash words: by insertion
-// for a small object, whose keys real datasets list nearly sorted, and
-// in O(n log n) for a wide one.
-func sortFields(fields []types.Field, words []uint64) {
+// sortFields sorts fields by key: by insertion for a small object,
+// whose keys real datasets list nearly sorted, and in O(n log n) for a
+// wide one.
+func sortFields(fields []types.Field) {
 	if len(fields) > 32 {
-		sort.Sort(byKey{fields, words})
+		slices.SortFunc(fields, func(a, b types.Field) int { return strings.Compare(a.Key, b.Key) })
 		return
 	}
 	for i := 1; i < len(fields); i++ {
 		for j := i; j > 0 && fields[j-1].Key > fields[j].Key; j-- {
 			fields[j-1], fields[j] = fields[j], fields[j-1]
-			words[j-1], words[j] = words[j], words[j-1]
 		}
 	}
-}
-
-// byKey sorts fields by key, with their words.
-type byKey struct {
-	fields []types.Field
-	words  []uint64
-}
-
-func (b byKey) Len() int           { return len(b.fields) }
-func (b byKey) Less(i, j int) bool { return b.fields[i].Key < b.fields[j].Key }
-func (b byKey) Swap(i, j int) {
-	b.fields[i], b.fields[j] = b.fields[j], b.fields[i]
-	b.words[i], b.words[j] = b.words[j], b.words[i]
 }
 
 // buildRecord turns sorted, unique-keyed fields into a record type.
@@ -759,11 +807,12 @@ func (d *Decoder) promote(r *types.Record, c *tagCapture, n int) types.Type {
 }
 
 // An arrayWalk is the state of an array's walk that typing takes
-// over: the reference, [elem*] or the tuple pos (both nil: none), the
-// elements read (n), the size and hash so far, and the elements typed
-// so far.
+// over: the reference, [elem*] or the tuple pos (both nil: none), with
+// the slot of its key tables, the elements read (n), the size and hash
+// so far, and the elements typed so far.
 type arrayWalk struct {
 	depth   int
+	slot    int
 	elem    types.Type
 	pos     []types.Type
 	n, size int
@@ -772,21 +821,22 @@ type arrayWalk struct {
 }
 
 // array walks the elements of an array whose '[' has been read: in
-// member mode against a reference [T*] or tuple, else typed.
-func (d *Decoder) array(ref types.Type, depth int) (types.Type, int, uint64, error) {
+// member mode against a reference [T*] or tuple, else typed. Its
+// elements share its slot.
+func (d *Decoder) array(ref types.Type, slot, depth int) (types.Type, int, uint64, error) {
 	if u, ok := ref.(*types.Union); ok {
 		ref = altOfKind(u, types.KindArray)
 	}
 	switch rt := ref.(type) {
 	case *types.Repeated:
-		return d.matchArray(rt.Elem(), nil, depth)
+		return d.matchArray(rt.Elem(), nil, slot, depth)
 	case *types.Tuple:
-		return d.matchArray(nil, rt.Elems(), depth)
+		return d.matchArray(nil, rt.Elems(), slot, depth)
 	}
 	if d.obs != nil {
 		d.obs.BeginArray()
 	}
-	return d.typeArray(arrayWalk{depth: depth, size: 1, h: types.HashOpen(types.KindArray), elems: d.frame(depth).elems})
+	return d.typeArray(arrayWalk{depth: depth, slot: slot, size: 1, h: types.HashOpen(), elems: d.frame(depth).elems})
 }
 
 // matchArray walks an array's elements in member mode, against elem,
@@ -794,8 +844,8 @@ func (d *Decoder) array(ref types.Type, depth int) (types.Type, int, uint64, err
 // its elements are and the reference is [elem*] or a tuple of its
 // length. At the first element that is not, it hands the walk over to
 // typeArray.
-func (d *Decoder) matchArray(elem types.Type, pos []types.Type, depth int) (types.Type, int, uint64, error) {
-	size, h, n := 1, types.HashOpen(types.KindArray), 0
+func (d *Decoder) matchArray(elem types.Type, pos []types.Type, slot, depth int) (types.Type, int, uint64, error) {
+	size, h, n := 1, types.HashOpen(), 0
 	for ; ; n++ {
 		ok, err := d.lex.NextElem(n)
 		if err != nil {
@@ -812,7 +862,7 @@ func (d *Decoder) matchArray(elem types.Type, pos []types.Type, depth int) (type
 		if n < len(pos) {
 			eref = pos[n]
 		}
-		et, es, eh, err := d.value(k, off, eref, depth+1)
+		et, es, eh, err := d.value(k, off, eref, slot, depth+1)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -822,10 +872,10 @@ func (d *Decoder) matchArray(elem types.Type, pos []types.Type, depth int) (type
 		}
 		if et != nil {
 			elems := append(d.refElems(depth, elem, pos, n), et)
-			return d.typeArray(arrayWalk{depth: depth, elem: elem, pos: pos, n: n + 1, size: size, h: h, elems: elems})
+			return d.typeArray(arrayWalk{depth: depth, slot: slot, elem: elem, pos: pos, n: n + 1, size: size, h: h, elems: elems})
 		}
 	}
-	if h = types.HashClose(types.KindArray, h); !d.hash {
+	if h = types.HashClose(h); !d.hash {
 		h = 0
 	}
 	if pos == nil || n == len(pos) {
@@ -869,7 +919,7 @@ func (d *Decoder) typeArray(w arrayWalk) (types.Type, int, uint64, error) {
 		if n < len(w.pos) {
 			eref = w.pos[n]
 		}
-		et, es, eh, err := d.value(k, off, eref, w.depth+1)
+		et, es, eh, err := d.value(k, off, eref, w.slot, w.depth+1)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -885,7 +935,7 @@ func (d *Decoder) typeArray(w arrayWalk) (types.Type, int, uint64, error) {
 	if d.obs != nil {
 		d.obs.EndArray(n)
 	}
-	if h = types.HashClose(types.KindArray, h); !d.hash {
+	if h = types.HashClose(h); !d.hash {
 		h = 0
 	}
 	return d.endArray(w.depth, elems), size, h, nil

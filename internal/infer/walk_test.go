@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/dataset"
 	"repro/internal/fusion"
@@ -323,6 +324,108 @@ func TestWalkWithoutReferenceIsSimplify(t *testing.T) {
 				if want := o.Simplify(r); types.Compare(walked, want) != 0 || size != r.Size() || hash != types.Hash(r) {
 					t.Fatalf("%s record %d: walk %s (size %d, hash %#x), want %s (size %d, hash %#x)", name, i, walked, size, hash, want, r.Size(), types.Hash(r))
 				}
+			}
+			d.Release()
+		}
+	}
+}
+
+// TestWalkPredictedKeys walks objects whose member names the walk's
+// prediction (jsontext.NextKeyIs) takes, misses or must never take
+// against a reference: whitespace around ',' and ':', names out of
+// order, names holding '"' or '\', an escape that spells a name, a
+// name of invalid UTF-8 that the lexer decodes to U+FFFD, and repeated
+// names. From a slice, and through a one-byte reader whose window never
+// holds a whole name, the walk absorbs exactly the members, has the
+// size and hash of Next's type, types a non-member as Next does, and
+// fails as Next fails, with the same error at the same offset.
+func TestWalkPredictedKeys(t *testing.T) {
+	ab := types.MustParse("{a: Num, b: Str?, c: {d: Num}?}")
+	quoted := types.MustRecord(types.Field{Key: `a"b`, Type: types.Num}, types.Field{Key: `a\b`, Type: types.Num})
+	invalid := types.MustRecord(types.Field{Key: "\xff", Type: types.Num})
+	for _, c := range []struct {
+		ref    types.Type
+		doc    string
+		member bool
+	}{
+		{ab, `{"a":1}`, true},
+		{ab, `{"a" : 1 ,  "b"	:"x" ,
+ "c"
+: {"d" :2}}`, true},
+		{ab, `{"c":{"d":2},"b":"x","a":1}`, true},
+		{ab, `{"a":1,"b":"x"}`, true},
+		{ab, `{"a":1,"e":2}`, false},
+		{ab, `{"a":1,"c":{"d":2,"e":3}}`, false},
+		{ab, `{"a":1,"a":2}`, false},
+		{ab, `{"b":"x","a":1,"b":"y"}`, false},
+		{ab, `{"a":1,"c":{"d":2,"d":3}}`, false},
+		{ab, `{"a":1 "b":"x"}`, false},
+		{quoted, `{"a\"b":1,"a\\b":2}`, true},
+		{quoted, `{"a\\b":1,"a\"b":2}`, true},
+		{quoted, `{"a\\b":1,"a\\b":2}`, false},
+		{invalid, "{\"\xff\":1}", false},
+	} {
+		next := NewBytesDecoder([]byte(c.doc), jsontext.Options{})
+		want, nerr := next.Next()
+		next.Release()
+		for _, d := range []*Decoder{
+			NewBytesDecoder([]byte(c.doc), jsontext.Options{}),
+			NewDecoder(iotest.OneByteReader(strings.NewReader(c.doc)), jsontext.Options{}),
+		} {
+			d.SetSimplifier(fusion.Options{})
+			walked, size, hash, err := d.Walk(c.ref, true)
+			d.Release()
+			switch {
+			case nerr != nil || err != nil:
+				if nerr == nil || err == nil || err.Error() != nerr.Error() {
+					t.Errorf("Walk(%s, %q): err %v; Next err %v", c.ref, c.doc, err, nerr)
+				}
+			case (walked == nil) != c.member || size != want.Size() || hash != types.Hash(want):
+				t.Errorf("Walk(%s, %q) = %v, size %d, hash %#x; want member %v, size %d, hash %#x", c.ref, c.doc, walked, size, hash, c.member, want.Size(), types.Hash(want))
+			case walked != nil && !types.Equal(walked, want):
+				t.Errorf("Walk(%s, %q) typed %s, Next %s", c.ref, c.doc, walked, want)
+			}
+		}
+	}
+}
+
+// TestKeyTablesBounded walks every generator's records against their
+// fused type, under the paper's and the tuple policy: however many
+// records a decoder walks, its key tables hold at most one entry per
+// field of the reference's tree, so each record node is compiled once
+// per place it is met, not once per visit.
+func TestKeyTablesBounded(t *testing.T) {
+	for _, o := range []fusion.Options{{}, {Tuples: true}} {
+		for _, name := range dataset.Names() {
+			g, err := dataset.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := dataset.NDJSON(g, 300, 4)
+			raw, err := InferAll(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cover := types.Type(types.Empty)
+			for _, r := range raw {
+				cover = o.Fuse(cover, o.Simplify(r))
+			}
+			fields := 0
+			types.Walk(cover, func(n types.Type) bool {
+				if r, ok := n.(*types.Record); ok {
+					fields += len(r.Fields())
+				}
+				return true
+			})
+			d := NewBytesDecoder(data, jsontext.Options{})
+			d.SetSimplifier(o)
+			for range raw {
+				if walked, _, _, err := d.Walk(cover, true); walked != nil || err != nil {
+					t.Fatalf("%s: a record is not a member of the fused type: %v", name, err)
+				}
+			}
+			if len(d.keys) == 0 || len(d.keys) > fields {
+				t.Errorf("%s, tuples %v: %d key table entries after %d records, want 1 to %d", name, o.Tuples, len(d.keys), len(raw), fields)
 			}
 			d.Release()
 		}

@@ -325,6 +325,13 @@ func FuzzWordScanReads(f *testing.F) {
 	f.Add([]byte("\"abcdefgh\x1f\" \"ab\x7f\xc3\xa9\xff\xfecdefghij\""), []byte{1, 1, 2})
 	f.Add([]byte(`{"a":"\x"} "\u12" "\ud800A" "abc`), []byte{0})
 	f.Add([]byte(`{"a":1e999} [01] -0.5e-3 123456789012345678901 1e308 tru`), []byte{3, 0})
+	// NextKind's fast paths, and the tokens next to them that it leaves
+	// to next.
+	f.Add([]byte(`0 -0 01 7 1.5 1e3 1E+3 null nul`), []byte{0})
+	f.Add([]byte(`[nulx, true, truex] false "a\"b" "é" "abcdefghij"`), []byte{1, 2})
+	f.Add([]byte("\"a\x01b\" \"\xff\xfe\" 12,"), []byte{0x81, 1})
+	f.Add(append(append(append([]byte("["), bytes.Repeat([]byte("9"), 308)...), ", 1"...), append(bytes.Repeat([]byte("0"), 308), ']')...), []byte{5, 3})
+	f.Add(append(bytes.Repeat([]byte("9"), 309), ' '), []byte{7})
 	f.Fuzz(func(t *testing.T, data, reads []byte) {
 		for i := 0; i <= len(data); i++ {
 			l := Lexer{data: data, pos: i}

@@ -300,19 +300,39 @@ func (l *Lexer) readByte() (byte, error) {
 // skipSpace consumes insignificant whitespace and reports io.EOF at the
 // end of input. It marks the next token's first byte.
 func (l *Lexer) skipSpace() error {
+	if l.pos < len(l.data) && l.data[l.pos] > ' ' {
+		l.mark = l.pos
+		return nil
+	}
 	for {
-		i, data := l.pos, l.data
-		for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
-			i++
-		}
+		i := spaces(l.data, l.pos)
 		l.pos, l.mark = i, i
-		if i < len(data) {
+		if i < len(l.data) {
 			return nil
 		}
 		if err := l.fill(); err != nil {
 			return err
 		}
 	}
+}
+
+// spaces returns the index of the first byte at or after i in data that
+// is not whitespace, or len(data).
+func spaces(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// nextByte returns the index of the first byte at or after i in data
+// that is not whitespace, or len(data): spaces, with the common case,
+// no whitespace, inlined.
+func nextByte(data []byte, i int) int {
+	if i < len(data) && data[i] > ' ' {
+		return i
+	}
+	return spaces(data, i)
 }
 
 // Next returns the next token. At the end of the input it returns a token
@@ -327,8 +347,55 @@ func (l *Lexer) Next() (Token, error) { return l.next(true) }
 // is never an error, and converting a number to float64, though a
 // number out of float64's range is still an error.
 func (l *Lexer) NextKind() (TokenKind, int64, error) {
+	if l.skipSpace() == nil {
+		if k := l.scalar(); k != TokEOF {
+			return k, l.base + int64(l.mark), nil
+		}
+	}
 	tok, err := l.next(false)
 	return tok.Kind, tok.Offset, err
+}
+
+// scalar is NextKind's fast path, for the scalars that lie whole in the
+// window and need no more than a scan to check: a string with no escape,
+// an integer of at most maxPlainNumber digits with no sign, leading zero,
+// fraction or exponent, and the literals. It reads such a token, which
+// starts at pos, and returns its kind, ending where next ends; for any
+// other token it consumes nothing and returns TokEOF.
+func (l *Lexer) scalar() TokenKind {
+	data, i := l.data, l.pos
+	switch c := data[i]; {
+	case c == '"':
+		if j, _ := scanPlain(data, i+1); j < len(data) && data[j] == '"' {
+			l.pos = j + 1
+			return TokStr
+		}
+	case c >= '1' && c <= '9':
+		j := i + 1
+		for j < len(data) && data[j] >= '0' && data[j] <= '9' {
+			j++
+		}
+		if j < len(data) && j-i <= maxPlainNumber && data[j] != '.' && data[j] != 'e' && data[j] != 'E' {
+			l.pos = j
+			return TokNum
+		}
+	case c == 'n':
+		if len(data)-i >= 4 && string(data[i:i+4]) == "null" {
+			l.pos = i + 4
+			return TokNull
+		}
+	case c == 't':
+		if len(data)-i >= 4 && string(data[i:i+4]) == "true" {
+			l.pos = i + 4
+			return TokTrue
+		}
+	case c == 'f':
+		if len(data)-i >= 5 && string(data[i:i+5]) == "false" {
+			l.pos = i + 5
+			return TokFalse
+		}
+	}
+	return TokEOF
 }
 
 // next reads the next token; with content false it checks a string or
@@ -522,30 +589,38 @@ func special(w uint64) uint64 {
 // bytes that can be invalid UTF-8. The end of input ends the string
 // unterminated.
 func (l *Lexer) span(start int64) (high bool, err error) {
-	var seen uint64
 	for {
-		i, data := l.pos, l.data
-		for ; i+8 <= len(data); i += 8 {
-			w := binary.LittleEndian.Uint64(data[i:])
-			if m := special(w); m != 0 {
-				n := bits.TrailingZeros64(m) / 8
-				l.pos = i + n
-				return (seen|w&(1<<(8*n)-1))&msbs != 0, nil
-			}
-			seen |= w
+		i, h := scanPlain(l.data, l.pos)
+		l.pos, high = i, high || h
+		if i < len(l.data) {
+			return high, nil
 		}
-		for ; i < len(data); i++ {
-			if c := data[i]; c == '"' || c == '\\' || c < 0x20 {
-				l.pos = i
-				return seen&msbs != 0, nil
-			}
-			seen |= uint64(data[i])
-		}
-		l.pos = i
 		if err := l.fill(); err != nil {
 			return false, l.cut(err, start, "unterminated string")
 		}
 	}
+}
+
+// scanPlain returns the index of the first '"', '\' or control byte at
+// or after i in data, or len(data), and whether a byte before it has its
+// high bit set. It reads eight bytes at a time.
+func scanPlain(data []byte, i int) (int, bool) {
+	var seen uint64
+	for ; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		if m := special(w); m != 0 {
+			n := bits.TrailingZeros64(m) / 8
+			return i + n, (seen|w&(1<<(8*n)-1))&msbs != 0
+		}
+		seen |= w
+	}
+	for ; i < len(data); i++ {
+		if c := data[i]; c == '"' || c == '\\' || c < 0x20 {
+			break
+		}
+		seen |= uint64(data[i])
+	}
+	return i, seen&msbs != 0
 }
 
 // UnquotePrefix decodes the JSON string literal at the start of b

@@ -4,19 +4,23 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"unicode/utf8"
 )
 
 // The walk API reads a document structure by structure: NextMember and
-// NextKey consume an object member's separators and name, NextElem an
+// NextKey consume an object member's separators and name, NextKeyIs
+// consumes them when the name is one the caller predicts, NextElem an
 // array element's separator, and SkipValue a whole value whose bytes
 // another decoder reads. It holds the one copy of the object and array
 // grammar, and of its syntax errors; a reader that walks a document
 // gets values from Next and structure from here. Its clients:
 //   - the typing decoder (infer.Decoder) and the value parser (Parser)
 //     read keys with NextKey and elements with NextElem, and reject a
-//     repeated key with a KeySet; the parser reads values with Next,
-//     the decoder with NextKind, which checks a value without
-//     delivering its content, unless a hook wants the content;
+//     repeated key with a KeySet; the decoder, walking against a
+//     reference record, first tries NextKeyIs with the record's next
+//     field. The parser reads values with Next, the decoder with
+//     NextKind, which checks a value without delivering its content,
+//     unless a hook wants the content;
 //   - the strict readers of a fixed grammar, the types codec and
 //     Repository snapshots, match member names with NextMember;
 //   - SkipValue reads a value as the decoder does, with NextKind.
@@ -119,6 +123,51 @@ func (l *Lexer) NextKey(later bool) (key []byte, off int64, ok bool, err error) 
 		key, err = slices.Clone(key), l.unexpected("':' after key")
 	}
 	return key, off, true, err
+}
+
+// NextKeyIs reads the next member name of an object as NextKey does,
+// when that name is key: it consumes the ',' before the name unless
+// later is false, the name and the ':' after it, whitespace allowed
+// around the ',' and the ':', and returns the offset of the name's
+// opening quote, the offset NextKey returns. It does so only when the
+// window holds exactly those bytes; otherwise it consumes nothing and
+// returns false, and the caller reads the member with NextKey. It is
+// the read for callers that expect a member, a reader walking an object
+// against a known record, say: a prediction costs one byte compare per
+// byte of the name, and a miss costs nothing but the compare.
+//
+// key must be Predictable, so that its bytes between quotes are a
+// string that decodes to key.
+func (l *Lexer) NextKeyIs(later bool, key string) (int64, bool) {
+	data := l.data
+	i := nextByte(data, l.pos)
+	if later {
+		if i == len(data) || data[i] != ',' {
+			return 0, false
+		}
+		i = nextByte(data, i+1)
+	}
+	q, e := i, i+1+len(key)
+	if e >= len(data) || data[q] != '"' || data[e] != '"' || string(data[q+1:e]) != key {
+		return 0, false
+	}
+	if i = nextByte(data, e+1); i == len(data) || data[i] != ':' {
+		return 0, false
+	}
+	l.pos = i + 1
+	return l.base + int64(q), true
+}
+
+// Predictable reports whether NextKeyIs may be asked for key: whether
+// key, quoted as it is, is a JSON string that decodes to key. That
+// holds for valid UTF-8 with no '"', '\' or byte below 0x20.
+func Predictable(key string) bool {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c == '"' || c == '\\' || c < 0x20 {
+			return false
+		}
+	}
+	return utf8.ValidString(key)
 }
 
 // peek skips whitespace and returns the next byte, unread, or 0 at the

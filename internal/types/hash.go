@@ -8,13 +8,13 @@ import "fmt"
 // rendering every type to a string first, which dominates the cost on
 // datasets where most types repeat.
 //
-// A record field's hash and a tuple element's hash are each computed on
-// their own and mixed into their parent as one 64-bit word, so a
-// parent's hash depends on its children only through their hashes. That
-// is what lets a decoder hash a value's inferred type from its tokens,
-// bottom up, without building it (HashOpen): it hashes an object's
-// members in document order and combines them in key order at the
-// closing brace.
+// A parent's hash depends on its children only through their hashes,
+// which is what lets a decoder hash a value's inferred type from its
+// tokens, bottom up, without building it. A tuple mixes its elements'
+// hashes in order (HashOpen). A record sums one word per field
+// (HashRecord): the sum is order-free, so a decoder adds each member's
+// word as it reads the member, in document order, into one accumulator
+// per object, and keeps no slot per field.
 func Hash(t Type) uint64 {
 	return hashType(fnvOffset, t)
 }
@@ -24,31 +24,37 @@ func HashBasic(b Basic) uint64 { return basicHash[b] }
 
 var basicHash = [...]uint64{Null: Hash(Null), Bool: Hash(Bool), Num: Hash(Num), Str: Hash(Str)}
 
-// HashOpen, HashMix and HashClose compute Hash of a record (k is
-// KindRecord) or a tuple (KindArray) from its children: open, mix one
-// word per child, close. A tuple's word is its element's hash, mixed in
-// order; a record's is HashField of its field, mixed in key order.
-func HashOpen(k Kind) uint64 {
-	if k == KindRecord {
-		return hashByte(fnvOffset, 0x03)
-	}
-	return hashByte(fnvOffset, 0x06)
-}
+// HashOpen, HashMix and HashClose compute Hash of a tuple from its
+// elements: open, mix each element's hash in order, close.
+func HashOpen() uint64 { return hashByte(fnvOffset, 0x06) }
 
-// HashMix mixes the word w of the next child into h (see HashOpen).
+// HashMix mixes the hash w of the next element into h (see HashOpen).
 func HashMix(h, w uint64) uint64 { return hashWord(h, w) }
 
-// HashClose closes the hash h of a record or a tuple (see HashOpen).
-func HashClose(k Kind, h uint64) uint64 {
-	if k == KindRecord {
-		return hashByte(h, 0x04)
+// HashClose closes the hash h of a tuple (see HashOpen).
+func HashClose(h uint64) uint64 { return hashByte(h, 0x07) }
+
+// HashKey returns the key word of a field keyed key, optional or not:
+// the part of the field's word (HashField) that depends on the key
+// alone, which a caller that reads the same key many times computes
+// once.
+func HashKey(key string, optional bool) uint64 {
+	h := hashString(fnvOffset, key)
+	if optional {
+		return hashByte(h, 0x10)
 	}
-	return hashByte(h, 0x07)
+	return hashByte(h, 0x11)
 }
 
-// HashField returns the word a mandatory field keyed key, whose type
-// hashes to child, contributes to its record's hash (see HashOpen).
-func HashField(key string, child uint64) uint64 { return fieldHash(key, false, child) }
+// HashField returns the word a field contributes to its record's hash
+// (HashRecord): kw is the field's key word (HashKey) and child the hash
+// of its type. The word is a full 64-bit mix of both, so that a sum of
+// words tells fields apart as well as a chained hash would.
+func HashField(kw, child uint64) uint64 { return fmix(kw ^ child) }
+
+// HashRecord returns Hash of a record whose fields' words (HashField)
+// sum to sum, in any order.
+func HashRecord(sum uint64) uint64 { return hashRecord(fnvOffset, sum) }
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -82,16 +88,19 @@ func hashWord(h, w uint64) uint64 {
 	return (h ^ w) * fnvPrime
 }
 
-// fieldHash is the word a record field keyed key, whose type hashes to
-// child, contributes to its record's hash.
-func fieldHash(key string, optional bool, child uint64) uint64 {
-	h := hashString(fnvOffset, key)
-	if optional {
-		h = hashByte(h, 0x10)
-	} else {
-		h = hashByte(h, 0x11)
-	}
-	return hashWord(h, child)
+// fmix is the murmur3 64-bit finalizer: a bijection in which every
+// input bit flips about half of the output bits.
+func fmix(w uint64) uint64 {
+	w ^= w >> 33
+	w *= 0xff51afd7ed558ccd
+	w ^= w >> 33
+	w *= 0xc4ceb9fe1a85ec53
+	return w ^ w>>33
+}
+
+// hashRecord mixes a record whose fields' words sum to sum into h.
+func hashRecord(h, sum uint64) uint64 {
+	return hashByte(hashWord(hashByte(h, 0x03), sum), 0x04)
 }
 
 func hashType(h uint64, t Type) uint64 {
@@ -101,11 +110,11 @@ func hashType(h uint64, t Type) uint64 {
 	case Basic:
 		return hashByte(hashByte(h, 0x02), byte(tt))
 	case *Record:
-		h = hashByte(h, 0x03)
+		var sum uint64
 		for _, f := range tt.fields {
-			h = hashWord(h, fieldHash(f.Key, f.Optional, Hash(f.Type)))
+			sum += HashField(HashKey(f.Key, f.Optional), Hash(f.Type))
 		}
-		return hashByte(h, 0x04)
+		return hashRecord(h, sum)
 	case *Map:
 		return hashType(hashByte(h, 0x05), tt.elem)
 	case *Variants:
@@ -151,14 +160,10 @@ func (v *Variants) hashHead(h uint64) uint64 {
 }
 
 // HashPromoted returns Hash of v, a single-case variants type, as if
-// its case held the record whose fields' words (HashField), in key
-// order, are words: the hash of the type a decoder promotes, computed
-// from the words of its record's raw type.
-func HashPromoted(v *Variants, words []uint64) uint64 {
+// its case held the record whose fields' words (HashField) sum to sum:
+// the hash of the type a decoder promotes, computed from the words of
+// its record's raw type.
+func HashPromoted(v *Variants, sum uint64) uint64 {
 	h := hashString(v.hashHead(fnvOffset), v.cases[0].Tag)
-	h = hashByte(h, 0x03)
-	for _, w := range words {
-		h = hashWord(h, w)
-	}
-	return hashByte(hashByte(h, 0x04), 0x0c)
+	return hashByte(hashRecord(h, sum), 0x0c)
 }
