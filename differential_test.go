@@ -505,3 +505,78 @@ func TestDifferentialDedupAutoDeterminism(t *testing.T) {
 		check("streaming", s, st, err)
 	}
 }
+
+// TestDifferentialDumpLayout pins the contract a top-level array of
+// records rests on. Laid out as one array, one record per line (the
+// way Wikidata publishes its dump), records more numerous than
+// fusion.MaxTupleLen have the schema of the same records as NDJSON
+// wrapped as [F*], in codec bytes, on every generator, policy,
+// streaming Source and worker count. Stats.Records, which counts
+// top-level values, reports the one array.
+func TestDifferentialDumpLayout(t *testing.T) {
+	dir := t.TempDir()
+	policies := []struct {
+		name string
+		opts jsi.Options
+	}{
+		{"paper", jsi.Options{}},
+		{"tuples", jsi.Options{PreserveTupleArrays: true}},
+		{"tagged", jsi.Options{TaggedUnions: true}},
+		{"tagged+tuples", jsi.Options{TaggedUnions: true, PreserveTupleArrays: true}},
+	}
+	sources := []struct {
+		name string
+		src  func(data []byte, path string) jsi.Source
+	}{
+		{"bytes", func(data []byte, _ string) jsi.Source { return jsi.FromBytes(data) }},
+		{"reader", func(data []byte, _ string) jsi.Source { return jsi.FromReader(bytes.NewReader(data)) }},
+		{"file", func(_ []byte, path string) jsi.Source { return jsi.FromFile(path) }},
+		{"chunked reader", func(data []byte, _ string) jsi.Source { return jsi.FromChunkedReader(bytes.NewReader(data)) }},
+	}
+	for _, name := range dataset.Names() {
+		g, err := dataset.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := dataset.NDJSON(g, 60, 17)
+		dump := dumpLayout(lines)
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, dump, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range policies {
+			s, _, err := jsi.Infer(context.Background(), jsi.FromBytes(lines), p.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: NDJSON: %v", name, p.name, err)
+			}
+			f, err := types.UnmarshalJSON(canonical(t, s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := types.MarshalJSON(types.MustRepeated(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range sources {
+				for _, workers := range []int{1, 2} {
+					opts := p.opts
+					opts.Workers = workers
+					if workers > 1 {
+						opts.ChunkBytes = 1 << 10 // the array spans many chunks
+					}
+					s, st, err := jsi.Infer(context.Background(), src.src(dump, path), opts)
+					label := fmt.Sprintf("%s/%s/%s/%d workers", name, p.name, src.name, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got := canonical(t, s); !bytes.Equal(got, want) {
+						t.Errorf("%s: dump layout schema\n got: %s\nwant: %s", label, got, want)
+					}
+					if st.Records != 1 {
+						t.Errorf("%s: Records = %d, want 1", label, st.Records)
+					}
+				}
+			}
+		}
+	}
+}

@@ -266,7 +266,9 @@ func (o Options) validate() error {
 // Stats summarizes an inference run — the same measurements the paper
 // reports per dataset in Tables 2-5.
 type Stats struct {
-	// Records is the number of JSON values typed.
+	// Records is the number of top-level JSON values typed: a record
+	// per line counts each record, while records inside one top-level
+	// array count once, as the array.
 	Records int64
 	// Bytes is the number of input bytes consumed.
 	Bytes int64

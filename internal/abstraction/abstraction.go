@@ -66,20 +66,20 @@ func Abstract(t types.Type, opts Options) types.Type {
 	case *types.Record:
 		fields := tt.Fields()
 		out := make([]types.Field, len(fields))
+		elems := make([]types.Type, len(fields))
 		var sumSize int
 		for i, f := range fields {
-			abstracted := Abstract(f.Type, opts)
-			out[i] = types.Field{Key: f.Key, Type: abstracted, Optional: f.Optional}
-			sumSize += abstracted.Size()
+			elems[i] = Abstract(f.Type, opts)
+			out[i] = types.Field{Key: f.Key, Type: elems[i], Optional: f.Optional}
+			sumSize += elems[i].Size()
 		}
 		rec := types.MustRecord(out...)
 		if len(out) < opts.minKeys() {
 			return rec
 		}
-		elem := types.Type(types.Empty)
-		for _, f := range out {
-			elem = fusion.Fuse(elem, f.Type)
-		}
+		// Balanced: a left fold would rebuild the growing element type
+		// per field, quadratic in the width of a record of records.
+		elem := fusion.FuseAllTree(elems)
 		// The fusion of many field types can itself assemble a nested
 		// dictionary (e.g. Wikidata's qualifiers: one property key per
 		// statement, hundreds across the collection), so abstract the

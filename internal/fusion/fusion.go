@@ -293,19 +293,17 @@ func (p policy) fuseRecordKind(t1, t2 types.Type) types.Type {
 }
 
 // absorbIntoMapElem folds a record-kind type's content into a map
-// element type: map elements directly, record field types one by one,
-// and variants component-wise (which makes the result a function of the
-// underlying field-type multiset, independent of how the variants were
-// merged beforehand).
+// element type: map elements directly, a record's field types through
+// their collapse, and variants component-wise (which makes the result a
+// function of the underlying field-type multiset, independent of how
+// the variants were merged beforehand).
 func (p policy) absorbIntoMapElem(elem types.Type, t types.Type) types.Type {
 	switch tt := t.(type) {
 	case *types.Map:
 		return p.fuse(elem, tt.Elem())
 	case *types.Record:
-		for _, f := range tt.Fields() {
-			elem = p.fuse(elem, f.Type)
-		}
-		return elem
+		fields := collapse(p.fuse, tt.Fields(), func(f types.Field) types.Type { return f.Type })
+		return p.fuse(elem, fields)
 	case *types.Variants:
 		for _, c := range tt.Cases() {
 			elem = p.absorbIntoMapElem(elem, c.Type)
@@ -413,7 +411,7 @@ func mergedLen(f1, f2 []types.Field) int {
 func (p policy) fuseArrays(t1, t2 types.Type) types.Type {
 	a1, ok1 := t1.(*types.Tuple)
 	a2, ok2 := t2.(*types.Tuple)
-	if ok1 && ok2 && a1.Len() == a2.Len() && p.o.KeepTuple(a1.Len()) {
+	if ok1 && ok2 && a1.Len() == a2.Len() && p.o.keepTuple(a1.Len()) {
 		e1, e2 := a1.Elems(), a2.Elems()
 		var elems []types.Type // nil while the result is still a1
 		for i := range e1 {
@@ -453,21 +451,45 @@ func (p policy) body(t types.Type) types.Type {
 	case *types.Repeated:
 		return tt.Elem()
 	case *types.Tuple:
-		return p.collapse(tt.Elems())
+		return collapse(p.fuse, tt.Elems(), elemType)
 	default:
 		panic(fmt.Sprintf("fusion: array body of %T", t))
 	}
 }
 
-// collapse implements lines 8-9 of Figure 6 under a policy, on the
-// element types of a tuple.
-func (p policy) collapse(elems []types.Type) types.Type {
-	acc := types.Type(types.Empty)
-	// Right fold, as in collapse(ArrT(T, AT)) = Fuse(T, collapse(AT)).
-	for i := len(elems) - 1; i >= 0; i-- {
-		acc = p.fuse(elems[i], acc)
+// collapse implements lines 8-9 of Figure 6 under a policy's fuse: the
+// fusion of the types typeOf picks from xs (a tuple's elements, a
+// record's fields), ε when xs is empty. The paper's right fold,
+// collapse(ArrT(T, AT)) = Fuse(T, collapse(AT)), rebuilds the growing
+// accumulator per element, O(n²) when the elements share no keys. By
+// Theorems 5.4-5.5 every fold shape gives the same type, so collapse
+// halves xs instead: operands stay matched in size, O(n log n), with
+// no allocation of its own and n-1 calls to fuse.
+func collapse[E any](fuse func(a, b types.Type) types.Type, xs []E, typeOf func(E) types.Type) types.Type {
+	switch n := len(xs); n {
+	case 0:
+		return types.Empty
+	case 1:
+		return typeOf(xs[0])
+	default:
+		return fuse(collapse(fuse, xs[:n/2], typeOf), collapse(fuse, xs[n/2:], typeOf))
 	}
-	return acc
+}
+
+func elemType(t types.Type) types.Type { return t }
+
+// emptyArray is [ε*], the simplified empty array under every policy.
+var emptyArray = types.MustRepeated(types.Empty)
+
+// array implements Options.Array under a policy.
+func (p policy) array(elems []types.Type) types.Type {
+	switch {
+	case p.o.keepTuple(len(elems)):
+		return types.MustTuple(elems...)
+	case len(elems) == 0:
+		return emptyArray
+	}
+	return types.MustRepeated(collapse(p.fuse, elems, elemType))
 }
 
 // simplify rewrites array types into the policy's canonical form,
@@ -497,13 +519,10 @@ func (p policy) simplifyDirect(t types.Type) types.Type {
 		return types.MustRecordSorted(fs)
 	case *types.Tuple:
 		simplified, changed := types.MapChildren(tt.Elems(), p.simplify)
-		if p.o.KeepTuple(tt.Len()) {
-			if !changed {
-				return t
-			}
-			return types.MustTuple(simplified...)
+		if !changed && p.o.keepTuple(tt.Len()) {
+			return t
 		}
-		return types.MustRepeated(p.collapse(simplified))
+		return p.array(simplified)
 	case *types.Map:
 		if e := p.simplify(tt.Elem()); e != tt.Elem() {
 			return types.MustMap(e)
@@ -542,13 +561,9 @@ func (p policy) simplifyDirect(t types.Type) types.Type {
 		}
 		// Simplification can merge two array-kind alternatives (a tuple
 		// and a repeated type) into the same kind slot, and a non-normal
-		// input has same-kind alternatives already; refuse through fuse
-		// to restore normality.
-		acc := types.Type(types.Empty)
-		for _, a := range out {
-			acc = p.fuse(acc, a)
-		}
-		return acc
+		// input has same-kind alternatives already; re-fuse them to
+		// restore normality.
+		return collapse(p.fuse, out, elemType)
 	default:
 		panic(fmt.Sprintf("fusion: unknown type %T", t))
 	}

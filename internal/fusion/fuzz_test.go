@@ -1,7 +1,9 @@
 package fusion
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/infer"
@@ -29,6 +31,10 @@ func FuzzFuseLaws(f *testing.F) {
 		{"variants(type){push: {type: Str, a: Num}}", "variants(type){fork: {type: Str, b: Str}}", "{c: Num}"},
 		{"wrapper{delete: {delete: {id: Num}}}", "{id: Num, text: Str}", "collapsed{*: {id: Num}}"},
 		{"[[Num, Num], [Num, Num]]", "[[Num, Str]]", "[Num, Num]"},
+		// Tuples that collapse: records with distinct keys, whose fusion
+		// grows at every step of the fold, and elements of every kind.
+		{distinctKeyTuple(0, 5), distinctKeyTuple(5, 17), distinctKeyTuple(3, 40)},
+		{"[Num, Str, {a: Num}, [Num, Str], Null, Bool, {b: [Null]}, [], {a: Str}]", "[Bool, {c: Num}, [Str*], Num, {a: Num?}]", "[Null, Str]"},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1], s[2])
@@ -96,4 +102,14 @@ func FuzzFuseLaws(f *testing.F) {
 			}
 		}
 	})
+}
+
+// distinctKeyTuple renders the tuple of n one-field records {k<i>: Num},
+// keys from k<lo> on, as the parser reads it.
+func distinctKeyTuple(lo, n int) string {
+	elems := make([]string, n)
+	for i := range elems {
+		elems[i] = fmt.Sprintf("{k%d: Num}", lo+i)
+	}
+	return "[" + strings.Join(elems, ", ") + "]"
 }

@@ -74,9 +74,15 @@ func (o Options) Fuse(t1, t2 types.Type) types.Type { return policy{o: o}.fuse(t
 // each element simplified recursively.
 func (o Options) Simplify(t types.Type) types.Type { return policy{o: o}.simplify(t) }
 
-// KeepTuple reports whether Simplify keeps a tuple of n elements
-// positional under this policy, rather than collapsing it into [T*].
-func (o Options) KeepTuple(n int) bool { return o.Tuples && n > 0 && n <= MaxTupleLen }
+// Array returns the array type of elements already simplified under
+// this policy, the one array rule of Simplify and the map stage's walk:
+// a kept tuple stays positional, any other array is [collapse*], and []
+// is one shared [ε*]. elems is not retained.
+func (o Options) Array(elems []types.Type) types.Type { return policy{o: o}.array(elems) }
+
+// keepTuple reports whether the policy keeps an array of n elements a
+// positional tuple, rather than collapsing it into [T*].
+func (o Options) keepTuple(n int) bool { return o.Tuples && n > 0 && n <= MaxTupleLen }
 
 // Finalize lowers the intermediate variants states a tagged fusion
 // leaves behind — collapsed unions become their plain record, weak

@@ -119,21 +119,11 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 // associative, so the result is a function of the constituent multiset
 // and collapsing at different points of a reduce tree converges.
 func (p policy) flattenVariants(v *types.Variants) *types.Record {
-	var acc *types.Record
-	add := func(r *types.Record) {
-		if acc == nil {
-			acc = r
-		} else {
-			acc = p.fuseRecordsR(acc, r)
-		}
-	}
-	for _, c := range v.Cases() {
-		add(c.Type)
-	}
+	acc := collapse(p.fuse, v.Cases(), func(c types.Variant) types.Type { return c.Type })
 	if v.Other() != nil {
-		add(v.Other())
+		acc = p.fuse(acc, v.Other())
 	}
-	return acc
+	return acc.(*types.Record)
 }
 
 // hasVariants reports whether any node of t is a variants type — the

@@ -62,8 +62,9 @@ func codecBytes(t *testing.T, ty types.Type) []byte {
 // TestTreeFoldConformance: for every prefix length n = 0..130 of types
 // drawn from every dataset generator and from the package's random
 // phase-one generator, under the paper, positional and tagged policies,
-// the online tree fold equals the left fold byte for byte in the
-// codec, and holds at most bits.Len(n) partial types.
+// the online tree fold and the policy's collapse, the halving fold an
+// array's elements take, each equal the left fold byte for byte in the
+// codec, and the tree fold holds at most bits.Len(n) partial types.
 func TestTreeFoldConformance(t *testing.T) {
 	inputs := map[string][]byte{}
 	for _, name := range dataset.Names() {
@@ -103,8 +104,12 @@ func TestTreeFoldConformance(t *testing.T) {
 					if max := bits.Len(uint(n)); live > max {
 						t.Fatalf("n=%d: %d partial types held, want at most %d", n, live, max)
 					}
-					if got, want := codecBytes(t, fold.Result()), codecBytes(t, left); !bytes.Equal(got, want) {
+					want := codecBytes(t, left)
+					if got := codecBytes(t, fold.Result()); !bytes.Equal(got, want) {
 						t.Fatalf("n=%d: tree fold\n%s\nwant left fold\n%s", n, got, want)
+					}
+					if got := codecBytes(t, collapse(p.o.Fuse, ts[:n], elemType)); !bytes.Equal(got, want) {
+						t.Fatalf("n=%d: collapse\n%s\nwant left fold\n%s", n, got, want)
 					}
 				}
 			})

@@ -92,6 +92,16 @@ func FuzzWalkAgreesWithDecoder(f *testing.F) {
 	} {
 		f.Add([]byte(doc+"\n"+doc), uint8(len(covers)-2+i%2), uint8(i))
 	}
+	// Arrays that collapse: records with distinct keys, whose fusion
+	// grows at every step of the fold, and elements of every kind.
+	for i, n := range []int{5, 17, 40} {
+		elems := make([]string, n)
+		for j := range elems {
+			elems[j] = fmt.Sprintf(`{"k%d": %d}`, j, j)
+		}
+		f.Add([]byte("["+strings.Join(elems, ", ")+"]"), uint8(6*i+4), uint8(3*i))
+	}
+	f.Add([]byte(`[1, "a", {"a": 1}, [2, "b"], null, true, {"b": [null]}, [], 2.5, {"a": "x"}]`), uint8(len(covers)-1), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, pick, reads uint8) {
 		c := covers[int(pick)%len(covers)]
 		want := walkAgrees(t, NewBytesDecoder(data, jsontext.Options{}), data, c)

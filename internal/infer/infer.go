@@ -192,12 +192,11 @@ type keyEntry struct {
 }
 
 // A Simplifier is a fusion policy's rule for arrays (fusion.Options
-// implements it): Walk keeps an array of n elements a tuple when
-// KeepTuple(n), and otherwise collapses it into the repeated type of
-// its elements' fusion under Fuse, as the policy's Simplify does.
+// implements it): Array returns the array type of elements already
+// simplified under the policy, as the policy's Simplify builds it. The
+// walk passes its scratch, so Array must not retain elems.
 type Simplifier interface {
-	KeepTuple(n int) bool
-	Fuse(a, b types.Type) types.Type
+	Array(elems []types.Type) types.Type
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
@@ -947,24 +946,13 @@ func (d *Decoder) endArray(depth int, elems []types.Type) types.Type {
 	return d.buildArray(elems)
 }
 
-// emptyArray is [ε*], the simplified type of the empty array.
-var emptyArray = types.MustRepeated(types.Empty)
-
 // buildArray turns walked elements into an array type: a raw tuple for
-// Next, or for Walk the policy's simplified form, the right fold of
-// Fuse over the elements as the policy's collapse folds them. elems is
-// scratch owned by the caller and is never retained.
+// Next, or for Walk the Simplifier's array. elems is scratch owned by
+// the caller and is never retained.
 func (d *Decoder) buildArray(elems []types.Type) types.Type {
 	switch {
-	case d.collapse && !d.simp.KeepTuple(len(elems)):
-		if len(elems) == 0 {
-			return emptyArray
-		}
-		acc := types.Type(types.Empty)
-		for i := len(elems) - 1; i >= 0; i-- {
-			acc = d.simp.Fuse(elems[i], acc)
-		}
-		return types.MustRepeated(acc)
+	case d.collapse:
+		return d.simp.Array(elems)
 	case len(elems) == 0:
 		// EmptyTuple is one shared node, pre-seeded in every table, so
 		// both paths return the canonical representative.
