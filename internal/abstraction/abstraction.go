@@ -27,19 +27,16 @@ type Options struct {
 	// MinKeys is the minimum number of fields before a record type is
 	// considered dictionary-like; zero means DefaultMinKeys.
 	MinKeys int
-	// MaxElemGrowth bounds how much bigger the fused element type may be
-	// than the average field type for abstraction to proceed: similar
-	// field types fuse without growing, while genuinely heterogeneous
-	// records (which deserve their field names) do not. Zero means
-	// DefaultMaxElemGrowth.
-	MaxElemGrowth float64
 }
 
-// Defaults for Options.
-const (
-	DefaultMinKeys       = 16
-	DefaultMaxElemGrowth = 3.0
-)
+// DefaultMinKeys is the MinKeys used when Options leaves it zero.
+const DefaultMinKeys = 16
+
+// maxElemGrowth bounds how much bigger the fused element type may be
+// than the average field type for abstraction to proceed: similar
+// field types fuse without growing, while genuinely heterogeneous
+// records (which deserve their field names) do not.
+const maxElemGrowth = 3.0
 
 func (o Options) minKeys() int {
 	if o.MinKeys <= 0 {
@@ -48,16 +45,9 @@ func (o Options) minKeys() int {
 	return o.MinKeys
 }
 
-func (o Options) maxElemGrowth() float64 {
-	if o.MaxElemGrowth <= 0 {
-		return DefaultMaxElemGrowth
-	}
-	return o.MaxElemGrowth
-}
-
 // Abstract rewrites dictionary-like record types inside t into map
 // types, bottom-up: a record with at least MinKeys fields whose field
-// types fuse without growing past MaxElemGrowth times their average
+// types fuse without growing past maxElemGrowth times their average
 // size becomes {*: Fuse(field types)}.
 func Abstract(t types.Type, opts Options) types.Type {
 	switch tt := t.(type) {
@@ -86,7 +76,7 @@ func Abstract(t types.Type, opts Options) types.Type {
 		// candidate element before judging and storing it.
 		elem = Abstract(elem, opts)
 		avg := float64(sumSize) / float64(len(out))
-		if float64(elem.Size()) > avg*opts.maxElemGrowth() {
+		if float64(elem.Size()) > avg*maxElemGrowth {
 			return rec // heterogeneous fields: keep the names
 		}
 		return types.MustMap(elem)

@@ -56,9 +56,9 @@ type wireCounts struct {
 // has at most 1074 fraction digits.
 const maxSumText = 1500
 
-func newCounts(Params) Monoid { return &counts{} }
+func newCounts() Monoid { return &counts{} }
 
-func unmarshalCounts(data []byte, _ Params) (Monoid, error) {
+func unmarshalCounts(data []byte) (Monoid, error) {
 	var w wireCounts
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, err

@@ -91,63 +91,21 @@ const (
 type Def struct {
 	Name      string
 	Kind      Kind
-	New       func(p Params) Monoid
-	Unmarshal func(data []byte, p Params) (Monoid, error)
+	New       func() Monoid
+	Unmarshal func(data []byte) (Monoid, error)
 }
 
-// Params holds the accuracy/size knobs of the sketch monoids (see
-// docs/ENRICHMENT.md). Sketches record their own parameters in their
-// serialized state, so lattices built with different knobs still merge
-// deterministically (mismatched sketches collapse to the absorbing
-// invalid state rather than silently combining incompatible registers).
-// ParseSetParams accepts only geometry the sketches can honour:
-// HLLPrecision in 4..16, BloomHashes in 1..16, and BloomBits a multiple
-// of 8 in 64..MaxBloomBits.
-type Params struct {
-	// HLLPrecision is the HyperLogLog register-index width p; the
-	// sketch keeps 2^p one-byte registers (p=8 → 256 B, ~6.5% relative
-	// error; p=12 → 4 KiB, ~1.6%).
-	HLLPrecision int `json:"hll_precision"`
-	// BloomBits and BloomHashes size the Bloom filter (m bits, k
-	// hashes per value).
-	BloomBits   int `json:"bloom_bits"`
-	BloomHashes int `json:"bloom_hashes"`
-}
-
-// DefaultParams are the knobs used when none are given.
-func DefaultParams() Params {
-	return Params{HLLPrecision: 8, BloomBits: 1024, BloomHashes: 4}
-}
-
-// MaxBloomBits caps Params.BloomBits at 8 KiB of filter per lattice
-// node, 64 times the default. Every node allocates its filter up front,
-// so a larger value read from a serialized lattice would cost that
-// memory per path before any data arrived.
-const MaxBloomBits = 1 << 16
-
-// validate rejects sketch geometry the constructors cannot honour.
-func (p Params) validate() error {
-	switch {
-	case p.HLLPrecision < 4 || p.HLLPrecision > 16:
-		return fmt.Errorf("enrich: hll_precision %d outside 4..16", p.HLLPrecision)
-	case p.BloomHashes < 1 || p.BloomHashes > 16:
-		return fmt.Errorf("enrich: bloom_hashes %d outside 1..16", p.BloomHashes)
-	case p.BloomBits < 64 || p.BloomBits > MaxBloomBits || p.BloomBits%8 != 0:
-		return fmt.Errorf("enrich: bloom_bits %d is not a multiple of 8 in 64..%d", p.BloomBits, MaxBloomBits)
-	}
-	return nil
-}
-
-// merge combines two parameter sets field-wise by maximum — the only
-// combination that is commutative and associative, so lattice unions
-// stay order-independent.
-func (p Params) merge(q Params) Params {
-	return Params{
-		HLLPrecision: max(p.HLLPrecision, q.HLLPrecision),
-		BloomBits:    max(p.BloomBits, q.BloomBits),
-		BloomHashes:  max(p.BloomHashes, q.BloomHashes),
-	}
-}
+// The sketch geometry, the same for every lattice: HLL keeps
+// 2^hllPrecision one-byte registers (256 B, ~6.5% relative error) and
+// the Bloom filter bloomBits bits probed bloomHashes times per value,
+// so a node's sketches take 384 B. The wire format still spells the
+// geometry out ("params", and each sketch's p, m and k);
+// UnmarshalLattice rejects any other (docs/ENRICHMENT.md).
+const (
+	hllPrecision = 8
+	bloomBits    = 1024
+	bloomHashes  = 4
+)
 
 // catalogue lists every shipped monoid in canonical order. The order
 // is the states-slice layout of every node, so it must be append-only
@@ -174,27 +132,17 @@ func Names() []string {
 	return names
 }
 
-// A Set is a validated selection of monoids plus the sketch knobs: the
-// run-wide configuration every Lattice of one inference run shares.
+// A Set is a validated selection of monoids: the run-wide
+// configuration every Lattice of one inference run shares.
 type Set struct {
-	defs   []Def
-	params Params
+	defs []Def
 }
 
 // ParseSet validates a list of monoid names (each entry may itself be
-// a comma-separated list, matching flag syntax) into a Set with
-// default knobs. "all" selects the whole catalogue. Duplicates
-// collapse; unknown names error.
+// a comma-separated list, matching flag syntax) into a Set. "all"
+// selects the whole catalogue. Duplicates collapse; unknown names
+// error.
 func ParseSet(names []string) (*Set, error) {
-	return ParseSetParams(names, DefaultParams())
-}
-
-// ParseSetParams is ParseSet with explicit sketch knobs, which must be
-// within the bounds Params documents.
-func ParseSetParams(names []string, p Params) (*Set, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	want := make(map[string]bool)
 	for _, entry := range names {
 		for _, name := range strings.Split(entry, ",") {
@@ -230,7 +178,7 @@ func ParseSetParams(names []string, p Params) (*Set, error) {
 		return nil, fmt.Errorf("enrich: unknown monoid(s) %s (known: %s, or all)",
 			strings.Join(unknown, ", "), strings.Join(Names(), ", "))
 	}
-	return &Set{defs: defs, params: p}, nil
+	return &Set{defs: defs}, nil
 }
 
 // Names returns the enabled monoid names in canonical order.
@@ -242,16 +190,13 @@ func (s *Set) Names() []string {
 	return names
 }
 
-// Params returns the sketch knobs.
-func (s *Set) Params() Params { return s.params }
-
-// equalShape reports whether two sets enable the same monoids with the
-// same knobs, so their lattices merge index-aligned.
+// equalShape reports whether two sets enable the same monoids, so
+// their lattices merge index-aligned.
 func (s *Set) equalShape(o *Set) bool {
 	if s == o {
 		return true
 	}
-	if len(s.defs) != len(o.defs) || s.params != o.params {
+	if len(s.defs) != len(o.defs) {
 		return false
 	}
 	for i := range s.defs {
@@ -263,13 +208,13 @@ func (s *Set) equalShape(o *Set) bool {
 }
 
 // unionSet merges two configurations: the union of the enabled
-// monoids in canonical order, knobs combined field-wise by maximum.
+// monoids in canonical order.
 func unionSet(a, b *Set) *Set {
 	if a.equalShape(b) {
 		return a
 	}
 	names := append(a.Names(), b.Names()...)
-	merged, err := ParseSetParams(names, a.params.merge(b.params))
+	merged, err := ParseSet(names)
 	if err != nil {
 		// Unreachable: both inputs hold catalogue names only.
 		panic(err)

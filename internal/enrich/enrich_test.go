@@ -1,6 +1,7 @@
 package enrich
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -68,14 +69,13 @@ func observeRandom(r *rand.Rand, m Monoid) {
 // harness: identity, commutativity, associativity, random merge trees,
 // second-operand purity and serialization round-trips.
 func TestMonoidConformance(t *testing.T) {
-	params := DefaultParams()
 	for _, def := range catalogue() {
 		def := def
 		monoidtest.Run(t, monoidtest.Subject{
 			Name:  def.Name,
-			Empty: func() any { return def.New(params) },
+			Empty: func() any { return def.New() },
 			Rand: func(r *rand.Rand) any {
-				m := def.New(params)
+				m := def.New()
 				observeRandom(r, m)
 				return m
 			},
@@ -85,7 +85,7 @@ func TestMonoidConformance(t *testing.T) {
 			},
 			Fingerprint: func(x any) string { return fingerprint(x.(Monoid)) },
 			Marshal:     func(x any) ([]byte, error) { return x.(Monoid).MarshalState() },
-			Unmarshal:   func(data []byte) (any, error) { return def.Unmarshal(data, params) },
+			Unmarshal:   func(data []byte) (any, error) { return def.Unmarshal(data) },
 		})
 	}
 }
@@ -233,7 +233,7 @@ func TestFormatDetection(t *testing.T) {
 }
 
 func TestFormatsFoldUnanimity(t *testing.T) {
-	f := newFormats(DefaultParams())
+	f := newFormats()
 	f.Str("2024-02-29")
 	f.Str("1999-12-31")
 	out := f.Fold()
@@ -247,7 +247,7 @@ func TestFormatsFoldUnanimity(t *testing.T) {
 }
 
 func TestHLLEstimate(t *testing.T) {
-	h := newHLL(DefaultParams()).(*hll)
+	h := newHLL().(*hll)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		h.Str(fmt.Sprintf("value-%d", i))
@@ -267,7 +267,7 @@ func TestHLLEstimate(t *testing.T) {
 }
 
 func TestHLLSmallRange(t *testing.T) {
-	h := newHLL(DefaultParams()).(*hll)
+	h := newHLL().(*hll)
 	for i := 0; i < 3; i++ {
 		h.Num(float64(i))
 	}
@@ -277,7 +277,7 @@ func TestHLLSmallRange(t *testing.T) {
 }
 
 func TestBloomContains(t *testing.T) {
-	b := newBloom(DefaultParams()).(*bloom)
+	b := newBloom().(*bloom)
 	b.Str("alpha")
 	b.Num(42)
 	b.Bool(true)
@@ -292,45 +292,6 @@ func TestBloomContains(t *testing.T) {
 	// The string "42" and the number 42 are distinct values.
 	if b.contains(hashStr("42")) {
 		t.Fatal(`string "42" should not collide with number 42`)
-	}
-}
-
-// TestSketchMismatchPoison pins the absorbing-invalid stance: sketches
-// of different geometry merge to the invalid state in either order,
-// and annotations vanish rather than lie.
-func TestSketchMismatchPoison(t *testing.T) {
-	small := Params{HLLPrecision: 8, BloomBits: 512, BloomHashes: 4}
-	big := Params{HLLPrecision: 12, BloomBits: 2048, BloomHashes: 6}
-	mk := func(p Params, v string) (Monoid, Monoid) {
-		h, b := newHLL(p), newBloom(p)
-		h.Str(v)
-		b.Str(v)
-		return h, b
-	}
-	h1, b1 := mk(small, "x")
-	h2, b2 := mk(big, "y")
-	h1.Merge(h2)
-	b1.Merge(b2)
-	if !h1.(*hll).invalid || !b1.(*bloom).invalid {
-		t.Fatal("mismatched sketches must poison")
-	}
-	if h1.Fold() != nil || b1.Fold() != nil {
-		t.Fatal("poisoned sketches must not annotate")
-	}
-	// Commutative: the other order poisons too, and the states agree.
-	h3, b3 := mk(big, "y")
-	h4, b4 := mk(small, "x")
-	h3.Merge(h4)
-	b3.Merge(b4)
-	if fingerprint(h3) != fingerprint(h1) || fingerprint(b3) != fingerprint(b1) {
-		t.Fatal("poison is not commutative")
-	}
-	// An empty sketch stays an identity even across geometries.
-	h5, _ := mk(small, "z")
-	want := fingerprint(h5)
-	h5.Merge(newHLL(big))
-	if fingerprint(h5) != want {
-		t.Fatal("empty sketch of another geometry must stay an identity")
 	}
 }
 
@@ -441,7 +402,7 @@ func TestLatticeResetAfterError(t *testing.T) {
 // lose the 1 below, and its bits would depend on the order of the adds.
 func TestCountsExactSum(t *testing.T) {
 	for _, order := range [][]float64{{1e17, 1, -1e17}, {1, 1e17, -1e17}, {-1e17, 1e17, 1}} {
-		c := newCounts(DefaultParams()).(*counts)
+		c := newCounts().(*counts)
 		for _, f := range order {
 			c.Num(f)
 		}
@@ -449,7 +410,7 @@ func TestCountsExactSum(t *testing.T) {
 			t.Errorf("sum of %v = %s, want 1", order, got)
 		}
 	}
-	c := newCounts(DefaultParams()).(*counts)
+	c := newCounts().(*counts)
 	c.Num(0.1)
 	c.Num(0.2)
 	state, err := c.MarshalState()
@@ -463,16 +424,48 @@ func TestCountsExactSum(t *testing.T) {
 		t.Errorf("mean = %v, want the float64 nearest the exact mean", m)
 	}
 	for _, sum := range []string{`"1e5"`, `"0.1"`, `"1/2"`, `"0x10"`, `"` + strings.Repeat("1", maxSumText+1) + `"`} {
-		if _, err := unmarshalCounts([]byte(`{"num":1,"num_sum":`+sum+`}`), DefaultParams()); err == nil {
+		if _, err := unmarshalCounts([]byte(`{"num":1,"num_sum":` + sum + `}`)); err == nil {
 			t.Errorf("num_sum %.20s accepted", sum)
 		}
 	}
 }
 
-// TestParseSetParamsBounds: sketch geometry read from the wire is
-// checked before any sketch is built. Unchecked, the first document
-// allocated 128 MiB per lattice node and the second panicked.
-func TestParseSetParamsBounds(t *testing.T) {
+// geometryParams is the params member of every lattice document.
+const geometryParams = `"params":{"hll_precision":8,"bloom_bits":1024,"bloom_hashes":4}`
+
+// rejectedGeometries are lattice documents that declare a sketch
+// geometry other than the fixed one, in their params or in one sketch
+// state, or a sketch in the retired invalid state. Each was accepted
+// while the geometry was a setting; the first allocated 72 KiB for
+// each of its 4,001 nodes.
+func rejectedGeometries() []struct{ name, doc string } {
+	nodes := make([]string, 4000)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf(`"%d":{}`, i)
+	}
+	regs := make([]byte, 4096)
+	regs[0] = 1
+	bits := make([]byte, 256)
+	bits[0] = 1
+	state := func(monoid, st string) string {
+		return `{"monoids":["` + monoid + `"],` + geometryParams + `,"root":{"states":{"` + monoid + `":` + st + `}}}`
+	}
+	return []struct{ name, doc string }{
+		{"largest-parameters", `{"monoids":["bloom","hll"],"params":{"hll_precision":16,"bloom_bits":65536,"bloom_hashes":16},` +
+			`"root":{"fields":{` + strings.Join(nodes, ",") + `}}}`},
+		{"hll-p12", state("hll", `{"p":12,"regs":"`+base64.StdEncoding.EncodeToString(regs)+`"}`)},
+		{"bloom-m2048", state("bloom", `{"m":2048,"k":4,"bits":"`+base64.StdEncoding.EncodeToString(bits)+`"}`)},
+		{"hll-invalid", state("hll", `{"invalid":true}`)},
+		{"bloom-invalid", state("bloom", `{"invalid":true}`)},
+	}
+}
+
+// TestUnmarshalLatticeRejectsSketchGeometry: a lattice read from the
+// wire must declare the one sketch geometry, and it is rejected before
+// it costs memory. Unchecked, the first params document allocated
+// 128 MiB per lattice node and the second panicked.
+func TestUnmarshalLatticeRejectsSketchGeometry(t *testing.T) {
+	cases := rejectedGeometries()
 	for _, params := range []string{
 		`{"hll_precision":8,"bloom_bits":1073741824,"bloom_hashes":4}`,
 		`{"hll_precision":8,"bloom_bits":9223372036854775800,"bloom_hashes":4}`,
@@ -484,19 +477,21 @@ func TestParseSetParamsBounds(t *testing.T) {
 		`{"hll_precision":17,"bloom_bits":1024,"bloom_hashes":4}`,
 		`{}`,
 	} {
-		doc := `{"monoids":["bloom","hll"],"params":` + params + `}`
+		cases = append(cases, struct{ name, doc string }{params, `{"monoids":["bloom","hll"],"params":` + params + `}`})
+	}
+	for _, c := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := UnmarshalLattice([]byte(doc))
+		_, err := UnmarshalLattice([]byte(c.doc))
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Errorf("params %s accepted", params)
+			t.Errorf("%s: accepted", c.name)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("params %s: rejecting them allocated %d bytes", params, grew)
+			t.Errorf("%s: rejecting it allocated %d bytes", c.name, grew)
 		}
 	}
-	if _, err := ParseSetParams([]string{"all"}, Params{HLLPrecision: 16, BloomBits: MaxBloomBits, BloomHashes: 16}); err != nil {
-		t.Errorf("the largest valid geometry is rejected: %v", err)
+	if _, err := UnmarshalLattice([]byte(`{"monoids":["bloom","hll"],` + geometryParams + `}`)); err != nil {
+		t.Errorf("the fixed geometry is rejected: %v", err)
 	}
 }

@@ -21,11 +21,11 @@ type formats struct {
 	Counts []int64 `json:"counts"` // parallel to formatNames
 }
 
-func newFormats(Params) Monoid {
+func newFormats() Monoid {
 	return &formats{Counts: make([]int64, len(formatNames))}
 }
 
-func unmarshalFormats(data []byte, _ Params) (Monoid, error) {
+func unmarshalFormats(data []byte) (Monoid, error) {
 	f := &formats{}
 	if err := json.Unmarshal(data, f); err != nil {
 		return nil, err

@@ -13,12 +13,11 @@ import (
 // path without panicking, and re-encode to bytes that decode to the
 // same bytes again.
 func FuzzUnmarshalLattice(f *testing.F) {
-	// Small seeds with the smallest sketches: the fuzzer minimizes every
-	// input that finds new coverage, and on a long one that stalls it.
+	// Seeds at the fixed sketch geometry run to kilobytes; CI's
+	// fuzz-smoke step caps the minimization of new-coverage inputs.
 	seed := value.Obj("n", value.Num(1.5), "s", value.Arr(value.Str("x")))
-	small := Params{HLLPrecision: 4, BloomBits: 64, BloomHashes: 1}
 	for _, names := range []string{"all", ProfileMonoids} {
-		set, err := ParseSetParams([]string{names}, small)
+		set, err := ParseSet([]string{names})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -34,7 +33,10 @@ func FuzzUnmarshalLattice(f *testing.F) {
 		f.Add([]byte(`{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":` + bits + `,"bloom_hashes":4}}`))
 	}
 	// A null child used to be dereferenced.
-	f.Add([]byte(`{"monoids":["counts"],"params":{"hll_precision":8,"bloom_bits":1024,"bloom_hashes":4},"root":{"fields":{"a":null}}}`))
+	f.Add([]byte(`{"monoids":["counts"],` + geometryParams + `,"root":{"fields":{"a":null}}}`))
+	for _, c := range rejectedGeometries() {
+		f.Add([]byte(c.doc))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := UnmarshalLattice(data)

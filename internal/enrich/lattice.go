@@ -48,7 +48,7 @@ func (s *Set) NewLattice() *Lattice {
 func (s *Set) newNode() *node {
 	n := &node{states: make([]Monoid, len(s.defs))}
 	for i, d := range s.defs {
-		n.states[i] = d.New(s.params)
+		n.states[i] = d.New()
 	}
 	return n
 }
@@ -202,10 +202,8 @@ func (n *node) clone() *node {
 
 // Union combines two lattices purely: neither argument is mutated, nil
 // is the identity. Lattices of different configurations combine onto
-// the union of their monoid sets (knobs merged field-wise by maximum;
-// sketches of mismatched geometry collapse to their absorbing invalid
-// state — see hll.go), so cross-run merging through Repository
-// snapshots stays total and deterministic.
+// the union of their monoid sets, so cross-run merging through
+// Repository snapshots stays total and deterministic.
 func Union(a, b *Lattice) *Lattice {
 	if a == nil {
 		return b.Clone()
@@ -281,14 +279,25 @@ func (n *node) empty() bool {
 	return n.elem == nil || n.elem.empty()
 }
 
-// wire format: self-describing (monoid names + knobs), with empty
-// states and empty subtrees pruned. encoding/json sorts map keys, so
-// the bytes are a pure function of the abstract state.
+// wire format: self-describing (monoid names + sketch geometry), with
+// empty states and empty subtrees pruned. encoding/json sorts map
+// keys, so the bytes are a pure function of the abstract state.
 type wireLattice struct {
-	Monoids []string  `json:"monoids"`
-	Params  Params    `json:"params"`
-	Root    *wireNode `json:"root,omitempty"`
+	Monoids []string   `json:"monoids"`
+	Params  wireParams `json:"params"`
+	Root    *wireNode  `json:"root,omitempty"`
 }
+
+// wireParams spells out the sketch geometry. Every lattice is written
+// with the one geometry, and a document that declares another is
+// rejected before any node is built.
+type wireParams struct {
+	HLLPrecision int `json:"hll_precision"`
+	BloomBits    int `json:"bloom_bits"`
+	BloomHashes  int `json:"bloom_hashes"`
+}
+
+var geometry = wireParams{HLLPrecision: hllPrecision, BloomBits: bloomBits, BloomHashes: bloomHashes}
 
 type wireNode struct {
 	States map[string]json.RawMessage `json:"states,omitempty"`
@@ -302,7 +311,7 @@ func (l *Lattice) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(wireLattice{Monoids: l.set.Names(), Params: l.set.params, Root: root})
+	return json.Marshal(wireLattice{Monoids: l.set.Names(), Params: geometry, Root: root})
 }
 
 func (n *node) wire(s *Set) (*wireNode, error) {
@@ -352,7 +361,10 @@ func UnmarshalLattice(data []byte) (*Lattice, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("enrich: lattice: %w", err)
 	}
-	set, err := ParseSetParams(w.Monoids, w.Params)
+	if w.Params != geometry {
+		return nil, fmt.Errorf("enrich: sketch geometry %+v, want %+v", w.Params, geometry)
+	}
+	set, err := ParseSet(w.Monoids)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +383,7 @@ func (n *node) unwire(s *Set, w *wireNode) error {
 		if i < 0 {
 			return fmt.Errorf("enrich: state for unknown monoid %q", name)
 		}
-		st, err := s.defs[i].Unmarshal(data, s.params)
+		st, err := s.defs[i].Unmarshal(data)
 		if err != nil {
 			return err
 		}

@@ -13,9 +13,9 @@ type lengths struct {
 	Sum   int64 `json:"sum"`
 }
 
-func newLengths(Params) Monoid { return &lengths{} }
+func newLengths() Monoid { return &lengths{} }
 
-func unmarshalLengths(data []byte, _ Params) (Monoid, error) {
+func unmarshalLengths(data []byte) (Monoid, error) {
 	l := &lengths{}
 	if err := json.Unmarshal(data, l); err != nil {
 		return nil, err

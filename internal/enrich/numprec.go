@@ -18,9 +18,9 @@ type numPrec struct {
 	MaxDec int   `json:"max_dec"`
 }
 
-func newNumPrec(Params) Monoid { return &numPrec{} }
+func newNumPrec() Monoid { return &numPrec{} }
 
-func unmarshalNumPrec(data []byte, _ Params) (Monoid, error) {
+func unmarshalNumPrec(data []byte) (Monoid, error) {
 	n := &numPrec{}
 	if err := json.Unmarshal(data, n); err != nil {
 		return nil, err

@@ -12,9 +12,9 @@ type ranges struct {
 	Max   float64 `json:"max"`
 }
 
-func newRanges(Params) Monoid { return &ranges{} }
+func newRanges() Monoid { return &ranges{} }
 
-func unmarshalRanges(data []byte, _ Params) (Monoid, error) {
+func unmarshalRanges(data []byte) (Monoid, error) {
 	r := &ranges{}
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package serving
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -322,17 +323,41 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotPutRejectsSketchGeometry: a restored snapshot whose
-// enrichment params would make every lattice node allocate a huge
-// sketch (or panic) is a client error, and the server keeps serving.
+// enrichment declares a sketch geometry other than the fixed one
+// (docs/ENRICHMENT.md), in its params or in one sketch state, or holds
+// a sketch in the retired invalid state, is a client error, and the
+// server keeps serving. The 4,001-node lattice cost 284 MiB to restore
+// while the geometry was a setting.
 func TestSnapshotPutRejectsSketchGeometry(t *testing.T) {
+	const params = `"params":{"hll_precision":8,"bloom_bits":1024,"bloom_hashes":4}`
+	state := func(monoid, st string) string {
+		return `{"monoids":["` + monoid + `"],` + params + `,"root":{"states":{"` + monoid + `":` + st + `}}}`
+	}
+	nodes := make([]string, 4000)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf(`"%d":{}`, i)
+	}
+	regs := make([]byte, 4096)
+	regs[0] = 1
+	lattices := map[string]string{
+		"largest-parameters": `{"monoids":["bloom","hll"],"params":{"hll_precision":16,"bloom_bits":65536,"bloom_hashes":16},` +
+			`"root":{"fields":{` + strings.Join(nodes, ",") + `}}}`,
+		"hll-p12":       state("hll", `{"p":12,"regs":"`+base64.StdEncoding.EncodeToString(regs)+`"}`),
+		"bloom-m2048":   state("bloom", `{"m":2048,"k":4,"bits":"`+base64.StdEncoding.EncodeToString(regs[:256])+`"}`),
+		"hll-invalid":   state("hll", `{"invalid":true}`),
+		"bloom-invalid": state("bloom", `{"invalid":true}`),
+	}
+	for _, bits := range []string{"1073741824", "9223372036854775800"} {
+		lattices["bloom_bits "+bits] = `{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":` + bits + `,"bloom_hashes":4}}`
+	}
+
 	_, hs := newTestServer(t, Config{})
 	ingest(t, hs.URL, "live", "default", []byte(`{"a":1}`+"\n"))
 	_, wantSchema := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil)
-	for _, bits := range []string{"1073741824", "9223372036854775800"} {
-		snap := `{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` +
-			`{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":` + bits + `,"bloom_hashes":4}}}]}`
+	for name, lattice := range lattices {
+		snap := `{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` + lattice + `}]}`
 		if status, body := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/bomb/snapshot", []byte(snap)); status != http.StatusBadRequest {
-			t.Errorf("bloom_bits %s: status %d (%s), want 400", bits, status, body)
+			t.Errorf("%s: status %d (%s), want 400", name, status, body)
 		}
 	}
 	if status, got := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil); status != http.StatusOK || !bytes.Equal(got, wantSchema) {

@@ -3,6 +3,7 @@ package jsoninference_test
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -666,23 +667,52 @@ func TestRepositorySaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRepositoryRejectsSketchGeometry: a snapshot's enrichment
-// params are checked before any sketch is built. Unchecked, the first
-// snapshot loaded after allocating 128 MiB for its one lattice node and
-// the second panicked.
-func TestLoadRepositoryRejectsSketchGeometry(t *testing.T) {
+// rejectedGeometryLattices are enrichment lattices at a sketch
+// geometry other than the fixed one (docs/ENRICHMENT.md), in their
+// params or in one sketch state, or with a sketch in the retired
+// invalid state. Unchecked, the first snapshot loaded after allocating
+// 128 MiB for its one lattice node, the second panicked, and the third
+// allocated 284 MiB for its 4,001 nodes.
+func rejectedGeometryLattices() map[string]string {
+	const params = `"params":{"hll_precision":8,"bloom_bits":1024,"bloom_hashes":4}`
+	state := func(monoid, st string) string {
+		return `{"monoids":["` + monoid + `"],` + params + `,"root":{"states":{"` + monoid + `":` + st + `}}}`
+	}
+	nodes := make([]string, 4000)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf(`"%d":{}`, i)
+	}
+	regs := make([]byte, 4096)
+	regs[0] = 1
+	out := map[string]string{
+		"largest-parameters": `{"monoids":["bloom","hll"],"params":{"hll_precision":16,"bloom_bits":65536,"bloom_hashes":16},` +
+			`"root":{"fields":{` + strings.Join(nodes, ",") + `}}}`,
+		"hll-p12":       state("hll", `{"p":12,"regs":"`+base64.StdEncoding.EncodeToString(regs)+`"}`),
+		"bloom-m2048":   state("bloom", `{"m":2048,"k":4,"bits":"`+base64.StdEncoding.EncodeToString(regs[:256])+`"}`),
+		"hll-invalid":   state("hll", `{"invalid":true}`),
+		"bloom-invalid": state("bloom", `{"invalid":true}`),
+	}
 	for _, bits := range []string{"1073741824", "9223372036854775800"} {
-		snap := `{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` +
-			`{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":` + bits + `,"bloom_hashes":4}}}]}`
+		out["bloom_bits "+bits] = `{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":` + bits + `,"bloom_hashes":4}}`
+	}
+	return out
+}
+
+// TestLoadRepositoryRejectsSketchGeometry: a snapshot's enrichment must
+// declare the one sketch geometry, and it is rejected before any sketch
+// is built.
+func TestLoadRepositoryRejectsSketchGeometry(t *testing.T) {
+	for name, lattice := range rejectedGeometryLattices() {
+		snap := `{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` + lattice + `}]}`
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := jsi.LoadRepository(strings.NewReader(snap))
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Errorf("bloom_bits %s: snapshot loaded", bits)
+			t.Errorf("%s: snapshot loaded", name)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("bloom_bits %s: rejecting the snapshot allocated %d bytes", bits, grew)
+			t.Errorf("%s: rejecting the snapshot allocated %d bytes", name, grew)
 		}
 	}
 }
