@@ -553,15 +553,17 @@ func BenchmarkAbstraction(b *testing.B) {
 
 // BenchmarkJSONSchema measures the JSON Schema export alone on the
 // schema Infer builds from wikidata's ids-as-keys records (the paper's
-// §6.2 pathology: tens of thousands of schema nodes), plain and with
-// every enrichment annotation.
+// §6.2 pathology: tens of thousands of schema nodes, most of them under
+// a repeated subtree the export copies), plain and with every
+// enrichment annotation, and on github's schema, whose few repeats show
+// what numbering the shapes costs where copying saves little.
 func BenchmarkJSONSchema(b *testing.B) {
-	g, _ := dataset.New("wikidata")
-	data := dataset.NDJSON(g, 1500, 1)
 	for _, c := range []struct {
-		name   string
-		enrich []string
-	}{{"plain", nil}, {"enriched", []string{"all"}}} {
+		name, dataset string
+		enrich        []string
+	}{{"plain", "wikidata", nil}, {"enriched", "wikidata", []string{"all"}}, {"github", "github", nil}} {
+		g, _ := dataset.New(c.dataset)
+		data := dataset.NDJSON(g, 1500, 1)
 		b.Run(c.name, func(b *testing.B) {
 			s, _, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Enrich: c.enrich})
 			if err != nil {
@@ -582,10 +584,12 @@ func BenchmarkJSONSchema(b *testing.B) {
 
 // BenchmarkSchemaCodec measures the schema codec alone, MarshalJSON and
 // UnmarshalSchemaJSON, on the schemas Infer builds from twitter's mixed
-// records and wikidata's ids-as-keys records: the read half is what
-// every validate request and schemad reload pays per schema.
+// records, wikidata's ids-as-keys records and github's events: the read
+// half is what every validate request and schemad reload pays per
+// schema, and github's few repeats show what numbering the shapes costs
+// the write half where copying saves little.
 func BenchmarkSchemaCodec(b *testing.B) {
-	for _, name := range []string{"twitter", "wikidata"} {
+	for _, name := range []string{"twitter", "wikidata", "github"} {
 		g, _ := dataset.New(name)
 		s, _, err := jsi.Infer(context.Background(), jsi.FromBytes(dataset.NDJSON(g, 1500, 1)), jsi.Options{})
 		if err != nil {

@@ -170,3 +170,33 @@ func TestCostDoubling(t *testing.T) {
 		})
 	}
 }
+
+// maxExportAllocRatio bounds the bytes plain JSONSchema allocates over
+// the document's length: the document itself, allocated once at its
+// final length, plus the shape numbering and the table of rendered
+// repeats.
+const maxExportAllocRatio = 1.05
+
+// TestJSONSchemaAllocatesDocument: on the schema of 1,500 wikidata
+// records, whose repeats the export copies (docs/PERFORMANCE.md, "JSON
+// Schema export"), plain JSONSchema allocates at most 1.05 times the
+// document's length.
+func TestJSONSchemaAllocatesDocument(t *testing.T) {
+	g, err := dataset.New("wikidata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := jsi.Infer(context.Background(), jsi.FromBytes(dataset.NDJSON(g, 1500, 1)), jsi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := s.JSONSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := allocated(t, func() error { _, err := s.JSONSchema(); return err })
+	if limit := uint64(maxExportAllocRatio * float64(len(doc))); got > limit {
+		t.Errorf("JSONSchema allocated %d bytes for a %d-byte document, above %.2f× (%d)", got, len(doc), maxExportAllocRatio, limit)
+	}
+	t.Logf("JSONSchema allocated %d bytes for a %d-byte document (%.4f×)", got, len(doc), float64(got)/float64(len(doc)))
+}

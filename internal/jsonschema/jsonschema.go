@@ -34,12 +34,23 @@
 // "", "  ") prints for the document as a map[string]any tree — keys in
 // encoding/json's sorted order, encoding/json's string escaping
 // (HTML-safe <, > and &, U+2028 and U+2029 escaped, U+FFFD for invalid
-// UTF-8) and two-space indentation — but it is written directly, by one
+// UTF-8) and two-space indentation — but it is written directly, by a
 // walk of the type, into one buffer allocated at its final length (a
-// sizing pass over the same walk measures it first). The root golden
-// test TestJSONSchemaGolden pins the bytes on every generator and
-// policy, and FuzzJSONSchemaCanonical checks that re-encoding the output
-// through encoding/json reproduces it.
+// sizing pass over the same walk counts it first, writing nothing).
+//
+// A subtree that repeats is rendered once: the walk numbers the type's
+// shapes (types.Shapes), renders each repeated shape once per lattice
+// node, indentation depth and whole flag, and on every later repeat
+// copies those bytes from earlier in its own buffer. On wikidata's
+// ids-as-keys schemas most nodes sit under such a repeat. A node that
+// carries a pin ($schema, a variant's const) is always rendered.
+//
+// The root golden test TestJSONSchemaGolden pins the bytes on every
+// generator and policy; TestMarshalMatchesOracle and
+// TestNearDuplicatesMatchOracle check them against the writer that
+// renders every node (oracle_test.go); and FuzzJSONSchemaCanonical
+// checks both that re-encoding the output through encoding/json
+// reproduces it and that fuzzed repeats match the oracle.
 package jsonschema
 
 import (
@@ -75,30 +86,53 @@ func MarshalAnnotated(t types.Type, l *enrich.Lattice) ([]byte, error) {
 	if t == nil {
 		return nil, fmt.Errorf("jsonschema: nil type")
 	}
-	size := writer{sizing: true, annotated: l != nil}
+	shapes, renders := types.NumberShapes(t), map[renderKey]span{}
+	size := writer{sizing: true, shapes: shapes, renders: renders, annotated: l != nil}
 	size.root(t, l.Cursor())
 	if size.err != nil {
 		return nil, size.err
 	}
-	w := writer{buf: make([]byte, 0, size.n), annotated: l != nil, notes: size.notes}
+	w := writer{buf: make([]byte, 0, size.n), shapes: shapes, renders: renders, annotated: l != nil, notes: size.notes}
 	w.root(t, l.Cursor())
 	return w.buf, w.err
 }
 
 // A writer renders one document. The same walk runs twice: first with
-// sizing set, when buf is scratch space emptied at every line and n
-// counts the bytes, then into a buffer of exactly that length.
+// sizing set, when nothing is written and n counts the bytes, then into
+// a buffer of exactly that length.
+//
+// Both passes render a node whose shape repeats (types.Shapes) once per
+// renderKey, which holds all its bytes depend on, and copy those bytes
+// on every later repeat: the sizing pass records each rendering's
+// length in renders, the writing pass its offset. A node that carries
+// a pin is always rendered. The two passes make the same copy
+// decisions, so they render the same nodes in the same order.
 type writer struct {
-	buf    []byte
-	sizing bool
-	n      int
-	err    error
-	// With a lattice, the sizing pass queues every node's extras in
-	// notes and the writing pass takes them back in the same walk
-	// order, so each annotation is folded and rendered once.
+	buf     []byte
+	sizing  bool
+	n       int
+	err     error
+	shapes  *types.Shapes
+	renders map[renderKey]span
+	// With a lattice, the sizing pass queues every rendered node's
+	// extras in notes and the writing pass takes them back in the same
+	// walk order, so each annotation is folded and rendered once.
 	annotated bool
 	notes     [][]field
 }
+
+// A renderKey names the bytes of a node: its shape, the lattice node
+// its cursor stands on, its indentation depth and its whole flag.
+type renderKey struct {
+	c     enrich.Cursor
+	shape int32
+	depth int32
+	whole bool
+}
+
+// A span is where a rendering sits in the document: its offset, -1
+// until the writing pass has written it, and its length.
+type span struct{ start, n int }
 
 // A field is an object entry beyond a node's structural keys, its
 // value already encoded.
@@ -112,12 +146,11 @@ type field struct {
 // any annotation of the same name.
 type pin struct {
 	key string
-	val any
+	val string
 }
 
 func (w *writer) root(t types.Type, c enrich.Cursor) {
-	w.node(t, c, 0, true, pin{"$schema", "http://json-schema.org/draft-04/schema#"})
-	w.newline(-1)
+	w.node(t, 0, c, 0, true, pin{"$schema", "http://json-schema.org/draft-04/schema#"})
 }
 
 func (w *writer) fail(err error) {
@@ -126,18 +159,45 @@ func (w *writer) fail(err error) {
 	}
 }
 
-// node writes the schema object of t at indentation depth. whole marks
-// the top schema node of a path: only there do whole-value annotations
-// attach (union alternatives and variant branches pass false, so the
-// union node carries them once).
-func (w *writer) node(t types.Type, c enrich.Cursor, depth int, whole bool, p pin) {
+// node writes the schema object of t, whose position in the shape
+// numbering is pos, at indentation depth. whole marks the top schema
+// node of a path: only there do whole-value annotations attach (union
+// alternatives and variant branches pass false, so the union node
+// carries them once).
+func (w *writer) node(t types.Type, pos int, c enrich.Cursor, depth int, whole bool, p pin) {
 	if w.err != nil {
 		return
 	}
 	if v, ok := t.(*types.Variants); ok && v.Collapsed() {
-		w.node(v.Other(), c, depth, whole, p)
+		w.node(v.Other(), pos+1, c, depth, whole, p)
 		return
 	}
+	id, shared := w.shapes.Shared(t, pos)
+	if !shared || p.key != "" {
+		w.render(t, pos, c, depth, whole, p)
+		return
+	}
+	k := renderKey{c: c, shape: int32(id), depth: int32(depth), whole: whole}
+	sp, seen := w.renders[k]
+	switch {
+	case w.sizing && seen:
+		w.n += sp.n
+	case w.sizing:
+		start := w.n
+		w.render(t, pos, c, depth, whole, p)
+		w.renders[k] = span{start: -1, n: w.n - start}
+	case sp.start >= 0:
+		w.buf = append(w.buf, w.buf[sp.start:sp.start+sp.n]...)
+	default:
+		sp.start = len(w.buf)
+		w.render(t, pos, c, depth, whole, p)
+		w.renders[k] = sp
+	}
+}
+
+// render writes the schema object of t as node does, without looking
+// for an earlier rendering of t itself.
+func (w *writer) render(t types.Type, pos int, c enrich.Cursor, depth int, whole bool, p pin) {
 	o := object{depth: depth, extra: w.extras(t, c, depth, whole, p)}
 	w.raw("{")
 	switch tt := t.(type) {
@@ -153,19 +213,21 @@ func (w *writer) node(t types.Type, c enrich.Cursor, depth int, whole bool, p pi
 		w.key(&o, "not")
 		w.raw("{}")
 	case *types.Record:
-		w.record(&o, tt, c, "", "")
+		w.record(&o, tt, pos, c, "", "")
 	case *types.Tuple:
 		if tt.Len() > 0 {
 			w.key(&o, "additionalItems")
 			w.raw("false")
 			w.key(&o, "items")
 			w.raw("[")
+			at := pos + 1
 			for i, e := range tt.Elems() {
 				// Tuple positions share the lattice's collapsed element
 				// node, mirroring the fusion rule that merges array
 				// positions.
 				w.item(depth+1, i)
-				w.node(e, c.Elem(), depth+2, true, pin{})
+				w.node(e, at, c.Elem(), depth+2, true, pin{})
+				at = w.shapes.Skip(e, at)
 			}
 			w.newline(depth + 1)
 			w.raw("]")
@@ -181,7 +243,7 @@ func (w *writer) node(t types.Type, c enrich.Cursor, depth int, whole bool, p pi
 		// lattice keeps per-key nodes, so there is no single node to
 		// annotate the element with — stop annotating below here.
 		w.key(&o, "additionalProperties")
-		w.node(tt.Elem(), enrich.Cursor{}, depth+1, true, pin{})
+		w.node(tt.Elem(), pos+1, enrich.Cursor{}, depth+1, true, pin{})
 		w.key(&o, "type")
 		w.str("object")
 	case *types.Repeated:
@@ -190,16 +252,18 @@ func (w *writer) node(t types.Type, c enrich.Cursor, depth int, whole bool, p pi
 			w.num(0)
 		} else {
 			w.key(&o, "items")
-			w.node(tt.Elem(), c.Elem(), depth+1, true, pin{})
+			w.node(tt.Elem(), pos+1, c.Elem(), depth+1, true, pin{})
 		}
 		w.key(&o, "type")
 		w.str("array")
 	case *types.Union:
 		w.key(&o, "anyOf")
 		w.raw("[")
+		at := pos + 1
 		for i, a := range tt.Alts() {
 			w.item(depth+1, i)
-			w.node(a, c, depth+2, false, pin{})
+			w.node(a, at, c, depth+2, false, pin{})
+			at = w.shapes.Skip(a, at)
 		}
 		w.newline(depth + 1)
 		w.raw("]")
@@ -210,16 +274,18 @@ func (w *writer) node(t types.Type, c enrich.Cursor, depth int, whole bool, p pi
 		// the oneOf node.
 		w.key(&o, "oneOf")
 		w.raw("[")
+		at := pos + 1
 		for i, vc := range tt.Cases() {
 			w.item(depth+1, i)
 			b := object{depth: depth + 2}
 			w.raw("{")
-			w.record(&b, vc.Type, c, tt.Key(), vc.Tag)
+			w.record(&b, vc.Type, at, c, tt.Key(), vc.Tag)
 			w.close(&b)
+			at = w.shapes.End(at)
 		}
 		if tt.Other() != nil {
 			w.item(depth+1, tt.Len())
-			w.node(tt.Other(), c, depth+2, false, pin{})
+			w.node(tt.Other(), at, c, depth+2, false, pin{})
 		}
 		w.newline(depth + 1)
 		w.raw("]")
@@ -238,8 +304,9 @@ var basicNames = map[types.Basic]string{
 // variant's branch passes its discriminator key and tag: that property
 // gains {"const": tag}, or is added as {"const": tag, "type": "string"}
 // when the branch lacks it. Wrapper branches pass key == "" — their
-// required single property name already discriminates.
-func (w *writer) record(o *object, r *types.Record, c enrich.Cursor, key, tag string) {
+// required single property name already discriminates. pos is r's
+// position in the shape numbering.
+func (w *writer) record(o *object, r *types.Record, pos int, c enrich.Cursor, key, tag string) {
 	w.key(o, "additionalProperties")
 	w.raw("false")
 	w.key(o, "properties")
@@ -247,6 +314,7 @@ func (w *writer) record(o *object, r *types.Record, c enrich.Cursor, key, tag st
 	w.raw("{")
 	pinned := key == ""
 	required := false
+	at := pos + 1
 	for _, f := range r.Fields() {
 		if !pinned && key < f.Key {
 			w.discriminator(&props, key, tag)
@@ -254,11 +322,12 @@ func (w *writer) record(o *object, r *types.Record, c enrich.Cursor, key, tag st
 		}
 		w.key(&props, f.Key)
 		if f.Key == key {
-			w.node(f.Type, c.Field(f.Key), props.depth+1, true, pin{"const", tag})
+			w.node(f.Type, at, c.Field(f.Key), props.depth+1, true, pin{"const", tag})
 			pinned = true
 		} else {
-			w.node(f.Type, c.Field(f.Key), props.depth+1, true, pin{})
+			w.node(f.Type, at, c.Field(f.Key), props.depth+1, true, pin{})
 		}
+		at = w.shapes.Skip(f.Type, at)
 		required = required || !f.Optional
 	}
 	if !pinned {
@@ -347,6 +416,11 @@ func (w *writer) annotations(t types.Type, c enrich.Cursor, depth int, whole boo
 	sort.Strings(keys)
 	out := make([]field, len(keys))
 	for i, k := range keys {
+		if k == p.key {
+			// A pin is a string, quoted as encoding/json quotes it.
+			out[i] = field{key: k, val: jsontext.AppendQuote(nil, p.val)}
+			continue
+		}
 		val, err := json.MarshalIndent(anns[k], indent(depth+1), "  ")
 		if err != nil {
 			w.fail(fmt.Errorf("jsonschema: annotation %q: %w", k, err))
@@ -390,7 +464,7 @@ func (w *writer) key(o *object, k string) {
 		o.extra = o.extra[1:]
 		if e.key != k {
 			w.entry(o, e.key)
-			w.buf = append(w.buf, e.val...)
+			w.bytes(e.val)
 		}
 	}
 	w.entry(o, k)
@@ -406,7 +480,7 @@ func (w *writer) entry(o *object, k string) {
 func (w *writer) close(o *object) {
 	for _, e := range o.extra {
 		w.entry(o, e.key)
-		w.buf = append(w.buf, e.val...)
+		w.bytes(e.val)
 	}
 	if o.entries > 0 {
 		w.newline(o.depth)
@@ -423,32 +497,58 @@ func (w *writer) item(depth, i int) {
 	w.newline(depth + 1)
 }
 
-// newline ends the line and indents the next one to depth; depth -1
-// only settles the sizing count at the end of the document.
+// newline ends the line and indents the next one to depth, writing the
+// spaces from one constant in pieces however deep the line is.
 func (w *writer) newline(depth int) {
 	if w.sizing {
-		w.n += len(w.buf)
-		w.buf = w.buf[:0]
-		if depth >= 0 {
-			w.n += 1 + 2*depth
-		}
+		w.n += 1 + 2*depth
 		return
 	}
-	if depth >= 0 {
-		w.buf = append(w.buf, '\n')
-		w.buf = append(w.buf, indent(depth)...)
+	w.buf = append(w.buf, '\n')
+	for n := 2 * depth; n > 0; n -= len(spaces) {
+		w.buf = append(w.buf, spaces[:min(n, len(spaces))]...)
 	}
 }
 
-func (w *writer) raw(s string) { w.buf = append(w.buf, s...) }
-func (w *writer) num(n int)    { w.buf = strconv.AppendInt(w.buf, int64(n), 10) }
+func (w *writer) raw(s string) {
+	if w.sizing {
+		w.n += len(s)
+		return
+	}
+	w.buf = append(w.buf, s...)
+}
+
+func (w *writer) bytes(b []byte) {
+	if w.sizing {
+		w.n += len(b)
+		return
+	}
+	w.buf = append(w.buf, b...)
+}
+
+func (w *writer) num(n int) {
+	if w.sizing {
+		for w.n++; n >= 10; n /= 10 {
+			w.n++
+		}
+		return
+	}
+	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
+}
 
 // str writes s as a JSON string exactly as encoding/json encodes it.
-func (w *writer) str(s string) { w.buf = jsontext.AppendQuote(w.buf, s) }
+func (w *writer) str(s string) {
+	if w.sizing {
+		w.n += jsontext.QuotedLen(s)
+		return
+	}
+	w.buf = jsontext.AppendQuote(w.buf, s)
+}
 
 const spaces = "                                                                "
 
-// indent returns the leading whitespace of a line at depth.
+// indent returns the leading whitespace of a line at depth, the prefix
+// json.MarshalIndent takes for an annotation's value.
 func indent(depth int) string {
 	if 2*depth <= len(spaces) {
 		return spaces[:2*depth]

@@ -490,3 +490,29 @@ func TestExportVariantsPinDiscriminator(t *testing.T) {
 		}
 	}
 }
+
+// TestMarshalAllocsFlatInDepth: Marshal's allocations do not grow with
+// nesting, also past the depth the indentation constant covers, where
+// each line's spaces are written in pieces.
+func TestMarshalAllocsFlatInDepth(t *testing.T) {
+	nested := func(n int) types.Type {
+		src := "Num"
+		for i := 0; i < n; i++ {
+			src = "{a: [" + src + "*], b: Str?}"
+		}
+		return types.MustParse(src)
+	}
+	allocs := func(typ types.Type) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Marshal(typ); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(nested(10))
+	for _, n := range []int{15, 20, 40, 80} {
+		if got := allocs(nested(n)); got > base {
+			t.Errorf("nesting %d: %v allocations, %v at nesting 10", n, got, base)
+		}
+	}
+}

@@ -9,8 +9,11 @@ import (
 )
 
 // TestAppendQuoteMatchesEncodingJSON: AppendQuote writes every string
-// byte for byte as json.Marshal does, on the escaping corners and on
-// random byte strings (invalid UTF-8 included).
+// byte for byte as json.Marshal does, and QuotedLen counts its bytes,
+// on the escaping corners, on long runs of bytes copied as they are
+// with one escape at the start, the middle or the end, next to
+// multi-byte runes, and on random byte strings (invalid UTF-8
+// included).
 func TestAppendQuoteMatchesEncodingJSON(t *testing.T) {
 	check := func(s string) bool {
 		want, err := json.Marshal(s)
@@ -22,13 +25,24 @@ func TestAppendQuoteMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("AppendQuote(%q) = %s, want %s", s, got[1:], want)
 			return false
 		}
+		if n := QuotedLen(s); n != len(want) {
+			t.Errorf("QuotedLen(%q) = %d, want %d", s, n, len(want))
+			return false
+		}
 		return true
 	}
-	for _, s := range []string{
+	corners := []string{
 		"", "plain", `q"uote`, `back\slash`, "<a&b>", "\x00\x01\x1f\x7f",
 		"\b\f\n\r\t", "\u2028\u2029", "ünïcødé 😀", "bad\xff\xfe", "\xed\xa0\x80", "\xe2\x80",
-	} {
+	}
+	for _, s := range corners {
 		check(s)
+	}
+	run := strings.Repeat("safe bytes ~!#$%()*+,-./0-9:;=?@A-Z[]^_`a-z{|}", 8)
+	for _, e := range []string{"", "\"", "\\", "<", "\n", "\x00", "\x7f", "é", "日本", "😀", "\u2028", "\xff", "\xe2\x80"} {
+		for _, s := range []string{e + run, run + e, run[:100] + e + run[100:], e + run + e, strings.Repeat(e+"ab", 40)} {
+			check(s)
+		}
 	}
 	if err := quick.Check(func(b []byte) bool { return check(string(b)) }, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

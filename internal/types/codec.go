@@ -28,9 +28,13 @@ import (
 //	    [, "collapsed": true][, "cases": [{"tag": G, "type": R}, ...]]}
 //
 // The writer appends the bytes json.Marshal would give for the document
-// (strings through jsontext.AppendQuote). The reader decodes straight
-// off the lexer's tokens through the constructors: it accepts the
-// members in any order, with any whitespace, and rejects unknown,
+// (strings through jsontext.AppendQuote). Like the JSON Schema export it
+// walks the type twice, first counting the bytes, then writing them into
+// a buffer grown once to fit, and in both passes renders a subtree whose
+// shape repeats (Shapes) once per indentation depth, copying those
+// bytes from its own buffer on every later repeat. The reader decodes
+// straight off the lexer's tokens through the constructors: it accepts
+// the members in any order, with any whitespace, and rejects unknown,
 // repeated and case-folded member names and members the kind does not
 // take, so it accepts no document encoding/json would reject.
 
@@ -40,29 +44,91 @@ func MarshalJSON(t Type) ([]byte, error) {
 	if t == nil {
 		return nil, fmt.Errorf("types: cannot marshal nil type")
 	}
-	e := encoder{}
-	e.typ(t, 0)
-	return e.buf, nil
+	return encode(nil, t, 0, false), nil
 }
 
 // AppendIndentJSON appends t's codec document to dst laid out as
 // json.Encoder with SetIndent("", "  ") lays it out, the type's opening
 // brace on a line indented to depth. t must not be nil.
 func AppendIndentJSON(dst []byte, t Type, depth int) []byte {
-	e := encoder{buf: dst, indent: true}
-	e.typ(t, depth)
+	return encode(dst, t, depth, true)
+}
+
+// encode appends t's document to dst, compact or indented: a sizing
+// pass counts its bytes, dst grows once to fit them, and a writing pass
+// appends them.
+func encode(dst []byte, t Type, depth int, indent bool) []byte {
+	shapes := NumberShapes(t)
+	e := encoder{sizing: true, indent: indent, shapes: shapes, latest: make([]int32, shapes.Len())}
+	e.typ(t, 0, depth)
+	e.buf, e.sizing = slices.Grow(dst, e.n), false
+	e.typ(t, 0, depth)
 	return e.buf
 }
 
-// encoder appends a codec document to buf, compact or indented.
+// encoder writes a codec document, or with sizing set counts its bytes
+// in n. A subtree whose shape repeats is rendered once per indentation
+// depth (any depth, in a compact document) and copied after that: the
+// sizing pass records each rendering's length, the writing pass its
+// offset, and both make the same copy decisions.
 type encoder struct {
 	buf    []byte
+	n      int
+	sizing bool
 	indent bool
+	shapes *Shapes
+	// renders holds the renderings of repeated shapes, each chained to
+	// the one of the same shape before it; latest holds, by shape id,
+	// 1 + the index of the shape's last, 0 for none.
+	renders []rendering
+	latest  []int32
 }
 
-// typ writes t's object, whose opening brace sits at indentation depth.
-func (e *encoder) typ(t Type, depth int) {
-	e.buf = append(e.buf, '{')
+// A rendering is where the bytes of one shape at one depth sit in the
+// document: their offset, -1 until the writing pass has written them,
+// and their length.
+type rendering struct {
+	start, n     int
+	depth, prior int32
+}
+
+// typ writes t's object, whose opening brace sits at indentation depth;
+// pos is t's position in the shape numbering.
+func (e *encoder) typ(t Type, pos, depth int) {
+	id, shared := e.shapes.Shared(t, pos)
+	if !shared {
+		e.render(t, pos, depth)
+		return
+	}
+	key := int32(0)
+	if e.indent {
+		key = int32(depth)
+	}
+	i := e.latest[id]
+	for i != 0 && e.renders[i-1].depth != key {
+		i = e.renders[i-1].prior
+	}
+	switch {
+	case e.sizing && i != 0:
+		e.n += e.renders[i-1].n
+	case e.sizing:
+		start := e.n
+		e.render(t, pos, depth)
+		e.renders = append(e.renders, rendering{start: -1, n: e.n - start, depth: key, prior: e.latest[id]})
+		e.latest[id] = int32(len(e.renders))
+	case e.renders[i-1].start >= 0:
+		r := e.renders[i-1]
+		e.buf = append(e.buf, e.buf[r.start:r.start+r.n]...)
+	default:
+		e.renders[i-1].start = len(e.buf)
+		e.render(t, pos, depth)
+	}
+}
+
+// render writes t's object as typ does, without looking for an earlier
+// rendering of t itself.
+func (e *encoder) render(t Type, pos, depth int) {
+	e.byte('{')
 	e.member(depth, false, "k")
 	switch tt := t.(type) {
 	case Basic:
@@ -84,14 +150,16 @@ func (e *encoder) typ(t Type, depth int) {
 		e.raw(`"record"`)
 		if len(tt.fields) > 0 {
 			e.member(depth, true, "fields")
-			e.buf = append(e.buf, '[')
+			e.byte('[')
+			at := pos + 1
 			for i, f := range tt.fields {
 				e.elem(depth+1, i)
-				e.buf = append(e.buf, '{')
+				e.byte('{')
 				e.member(depth+2, false, "key")
-				e.buf = jsontext.AppendQuote(e.buf, f.Key)
+				e.quote(f.Key)
 				e.member(depth+2, true, "type")
-				e.typ(f.Type, depth+3)
+				e.typ(f.Type, at, depth+3)
+				at = e.shapes.Skip(f.Type, at)
 				if f.Optional {
 					e.member(depth+2, true, "opt")
 					e.raw("true")
@@ -102,27 +170,32 @@ func (e *encoder) typ(t Type, depth int) {
 		}
 	case *Tuple:
 		e.raw(`"tuple"`)
-		e.types(depth, "elems", tt.elems)
+		e.types(pos, depth, "elems", tt.elems)
 	case *Repeated:
 		e.raw(`"rep"`)
 		e.member(depth, true, "elem")
-		e.typ(tt.elem, depth+1)
+		e.typ(tt.elem, pos+1, depth+1)
 	case *Map:
 		e.raw(`"map"`)
 		e.member(depth, true, "elem")
-		e.typ(tt.elem, depth+1)
+		e.typ(tt.elem, pos+1, depth+1)
 	case *Union:
 		e.raw(`"union"`)
-		e.types(depth, "alts", tt.alts)
+		e.types(pos, depth, "alts", tt.alts)
 	case *Variants:
 		e.raw(`"variants"`)
 		if tt.other != nil {
+			// Other is numbered after the cases.
+			at := pos + 1
+			for range tt.cases {
+				at = e.shapes.End(at)
+			}
 			e.member(depth, true, "elem")
-			e.typ(tt.other, depth+1)
+			e.typ(tt.other, at, depth+1)
 		}
 		if tt.key != "" {
 			e.member(depth, true, "key")
-			e.buf = jsontext.AppendQuote(e.buf, tt.key)
+			e.quote(tt.key)
 		}
 		if tt.wrapper {
 			e.member(depth, true, "wrapper")
@@ -134,14 +207,16 @@ func (e *encoder) typ(t Type, depth int) {
 		}
 		if len(tt.cases) > 0 {
 			e.member(depth, true, "cases")
-			e.buf = append(e.buf, '[')
+			e.byte('[')
+			at := pos + 1
 			for i, c := range tt.cases {
 				e.elem(depth+1, i)
-				e.buf = append(e.buf, '{')
+				e.byte('{')
 				e.member(depth+2, false, "tag")
-				e.buf = jsontext.AppendQuote(e.buf, c.Tag)
+				e.quote(c.Tag)
 				e.member(depth+2, true, "type")
-				e.typ(c.Type, depth+3)
+				e.typ(c.Type, at, depth+3)
+				at = e.shapes.End(at)
 				e.end(depth+2, '}')
 			}
 			e.end(depth+1, ']')
@@ -152,16 +227,19 @@ func (e *encoder) typ(t Type, depth int) {
 	e.end(depth, '}')
 }
 
-// types writes the array member name of ts, omitted when ts is empty.
-func (e *encoder) types(depth int, name string, ts []Type) {
+// types writes the array member name of ts, the children of the node
+// at position pos, omitted when ts is empty.
+func (e *encoder) types(pos, depth int, name string, ts []Type) {
 	if len(ts) == 0 {
 		return
 	}
 	e.member(depth, true, name)
-	e.buf = append(e.buf, '[')
+	e.byte('[')
+	at := pos + 1
 	for i, t := range ts {
 		e.elem(depth+1, i)
-		e.typ(t, depth+2)
+		e.typ(t, at, depth+2)
+		at = e.shapes.Skip(t, at)
 	}
 	e.end(depth+1, ']')
 }
@@ -170,21 +248,21 @@ func (e *encoder) types(depth int, name string, ts []Type) {
 // at depth; later is false for the first member.
 func (e *encoder) member(depth int, later bool, name string) {
 	if later {
-		e.buf = append(e.buf, ',')
+		e.byte(',')
 	}
 	e.newline(depth + 1)
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, name...)
-	e.buf = append(e.buf, '"', ':')
+	e.byte('"')
+	e.raw(name)
+	e.raw(`":`)
 	if e.indent {
-		e.buf = append(e.buf, ' ')
+		e.byte(' ')
 	}
 }
 
 // elem starts element i of an array whose opening bracket sits at depth.
 func (e *encoder) elem(depth, i int) {
 	if i > 0 {
-		e.buf = append(e.buf, ',')
+		e.byte(',')
 	}
 	e.newline(depth + 1)
 }
@@ -192,19 +270,46 @@ func (e *encoder) elem(depth, i int) {
 // end closes an object or array whose opening bracket sits at depth.
 func (e *encoder) end(depth int, c byte) {
 	e.newline(depth)
-	e.buf = append(e.buf, c)
+	e.byte(c)
 }
 
 func (e *encoder) newline(depth int) {
-	if e.indent {
-		e.buf = append(e.buf, '\n')
-		for i := 0; i < depth; i++ {
-			e.buf = append(e.buf, ' ', ' ')
-		}
+	if !e.indent {
+		return
+	}
+	if e.sizing {
+		e.n += 1 + 2*depth
+		return
+	}
+	e.buf = append(e.buf, '\n')
+	for i := 0; i < depth; i++ {
+		e.buf = append(e.buf, ' ', ' ')
 	}
 }
 
-func (e *encoder) raw(s string) { e.buf = append(e.buf, s...) }
+func (e *encoder) byte(c byte) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.buf = append(e.buf, c)
+}
+
+func (e *encoder) raw(s string) {
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) quote(s string) {
+	if e.sizing {
+		e.n += jsontext.QuotedLen(s)
+		return
+	}
+	e.buf = jsontext.AppendQuote(e.buf, s)
+}
 
 // UnmarshalJSON decodes a type previously encoded with MarshalJSON.
 // Nothing but whitespace may follow the document.

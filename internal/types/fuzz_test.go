@@ -45,7 +45,10 @@ func FuzzParseTypeSyntax(f *testing.F) {
 // FuzzCodecRoundTrip checks the JSON codec on arbitrary documents: no
 // panics, decoded types re-encode losslessly, and whatever the reader
 // accepts the oracle (the encoding/json codec it replaced) accepts too
-// and decodes to an equal type.
+// and decodes to an equal type. The decoded type T is also written
+// inside {a: T, b: T′, c: [T*], d: {e: T}}, T′ a near-copy of T
+// (perturb), where the writer copies T's repeats: compact and
+// indented, the bytes are the oracle's.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, s := range []string{
 		`{"k":"num"}`,
@@ -83,5 +86,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil || !Equal(tt, back) {
 			t.Fatalf("codec round trip failed for %q -> %q: %v", data, enc, err)
 		}
+		requireOracleCodec(t, withCopies(tt, len(data)))
 	})
 }
