@@ -7,13 +7,12 @@ import (
 )
 
 // InternMut guards the immutability of the schema type language. Values
-// of repro/internal/types.Type are canonicalized (interned) at
-// construction and shared freely afterwards: fusion reuses subtrees of
-// its inputs, the schema repository caches fused results, and
-// map-reduce workers hand types across goroutines without copying. All
-// of that is sound only because no one writes into a type after
-// construction — the children-are-interned, equality-is-shallow
-// invariant of the hash-consing layer.
+// of repro/internal/types.Type are shared freely once built: fusion's
+// copy-on-write returns its operands' own nodes, the map stage's run
+// cover and walk reuse the reference's subtrees, a TreeFold's partials
+// share nodes with the types folded into them, and map-reduce workers
+// hand types across goroutines without copying. All of that is sound
+// only because no one writes into a type after construction.
 //
 // The compiler already prevents direct field writes (the fields are
 // unexported), but the accessors Fields, Elems and Alts return the

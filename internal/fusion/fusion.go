@@ -38,18 +38,18 @@ import (
 // union, the invariant all our algorithms maintain); if a non-normal
 // union slips in, same-kind addends are folded together first, which
 // keeps Fuse total and still yields a supertype.
-func Fuse(t1, t2 types.Type) types.Type { return policy{}.fuse(t1, t2) }
+func Fuse(t1, t2 types.Type) types.Type { return Options{}.Fuse(t1, t2) }
 
 // LFuse fuses two non-union types of the same kind (Figure 6, lines 2-7).
 // Calling it with types of different kinds is a programming error.
-func LFuse(t1, t2 types.Type) types.Type { return policy{}.lfuse(t1, t2) }
+func LFuse(t1, t2 types.Type) types.Type { return Options{}.lfuse(t1, t2) }
 
 // Simplify rewrites every tuple array type inside t into its simplified
 // repeated form [collapse(...)​*]. Phase one of the paper infers tuple
 // types; fusing a type with itself would simplify it too, but Simplify
 // does it directly and is what the pipeline applies when a partition
 // contains a single value.
-func Simplify(t types.Type) types.Type { return policy{}.simplify(t) }
+func Simplify(t types.Type) types.Type { return Options{}.Simplify(t) }
 
 // FuseAll folds Fuse over ts from the left, returning ε for an empty
 // slice. By Theorems 5.4 and 5.5 any other fold shape yields the same
@@ -140,18 +140,11 @@ func (f *TreeFold) Result() types.Type {
 	return acc
 }
 
-// fuse implements Fuse under a policy, routing through the memo cache
-// when one is installed (see Memo). All recursive fusion goes through
-// here, so sub-fusions are memoized too.
-func (p policy) fuse(t1, t2 types.Type) types.Type {
-	if p.memo != nil {
-		return p.memo.fuse(p, t1, t2)
-	}
-	return p.fuseDirect(t1, t2)
-}
-
-// fuseDirect implements Fuse under a policy, with no caching. One
-// settled operand fused with itself is returned at once: fusion is
+// Fuse merges two types under this policy; with the zero Options it is
+// exactly the package-level Fuse. It is the kernel every recursive
+// fusion goes through.
+//
+// One settled operand fused with itself is returned at once: fusion is
 // idempotent on settled types (types.Settled) under every policy, and
 // the map stage's walk hands the fold records whose member subtrees
 // are the reference's own nodes, so Fuse(F, T′) meets them pointer for
@@ -160,7 +153,7 @@ func (p policy) fuse(t1, t2 types.Type) types.Type {
 // two-alternative union. Whenever the result is structurally an
 // operand, the operand itself is returned (see fuseRecords for the
 // copy-on-write rule).
-func (p policy) fuseDirect(t1, t2 types.Type) types.Type {
+func (o Options) Fuse(t1, t2 types.Type) types.Type {
 	if t1 == t2 && types.Settled(t1) {
 		return t1
 	}
@@ -176,19 +169,19 @@ func (p policy) fuseDirect(t1, t2 types.Type) types.Type {
 		k1, _ := types.KindOf(t1)
 		k2, _ := types.KindOf(t2)
 		if k1 == k2 {
-			return p.lfuse(t1, t2)
+			return o.lfuse(t1, t2)
 		}
 		return types.MustUnion(t1, t2)
 	}
-	g1 := p.groupByKind(t1)
-	g2 := p.groupByKind(t2)
+	g1 := o.groupByKind(t1)
+	g2 := o.groupByKind(t2)
 	var out [6]types.Type
 	n := 0
 	for k := range out {
 		a, b := g1[k], g2[k]
 		switch {
 		case a != nil && b != nil:
-			out[n] = p.lfuse(a, b)
+			out[n] = o.lfuse(a, b)
 		case a != nil:
 			out[n] = a
 		case b != nil:
@@ -234,7 +227,7 @@ func distinctKinds(u *types.Union) bool {
 
 // groupByKind buckets the non-union addends of t by kind, folding
 // same-kind addends with lfuse so each bucket holds at most one type.
-func (p policy) groupByKind(t types.Type) [6]types.Type {
+func (o Options) groupByKind(t types.Type) [6]types.Type {
 	var g [6]types.Type
 	for _, u := range types.Addends(t) {
 		k, ok := types.KindOf(u)
@@ -245,14 +238,14 @@ func (p policy) groupByKind(t types.Type) [6]types.Type {
 		if g[k] == nil {
 			g[k] = u
 		} else {
-			g[k] = p.lfuse(g[k], u)
+			g[k] = o.lfuse(g[k], u)
 		}
 	}
 	return g
 }
 
 // lfuse implements LFuse under a policy.
-func (p policy) lfuse(t1, t2 types.Type) types.Type {
+func (o Options) lfuse(t1, t2 types.Type) types.Type {
 	k1, ok1 := types.KindOf(t1)
 	k2, ok2 := types.KindOf(t2)
 	if !ok1 || !ok2 || k1 != k2 {
@@ -263,9 +256,9 @@ func (p policy) lfuse(t1, t2 types.Type) types.Type {
 		// Line 2: two basic types of the same kind are the same type.
 		return t1
 	case types.KindRecord:
-		return p.fuseRecordKind(t1, t2)
+		return o.fuseRecordKind(t1, t2)
 	default: // types.KindArray
-		return p.fuseArrays(t1, t2)
+		return o.fuseArrays(t1, t2)
 	}
 }
 
@@ -275,20 +268,20 @@ func (p policy) lfuse(t1, t2 types.Type) types.Type {
 // every other shape's field contents folded into the element type (key
 // abstraction wins over tagging); variants types merge tag-wise with
 // each other and absorb plain records into Other (see tagged.go).
-func (p policy) fuseRecordKind(t1, t2 types.Type) types.Type {
+func (o Options) fuseRecordKind(t1, t2 types.Type) types.Type {
 	r1, ok1 := t1.(*types.Record)
 	r2, ok2 := t2.(*types.Record)
 	if ok1 && ok2 {
-		return p.fuseRecords(r1, r2)
+		return o.fuseRecords(r1, r2)
 	}
 	_, m1 := t1.(*types.Map)
 	_, m2 := t2.(*types.Map)
 	if !m1 && !m2 {
-		return p.fuseVariantsKind(t1, t2)
+		return o.fuseVariantsKind(t1, t2)
 	}
 	elem := types.Type(types.Empty)
-	elem = p.absorbIntoMapElem(elem, t1)
-	elem = p.absorbIntoMapElem(elem, t2)
+	elem = o.absorbIntoMapElem(elem, t1)
+	elem = o.absorbIntoMapElem(elem, t2)
 	return types.MustMap(elem)
 }
 
@@ -297,19 +290,19 @@ func (p policy) fuseRecordKind(t1, t2 types.Type) types.Type {
 // their collapse, and variants component-wise (which makes the result a
 // function of the underlying field-type multiset, independent of how
 // the variants were merged beforehand).
-func (p policy) absorbIntoMapElem(elem types.Type, t types.Type) types.Type {
+func (o Options) absorbIntoMapElem(elem types.Type, t types.Type) types.Type {
 	switch tt := t.(type) {
 	case *types.Map:
-		return p.fuse(elem, tt.Elem())
+		return o.Fuse(elem, tt.Elem())
 	case *types.Record:
-		fields := collapse(p.fuse, tt.Fields(), func(f types.Field) types.Type { return f.Type })
-		return p.fuse(elem, fields)
+		fields := collapse(o.Fuse, tt.Fields(), func(f types.Field) types.Type { return f.Type })
+		return o.Fuse(elem, fields)
 	case *types.Variants:
 		for _, c := range tt.Cases() {
-			elem = p.absorbIntoMapElem(elem, c.Type)
+			elem = o.absorbIntoMapElem(elem, c.Type)
 		}
 		if tt.Other() != nil {
-			elem = p.absorbIntoMapElem(elem, tt.Other())
+			elem = o.absorbIntoMapElem(elem, tt.Other())
 		}
 		return elem
 	default:
@@ -329,7 +322,7 @@ func (p policy) absorbIntoMapElem(elem types.Type, t types.Type) types.Type {
 // is the fold step Fuse(F, t) = F on data that repeats. Otherwise the
 // slice is allocated once, at its exact size, at the first field that
 // differs from both operands, and handed to the record without a copy.
-func (p policy) fuseRecords(r1, r2 *types.Record) types.Type {
+func (o Options) fuseRecords(r1, r2 *types.Record) types.Type {
 	f1, f2 := r1.Fields(), r2.Fields()
 	var out []types.Field
 	same1, same2 := true, true
@@ -347,7 +340,7 @@ func (p policy) fuseRecords(r1, r2 *types.Record) types.Type {
 		default:
 			f = types.Field{
 				Key:      f1[i].Key,
-				Type:     p.fuse(f1[i].Type, f2[j].Type),
+				Type:     o.Fuse(f1[i].Type, f2[j].Type),
 				Optional: f1[i].Optional || f2[j].Optional,
 			}
 			i++
@@ -408,14 +401,14 @@ func mergedLen(f1, f2 []types.Field) int {
 // to a repeated type over the fused body types. An operand whose
 // elements (or [T*] body) the fusion leaves pointer-identical is
 // returned as is.
-func (p policy) fuseArrays(t1, t2 types.Type) types.Type {
+func (o Options) fuseArrays(t1, t2 types.Type) types.Type {
 	a1, ok1 := t1.(*types.Tuple)
 	a2, ok2 := t2.(*types.Tuple)
-	if ok1 && ok2 && a1.Len() == a2.Len() && p.o.keepTuple(a1.Len()) {
+	if ok1 && ok2 && a1.Len() == a2.Len() && o.keepTuple(a1.Len()) {
 		e1, e2 := a1.Elems(), a2.Elems()
 		var elems []types.Type // nil while the result is still a1
 		for i := range e1 {
-			e := p.fuse(e1[i], e2[i])
+			e := o.Fuse(e1[i], e2[i])
 			if elems == nil {
 				if e == e1[i] {
 					continue
@@ -433,7 +426,7 @@ func (p policy) fuseArrays(t1, t2 types.Type) types.Type {
 		}
 		return types.MustTuple(elems...)
 	}
-	body := p.fuse(p.body(t1), p.body(t2))
+	body := o.Fuse(o.body(t1), o.body(t2))
 	if r, ok := t1.(*types.Repeated); ok && r.Elem() == body {
 		return t1
 	}
@@ -446,12 +439,12 @@ func (p policy) fuseArrays(t1, t2 types.Type) types.Type {
 // body returns the content type an array-kind type contributes to
 // simplified fusion: the element type of a repeated type, or collapse of
 // a tuple.
-func (p policy) body(t types.Type) types.Type {
+func (o Options) body(t types.Type) types.Type {
 	switch tt := t.(type) {
 	case *types.Repeated:
 		return tt.Elem()
 	case *types.Tuple:
-		return collapse(p.fuse, tt.Elems(), elemType)
+		return collapse(o.Fuse, tt.Elems(), elemType)
 	default:
 		panic(fmt.Sprintf("fusion: array body of %T", t))
 	}
@@ -481,36 +474,33 @@ func elemType(t types.Type) types.Type { return t }
 // emptyArray is [ε*], the simplified empty array under every policy.
 var emptyArray = types.MustRepeated(types.Empty)
 
-// array implements Options.Array under a policy.
-func (p policy) array(elems []types.Type) types.Type {
+// Array returns the array type of elements already simplified under
+// this policy, the one array rule of Simplify and the map stage's walk:
+// a kept tuple stays positional, any other array is [collapse*], and []
+// is one shared [ε*]. elems is not retained.
+func (o Options) Array(elems []types.Type) types.Type {
 	switch {
-	case p.o.keepTuple(len(elems)):
+	case o.keepTuple(len(elems)):
 		return types.MustTuple(elems...)
 	case len(elems) == 0:
 		return emptyArray
 	}
-	return types.MustRepeated(collapse(p.fuse, elems, elemType))
+	return types.MustRepeated(collapse(o.Fuse, elems, elemType))
 }
 
-// simplify rewrites array types into the policy's canonical form,
-// routing through the memo cache when one is installed.
-func (p policy) simplify(t types.Type) types.Type {
-	if p.memo != nil {
-		return p.memo.simplify(p, t)
-	}
-	return p.simplifyDirect(t)
-}
-
-// simplifyDirect implements simplify with no caching. A node none of
-// whose children changes is returned as is, so a tuple-free type
-// simplifies to itself without allocating.
-func (p policy) simplifyDirect(t types.Type) types.Type {
+// Simplify rewrites array types into the policy's canonical form:
+// tuples longer than the cutoff (all tuples, for the zero Options)
+// become repeated types; preserved tuples keep their positions with
+// each element simplified recursively. A node none of whose children
+// changes is returned as is, so a tuple-free type simplifies to itself
+// without allocating.
+func (o Options) Simplify(t types.Type) types.Type {
 	switch tt := t.(type) {
 	case types.Basic, types.EmptyType:
 		return t
 	case *types.Record:
 		fs, changed := types.MapChildren(tt.Fields(), func(f types.Field) types.Field {
-			f.Type = p.simplify(f.Type)
+			f.Type = o.Simplify(f.Type)
 			return f
 		})
 		if !changed {
@@ -518,31 +508,31 @@ func (p policy) simplifyDirect(t types.Type) types.Type {
 		}
 		return types.MustRecordSorted(fs)
 	case *types.Tuple:
-		simplified, changed := types.MapChildren(tt.Elems(), p.simplify)
-		if !changed && p.o.keepTuple(tt.Len()) {
+		simplified, changed := types.MapChildren(tt.Elems(), o.Simplify)
+		if !changed && o.keepTuple(tt.Len()) {
 			return t
 		}
-		return p.array(simplified)
+		return o.Array(simplified)
 	case *types.Map:
-		if e := p.simplify(tt.Elem()); e != tt.Elem() {
+		if e := o.Simplify(tt.Elem()); e != tt.Elem() {
 			return types.MustMap(e)
 		}
 		return t
 	case *types.Variants:
 		if tt.Collapsed() {
-			if o := p.simplify(tt.Other()); o != types.Type(tt.Other()) {
-				return types.MustCollapsedVariants(o.(*types.Record))
+			if s := o.Simplify(tt.Other()); s != types.Type(tt.Other()) {
+				return types.MustCollapsedVariants(s.(*types.Record))
 			}
 			return t
 		}
 		cs, changed := types.MapChildren(tt.Cases(), func(c types.Variant) types.Variant {
-			c.Type = p.simplify(c.Type).(*types.Record)
+			c.Type = o.Simplify(c.Type).(*types.Record)
 			return c
 		})
 		other := tt.Other()
 		if other != nil {
-			if o := p.simplify(other); o != types.Type(other) {
-				other, changed = o.(*types.Record), true
+			if s := o.Simplify(other); s != types.Type(other) {
+				other, changed = s.(*types.Record), true
 			}
 		}
 		if !changed {
@@ -550,12 +540,12 @@ func (p policy) simplifyDirect(t types.Type) types.Type {
 		}
 		return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
 	case *types.Repeated:
-		if e := p.simplify(tt.Elem()); e != tt.Elem() {
+		if e := o.Simplify(tt.Elem()); e != tt.Elem() {
 			return types.MustRepeated(e)
 		}
 		return t
 	case *types.Union:
-		out, changed := types.MapChildren(tt.Alts(), p.simplify)
+		out, changed := types.MapChildren(tt.Alts(), o.Simplify)
 		if !changed && distinctKinds(tt) {
 			return t
 		}
@@ -563,7 +553,7 @@ func (p policy) simplifyDirect(t types.Type) types.Type {
 		// and a repeated type) into the same kind slot, and a non-normal
 		// input has same-kind alternatives already; re-fuse them to
 		// restore normality.
-		return collapse(p.fuse, out, elemType)
+		return collapse(o.Fuse, out, elemType)
 	default:
 		panic(fmt.Sprintf("fusion: unknown type %T", t))
 	}

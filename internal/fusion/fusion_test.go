@@ -77,7 +77,7 @@ func TestCollapseSection5Example(t *testing.T) {
 	// T = [Num, Bool, Num, {l1: Num, l2: Str}, {l1: Num, l2: Bool, l3: Str}]
 	// collapse(T) = Num + Bool + {l1: Num, l2: Str + Bool, l3: Str?}
 	tt := tp(t, "[Num, Bool, Num, {l1: Num, l2: Str}, {l1: Num, l2: Bool, l3: Str}]").(*types.Tuple)
-	got := collapse(policy{}.fuse, tt.Elems(), elemType)
+	got := collapse(Options{}.Fuse, tt.Elems(), elemType)
 	want := tp(t, "Bool + Num + {l1: Num, l2: Bool + Str, l3: Str?}")
 	if !types.Equal(got, want) {
 		t.Fatalf("collapse = %s, want %s", got, want)
@@ -85,7 +85,7 @@ func TestCollapseSection5Example(t *testing.T) {
 }
 
 func TestCollapseEmptyTuple(t *testing.T) {
-	if got := collapse(policy{}.fuse, types.EmptyTuple.Elems(), elemType); !types.Equal(got, types.Empty) {
+	if got := collapse(Options{}.Fuse, types.EmptyTuple.Elems(), elemType); !types.Equal(got, types.Empty) {
 		t.Errorf("collapse([]) = %s, want ε", got)
 	}
 }

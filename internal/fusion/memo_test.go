@@ -14,30 +14,36 @@ import (
 var memoOptions = []Options{
 	{},
 	{Tuples: true},
+	{Tagged: true},
 }
 
 // TestMemoMatchesDirect is the memo's soundness property: for random
 // normal types, the memoized Fuse and Simplify return types structurally
 // identical (and identically rendered) to the un-memoized policy, under
 // every Options value — including fuse(T, T), which must simplify
-// tuples exactly like the direct algorithm does.
+// tuples exactly like the direct algorithm does. Every result is the
+// representative of the memo's table.
 func TestMemoMatchesDirect(t *testing.T) {
 	for _, o := range memoOptions {
-		m := NewMemo(o, intern.NewTable())
+		tab := intern.NewTable()
+		m := NewMemo(o, tab)
+		check := func(what string, got, want types.Type) {
+			t.Helper()
+			if !types.Equal(want, got) || want.String() != got.String() {
+				t.Fatalf("opts %+v: memo %s %s, direct %s", o, what, got, want)
+			}
+			if _, ok := tab.Ref(got); !ok {
+				t.Fatalf("opts %+v: memo %s %s is not a representative of its table", o, what, got)
+			}
+		}
 		r := &rng{s: 11}
 		for i := 0; i < 300; i++ {
 			a := randomNormalType(r)
 			b := randomNormalType(r)
 			for _, pair := range [][2]types.Type{{a, b}, {b, a}, {a, a}} {
-				want := o.Fuse(pair[0], pair[1])
-				got := m.Fuse(pair[0], pair[1])
-				if !types.Equal(want, got) || want.String() != got.String() {
-					t.Fatalf("opts %+v: memo fuse %s, direct %s", o, got, want)
-				}
+				check("fuse", m.Fuse(pair[0], pair[1]), o.Fuse(pair[0], pair[1]))
 			}
-			if want, got := o.Simplify(a), m.Simplify(a); !types.Equal(want, got) || want.String() != got.String() {
-				t.Fatalf("opts %+v: memo simplify %s, direct %s", o, got, want)
-			}
+			check("simplify", m.Simplify(a), o.Simplify(a))
 		}
 	}
 }
@@ -63,23 +69,26 @@ func TestMemoIdempotentOnSimplified(t *testing.T) {
 	}
 }
 
-// TestMemoCacheStats: on a single-goroutine run the counters are exact —
-// the second identical fuse is a hit, and commutativity makes the
-// swapped order hit the same slot.
+// TestMemoCacheStats: on a single-goroutine run the counters are exact
+// and count top-level calls only. The first fuse of a pair is one miss;
+// every repeat is a hit, in either order (commutativity shares the
+// slot) and for fresh structurally equal operands (they canonicalize
+// onto the same IDs).
 func TestMemoCacheStats(t *testing.T) {
 	m := NewMemo(Options{}, intern.NewTable())
 	a := infer.Infer(randomValue(&rng{s: 5}, 3))
 	b := infer.Infer(randomValue(&rng{s: 9}, 3))
 	m.Fuse(a, b)
-	_, missesAfterFirst, _, _ := m.CacheStats()
-	m.Fuse(a, b)
-	m.Fuse(b, a) // commutative: same normalized key
-	hits, misses, _, _ := m.CacheStats()
-	if misses != missesAfterFirst {
-		t.Fatalf("repeat fuses added misses: %d -> %d", missesAfterFirst, misses)
+	if hits, misses, _, _ := m.CacheStats(); hits != 0 || misses != 1 {
+		t.Fatalf("first fuse: %d hits, %d misses, want 0 and 1", hits, misses)
 	}
-	if hits < 2 {
-		t.Fatalf("expected >= 2 top-level hits, got %d", hits)
+	a2 := infer.Infer(randomValue(&rng{s: 5}, 3))
+	b2 := infer.Infer(randomValue(&rng{s: 9}, 3))
+	for i, pair := range [][2]types.Type{{a, b}, {b, a}, {a2, b2}, {b2, a}} {
+		m.Fuse(pair[0], pair[1])
+		if hits, misses, _, _ := m.CacheStats(); hits != int64(i+1) || misses != 1 {
+			t.Fatalf("repeat %d: %d hits, %d misses, want %d and 1", i, hits, misses, i+1)
+		}
 	}
 
 	m.Simplify(a)

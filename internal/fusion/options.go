@@ -64,22 +64,6 @@ const DefaultMaxVariants = 16
 // is zero.
 const DefaultMaxTagLen = 40
 
-// Fuse merges two types under this policy; with the zero Options it is
-// exactly the package-level Fuse.
-func (o Options) Fuse(t1, t2 types.Type) types.Type { return policy{o: o}.fuse(t1, t2) }
-
-// Simplify rewrites array types into the policy's canonical form:
-// tuples longer than the cutoff (all tuples, for the zero Options)
-// become repeated types; preserved tuples keep their positions with
-// each element simplified recursively.
-func (o Options) Simplify(t types.Type) types.Type { return policy{o: o}.simplify(t) }
-
-// Array returns the array type of elements already simplified under
-// this policy, the one array rule of Simplify and the map stage's walk:
-// a kept tuple stays positional, any other array is [collapse*], and []
-// is one shared [ε*]. elems is not retained.
-func (o Options) Array(elems []types.Type) types.Type { return policy{o: o}.array(elems) }
-
 // keepTuple reports whether the policy keeps an array of n elements a
 // positional tuple, rather than collapsing it into [T*].
 func (o Options) keepTuple(n int) bool { return o.Tuples && n > 0 && n <= MaxTupleLen }
@@ -94,13 +78,5 @@ func (o Options) Finalize(t types.Type) types.Type {
 	if !hasVariants(t) {
 		return t
 	}
-	return policy{o: o}.finalize(t)
-}
-
-// policy pairs the options with an optional memo. A non-nil memo
-// routes fuse and simplify through its caches (see memo.go); the zero
-// policy is the paper's direct algorithm.
-type policy struct {
-	o    Options
-	memo *Memo
+	return o.finalize(t)
 }

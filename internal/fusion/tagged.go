@@ -19,32 +19,32 @@ import (
 // MaxVariants, or the default when it is zero or when a variants type
 // is fused under a policy that never produces one (parsed or persisted
 // types fed back through Fuse).
-func (p policy) variantsCap() int {
-	if p.o.Tagged && p.o.MaxVariants > 0 {
-		return p.o.MaxVariants
+func (o Options) variantsCap() int {
+	if o.Tagged && o.MaxVariants > 0 {
+		return o.MaxVariants
 	}
 	return DefaultMaxVariants
 }
 
 // fuseRecordsR is fuseRecords with the result typed as the record it
 // always is.
-func (p policy) fuseRecordsR(r1, r2 *types.Record) *types.Record {
-	return p.fuseRecords(r1, r2).(*types.Record)
+func (o Options) fuseRecordsR(r1, r2 *types.Record) *types.Record {
+	return o.fuseRecords(r1, r2).(*types.Record)
 }
 
 // fuseVariantsKind fuses two record-kind types of which at least one is
 // a variants type and neither is a map (maps absorb the whole kind in
 // fuseRecordKind).
-func (p policy) fuseVariantsKind(t1, t2 types.Type) types.Type {
+func (o Options) fuseVariantsKind(t1, t2 types.Type) types.Type {
 	v1, ok1 := t1.(*types.Variants)
 	v2, ok2 := t2.(*types.Variants)
 	switch {
 	case ok1 && ok2:
-		return p.fuseVariants(v1, v2)
+		return o.fuseVariants(v1, v2)
 	case ok1:
-		return p.fuseVariantsRecord(v1, t2.(*types.Record))
+		return o.fuseVariantsRecord(v1, t2.(*types.Record))
 	case ok2:
-		return p.fuseVariantsRecord(v2, t1.(*types.Record))
+		return o.fuseVariantsRecord(v2, t1.(*types.Record))
 	default:
 		panic(fmt.Sprintf("fusion: fuseVariantsKind on %T and %T", t1, t2))
 	}
@@ -54,10 +54,10 @@ func (p policy) fuseVariantsKind(t1, t2 types.Type) types.Type {
 // branch. Other's catch-all membership semantics makes this sound
 // unconditionally, which keeps the rule order-independent: Other is
 // always the plain record fusion of every undiscriminated constituent.
-func (p policy) fuseVariantsRecord(v *types.Variants, r *types.Record) types.Type {
+func (o Options) fuseVariantsRecord(v *types.Variants, r *types.Record) types.Type {
 	other := r
 	if v.Other() != nil {
-		other = p.fuseRecordsR(v.Other(), r)
+		other = o.fuseRecordsR(v.Other(), r)
 	}
 	if v.Collapsed() {
 		return types.MustCollapsedVariants(other)
@@ -71,9 +71,9 @@ func (p policy) fuseVariantsRecord(v *types.Variants, r *types.Record) types.Typ
 // collapsed state around the plain record fusion of everything, which
 // is exactly what the paper's record fusion would have produced for the
 // same multiset of records.
-func (p policy) fuseVariants(a, b *types.Variants) types.Type {
+func (o Options) fuseVariants(a, b *types.Variants) types.Type {
 	collapse := func() types.Type {
-		return types.MustCollapsedVariants(p.fuseRecordsR(p.flattenVariants(a), p.flattenVariants(b)))
+		return types.MustCollapsedVariants(o.fuseRecordsR(o.flattenVariants(a), o.flattenVariants(b)))
 	}
 	if a.Collapsed() || b.Collapsed() {
 		return collapse()
@@ -87,7 +87,7 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 	for i < len(ca) && j < len(cb) {
 		switch {
 		case ca[i].Tag == cb[j].Tag:
-			out = append(out, types.Variant{Tag: ca[i].Tag, Type: p.fuseRecordsR(ca[i].Type, cb[j].Type)})
+			out = append(out, types.Variant{Tag: ca[i].Tag, Type: o.fuseRecordsR(ca[i].Type, cb[j].Type)})
 			i++
 			j++
 		case ca[i].Tag < cb[j].Tag:
@@ -100,7 +100,7 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 	}
 	out = append(out, ca[i:]...)
 	out = append(out, cb[j:]...)
-	if len(out) > p.variantsCap() {
+	if len(out) > o.variantsCap() {
 		return collapse()
 	}
 	other := a.Other()
@@ -108,7 +108,7 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 	case other == nil:
 		other = b.Other()
 	case b.Other() != nil:
-		other = p.fuseRecordsR(other, b.Other())
+		other = o.fuseRecordsR(other, b.Other())
 	}
 	return types.MustVariants(a.Key(), a.Wrapper(), out, other)
 }
@@ -118,10 +118,10 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 // of every case type and Other. fuseRecords is commutative and
 // associative, so the result is a function of the constituent multiset
 // and collapsing at different points of a reduce tree converges.
-func (p policy) flattenVariants(v *types.Variants) *types.Record {
-	acc := collapse(p.fuse, v.Cases(), func(c types.Variant) types.Type { return c.Type })
+func (o Options) flattenVariants(v *types.Variants) *types.Record {
+	acc := collapse(o.Fuse, v.Cases(), func(c types.Variant) types.Type { return c.Type })
 	if v.Other() != nil {
-		acc = p.fuse(acc, v.Other())
+		acc = o.Fuse(acc, v.Other())
 	}
 	return acc.(*types.Record)
 }
@@ -154,13 +154,13 @@ func hasVariants(t types.Type) bool {
 // as is. That includes a union with alternatives of one kind: finalize
 // rebuilds unions without re-fusing them, so the rebuilt union would
 // equal the input anyway.
-func (p policy) finalize(t types.Type) types.Type {
+func (o Options) finalize(t types.Type) types.Type {
 	switch tt := t.(type) {
 	case types.Basic, types.EmptyType:
 		return t
 	case *types.Record:
 		fs, changed := types.MapChildren(tt.Fields(), func(f types.Field) types.Field {
-			f.Type = p.finalize(f.Type)
+			f.Type = o.finalize(f.Type)
 			return f
 		})
 		if !changed {
@@ -169,19 +169,19 @@ func (p policy) finalize(t types.Type) types.Type {
 		return types.MustRecordSorted(fs)
 	case *types.Variants:
 		if tt.Collapsed() {
-			return p.finalize(tt.Other())
+			return o.finalize(tt.Other())
 		}
 		if tt.Wrapper() && tt.Len() < 2 {
-			return p.finalize(p.flattenVariants(tt))
+			return o.finalize(o.flattenVariants(tt))
 		}
 		cs, changed := types.MapChildren(tt.Cases(), func(c types.Variant) types.Variant {
-			c.Type = p.finalize(c.Type).(*types.Record)
+			c.Type = o.finalize(c.Type).(*types.Record)
 			return c
 		})
 		other := tt.Other()
 		if other != nil {
-			if o := p.finalize(other); o != types.Type(other) {
-				other, changed = o.(*types.Record), true
+			if f := o.finalize(other); f != types.Type(other) {
+				other, changed = f.(*types.Record), true
 			}
 		}
 		if !changed {
@@ -189,23 +189,23 @@ func (p policy) finalize(t types.Type) types.Type {
 		}
 		return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
 	case *types.Map:
-		if e := p.finalize(tt.Elem()); e != tt.Elem() {
+		if e := o.finalize(tt.Elem()); e != tt.Elem() {
 			return types.MustMap(e)
 		}
 		return t
 	case *types.Tuple:
-		elems, changed := types.MapChildren(tt.Elems(), p.finalize)
+		elems, changed := types.MapChildren(tt.Elems(), o.finalize)
 		if !changed {
 			return t
 		}
 		return types.MustTuple(elems...)
 	case *types.Repeated:
-		if e := p.finalize(tt.Elem()); e != tt.Elem() {
+		if e := o.finalize(tt.Elem()); e != tt.Elem() {
 			return types.MustRepeated(e)
 		}
 		return t
 	case *types.Union:
-		out, changed := types.MapChildren(tt.Alts(), p.finalize)
+		out, changed := types.MapChildren(tt.Alts(), o.finalize)
 		if !changed {
 			return t
 		}

@@ -262,7 +262,7 @@ func TestTaggedSubsumedByPaper(t *testing.T) {
 // record the default decoder would have inferred.
 func flattenPromoted(t types.Type) types.Type {
 	if v, ok := t.(*types.Variants); ok {
-		return policy{}.flattenVariants(v)
+		return Options{}.flattenVariants(v)
 	}
 	return t
 }

@@ -6,13 +6,13 @@ import (
 
 	"repro/internal/infer"
 	"repro/internal/intern"
-	"repro/internal/jsontext"
 	"repro/internal/types"
 )
 
-// TestDedupAllMatchesInferAll: the deduplicating decoder must type every
+// TestDedupAllMatchesInferAll: the deduplicating map must type every
 // record exactly like the plain decoder — same rendered types, counts
-// summing to the record count, one multiset entry per distinct type.
+// summing to the record count, one multiset entry per distinct type,
+// each entry its table's representative.
 func TestDedupAllMatchesInferAll(t *testing.T) {
 	data := []byte(strings.TrimSpace(`
 {"a": 1, "b": "x"}
@@ -51,39 +51,18 @@ func TestDedupAllMatchesInferAll(t *testing.T) {
 		if wantCounts[s] != e.Count {
 			t.Errorf("count for %s = %d, want %d", s, e.Count, wantCounts[s])
 		}
+		if r, ok := tab.Ref(e.Type); !ok || r.Type != e.Type {
+			t.Errorf("entry %s is not its table's representative", s)
+		}
 		if e.Size != e.Type.Size() {
 			t.Errorf("cached size for %s = %d, want %d", s, e.Size, e.Type.Size())
 		}
 	}
 }
 
-// TestDedupDecoderCanonical: every type the interning decoder returns is
-// a representative of its table, and repeated shapes return the SAME
-// node.
-func TestDedupDecoderCanonical(t *testing.T) {
-	tab := intern.NewTable()
-	d := infer.NewDecoder(strings.NewReader(`{"a": 1}`+"\n"+`{"a": 2}`), jsontext.Options{})
-	defer d.Release()
-	d.SetInterner(tab)
-	t1, err := d.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := d.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Fatalf("same shape returned distinct nodes: %s vs %s", t1, t2)
-	}
-	if _, ok := tab.Ref(t1); !ok {
-		t.Fatal("decoder returned a non-canonical node")
-	}
-}
-
 // TestDedupErrorsMatchPlain: syntax errors — including the duplicate-key
-// check, which moved from a per-object map to a linear scan — must be
-// byte-identical between the plain and interning decoders.
+// check — must be byte-identical between the plain and deduplicating
+// maps.
 func TestDedupErrorsMatchPlain(t *testing.T) {
 	cases := []string{
 		`{"a": 1, "a": 2}`,

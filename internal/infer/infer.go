@@ -27,7 +27,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/intern"
 	"repro/internal/jsontext"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -118,10 +117,6 @@ type Promoter interface {
 type Decoder struct {
 	lex      *jsontext.Lexer
 	maxDepth int
-
-	// tab, when set, hash-conses every inferred node so Next returns the
-	// canonical representative of each distinct type (see SetInterner).
-	tab *intern.Table
 
 	// obs, when set, receives value events alongside inference.
 	obs Observer
@@ -243,14 +238,6 @@ func (d *Decoder) Release() {
 	*d = Decoder{frames: d.frames, seen: d.seen, tables: d.tables[:0], keys: d.keys[:0]}
 	decoderPool.Put(d)
 }
-
-// SetInterner directs the decoder to canonicalize every type Next
-// infers in tab: Next then returns hash-consed nodes, so callers can
-// compare types by identity (Table.Ref) and deduplicate repeated
-// shapes without walking them. Inference results are unchanged — the
-// canonical node is structurally equal to what the plain decoder would
-// build.
-func (d *Decoder) SetInterner(tab *intern.Table) { d.tab = tab }
 
 // SetObserver directs the decoder to report value events to obs while
 // inferring; nil (the default) reports nothing and costs one branch
@@ -740,15 +727,10 @@ func sortFields(fields []types.Field) {
 	}
 }
 
-// buildRecord turns sorted, unique-keyed fields into a record type.
-// The interning path probes the table before building, so a repeated
-// record shape costs zero allocations; the plain path builds the
-// record on one exact copy. fields is scratch owned by the caller and
+// buildRecord turns sorted, unique-keyed fields into a record type,
+// built on one exact copy. fields is scratch owned by the caller and
 // is never retained.
 func (d *Decoder) buildRecord(fields []types.Field) (types.Type, error) {
-	if d.tab != nil {
-		return d.tab.InternRecord(fields), nil
-	}
 	return types.NewRecordSorted(slices.Clone(fields))
 }
 
@@ -786,23 +768,16 @@ func (d *Decoder) capture(c *tagCapture, n int, key string, k jsontext.TokenKind
 
 // promote wraps a freshly inferred record of n fields into a
 // single-case variants type when a discriminator was captured: a keyed
-// candidate wins over the wrapper shape. The canonical representative
-// is returned when an interner is installed (children are already
-// canonical, so this is a shallow probe).
+// candidate wins over the wrapper shape.
 func (d *Decoder) promote(r *types.Record, c *tagCapture, n int) types.Type {
-	var t types.Type
 	switch {
 	case c.prio >= 0:
-		t = d.pr.Promote(r, c.key, c.tag)
+		return d.pr.Promote(r, c.key, c.tag)
 	case c.wrapper && n == 1:
-		t = d.pr.PromoteWrapper(r, r.Fields()[0].Key)
+		return d.pr.PromoteWrapper(r, r.Fields()[0].Key)
 	default:
 		return r
 	}
-	if d.tab != nil {
-		return d.tab.Canon(t)
-	}
-	return t
 }
 
 // An arrayWalk is the state of an array's walk that typing takes
@@ -954,11 +929,7 @@ func (d *Decoder) buildArray(elems []types.Type) types.Type {
 	case d.collapse:
 		return d.simp.Array(elems)
 	case len(elems) == 0:
-		// EmptyTuple is one shared node, pre-seeded in every table, so
-		// both paths return the canonical representative.
 		return types.EmptyTuple
-	case d.tab != nil:
-		return d.tab.InternTuple(elems)
 	}
 	return types.MustTuple(elems...)
 }
@@ -990,43 +961,5 @@ func InferAllWith(data []byte, obs Observer, pr Promoter) ([]types.Type, error) 
 			return nil, err
 		}
 		ts = append(ts, t)
-	}
-}
-
-// DedupAllWith infers the types of all top-level JSON values in data as
-// a multiset over tab: one entry per distinct type with its occurrence
-// count. This is the deduplicating map phase — a chunk of n records
-// reduces to its distinct shapes, and the fold over those shapes yields
-// exactly the same fused type as folding all n per-record types, because
-// fusion is commutative, associative and idempotent. Value events go to
-// obs and a tagged-union promoter pr applies (both may be nil).
-// Observation stays per record: the multiset deduplicates types, not
-// values, and enrichment wants every value.
-func DedupAllWith(data []byte, tab *intern.Table, obs Observer, pr Promoter) (*intern.Multiset, error) {
-	ms := intern.NewMultiset()
-	d := NewBytesDecoder(data, jsontext.Options{})
-	defer d.Release()
-	d.SetInterner(tab)
-	if obs != nil {
-		d.SetObserver(obs)
-	}
-	if pr != nil {
-		d.SetPromoter(pr)
-	}
-	for {
-		t, err := d.Next()
-		if err == io.EOF {
-			return ms, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ref, ok := tab.Ref(t)
-		if !ok {
-			// Unreachable under the interner invariant, but keep the
-			// multiset sound if it ever breaks.
-			ref, _ = tab.Ref(tab.Canon(t))
-		}
-		ms.Add(ref, 1)
 	}
 }

@@ -1,9 +1,13 @@
 // Package intern canonicalizes types.Type values by hash-consing: every
 // structurally distinct type gets exactly one representative node, so
 // structural equality collapses to pointer (or ID) comparison and a
-// caller can deduplicate the types of millions of records into the
-// handful of shapes the paper's evaluation observes (Tables 2-5 report
-// tens of distinct types over millions of values).
+// multiset of a chunk's types holds one entry per distinct shape.
+//
+// No inference path interns. The package is a leaf kept for the
+// benchmark's dedup probe: infer.DedupAllWith canonicalizes the plain
+// decoder's types into a Table, and fusion.Memo caches top-level
+// fusions by their operands' IDs. Nothing else imports it, which
+// TestInternIsALeaf at the repository root enforces.
 //
 // A Table keeps one entry per distinct type. Entries cache the subtree
 // hash and size, so interning a node whose children are already
@@ -12,7 +16,7 @@
 // against a candidate only compares keys and child pointers. The
 // invariant that makes this sound is that every child of an interned
 // node is itself interned (the canonical representative of its
-// equivalence class), which all constructors below maintain.
+// equivalence class), which Canon maintains by interning bottom-up.
 //
 // The table is safe for concurrent use: many workers may intern into
 // it at once. Lookups take a read lock; a miss re-probes under the
@@ -137,7 +141,7 @@ func (tb *Table) Canon(t types.Type) types.Type {
 		if !changed {
 			return tb.internShallow(t)
 		}
-		return tb.InternRecord(out)
+		return tb.internShallow(types.MustRecordSorted(out))
 	case *types.Map:
 		ce := tb.Canon(tt.Elem())
 		if ce == tt.Elem() {
@@ -149,7 +153,7 @@ func (tb *Table) Canon(t types.Type) types.Type {
 		if !changed {
 			return tb.internShallow(t)
 		}
-		return tb.InternTuple(out)
+		return tb.internShallow(types.MustTuple(out...))
 	case *types.Variants:
 		if tt.Collapsed() {
 			co := tb.Canon(tt.Other()).(*types.Record)
@@ -190,53 +194,6 @@ func (tb *Table) Canon(t types.Type) types.Type {
 	default:
 		panic(fmt.Sprintf("intern: unknown type %T", t))
 	}
-}
-
-// InternRecord interns the record type with the given fields, probing
-// before building so a repeated shape costs no allocation. fields must
-// be sorted by key, unique, and hold canonical types of this table; the
-// slice is not retained (a miss builds the record on one exact copy).
-func (tb *Table) InternRecord(fields []types.Field) types.Type {
-	tb.mu.RLock()
-	h, size, ok := tb.recordMetaLocked(fields)
-	if ok {
-		for _, cand := range tb.byHash[h] {
-			if r, isRec := cand.t.(*types.Record); isRec && recordEqualFields(r, fields) {
-				tb.mu.RUnlock()
-				tb.hits.Add(1)
-				return cand.t
-			}
-		}
-	}
-	tb.mu.RUnlock()
-	if !ok {
-		panic("intern: InternRecord with non-canonical field types")
-	}
-	fs := make([]types.Field, len(fields))
-	copy(fs, fields)
-	return tb.insert(types.MustRecordSorted(fs), h, size)
-}
-
-// InternTuple interns the positional array type with the given
-// elements, probing before building. elems must hold canonical types of
-// this table; the slice is not retained.
-func (tb *Table) InternTuple(elems []types.Type) types.Type {
-	tb.mu.RLock()
-	h, size, ok := tb.tupleMetaLocked(elems)
-	if ok {
-		for _, cand := range tb.byHash[h] {
-			if tp, isTup := cand.t.(*types.Tuple); isTup && tupleEqualElems(tp, elems) {
-				tb.mu.RUnlock()
-				tb.hits.Add(1)
-				return cand.t
-			}
-		}
-	}
-	tb.mu.RUnlock()
-	if !ok {
-		panic("intern: InternTuple with non-canonical element types")
-	}
-	return tb.insert(types.MustTuple(elems...), h, size)
 }
 
 // internShallow interns a node whose children are already canonical in

@@ -231,9 +231,6 @@ func TestMultiset(t *testing.T) {
 	if got := a.Elems(); got[0].ID != num.ID || got[0].Count != 5 || got[1].ID != str.ID {
 		t.Fatalf("first-seen order violated: %+v", got)
 	}
-	if !a.Contains(num.ID) || a.Contains(rec.ID) {
-		t.Fatal("Contains wrong")
-	}
 
 	b := intern.NewMultiset()
 	b.Add(rec, 4)

@@ -1,13 +1,12 @@
 package intern
 
-// Multiset counts occurrences of interned types. This is what the
-// deduplicating map phase emits per chunk: interned type → count
-// instead of one type per record, so a million-record chunk reduces to
-// the handful of shapes it actually contains.
+// Multiset counts occurrences of interned types: interned type → count
+// instead of one type per record, so a chunk reduces to the handful of
+// shapes it actually contains. infer.DedupAllWith returns one per
+// chunk.
 //
 // Elements are kept in first-seen order and iteration never ranges over
-// the index map, so every consumer (chunk-local fusion, stats, the
-// combiner) is deterministic for a fixed input.
+// the index map, so every consumer is deterministic for a fixed input.
 type Multiset struct {
 	elems []Elem
 	index map[ID]int
@@ -33,12 +32,6 @@ func (m *Multiset) Add(r Ref, n int64) {
 	}
 	m.index[r.ID] = len(m.elems)
 	m.elems = append(m.elems, Elem{Ref: r, Count: n})
-}
-
-// Contains reports whether id occurs at least once.
-func (m *Multiset) Contains(id ID) bool {
-	_, ok := m.index[id]
-	return ok
 }
 
 // Merge folds other into m: counts of shared types add, types new to m
