@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 
@@ -620,34 +621,51 @@ func BenchmarkSchemaCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadRepository measures LoadRepository on a snapshot of four
-// twitter partitions, the document schemad reads per tenant on a cold
-// start or a reload.
+// BenchmarkLoadRepository measures LoadRepository, and Save beside it,
+// on two snapshots: four twitter partitions, the document schemad reads
+// per tenant on a cold start or a reload, and one partition of 1,500
+// wikidata records, whose schema repeats most. Both report the
+// snapshot's length.
 func BenchmarkLoadRepository(b *testing.B) {
-	g, _ := dataset.New("twitter")
-	lines := bytes.SplitAfter(dataset.NDJSON(g, 2000, 1), []byte("\n"))
-	repo := jsi.NewRepository()
-	for part := 0; part < 4; part++ {
-		var batch []byte
-		for i := part; i < len(lines); i += 4 {
-			batch = append(batch, lines[i]...)
+	for _, c := range []struct {
+		dataset        string
+		records, parts int
+	}{{"twitter", 2000, 4}, {"wikidata", 1500, 1}} {
+		g, _ := dataset.New(c.dataset)
+		lines := bytes.SplitAfter(dataset.NDJSON(g, c.records, 1), []byte("\n"))
+		repo := jsi.NewRepository()
+		for part := 0; part < c.parts; part++ {
+			var batch []byte
+			for i := part; i < len(lines); i += c.parts {
+				batch = append(batch, lines[i]...)
+			}
+			s, stats, err := jsi.Infer(context.Background(), jsi.FromBytes(batch), jsi.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			repo.Append(fmt.Sprintf("part-%d", part), s, stats.Records)
 		}
-		s, stats, err := jsi.Infer(context.Background(), jsi.FromBytes(batch), jsi.Options{})
-		if err != nil {
+		var snap bytes.Buffer
+		if err := repo.Save(&snap); err != nil {
 			b.Fatal(err)
 		}
-		repo.Append(fmt.Sprintf("part-%d", part), s, stats.Records)
-	}
-	var snap bytes.Buffer
-	if err := repo.Save(&snap); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(snap.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := jsi.LoadRepository(bytes.NewReader(snap.Bytes())); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(c.dataset+"/load", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := jsi.LoadRepository(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
+		})
+		b.Run(c.dataset+"/save", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := repo.Save(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
+		})
 	}
 }

@@ -92,7 +92,10 @@ func dumpLayout(ndjson []byte) []byte {
 // every policy and through InferJSON, key abstraction and map fusion
 // over a record of distinct-key records, the Wikidata dump layout, and
 // four shapes that never folded that way: one wide object, distinct
-// keys per line, distinct-key arrays in each line and 64 tags.
+// keys per line, distinct-key arrays in each line and 64 tags. One
+// shape is a snapshot rather than records: n table entries, each two
+// refs to the one before, which spell a tree of 2ⁿ nodes and must be
+// rejected at the cost of reading the document.
 func TestCostDoubling(t *testing.T) {
 	infer := func(opts jsi.Options, data func(n int) []byte) func(t *testing.T, n int) func() error {
 		opts.Workers = 1
@@ -158,6 +161,15 @@ func TestCostDoubling(t *testing.T) {
 		{"64 tags", 512, infer(jsi.Options{TaggedUnions: true}, func(n int) []byte {
 			return joinN(n, "", "\n", "\n", func(b *bytes.Buffer, i int) { fmt.Fprintf(b, `{"type":"t%d","f%d":%d}`, i%64, i%64, i) })
 		})},
+		{"nested refs/LoadRepository", 512, func(_ *testing.T, n int) func() error {
+			snap := nestedRefs(n, n-1)
+			return func() error {
+				if _, err := jsi.LoadRepository(bytes.NewReader(snap)); err == nil {
+					return fmt.Errorf("a snapshot of %d nested refs loaded", n)
+				}
+				return nil
+			}
+		}},
 	}
 	for _, s := range shapes {
 		t.Run(s.name, func(t *testing.T) {

@@ -225,6 +225,12 @@ func (l *Lexer) RawStrings(on bool) { l.raw = on }
 // Offset returns the number of bytes consumed so far.
 func (l *Lexer) Offset() int64 { return l.base + int64(l.pos) }
 
+// Literal returns the text of the number token Next last returned, a
+// view into the window valid only until the next call to Next, so a
+// reader can tell an integer literal from 1.0 or 1e2, which Num does
+// not.
+func (l *Lexer) Literal() []byte { return l.data[l.mark:l.pos] }
+
 func (l *Lexer) errorf(off int64, format string, args ...any) error {
 	return &SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }

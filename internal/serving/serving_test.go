@@ -406,6 +406,55 @@ func TestSnapshotPutRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestSnapshotPutRejectsRefs: a restored version 1 snapshot whose refs
+// name no earlier shape or are no index, a ref outside a snapshot's
+// table, an unknown version, and shapes that expand past the size cap
+// or nest deeper than a document may are client errors, and the server
+// keeps serving. A ref is also refused in the codec schema a diff
+// posts.
+func TestSnapshotPutRejectsRefs(t *testing.T) {
+	const num = `{"k":"rep","elem":{"k":"num"}}`
+	v1 := func(shapes []string, schema string) string {
+		return `{"version":1,"shapes":[` + strings.Join(shapes, ",") +
+			`],"partitions":[{"name":"p","count":1,"schema":` + schema + `}]}`
+	}
+	// chain is n shapes, each made of two refs to the one before
+	// (expanding to 2^(i+3)-3 nodes) or wrapping it in an array.
+	chain := func(n int, first, next string) []string {
+		shapes := []string{first}
+		for i := 1; i < n; i++ {
+			shapes = append(shapes, strings.ReplaceAll(next, "REF", fmt.Sprintf(`{"ref":%d}`, i-1)))
+		}
+		return shapes
+	}
+	snaps := map[string]string{
+		"forward":       v1([]string{`{"k":"rep","elem":{"ref":1}}`, num}, `{"ref":0}`),
+		"self":          v1([]string{`{"k":"rep","elem":{"ref":0}}`}, `{"ref":0}`),
+		"negative":      v1([]string{num}, `{"ref":-1}`),
+		"non-integer":   v1([]string{num}, `{"ref":0.5}`),
+		"out of range":  v1([]string{num}, `{"ref":1}`),
+		"version 2":     `{"version":2,"shapes":[],"partitions":[]}`,
+		"unversioned":   `{"partitions":[{"name":"p","count":1,"schema":{"ref":0}}]}`,
+		"size cap":      v1(chain(24, `{"k":"record","fields":[{"key":"a","type":{"k":"num"}},{"key":"b","type":{"k":"num"}}]}`, `{"k":"record","fields":[{"key":"a","type":REF},{"key":"b","type":REF}]}`), `{"ref":23}`),
+		"nesting limit": v1(chain(9997, num, `{"k":"rep","elem":REF}`), `{"ref":9996}`),
+	}
+	_, hs := newTestServer(t, Config{})
+	ingest(t, hs.URL, "live", "default", []byte(`{"a":1}`+"\n"))
+	_, wantSchema := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil)
+	for name, snap := range snaps {
+		if status, body := doReq(t, http.MethodPut, hs.URL+"/v1/tenants/refs/snapshot", []byte(snap)); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, status, body)
+		}
+	}
+	if status, body := doReq(t, http.MethodPost, hs.URL+"/v1/tenants/live/diff", []byte(`{"ref":0}`)); status != http.StatusBadRequest {
+		t.Errorf("diff against a ref: status %d (%s), want 400", status, body)
+	}
+	if status, got := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/live/schema", nil); status != http.StatusOK || !bytes.Equal(got, wantSchema) {
+		t.Errorf("after the rejected restores: status %d, schema %s, want %s", status, got, wantSchema)
+	}
+	ingest(t, hs.URL, "refs", "default", []byte(`{"b":2}`+"\n"))
+}
+
 // TestEnrichmentEndToEnd drives the enrichment lattice through the
 // whole serving surface: server-wide -enrich config, the per-request
 // ingest override, the format=enrich report, the enrich=off strip, and

@@ -3,8 +3,10 @@ package types
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"repro/internal/jsontext"
 )
@@ -30,13 +32,17 @@ import (
 // The writer appends the bytes json.Marshal would give for the document
 // (strings through jsontext.AppendQuote). Like the JSON Schema export it
 // walks the type twice, first counting the bytes, then writing them into
-// a buffer grown once to fit, and in both passes renders a subtree whose
-// shape repeats (Shapes) once per indentation depth, copying those
-// bytes from its own buffer on every later repeat. The reader decodes
-// straight off the lexer's tokens through the constructors: it accepts
-// the members in any order, with any whitespace, and rejects unknown,
-// repeated and case-folded member names and members the kind does not
-// take, so it accepts no document encoding/json would reject.
+// a buffer allocated once to fit, and in both passes renders a subtree
+// whose shape repeats (Shapes) once, copying those bytes from its own
+// buffer on every later repeat. The reader decodes straight off the
+// lexer's tokens through the constructors: it accepts the members in
+// any order, with any whitespace, and rejects unknown, repeated and
+// case-folded member names and members the kind does not take, so it
+// accepts no document encoding/json would reject.
+//
+// A snapshot (snapshot.go) writes its types in the same format, except
+// that a repeated shape sits once in a table and each use of it is
+// {"ref": i}; outside a snapshot a ref is an error.
 
 // MarshalJSON encodes the type as a JSON document that UnmarshalJSON
 // round-trips.
@@ -44,55 +50,50 @@ func MarshalJSON(t Type) ([]byte, error) {
 	if t == nil {
 		return nil, fmt.Errorf("types: cannot marshal nil type")
 	}
-	return encode(nil, t, 0, false), nil
-}
-
-// AppendIndentJSON appends t's codec document to dst laid out as
-// json.Encoder with SetIndent("", "  ") lays it out, the type's opening
-// brace on a line indented to depth. t must not be nil.
-func AppendIndentJSON(dst []byte, t Type, depth int) []byte {
-	return encode(dst, t, depth, true)
-}
-
-// encode appends t's document to dst, compact or indented: a sizing
-// pass counts its bytes, dst grows once to fit them, and a writing pass
-// appends them.
-func encode(dst []byte, t Type, depth int, indent bool) []byte {
 	shapes := NumberShapes(t)
-	e := encoder{sizing: true, indent: indent, shapes: shapes, latest: make([]int32, shapes.Len())}
-	e.typ(t, 0, depth)
-	e.buf, e.sizing = slices.Grow(dst, e.n), false
-	e.typ(t, 0, depth)
-	return e.buf
+	e := encoder{sizing: true, shapes: shapes, renders: make([]rendering, shapes.Len())}
+	e.typ(t, 0, 0)
+	e.buf, e.sizing = make([]byte, 0, e.n), false
+	e.typ(t, 0, 0)
+	return e.buf, nil
 }
 
 // encoder writes a codec document, or with sizing set counts its bytes
-// in n. A subtree whose shape repeats is rendered once per indentation
-// depth (any depth, in a compact document) and copied after that: the
-// sizing pass records each rendering's length, the writing pass its
-// offset, and both make the same copy decisions.
+// in n. Outside a snapshot, a subtree whose shape repeats is rendered
+// once and copied after that: the sizing pass records the rendering's
+// length, the writing pass its offset, and both make the same copy
+// decisions. In a snapshot every repeat is a ref into the table.
 type encoder struct {
-	buf    []byte
-	n      int
-	sizing bool
-	indent bool
-	shapes *Shapes
-	// renders holds the renderings of repeated shapes, each chained to
-	// the one of the same shape before it; latest holds, by shape id,
-	// 1 + the index of the shape's last, 0 for none.
-	renders []rendering
-	latest  []int32
+	buf     []byte
+	n       int
+	sizing  bool
+	shapes  *Shapes
+	renders []rendering // by shape id, outside a snapshot
+	// refs holds, in a snapshot, 1 + the table index of each tabled
+	// shape by shape id, and costs the cost of each entry by index.
+	refs  []int32
+	costs []cost
+	// size and top measure, in a snapshot, what has been written since
+	// they were last reset, refs expanded: its size as Size counts it,
+	// and the deepest nesting level its codec document reaches.
+	size int64
+	top  int
 }
 
-// A rendering is where the bytes of one shape at one depth sit in the
-// document: their offset, -1 until the writing pass has written them,
-// and their length.
-type rendering struct {
-	start, n     int
-	depth, prior int32
+// A rendering is where the bytes of one repeated shape sit in the
+// document: 1 + their offset, 0 until the writing pass has written
+// them, and their length, 0 until the sizing pass has counted them.
+type rendering struct{ at, n int }
+
+// A cost is what a table entry costs where it is used: its expanded
+// size as Size counts it, and the number of nesting levels its expanded
+// codec document spans.
+type cost struct {
+	size   int64
+	height int
 }
 
-// typ writes t's object, whose opening brace sits at indentation depth;
+// typ writes t's object, whose opening brace sits at nesting depth;
 // pos is t's position in the shape numbering.
 func (e *encoder) typ(t Type, pos, depth int) {
 	id, shared := e.shapes.Shared(t, pos)
@@ -100,36 +101,42 @@ func (e *encoder) typ(t Type, pos, depth int) {
 		e.render(t, pos, depth)
 		return
 	}
-	key := int32(0)
-	if e.indent {
-		key = int32(depth)
+	if e.refs != nil {
+		e.ref(int(e.refs[id])-1, depth)
+		return
 	}
-	i := e.latest[id]
-	for i != 0 && e.renders[i-1].depth != key {
-		i = e.renders[i-1].prior
-	}
+	r := &e.renders[id]
 	switch {
-	case e.sizing && i != 0:
-		e.n += e.renders[i-1].n
+	case e.sizing && r.n > 0:
+		e.n += r.n
 	case e.sizing:
 		start := e.n
 		e.render(t, pos, depth)
-		e.renders = append(e.renders, rendering{start: -1, n: e.n - start, depth: key, prior: e.latest[id]})
-		e.latest[id] = int32(len(e.renders))
-	case e.renders[i-1].start >= 0:
-		r := e.renders[i-1]
-		e.buf = append(e.buf, e.buf[r.start:r.start+r.n]...)
+		r.n = e.n - start
+	case r.at > 0:
+		e.buf = append(e.buf, e.buf[r.at-1:r.at-1+r.n]...)
 	default:
-		e.renders[i-1].start = len(e.buf)
+		r.at = 1 + len(e.buf)
 		e.render(t, pos, depth)
 	}
+}
+
+// ref writes a ref to table entry i, used at nesting depth.
+func (e *encoder) ref(i, depth int) {
+	c := e.costs[i]
+	e.size += c.size
+	e.top = max(e.top, depth+c.height)
+	e.buf = append(e.buf, `{"ref":`...)
+	e.buf = strconv.AppendInt(e.buf, int64(i), 10)
+	e.buf = append(e.buf, '}')
 }
 
 // render writes t's object as typ does, without looking for an earlier
 // rendering of t itself.
 func (e *encoder) render(t Type, pos, depth int) {
-	e.byte('{')
-	e.member(depth, false, "k")
+	e.size += ownSize(t)
+	e.top = max(e.top, depth+1)
+	e.raw(`{"k":`)
 	switch tt := t.(type) {
 	case Basic:
 		switch tt {
@@ -149,39 +156,36 @@ func (e *encoder) render(t Type, pos, depth int) {
 	case *Record:
 		e.raw(`"record"`)
 		if len(tt.fields) > 0 {
-			e.member(depth, true, "fields")
-			e.byte('[')
+			e.raw(`,"fields":[`)
 			at := pos + 1
 			for i, f := range tt.fields {
-				e.elem(depth+1, i)
-				e.byte('{')
-				e.member(depth+2, false, "key")
+				if i > 0 {
+					e.byte(',')
+				}
+				e.raw(`{"key":`)
 				e.quote(f.Key)
-				e.member(depth+2, true, "type")
+				e.raw(`,"type":`)
 				e.typ(f.Type, at, depth+3)
 				at = e.shapes.Skip(f.Type, at)
 				if f.Optional {
-					e.member(depth+2, true, "opt")
-					e.raw("true")
+					e.raw(`,"opt":true`)
 				}
-				e.end(depth+2, '}')
+				e.byte('}')
 			}
-			e.end(depth+1, ']')
+			e.byte(']')
 		}
 	case *Tuple:
 		e.raw(`"tuple"`)
-		e.types(pos, depth, "elems", tt.elems)
+		e.types(pos, depth, `,"elems":[`, tt.elems)
 	case *Repeated:
-		e.raw(`"rep"`)
-		e.member(depth, true, "elem")
+		e.raw(`"rep","elem":`)
 		e.typ(tt.elem, pos+1, depth+1)
 	case *Map:
-		e.raw(`"map"`)
-		e.member(depth, true, "elem")
+		e.raw(`"map","elem":`)
 		e.typ(tt.elem, pos+1, depth+1)
 	case *Union:
 		e.raw(`"union"`)
-		e.types(pos, depth, "alts", tt.alts)
+		e.types(pos, depth, `,"alts":[`, tt.alts)
 	case *Variants:
 		e.raw(`"variants"`)
 		if tt.other != nil {
@@ -190,101 +194,57 @@ func (e *encoder) render(t Type, pos, depth int) {
 			for range tt.cases {
 				at = e.shapes.End(at)
 			}
-			e.member(depth, true, "elem")
+			e.raw(`,"elem":`)
 			e.typ(tt.other, at, depth+1)
 		}
 		if tt.key != "" {
-			e.member(depth, true, "key")
+			e.raw(`,"key":`)
 			e.quote(tt.key)
 		}
 		if tt.wrapper {
-			e.member(depth, true, "wrapper")
-			e.raw("true")
+			e.raw(`,"wrapper":true`)
 		}
 		if tt.collapsed {
-			e.member(depth, true, "collapsed")
-			e.raw("true")
+			e.raw(`,"collapsed":true`)
 		}
 		if len(tt.cases) > 0 {
-			e.member(depth, true, "cases")
-			e.byte('[')
+			e.raw(`,"cases":[`)
 			at := pos + 1
 			for i, c := range tt.cases {
-				e.elem(depth+1, i)
-				e.byte('{')
-				e.member(depth+2, false, "tag")
+				if i > 0 {
+					e.byte(',')
+				}
+				e.raw(`{"tag":`)
 				e.quote(c.Tag)
-				e.member(depth+2, true, "type")
+				e.raw(`,"type":`)
 				e.typ(c.Type, at, depth+3)
 				at = e.shapes.End(at)
-				e.end(depth+2, '}')
+				e.byte('}')
 			}
-			e.end(depth+1, ']')
+			e.byte(']')
 		}
 	default:
 		panic(fmt.Sprintf("types: unknown type %T", t))
 	}
-	e.end(depth, '}')
+	e.byte('}')
 }
 
-// types writes the array member name of ts, the children of the node
-// at position pos, omitted when ts is empty.
-func (e *encoder) types(pos, depth int, name string, ts []Type) {
+// types writes the array member that open begins with the children ts
+// of the node at position pos, omitted when ts is empty.
+func (e *encoder) types(pos, depth int, open string, ts []Type) {
 	if len(ts) == 0 {
 		return
 	}
-	e.member(depth, true, name)
-	e.byte('[')
+	e.raw(open)
 	at := pos + 1
 	for i, t := range ts {
-		e.elem(depth+1, i)
+		if i > 0 {
+			e.byte(',')
+		}
 		e.typ(t, at, depth+2)
 		at = e.shapes.Skip(t, at)
 	}
-	e.end(depth+1, ']')
-}
-
-// member starts the member name of an object whose opening brace sits
-// at depth; later is false for the first member.
-func (e *encoder) member(depth int, later bool, name string) {
-	if later {
-		e.byte(',')
-	}
-	e.newline(depth + 1)
-	e.byte('"')
-	e.raw(name)
-	e.raw(`":`)
-	if e.indent {
-		e.byte(' ')
-	}
-}
-
-// elem starts element i of an array whose opening bracket sits at depth.
-func (e *encoder) elem(depth, i int) {
-	if i > 0 {
-		e.byte(',')
-	}
-	e.newline(depth + 1)
-}
-
-// end closes an object or array whose opening bracket sits at depth.
-func (e *encoder) end(depth int, c byte) {
-	e.newline(depth)
-	e.byte(c)
-}
-
-func (e *encoder) newline(depth int) {
-	if !e.indent {
-		return
-	}
-	if e.sizing {
-		e.n += 1 + 2*depth
-		return
-	}
-	e.buf = append(e.buf, '\n')
-	for i := 0; i < depth; i++ {
-		e.buf = append(e.buf, ' ', ' ')
-	}
+	e.byte(']')
 }
 
 func (e *encoder) byte(c byte) {
@@ -337,12 +297,24 @@ func UnmarshalJSON(data []byte) (Type, error) {
 // jsontext.MaxNesting.
 func ReadJSON(l *jsontext.Lexer, depth int) (Type, error) {
 	d := decoder{l: l}
-	tok, err := l.Next()
+	return d.read(depth, math.MaxInt64)
+}
+
+// read decodes the type that begins at the next token of d.l, which
+// may expand to at most limit nodes, and leaves d.size and d.top
+// measuring it.
+func (d *decoder) read(depth int, limit int64) (Type, error) {
+	d.size, d.top = 0, depth
+	tok, err := d.l.Next()
+	var t Type
 	if err == nil {
-		var t Type
-		if t, err = d.typ(tok, depth); err == nil {
-			return t, nil
-		}
+		t, err = d.typ(tok, depth)
+	}
+	if err == nil && d.size > limit {
+		err = errSnapshotSize
+	}
+	if err == nil {
+		return t, nil
 	}
 	if syn := (*jsontext.SyntaxError)(nil); errors.As(err, &syn) {
 		err = fmt.Errorf("types: decoding type: %w", err)
@@ -352,7 +324,7 @@ func ReadJSON(l *jsontext.Lexer, depth int) (Type, error) {
 
 // The member names of a type object; bit i of a member set is
 // typeMembers[i].
-var typeMembers = []string{"k", "fields", "elems", "elem", "alts", "key", "wrapper", "collapsed", "cases"}
+var typeMembers = []string{"k", "fields", "elems", "elem", "alts", "key", "wrapper", "collapsed", "cases", "ref"}
 
 const (
 	mK = 1 << iota
@@ -364,6 +336,7 @@ const (
 	mWrapper
 	mCollapsed
 	mCases
+	mRef
 )
 
 // The kinds, as "k" names them, and the members each takes besides "k".
@@ -400,6 +373,13 @@ type decoder struct {
 	fields []Field
 	types  []Type
 	cases  []Variant
+	// snap is the snapshot whose table refs name, nil outside one.
+	snap *SnapshotReader
+	// size and top measure the type being read, refs expanded: its size
+	// as Size counts it and the deepest nesting level its codec
+	// document reaches.
+	size int64
+	top  int
 }
 
 // open checks that tok opens a container of the given kind one level
@@ -411,6 +391,7 @@ func (d *decoder) open(tok jsontext.Token, kind jsontext.TokenKind, depth int) (
 	if depth >= jsontext.MaxNesting {
 		return 0, &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("nesting deeper than %d", jsontext.MaxNesting)}
 	}
+	d.top = max(d.top, depth+1)
 	return depth + 1, nil
 }
 
@@ -430,6 +411,7 @@ func (d *decoder) typ(tok jsontext.Token, depth int) (Type, error) {
 		elem               Type
 		wrapper, collapsed bool
 		cases              []Variant
+		ref                int
 	)
 	for {
 		m, err := d.l.NextMember(typeMembers, &seen)
@@ -463,16 +445,40 @@ func (d *decoder) typ(tok jsontext.Token, depth int) (Type, error) {
 			collapsed, err = d.bool()
 		case mCases:
 			cases, err = d.caseArray(depth)
+		case mRef:
+			ref, err = d.ref()
 		}
 		if err != nil {
 			return nil, err
 		}
+	}
+	if seen&mRef != 0 {
+		if extra := seen &^ mRef; extra != 0 {
+			return nil, fmt.Errorf("types: ref with member %q", typeMembers[bits.TrailingZeros64(extra)])
+		}
+		return d.resolve(ref, depth-1)
 	}
 	if kind < 0 {
 		return nil, fmt.Errorf("types: type without a kind at offset %d", tok.Offset)
 	}
 	if extra := seen &^ (mK | kindMembers[kind]); extra != 0 {
 		return nil, fmt.Errorf("types: %s type with member %q", kindNames[kind], typeMembers[bits.TrailingZeros64(extra)])
+	}
+	// The node's own term of Size, as ownSize counts the node built.
+	switch kind {
+	case kRecord:
+		d.size += 1 + int64(len(fields))
+	case kMap:
+		d.size += 2
+	case kUnion:
+		d.size += int64(len(alts)) - 1
+	case kVariants:
+		d.size += 1 + int64(len(cases))
+		if elem != nil {
+			d.size++
+		}
+	default:
+		d.size++
 	}
 	switch kind {
 	case kNull:
@@ -522,6 +528,46 @@ func (d *decoder) typ(tok jsontext.Token, depth int) (Type, error) {
 		}
 		return NewVariants(key, wrapper, cases, other)
 	}
+}
+
+// ref reads a ref's value, the index of an entry of the table read so
+// far: so a ref can name only an earlier entry, and no document
+// describes a cycle.
+func (d *decoder) ref() (int, error) {
+	tok, err := d.l.Next()
+	if err != nil {
+		return 0, err
+	}
+	if d.snap == nil {
+		return 0, fmt.Errorf("types: ref outside a snapshot at offset %d", tok.Offset)
+	}
+	if tok.Kind != jsontext.TokNum {
+		return 0, &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected ref index, got %s", tok.Kind)}
+	}
+	lit, n := d.l.Literal(), 0
+	for _, c := range lit {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("types: ref %s is not an index", lit)
+		}
+		if n = 10*n + int(c-'0'); n >= len(d.snap.entries) {
+			return 0, fmt.Errorf("types: ref %s past the %d shapes before it", lit, len(d.snap.entries))
+		}
+	}
+	return n, nil
+}
+
+// resolve returns the node of table entry i, used at nesting depth,
+// once its expansion is known to nest no deeper than a document may.
+// Its size counts toward the limit read checks: each ref adds at most
+// MaxSnapshotSize, so no document can make the sum overflow.
+func (d *decoder) resolve(i, depth int) (Type, error) {
+	e := d.snap.entries[i]
+	if depth+e.height > jsontext.MaxNesting {
+		return nil, fmt.Errorf("types: ref %d nests deeper than %d", i, jsontext.MaxNesting)
+	}
+	d.top = max(d.top, depth+e.height)
+	d.size += e.size
+	return e.t, nil
 }
 
 // next decodes the type that begins at the next token.

@@ -47,8 +47,9 @@ func FuzzParseTypeSyntax(f *testing.F) {
 // accepts the oracle (the encoding/json codec it replaced) accepts too
 // and decodes to an equal type. The decoded type T is also written
 // inside {a: T, b: T′, c: [T*], d: {e: T}}, T′ a near-copy of T
-// (perturb), where the writer copies T's repeats: compact and
-// indented, the bytes are the oracle's.
+// (perturb), where the writer copies T's repeats: the bytes are the
+// oracle's. T and that record, written together as a snapshot, where
+// each repeat is a ref, read back Equal.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, s := range []string{
 		`{"k":"num"}`,
@@ -86,6 +87,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil || !Equal(tt, back) {
 			t.Fatalf("codec round trip failed for %q -> %q: %v", data, enc, err)
 		}
-		requireOracleCodec(t, withCopies(tt, len(data)))
+		copies := withCopies(tt, len(data))
+		requireOracleCodec(t, copies)
+		roots := []Type{tt, copies}
+		got, _, _ := snapshotRoundTrip(t, roots)
+		for i, root := range roots {
+			if !Equal(got[i], root) {
+				t.Fatalf("snapshot of %s read back as %s", root, got[i])
+			}
+		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -200,15 +199,6 @@ func oracleMarshalJSON(t Type) ([]byte, error) {
 	return json.Marshal(oracleToWire(t))
 }
 
-// oracleAppendIndentJSON is AppendIndentJSON through the oracle:
-// json.MarshalIndent lays out the lines after the first as
-// json.Encoder's SetIndent("", "  ") does, behind a prefix of depth
-// indentation steps.
-func oracleAppendIndentJSON(dst []byte, t Type, depth int) ([]byte, error) {
-	out, err := json.MarshalIndent(oracleToWire(t), strings.Repeat("  ", depth), "  ")
-	return append(dst, out...), err
-}
-
 // oracleUnmarshalJSON is UnmarshalJSON through the oracle.
 func oracleUnmarshalJSON(data []byte) (Type, error) {
 	var w oracleWire
@@ -244,9 +234,8 @@ func oracleTypes(t *testing.T) []Type {
 }
 
 // TestCodecMatchesOracle: on random types and oracleTypes, MarshalJSON
-// is the oracle's json.Marshal byte for byte, AppendIndentJSON its
-// json.MarshalIndent, and both readers decode those bytes to equal
-// types.
+// is the oracle's json.Marshal byte for byte, and both readers decode
+// those bytes to equal types.
 func TestCodecMatchesOracle(t *testing.T) {
 	ts := oracleTypes(t)
 	for seed := uint64(1); seed <= 500; seed++ {
@@ -271,16 +260,6 @@ func requireOracleCodec(t *testing.T, tt Type) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("MarshalJSON(%s) differs from the oracle\n got: %s\nwant: %s", tt, got, want)
-	}
-	for _, depth := range []int{0, 3} {
-		got := AppendIndentJSON([]byte("prefix"), tt, depth)
-		want, err := oracleAppendIndentJSON([]byte("prefix"), tt, depth)
-		if err != nil {
-			t.Fatalf("oracle AppendIndentJSON(%s): %v", tt, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("AppendIndentJSON(%s, %d) differs from the oracle\n got: %s\nwant: %s", tt, depth, got, want)
-		}
 	}
 	back, err := UnmarshalJSON(got)
 	if err != nil {

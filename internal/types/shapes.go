@@ -1,14 +1,15 @@
 package types
 
-// Shapes is a structural numbering of the composite nodes of one type,
-// every node but the basic types and ε. Two nodes share a shape id
-// exactly when their subtrees are equal: the same kind, keys, optional
-// flags, tags, discriminator and mode, and children with the same ids.
-// A hash only picks the candidates; equality is always checked, so a
-// collision cannot merge two shapes. The writers that render a type
-// node by node, the JSON Schema export and the codec's encoder, use it
-// to render each repeated subtree once and copy its bytes on every
-// repeat.
+// Shapes is a structural numbering of the composite nodes of a type,
+// or of several taken together: every node but the basic types and ε.
+// Two nodes share a shape id exactly when their subtrees are equal: the
+// same kind, keys, optional flags, tags, discriminator and mode, and
+// children with the same ids. A hash only picks the candidates;
+// equality is always checked, so a collision cannot merge two shapes.
+// The writers that render a type node by node, the JSON Schema export
+// and the codec's encoder, use it to render each repeated subtree once
+// and copy its bytes on every repeat; a snapshot's writer, to write it
+// once in a table that every repeat refers to.
 //
 // Nodes are numbered by their position in a preorder walk, children in
 // the order of the type's own slices: a record's fields, a tuple's
@@ -32,15 +33,22 @@ type shape struct {
 	hash  uint32
 }
 
-// NumberShapes numbers the composite nodes of t, bottom up.
-func NumberShapes(t Type) *Shapes {
+// NumberShapes numbers the composite nodes of ts, bottom up, as one
+// type whose subtrees are the ts in order: a shape repeated across two
+// of them gets one id, and the first composite node of each t sits
+// where the subtree of the one before it ends.
+func NumberShapes(ts ...Type) *Shapes {
 	n := 0
-	if _, leaf := leafID(t); !leaf {
-		n = 1 + composites(t)
+	for _, t := range ts {
+		if _, leaf := leafID(t); !leaf {
+			n += 1 + composites(t)
+		}
 	}
 	s := &Shapes{ids: make([]int32, 0, n), shapes: make([]shape, 0, min(n, 256))}
 	s.table = make([]int32, tableSize(cap(s.shapes)))
-	s.kid(t)
+	for _, t := range ts {
+		s.kid(t)
+	}
 	return s
 }
 

@@ -235,7 +235,7 @@ func TestShapesCollisionsChecked(t *testing.T) {
 }
 
 // TestCodecNearDuplicatesMatchOracle: on repeats and near-repeats,
-// compact and indented, the codec writes the oracle's bytes.
+// the codec writes the oracle's bytes.
 func TestCodecNearDuplicatesMatchOracle(t *testing.T) {
 	for _, tt := range shapeTypes(t) {
 		requireOracleCodec(t, tt)

@@ -2,7 +2,6 @@ package jsoninference
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
@@ -202,10 +201,18 @@ func (r *Repository) countLocked() int64 {
 // Save writes the repository as a JSON document that LoadRepository
 // reads back: each partition's stored schema in the types codec, with
 // its count and enrichment. Safe to call concurrently with Append; the
-// snapshot is a consistent point-in-time view. The document is
-// {"partitions": [{"name", "count", "schema"[, "enrichment"]}, ...]}
-// (null for an empty repository), byte for byte as json.Encoder with
-// SetIndent("", "  ") writes it.
+// snapshot is a consistent point-in-time view. The document is version
+// 1 of the snapshot format, written compact:
+//
+//	{"version":1,"shapes":[…],"partitions":[{"name","count","schema"[,"enrichment"]}…]}
+//
+// A composite shape that occurs two or more times across the
+// partitions' schemas is written once in shapes, children first, and
+// each use of it, a partition's schema included, is {"ref":i}
+// (internal/types/snapshot.go). Save returns an error rather than
+// write a snapshot LoadRepository would reject: one whose schemas
+// expand to more than types.MaxSnapshotSize nodes together, or nest
+// deeper than a document may.
 func (r *Repository) Save(w io.Writer) error {
 	buf, err := r.snapshot()
 	if err != nil {
@@ -222,55 +229,60 @@ func (r *Repository) snapshot() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := r.namesLocked()
-	buf := []byte("{\n  \"partitions\": ")
-	if len(names) == 0 {
-		buf = append(buf, "null"...)
-	} else {
-		buf = append(buf, '[')
+	roots := make([]types.Type, len(names))
+	for i, name := range names {
+		roots[i] = r.partitions[name].schema
 	}
+	sw := types.NewSnapshotWriter(roots)
+	buf := sw.AppendTable([]byte(`{"version":1,"shapes":`), 1)
+	buf = append(buf, `,"partitions":[`...)
 	for i, name := range names {
 		p := r.partitions[name]
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, "\n    {\n      \"name\": "...)
+		buf = append(buf, `{"name":`...)
 		buf = jsontext.AppendQuote(buf, name)
-		buf = append(buf, ",\n      \"count\": "...)
+		buf = append(buf, `,"count":`...)
 		buf = strconv.AppendInt(buf, p.count, 10)
-		buf = append(buf, ",\n      \"schema\": "...)
-		buf = types.AppendIndentJSON(buf, p.schema, 3)
+		buf = append(buf, `,"schema":`...)
+		var err error
+		if buf, err = sw.AppendRoot(buf, i, 3); err != nil {
+			return nil, fmt.Errorf("jsoninference: partition %q: %w", name, err)
+		}
 		if p.enr != nil {
 			lat, err := p.enr.MarshalJSON()
 			if err != nil {
 				return nil, fmt.Errorf("jsoninference: partition %q enrichment: %w", name, err)
 			}
-			out := bytes.NewBuffer(append(buf, ",\n      \"enrichment\": "...))
-			if err := json.Indent(out, lat, "      ", "  "); err != nil {
-				return nil, fmt.Errorf("jsoninference: partition %q enrichment: %w", name, err)
-			}
-			buf = out.Bytes()
+			buf = append(append(buf, `,"enrichment":`...), lat...)
 		}
-		buf = append(buf, "\n    }"...)
+		buf = append(buf, '}')
 	}
-	if len(names) > 0 {
-		buf = append(buf, "\n  ]"...)
-	}
-	return append(buf, "\n}\n"...), nil
+	return append(buf, "]}\n"...), nil
 }
 
 // The member names of a snapshot and of each of its partitions.
 var (
-	repoMembers      = []string{"partitions"}
+	repoMembers      = []string{"version", "shapes", "partitions"}
 	partitionMembers = []string{"name", "count", "schema", "enrichment"}
 )
 
 // LoadRepository reads a repository previously written with Save. It
-// reads the document once, decoding each partition's schema in place,
-// and is strict: it rejects unknown, repeated and case-folded member
-// names, a partition without a name, count or schema, a count that is
-// not an integer literal, and anything after the document. It also
-// rejects a document that would lose or invent records: a partition
-// named twice, a negative count, or counts whose total overflows.
+// reads version 1, Save's format, and version 0, the indented document
+// without a version member, shapes or refs that Save wrote before; any
+// other version is an error. It reads the document in one pass,
+// decoding each shared shape once and each partition's schema in
+// place: a shape used twice is one node, so the loaded schemas form a
+// DAG. It is strict: it rejects unknown, repeated and case-folded
+// member names, a version member that does not come first, a partition
+// without a name, count or schema, a count that is not an integer
+// literal, and anything after the document. It rejects a ref that does
+// not name an earlier shape, and schemas that would expand to more
+// than types.MaxSnapshotSize nodes together or nest deeper than a
+// document may. It also rejects a document that would lose or invent
+// records: a partition named twice, a negative count, or counts whose
+// total overflows.
 func LoadRepository(rd io.Reader) (*Repository, error) {
 	data, err := readSized(rd)
 	if err != nil {
@@ -312,80 +324,139 @@ func readSized(rd io.Reader) ([]byte, error) {
 // load decodes the snapshot data into r, which is empty and not yet
 // shared, off l, a lexer over data.
 func (r *Repository) load(l *jsontext.Lexer, data []byte) error {
-	syntax := func(err error) error { return fmt.Errorf("jsoninference: decoding repository: %w", err) }
+	wrap := func(err error) error { return fmt.Errorf("jsoninference: decoding repository: %w", err) }
 	tok, err := l.Next()
 	if err == nil && tok.Kind != jsontext.TokBeginObject {
 		err = &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected snapshot object, got %s", tok.Kind)}
 	}
 	if err != nil {
-		return syntax(err)
+		return wrap(err)
 	}
+	// snap reads the schemas of a version 1 snapshot; nil for version 0.
+	var snap *types.SnapshotReader
 	var seen uint64
 	for {
 		m, err := l.NextMember(repoMembers, &seen)
 		if err != nil {
-			return syntax(err)
+			return wrap(err)
 		}
 		if m < 0 {
 			break
 		}
-		tok, err := l.Next()
+		switch repoMembers[m] {
+		case "version":
+			if seen != 1<<m {
+				return wrap(fmt.Errorf("version is not the first member"))
+			}
+			snap, err = loadVersion(l)
+		case "shapes":
+			if snap == nil {
+				return wrap(fmt.Errorf("shapes in a version 0 snapshot"))
+			}
+			err = loadShapes(l, snap)
+		case "partitions":
+			err = r.loadPartitions(l, data, snap)
+		}
 		if err != nil {
-			return syntax(err)
-		}
-		if tok.Kind == jsontext.TokNull {
-			continue
-		}
-		if tok.Kind != jsontext.TokBeginArray {
-			return syntax(&jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected partitions array, got %s", tok.Kind)})
-		}
-		var total int64
-		for i := 0; ; i++ {
-			ok, err := l.NextElem(i)
-			if err != nil {
-				return syntax(err)
-			}
-			if !ok {
-				break
-			}
-			tok, err := l.Next()
-			if err != nil {
-				return syntax(err)
-			}
-			if tok.Kind != jsontext.TokBeginObject {
-				return syntax(&jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected partition object, got %s", tok.Kind)})
-			}
-			name, p, err := loadPartition(l, data)
-			if err != nil {
-				return err
-			}
-			if _, dup := r.partitions[name]; dup {
-				return fmt.Errorf("jsoninference: partition %q appears twice", name)
-			}
-			if p.count < 0 {
-				return fmt.Errorf("jsoninference: partition %q: negative count %d", name, p.count)
-			}
-			if total += p.count; total < 0 {
-				return fmt.Errorf("jsoninference: partition %q: record total overflows", name)
-			}
-			r.partitions[name] = p
+			return wrap(err)
 		}
 	}
-	if seen == 0 {
-		return syntax(fmt.Errorf("no partitions member"))
+	if seen&(1<<2) == 0 { // repoMembers[2]
+		return wrap(fmt.Errorf("no partitions member"))
 	}
 	if tok, err := l.Next(); err != nil || tok.Kind != jsontext.TokEOF {
 		if err == nil {
 			err = &jsontext.SyntaxError{Offset: tok.Offset, Msg: "trailing data after snapshot"}
 		}
-		return syntax(err)
+		return wrap(err)
 	}
 	return nil
 }
 
+// loadVersion reads the version member's value and returns the reader
+// of a version 1 snapshot's schemas, or nil for version 0.
+func loadVersion(l *jsontext.Lexer) (*types.SnapshotReader, error) {
+	tok, err := l.Next()
+	if err != nil {
+		return nil, err
+	}
+	if tok.Kind != jsontext.TokNum {
+		return nil, &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected version, got %s", tok.Kind)}
+	}
+	switch v := l.Literal(); string(v) {
+	case "0":
+		return nil, nil
+	case "1":
+		return new(types.SnapshotReader), nil
+	default:
+		return nil, fmt.Errorf("unsupported snapshot version %s", v)
+	}
+}
+
+// loadShapes decodes a snapshot's table of shared shapes into snap.
+func loadShapes(l *jsontext.Lexer, snap *types.SnapshotReader) error {
+	tok, err := l.Next()
+	if err != nil {
+		return err
+	}
+	if tok.Kind != jsontext.TokBeginArray {
+		return &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected shapes array, got %s", tok.Kind)}
+	}
+	for i := 0; ; i++ {
+		ok, err := l.NextElem(i)
+		if err != nil || !ok {
+			return err
+		}
+		if err := snap.ReadEntry(l, 2); err != nil {
+			return err
+		}
+	}
+}
+
+// loadPartitions decodes the partitions member's value into r, reading
+// the schemas with snap, or as version 0 when snap is nil.
+func (r *Repository) loadPartitions(l *jsontext.Lexer, data []byte, snap *types.SnapshotReader) error {
+	tok, err := l.Next()
+	if err != nil || tok.Kind == jsontext.TokNull {
+		return err
+	}
+	if tok.Kind != jsontext.TokBeginArray {
+		return &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected partitions array, got %s", tok.Kind)}
+	}
+	var total int64
+	for i := 0; ; i++ {
+		ok, err := l.NextElem(i)
+		if err != nil || !ok {
+			return err
+		}
+		tok, err := l.Next()
+		if err != nil {
+			return err
+		}
+		if tok.Kind != jsontext.TokBeginObject {
+			return &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected partition object, got %s", tok.Kind)}
+		}
+		name, p, err := loadPartition(l, data, snap)
+		if err != nil {
+			return err
+		}
+		if _, dup := r.partitions[name]; dup {
+			return fmt.Errorf("partition %q appears twice", name)
+		}
+		if p.count < 0 {
+			return fmt.Errorf("partition %q: negative count %d", name, p.count)
+		}
+		if total += p.count; total < 0 {
+			return fmt.Errorf("partition %q: record total overflows", name)
+		}
+		r.partitions[name] = p
+	}
+}
+
 // loadPartition decodes one partition object, whose '{' l has just
-// read, at nesting depth 3 of the snapshot data.
-func loadPartition(l *jsontext.Lexer, data []byte) (string, *partition, error) {
+// read, at nesting depth 3 of the snapshot data, reading its schema
+// with snap, or as version 0 when snap is nil.
+func loadPartition(l *jsontext.Lexer, data []byte, snap *types.SnapshotReader) (string, *partition, error) {
 	const depth = 3
 	var (
 		name string
@@ -395,7 +466,7 @@ func loadPartition(l *jsontext.Lexer, data []byte) (string, *partition, error) {
 	for {
 		m, err := l.NextMember(partitionMembers, &seen)
 		if err != nil {
-			return "", nil, fmt.Errorf("jsoninference: decoding repository: %w", err)
+			return "", nil, err
 		}
 		if m < 0 {
 			break
@@ -414,28 +485,33 @@ func loadPartition(l *jsontext.Lexer, data []byte) (string, *partition, error) {
 			if tok, err = l.Next(); err == nil {
 				if tok.Kind != jsontext.TokNum {
 					err = &jsontext.SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("expected count, got %s", tok.Kind)}
-				} else if p.count, err = strconv.ParseInt(string(data[tok.Offset:l.Offset()]), 10, 64); err != nil {
+				} else if p.count, err = strconv.ParseInt(string(l.Literal()), 10, 64); err != nil {
 					err = fmt.Errorf("count at offset %d: %w", tok.Offset, err)
 				}
 			}
 		case "schema":
-			if p.schema, err = types.ReadJSON(l, depth); err != nil {
-				return "", nil, fmt.Errorf("jsoninference: partition %q: %w", name, err)
+			if snap != nil {
+				p.schema, err = snap.ReadJSON(l, depth)
+			} else {
+				p.schema, err = types.ReadJSON(l, depth)
+			}
+			if err != nil {
+				return "", nil, fmt.Errorf("partition %q: %w", name, err)
 			}
 		case "enrichment":
 			var start int64
 			if start, err = l.SkipValue(depth); err == nil {
 				if p.enr, err = enrich.UnmarshalLattice(data[start:l.Offset()]); err != nil {
-					return "", nil, fmt.Errorf("jsoninference: partition %q enrichment: %w", name, err)
+					return "", nil, fmt.Errorf("partition %q enrichment: %w", name, err)
 				}
 			}
 		}
 		if err != nil {
-			return "", nil, fmt.Errorf("jsoninference: decoding repository: %w", err)
+			return "", nil, err
 		}
 	}
 	if seen&0b111 != 0b111 {
-		return "", nil, fmt.Errorf("jsoninference: decoding repository: partition %q without a name, count or schema", name)
+		return "", nil, fmt.Errorf("partition %q without a name, count or schema", name)
 	}
 	return name, p, nil
 }

@@ -2,7 +2,6 @@ package jsoninference_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -440,7 +439,7 @@ func TestLoadRepositoryExactCount(t *testing.T) {
 	if err := r.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"count": 9007199254740993,`) {
+	if !strings.Contains(buf.String(), `"count":9007199254740993,`) {
 		t.Errorf("Save wrote\n%s", buf.Bytes())
 	}
 }
@@ -486,9 +485,11 @@ var lostRecordSnapshots = map[string]string{
 		`{"name":"a","count":1,"schema":{"k":"num"}}]}`,
 }
 
-// FuzzLoadRepository: a document LoadRepository accepts must save,
-// load and save again to the same bytes, and its Count() must equal the
-// sum of the document's partition counts.
+// FuzzLoadRepository: a document LoadRepository accepts, in either
+// version, must save to bytes that load to equal partitions and save
+// again to the same bytes, and its Count() must equal the sum of the
+// document's partition counts. The seeds are every generator's
+// snapshots in both versions and the refused documents of the tests.
 func FuzzLoadRepository(f *testing.F) {
 	for _, snap := range goldenSnapshots(f) {
 		f.Add(snap)
@@ -498,6 +499,9 @@ func FuzzLoadRepository(f *testing.F) {
 	}
 	f.Add([]byte(`{"partitions":[{"name":"p","count":1,"schema":{"k":"num"},"enrichment":` +
 		`{"monoids":["bloom"],"params":{"hll_precision":8,"bloom_bits":1073741824,"bloom_hashes":4}}}]}`))
+	for _, snap := range refusedRefSnapshots {
+		f.Add([]byte(snap))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		r, err := jsi.LoadRepository(bytes.NewReader(doc))
 		if err != nil {
@@ -526,6 +530,7 @@ func FuzzLoadRepository(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reloading a saved repository: %v\n%s", err, first.Bytes())
 		}
+		requireSamePartitions(t, r, back)
 		if err := back.Save(&second); err != nil {
 			t.Fatalf("Save after reload: %v", err)
 		}
@@ -535,37 +540,14 @@ func FuzzLoadRepository(f *testing.F) {
 	})
 }
 
-// goldenSnapshots returns snapshots built the way TestRepositorySaveGolden
-// builds its own — every generator, plain and enriched, over three
-// partitions — from 15 records instead of 150. At full size they reach
+// goldenSnapshots returns the cases of TestRepositorySaveGolden from
+// 15 records instead of 150, in both versions. At full size they reach
 // 5 MB, which slows every execution and minimization of the fuzzer.
 func goldenSnapshots(tb testing.TB) [][]byte {
 	var out [][]byte
-	for _, name := range dataset.Names() {
-		g, err := dataset.New(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		lines := bytes.SplitAfter(dataset.NDJSON(g, 15, 29), []byte("\n"))
-		for _, opts := range []jsi.Options{{Workers: 2}, {Workers: 2, Enrich: goldenEnrich}} {
-			repo := jsi.NewRepository()
-			for part := 0; part < 3; part++ {
-				var batch []byte
-				for i := part; i < len(lines); i += 3 {
-					batch = append(batch, lines[i]...)
-				}
-				s, stats, err := jsi.Infer(context.Background(), jsi.FromBytes(batch), opts)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				repo.Append(fmt.Sprintf("part-%d", part), s, stats.Records)
-			}
-			var buf bytes.Buffer
-			if err := repo.Save(&buf); err != nil {
-				tb.Fatal(err)
-			}
-			out = append(out, buf.Bytes())
-		}
+	for _, c := range goldenRepos(tb, 15) {
+		v0, v1 := saveBoth(tb, c.repo)
+		out = append(out, v0, v1)
 	}
 	return out
 }
