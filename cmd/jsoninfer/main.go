@@ -27,13 +27,10 @@
 //	             field ("type", "event", "kind") or by a single
 //	             variant-named wrapper field fuse into one record type
 //	             per observed tag (docs/UNIONS.md) instead of one record
-//	             with every field optional
+//	             with every field optional; more than 16 tags collapse
+//	             the union back to that record
 //	-union-keys  comma-separated discriminator field names probed by
 //	             -tagged, in priority order (default type,event,kind)
-//	-max-variants  tag cap before a tagged-union hypothesis collapses to
-//	             plain record fusion (default 16)
-//	-max-tag-len longest string value considered a discriminator tag
-//	             (default 40)
 //	-enrich      enrichment monoids computed alongside inference in the
 //	             same pass (comma list or "all"; docs/ENRICHMENT.md).
 //	             jsonschema output gains annotations; the structural
@@ -125,8 +122,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060) during the run")
 	tagged := fs.Bool("tagged", false, "infer tagged unions from discriminator fields and single-field wrappers (docs/UNIONS.md)")
 	unionKeys := fs.String("union-keys", "", "comma-separated discriminator field names for -tagged, in priority order (default type,event,kind)")
-	maxVariants := fs.Int("max-variants", 0, "tag cap before a tagged union collapses to plain record fusion (0 = default 16)")
-	maxTagLen := fs.Int("max-tag-len", 0, "longest string value considered a discriminator tag (0 = default 40)")
 	retries := fs.Int("retries", 0, "per-chunk retry budget for transient failures (0 = no retry)")
 	onError := fs.String("on-error", "fail", "chunk failure policy once retries are exhausted: fail or skip")
 	enrichNames := fs.String("enrich", "", "enrichment monoids computed alongside inference (comma list: ranges,hll,bloom,formats,lengths,numprec,counts; or \"all\")")
@@ -149,8 +144,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		Retries:             *retries,
 		OnError:             errPolicy,
 		TaggedUnions:        *tagged,
-		MaxVariants:         *maxVariants,
-		MaxTagLen:           *maxTagLen,
 	}
 	if *unionKeys != "" {
 		if !*tagged {

@@ -22,9 +22,6 @@ type Options struct {
 	// Workers bounds the map-phase parallelism of every Source; zero
 	// means one worker per CPU.
 	Workers int
-	// MaxDepth bounds value nesting (protection against depth bombs);
-	// zero means the parser default (512).
-	MaxDepth int
 	// PreserveTupleArrays enables the positional array extension
 	// (Section 7 of the paper): arrays that always have the same small
 	// length (at most 4) keep one type per position instead of
@@ -36,14 +33,15 @@ type Options struct {
 	// TaggedUnions enables tagged-union (discriminated record) inference
 	// — the record-fusion strategy described in docs/UNIONS.md. Records
 	// that carry a discriminator field ("type", "event", "kind" by
-	// default; see UnionKeys) or that wrap their payload in a single
-	// variant-named field (Twitter's {"delete": {...}}) are fused into a
-	// variants type: one record type per observed tag plus an optional
-	// catch-all, instead of one blurred record with every field optional.
+	// default; see UnionKeys) holding a string of at most 40 bytes, or
+	// that wrap their payload in a single variant-named field
+	// (Twitter's {"delete": {...}}), are fused into a variants type:
+	// one record type per observed tag plus an optional catch-all,
+	// instead of one blurred record with every field optional.
 	// The fused schema renders the union as variants(key){tag: {...}} and
 	// exports to JSON Schema as a oneOf with const discriminators. The
 	// merge stays commutative and associative (hypotheses that fail —
-	// mixed discriminators, too many tags — collapse to exactly the
+	// mixed discriminators, more than 16 tags — collapse to exactly the
 	// record the default strategy infers), so worker count, chunking and
 	// fault schedules remain invisible in the result.
 	TaggedUnions bool
@@ -52,14 +50,6 @@ type Options struct {
 	// several). Empty means the default ["type", "event", "kind"]. Only
 	// meaningful with TaggedUnions.
 	UnionKeys []string
-	// MaxVariants bounds the number of distinct tags a tagged union may
-	// accumulate before the hypothesis collapses to plain record fusion
-	// (default 16). Only meaningful with TaggedUnions.
-	MaxVariants int
-	// MaxTagLen bounds the string length of a discriminator value
-	// (default 40); longer strings are treated as data, not tags. Only
-	// meaningful with TaggedUnions.
-	MaxTagLen int
 	// ChunkBytes is the chunk size of the bounded-memory cutter used by
 	// FromReader, FromChunkedReader, FromFile and FromFiles; zero means
 	// 64 KiB for FromReader and 256 KiB for the others. Those runs hold
@@ -126,7 +116,6 @@ func (o Options) env() *pipeline.Env {
 		Fusion:     o.fusionOptions(),
 		Workers:    o.workers(),
 		ChunkBytes: o.ChunkBytes,
-		MaxDepth:   o.MaxDepth,
 		Failure:    mapreduce.FailurePolicy{Retries: o.Retries, Skip: o.OnError == OnErrorSkip},
 		Injector:   o.injector(),
 		Cover:      &pipeline.Cover{},
@@ -197,11 +186,9 @@ func PermanentFault(err error) error { return mapreduce.Permanent(err) }
 // fusionOptions copies the fusion switches onto the fusion policy.
 func (o Options) fusionOptions() fusion.Options {
 	return fusion.Options{
-		Tuples:      o.PreserveTupleArrays,
-		Tagged:      o.TaggedUnions,
-		TagKeys:     o.UnionKeys,
-		MaxVariants: o.MaxVariants,
-		MaxTagLen:   o.MaxTagLen,
+		Tuples:  o.PreserveTupleArrays,
+		Tagged:  o.TaggedUnions,
+		TagKeys: o.UnionKeys,
 	}
 }
 
@@ -239,16 +226,10 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: Workers = %d, must be >= 0 (0 means one per CPU)", ErrInvalidOptions, o.Workers)
 	case o.ChunkBytes < 0:
 		return fmt.Errorf("%w: ChunkBytes = %d, must be >= 0 (0 means the Source's default)", ErrInvalidOptions, o.ChunkBytes)
-	case o.MaxDepth < 0:
-		return fmt.Errorf("%w: MaxDepth = %d, must be >= 0 (0 means the parser default)", ErrInvalidOptions, o.MaxDepth)
 	case o.Retries < 0:
 		return fmt.Errorf("%w: Retries = %d, must be >= 0 (0 disables retry)", ErrInvalidOptions, o.Retries)
 	case o.OnError != OnErrorFail && o.OnError != OnErrorSkip:
 		return fmt.Errorf("%w: OnError = %d, must be OnErrorFail or OnErrorSkip", ErrInvalidOptions, int(o.OnError))
-	case o.MaxVariants < 0:
-		return fmt.Errorf("%w: MaxVariants = %d, must be >= 0 (0 means the default of %d)", ErrInvalidOptions, o.MaxVariants, fusion.DefaultMaxVariants)
-	case o.MaxTagLen < 0:
-		return fmt.Errorf("%w: MaxTagLen = %d, must be >= 0 (0 means the default of %d)", ErrInvalidOptions, o.MaxTagLen, fusion.DefaultMaxTagLen)
 	}
 	for _, k := range o.UnionKeys {
 		if k == "" {

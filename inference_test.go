@@ -194,6 +194,42 @@ func TestTaggedUnionsTwitterAcceptance(t *testing.T) {
 	}
 }
 
+// TestEmptyUnionKeysMeanDefault: an empty UnionKeys probes the default
+// discriminators, as nil does, rather than none.
+func TestEmptyUnionKeysMeanDefault(t *testing.T) {
+	data := []byte(`{"type":"a","x":1}` + "\n" + `{"type":"b","y":2}` + "\n")
+	const want = "variants(type){a: {type: Str, x: Num}, b: {type: Str, y: Num}}"
+	for _, keys := range [][]string{nil, {}} {
+		s, _, err := jsi.InferNDJSON(data, jsi.Options{TaggedUnions: true, UnionKeys: keys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.String() != want {
+			t.Errorf("UnionKeys %#v: schema = %s, want %s", keys, s, want)
+		}
+	}
+}
+
+// TestTagLengthBound: a discriminator value of up to 40 bytes is a
+// tag, a longer one is data.
+func TestTagLengthBound(t *testing.T) {
+	for _, n := range []int{40, 41} {
+		a, b := strings.Repeat("a", n), strings.Repeat("b", n)
+		data := []byte(`{"type":"` + a + `","x":1}` + "\n" + `{"type":"` + b + `","y":2}` + "\n")
+		s, _, err := jsi.InferNDJSON(data, jsi.Options{TaggedUnions: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "variants(type){" + a + ": {type: Str, x: Num}, " + b + ": {type: Str, y: Num}}"
+		if n > 40 {
+			want = "{type: Str, x: Num?, y: Num?}"
+		}
+		if s.String() != want {
+			t.Errorf("%d-byte tags: schema = %s, want %s", n, s, want)
+		}
+	}
+}
+
 // mustMarshal renders a schema's canonical codec bytes.
 func mustMarshal(t *testing.T, s *jsi.Schema) string {
 	t.Helper()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/infer"
 	"repro/internal/intern"
-	"repro/internal/jsontext"
 	"repro/internal/types"
 )
 
@@ -164,7 +163,7 @@ func TestAbsorbedFuseStepSharesAndAllocatesNothing(t *testing.T) {
 func requireReusedNodesShared(t *testing.T, name string, o Options, data []byte, f types.Type) int {
 	t.Helper()
 	fNodes := nodes(f)
-	dec := infer.NewBytesDecoder(data, jsontext.Options{})
+	dec := infer.NewBytesDecoder(data)
 	defer dec.Release()
 	dec.SetSimplifier(o)
 	var reused int

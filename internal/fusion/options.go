@@ -31,16 +31,8 @@ type Options struct {
 	// would have produced, so the policy degrades gracefully.
 	Tagged bool
 	// TagKeys lists candidate discriminator field names in priority
-	// order; nil means DefaultTagKeys. Read only under Tagged.
+	// order; empty means DefaultTagKeys. Read only under Tagged.
 	TagKeys []string
-	// MaxVariants caps the number of distinct tags a union may hold
-	// before collapsing; zero means DefaultMaxVariants. Read only under
-	// Tagged.
-	MaxVariants int
-	// MaxTagLen caps the byte length of a string value considered a tag
-	// (longer strings are payloads, not discriminators); zero means
-	// DefaultMaxTagLen. Read only under Tagged.
-	MaxTagLen int
 }
 
 // MaxTupleLen bounds how long a tuple the Tuples policy preserves may
@@ -49,20 +41,17 @@ type Options struct {
 const MaxTupleLen = 4
 
 // DefaultTagKeys are the discriminator field names the tagged policy
-// considers when TagKeys is nil, in priority order. They cover the
+// considers when TagKeys is empty, in priority order. They cover the
 // discriminators of the paper's datasets (GitHub events' "type") and
 // the webhook/event-log conventions.
 var DefaultTagKeys = []string{"type", "event", "kind"}
 
-// DefaultMaxVariants caps the number of distinct tags per union when
-// MaxVariants is zero. Genuine discriminators enumerate a handful of
-// shapes; a field with dozens of observed values is an identifier, and
-// the union collapses back to the paper's record.
-const DefaultMaxVariants = 16
-
-// DefaultMaxTagLen caps the byte length of a tag value when MaxTagLen
-// is zero.
-const DefaultMaxTagLen = 40
+// MaxVariants caps the number of distinct tags per union, under every
+// policy, so a stored union fuses to the same result as offline
+// inference. Genuine discriminators enumerate a handful of shapes; a
+// field with dozens of observed values is an identifier, and the union
+// collapses back to the paper's record.
+const MaxVariants = 16
 
 // keepTuple reports whether the policy keeps an array of n elements a
 // positional tuple, rather than collapsing it into [T*].

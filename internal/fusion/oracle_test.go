@@ -256,16 +256,6 @@ func (p oracle) simplify(t types.Type) types.Type {
 	}
 }
 
-// variantsCap returns the effective tag cap: the policy's knob, or the
-// default when a variants type is fused under a policy that never
-// produces one (parsed or persisted types fed back through Fuse).
-func (p oracle) variantsCap() int {
-	if p.o.Tagged && p.o.MaxVariants > 0 {
-		return p.o.MaxVariants
-	}
-	return DefaultMaxVariants
-}
-
 // fuseRecordsR is fuseRecords with the result typed as the record it
 // always is.
 func (p oracle) fuseRecordsR(r1, r2 *types.Record) *types.Record {
@@ -340,7 +330,7 @@ func (p oracle) fuseVariants(a, b *types.Variants) types.Type {
 	}
 	out = append(out, ca[i:]...)
 	out = append(out, cb[j:]...)
-	if len(out) > p.variantsCap() {
+	if len(out) > MaxVariants {
 		return collapse()
 	}
 	other := a.Other()

@@ -15,17 +15,6 @@ import (
 // constituents, which is what makes the operator commutative and
 // associative regardless of the reduce tree's shape.
 
-// variantsCap returns the effective tag cap: the tagged policy's
-// MaxVariants, or the default when it is zero or when a variants type
-// is fused under a policy that never produces one (parsed or persisted
-// types fed back through Fuse).
-func (o Options) variantsCap() int {
-	if o.Tagged && o.MaxVariants > 0 {
-		return o.MaxVariants
-	}
-	return DefaultMaxVariants
-}
-
 // fuseRecordsR is fuseRecords with the result typed as the record it
 // always is.
 func (o Options) fuseRecordsR(r1, r2 *types.Record) *types.Record {
@@ -100,7 +89,7 @@ func (o Options) fuseVariants(a, b *types.Variants) types.Type {
 	}
 	out = append(out, ca[i:]...)
 	out = append(out, cb[j:]...)
-	if len(out) > o.variantsCap() {
+	if len(out) > MaxVariants {
 		return collapse()
 	}
 	other := a.Other()
@@ -224,32 +213,25 @@ func (o Options) finalize(t types.Type) types.Type {
 // for policies without tagged-union inference, so the decoder's fast
 // path is untouched by default.
 type Promoter struct {
-	keys      []string
-	maxTagLen int
+	keys []string
 }
 
 // Promoter returns the phase-one promoter for the options, or nil
-// when they do not infer tagged unions. It resolves the zero TagKeys
-// and MaxTagLen to DefaultTagKeys and DefaultMaxTagLen.
+// when they do not infer tagged unions. It resolves empty TagKeys to
+// DefaultTagKeys.
 func (o Options) Promoter() *Promoter {
 	if !o.Tagged {
 		return nil
 	}
-	pr := &Promoter{keys: o.TagKeys, maxTagLen: o.MaxTagLen}
-	if pr.keys == nil {
+	pr := &Promoter{keys: o.TagKeys}
+	if len(pr.keys) == 0 {
 		pr.keys = DefaultTagKeys
-	}
-	if pr.maxTagLen <= 0 {
-		pr.maxTagLen = DefaultMaxTagLen
 	}
 	return pr
 }
 
 // CandidateKeys lists the discriminator field names in priority order.
 func (pr *Promoter) CandidateKeys() []string { return pr.keys }
-
-// MaxTagLen is the longest string value considered a tag.
-func (pr *Promoter) MaxTagLen() int { return pr.maxTagLen }
 
 // Promote wraps a record whose field key carried the string value tag
 // into a single-case keyed variants type.

@@ -1,9 +1,11 @@
 package fusion
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -15,10 +17,64 @@ import (
 
 var tagged = Options{Tagged: true}
 
-// tagPool is large enough that the default cap (16) rarely trips in the
-// random suites; the cap=2 subjects below stress the collapse path on
-// nearly every merge instead.
+// tagPool is small enough that the cap (MaxVariants) never trips in
+// the random suites; manyTagPool below stresses the collapse path.
 var tagPool = []string{"push", "fork", "watch", "issue", "deploy", "create", "delete", "release"}
+
+// manyTagPool holds half again as many tags as MaxVariants, so the
+// unions randomManyTagged draws from it overflow the cap on a good
+// share of merges.
+var manyTagPool = func() []string {
+	pool := make([]string, MaxVariants*3/2)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("t%02d", i)
+	}
+	return pool
+}()
+
+// randomManyTagged is a keyed union of 6 to 12 distinct tags from
+// manyTagPool, each case a promoted random record, fused under the
+// tagged policy; one in four also holds an undiscriminated record.
+func randomManyTagged(r *rand.Rand) types.Type {
+	acc := types.Type(types.Empty)
+	for _, i := range r.Perm(len(manyTagPool))[:6+r.Intn(7)] {
+		fs := append([]value.Field{{Key: "type", Value: value.Str(manyTagPool[i])}}, randomRecordValueR(r, 2).Fields()...)
+		rt := infer.Infer(value.MustRecord(fs...)).(*types.Record)
+		acc = tagged.Fuse(acc, tagged.Simplify(types.MustVariants("type", false, []types.Variant{{Tag: manyTagPool[i], Type: rt}}, nil)))
+	}
+	if r.Intn(4) == 0 {
+		acc = tagged.Fuse(acc, tagged.Simplify(infer.Infer(randomRecordValueR(r, 2))))
+	}
+	return acc
+}
+
+// capCounter fuses under the tagged policy and counts the merges of two
+// open unions, and how many of them the tag cap collapsed: the operands
+// of randomManyTagged share their key, so the cap is the only way such
+// a merge collapses.
+type capCounter struct{ open, collapsed atomic.Int64 }
+
+func (c *capCounter) fuse(a, b types.Type) types.Type {
+	out := tagged.Fuse(a, b)
+	va, ok1 := a.(*types.Variants)
+	vb, ok2 := b.(*types.Variants)
+	if ok1 && ok2 && !va.Collapsed() && !vb.Collapsed() {
+		c.open.Add(1)
+		if v, ok := out.(*types.Variants); ok && v.Collapsed() {
+			c.collapsed.Add(1)
+		}
+	}
+	return out
+}
+
+// requireFloor fails unless at least a quarter of the open merges
+// collapsed, so the suite keeps covering the collapse path.
+func (c *capCounter) requireFloor(t *testing.T) {
+	t.Helper()
+	if open, collapsed := c.open.Load(), c.collapsed.Load(); open == 0 || collapsed*4 < open {
+		t.Errorf("the cap collapsed %d of %d merges of open unions, want at least a quarter", collapsed, open)
+	}
+}
 
 // randomValueR mirrors randomValue over math/rand, the source the
 // monoidtest harness regenerates elements from.
@@ -87,32 +143,39 @@ func randomPromoted(r *rand.Rand) types.Type {
 }
 
 // TestTaggedMonoidConformance runs the repository-wide commutative
-// monoid harness over the tagged fusion policies: the default knobs, a
-// cap of two (so the collapse-to-paper path fires on nearly every
-// random merge tree), and the composition with the positional
-// extension. Fingerprints are the canonical renderings, and the wire
-// codec exercises the variants round-trip on every element.
+// monoid harness over the tagged fusion policies: the tagged policy,
+// the tagged policy over unions from manyTagPool (so the
+// collapse-to-paper path fires on a good share of random merge trees),
+// and the composition with the positional extension. Fingerprints are
+// the canonical renderings, and the wire codec exercises the variants
+// round-trip on every element.
 func TestTaggedMonoidConformance(t *testing.T) {
-	subject := func(name string, o Options) monoidtest.Subject {
+	subject := func(name string, gen func(*rand.Rand) types.Type, merge func(a, b types.Type) types.Type) monoidtest.Subject {
 		return monoidtest.Subject{
-			Name:  name,
-			Empty: func() any { return types.Type(types.Empty) },
-			Rand: func(r *rand.Rand) any {
-				acc := o.Simplify(randomPromoted(r))
-				for i := 0; i < r.Intn(3); i++ {
-					acc = o.Fuse(acc, o.Simplify(randomPromoted(r)))
-				}
-				return acc
-			},
-			Merge:       func(a, b any) any { return o.Fuse(a.(types.Type), b.(types.Type)) },
+			Name:        name,
+			Empty:       func() any { return types.Type(types.Empty) },
+			Rand:        func(r *rand.Rand) any { return gen(r) },
+			Merge:       func(a, b any) any { return merge(a.(types.Type), b.(types.Type)) },
 			Fingerprint: func(x any) string { return x.(types.Type).String() },
 			Marshal:     func(x any) ([]byte, error) { return types.MarshalJSON(x.(types.Type)) },
 			Unmarshal:   func(data []byte) (any, error) { return types.UnmarshalJSON(data) },
 		}
 	}
-	monoidtest.Run(t, subject("fusion.Tagged", tagged))
-	monoidtest.Run(t, subject("fusion.Tagged(cap=2)", Options{Tagged: true, MaxVariants: 2}))
-	monoidtest.Run(t, subject("fusion.Tagged+Tuples", Options{Tagged: true, Tuples: true}))
+	promoted := func(o Options) func(*rand.Rand) types.Type {
+		return func(r *rand.Rand) types.Type {
+			acc := o.Simplify(randomPromoted(r))
+			for i := 0; i < r.Intn(3); i++ {
+				acc = o.Fuse(acc, o.Simplify(randomPromoted(r)))
+			}
+			return acc
+		}
+	}
+	tuples := Options{Tagged: true, Tuples: true}
+	var caps capCounter
+	monoidtest.Run(t, subject("fusion.Tagged", promoted(tagged), tagged.Fuse))
+	monoidtest.Run(t, subject("fusion.Tagged(manyTags)", randomManyTagged, caps.fuse))
+	monoidtest.Run(t, subject("fusion.Tagged+Tuples", promoted(tuples), tuples.Fuse))
+	caps.requireFloor(t)
 }
 
 // randomTaggedType builds elements the way the pipeline accumulators
@@ -156,20 +219,21 @@ func TestTaggedAssociativity(t *testing.T) {
 	}
 }
 
-// TestTaggedCapAssociativity is the adversarial variant: with a cap of
-// two the collapse fires at different points of the two association
-// orders, which only converges because the collapsed state is a
-// function of the constituent multiset.
+// TestTaggedCapAssociativity is the adversarial variant: over unions
+// from manyTagPool the collapse fires at different points of the two
+// association orders, which only converges because the collapsed state
+// is a function of the constituent multiset. It also pins the cap's
+// edge: MaxVariants tags stay a union, one more collapses it.
 func TestTaggedCapAssociativity(t *testing.T) {
-	capped := Options{Tagged: true, MaxVariants: 2}
+	var caps capCounter
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ts := make([]types.Type, 3)
 		for i := range ts {
-			ts[i] = capped.Simplify(randomPromoted(r))
+			ts[i] = randomManyTagged(r)
 		}
-		a := capped.Fuse(capped.Fuse(ts[0], ts[1]), ts[2])
-		b := capped.Fuse(ts[0], capped.Fuse(ts[1], ts[2]))
+		a := caps.fuse(caps.fuse(ts[0], ts[1]), ts[2])
+		b := caps.fuse(ts[0], caps.fuse(ts[1], ts[2]))
 		if !types.Equal(a, b) {
 			t.Logf("T1=%s\nT2=%s\nT3=%s\nleft=%s\nright=%s", ts[0], ts[1], ts[2], a, b)
 			return false
@@ -178,6 +242,15 @@ func TestTaggedCapAssociativity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Error(err)
+	}
+	caps.requireFloor(t)
+
+	acc := types.Type(types.Empty)
+	for i, tag := range manyTagPool[:MaxVariants+1] {
+		acc = tagged.Fuse(acc, types.MustParse(`variants(type){`+tag+`: {type: Str}}`))
+		if got, want := acc.(*types.Variants).Collapsed(), i >= MaxVariants; got != want {
+			t.Fatalf("%d tags: collapsed = %v, want %v", i+1, got, want)
+		}
 	}
 }
 
@@ -317,9 +390,9 @@ func TestTaggedIdempotent(t *testing.T) {
 	}
 }
 
-// TestPromoterDefaults pins Promoter's resolution of the tagged knobs:
-// no promoter without Tagged, the package defaults for zero TagKeys
-// and MaxTagLen, and custom values passed through as given.
+// TestPromoterDefaults pins Promoter's resolution of the tag keys: no
+// promoter without Tagged, DefaultTagKeys for nil or empty TagKeys,
+// and custom keys passed through as given.
 func TestPromoterDefaults(t *testing.T) {
 	for _, o := range []Options{{}, {Tuples: true}} {
 		if pr := o.Promoter(); pr != nil {
@@ -327,24 +400,20 @@ func TestPromoterDefaults(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		o      Options
-		keys   []string
-		tagLen int
+		o    Options
+		keys []string
 	}{
-		{Options{Tagged: true}, DefaultTagKeys, DefaultMaxTagLen},
-		{Options{Tagged: true, Tuples: true, MaxVariants: 3}, DefaultTagKeys, DefaultMaxTagLen},
-		{Options{Tagged: true, TagKeys: []string{"op"}, MaxTagLen: 7}, []string{"op"}, 7},
-		{Options{Tagged: true, TagKeys: []string{}}, []string{}, DefaultMaxTagLen},
+		{Options{Tagged: true}, DefaultTagKeys},
+		{Options{Tagged: true, Tuples: true}, DefaultTagKeys},
+		{Options{Tagged: true, TagKeys: []string{"op"}}, []string{"op"}},
+		{Options{Tagged: true, TagKeys: []string{}}, DefaultTagKeys},
 	} {
 		pr := c.o.Promoter()
 		if pr == nil {
 			t.Fatalf("%+v: Promoter() = nil", c.o)
 		}
-		if got := pr.CandidateKeys(); !slices.Equal(got, c.keys) || (got == nil) != (c.keys == nil) {
+		if got := pr.CandidateKeys(); !slices.Equal(got, c.keys) {
 			t.Errorf("%+v: CandidateKeys() = %q, want %q", c.o, got, c.keys)
-		}
-		if got := pr.MaxTagLen(); got != c.tagLen {
-			t.Errorf("%+v: MaxTagLen() = %d, want %d", c.o, got, c.tagLen)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/infer"
-	"repro/internal/jsontext"
 	"repro/internal/types"
 )
 
@@ -32,7 +31,7 @@ func phaseOneTypes(t *testing.T, data []byte, o Options) []types.Type {
 // decodeTypes is phaseOneTypes without the simplification.
 func decodeTypes(t *testing.T, data []byte, o Options) []types.Type {
 	t.Helper()
-	dec := infer.NewBytesDecoder(data, jsontext.Options{})
+	dec := infer.NewBytesDecoder(data)
 	defer dec.Release()
 	if pr := o.Promoter(); pr != nil {
 		dec.SetPromoter(pr)

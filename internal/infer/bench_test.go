@@ -88,7 +88,7 @@ func benchWalkMember(b *testing.B, r *rand.Rand) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dec := infer.NewBytesDecoder(data, jsontext.Options{})
+				dec := infer.NewBytesDecoder(data)
 				dec.SetSimplifier(o)
 				for range ts {
 					if t, _, _, err := dec.Walk(cover, true); t != nil || err != nil {
@@ -105,7 +105,7 @@ func benchWalkMember(b *testing.B, r *rand.Rand) {
 // members in an order r draws.
 func shuffleKeys(b *testing.B, data []byte, r *rand.Rand) []byte {
 	var out []byte
-	p := jsontext.NewParser(bytes.NewReader(data), jsontext.Options{})
+	p := jsontext.NewParser(bytes.NewReader(data))
 	for {
 		v, err := p.Next()
 		if err == io.EOF {

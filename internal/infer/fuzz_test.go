@@ -104,7 +104,7 @@ func FuzzWalkAgreesWithDecoder(f *testing.F) {
 	f.Add([]byte(`[1, "a", {"a": 1}, [2, "b"], null, true, {"b": [null]}, [], 2.5, {"a": "x"}]`), uint8(len(covers)-1), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, pick, reads uint8) {
 		c := covers[int(pick)%len(covers)]
-		want := walkAgrees(t, NewBytesDecoder(data, jsontext.Options{}), data, c)
+		want := walkAgrees(t, NewBytesDecoder(data), data, c)
 		r := smallReads{bytes.NewReader(data), 1 + int(reads%32)}
 		if got := walkAgrees(t, NewDecoder(r, jsontext.Options{}), data, c); got != want {
 			t.Fatalf("%d-byte reads of %q: walk verdicts %s, over the slice %s", r.n, data, got, want)
@@ -116,8 +116,8 @@ func FuzzWalkAgreesWithDecoder(f *testing.F) {
 // each against Next, Member and the subtree lemma, and returns the
 // offsets of the values it absorbed and typed.
 func walkAgrees(t *testing.T, w *Decoder, data []byte, c walkCover) string {
-	next := NewBytesDecoder(data, jsontext.Options{})
-	bare := NewBytesDecoder(data, jsontext.Options{})
+	next := NewBytesDecoder(data)
+	bare := NewBytesDecoder(data)
 	defer w.Release()
 	defer next.Release()
 	defer bare.Release()

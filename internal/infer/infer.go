@@ -91,6 +91,10 @@ type Observer interface {
 	EndArray(count int)
 }
 
+// MaxTagLen caps the byte length of a string value the decoder takes
+// for a discriminator tag: longer strings are payloads, not tags.
+const MaxTagLen = 40
+
 // A Promoter is the phase-one hook of a tagged-union fusion strategy
 // (fusion.Promoter implements it): the decoder consults it per object
 // and wraps records carrying a discriminator into single-case variants
@@ -106,7 +110,6 @@ type Observer interface {
 // specifies.
 type Promoter interface {
 	CandidateKeys() []string
-	MaxTagLen() int
 	Promote(r *types.Record, key, tag string) types.Type
 	PromoteWrapper(r *types.Record, tag string) types.Type
 }
@@ -115,17 +118,15 @@ type Promoter interface {
 // stream, without building intermediate value trees. Decoders are
 // pooled with their per-depth scratch, which Release recycles.
 type Decoder struct {
-	lex      *jsontext.Lexer
-	maxDepth int
+	lex *jsontext.Lexer
 
 	// obs, when set, receives value events alongside inference.
 	obs Observer
 
 	// pr, when set, promotes discriminated records to variants types;
-	// prKeys and prMaxTag cache its parameters for the per-field check.
-	pr       Promoter
-	prKeys   []string
-	prMaxTag int
+	// prKeys caches its candidate keys for the per-field check.
+	pr     Promoter
+	prKeys []string
 
 	// simp, when set, is the policy Walk simplifies arrays under.
 	simp Simplifier
@@ -198,9 +199,10 @@ var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
 
 // NewDecoder returns a streaming type decoder for r. The decoder draws
 // itself and its lexer from pools; call Release when done with the
-// stream to recycle them (failing to is safe, just slower).
-func NewDecoder(r io.Reader, opts jsontext.Options) *Decoder {
-	return newDecoder(jsontext.AcquireLexer(r), opts)
+// stream to recycle them (failing to is safe, just slower). The
+// jsontext.Options argument is empty and ignored.
+func NewDecoder(r io.Reader, _ jsontext.Options) *Decoder {
+	return newDecoder(jsontext.AcquireLexer(r))
 }
 
 // NewBytesDecoder returns a streaming type decoder reading directly
@@ -209,17 +211,14 @@ func NewDecoder(r io.Reader, opts jsontext.Options) *Decoder {
 // keys are materialized through the lexer's intern cache (free after
 // first occurrence) and value strings are never materialized at all
 // unless an Observer is attached.
-func NewBytesDecoder(data []byte, opts jsontext.Options) *Decoder {
-	return newDecoder(jsontext.AcquireLexerBytes(data), opts)
+func NewBytesDecoder(data []byte) *Decoder {
+	return newDecoder(jsontext.AcquireLexerBytes(data))
 }
 
-func newDecoder(lex *jsontext.Lexer, opts jsontext.Options) *Decoder {
+func newDecoder(lex *jsontext.Lexer) *Decoder {
 	lex.RawStrings(true)
 	d := decoderPool.Get().(*Decoder)
-	d.lex, d.maxDepth = lex, opts.MaxDepth
-	if d.maxDepth <= 0 {
-		d.maxDepth = jsontext.DefaultMaxDepth
-	}
+	d.lex = lex
 	return d
 }
 
@@ -249,10 +248,8 @@ func (d *Decoder) SetObserver(obs Observer) { d.obs = obs }
 func (d *Decoder) SetPromoter(pr Promoter) {
 	d.pr = pr
 	d.prKeys = nil
-	d.prMaxTag = 0
 	if pr != nil {
 		d.prKeys = pr.CandidateKeys()
-		d.prMaxTag = pr.MaxTagLen()
 	}
 }
 
@@ -348,8 +345,8 @@ func (d *Decoder) read() (jsontext.TokenKind, int64, error) {
 // nodes for the members read so far. slot is where the key tables of
 // ref's records are found (see keyTable).
 func (d *Decoder) value(k jsontext.TokenKind, off int64, ref types.Type, slot, depth int) (types.Type, int, uint64, error) {
-	if depth > d.maxDepth {
-		return nil, 0, 0, d.syntaxErr(off, "nesting deeper than %d", d.maxDepth)
+	if depth > jsontext.MaxDepth {
+		return nil, 0, 0, d.syntaxErr(off, "nesting deeper than %d", jsontext.MaxDepth)
 	}
 	var b types.Basic
 	switch k {
@@ -759,7 +756,7 @@ func (d *Decoder) capture(c *tagCapture, n int, key string, k jsontext.TokenKind
 		// until the next lexer call. Tags are low cardinality, so the
 		// intern cache makes this free after the first occurrence of
 		// each.
-		if tag := d.lex.InternBytes(d.tok.Bytes); len(tag) <= d.prMaxTag {
+		if tag := d.lex.InternBytes(d.tok.Bytes); len(tag) <= MaxTagLen {
 			c.prio, c.key, c.tag = prio, key, tag
 		}
 		return
@@ -944,7 +941,7 @@ func InferAll(data []byte) ([]types.Type, error) {
 // stage.
 func InferAllWith(data []byte, obs Observer, pr Promoter) ([]types.Type, error) {
 	var ts []types.Type
-	d := NewBytesDecoder(data, jsontext.Options{})
+	d := NewBytesDecoder(data)
 	defer d.Release()
 	if obs != nil {
 		d.SetObserver(obs)

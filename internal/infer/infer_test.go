@@ -146,7 +146,7 @@ func TestDecoderMatchesInfer(t *testing.T) {
 "scalar"
 {}`
 	d := NewDecoder(strings.NewReader(src), jsontext.Options{})
-	p := jsontext.NewParser(strings.NewReader(src), jsontext.Options{})
+	p := jsontext.NewParser(strings.NewReader(src))
 	n := 0
 	for {
 		st, serr := d.Next()
@@ -185,15 +185,27 @@ func TestDecoderErrors(t *testing.T) {
 	}
 }
 
+// TestDecoderMaxDepth pins the nesting bound at its edge on both
+// decoders: a scalar inside jsontext.MaxDepth arrays or objects is
+// typed, one inside jsontext.MaxDepth+1 is rejected.
 func TestDecoderMaxDepth(t *testing.T) {
-	deep := strings.Repeat(`{"a":`, 50) + "1" + strings.Repeat("}", 50)
-	d := NewDecoder(strings.NewReader(deep), jsontext.Options{MaxDepth: 10})
-	if _, err := d.Next(); err == nil {
-		t.Error("depth 50 accepted with MaxDepth 10")
+	nest := map[string]func(n int) string{
+		"arrays":  func(n int) string { return strings.Repeat("[", n) + "1" + strings.Repeat("]", n) },
+		"objects": func(n int) string { return strings.Repeat(`{"a":`, n) + "1" + strings.Repeat("}", n) },
 	}
-	d = NewDecoder(strings.NewReader(deep), jsontext.Options{})
-	if _, err := d.Next(); err != nil {
-		t.Errorf("depth 50 rejected with default MaxDepth: %v", err)
+	decoders := map[string]func(doc string) *Decoder{
+		"reader": func(doc string) *Decoder { return NewDecoder(strings.NewReader(doc), jsontext.Options{}) },
+		"bytes":  func(doc string) *Decoder { return NewBytesDecoder([]byte(doc)) },
+	}
+	for name, deep := range nest {
+		for dname, dec := range decoders {
+			if _, err := dec(deep(jsontext.MaxDepth)).Next(); err != nil {
+				t.Errorf("%s, %s: %d deep rejected: %v", dname, name, jsontext.MaxDepth, err)
+			}
+			if _, err := dec(deep(jsontext.MaxDepth + 1)).Next(); err == nil || !strings.Contains(err.Error(), "nesting deeper than 512") {
+				t.Errorf("%s, %s: %d deep: err = %v, want a nesting error", dname, name, jsontext.MaxDepth+1, err)
+			}
+		}
 	}
 }
 

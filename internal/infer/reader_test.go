@@ -67,7 +67,7 @@ func TestReaderDecoderMatchesBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := dataset.NDJSON(g, 80, 13)
-		want := decodeAll(t, NewBytesDecoder(data, jsontext.Options{}))
+		want := decodeAll(t, NewBytesDecoder(data))
 		for _, r := range []io.Reader{iotest.OneByteReader(bytes.NewReader(data)), shortReader{bytes.NewReader(data)}} {
 			if got := decodeAll(t, NewDecoder(r, jsontext.Options{})); got != want {
 				t.Errorf("%s: decoder over %T differs from bytes decoder", name, r)

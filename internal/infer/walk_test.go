@@ -157,7 +157,7 @@ func appendDoc(dst []byte, v value.Value, rev bool, dup *int) []byte {
 // walkDoc walks doc against ref under the paper's policy and also
 // reports whether the walk consumed exactly one value.
 func walkDoc(doc []byte, ref types.Type, hash bool) (t types.Type, size int, h uint64, exact bool, err error) {
-	d := NewBytesDecoder(doc, jsontext.Options{})
+	d := NewBytesDecoder(doc)
 	defer d.Release()
 	d.SetSimplifier(fusion.Options{})
 	t, size, h, err = d.Walk(ref, hash)
@@ -232,7 +232,7 @@ func TestWalkAgreesWithMember(t *testing.T) {
 		if dup < 0 {
 			repeats++
 			_, _, _, _, err := walkDoc(doc, ty, true)
-			next := NewBytesDecoder(doc, jsontext.Options{})
+			next := NewBytesDecoder(doc)
 			_, nerr := next.Next()
 			next.Release()
 			if err == nil || nerr == nil || err.Error() != nerr.Error() {
@@ -314,7 +314,7 @@ func TestWalkWithoutReferenceIsSimplify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := NewBytesDecoder(data, jsontext.Options{})
+			d := NewBytesDecoder(data)
 			d.SetSimplifier(o)
 			for i, r := range raw {
 				walked, size, hash, err := d.Walk(nil, true)
@@ -365,11 +365,11 @@ func TestWalkPredictedKeys(t *testing.T) {
 		{quoted, `{"a\\b":1,"a\\b":2}`, false},
 		{invalid, "{\"\xff\":1}", false},
 	} {
-		next := NewBytesDecoder([]byte(c.doc), jsontext.Options{})
+		next := NewBytesDecoder([]byte(c.doc))
 		want, nerr := next.Next()
 		next.Release()
 		for _, d := range []*Decoder{
-			NewBytesDecoder([]byte(c.doc), jsontext.Options{}),
+			NewBytesDecoder([]byte(c.doc)),
 			NewDecoder(iotest.OneByteReader(strings.NewReader(c.doc)), jsontext.Options{}),
 		} {
 			d.SetSimplifier(fusion.Options{})
@@ -417,7 +417,7 @@ func TestKeyTablesBounded(t *testing.T) {
 				}
 				return true
 			})
-			d := NewBytesDecoder(data, jsontext.Options{})
+			d := NewBytesDecoder(data)
 			d.SetSimplifier(o)
 			for range raw {
 				if walked, _, _, err := d.Walk(cover, true); walked != nil || err != nil {

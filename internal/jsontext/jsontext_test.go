@@ -149,26 +149,32 @@ func TestDuplicateKeyErrorNamesKey(t *testing.T) {
 	}
 }
 
+// TestMaxDepth pins the nesting bound at its edge: a scalar inside
+// MaxDepth arrays or objects parses, one inside MaxDepth+1 is rejected.
 func TestMaxDepth(t *testing.T) {
-	deep := strings.Repeat("[", 100) + strings.Repeat("]", 100)
-	p := NewParser(strings.NewReader(deep), Options{MaxDepth: 10})
-	if _, err := p.Next(); err == nil {
-		t.Error("depth 100 accepted with MaxDepth 10")
+	nest := map[string]func(n int) string{
+		"arrays":  func(n int) string { return strings.Repeat("[", n) + "1" + strings.Repeat("]", n) },
+		"objects": func(n int) string { return strings.Repeat(`{"a":`, n) + "1" + strings.Repeat("}", n) },
 	}
-	p = NewParser(strings.NewReader(deep), Options{MaxDepth: 200})
-	if _, err := p.Next(); err != nil {
-		t.Errorf("depth 100 rejected with MaxDepth 200: %v", err)
-	}
-	// Default guards against pathological nesting.
-	bomb := strings.Repeat("[", 10000) + strings.Repeat("]", 10000)
-	if _, err := ParseBytes([]byte(bomb)); err == nil {
-		t.Error("10000-deep nesting accepted with default MaxDepth")
+	for name, deep := range nest {
+		if _, err := ParseBytes([]byte(deep(MaxDepth))); err != nil {
+			t.Errorf("%s %d deep rejected: %v", name, MaxDepth, err)
+		}
+		if _, err := NewParser(strings.NewReader(deep(MaxDepth))).Next(); err != nil {
+			t.Errorf("%s %d deep rejected by the stream parser: %v", name, MaxDepth, err)
+		}
+		if _, err := ParseBytes([]byte(deep(MaxDepth + 1))); err == nil || !strings.Contains(err.Error(), "nesting deeper than 512") {
+			t.Errorf("%s %d deep: err = %v, want a nesting error", name, MaxDepth+1, err)
+		}
+		if _, err := NewParser(strings.NewReader(deep(MaxDepth + 1))).Next(); err == nil || !strings.Contains(err.Error(), "nesting deeper than 512") {
+			t.Errorf("%s %d deep, stream parser: err = %v, want a nesting error", name, MaxDepth+1, err)
+		}
 	}
 }
 
 func TestStreamMultipleValues(t *testing.T) {
 	src := "{\"a\":1}\n{\"a\":2}\n[3]\n\"four\"\ntrue\n"
-	p := NewParser(strings.NewReader(src), Options{})
+	p := NewParser(strings.NewReader(src))
 	var got []value.Value
 	for {
 		v, err := p.Next()
@@ -201,7 +207,7 @@ func TestStreamConcatenatedWithoutNewlines(t *testing.T) {
 
 func TestStreamErrorMidway(t *testing.T) {
 	src := "{\"a\":1}\n{\"bad\n"
-	p := NewParser(strings.NewReader(src), Options{})
+	p := NewParser(strings.NewReader(src))
 	if _, err := p.Next(); err != nil {
 		t.Fatalf("first value: %v", err)
 	}

@@ -6,28 +6,17 @@ import (
 	"repro/internal/value"
 )
 
-// DefaultMaxDepth bounds nesting to protect against depth bombs; it is
-// far above anything in the paper's datasets (max nesting 7).
-const DefaultMaxDepth = 512
+// MaxDepth bounds nesting to protect against depth bombs; it is far
+// above anything in the paper's datasets (max nesting 7).
+const MaxDepth = 512
 
-// Options configure parsing.
-type Options struct {
-	// MaxDepth bounds the nesting depth of parsed values; zero means
-	// DefaultMaxDepth.
-	MaxDepth int
-}
-
-func (o Options) maxDepth() int {
-	if o.MaxDepth <= 0 {
-		return DefaultMaxDepth
-	}
-	return o.MaxDepth
-}
+// Options is empty: the benchmark module's pinned callers still pass
+// one to infer.NewDecoder, so the type stays until that call changes.
+type Options struct{}
 
 // Parser builds value.Value trees from a token stream.
 type Parser struct {
-	lex  *Lexer
-	opts Options
+	lex *Lexer
 	// keys holds one key set per nesting depth, reused by every object
 	// at that depth.
 	keys []*KeySet
@@ -35,8 +24,8 @@ type Parser struct {
 
 // NewParser returns a parser reading one or more whitespace-separated
 // JSON values from r.
-func NewParser(r io.Reader, opts Options) *Parser {
-	return &Parser{lex: NewLexer(r), opts: opts}
+func NewParser(r io.Reader) *Parser {
+	return &Parser{lex: NewLexer(r)}
 }
 
 // ParseBytes parses a single JSON value from data, requiring that
@@ -73,8 +62,8 @@ func (p *Parser) Next() (value.Value, error) {
 func (p *Parser) Offset() int64 { return p.lex.Offset() }
 
 func (p *Parser) parseValue(tok Token, depth int) (value.Value, error) {
-	if depth > p.opts.maxDepth() {
-		return nil, p.lex.errorf(tok.Offset, "nesting deeper than %d", p.opts.maxDepth())
+	if depth > MaxDepth {
+		return nil, p.lex.errorf(tok.Offset, "nesting deeper than %d", MaxDepth)
 	}
 	switch tok.Kind {
 	case TokNull:

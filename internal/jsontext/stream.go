@@ -12,7 +12,7 @@ import (
 // ParseAll parses every top-level JSON value in data.
 func ParseAll(data []byte) ([]value.Value, error) {
 	var vs []value.Value
-	p := NewParser(bytes.NewReader(data), Options{})
+	p := NewParser(bytes.NewReader(data))
 	for {
 		v, err := p.Next()
 		if err == io.EOF {

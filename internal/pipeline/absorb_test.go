@@ -38,7 +38,7 @@ var streamReaders = []struct {
 // left-folded into the fused type. Its Fold is what RunStream must
 // return, and it fails where RunStream must fail.
 func referenceStream(env *Env, r io.Reader) (Result, int64, error) {
-	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
+	dec := infer.NewDecoder(r, jsontext.Options{})
 	defer dec.Release()
 	acc := env.feedAcc(dec)
 	for {
@@ -116,43 +116,36 @@ func requireSameStream(t *testing.T, env *Env, data []byte) obs.Metrics {
 // FuzzStreamAbsorb checks RunStream, which absorbs records its cover or
 // its chunk's fold already covers, against the reference fold that
 // types every record: the same Result, or failure on both sides, on any
-// input, through every reader kind, at a MaxDepth drawn from depth (0:
-// the default), under the policy drawn from policy. A policy whose decoder declines absorbs
-// nothing.
+// input, through every reader kind, under the policy drawn from
+// policy. A policy whose decoder declines absorbs nothing.
 func FuzzStreamAbsorb(f *testing.F) {
-	type seed struct {
-		data  []byte
-		depth uint8
-	}
-	var seeds []seed
+	var seeds [][]byte
 	for _, name := range []string{"github", "nytimes", "wikidata", "mixed"} {
 		g, err := dataset.New(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, seed{dataset.NDJSON(g, 12, 3), 0})
+		seeds = append(seeds, dataset.NDJSON(g, 12, 3))
 	}
 	seeds = append(seeds,
-		seed{[]byte(`{"a": "x"}` + "\n" + `{"a": "` + strings.Repeat("y", 70<<10) + `"}` + "\n" + `{"a": "z", "b": 1}`), 0},
-		seed{[]byte(`{"a": 1, "b": "x"}` + "\n" + `{"b": "y"}` + "\n" + `{"b": "z", "a": 2, "a": 3}` + "\n"), 0},
-		seed{[]byte(`{"a": 1}` + "\n" + `{"a": 2}` + "\n" + `{"a": `), 0},
-		seed{[]byte(`[[1]]` + "\n" + `[[1], [2]]` + "\n" + `[[[1]]]` + "\n"), 3},
-		seed{[]byte(`[1]` + "\n" + strings.Repeat("[", jsontext.DefaultMaxDepth+2)), 0},
-		seed{[]byte(`[1, "x"]` + "\n" + `[2, "y"]` + "\n" + `[1, "x", 3]` + "\n" + `[]` + "\n" + `[1, 2, 3, 4, 5]` + "\n"), 0},
-		seed{[]byte(`{"type": "a", "x": [1, 2]}` + "\n" + `{"type": "b"}` + "\n" + `{"type": "a", "x": [3, 4]}` + "\n"), 0},
+		[]byte(`{"a": "x"}`+"\n"+`{"a": "`+strings.Repeat("y", 70<<10)+`"}`+"\n"+`{"a": "z", "b": 1}`),
+		[]byte(`{"a": 1, "b": "x"}`+"\n"+`{"b": "y"}`+"\n"+`{"b": "z", "a": 2, "a": 3}`+"\n"),
+		[]byte(`{"a": 1}`+"\n"+`{"a": 2}`+"\n"+`{"a": `),
+		[]byte(`[[1]]`+"\n"+`[[1], [2]]`+"\n"+`[[[1]]]`+"\n"),
+		[]byte(`[1]`+"\n"+strings.Repeat("[", jsontext.MaxDepth+2)),
+		[]byte(`[1, "x"]`+"\n"+`[2, "y"]`+"\n"+`[1, "x", 3]`+"\n"+`[]`+"\n"+`[1, 2, 3, 4, 5]`+"\n"),
+		[]byte(`{"type": "a", "x": [1, 2]}`+"\n"+`{"type": "b"}`+"\n"+`{"type": "a", "x": [3, 4]}`+"\n"),
 	)
 	policies := absorbPolicies(f)
 	// Every seed runs under every policy, the paper's (0) included.
 	for _, s := range seeds {
 		for p := range policies {
-			f.Add(s.data, s.depth, uint8(p))
+			f.Add(s, uint8(p))
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, depth, policy uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, policy uint8) {
 		p := policies[int(policy)%len(policies)]
-		env := p.env
-		env.MaxDepth = int(depth % 8)
-		m := requireSameStream(t, &env, data)
+		m := requireSameStream(t, &p.env, data)
 		if n := m.Counters["infer_absorbed_records"]; !p.absorbs && n != 0 {
 			t.Fatalf("%s: absorbed %d records", p.name, n)
 		}
@@ -206,7 +199,7 @@ func referenceChunks(env *Env, chunks [][]byte) (Result, error) {
 	fz := env.Fusion
 	fused := types.Type(types.Empty)
 	for _, c := range chunks {
-		dec := infer.NewBytesDecoder(c, jsontext.Options{})
+		dec := infer.NewBytesDecoder(c)
 		env.feedAcc(dec)
 		for {
 			t, err := dec.Next()

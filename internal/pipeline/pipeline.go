@@ -66,9 +66,6 @@ type Env struct {
 	// so memory stays flat however many distinct types the input holds,
 	// and DistinctTypes is zero.
 	SizesOnly bool
-	// MaxDepth bounds value nesting in the decoders; zero means the
-	// parser default.
-	MaxDepth int
 	// Failure and Injector configure the map-reduce failure handling.
 	Failure  mapreduce.FailurePolicy
 	Injector mapreduce.FaultInjector
@@ -247,12 +244,11 @@ func (f *feedReader) Read(p []byte) (int, error) {
 // Skip quarantining it. A syntax error reports its offset in the input,
 // not in the chunk.
 func (e *Env) mapChunk(ctx context.Context, c chunk) (Accumulator, error) {
-	opts := jsontext.Options{MaxDepth: e.MaxDepth}
 	var dec *infer.Decoder
 	if c.rest == nil {
-		dec = infer.NewBytesDecoder(c.data, opts)
+		dec = infer.NewBytesDecoder(c.data)
 	} else {
-		dec = infer.NewDecoder(io.MultiReader(bytes.NewReader(c.data), c.rest), opts)
+		dec = infer.NewDecoder(io.MultiReader(bytes.NewReader(c.data), c.rest), jsontext.Options{})
 	}
 	defer dec.Release()
 	acc, err := e.mapRecords(ctx, dec)

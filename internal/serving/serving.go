@@ -512,7 +512,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, t *tenan
 	)
 	ctx := r.Context()
 	body := s.body(w, r)
-	p := jsontext.NewParser(body, jsontext.Options{})
+	p := jsontext.NewParser(body)
 	for {
 		if ctx.Err() != nil {
 			s.writeError(w, http.StatusBadRequest, ctx.Err())

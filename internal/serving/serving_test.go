@@ -287,6 +287,38 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestNestingBound pins the nesting bound of 512 at its edge over
+// HTTP: an ingest of a value 512 levels deep succeeds and one 513 deep
+// is a 400; validate accepts the first as a member and reports the
+// second as a parse failure.
+func TestNestingBound(t *testing.T) {
+	nested := func(n int) []byte {
+		return []byte(strings.Repeat("[", n) + "1" + strings.Repeat("]", n) + "\n")
+	}
+	_, hs := newTestServer(t, Config{})
+	ingest(t, hs.URL, "deep", "default", nested(512))
+	status, body := doReq(t, http.MethodPost, hs.URL+"/v1/tenants/deep/ingest", nested(513))
+	if status != http.StatusBadRequest || !bytes.Contains(body, []byte("nesting deeper than 512")) {
+		t.Errorf("ingest 513 deep: status %d: %s, want 400 and a nesting error", status, body)
+	}
+	var doc struct {
+		Valid    int64 `json:"valid"`
+		Failures []struct {
+			Error string `json:"error"`
+		} `json:"failures"`
+	}
+	status, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/deep/validate", nested(512))
+	if err := json.Unmarshal(body, &doc); status != http.StatusOK || err != nil || doc.Valid != 1 {
+		t.Errorf("validate 512 deep: status %d: %s, want it valid", status, body)
+	}
+	status, body = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/deep/validate", nested(513))
+	doc.Failures = nil
+	if err := json.Unmarshal(body, &doc); status != http.StatusOK || err != nil ||
+		len(doc.Failures) != 1 || !strings.Contains(doc.Failures[0].Error, "nesting deeper than 512") {
+		t.Errorf("validate 513 deep: status %d: %s, want a nesting failure", status, body)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	ingest(t, hs.URL, "s", "default", []byte(`{"a":1}`+"\n"+`{"a":2,"b":"x"}`+"\n"))

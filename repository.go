@@ -34,9 +34,11 @@ import (
 // policies can differ from offline inference: PreserveTupleArrays
 // tuples are simplified to repeated types ({p: [Num, Str]} is stored as
 // {p: [(Num + Str)*]}), and a TaggedUnions partition whose union has
-// already collapsed can absorb later unions differently. Schema and
-// PartitionSchema lower collapsed tagged unions to plain records, as
-// Infer does.
+// already collapsed can absorb later unions differently. The tag cap is
+// not among the differences: it is one constant for every fusion, so a
+// stored union collapses at the same tag count as offline inference.
+// Schema and PartitionSchema lower collapsed tagged unions to plain
+// records, as Infer does.
 //
 // The zero value is not ready; use NewRepository or LoadRepository.
 type Repository struct {

@@ -572,54 +572,74 @@ func TestRepositoryPartitionedEqualsSingle(t *testing.T) {
 	}
 }
 
-// taggedBatches returns two batches of ten discriminated records each,
-// with twenty distinct tags between them: more than a tagged union
-// holds, so fusing the batches collapses their unions.
-func taggedBatches() [2]string {
+// taggedBatches returns n discriminated records, each with its own
+// tag, split over two batches.
+func taggedBatches(n int) [2]string {
 	var out [2]string
 	for b := range out {
 		var sb strings.Builder
-		for i := 0; i < 10; i++ {
-			fmt.Fprintf(&sb, `{"type": "t%d", "x": %d}`+"\n", 10*b+i, i)
+		for i := b * (n / 2); i < n/2+b*(n-n/2); i++ {
+			fmt.Fprintf(&sb, `{"type": "t%d", "x": %d}`+"\n", i, i)
 		}
 		out[b] = sb.String()
 	}
 	return out
 }
 
-// TestRepositoryLowersCollapsedUnions: a tagged union that collapses
-// when finalized schemas fuse is lowered to the plain record, as
-// offline inference lowers it, through Repository and Schema.Fuse.
-func TestRepositoryLowersCollapsedUnions(t *testing.T) {
-	opts := jsi.Options{TaggedUnions: true}
-	batches := taggedBatches()
-	offline, _, err := jsi.InferNDJSON([]byte(batches[0]+batches[1]), opts)
+// renderings returns the codec and JSON Schema bytes of s.
+func renderings(t *testing.T, s *jsi.Schema) string {
+	t.Helper()
+	codec, err := s.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := offline.String()
-	if want != "{type: Str, x: Num}" {
-		t.Fatalf("offline schema = %s, want the plain record", want)
+	js, err := s.JSONSchema()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var schemas [2]*jsi.Schema
-	repo := jsi.NewRepository()
-	for i, b := range batches {
-		s, st, err := jsi.InferNDJSON([]byte(b), opts)
+	return string(codec) + "\n" + string(js)
+}
+
+// TestRepositoryLowersCollapsedUnions: stored tagged unions obey the
+// tag cap offline inference uses. Over n records with a tag each, split
+// over two batches, Repository (two partitions, or both batches in
+// one), Schema.Fuse of the batch schemas and one offline Infer render
+// the same codec and JSON Schema bytes: a union at the cap of 16 tags,
+// and past it the plain record, lowered as offline inference lowers
+// it.
+func TestRepositoryLowersCollapsedUnions(t *testing.T) {
+	opts := jsi.Options{TaggedUnions: true}
+	for _, n := range []int{16, 17, 20} {
+		batches := taggedBatches(n)
+		offline, _, err := jsi.InferNDJSON([]byte(batches[0]+batches[1]), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		schemas[i] = s
-		repo.Append(fmt.Sprintf("part-%d", i), s, st.Records)
-		repo.Append("both", s, st.Records)
-	}
-	if got := repo.Schema().String(); got != want {
-		t.Errorf("Repository.Schema = %s, want %s", got, want)
-	}
-	if got, _ := repo.PartitionSchema("both"); got.String() != want {
-		t.Errorf("Repository.PartitionSchema = %s, want %s", got, want)
-	}
-	if got := schemas[0].Fuse(schemas[1]).String(); got != want {
-		t.Errorf("Schema.Fuse = %s, want %s", got, want)
+		if union := strings.HasPrefix(offline.String(), "variants(type){"); union != (n <= 16) {
+			t.Fatalf("%d tags: offline schema = %s, want a union only up to 16 tags", n, offline)
+		}
+		want := renderings(t, offline)
+		var schemas [2]*jsi.Schema
+		repo := jsi.NewRepository()
+		for i, b := range batches {
+			s, st, err := jsi.InferNDJSON([]byte(b), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schemas[i] = s
+			repo.Append(fmt.Sprintf("part-%d", i), s, st.Records)
+			repo.Append("both", s, st.Records)
+		}
+		both, _ := repo.PartitionSchema("both")
+		for name, got := range map[string]*jsi.Schema{
+			"Repository.Schema":          repo.Schema(),
+			"Repository.PartitionSchema": both,
+			"Schema.Fuse":                schemas[0].Fuse(schemas[1]),
+		} {
+			if got := renderings(t, got); got != want {
+				t.Errorf("%d tags: %s renders\n%s\nwant\n%s", n, name, got, want)
+			}
+		}
 	}
 }
 

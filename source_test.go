@@ -214,7 +214,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"Workers", jsi.Options{Workers: -1}},
 		{"ChunkBytes", jsi.Options{ChunkBytes: -1}},
-		{"MaxDepth", jsi.Options{MaxDepth: -1}},
 	}
 	data := []byte(`{"a":1}`)
 	entries := []struct {
@@ -260,28 +259,52 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestMaxDepthEverySource pins that Options.MaxDepth bounds nesting on
-// every Source kind, the chunked ones included: a 50-deep array is
-// rejected under MaxDepth 10 and accepted under the default.
+// nested returns a number inside n arrays: a value n levels deep.
+func nested(n int) []byte {
+	return []byte(strings.Repeat("[", n) + "1" + strings.Repeat("]", n))
+}
+
+// TestMaxDepthEverySource pins the nesting bound of 512 at its edge on
+// every Source kind, the chunked ones included, and on the value
+// parser behind InferJSON and Schema.Contains: a value 512 levels deep
+// is accepted, one 513 deep is rejected.
 func TestMaxDepthEverySource(t *testing.T) {
-	deep := []byte(strings.Repeat("[", 50) + strings.Repeat("]", 50) + "\n")
-	path := filepath.Join(t.TempDir(), "deep.json")
-	if err := os.WriteFile(path, deep, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	sources := map[string]func() jsi.Source{
-		"FromBytes":         func() jsi.Source { return jsi.FromBytes(deep) },
-		"FromReader":        func() jsi.Source { return jsi.FromReader(bytes.NewReader(deep)) },
-		"FromChunkedReader": func() jsi.Source { return jsi.FromChunkedReader(bytes.NewReader(deep)) },
-		"FromFile":          func() jsi.Source { return jsi.FromFile(path) },
-		"FromFiles":         func() jsi.Source { return jsi.FromFiles(path, path) },
-	}
-	for name, src := range sources {
-		if _, _, err := jsi.Infer(context.Background(), src(), jsi.Options{MaxDepth: 10}); err == nil || !strings.Contains(err.Error(), "nesting deeper than 10") {
-			t.Errorf("%s: MaxDepth 10 over depth 50: err = %v, want a nesting error", name, err)
+	for _, n := range []int{512, 513} {
+		deep := append(nested(n), '\n')
+		path := filepath.Join(t.TempDir(), "deep.json")
+		if err := os.WriteFile(path, deep, 0o600); err != nil {
+			t.Fatal(err)
 		}
-		if _, _, err := jsi.Infer(context.Background(), src(), jsi.Options{}); err != nil {
-			t.Errorf("%s: default MaxDepth rejected depth 50: %v", name, err)
+		check := func(name string, err error) {
+			t.Helper()
+			if n == 512 && err != nil {
+				t.Errorf("%s: 512 deep rejected: %v", name, err)
+			}
+			if n == 513 && (err == nil || !strings.Contains(err.Error(), "nesting deeper than 512")) {
+				t.Errorf("%s: 513 deep: err = %v, want a nesting error", name, err)
+			}
+		}
+		sources := map[string]func() jsi.Source{
+			"FromBytes":         func() jsi.Source { return jsi.FromBytes(deep) },
+			"FromReader":        func() jsi.Source { return jsi.FromReader(bytes.NewReader(deep)) },
+			"FromChunkedReader": func() jsi.Source { return jsi.FromChunkedReader(bytes.NewReader(deep)) },
+			"FromFile":          func() jsi.Source { return jsi.FromFile(path) },
+			"FromFiles":         func() jsi.Source { return jsi.FromFiles(path, path) },
+		}
+		for name, src := range sources {
+			_, _, err := jsi.Infer(context.Background(), src(), jsi.Options{})
+			check(name, err)
+		}
+		_, err := jsi.InferJSON(deep)
+		check("InferJSON", err)
+		s, _, err := jsi.InferNDJSON(nested(512), jsi.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := s.Contains(deep)
+		check("Schema.Contains", err)
+		if n == 512 && !in {
+			t.Errorf("Schema.Contains: the 512-deep value is not a member of its own schema %s", s)
 		}
 	}
 }
