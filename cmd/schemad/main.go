@@ -7,19 +7,21 @@
 //
 // Each tenant is an isolated incremental repository: NDJSON batches
 // POSTed to its ingest endpoint stream through the same pipeline
-// engine as the offline CLI, and the fused schema is available live
-// at any time — byte-identical to what offline inference over the
-// concatenated batches would produce, by fusion's associativity and
-// commutativity. Idle tenants are spilled to disk snapshots so the
-// resident set stays bounded; on SIGINT/SIGTERM the server drains
-// in-flight requests and snapshots every resident tenant.
+// engine as the offline CLI, under the one inference policy these
+// flags set (a request chooses only its partition), and the fused
+// schema is available live at any time — byte-identical to what
+// offline inference over the concatenated batches would produce, by
+// fusion's associativity and commutativity. Idle tenants are spilled
+// to disk snapshots so the resident set stays bounded; on
+// SIGINT/SIGTERM the server drains in-flight requests and snapshots
+// every resident tenant.
 //
 // Endpoints (see docs/SERVING.md for details and examples):
 //
 //	GET    /healthz
 //	GET    /v1/metrics
 //	GET    /v1/tenants
-//	POST   /v1/tenants/{tenant}/ingest?partition=P&on_error=fail|skip&enrich=NAMES|off
+//	POST   /v1/tenants/{tenant}/ingest?partition=P
 //	GET    /v1/tenants/{tenant}/schema?format=type|indent|jsonschema|codec|enrich&enrich=off
 //	GET    /v1/tenants/{tenant}/partitions
 //	GET    /v1/tenants/{tenant}/partitions/{part}/schema
@@ -39,9 +41,13 @@
 //	-max-body-bytes    per-request body cap
 //	-ingest-workers    map-phase parallelism per ingest request
 //	-retries           per-chunk retry budget for ingest pipelines
-//	-on-error          default chunk failure policy: fail or skip
+//	-on-error          chunk failure policy of every ingest: fail or skip
 //	-enrich            enrichment monoids computed on every ingest
 //	                   (comma list or "all"; see docs/ENRICHMENT.md)
+//	-tagged            infer tagged unions on every ingest
+//	                   (see docs/UNIONS.md)
+//	-union-keys        discriminator field names for -tagged, a comma
+//	                   list (default type,event,kind)
 //	-debug-addr        serve expvar (schemad_metrics) and pprof here
 //	-shutdown-timeout  grace period for draining on SIGINT/SIGTERM
 package main
@@ -82,9 +88,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	maxBodyBytes := fs.Int64("max-body-bytes", 64<<20, "per-request body cap in bytes")
 	ingestWorkers := fs.Int("ingest-workers", 2, "map-phase parallelism per ingest request")
 	retries := fs.Int("retries", 0, "per-chunk retry budget for ingest pipelines")
-	onError := fs.String("on-error", "fail", "default chunk failure policy: fail or skip")
+	onError := fs.String("on-error", "fail", "chunk failure policy of every ingest: fail or skip")
 	enrichNames := fs.String("enrich", "", "enrichment monoids for every ingest (comma list or \"all\"; empty disables)")
-	tagged := fs.Bool("tagged", false, "infer tagged unions on every ingest (requests can override with ?tagged=)")
+	tagged := fs.Bool("tagged", false, "infer tagged unions on every ingest")
 	unionKeys := fs.String("union-keys", "", "comma-separated discriminator field names for -tagged (default type,event,kind)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this address")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 15*time.Second, "grace period for draining in-flight requests")
@@ -109,7 +115,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		if !*tagged {
 			return fmt.Errorf("-union-keys requires -tagged")
 		}
-		keys = strings.Split(*unionKeys, ",")
+		keys = splitKeys(*unionKeys)
 	}
 	if *dataDir == "" {
 		dir, err := os.MkdirTemp("", "schemad-*")
@@ -169,6 +175,18 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	defer cancel()
 	fmt.Fprintln(stderr, "shutting down")
 	return errors.Join(hs.Shutdown(shCtx), srv.SaveAll())
+}
+
+// splitKeys parses the -union-keys comma list, trimming blanks so
+// "type, event" works and dropping empty names.
+func splitKeys(s string) []string {
+	var keys []string
+	for _, k := range strings.Split(s, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 // serveHTTP runs the accept loop, reporting the terminal error (nil

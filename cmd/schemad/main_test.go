@@ -60,20 +60,8 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	}()
 	base := waitForAddr(t, &stderr)
 
-	resp, err := http.Post(base+"/v1/tenants/smoke/ingest", "application/x-ndjson",
-		strings.NewReader(`{"a":1}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); rerr == nil {
-		rerr = cerr
-	}
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: status %d: %s", resp.StatusCode, body)
+	if status, body := do(t, http.MethodPost, base+"/v1/tenants/smoke/ingest", `{"a":1}`+"\n"); status != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", status, body)
 	}
 
 	cancel()
@@ -93,4 +81,56 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(ctx, []string{"-on-error", "bogus"}, &stderr); err == nil {
 		t.Error("run accepted -on-error bogus")
 	}
+}
+
+// TestRunTrimsUnionKeys: -union-keys "type, kind" probes kind, not
+// " kind", so records discriminated by kind infer a union keyed by it.
+func TestRunTrimsUnionKeys(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stderr syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir(),
+			"-tagged", "-union-keys", "type, kind"}, &stderr)
+	}()
+	base := waitForAddr(t, &stderr)
+
+	records := `{"kind": "a", "x": 1}` + "\n" + `{"kind": "b", "y": "s"}` + "\n"
+	if status, body := do(t, http.MethodPost, base+"/v1/tenants/k/ingest", records); status != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", status, body)
+	}
+	status, body := do(t, http.MethodGet, base+"/v1/tenants/k/schema", "")
+	if status != http.StatusOK {
+		t.Fatalf("schema: status %d: %s", status, body)
+	}
+	if got := strings.TrimSpace(string(body)); !strings.HasPrefix(got, "variants(kind){") {
+		t.Errorf("schema = %s, want a union keyed by kind", got)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v after graceful shutdown", err)
+	}
+}
+
+// do issues one request and returns its status and body.
+func do(t *testing.T, method, url, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, rerr := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); rerr == nil {
+		rerr = cerr
+	}
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return resp.StatusCode, out
 }

@@ -7,7 +7,7 @@ import "context"
 // experiments harness measures. The differential suite checks the
 // absorbing path against it.
 func InferPlain(ctx context.Context, src Source, opts Options) (*Schema, Stats, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	env := opts.env()

@@ -124,7 +124,7 @@ func (o Options) env() *pipeline.Env {
 		env.Rec = o.Collector.recorder()
 	}
 	if len(o.Enrich) > 0 {
-		// validate() already vetted the selection; an error here is
+		// Validate already vetted the selection; an error here is
 		// impossible by construction.
 		set, err := enrich.ParseSet(o.Enrich)
 		if err != nil {
@@ -217,10 +217,13 @@ func (o Options) workers() int {
 // accepts Options.
 var ErrInvalidOptions = errors.New("jsoninference: invalid options")
 
-// validate rejects Options values that have no meaningful
-// interpretation. Zero always means "use the default", so only
-// negative values are errors.
-func (o Options) validate() error {
+// Validate rejects Options values that have no meaningful
+// interpretation: a negative count, an unknown OnError policy, an empty
+// UnionKeys name or an unknown Enrich monoid. Zero always means "use
+// the default". Infer calls it on every run; a caller that holds one
+// Options for many runs can call it once up front. Every error wraps
+// ErrInvalidOptions.
+func (o Options) Validate() error {
 	switch {
 	case o.Workers < 0:
 		return fmt.Errorf("%w: Workers = %d, must be >= 0 (0 means one per CPU)", ErrInvalidOptions, o.Workers)
@@ -283,7 +286,7 @@ type Stats struct {
 // Construct the Source with FromBytes, FromReader, FromChunkedReader,
 // FromFile or FromFiles; set Options.Collector to observe the run.
 func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	if src == nil {

@@ -16,7 +16,9 @@ import (
 // server must never panic or answer 5xx; a 200 must report a
 // total_records equal to the tenant's previous count plus its records;
 // and any other status must leave the tenant's snapshot bytes as they
-// were, because ingest is all-or-nothing.
+// were, because ingest is all-or-nothing. The seeds that set a policy
+// parameter (on_error, tagged, union_keys, enrich) exercise the
+// refusal of every parameter but partition.
 func FuzzServingIngest(f *testing.F) {
 	const maxBody = 2 << 10
 	records := `{"type":"a","n":1}` + "\n" + `{"type":"b","s":"x"}` + "\n"

@@ -5,7 +5,9 @@
 // jsoninference.FromChunkedReader, so ingestion gets the same
 // parallel map phase, retry budget, and quarantine policy as the
 // offline CLI — and, by fusion's associativity and commutativity,
-// the same schemas, byte for byte.
+// the same schemas, byte for byte. Every ingest runs under the one
+// jsoninference.Options that New builds from Config and validates: a
+// request names its partition and nothing else.
 //
 // Memory is bounded on two axes: request bodies are capped with
 // http.MaxBytesReader, and at most MaxResidentTenants repositories
@@ -24,20 +26,22 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
+	"slices"
 
 	jsi "repro"
-	"repro/internal/enrich"
 	"repro/internal/jsontext"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
 
 // Config parameterises a Server. The zero value of every field except
-// DataDir is usable; zeros become the documented defaults.
+// DataDir is usable; zeros become the documented defaults. The
+// inference fields (IngestWorkers through UnionKeys) are the operator's
+// policy for every ingest of every tenant; New rejects a Config whose
+// policy jsoninference.Options.Validate rejects.
 type Config struct {
 	// DataDir holds tenant snapshots (eviction spill and shutdown
 	// saves). Required; created with 0o700 if absent.
@@ -57,30 +61,28 @@ type Config struct {
 	// concurrency across tenants is the service's main axis.
 	IngestWorkers int
 
-	// Retries is the per-chunk retry budget applied to every ingest.
+	// Retries is the per-chunk retry budget applied to every ingest;
+	// it must not be negative.
 	Retries int
 
-	// OnErrorSkip makes quarantine-and-continue the default policy for
-	// malformed chunks; requests can override it per call with the
-	// on_error query parameter.
+	// OnErrorSkip makes every ingest quarantine the chunks that still
+	// fail after their retries and commit the rest; otherwise such a
+	// chunk fails the request.
 	OnErrorSkip bool
 
 	// Enrich names the enrichment monoids (docs/ENRICHMENT.md) computed
 	// on every ingest: "ranges", "hll", ..., or "all". Empty disables
-	// enrichment. Requests can override it per call with the enrich
-	// query parameter (a comma list, "all", or "off").
+	// enrichment.
 	Enrich []string
 
 	// TaggedUnions enables tagged-union inference (docs/UNIONS.md) on
 	// every ingest: discriminated records fuse into one variant per
-	// observed tag instead of one blurred record. Requests can override
-	// it per call with the tagged query parameter ("true" or "false").
+	// observed tag instead of one blurred record.
 	TaggedUnions bool
 
 	// UnionKeys overrides the discriminator field names probed by
 	// tagged-union inference, in priority order; empty means the library
-	// default ("type", "event", "kind"). Requests can override it per
-	// call with the union_keys query parameter (a comma list).
+	// default ("type", "event", "kind"). No name may be empty.
 	UnionKeys []string
 
 	// Logf receives operational messages: a failed snapshot while
@@ -92,16 +94,35 @@ type Config struct {
 // per-tenant ingest, schema retrieval, diff, validation, and
 // snapshot endpoints over a bounded set of resident repositories.
 type Server struct {
-	cfg     Config
+	maxBody int64
+	opts    jsi.Options // every ingest's inference options
 	reg     *obs.Registry
 	tenants *tenantSet
 	mux     *http.ServeMux
 }
 
-// New builds a Server from cfg, creating cfg.DataDir if needed.
+// New builds a Server from cfg, creating cfg.DataDir if needed. It
+// resolves cfg into the inference options every ingest runs under and
+// fails, before touching the disk, if Options.Validate rejects them.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("serving: Config.DataDir is required")
+	}
+	if cfg.IngestWorkers <= 0 {
+		cfg.IngestWorkers = 2
+	}
+	opts := jsi.Options{
+		Workers:      cfg.IngestWorkers,
+		Retries:      cfg.Retries,
+		Enrich:       cfg.Enrich,
+		TaggedUnions: cfg.TaggedUnions,
+		UnionKeys:    cfg.UnionKeys,
+	}
+	if cfg.OnErrorSkip {
+		opts.OnError = jsi.OnErrorSkip
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("serving: %w", err)
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o700); err != nil {
 		return nil, fmt.Errorf("serving: %w", err)
@@ -112,18 +133,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
-	if cfg.IngestWorkers <= 0 {
-		cfg.IngestWorkers = 2
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if len(cfg.Enrich) > 0 {
-		if _, err := enrich.ParseSet(cfg.Enrich); err != nil {
-			return nil, fmt.Errorf("serving: %w", err)
-		}
-	}
-	s := &Server{cfg: cfg, reg: obs.NewRegistry()}
+	s := &Server{maxBody: cfg.MaxBodyBytes, opts: opts, reg: obs.NewRegistry()}
 	s.tenants = newTenantSet(cfg.DataDir, cfg.MaxResidentTenants, s.reg, cfg.Logf)
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -216,7 +229,7 @@ func (b *cappedBody) Read(p []byte) (int, error) {
 
 // body returns the request body capped at the configured limit.
 func (s *Server) body(w http.ResponseWriter, r *http.Request) *cappedBody {
-	return &cappedBody{ReadCloser: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
+	return &cappedBody{ReadCloser: http.MaxBytesReader(w, r.Body, s.maxBody)}
 }
 
 // writeBodyError answers a request whose body failed to decode: 413
@@ -224,56 +237,10 @@ func (s *Server) body(w http.ResponseWriter, r *http.Request) *cappedBody {
 // 400 with err otherwise.
 func (s *Server) writeBodyError(w http.ResponseWriter, body *cappedBody, err error) {
 	if body.hit {
-		s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
+		s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.maxBody))
 		return
 	}
 	s.writeError(w, http.StatusBadRequest, err)
-}
-
-// ingestOptions builds the pipeline options for one ingest request,
-// applying any per-request on_error override.
-func (s *Server) ingestOptions(r *http.Request) (jsi.Options, error) {
-	opts := jsi.Options{
-		Workers: s.cfg.IngestWorkers,
-		Retries: s.cfg.Retries,
-	}
-	if s.cfg.OnErrorSkip {
-		opts.OnError = jsi.OnErrorSkip
-	}
-	switch v := r.URL.Query().Get("on_error"); v {
-	case "":
-	case "fail":
-		opts.OnError = jsi.OnErrorFail
-	case "skip":
-		opts.OnError = jsi.OnErrorSkip
-	default:
-		return opts, fmt.Errorf("unknown on_error %q (want fail or skip)", v)
-	}
-	opts.Enrich = s.cfg.Enrich
-	if r.URL.Query().Has("enrich") {
-		switch v := r.URL.Query().Get("enrich"); v {
-		case "off", "none", "0", "":
-			opts.Enrich = nil
-		default:
-			opts.Enrich = []string{v}
-		}
-	}
-	opts.TaggedUnions = s.cfg.TaggedUnions
-	opts.UnionKeys = s.cfg.UnionKeys
-	if r.URL.Query().Has("tagged") {
-		on, err := strconv.ParseBool(r.URL.Query().Get("tagged"))
-		if err != nil {
-			return opts, fmt.Errorf("invalid tagged %q (want true or false)", r.URL.Query().Get("tagged"))
-		}
-		opts.TaggedUnions = on
-	}
-	if v := r.URL.Query().Get("union_keys"); v != "" {
-		if !opts.TaggedUnions {
-			return opts, errors.New("union_keys requires tagged union inference (tagged=true or Config.TaggedUnions)")
-		}
-		opts.UnionKeys = strings.Split(v, ",")
-	}
-	return opts, nil
 }
 
 // --- handlers ---------------------------------------------------------
@@ -313,22 +280,37 @@ type ingestResponse struct {
 }
 
 // handleIngest streams the request body (NDJSON) through the
-// inference pipeline and fuses the result into the tenant's
-// partition. The operation is all-or-nothing per request: a body
-// that fails (under the effective error policy) leaves the
-// repository untouched.
+// inference pipeline under the server's options and fuses the result
+// into the tenant's partition. The operation is all-or-nothing per
+// request: a body that fails (under the server's error policy) leaves
+// the repository untouched. The only query parameter is partition; any
+// other is refused with 400 before the body is read, so a client that
+// asks for a policy of its own is told so instead of being served under
+// the server's.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant) {
-	part := r.URL.Query().Get("partition")
+	query, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid query: %w", err))
+		return
+	}
+	var unknown []string
+	for name := range query {
+		if name != "partition" {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf(
+			"unknown ingest parameter %q: ingest takes only partition, and the server's configuration sets the inference policy", unknown[0]))
+		return
+	}
+	part := query.Get("partition")
 	if part == "" {
 		part = "default"
 	}
-	opts, err := s.ingestOptions(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	body := s.body(w, r)
-	schema, stats, err := jsi.Infer(r.Context(), jsi.FromChunkedReader(body), opts)
+	schema, stats, err := jsi.Infer(r.Context(), jsi.FromChunkedReader(body), s.opts)
 	if err != nil {
 		if !body.hit && r.Context().Err() != nil {
 			// The client went away mid-stream; nothing was committed

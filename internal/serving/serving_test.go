@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -488,8 +491,8 @@ func TestSnapshotPutRejectsRefs(t *testing.T) {
 }
 
 // TestEnrichmentEndToEnd drives the enrichment lattice through the
-// whole serving surface: server-wide -enrich config, the per-request
-// ingest override, the format=enrich report, the enrich=off strip, and
+// whole serving surface: server-wide -enrich config (all, one monoid,
+// none), the format=enrich report, the enrich=off strip, and
 // snapshot save/restore carrying annotations across tenants. The
 // served annotated schema must be byte-identical to offline enriched
 // inference over the concatenation.
@@ -562,38 +565,23 @@ func TestEnrichmentEndToEnd(t *testing.T) {
 		t.Errorf("restored annotated schema differs:\nrestored: %s\noriginal: %s", js2, js)
 	}
 
-	// Per-request override on an enrichment-off server: only the
-	// overridden ingest produces annotations.
-	_, hs2 := newTestServer(t, Config{})
-	status, body = doReq(t, http.MethodPost, hs2.URL+"/v1/tenants/o/ingest?enrich=ranges", batches[0])
-	if status != http.StatusOK {
-		t.Fatalf("override ingest: status %d: %s", status, body)
-	}
-	_, js3 := doReq(t, http.MethodGet, hs2.URL+"/v1/tenants/o/schema?format=jsonschema", nil)
+	// A server configured with ranges alone annotates ranges only.
+	_, hsRanges := newTestServer(t, Config{Enrich: []string{"ranges"}})
+	ingest(t, hsRanges.URL, "o", "default", batches[0])
+	_, js3 := doReq(t, http.MethodGet, hsRanges.URL+"/v1/tenants/o/schema?format=jsonschema", nil)
 	if !bytes.Contains(js3, []byte(`"minimum"`)) {
-		t.Errorf("enrich=ranges override produced no range annotations: %s", js3)
+		t.Errorf("Enrich ranges produced no range annotations: %s", js3)
 	}
 	if bytes.Contains(js3, []byte("x-distinctValues")) {
-		t.Errorf("enrich=ranges override enabled more than ranges: %s", js3)
+		t.Errorf("Enrich ranges enabled more than ranges: %s", js3)
 	}
 
-	// And the reverse: enrich=off ingest on an enrichment-on server.
-	status, _ = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/off/ingest?enrich=off", batches[0])
-	if status != http.StatusOK {
-		t.Fatalf("enrich=off ingest: status %d", status)
-	}
-	_, js4 := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/off/schema?format=jsonschema", nil)
+	// And a server with enrichment off annotates nothing.
+	_, hsOff := newTestServer(t, Config{})
+	ingest(t, hsOff.URL, "off", "default", batches[0])
+	_, js4 := doReq(t, http.MethodGet, hsOff.URL+"/v1/tenants/off/schema?format=jsonschema", nil)
 	if bytes.Contains(js4, []byte(`"minimum"`)) {
-		t.Errorf("enrich=off ingest still annotated: %s", js4)
-	}
-
-	// Invalid selections fail loudly, both at config and request level.
-	if _, err := New(Config{DataDir: t.TempDir(), Enrich: []string{"bogus"}}); err == nil {
-		t.Error("New accepted an unknown monoid name")
-	}
-	status, _ = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/e/ingest?enrich=bogus", batches[0])
-	if status != http.StatusBadRequest {
-		t.Errorf("bogus enrich ingest: status %d, want 400", status)
+		t.Errorf("enrichment-off server still annotated: %s", js4)
 	}
 }
 
@@ -694,11 +682,11 @@ func TestEvictionFailureIsLogged(t *testing.T) {
 	}
 }
 
-// TestTaggedIngestLowersCollapsedUnions: two tagged ingests whose
-// unions collapse once fused serve the plain record offline inference
-// gives, in the type and JSON Schema formats alike.
+// TestTaggedIngestLowersCollapsedUnions: two ingests on a tagged
+// server whose unions collapse once fused serve the plain record
+// offline inference gives, in the type and JSON Schema formats alike.
 func TestTaggedIngestLowersCollapsedUnions(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
+	_, hs := newTestServer(t, Config{TaggedUnions: true})
 	var all []byte
 	for b := 0; b < 2; b++ {
 		var batch []byte
@@ -706,10 +694,7 @@ func TestTaggedIngestLowersCollapsedUnions(t *testing.T) {
 			batch = fmt.Appendf(batch, `{"type": "t%d", "x": %d}`+"\n", 10*b+i, i)
 		}
 		all = append(all, batch...)
-		status, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/v1/tenants/tg/ingest?partition=p%d&tagged=true", hs.URL, b), batch)
-		if status != http.StatusOK {
-			t.Fatalf("ingest: status %d: %s", status, body)
-		}
+		ingest(t, hs.URL, "tg", fmt.Sprintf("p%d", b), batch)
 	}
 	offline, _, err := jsi.InferNDJSON(all, jsi.Options{TaggedUnions: true})
 	if err != nil {
@@ -774,9 +759,10 @@ func TestIngestQuarantine(t *testing.T) {
 		t.Errorf("schema after failed ingest = %q, want empty", got)
 	}
 
-	// on_error=skip quarantines the chunk and commits the rest.
-	status, body := doReq(t, http.MethodPost,
-		hs.URL+"/v1/tenants/q/ingest?on_error=skip", buf.Bytes())
+	// A server configured with OnErrorSkip quarantines the chunk and
+	// commits the rest.
+	_, hsSkip := newTestServer(t, Config{OnErrorSkip: true})
+	status, body := doReq(t, http.MethodPost, hsSkip.URL+"/v1/tenants/q/ingest", buf.Bytes())
 	if status != http.StatusOK {
 		t.Fatalf("skip ingest: status %d: %s", status, body)
 	}
@@ -787,14 +773,43 @@ func TestIngestQuarantine(t *testing.T) {
 	if doc.QuarantinedChunks != 1 || doc.Records == 0 {
 		t.Errorf("quarantined_chunks = %d, records = %d: want one chunk dropped and the rest committed", doc.QuarantinedChunks, doc.Records)
 	}
-	_, schema = doReq(t, http.MethodGet, hs.URL+"/v1/tenants/q/schema", nil)
+	_, schema = doReq(t, http.MethodGet, hsSkip.URL+"/v1/tenants/q/schema", nil)
 	if got := string(bytes.TrimSpace(schema)); got != "{id: Num}" {
 		t.Errorf("schema after skip ingest = %q, want {id: Num}", got)
 	}
+}
 
-	status, _ = doReq(t, http.MethodPost, hs.URL+"/v1/tenants/q/ingest?on_error=bogus", nil)
-	if status != http.StatusBadRequest {
-		t.Errorf("bogus on_error: status %d, want 400", status)
+// TestIngestRefusesPolicyParams: the inference policy is the server's,
+// so ingest refuses every query parameter but partition with a 400
+// naming it, and commits nothing, even on a body that would ingest.
+func TestIngestRefusesPolicyParams(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	ingest(t, hs.URL, "r", "p", []byte(`{"type":"a","n":1}`+"\n"))
+	_, before := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/r/snapshot", nil)
+	body := []byte(`{"type":"b","s":"x"}` + "\n")
+	for _, c := range []struct{ query, param string }{
+		{"tagged=true", "tagged"},
+		{"tagged=false", "tagged"},
+		{"union_keys=type,kind", "union_keys"},
+		{"enrich=all", "enrich"},
+		{"enrich=off", "enrich"},
+		{"on_error=skip", "on_error"},
+		{"on_error=fail", "on_error"},
+		{"partiton=p", "partiton"},
+		{"partition=p&tagged=true", "tagged"},
+		{"tagged=true&enrich=all", "enrich"},
+		{"=x", ""},
+	} {
+		status, reply := doReq(t, http.MethodPost, hs.URL+"/v1/tenants/r/ingest?"+c.query, body)
+		if status != http.StatusBadRequest || !bytes.Contains(reply, []byte(fmt.Sprintf(`parameter \"%s\"`, c.param))) {
+			t.Errorf("ingest?%s: status %d, body %s; want 400 naming %q", c.query, status, reply, c.param)
+		}
+		if _, after := doReq(t, http.MethodGet, hs.URL+"/v1/tenants/r/snapshot", nil); !bytes.Equal(after, before) {
+			t.Errorf("ingest?%s changed the snapshot:\nbefore %s\nafter  %s", c.query, before, after)
+		}
+	}
+	if status, reply := doReq(t, http.MethodPost, hs.URL+"/v1/tenants/r/ingest?partition=%zz", body); status != http.StatusBadRequest {
+		t.Errorf("ingest with a malformed query: status %d, body %s; want 400", status, reply)
 	}
 }
 
@@ -962,5 +977,24 @@ func TestForeignFilesIgnored(t *testing.T) {
 func TestNewRequiresDataDir(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted empty DataDir")
+	}
+}
+
+// TestNewRejectsInvalidPolicy: a Config whose inference options every
+// ingest would reject fails New, before New creates the data dir,
+// instead of answering every ingest 400.
+func TestNewRejectsInvalidPolicy(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"empty union key":  {TaggedUnions: true, UnionKeys: []string{"type", "", "kind"}},
+		"negative Retries": {Retries: -1},
+		"unknown monoid":   {Enrich: []string{"ranges", "bogus"}},
+	} {
+		cfg.DataDir = filepath.Join(t.TempDir(), "data")
+		if _, err := New(cfg); !errors.Is(err, jsi.ErrInvalidOptions) {
+			t.Errorf("%s: New returned %v, want an error wrapping ErrInvalidOptions", name, err)
+		}
+		if _, err := os.Stat(cfg.DataDir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: New created the data dir (stat: %v)", name, err)
+		}
 	}
 }

@@ -57,13 +57,9 @@ func TestMapParseErrors(t *testing.T) {
 	}
 }
 
-func TestMapSizeAndDepth(t *testing.T) {
-	m := mp(MustParse("{a: Num}"))
-	if m.Size() != 2+3 {
+func TestMapSize(t *testing.T) {
+	if m := mp(MustParse("{a: Num}")); m.Size() != 2+3 {
 		t.Errorf("Size = %d", m.Size())
-	}
-	if Depth(m) != 3 {
-		t.Errorf("Depth = %d", Depth(m))
 	}
 }
 

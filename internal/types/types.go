@@ -608,59 +608,6 @@ func IsNormal(t Type) bool {
 	}
 }
 
-// Depth returns the nesting depth of the type tree: basic types and ε
-// have depth 1; records, tuples, repeated types and unions have depth one
-// more than their deepest component.
-func Depth(t Type) int {
-	switch tt := t.(type) {
-	case Basic, EmptyType:
-		return 1
-	case *Record:
-		max := 0
-		for _, f := range tt.fields {
-			if d := Depth(f.Type); d > max {
-				max = d
-			}
-		}
-		return 1 + max
-	case *Tuple:
-		max := 0
-		for _, e := range tt.elems {
-			if d := Depth(e); d > max {
-				max = d
-			}
-		}
-		return 1 + max
-	case *Map:
-		return 1 + Depth(tt.elem)
-	case *Variants:
-		max := 0
-		for _, c := range tt.cases {
-			if d := Depth(c.Type); d > max {
-				max = d
-			}
-		}
-		if tt.other != nil {
-			if d := Depth(tt.other); d > max {
-				max = d
-			}
-		}
-		return 1 + max
-	case *Repeated:
-		return 1 + Depth(tt.elem)
-	case *Union:
-		max := 0
-		for _, a := range tt.alts {
-			if d := Depth(a); d > max {
-				max = d
-			}
-		}
-		return 1 + max
-	default:
-		panic(fmt.Sprintf("types: unknown type %T", t))
-	}
-}
-
 // Walk calls fn for t and every type nested inside it, in depth-first
 // pre-order. If fn returns false the walk does not descend into that
 // subtree.

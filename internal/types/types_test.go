@@ -319,28 +319,6 @@ func TestIsNormal(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	cases := []struct {
-		t    Type
-		want int
-	}{
-		{Num, 1},
-		{rec(), 1},
-		{rec(fld("a", Num)), 2},
-		{rec(fld("a", rec(fld("b", Num)))), 3},
-		{rep(rep(Num)), 3},
-		{uni(Num, rec(fld("a", Num))), 3},
-		{tup(Num, tup(Num)), 2 + 1 - 1}, // [Num, [Num]] depth 3? see below
-	}
-	// Fix the last case explicitly: [Num, [Num]] = 1 + max(1, 1+1) = 3.
-	cases[len(cases)-1].want = 3
-	for _, c := range cases {
-		if got := Depth(c.t); got != c.want {
-			t.Errorf("Depth(%s) = %d, want %d", c.t, got, c.want)
-		}
-	}
-}
-
 func TestWalk(t *testing.T) {
 	tt := rec(fld("a", uni(Num, rep(Str))), fld("b", tup(Bool)))
 	var visited []string
@@ -448,11 +426,10 @@ func TestPropertyCompareConsistency(t *testing.T) {
 	}
 }
 
-func TestPropertySizePositiveAndDepthBounded(t *testing.T) {
+func TestPropertySizePositive(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := &typeRand{s: seed | 1}
-		tt := randomType(r, 4)
-		return tt.Size() >= 1 && Depth(tt) >= 1 && Depth(tt) <= tt.Size()
+		return randomType(r, 4).Size() >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

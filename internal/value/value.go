@@ -216,54 +216,6 @@ func Equal(a, b Value) bool {
 	}
 }
 
-// Clone returns a deep copy of v.
-func Clone(v Value) Value {
-	switch vv := v.(type) {
-	case Null, Bool, Num, Str:
-		return vv
-	case *Record:
-		fs := make([]Field, len(vv.fields))
-		for i, f := range vv.fields {
-			fs[i] = Field{Key: f.Key, Value: Clone(f.Value)}
-		}
-		return &Record{fields: fs}
-	case Array:
-		elems := make(Array, len(vv))
-		for i, e := range vv {
-			elems[i] = Clone(e)
-		}
-		return elems
-	default:
-		panic(fmt.Sprintf("value: unknown value %T", v))
-	}
-}
-
-// Depth returns the nesting depth of the value: basic values have depth 1,
-// records and arrays have depth 1 plus the maximum depth of their
-// components (an empty record or array has depth 1).
-func Depth(v Value) int {
-	switch vv := v.(type) {
-	case *Record:
-		max := 0
-		for _, f := range vv.fields {
-			if d := Depth(f.Value); d > max {
-				max = d
-			}
-		}
-		return 1 + max
-	case Array:
-		max := 0
-		for _, e := range vv {
-			if d := Depth(e); d > max {
-				max = d
-			}
-		}
-		return 1 + max
-	default:
-		return 1
-	}
-}
-
 // Nodes returns the number of nodes in the value's abstract syntax tree:
 // one per basic value, one per record plus one per field, one per array.
 func Nodes(v Value) int {
@@ -366,61 +318,4 @@ func AppendQuoted(dst []byte, s string) []byte {
 		}
 	}
 	return append(dst, '"')
-}
-
-// Compare defines a total order over values, used to canonicalize and
-// deduplicate. Values of different kinds order by kind; basic values by
-// their natural order; records lexicographically by (key, value) pairs;
-// arrays lexicographically by elements.
-func Compare(a, b Value) int {
-	if ka, kb := a.Kind(), b.Kind(); ka != kb {
-		return int(ka) - int(kb)
-	}
-	switch av := a.(type) {
-	case Null:
-		return 0
-	case Bool:
-		bv := b.(Bool)
-		switch {
-		case av == bv:
-			return 0
-		case bool(av):
-			return 1
-		default:
-			return -1
-		}
-	case Num:
-		bv := b.(Num)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		default:
-			return 0
-		}
-	case Str:
-		return strings.Compare(string(av), string(b.(Str)))
-	case *Record:
-		bv := b.(*Record)
-		for i := 0; i < len(av.fields) && i < len(bv.fields); i++ {
-			if c := strings.Compare(av.fields[i].Key, bv.fields[i].Key); c != 0 {
-				return c
-			}
-			if c := Compare(av.fields[i].Value, bv.fields[i].Value); c != 0 {
-				return c
-			}
-		}
-		return len(av.fields) - len(bv.fields)
-	case Array:
-		bv := b.(Array)
-		for i := 0; i < len(av) && i < len(bv); i++ {
-			if c := Compare(av[i], bv[i]); c != 0 {
-				return c
-			}
-		}
-		return len(av) - len(bv)
-	default:
-		panic(fmt.Sprintf("value: unknown value %T", a))
-	}
 }

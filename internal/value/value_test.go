@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestKinds(t *testing.T) {
@@ -128,41 +127,6 @@ func TestEqual(t *testing.T) {
 	for _, c := range cases {
 		if got := Equal(c.a, c.b); got != c.want {
 			t.Errorf("Equal(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestCloneIsDeepAndEqual(t *testing.T) {
-	orig := Obj(
-		"a", Arr(Num(1), Obj("x", Str("y"))),
-		"b", Null{},
-	)
-	cp := Clone(orig).(*Record)
-	if !Equal(orig, cp) {
-		t.Fatal("clone not equal to original")
-	}
-	// Mutate the clone's nested array; the original must be unaffected.
-	cp.Fields()[0].Value.(Array)[0] = Num(99)
-	if Equal(orig, cp) {
-		t.Fatal("mutating clone affected original (shallow copy)")
-	}
-}
-
-func TestDepth(t *testing.T) {
-	cases := []struct {
-		v    Value
-		want int
-	}{
-		{Num(1), 1},
-		{MustRecord(), 1},
-		{Array{}, 1},
-		{Obj("a", Num(1)), 2},
-		{Arr(Arr(Arr(Num(1)))), 4},
-		{Obj("a", Obj("b", Obj("c", Str("deep")))), 4},
-	}
-	for _, c := range cases {
-		if got := Depth(c.v); got != c.want {
-			t.Errorf("Depth(%s) = %d, want %d", JSON(c.v), got, c.want)
 		}
 	}
 }
@@ -303,31 +267,6 @@ func TestFromGoPassesThroughValue(t *testing.T) {
 	}
 }
 
-func TestCompareTotalOrder(t *testing.T) {
-	// Strictly increasing sequence under Compare.
-	seq := []Value{
-		Null{},
-		Bool(false), Bool(true),
-		Num(-1), Num(0), Num(2.5),
-		Str(""), Str("a"), Str("b"),
-		MustRecord(), Obj("a", Num(1)), Obj("a", Num(2)), Obj("a", Num(2), "b", Num(0)), Obj("b", Num(0)),
-		Array{}, Arr(Num(1)), Arr(Num(1), Num(1)), Arr(Num(2)),
-	}
-	for i := range seq {
-		for j := range seq {
-			got := Compare(seq[i], seq[j])
-			switch {
-			case i < j && got >= 0:
-				t.Errorf("Compare(%s, %s) = %d, want < 0", JSON(seq[i]), JSON(seq[j]), got)
-			case i > j && got <= 0:
-				t.Errorf("Compare(%s, %s) = %d, want > 0", JSON(seq[i]), JSON(seq[j]), got)
-			case i == j && got != 0:
-				t.Errorf("Compare(%s, itself) = %d, want 0", JSON(seq[i]), got)
-			}
-		}
-	}
-}
-
 func TestObjPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"odd args":   func() { Obj("a") },
@@ -343,106 +282,5 @@ func TestObjPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-// quickValue builds a bounded random Value for property tests.
-func quickValue(rnd *quickRand, depth int) Value {
-	max := 6
-	if depth <= 0 {
-		max = 4 // basic values only
-	}
-	switch rnd.intn(max) {
-	case 0:
-		return Null{}
-	case 1:
-		return Bool(rnd.intn(2) == 0)
-	case 2:
-		return Num(float64(rnd.intn(1000)) / 4)
-	case 3:
-		return Str(rnd.str())
-	case 4:
-		n := rnd.intn(4)
-		fields := make([]Field, 0, n)
-		seen := map[string]bool{}
-		for i := 0; i < n; i++ {
-			k := rnd.str()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			fields = append(fields, Field{Key: k, Value: quickValue(rnd, depth-1)})
-		}
-		return MustRecord(fields...)
-	default:
-		n := rnd.intn(4)
-		elems := make(Array, n)
-		for i := range elems {
-			elems[i] = quickValue(rnd, depth-1)
-		}
-		return elems
-	}
-}
-
-type quickRand struct{ s uint64 }
-
-func (r *quickRand) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-func (r *quickRand) intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *quickRand) str() string {
-	letters := "abcdefgh"
-	n := r.intn(5)
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		b.WriteByte(letters[r.intn(len(letters))])
-	}
-	return b.String()
-}
-
-func TestPropertyCloneEqualAndJSONStable(t *testing.T) {
-	f := func(seed uint64) bool {
-		rnd := &quickRand{s: seed | 1}
-		v := quickValue(rnd, 3)
-		cp := Clone(v)
-		return Equal(v, cp) && JSON(v) == JSON(cp) && Compare(v, cp) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyCompareConsistentWithEqual(t *testing.T) {
-	f := func(seed1, seed2 uint64) bool {
-		r1 := &quickRand{s: seed1 | 1}
-		r2 := &quickRand{s: seed2 | 1}
-		a := quickValue(r1, 3)
-		b := quickValue(r2, 3)
-		eq := Equal(a, b)
-		cmp := Compare(a, b)
-		if eq != (cmp == 0) {
-			return false
-		}
-		// Antisymmetry.
-		return sign(Compare(a, b)) == -sign(Compare(b, a))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func sign(n int) int {
-	switch {
-	case n < 0:
-		return -1
-	case n > 0:
-		return 1
-	default:
-		return 0
 	}
 }
